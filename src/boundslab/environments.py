@@ -15,8 +15,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from boundslab.online_policies import bandit_batch
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+
+# Loss cells per block of a batched bandit game (at least one round): bounds
+# its memory, whatever the horizon.
+BLOCK_CELLS = 1 << 14
 
 
 def _mix64(x: int) -> int:
@@ -25,6 +32,13 @@ def _mix64(x: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
     return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` over numpy uint64, whose arithmetic wraps modulo 2**64."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,19 @@ class BernoulliEnv:
     def row(self, t: int) -> list[float]:
         return [self.loss(t, a) for a in range(self.K)]
 
+    @staticmethod
+    def blocks(envs: Sequence["BernoulliEnv"], t0: int, t1: int) -> np.ndarray:
+        """The rows ``row(t)`` for t in [t0, t1) of each env, as an
+        (R, t1 - t0, K) array: the same splitmix64 over numpy uint64, for
+        the R seed states at once."""
+        K = envs[0].K
+        states = np.array([env._seed_state for env in envs], dtype=np.uint64)
+        cells = np.arange(t0 * K, t1 * K, dtype=np.uint64) * np.uint64(_GOLDEN)
+        bits = _mix64_array(states[:, None] + cells)
+        uniform = bits.astype(float).reshape(len(envs), t1 - t0, K) / 2.0 ** 64
+        means = np.array([env.means for env in envs])[:, None, :]
+        return (uniform < means).astype(float)
+
 
 class MatrixEnv:
     """Adversarial losses read from an explicit T x K matrix fixed before
@@ -108,6 +135,13 @@ class MatrixEnv:
 
     def row(self, t: int) -> list[float]:
         return [float(v) for v in self.matrix[t]]
+
+    @staticmethod
+    def blocks(envs: Sequence["MatrixEnv"], t0: int, t1: int) -> np.ndarray:
+        """Rows [t0, t1) of each env's matrix, as an (R, t1 - t0, K) array."""
+        if any(env.horizon < t1 for env in envs):
+            raise ValueError(f"loss matrix has fewer than {t1} rounds")
+        return np.stack([env.matrix[t0:t1] for env in envs])
 
 
 def make_ftl_breaker(T: int) -> np.ndarray:
@@ -245,17 +279,50 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     return GameTranscript(arms, incurred, "loss", detail)
 
 
-def play_bandit(policy, env, T: int, rng=None) -> GameTranscript:
-    """Run a bandit game: only the chosen entry is generated and revealed."""
-    arms = np.empty(T, dtype=int)
-    incurred = np.empty(T)
-    for t in range(T):
-        arm = policy.act(rng)
-        loss = env.loss(t, arm)
-        arms[t] = arm
-        incurred[t] = loss
-        policy.update(arm, loss)
-    return GameTranscript(arms, incurred, "loss", {"feedback": "bandit"})
+def play_bandit(policies: Sequence, envs: Sequence, T: int,
+                rngs: Sequence | None = None) -> list[GameTranscript]:
+    """Run R bandit games at once, repetition r being ``policies[r]``
+    against ``envs[r]`` with random stream ``rngs[r]``; only the chosen entry
+    is revealed to a policy.
+
+    The policies must be fresh, of one class and with equal parameters
+    (see ``online_policies.bandit_batch``); the envs of one class with a
+    ``blocks`` method (``BernoulliEnv``, ``MatrixEnv``) and the policies'
+    arm count.  One loop over t steps all R games with the policies' batch
+    class.  Each game's arms, losses, final policy state and stream state
+    equal those of the scalar loop ``act`` -> ``env.loss`` -> ``update``.
+    Loss cells and uniforms are made a block of rounds at a time
+    (``BLOCK_CELLS``), and every cell of a block must lie in [0, 1].
+    """
+    R = len(policies)
+    if len(envs) != R:
+        raise ValueError(f"need one env per policy, got {len(envs)} for {R}")
+    batch = bandit_batch(policies)
+    if any(type(env) is not type(envs[0]) or env.K != batch.K for env in envs):
+        raise ValueError(f"envs must share one class and K={batch.K}")
+    if batch.draws and (rngs is None or len(rngs) != R
+                        or len({id(rng) for rng in rngs}) != R):
+        raise ValueError("need one random stream of its own per repetition")
+    rows = np.arange(R)
+    arms = np.empty((R, T), dtype=int)
+    incurred = np.empty((R, T))
+    step = max(1, BLOCK_CELLS // (R * batch.K))
+    for t0 in range(0, T, step):
+        t1 = min(T, t0 + step)
+        cells = type(envs[0]).blocks(envs, t0, t1)
+        if not (0.0 <= cells.min() and cells.max() <= 1.0):
+            raise ValueError("loss cells must lie in [0, 1]")
+        if batch.draws:
+            uniforms = np.stack([rng.random(t1 - t0) for rng in rngs], axis=1)
+        for i, t in enumerate(range(t0, t1)):
+            arm = batch.act(t, uniforms[i] if batch.draws else None)
+            loss = cells[rows, i, arm]
+            batch.update(arm, loss)
+            arms[:, t] = arm
+            incurred[:, t] = loss
+    batch.store(policies, T)
+    return [GameTranscript(arms[r], incurred[r], "loss", {"feedback": "bandit"})
+            for r in range(R)]
 
 
 def hindsight_regret(loss_matrix, arms: Sequence[int]) -> np.ndarray:

@@ -8,6 +8,7 @@ log replay) and ``selftest``.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from importlib import resources
@@ -52,10 +53,10 @@ def _write_outputs(config: ExperimentConfig, traces, out_dir: Path,
 
 def _cmd_run(args) -> int:
     config = parse_config(resolve_config(args.config))
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.reps is not None:
-        config.R = args.reps
+    overrides = {"seed": args.seed, "R": args.reps}
+    # replace() re-runs the config's validation on the overridden values
+    config = dataclasses.replace(
+        config, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = Path(args.out or config.out or ".")
     traces = run_experiment(config)
     _write_outputs(config, traces, out_dir, args.plot)

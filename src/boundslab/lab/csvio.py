@@ -49,16 +49,15 @@ def format_value(x: float) -> str:
 
 def emit_csv(traces, path) -> None:
     """Write traces (iterable of AggregateTrace, order preserved) to a CSV
-    file under the byte-level contract above."""
-    lines = [HEADER]
-    for trace in traces:
-        for i in range(len(trace.t)):
-            lines.append(
-                f"{int(trace.t[i])},{trace.name},"
-                f"{format_value(trace.mean[i])},{format_value(trace.std[i])}"
-            )
+    file under the byte-level contract above, one series at a time so only
+    that series' rows are held as text."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(HEADER + "\n")
+        for trace in traces:
+            handle.write("".join(
+                f"{int(trace.t[i])},{trace.name},"
+                f"{format_value(trace.mean[i])},{format_value(trace.std[i])}\n"
+                for i in range(len(trace.t))))
 
 
 def parse_csv(path) -> list[AggregateTrace]:

@@ -3,14 +3,13 @@
 Each repetition r of an experiment derives an independent stream from the
 master seed via ``SeedSequence(master, spawn_key=(r,))``; repetitions are
 aggregated (mean, population std) in repetition-index order, so the output
-is a pure function of the configuration.  ``LAB_THREADS`` caps how many
-repetitions run concurrently (default: sequential).
+is a pure function of the configuration.  The repetitions of one bandit
+series are played together by ``play_bandit``; everything else runs one
+repetition after another.
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -59,22 +58,6 @@ def repetition_seeds(master: int, r: int):
     children = np.random.SeedSequence(master, spawn_key=(r,)).spawn(2)
     env_seed = int(children[0].generate_state(1)[0])
     return env_seed, np.random.default_rng(children[1])
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_repetitions(fn, R: int) -> list:
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(r) for r in range(R)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(R)))
 
 
 _POLICY_KEYS = {
@@ -176,18 +159,17 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
     traces = []
     for suffix, K, env_factory, regret_fn in _game_envs(config):
         for label, spec in config.policies:
-            def one_rep(r, label=label, spec=spec, K=K,
-                        env_factory=env_factory, regret_fn=regret_fn):
-                env_seed, rng = repetition_seeds(config.seed, r)
-                policy, mode = _build_policy(label, spec, K, config.T)
-                env = env_factory(env_seed)
-                if mode == "full":
-                    trans = play_full_information(policy, env, config.T, rng)
-                else:
-                    trans = play_bandit(policy, env, config.T, rng)
-                return regret_fn(trans)
-
-            runs = _map_repetitions(one_rep, config.R)
+            env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
+                                    for r in range(config.R)])
+            envs = [env_factory(env_seed) for env_seed in env_seeds]
+            policies, modes = zip(*[_build_policy(label, spec, K, config.T)
+                                    for _ in envs])
+            if modes[0] == "full":
+                runs = [regret_fn(play_full_information(policy, env, config.T, rng))
+                        for policy, env, rng in zip(policies, envs, rngs)]
+            else:
+                runs = [regret_fn(game) for game
+                        in play_bandit(policies, envs, config.T, rngs)]
             traces.append(aggregate(label + suffix, runs))
     return traces
 
@@ -293,7 +275,7 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
             at_prior.append(pb_kl_bound(q, float(table.emp_losses().mean())).value)
         return minimized, at_prior
 
-    results = _map_repetitions(one_rep, config.R)
+    results = [one_rep(r) for r in range(config.R)]
     return [
         aggregate("pb_lambda_minimized", [r[0] for r in results], t=n_grid),
         aggregate("pb_kl_at_prior", [r[1] for r in results], t=n_grid),
@@ -321,7 +303,7 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
         baseline = alternating_minimize(pi, table, config.delta).bound
         return recursive, [baseline] * t_max
 
-    results = _map_repetitions(one_rep, config.R)
+    results = [one_rep(r) for r in range(config.R)]
     return [
         aggregate("recursive_pb", [r[0] for r in results], t=stages),
         aggregate("pb_lambda_full_sample", [r[1] for r in results], t=stages),
@@ -350,7 +332,7 @@ def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
                       if len(rs) else np.zeros(0))
         return running, rs_running
 
-    results = _map_repetitions(one_rep, config.R)
+    results = [one_rep(r) for r in range(config.R)]
     horizon = min(len(r[1]) for r in results)
     return [
         aggregate("iw_value_estimate", [r[0] for r in results]),

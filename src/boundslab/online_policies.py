@@ -5,15 +5,34 @@ distributions, learning rates, confidence indexes, schedules); the policy
 classes wrap them into stateful players for the simulation drivers in
 :mod:`boundslab.environments`.  Everything is deterministic given the
 caller-supplied random stream; ties always break toward the lowest index.
+
+Each bandit policy class has a batch class next to it that plays R
+independent copies at once, with the state in (R, K) arrays.  A batch does
+the scalar class's float operations in the same order, so its arms and
+state equal R scalar runs bit for bit: exponentials go through
+``math.exp`` (``np.exp`` rounds differently), ``ProbVec`` totals through
+``math.fsum``, and one ``math.log`` is taken per round.  ``np.sqrt``,
+division and left-to-right ``np.add.accumulate`` round exactly like their
+scalar counterparts, and ``np.argmax`` breaks ties toward the lowest index.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import Callable, Sequence
 
-from boundslab.divergences import ProbVec
+import numpy as np
+
+from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
+
+
+def _left_sum(values: list[float]) -> float:
+    """Left-to-right float sum, which ``np.add.accumulate`` reproduces; the
+    built-in ``sum`` compensates rounding error from Python 3.12 on."""
+    return functools.reduce(operator.add, values)
 
 
 def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
@@ -29,7 +48,7 @@ def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
         raise ValueError("cum_losses must be nonempty")
     low = min(losses)
     weights = [math.exp(-eta * (v - low)) for v in losses]
-    total = sum(weights)
+    total = _left_sum(weights)
     return ProbVec([w / total for w in weights])
 
 
@@ -170,6 +189,51 @@ def sample_arm(dist: Sequence[float], u: float) -> int:
     return len(dist) - 1
 
 
+def sample_arms(dists: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``sample_arm`` for each row of an (R, K) array of distributions, with
+    one uniform per row: the first arm whose running sum exceeds u, else the
+    last arm."""
+    cum = np.add.accumulate(dists, axis=1)
+    cum[:, -1] = np.inf
+    return (u[:, None] < cum).argmax(axis=1)
+
+
+def exp3_eta(K: int, t: int, eta: float | None = None,
+             T: int | None = None) -> float:
+    """EXP3 learning rate after ``t`` completed rounds: an explicit ``eta``,
+    else the fixed-horizon sqrt(2 ln K / (K T)) when ``T`` is given, else the
+    anytime sqrt(ln K / ((t + 1) K))."""
+    if eta is not None:
+        return eta
+    if T is not None:
+        return math.sqrt(2.0 * math.log(K) / (K * T))
+    return math.sqrt(math.log(K) / ((t + 1) * K))
+
+
+def _shared_parameters(policies: Sequence, *names: str) -> tuple:
+    """The parameters ``names`` of a batch: every policy must be of one class,
+    agree on them, and not have played yet."""
+    first = policies[0]
+    values = tuple(getattr(first, name) for name in names)
+    for policy in policies:
+        if (type(policy) is not type(first)
+                or tuple(getattr(policy, name) for name in names) != values):
+            raise ValueError("a batch needs policies of one class with equal "
+                             "parameters")
+        if policy.t != 0:
+            raise ValueError("a batch needs policies that have not played yet")
+    return values
+
+
+def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
+    """What ``ProbVec`` does to each row: check the row sums to one within
+    ``NORMALIZATION_TOL`` and divide it by its ``math.fsum``."""
+    totals = np.array(list(map(math.fsum, p.tolist())))
+    if not np.abs(totals - 1.0).max() <= NORMALIZATION_TOL:
+        raise ValueError(f"weights sum to {totals}, not 1")
+    return p / totals[:, None]
+
+
 class HedgePolicy:
     """Full-information exponential weights with a pluggable rate schedule.
 
@@ -277,11 +341,7 @@ class EXP3Policy:
         self._p_last: ProbVec | None = None
 
     def _current_eta(self) -> float:
-        if self.eta is not None:
-            return self.eta
-        if self.T is not None:
-            return math.sqrt(2.0 * math.log(self.K) / (self.K * self.T))
-        return math.sqrt(math.log(self.K) / ((self.t + 1) * self.K))
+        return exp3_eta(self.K, self.t, self.eta, self.T)
 
     def distribution(self) -> ProbVec:
         eta = self._current_eta()
@@ -290,7 +350,7 @@ class EXP3Policy:
         # rewards: (1 - eta) * softmax(+eta R) + eta / K
         high = max(self.cum_estimates)
         weights = [math.exp(eta * (v - high)) for v in self.cum_estimates]
-        total = sum(weights)
+        total = _left_sum(weights)
         return ProbVec([(1.0 - eta) * w / total + eta / self.K for w in weights])
 
     def act(self, rng) -> int:
@@ -321,6 +381,53 @@ class EXP3Policy:
         mapped back to a [0, 1] loss, (K - r̃)/K, and fed as this round's
         bandit loss with the rate unchanged."""
         self.update(arm, (K - r_tilde) / K)
+
+
+class EXP3Batch:
+    """R fresh ``EXP3Policy`` copies with equal parameters, played at once."""
+
+    draws = True
+
+    def __init__(self, policies: Sequence[EXP3Policy]) -> None:
+        self.K, self.variant, self.eta, self.T = _shared_parameters(
+            policies, "K", "variant", "eta", "T")
+        self.offsets = np.arange(len(policies)) * self.K  # row starts, flat
+        self.estimates = np.zeros((len(policies), self.K))
+        self.p = None  # this round's distributions, set by act
+
+    def act(self, t: int, u: np.ndarray) -> np.ndarray:
+        eta = exp3_eta(self.K, t, self.eta, self.T)
+        est = self.estimates
+        if self.variant == "losses":
+            # hedge_distribution: exp(-eta (L - min L)) / sum
+            x = est - np.minimum.reduce(est, axis=1, keepdims=True)
+            x *= -eta
+        else:
+            x = est - np.maximum.reduce(est, axis=1, keepdims=True)
+            x *= eta
+        weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                              x.size).reshape(x.shape)
+        totals = np.add.accumulate(weights, axis=1)[:, -1:]
+        if self.variant == "losses":
+            p = weights / totals
+        else:
+            p = (1.0 - eta) * weights / totals + eta / self.K
+        self.p = _as_probvec_rows(p)
+        return sample_arms(self.p, u)
+
+    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
+        cells = self.offsets + arms
+        p_arm = self.p.ravel()[cells]
+        if self.variant == "losses":
+            if not np.minimum.reduce(p_arm) > 0.0:
+                raise ValueError("cannot importance-weight a zero-probability arm")
+            self.estimates.ravel()[cells] += losses / p_arm
+        else:
+            self.estimates.ravel()[cells] += (1.0 - losses) / p_arm
+
+    def store(self, policies: Sequence[EXP3Policy], T: int) -> None:
+        for policy, est in zip(policies, self.estimates.tolist()):
+            policy.cum_estimates, policy.t = est, T
 
 
 class EXP4Policy:
@@ -426,6 +533,42 @@ class UCB1Policy:
         self.update_reward(arm, r_tilde)
 
 
+class UCB1Batch:
+    """R fresh ``UCB1Policy`` copies with equal parameters, played at once
+    on losses (unit reward range)."""
+
+    draws = False
+
+    def __init__(self, policies: Sequence[UCB1Policy]) -> None:
+        self.K, self.parametrization, reward_range = _shared_parameters(
+            policies, "K", "parametrization", "reward_range")
+        if reward_range != 1.0:
+            raise ValueError("loss updates require unit reward range")
+        self.offsets = np.arange(len(policies)) * self.K  # row starts, flat
+        self.counts = np.zeros((len(policies), self.K))
+        self.sums = np.zeros((len(policies), self.K))
+
+    def act(self, t: int, u=None) -> np.ndarray:
+        if t < self.K:
+            return np.full(len(self.offsets), t)
+        log_t = math.log(t + 1)
+        if self.parametrization == "original":
+            radius = np.sqrt(3.0 * log_t / (2.0 * self.counts))
+        else:
+            radius = np.sqrt(log_t / self.counts)
+        return (self.sums / self.counts + radius).argmax(axis=1)
+
+    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
+        cells = self.offsets + arms
+        self.counts.ravel()[cells] += 1.0
+        self.sums.ravel()[cells] += 1.0 - losses
+
+    def store(self, policies: Sequence[UCB1Policy], T: int) -> None:
+        for policy, counts, sums in zip(policies, self.counts.tolist(),
+                                        self.sums.tolist()):
+            policy.counts, policy.sums, policy.t = list(map(int, counts)), sums, T
+
+
 class EpsilonFirstPolicy:
     """Two-armed explore-then-commit: alternate both arms for the scheduled
     exploration budget, then commit to the empirically best arm (rewards;
@@ -460,6 +603,44 @@ class EpsilonFirstPolicy:
         self.update_reward(arm, 1.0 - float(loss))
 
 
+class EpsilonFirstBatch:
+    """R fresh ``EpsilonFirstPolicy`` copies with equal schedules, played at
+    once."""
+
+    draws = False
+
+    def __init__(self, policies: Sequence[EpsilonFirstPolicy]) -> None:
+        (self.exploration_rounds,) = _shared_parameters(
+            policies, "exploration_rounds")
+        self.K = 2
+        self.offsets = np.arange(len(policies)) * 2  # row starts, flat
+        self.counts = np.zeros((len(policies), 2))
+        self.sums = np.zeros((len(policies), 2))
+        self.commit = None
+
+    def act(self, t: int, u=None) -> np.ndarray:
+        if t < self.exploration_rounds:
+            return np.full(len(self.offsets), t % 2)
+        if self.commit is None:
+            means = np.divide(self.sums, self.counts, out=np.zeros_like(self.sums),
+                              where=self.counts > 0)
+            self.commit = np.where(means[:, 0] >= means[:, 1], 0, 1)
+        return self.commit
+
+    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
+        cells = self.offsets + arms
+        self.counts.ravel()[cells] += 1.0
+        self.sums.ravel()[cells] += 1.0 - losses
+
+    def store(self, policies: Sequence[EpsilonFirstPolicy], T: int) -> None:
+        commits = ([None] * len(policies) if self.commit is None
+                   else self.commit.tolist())
+        for policy, counts, sums, commit in zip(
+                policies, self.counts.tolist(), self.sums.tolist(), commits):
+            policy.counts, policy.sums = list(map(int, counts)), sums
+            policy.t, policy._commit = T, commit
+
+
 class FixedPolicy:
     """Non-learning policy playing a fixed arm or a fixed distribution;
     useful as the evaluation target in offline replay."""
@@ -490,3 +671,49 @@ class FixedPolicy:
 
     def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
         self.t += 1
+
+
+class FixedBatch:
+    """R fresh ``FixedPolicy`` copies with the same arm or distribution."""
+
+    def __init__(self, policies: Sequence[FixedPolicy]) -> None:
+        self.K, self.arm, dist = _shared_parameters(policies, "K", "arm", "dist")
+        self.draws = dist is not None
+        self.dist = None if dist is None else np.array([dist.weights])
+        self.R = len(policies)
+
+    def act(self, t: int, u: np.ndarray | None = None) -> np.ndarray:
+        if self.dist is None:
+            return np.full(self.R, self.arm)
+        return sample_arms(np.broadcast_to(self.dist, (self.R, self.K)), u)
+
+    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
+        pass
+
+    def store(self, policies: Sequence[FixedPolicy], T: int) -> None:
+        for policy in policies:
+            policy.t = T
+
+
+_BATCHES = {
+    EXP3Policy: EXP3Batch,
+    UCB1Policy: UCB1Batch,
+    EpsilonFirstPolicy: EpsilonFirstBatch,
+    FixedPolicy: FixedBatch,
+}
+
+
+def bandit_batch(policies: Sequence):
+    """The batch that plays ``policies``, R fresh bandit policies of one class
+    and parameters, as one.  A batch has the arm count ``K``, ``draws``
+    (whether ``act`` takes one uniform per repetition), ``act(t, u)`` giving
+    the R arms of round t (0-based), ``update(arms, losses)``, and
+    ``store(policies, T)`` that leaves each policy in the state T scalar
+    rounds would."""
+    if not policies:
+        raise ValueError("a batch needs at least one policy")
+    batch = _BATCHES.get(type(policies[0]))
+    if batch is None:
+        raise ValueError(
+            f"no batched bandit step for {type(policies[0]).__name__}")
+    return batch(policies)

@@ -162,12 +162,10 @@ def test_criterion_05_ucb1_theorem_bounds():
     assert abs(budgets["improved"] - 190.7) < 0.1
     results = {}
     for param in ("original", "improved"):
-        regrets = []
-        for rep in range(20):
-            env = BernoulliEnv(means, seed=rep)
-            policy = UCB1Policy(2, parametrization=param)
-            trans = play_bandit(policy, env, T)
-            regrets.append(pseudo_regret(trans.arms, means)[-1])
+        games = play_bandit(
+            [UCB1Policy(2, parametrization=param) for _ in range(20)],
+            [BernoulliEnv(means, seed=rep) for rep in range(20)], T)
+        regrets = [pseudo_regret(trans.arms, means)[-1] for trans in games]
         results[param] = float(np.mean(regrets))
     ok = (results["original"] <= budgets["original"]
           and results["improved"] <= budgets["improved"]
@@ -187,12 +185,11 @@ def test_criterion_06_exp3_theorem_bound():
     details = []
     for K in (2, 4):
         means = [0.5 - gap] + [0.5] * (K - 1)
-        regrets = []
-        for rep in range(20):
-            env = BernoulliEnv(means, seed=100 * K + rep)
-            rng = np.random.default_rng(7000 + 100 * K + rep)
-            trans = play_bandit(EXP3Policy(K), env, T, rng)
-            regrets.append(pseudo_regret(trans.arms, means)[-1])
+        games = play_bandit(
+            [EXP3Policy(K) for _ in range(20)],
+            [BernoulliEnv(means, seed=100 * K + rep) for rep in range(20)], T,
+            [np.random.default_rng(7000 + 100 * K + rep) for rep in range(20)])
+        regrets = [pseudo_regret(trans.arms, means)[-1] for trans in games]
         bound = math.sqrt(2 * K * T * math.log(K))
         details.append(f"K={K}:{np.mean(regrets):.0f}<={bound:.0f}")
         ok = ok and float(np.mean(regrets)) <= bound

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from boundslab import environments
 from boundslab.environments import (
     BernoulliEnv,
     GameTranscript,
@@ -23,10 +24,12 @@ from boundslab.environments import (
 )
 from boundslab.online_policies import (
     EXP3Policy,
+    EpsilonFirstPolicy,
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
     UCB1Policy,
+    bandit_batch,
 )
 
 
@@ -38,7 +41,7 @@ class TestBernoulliEnv:
     def test_all_half_means_have_no_gap(self):
         env = BernoulliEnv([0.5, 0.5, 0.5], seed=9)
         rng = np.random.default_rng(1)
-        trans = play_bandit(EXP3Policy(3), env, 200, rng)
+        [trans] = play_bandit([EXP3Policy(3)], [env], 200, [rng])
         assert np.all(pseudo_regret(trans.arms, env.means) == 0.0)
 
     def test_empirical_means_match_clt(self):
@@ -68,6 +71,13 @@ class TestBernoulliEnv:
             BernoulliEnv([0.5, 1.2], seed=0)
         with pytest.raises(ValueError):
             BernoulliEnv([], seed=0)
+
+    def test_blocks_equal_rows(self):
+        envs = [BernoulliEnv([0.1, 0.5, 0.9], seed=s) for s in (0, 2 ** 64 - 1, 77)]
+        block = BernoulliEnv.blocks(envs, 40, 140)
+        assert block.shape == (3, 100, 3)
+        for env, rows in zip(envs, block):
+            assert rows.tolist() == [env.row(t) for t in range(40, 140)]
 
 
 class TestFtlBreaker:
@@ -129,12 +139,91 @@ class TestUcbBreaker:
         T, K = 4000, 2
         matrix, _ = make_ucb_breaker(T, K=K)
         losses = 1.0 - matrix
-        regrets = []
-        for rep in range(20):
-            rng = np.random.default_rng(rep)
-            trans = play_bandit(EXP3Policy(K), MatrixEnv(losses), T, rng)
-            regrets.append(hindsight_regret(losses, trans.arms)[-1])
+        games = play_bandit([EXP3Policy(K) for _ in range(20)],
+                            [MatrixEnv(losses) for _ in range(20)], T,
+                            [np.random.default_rng(rep) for rep in range(20)])
+        regrets = [hindsight_regret(losses, trans.arms)[-1] for trans in games]
         assert np.mean(regrets) <= math.sqrt(2 * K * T * math.log(K))
+
+
+# Every bandit policy the runner builds, plus both fixed-policy forms, as
+# (arm count, horizon) -> fresh policy; epsilon-first is two-armed only.
+BANDIT_KINDS = {
+    "ucb1_original": lambda K, T: UCB1Policy(K, parametrization="original"),
+    "ucb1_improved": lambda K, T: UCB1Policy(K, parametrization="improved"),
+    "exp3_anytime": lambda K, T: EXP3Policy(K),
+    "exp3_fixed_horizon": lambda K, T: EXP3Policy(K, T=T),
+    "exp3_explicit_eta": lambda K, T: EXP3Policy(K, eta=0.3),
+    "exp3_rewards": lambda K, T: EXP3Policy(K, variant="rewards", eta=0.2),
+    "epsilon_first": lambda K, T: EpsilonFirstPolicy(T, 0.25),
+    "fixed_arm": lambda K, T: FixedPolicy(K, arm=K - 1),
+    "fixed_dist": lambda K, T: FixedPolicy(K, dist=[0.2] * (K - 1) + [1.2 - 0.2 * K]),
+}
+
+
+def _bandit_envs(kind: str, K: int, T: int, R: int):
+    if kind == "bernoulli":
+        means = [0.3 + 0.4 * a / (K - 1) for a in range(K)]
+        return [BernoulliEnv(means, seed=1000 + r) for r in range(R)]
+    rewards, _ = make_ucb_breaker(T, K)
+    return [MatrixEnv(1.0 - rewards) for _ in range(R)]
+
+
+class TestBatchedBandit:
+    @pytest.mark.parametrize("env_kind", ["bernoulli", "ucb_breaker"])
+    @pytest.mark.parametrize("policy_kind", sorted(BANDIT_KINDS))
+    def test_equals_scalar_loop_per_repetition(self, policy_kind, env_kind,
+                                               monkeypatch):
+        # small blocks, so a game spans many of them
+        monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
+        K = 2 if policy_kind == "epsilon_first" else 3
+        T, R = 400, 4
+        make = BANDIT_KINDS[policy_kind]
+        policies = [make(K, T) for _ in range(R)]
+        rngs = [np.random.default_rng(50 + r) for r in range(R)]
+        games = play_bandit(policies, _bandit_envs(env_kind, K, T, R), T, rngs)
+        assert len(games) == R
+        for r, game in enumerate(games):
+            policy, env = make(K, T), _bandit_envs(env_kind, K, T, R)[r]
+            rng = np.random.default_rng(50 + r)
+            arms, losses = [], []
+            for t in range(T):
+                arm = policy.act(rng)
+                loss = env.loss(t, arm)
+                policy.update(arm, loss)
+                arms.append(arm)
+                losses.append(loss)
+            assert game.arms.tolist() == arms
+            assert game.payoffs.tolist() == losses
+            assert vars(policies[r]) == vars(policy)
+            assert rngs[r].random() == rng.random()
+
+    def test_input_checks(self):
+        env = MatrixEnv(np.full((10, 2), 0.5))
+        env.matrix[6, 0] = 1.5
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            play_bandit([UCB1Policy(2)], [env], 10)
+        batch = bandit_batch([EXP3Policy(2), EXP3Policy(2)])
+        batch.act(0, np.array([0.1, 0.9]))
+        batch.p[1] = (1.0, 0.0)
+        with pytest.raises(ValueError, match="zero-probability"):
+            batch.update(np.array([0, 1]), np.array([0.5, 0.5]))
+        envs = [BernoulliEnv([0.5, 0.5], seed=0)] * 2
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="random stream"):
+            play_bandit([EXP3Policy(2), EXP3Policy(2)], envs, 10, [rng, rng])
+        with pytest.raises(ValueError, match="random stream"):
+            play_bandit([EXP3Policy(2), EXP3Policy(2)], envs, 10)
+        with pytest.raises(ValueError, match="equal parameters"):
+            play_bandit([EXP3Policy(2), EXP3Policy(2, eta=0.1)], envs, 10, [rng, None])
+        played = UCB1Policy(2)
+        played.update(0, 0.5)
+        with pytest.raises(ValueError, match="not played"):
+            play_bandit([played], envs[:1], 10)
+        with pytest.raises(ValueError, match="K=3"):
+            play_bandit([UCB1Policy(3)], envs[:1], 10)
+        with pytest.raises(ValueError, match="HedgePolicy"):
+            play_bandit([HedgePolicy(2)], envs[:1], 10)
 
 
 class TestLogParsing:

@@ -1,5 +1,8 @@
+import hashlib
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,15 +102,6 @@ class TestRunner:
         first = run_experiment(config)
         second = run_experiment(config)
         for a, b in zip(first, second):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.std, b.std)
-
-    def test_threaded_runs_match_sequential(self, monkeypatch):
-        config = parse_config_lines(MINIMAL_GAME)
-        sequential = run_experiment(config)
-        monkeypatch.setenv("LAB_THREADS", "3")
-        threaded = run_experiment(config)
-        for a, b in zip(sequential, threaded):
             assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.std, b.std)
 
@@ -264,6 +258,20 @@ class TestCli:
                      "--reps", "2", "--seed", "99", "--plot"]) == 0
         assert (tmp_path / "tiny.svg").exists()
 
+    @pytest.mark.parametrize("override, field", [
+        (["--reps", "0"], "experiment.R"),
+        (["--seed", "-1"], "experiment.seed"),
+        (["--seed", str(2 ** 64)], "experiment.seed"),
+    ])
+    def test_bad_overrides_are_config_errors(self, tmp_path, capsys,
+                                             override, field):
+        config = tmp_path / "tiny.cfg"
+        config.write_text("\n".join(MINIMAL_GAME) + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path),
+                     *override]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "tiny.csv").exists()
+
     def test_bounds_compare_command(self, tmp_path):
         assert main(["bounds-compare", "--n", "200", "--delta", "0.05",
                      "--grid", "21", "--out", str(tmp_path)]) == 0
@@ -291,3 +299,23 @@ class TestCli:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+
+PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+
+
+def _preset_pins():
+    """{preset: {"csv": sha256, "svg": sha256}} for every pinned preset."""
+    pins = json.loads(PINS.read_text())
+    return {name: hashes for workload in pins.values()
+            for name, hashes in workload.items() if "csv" in hashes}
+
+
+@pytest.mark.parametrize("preset", sorted(_preset_pins()))
+def test_preset_bytes_match_pins(preset, tmp_path):
+    """``lab run <preset> --plot`` writes the pinned CSV and SVG bytes, so a
+    change that moves any output digit fails here."""
+    assert main(["run", preset, "--out", str(tmp_path), "--plot"]) == 0
+    for artifact, digest in _preset_pins()[preset].items():
+        written = (tmp_path / f"{preset}.{artifact}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, artifact
