@@ -100,11 +100,8 @@ class SplitGrid:
         (continuous) values get the fractional clamped form.  Either way
         b_0 + sum_j alpha_j * x_{|j} reconstructs x exactly.
         """
-        out = []
-        for j in range(self.K):
-            lo, alpha = self.points[j], self.alphas[j]
-            out.append(min(1.0, max(0.0, (x - lo) / alpha)))
-        return tuple(out)
+        return tuple(min(1.0, max(0.0, (x - lo) / alpha))
+                     for lo, alpha in zip(self.points, self.alphas))
 
 
 class LambdaGrid:
@@ -224,15 +221,24 @@ def split_kl_mean_bound(sample: Sample, grid: SplitGrid, delta: float) -> BoundR
         raise ValueError("sample values must lie within [b_0, b_K]")
     n = sample.n
     eps = math.log(grid.K / delta) / n
-    value = grid.points[0]
-    segment_means = []
-    for j in range(grid.K):
-        p_hat_j = math.fsum(grid.segment_values(v)[j] for v in sample.values) / n
-        segment_means.append(p_hat_j)
-        value += grid.alphas[j] * kl_inverse(p_hat_j, eps, "upper")
+    # column j of SplitGrid.segment_values, one pass over the sample per segment
+    segment_means = tuple(
+        math.fsum(min(1.0, max(0.0, (x - lo) / alpha)) for x in sample.values) / n
+        for lo, alpha in zip(grid.points, grid.alphas))
+    value = _split_kl_sum(grid.points[0], grid.alphas, segment_means, eps)
     return BoundResult(value, delta, "split-kl",
-                       {"eps": eps, "segment_means": tuple(segment_means),
+                       {"eps": eps, "segment_means": segment_means,
                         "K": grid.K, "n": n})
+
+
+def _split_kl_sum(b0: float, alphas: Sequence[float], means: Sequence[float],
+                  eps: float) -> float:
+    """The split-kl reassembly (Wu & Seldin, 2022), summed left to right;
+    shared by the mean, PAC-Bayes and recursive split-kl bounds."""
+    value = b0
+    for alpha, mean in zip(alphas, means):
+        value += alpha * kl_inverse(mean, eps, "upper")
+    return value
 
 
 def bernstein_mean_bound(mean_hat: float, nu: float, b: float, n: int,

@@ -145,42 +145,25 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
 
-    if direction == "upper":
-        if math.isinf(eps) or p_hat == 1.0:
-            return 1.0
-        if p_hat == 0.0:
-            # kl(0||q) = -ln(1-q), solved in closed form.
-            return 1.0 - math.exp(-eps)
-        if binary_kl(p_hat, 1.0) <= eps:
-            return 1.0
-        lo, hi = p_hat, 1.0
-        for _ in range(BISECT_MAX_ITER):
-            if hi - lo <= BISECT_TOL:
-                break
-            mid = 0.5 * (lo + hi)
-            if binary_kl(p_hat, mid) <= eps:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    if math.isinf(eps) or p_hat == 0.0:
-        return 0.0
-    if p_hat == 1.0:
-        # kl(1||q) = -ln q.
-        return math.exp(-eps)
-    if binary_kl(p_hat, 0.0) <= eps:
-        return 0.0
-    lo, hi = 0.0, p_hat
+    upper = direction == "upper"
+    edge = 1.0 if upper else 0.0
+    if math.isinf(eps) or p_hat == edge:
+        return edge
+    if p_hat == 1.0 - edge:
+        # kl(0||q) = -ln(1-q) and kl(1||q) = -ln q, solved in closed form.
+        return 1.0 - math.exp(-eps) if upper else math.exp(-eps)
+    # p_hat is interior here, so kl(p_hat||edge) = inf > eps: the edge is
+    # infeasible and p_hat's end of the bracket stays feasible.
+    lo, hi = (p_hat, 1.0) if upper else (0.0, p_hat)
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if binary_kl(p_hat, mid) <= eps:
-            hi = mid
-        else:
+        if (binary_kl(p_hat, mid) <= eps) == upper:
             lo = mid
-    return hi
+        else:
+            hi = mid
+    return lo if upper else hi
 
 
 def pinsker_relaxations(p_hat: float, eps: float) -> tuple:

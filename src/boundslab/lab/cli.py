@@ -14,7 +14,12 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from boundslab.lab.config import ConfigError, ExperimentConfig, parse_config
+from boundslab.lab.config import (
+    ConfigError,
+    ExperimentConfig,
+    _convert,
+    parse_config,
+)
 from boundslab.lab.csvio import emit_csv, parse_csv
 from boundslab.lab.runner import run_experiment
 from boundslab.lab.svgplot import render_plot
@@ -73,39 +78,42 @@ def _cmd_bounds_compare(args) -> int:
     return 0
 
 
+def _replay_policy(spec: str, K: int, mode: str):
+    """The ``--policy`` choice (ucb1 | exp3 | fixed:<arm>) as a fresh policy.
+    Under importance weighting a payoff can reach K, so UCB1 widens its
+    radius to that range."""
+    from boundslab.online_policies import EXP3Policy, FixedPolicy, UCB1Policy
+
+    if spec == "ucb1":
+        return UCB1Policy(K, parametrization="improved",
+                          reward_range=K if mode == "iw" else 1.0)
+    if spec == "exp3":
+        return EXP3Policy(K)
+    if spec.startswith("fixed:"):
+        arm = _convert(spec.split(":", 1)[1], int, "--policy")
+        if not 0 <= arm < K:
+            raise ConfigError(f"--policy: arm {arm} outside [0, {K})")
+        return FixedPolicy(K, arm=arm)
+    raise ConfigError(f"--policy: unknown replay policy {spec!r}")
+
+
 def _cmd_replay(args) -> int:
     from boundslab.environments import (
         parse_log,
         replay_importance_weighted,
         replay_rejection_sampling,
     )
-    from boundslab.online_policies import EXP3Policy, FixedPolicy, UCB1Policy
     import numpy as np
 
     with open(args.log, "r", encoding="ascii") as handle:
         K, records = parse_log(handle)
     rng = np.random.default_rng(args.seed or 0)
+    policy = _replay_policy(args.policy, K, args.mode)
     if args.mode == "iw":
-        if args.policy == "ucb1":
-            policy = UCB1Policy(K, parametrization="improved", reward_range=K)
-        elif args.policy == "exp3":
-            policy = EXP3Policy(K)
-        elif args.policy.startswith("fixed:"):
-            policy = FixedPolicy(K, arm=int(args.policy.split(":", 1)[1]))
-        else:
-            raise ConfigError(f"unknown replay policy {args.policy!r}")
         trans = replay_importance_weighted(policy, records, K, rng)
         print(f"records={len(records)} K={K} "
               f"estimated_value={trans.detail['estimated_value']:.6g}")
     else:
-        if args.policy == "ucb1":
-            policy = UCB1Policy(K, parametrization="improved")
-        elif args.policy == "exp3":
-            policy = EXP3Policy(K)
-        elif args.policy.startswith("fixed:"):
-            policy = FixedPolicy(K, arm=int(args.policy.split(":", 1)[1]))
-        else:
-            raise ConfigError(f"unknown replay policy {args.policy!r}")
         trans = replay_rejection_sampling(policy, records, K, rng)
         horizon = trans.detail["effective_horizon"]
         mean = float(trans.payoffs.mean()) if horizon else float("nan")

@@ -39,6 +39,7 @@ from boundslab.environments import (
 from boundslab.lab.config import (
     ConfigError,
     ExperimentConfig,
+    _convert,
     parse_float_list,
     parse_int_list,
 )
@@ -77,24 +78,28 @@ def _build_policy(label: str, spec: dict, K: int, T: int):
     unknown = set(spec) - _POLICY_KEYS[kind]
     if unknown:
         raise ConfigError(f"policy {label}: unknown keys {sorted(unknown)}")
+
+    def parse(key, to, default=None):
+        raw = spec.get(key, default)
+        return None if raw is None else _convert(raw, to, f"policy {label}.{key}")
+
     try:
         if kind == "hedge":
             return HedgePolicy(
                 K,
                 variant=spec.get("variant", "anytime_tight"),
-                eta=float(spec["eta"]) if "eta" in spec else None,
+                eta=parse("eta", float),
                 T=T,
-                doubling=spec.get("doubling", "false").lower() == "true",
+                doubling=parse("doubling", bool, "false"),
             ), "full"
         if kind == "ftl":
             return FTLPolicy(K), "full"
         if kind == "exp3":
-            fixed = spec.get("fixed_horizon", "false").lower() == "true"
             return EXP3Policy(
                 K,
                 variant=spec.get("variant", "losses"),
-                eta=float(spec["eta"]) if "eta" in spec else None,
-                T=T if fixed else None,
+                eta=parse("eta", float),
+                T=T if parse("fixed_horizon", bool, "false") else None,
             ), "bandit"
         if kind == "ucb1":
             return UCB1Policy(
@@ -102,7 +107,7 @@ def _build_policy(label: str, spec: dict, K: int, T: int):
             ), "bandit"
         if "gap" not in spec:
             raise ConfigError(f"policy {label}: epsilon_first needs 'gap'")
-        return EpsilonFirstPolicy(T, float(spec["gap"])), "bandit"
+        return EpsilonFirstPolicy(T, parse("gap", float)), "bandit"
     except ConfigError:
         raise
     except ValueError as exc:
@@ -126,8 +131,8 @@ def _game_envs(config: ExperimentConfig):
     elif kind == "bernoulli_gap":
         k_grid = parse_int_list(env.pop("k_grid", env.pop("k", "2")),
                                 "environment.k_grid")
-        gap = float(env.pop("gap", "0.25"))
-        base = float(env.pop("base", "0.5"))
+        gap = _convert(env.pop("gap", "0.25"), float, "environment.gap")
+        base = _convert(env.pop("base", "0.5"), float, "environment.base")
         for k in k_grid:
             if k < 2:
                 raise ConfigError("environment.k_grid: each K must be >= 2")
@@ -142,7 +147,7 @@ def _game_envs(config: ExperimentConfig):
                     lambda trans, m=matrix: hindsight_regret(m, trans.arms)))
     elif kind == "ucb_breaker":
         rewards, _ = make_ucb_breaker(
-            T, int(env.pop("k", "2")),
+            T, _convert(env.pop("k", "2"), int, "environment.k"),
             parametrization=env.pop("parametrization", "improved"))
         losses = 1.0 - rewards
         out.append(("", losses.shape[1], lambda seed, m=losses: MatrixEnv(m),
@@ -177,8 +182,8 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
 def _bounds_params(config: ExperimentConfig):
     params = dict(config.params)
     family = params.pop("family", "four_bounds")
-    n = int(params.pop("n", "1000"))
-    grid = int(params.pop("grid", "101"))
+    n = _convert(params.pop("n", "1000"), int, "params.n")
+    grid = _convert(params.pop("grid", "101"), int, "params.grid")
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     if n < 2 or grid < 2:
@@ -256,7 +261,7 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
     )
 
     params = dict(config.params)
-    m = int(params.pop("m", "20"))
+    m = _convert(params.pop("m", "20"), int, "params.m")
     n_grid = parse_int_list(params.pop("n_grid", "100,200,400,800"),
                             "params.n_grid")
     if params:
@@ -286,9 +291,9 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     from boundslab.pac_bayes import alternating_minimize, recursive_pb
 
     params = dict(config.params)
-    m = int(params.pop("m", "20"))
-    n = int(params.pop("n", "1000"))
-    t_max = int(params.pop("t_max", "4"))
+    m = _convert(params.pop("m", "20"), int, "params.m")
+    n = _convert(params.pop("n", "1000"), int, "params.n")
+    t_max = _convert(params.pop("t_max", "4"), int, "params.t_max")
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     pi = ProbVec([1.0 / m] * m)
@@ -313,7 +318,7 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
 def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
     params = dict(config.params)
     means = parse_float_list(params.pop("means", "0.3,0.7"), "params.means")
-    fixed_arm = int(params.pop("fixed_arm", "0"))
+    fixed_arm = _convert(params.pop("fixed_arm", "0"), int, "params.fixed_arm")
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     K = len(means)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import BoundResult, LambdaGrid, SplitGrid
+from .concentration import BoundResult, LambdaGrid, SplitGrid, _split_kl_sum
 from .divergences import ProbVec, categorical_kl, kl_inverse
 
 
@@ -212,17 +212,26 @@ def pb_lambda_bound(q: PacBayesQuery, emp_loss: float, *,
     if side == "upper":
         if lam is None or not 0.0 < lam < 2.0:
             raise ValueError("upper side needs lam in (0, 2)")
-        value = emp_loss / (1.0 - lam / 2.0) \
-            + complexity / (lam * (1.0 - lam / 2.0) * q.n)
+        value = _lambda_upper(emp_loss, complexity, lam, q.n)
         return BoundResult(value, q.delta, "pb-lambda-upper",
                            {"kl": kl_term, "lambda": lam})
     if side == "lower":
         if gamma is None or gamma <= 0.0:
             raise ValueError("lower side needs gamma > 0")
-        value = max(0.0, (1.0 - gamma / 2.0) * emp_loss - complexity / (gamma * q.n))
+        value = max(0.0, _lambda_lower(emp_loss, complexity, gamma, q.n))
         return BoundResult(value, q.delta, "pb-lambda-lower",
                            {"kl": kl_term, "gamma": gamma})
     raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+
+
+def _lambda_upper(emp: float, complexity: float, lam: float, n: int) -> float:
+    """The PAC-Bayes-lambda upper form, shared by every lambda-form bound."""
+    return emp / (1.0 - lam / 2.0) + complexity / (lam * (1.0 - lam / 2.0) * n)
+
+
+def _lambda_lower(emp: float, complexity: float, gamma: float, n: int) -> float:
+    """The PAC-Bayes-lambda lower form, unclipped."""
+    return (1.0 - gamma / 2.0) * emp - complexity / (gamma * n)
 
 
 def gibbs_posterior(pi: ProbVec, losses: Sequence[float], scale: float) -> ProbVec:
@@ -265,11 +274,6 @@ class MinimizationResult:
     trace: tuple
 
 
-def _lambda_objective(emp, kl_term, complexity, lam, n):
-    return emp / (1.0 - lam / 2.0) \
-        + (kl_term + complexity) / (lam * (1.0 - lam / 2.0) * n)
-
-
 def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
                                complexity: float, rel_tol: float = 1e-9,
                                max_iter: int = 1000) -> MinimizationResult:
@@ -280,14 +284,14 @@ def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
     trace = []
     emp = float(np.dot(rho.weights, losses))
     lam = _optimal_lambda_raw(emp, complexity, n_eff)
-    bound = _lambda_objective(emp, 0.0, complexity, lam, n_eff)
+    bound = _lambda_upper(emp, complexity, lam, n_eff)
     trace.append(bound)
     for _ in range(max_iter):
         rho = gibbs_posterior(pi, losses, scale=lam * n_eff)
         emp = float(np.dot(rho.weights, losses))
         kl_term = categorical_kl(rho, pi)
         lam = _optimal_lambda_raw(emp, kl_term + complexity, n_eff)
-        new_bound = _lambda_objective(emp, kl_term, complexity, lam, n_eff)
+        new_bound = _lambda_upper(emp, kl_term + complexity, lam, n_eff)
         trace.append(new_bound)
         if bound - new_bound < rel_tol * max(bound, 1e-300):
             bound = min(bound, new_bound)
@@ -357,8 +361,7 @@ def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
         emp_tandem = float(rho_w @ tandem @ rho_w)
         n_eff = table.min_pairwise_overlap()
         complexity = 2.0 * q.kl_term + math.log(2.0 * math.sqrt(n_eff) / q.delta)
-        inner = emp_tandem / (1.0 - lam / 2.0) \
-            + complexity / (lam * (1.0 - lam / 2.0) * n_eff)
+        inner = _lambda_upper(emp_tandem, complexity, lam, n_eff)
         return BoundResult(4.0 * inner, q.delta, "mv-tandem",
                            {"emp_tandem": emp_tandem, "lambda": lam,
                             "n_eff": n_eff})
@@ -369,9 +372,8 @@ def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
         emp = float(np.dot(rho_w, table.emp_losses()))
         n = table.n
         kl_term = q.kl_term
-        upper = emp / (1.0 - lam / 2.0) \
-            + (kl_term + math.log(4.0 * math.sqrt(n) / q.delta)) \
-            / (lam * (1.0 - lam / 2.0) * n)
+        upper = _lambda_upper(
+            emp, kl_term + math.log(4.0 * math.sqrt(n) / q.delta), lam, n)
         if unlabeled_predictions is not None:
             dis_table = LossTable(np.zeros_like(np.asarray(unlabeled_predictions),
                                                 dtype=float),
@@ -381,9 +383,9 @@ def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
         dis = dis_table.disagreements()
         emp_dis = float(rho_w @ dis @ rho_w)
         m_eff = dis_table.n
-        lower = (1.0 - gamma / 2.0) * emp_dis \
-            - (2.0 * kl_term + math.log(4.0 * math.sqrt(m_eff) / q.delta)) \
-            / (gamma * m_eff)
+        lower = _lambda_lower(
+            emp_dis, 2.0 * kl_term + math.log(4.0 * math.sqrt(m_eff) / q.delta),
+            gamma, m_eff)
         return BoundResult(4.0 * upper - 2.0 * lower, q.delta, "mv-disagreement",
                            {"emp_loss": emp, "emp_disagreement": emp_dis,
                             "lambda": lam, "gamma": gamma})
@@ -405,9 +407,7 @@ def pb_split_kl_bound(grid: SplitGrid, segment_means: Sequence[float],
         return BoundResult(grid.points[-1], q.delta, "pb-split-kl",
                            {"kl": kl_term})
     eps = (kl_term + math.log(2.0 * grid.K * math.sqrt(q.n) / q.delta)) / q.n
-    value = grid.points[0]
-    for alpha, mean in zip(grid.alphas, means):
-        value += alpha * kl_inverse(mean, eps, "upper")
+    value = _split_kl_sum(grid.points[0], grid.alphas, means, eps)
     return BoundResult(value, q.delta, "pb-split-kl",
                        {"kl": kl_term, "eps": eps,
                         "segment_means": tuple(means)})
@@ -549,14 +549,13 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             kl_term = categorical_kl(pi_star, pi_prev)
             eps = (kl_term + complexity) / n_val
             rho_w = np.asarray(pi_star.weights)
-            excess_bound = -gamma
-            for j in range(1, 4):
-                width = levels[j] - levels[j - 1]
-                if width == 0.0:
-                    continue
-                seg = (excess >= levels[j] - 1e-12).mean(axis=1)
-                seg_mean = float(np.dot(rho_w, seg))
-                excess_bound += width * kl_inverse(seg_mean, eps, "upper")
+            # a zero-width segment (gamma = 0 or 1) adds nothing and is skipped
+            segs = [j for j in range(1, 4) if levels[j] != levels[j - 1]]
+            seg_means = [
+                float(np.dot(rho_w, (excess >= levels[j] - 1e-12).mean(axis=1)))
+                for j in segs]
+            excess_bound = _split_kl_sum(
+                -gamma, [levels[j] - levels[j - 1] for j in segs], seg_means, eps)
             bound = excess_bound + gamma * bound_prev
             stage = RecursiveStage(t, n_t, n_val, gamma, pi_star, levels,
                                    excess_bound, bound)

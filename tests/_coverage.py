@@ -1,6 +1,6 @@
-"""Vectorized Monte-Carlo coverage checks shared by the concentration tests
-and the acceptance suite: estimate how often each upper bound on the mean is
-violated by the true mean over many seeded trials."""
+"""Monte-Carlo coverage checks shared by the concentration tests and the
+acceptance suite: estimate how often each of the library's upper bounds on
+the mean is violated by the true mean over many seeded trials."""
 from __future__ import annotations
 
 import math
@@ -8,11 +8,14 @@ import math
 import numpy as np
 
 from boundslab.concentration import (
-    LambdaGrid,
+    Sample,
+    SplitGrid,
+    empirical_bernstein_mean_bound,
     hoeffding_radius,
-    psi,
+    kl_mean_bound,
+    split_kl_mean_bound,
+    unexpected_bernstein_mean_bound,
 )
-from boundslab.divergences import kl_inverse
 
 
 def draw_matrix(rng, dist, M, n):
@@ -24,74 +27,39 @@ def draw_matrix(rng, dist, M, n):
     raise ValueError(dist)
 
 
-def _kl_upper_for_counts(counts, n, eps):
-    """kl upper inverse of count/n for every integer count, cached."""
-    cache = {}
-    out = np.empty(len(counts))
-    for i, c in enumerate(counts):
-        c = int(round(c))
-        if c not in cache:
-            cache[c] = kl_inverse(c / n, eps, "upper")
-        out[i] = cache[c]
-    return out
+# The library's upper bounds on the mean, as (sample, delta) -> value.
+MEAN_BOUNDS = {
+    "hoeffding": lambda s, delta: s.mean + hoeffding_radius(s.n, delta, "one"),
+    "kl": lambda s, delta: kl_mean_bound(s.mean, s.n, delta).value,
+    "empirical_bernstein":
+        lambda s, delta: empirical_bernstein_mean_bound(s, delta).value,
+    "unexpected_bernstein":
+        lambda s, delta: unexpected_bernstein_mean_bound(s, delta).value,
+    # split-kl on the ternary grid {0, 1/2, 1} (K = 2 segments)
+    "split_kl": lambda s, delta: split_kl_mean_bound(
+        s, SplitGrid([0.0, 0.5, 1.0]), delta).value,
+}
 
 
-def hoeffding_violation_rate(data, true_mean, delta):
-    M, n = data.shape
-    bounds = data.mean(axis=1) + hoeffding_radius(n, delta, "one")
-    return float(np.mean(bounds < true_mean))
+def violation_rates(data, true_mean, delta):
+    """{bound name: fraction of the M rows of ``data`` whose bound lies below
+    the true mean}, for every bound in ``MEAN_BOUNDS``.
 
-
-def kl_violation_rate(data, true_mean, delta):
-    """kl direct bound; exact for data on {0, 1/2, 1} grids via count caching."""
-    M, n = data.shape
-    eps = math.log(1.0 / delta) / n
-    sums = data.sum(axis=1)
-    # means lie on a grid of multiples of 1/(2n) for the supported inputs
-    counts = np.round(sums * 2).astype(int)
-    cache = {}
-    bounds = np.empty(M)
-    for i, c in enumerate(counts):
-        c = int(c)
-        if c not in cache:
-            cache[c] = kl_inverse(c / (2.0 * n), eps, "upper")
-        bounds[i] = cache[c]
-    return float(np.mean(bounds < true_mean))
-
-
-def empirical_bernstein_violation_rate(data, true_mean, delta):
-    M, n = data.shape
-    p_hat = data.mean(axis=1)
-    s_bar = (data * data).mean(axis=1)
-    nu_hat = np.maximum(0.0, (n / (n - 1.0)) * (s_bar - p_hat * p_hat))
-    budget = math.log(2.0 / delta)
-    bounds = p_hat + np.sqrt(2.0 * nu_hat * budget / n) + 7.0 * budget / (3.0 * (n - 1.0))
-    return float(np.mean(np.minimum(bounds, 1.0) < true_mean))
-
-
-def unexpected_bernstein_violation_rate(data, true_mean, delta):
-    M, n = data.shape
-    grid = LambdaGrid.default(n, delta, 1.0)
-    p_hat = data.mean(axis=1)
-    s_n = (data * data).mean(axis=1)
-    budget = math.log(grid.k / delta)
-    best = np.full(M, np.inf)
-    for lam in grid.lambdas:
-        vals = p_hat + psi(-lam) / lam * s_n + budget / (lam * n)
-        best = np.minimum(best, vals)
-    return float(np.mean(np.minimum(best, 1.0) < true_mean))
-
-
-def split_kl_violation_rate(data, true_mean, delta):
-    """Split-kl on the ternary grid {0, 1/2, 1} (K=2 segments)."""
-    M, n = data.shape
-    eps = math.log(2.0 / delta) / n
-    bounds = np.zeros(M)
-    for threshold in (0.5, 1.0):
-        counts = (data >= threshold - 1e-12).sum(axis=1)
-        seg_bounds = _kl_upper_for_counts(counts, n, eps)
-        bounds += 0.5 * seg_bounds
-    return float(np.mean(np.minimum(bounds, 1.0) < true_mean))
+    Every mean bound in ``boundslab.concentration`` is a symmetric function of
+    the sample: it reads the values only through ``math.fsum`` sums, which
+    are correctly rounded in any order.  Rows with the same sorted values
+    therefore get the same bound, so the library runs once per distinct
+    sorted row and each result is mapped back to all of its rows.
+    """
+    rows, inverse = np.unique(np.sort(data, axis=1), axis=0,
+                              return_inverse=True)
+    samples = [Sample.unit(row) for row in rows]
+    inverse = inverse.ravel()
+    rates = {}
+    for name, bound in MEAN_BOUNDS.items():
+        below = np.array([bound(s, delta) < true_mean for s in samples])
+        rates[name] = float(np.mean(below[inverse]))
+    return rates
 
 
 def pb_validity_rates(trials=500, m=20, n=256, delta=0.05, seed=123,
@@ -132,15 +100,6 @@ def pb_validity_rates(trials=500, m=20, n=256, delta=0.05, seed=123,
             if stages[-1].value < float(np.dot(final_rho, true_means)):
                 violations[f"recursive_T{T}"] += 1
     return {name: count / trials for name, count in violations.items()}
-
-
-ALL_RATES = {
-    "hoeffding": hoeffding_violation_rate,
-    "kl": kl_violation_rate,
-    "empirical_bernstein": empirical_bernstein_violation_rate,
-    "unexpected_bernstein": unexpected_bernstein_violation_rate,
-    "split_kl": split_kl_violation_rate,
-}
 
 
 def coverage_threshold(delta, M):

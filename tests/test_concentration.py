@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _coverage import ALL_RATES, coverage_threshold, draw_matrix
+from _coverage import coverage_threshold, draw_matrix, violation_rates
 from boundslab.concentration import (
     BoundResult,
     LambdaGrid,
@@ -142,6 +142,19 @@ class TestSplitKlBound:
         expected = 0.5 + 0.5 * (1 - math.exp(-math.log(40) / 100))
         assert math.isclose(res.value, expected, rel_tol=1e-9)
         assert res.detail["segment_means"] == (1.0, 0.0)
+
+    def test_definition_at_32_segments(self):
+        rng = np.random.default_rng(5)
+        values = [float(v) for v in rng.random(300)] + [0.0, 0.5, 1.0]
+        grid = SplitGrid([j / 32 for j in range(33)])
+        res = split_kl_mean_bound(Sample.unit(values), grid, 0.05)
+        columns = zip(*(grid.segment_values(v) for v in values))
+        means = tuple(math.fsum(col) / len(values) for col in columns)
+        assert res.detail["segment_means"] == means
+        value = grid.points[0]
+        for alpha, mean in zip(grid.alphas, means):
+            value += alpha * kl_inverse(mean, res.detail["eps"], "upper")
+        assert res.value == value
 
     def test_out_of_range_sample(self):
         with pytest.raises(ValueError):
@@ -309,8 +322,7 @@ class TestCoverage:
         M, n, delta = 10_000, 100, 0.05
         data, true_mean = draw_matrix(rng, dist, M, n)
         threshold = coverage_threshold(delta, M)
-        for name, rate_fn in ALL_RATES.items():
-            rate = rate_fn(data, true_mean, delta)
+        for name, rate in violation_rates(data, true_mean, delta).items():
             assert rate <= threshold, f"{name} violated coverage: {rate}"
 
     def test_sampling_without_replacement(self):

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +143,47 @@ class TestRunner:
         ])
         with pytest.raises(ConfigError, match="unknown keys"):
             run_experiment(config)
+
+    def test_yes_turns_boolean_policy_keys_on(self):
+        lines = MINIMAL_GAME[:5] + [
+            "[environment]", "kind = bernoulli", "means = 0.25, 0.75",
+            "[policy h]", "kind = hedge", "doubling = yes",
+            "[policy e]", "kind = exp3", "fixed_horizon = yes"]
+        got = run_experiment(parse_config_lines(lines))
+        want = run_experiment(parse_config_lines(
+            [line.replace("yes", "true") for line in lines]))
+        assert [tr.mean.tolist() for tr in got] == [tr.mean.tolist() for tr in want]
+
+    @pytest.mark.parametrize("lines, field", [
+        (["kind = bounds", "[params]", "n = abc"], "params.n"),
+        (["kind = bounds", "[params]", "grid = 1.5"], "params.grid"),
+        (["kind = pacbayes", "[params]", "m = x"], "params.m"),
+        (["kind = recursive", "[params]", "m = x"], "params.m"),
+        (["kind = recursive", "[params]", "n = 1e3"], "params.n"),
+        (["kind = recursive", "[params]", "t_max = four"], "params.t_max"),
+        (["kind = replay", "[params]", "fixed_arm = one"], "params.fixed_arm"),
+        (["[environment]", "kind = bernoulli_gap", "gap = x",
+          "[policy u]", "kind = ucb1"], "environment.gap"),
+        (["[environment]", "kind = bernoulli_gap", "base = x",
+          "[policy u]", "kind = ucb1"], "environment.base"),
+        (["[environment]", "kind = ucb_breaker", "k = 2.5",
+          "[policy u]", "kind = ucb1"], "environment.k"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy e]", "kind = epsilon_first", "gap = wide"], "policy e.gap"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy e]", "kind = exp3", "eta = fast"], "policy e.eta"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy e]", "kind = exp3", "fixed_horizon = maybe"],
+         "policy e.fixed_horizon"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy h]", "kind = hedge", "doubling = maybe"], "policy h.doubling"),
+    ])
+    def test_bad_values_name_the_field(self, tmp_path, capsys, lines, field):
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join(["[experiment]", "name = bad", "T = 20",
+                                     "R = 1", *lines]) + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        assert f"{field}: cannot parse" in capsys.readouterr().err
 
     def test_replay_kind_estimates_fixed_arm_value(self):
         config = parse_config_lines([
@@ -295,6 +338,18 @@ class TestCli:
         assert main(["replay", "--log", str(tmp_path / "nope.log"),
                      "--policy", "ucb1", "--mode", "rs"]) == 3
 
+    @pytest.mark.parametrize("policy", ["fixed:x", "fixed:4", "fixed:-1",
+                                        "fixed:", "greedy"])
+    def test_replay_bad_policy_is_config_error(self, tmp_path, capsys, policy):
+        from boundslab.environments import synthesize_uniform_log, write_log
+
+        log = tmp_path / "demo.log"
+        write_log(log, 4, synthesize_uniform_log([0.2, 0.5, 0.8, 0.3], 50, 12))
+        for mode in ("iw", "rs"):
+            assert main(["replay", "--log", str(log), "--policy", policy,
+                         "--mode", mode]) == 2
+            assert "--policy" in capsys.readouterr().err
+
     def test_selftest(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
@@ -319,3 +374,34 @@ def test_preset_bytes_match_pins(preset, tmp_path):
     for artifact, digest in _preset_pins()[preset].items():
         written = (tmp_path / f"{preset}.{artifact}").read_bytes()
         assert hashlib.sha256(written).hexdigest() == digest, artifact
+
+
+def _bench_workloads():
+    """``perfbench/workloads.py``, imported from its file: perfbench is a
+    directory of scripts, not an installed package."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, PINS.parent / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def _operation_pins():
+    """{operation: (workload, hashes)} for the pinned benchmark operations
+    that are direct library calls rather than presets."""
+    pins = json.loads(PINS.read_text())
+    return {name: (workload, hashes) for workload, ops in pins.items()
+            for name, hashes in ops.items() if "csv" not in hashes}
+
+
+@pytest.mark.parametrize("operation", sorted(_operation_pins()))
+def test_bench_operation_matches_pins(operation, tmp_path):
+    """The split-kl sweep points and the replay log round trip, run as the
+    benchmark runs them, give the pinned digests: a change to one split-kl
+    digit or one replayed reward fails here."""
+    workloads = _bench_workloads()
+    workload, expected = _operation_pins()[operation]
+    op, = [op for op in workloads.build(workload, 0) if op.name == operation]
+    assert workloads.digest(op.run(tmp_path)) == expected
