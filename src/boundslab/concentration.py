@@ -187,6 +187,16 @@ def hoeffding_solve_n(eps: float, delta: float, sides: str = "one") -> int:
     return max(1, math.ceil(numer / (2.0 * eps ** 2)))
 
 
+def hoeffding_mean_bound(p_hat: float, n: int, delta: float) -> BoundResult:
+    """One-sided Hoeffding upper bound min(1, p_hat + sqrt(ln(1/delta)/(2n)))
+    on the mean of n iid [0,1]-valued variables with empirical mean p_hat."""
+    if not 0.0 <= p_hat <= 1.0:
+        raise ValueError(f"p_hat must be in [0, 1], got {p_hat}")
+    radius = hoeffding_radius(n, delta, "one")
+    return BoundResult(min(1.0, p_hat + radius), delta, "hoeffding",
+                       {"radius": radius, "p_hat": p_hat, "n": n})
+
+
 def kl_mean_bound(p_hat: float, n: int, delta: float, variant: str = "direct",
                   direction: str = "upper") -> BoundResult:
     """kl confidence bound on a Bernoulli/[0,1] mean.

@@ -10,6 +10,7 @@ depend on policy state beyond the chosen index at reveal time.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -41,14 +42,28 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-@dataclass(frozen=True)
-class LogRecord:
-    """One line of a uniform-logging bandit log: the action id taken, the
-    binary reward observed, and ten binary side features (unused here)."""
+# Fields of one log record: action id, binary reward, ten binary features.
+LOG_FIELDS = 12
 
-    action: int
-    reward: int
-    features: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class BanditLog:
+    """A uniform-logging bandit log as arrays, one entry per record: the
+    action id taken, the binary reward observed (both shape (T,)) and ten
+    binary side features (shape (T, 10), unused here)."""
+
+    actions: np.ndarray
+    rewards: np.ndarray
+    features: np.ndarray
+
+    def __post_init__(self) -> None:
+        T = len(self.actions)
+        if self.rewards.shape != (T,) or self.features.shape != (T, LOG_FIELDS - 2):
+            raise ValueError("need actions and rewards of shape (T,) and "
+                             "features of shape (T, 10)")
+
+    def __len__(self) -> int:
+        return len(self.actions)
 
 
 @dataclass
@@ -185,73 +200,76 @@ def make_ucb_breaker(T: int, K: int = 2, *, parametrization: str = "improved",
     return rewards, trajectory
 
 
-def parse_log_line(line: str, K: int) -> LogRecord:
-    """Parse one log record: 12 whitespace-separated integers laid out as
-    action id, binary reward, then ten binary features."""
-    tokens = line.split()
-    if len(tokens) != 12:
-        raise ValueError(f"expected 12 fields, got {len(tokens)}: {line!r}")
-    try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ValueError(f"non-integer token in record {line!r}") from exc
-    action, reward = values[0], values[1]
-    if not 0 <= action < K:
-        raise ValueError(f"action {action} outside [0, {K})")
-    if reward not in (0, 1):
-        raise ValueError(f"reward must be 0 or 1, got {reward}")
-    return LogRecord(action, reward, tuple(values[2:]))
-
-
-def parse_log(lines: Iterable[str]) -> tuple[int, list[LogRecord]]:
-    """Read a full log: a "K=<int>" header line, then one record per line.
-    Blank lines and '#'-prefixed comment lines are skipped."""
+def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
+    """Read a full log: a "K=<int>" header line, then one record per line of
+    12 whitespace-separated integers laid out as action id in [0, K), binary
+    reward, then ten features (binary by convention, not checked).  Blank
+    lines and '#'-prefixed comment lines are skipped.  The first malformed
+    line raises a ValueError that names it."""
     K = None
-    records = []
+    rows, linenos = [], []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
         if K is None:
-            if not line.startswith("K="):
-                raise ValueError(f"line {lineno}: expected 'K=<int>' header")
-            K = int(line[2:])
+            line = raw.strip()
+            try:
+                K = int(line[2:] if line.startswith("K=") else "")
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: expected 'K=<int>' header") from None
             if K < 1:
                 raise ValueError(f"line {lineno}: K must be positive")
             continue
+        if len(tokens) != LOG_FIELDS:
+            raise ValueError(f"line {lineno}: expected {LOG_FIELDS} fields, "
+                             f"got {len(tokens)}: {raw.strip()!r}")
         try:
-            records.append(parse_log_line(line, K))
+            values = list(map(int, tokens))
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+            raise ValueError(f"line {lineno}: non-integer token in record "
+                             f"{raw.strip()!r}") from exc
+        action, reward = values[0], values[1]
+        if not 0 <= action < K:
+            raise ValueError(f"line {lineno}: action {action} outside [0, {K})")
+        if reward not in (0, 1):
+            raise ValueError(f"line {lineno}: reward must be 0 or 1, got {reward}")
+        rows.append(values)
+        linenos.append(lineno)
     if K is None:
         raise ValueError("log has no 'K=<int>' header")
-    return K, records
+    try:
+        table = np.array(rows, dtype=np.int64).reshape(len(rows), LOG_FIELDS)
+    except OverflowError:
+        lineno = next(n for n, row in zip(linenos, rows)
+                      if not all(-2 ** 63 <= v < 2 ** 63 for v in row))
+        raise ValueError(f"line {lineno}: feature outside the 64-bit "
+                         "integer range") from None
+    return K, BanditLog(table[:, 0], table[:, 1], table[:, 2:])
 
 
-def write_log(path, K: int, records: Iterable[LogRecord]) -> None:
+def write_log(path, K: int, log: BanditLog) -> None:
+    """Write ``log`` in the format ``parse_log`` reads."""
+    rows = np.column_stack((log.actions, log.rewards, log.features)).tolist()
+    line = " ".join(["%d"] * LOG_FIELDS) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(f"K={K}\n")
-        for rec in records:
-            fields = [rec.action, rec.reward, *rec.features]
-            handle.write(" ".join(str(v) for v in fields) + "\n")
+        handle.writelines(line % tuple(row) for row in rows)
 
 
 def synthesize_uniform_log(means: Sequence[float], T: int, seed: int,
-                           ) -> list[LogRecord]:
+                           ) -> BanditLog:
     """Uniform-logging synthetic log: action ~ Uniform(K), reward ~
     Bernoulli(means[action]), ten iid Bernoulli(1/2) features."""
     means = [float(m) for m in means]
     if any(not 0.0 <= m <= 1.0 for m in means):
         raise ValueError("all means must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    K = len(means)
-    actions = rng.integers(0, K, size=T)
-    rewards = rng.random(T) < np.asarray(means)[actions]
-    features = rng.integers(0, 2, size=(T, 10))
-    return [
-        LogRecord(int(actions[t]), int(rewards[t]), tuple(int(v) for v in features[t]))
-        for t in range(T)
-    ]
+    actions = rng.integers(0, len(means), size=T)
+    rewards = (rng.random(T) < np.asarray(means)[actions]).astype(np.int64)
+    features = rng.integers(0, 2, size=(T, LOG_FIELDS - 2))
+    return BanditLog(actions, rewards, features)
 
 
 def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
@@ -343,7 +361,7 @@ def pseudo_regret(arms: Sequence[int], means: Sequence[float]) -> np.ndarray:
     return np.cumsum(gaps[np.asarray(arms, dtype=int)])
 
 
-def replay_importance_weighted(policy, records: Sequence[LogRecord], K: int,
+def replay_importance_weighted(policy, log: BanditLog, K: int,
                                rng=None) -> GameTranscript:
     """Evaluate/train a policy offline on a uniformly-logged bandit log.
 
@@ -352,40 +370,50 @@ def replay_importance_weighted(policy, records: Sequence[LogRecord], K: int,
     propensity, range [0, K]), and the policy ingests r̃ under its own replay
     contract.  The mean of r̃ is an unbiased estimate of the policy's value.
     """
-    T = len(records)
-    arms = np.empty(T, dtype=int)
-    estimates = np.empty(T)
-    for t, rec in enumerate(records):
-        if not 0 <= rec.action < K:
-            raise ValueError(f"logged action {rec.action} outside [0, {K})")
+    outside = (log.actions < 0) | (log.actions >= K)
+    if outside.any():
+        action = int(log.actions[outside.argmax()])
+        raise ValueError(f"logged action {action} outside [0, {K})")
+    arms, estimates = [], []
+    for action, reward in zip(log.actions.tolist(), log.rewards.tolist()):
         arm = policy.act(rng)
-        r_tilde = float(K * rec.reward) if arm == rec.action else 0.0
+        r_tilde = float(K * reward) if arm == action else 0.0
         policy.replay_update(arm, r_tilde, K)
-        arms[t] = arm
-        estimates[t] = r_tilde
+        arms.append(arm)
+        estimates.append(r_tilde)
+    estimates = np.asarray(estimates, dtype=float)
     detail = {
         "feedback": "iw-replay",
-        "estimated_value": float(estimates.mean()) if T else 0.0,
+        "estimated_value": float(estimates.mean()) if len(log) else 0.0,
     }
-    return GameTranscript(arms, estimates, "reward", detail)
+    return GameTranscript(np.asarray(arms, dtype=int), estimates, "reward",
+                          detail)
 
 
-def replay_rejection_sampling(policy, records: Sequence[LogRecord], K: int,
+def replay_rejection_sampling(policy, log: BanditLog, K: int,
                               rng=None) -> GameTranscript:
-    """Evaluate/train a policy offline by scrolling the log until the logged
-    action matches the policy's choice, feeding that (action, reward) as a
-    genuine bandit round and discarding the scrolled records.  The effective
+    """Evaluate/train a policy offline by moving to the next logged record
+    whose action matches the policy's choice, feeding that (action, reward)
+    as a genuine bandit round and discarding the records passed over.  The
+    replay stops at the first choice with no match left.  The effective
     horizon (number of accepted rounds) is reported in ``detail``."""
+    # the ascending record positions of each logged action, grouped by one
+    # stable sort; the next match at or after ``idx`` is found by bisection
+    order = np.argsort(log.actions, kind="stable")
+    logged, first = np.unique(log.actions[order], return_index=True)
+    positions = dict(zip(logged.tolist(),
+                         (p.tolist() for p in np.split(order, first[1:]))))
+    logged_rewards = log.rewards.tolist()
     arms, rewards = [], []
-    idx = 0
-    while idx < len(records):
+    idx, T = 0, len(log)
+    while idx < T:
         arm = policy.act(rng)
-        while idx < len(records) and records[idx].action != arm:
-            idx += 1
-        if idx == len(records):
+        matches = positions.get(arm, ())
+        j = bisect_left(matches, idx)
+        if j == len(matches):
             break
-        reward = float(records[idx].reward)
-        idx += 1
+        idx = matches[j] + 1
+        reward = float(logged_rewards[idx - 1])
         policy.update_reward(arm, reward)
         arms.append(arm)
         rewards.append(reward)

@@ -105,19 +105,23 @@ def _cmd_replay(args) -> int:
     )
     import numpy as np
 
-    with open(args.log, "r", encoding="ascii") as handle:
-        K, records = parse_log(handle)
+    # a log that cannot be read or parsed is bad input, named by its option
+    try:
+        with open(args.log, "r", encoding="ascii") as handle:
+            K, log = parse_log(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--log: {exc}") from exc
     rng = np.random.default_rng(args.seed or 0)
     policy = _replay_policy(args.policy, K, args.mode)
     if args.mode == "iw":
-        trans = replay_importance_weighted(policy, records, K, rng)
-        print(f"records={len(records)} K={K} "
+        trans = replay_importance_weighted(policy, log, K, rng)
+        print(f"records={len(log)} K={K} "
               f"estimated_value={trans.detail['estimated_value']:.6g}")
     else:
-        trans = replay_rejection_sampling(policy, records, K, rng)
+        trans = replay_rejection_sampling(policy, log, K, rng)
         horizon = trans.detail["effective_horizon"]
         mean = float(trans.payoffs.mean()) if horizon else float("nan")
-        print(f"records={len(records)} K={K} effective_horizon={horizon} "
+        print(f"records={len(log)} K={K} effective_horizon={horizon} "
               f"mean_reward={mean:.6g}")
     return 0
 

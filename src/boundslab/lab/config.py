@@ -75,7 +75,10 @@ def _parse_sections(lines):
     return sections
 
 
-def _convert(raw: str, kind: type, path: str):
+def _convert(raw: str, kind: type, path: str, minimum=None):
+    """``raw`` as a ``kind``, no smaller than ``minimum`` if one is given;
+    anything else is a ConfigError naming ``path``."""
+    want = kind.__name__ if minimum is None else f"{kind.__name__} >= {minimum}"
     try:
         if kind is bool:
             if raw.lower() in ("true", "yes", "1"):
@@ -83,9 +86,12 @@ def _convert(raw: str, kind: type, path: str):
             if raw.lower() in ("false", "no", "0"):
                 return False
             raise ValueError(raw)
-        return kind(raw)
+        value = kind(raw)
+        if minimum is not None and value < minimum:
+            raise ValueError(raw)
+        return value
     except ValueError:
-        raise ConfigError(f"{path}: cannot parse {raw!r} as {kind.__name__}") from None
+        raise ConfigError(f"{path}: cannot parse {raw!r} as {want}") from None
 
 
 def parse_float_list(raw: str, path: str) -> list[float]:

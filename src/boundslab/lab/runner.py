@@ -17,7 +17,7 @@ from boundslab.concentration import (
     Sample,
     SplitGrid,
     empirical_bernstein_mean_bound,
-    hoeffding_radius,
+    hoeffding_mean_bound,
     kl_mean_bound,
     split_kl_mean_bound,
     unexpected_bernstein_mean_bound,
@@ -202,10 +202,9 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
 
     if family == "four_bounds":
         eps = math.log(1.0 / delta) / n
-        radius = hoeffding_radius(n, delta, "one")
         hoeff, plain, refined, kl = [], [], [], []
         for p_hat in xs:
-            hoeff.append(min(1.0, p_hat + radius))
+            hoeff.append(hoeffding_mean_bound(p_hat, n, delta).value)
             pl, ru, _ = pinsker_relaxations(p_hat, eps)
             plain.append(pl)
             refined.append(ru)
@@ -230,14 +229,13 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
 
     if family == "unexpected_bernstein":
         kl_vals, emp, unexpected, hoeff = [], [], [], []
-        radius = hoeffding_radius(n, delta, "one")
         for p_hat in xs:
             k = round(p_hat * n)
             sample = Sample.unit([1.0] * k + [0.0] * (n - k))
             kl_vals.append(kl_mean_bound(sample.mean, n, delta).value)
             emp.append(empirical_bernstein_mean_bound(sample, delta).value)
             unexpected.append(unexpected_bernstein_mean_bound(sample, delta).value)
-            hoeff.append(min(1.0, sample.mean + radius))
+            hoeff.append(hoeffding_mean_bound(sample.mean, n, delta).value)
         return [flat("kl", kl_vals), flat("empirical_bernstein", emp),
                 flat("unexpected_bernstein", unexpected),
                 flat("hoeffding", hoeff)]
@@ -261,7 +259,7 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
     )
 
     params = dict(config.params)
-    m = _convert(params.pop("m", "20"), int, "params.m")
+    m = _convert(params.pop("m", "20"), int, "params.m", minimum=1)
     n_grid = parse_int_list(params.pop("n_grid", "100,200,400,800"),
                             "params.n_grid")
     if params:
@@ -291,9 +289,10 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     from boundslab.pac_bayes import alternating_minimize, recursive_pb
 
     params = dict(config.params)
-    m = _convert(params.pop("m", "20"), int, "params.m")
+    m = _convert(params.pop("m", "20"), int, "params.m", minimum=1)
     n = _convert(params.pop("n", "1000"), int, "params.n")
-    t_max = _convert(params.pop("t_max", "4"), int, "params.t_max")
+    t_max = _convert(params.pop("t_max", "4"), int, "params.t_max",
+                     minimum=1)
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     pi = ProbVec([1.0 / m] * m)
@@ -327,12 +326,12 @@ def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
 
     def one_rep(r):
         env_seed, rng = repetition_seeds(config.seed, r)
-        records = synthesize_uniform_log(means, config.T, env_seed)
+        log = synthesize_uniform_log(means, config.T, env_seed)
         iw = replay_importance_weighted(
-            FixedPolicy(K, arm=fixed_arm), records, K, rng)
+            FixedPolicy(K, arm=fixed_arm), log, K, rng)
         running = np.cumsum(iw.payoffs) / np.arange(1, config.T + 1)
         rs = replay_rejection_sampling(
-            UCB1Policy(K, parametrization="improved"), records, K, rng)
+            UCB1Policy(K, parametrization="improved"), log, K, rng)
         rs_running = (np.cumsum(rs.payoffs) / np.arange(1, len(rs) + 1)
                       if len(rs) else np.zeros(0))
         return running, rs_running

@@ -518,7 +518,9 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             fit = _alternating_minimize_core(pi_prev, train_losses, n_val,
                                              complexity)
             pi_star = fit.rho
-            emp = float(np.dot(pi_star.weights, losses.mean(axis=1)))
+            # a rho-weighted mean of [0, 1] values can round above 1
+            emp = min(1.0, max(0.0, float(np.dot(pi_star.weights,
+                                                 losses.mean(axis=1)))))
             kl_term = categorical_kl(pi_star, pi_prev)
             bound = kl_inverse(emp, (kl_term + complexity) / n_val, "upper")
             stage = RecursiveStage(t, n_t, n_val, 0.0, pi_star, (0.0, 1.0),
@@ -552,7 +554,8 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             # a zero-width segment (gamma = 0 or 1) adds nothing and is skipped
             segs = [j for j in range(1, 4) if levels[j] != levels[j - 1]]
             seg_means = [
-                float(np.dot(rho_w, (excess >= levels[j] - 1e-12).mean(axis=1)))
+                min(1.0, max(0.0, float(np.dot(
+                    rho_w, (excess >= levels[j] - 1e-12).mean(axis=1)))))
                 for j in segs]
             excess_bound = _split_kl_sum(
                 -gamma, [levels[j] - levels[j - 1] for j in segs], seg_means, eps)

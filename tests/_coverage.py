@@ -11,7 +11,7 @@ from boundslab.concentration import (
     Sample,
     SplitGrid,
     empirical_bernstein_mean_bound,
-    hoeffding_radius,
+    hoeffding_mean_bound,
     kl_mean_bound,
     split_kl_mean_bound,
     unexpected_bernstein_mean_bound,
@@ -29,7 +29,7 @@ def draw_matrix(rng, dist, M, n):
 
 # The library's upper bounds on the mean, as (sample, delta) -> value.
 MEAN_BOUNDS = {
-    "hoeffding": lambda s, delta: s.mean + hoeffding_radius(s.n, delta, "one"),
+    "hoeffding": lambda s, delta: hoeffding_mean_bound(s.mean, s.n, delta).value,
     "kl": lambda s, delta: kl_mean_bound(s.mean, s.n, delta).value,
     "empirical_bernstein":
         lambda s, delta: empirical_bernstein_mean_bound(s, delta).value,

@@ -12,6 +12,7 @@ from boundslab.concentration import (
     bernstein_duals,
     bernstein_mean_bound,
     empirical_bernstein_mean_bound,
+    hoeffding_mean_bound,
     hoeffding_radius,
     hoeffding_solve_n,
     kl_mean_bound,
@@ -73,6 +74,17 @@ class TestHoeffding:
             hoeffding_radius(1000, 1.5)
         with pytest.raises(ValueError):
             hoeffding_radius(0, 0.1)
+
+    def test_mean_bound(self):
+        # p_hat + sqrt(ln(1/delta) / (2n)), clipped at 1
+        res = hoeffding_mean_bound(0.25, 200, 0.05)
+        radius = math.sqrt(math.log(20.0) / 400.0)
+        assert res.value == 0.25 + radius
+        assert (res.delta, res.method, res.detail["radius"]) == (
+            0.05, "hoeffding", radius)
+        assert hoeffding_mean_bound(0.95, 200, 0.05).value == 1.0
+        with pytest.raises(ValueError, match="p_hat"):
+            hoeffding_mean_bound(1.5, 200, 0.05)
 
 
 class TestKlMeanBound:

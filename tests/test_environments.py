@@ -5,15 +5,14 @@ import pytest
 
 from boundslab import environments
 from boundslab.environments import (
+    BanditLog,
     BernoulliEnv,
     GameTranscript,
-    LogRecord,
     MatrixEnv,
     hindsight_regret,
     make_ftl_breaker,
     make_ucb_breaker,
     parse_log,
-    parse_log_line,
     play_bandit,
     play_full_information,
     pseudo_regret,
@@ -226,46 +225,99 @@ class TestBatchedBandit:
             play_bandit([HedgePolicy(2)], envs[:1], 10)
 
 
+def _log(actions, rewards):
+    """A log of the given actions and rewards, with all-zero features."""
+    return BanditLog(np.asarray(actions), np.asarray(rewards),
+                     np.zeros((len(actions), 10), dtype=np.int64))
+
+
 class TestLogParsing:
     def test_example_records(self):
-        rec = parse_log_line("7 0 1 0 0 1 0 1 0 0 1 0", K=16)
-        assert (rec.action, rec.reward) == (7, 0)
-        assert rec.features == (1, 0, 0, 1, 0, 1, 0, 0, 1, 0)
-        rec = parse_log_line("0 1 0 0 0 0 0 0 0 0 0 0", K=16)
-        assert (rec.action, rec.reward) == (0, 1)
+        K, log = parse_log(["K=16", "7 0 1 0 0 1 0 1 0 0 1 0",
+                            "0 1 0 0 0 0 0 0 0 0 0 0"])
+        assert K == 16 and len(log) == 2
+        assert (log.actions[0], log.rewards[0]) == (7, 0)
+        assert log.features[0].tolist() == [1, 0, 0, 1, 0, 1, 0, 0, 1, 0]
+        assert (log.actions[1], log.rewards[1]) == (0, 1)
 
     def test_validation_errors(self):
-        with pytest.raises(ValueError):
-            parse_log_line("1 2 0 0 0 0 0 0 0 0 0 0", K=4)  # non-binary reward
-        with pytest.raises(ValueError):
-            parse_log_line("1 0 0 0 0", K=4)  # wrong field count
-        with pytest.raises(ValueError):
-            parse_log_line("1 0 x 0 0 0 0 0 0 0 0 0", K=4)
-        with pytest.raises(ValueError):
-            parse_log_line("5 0 0 0 0 0 0 0 0 0 0 0", K=4)  # action >= K
+        for line, message in [
+            ("1 2 0 0 0 0 0 0 0 0 0 0", "line 2: reward must be 0 or 1, got 2"),
+            ("1 0 0 0 0", "line 2: expected 12 fields, got 5"),
+            ("1 0 x 0 0 0 0 0 0 0 0 0", "line 2: non-integer token"),
+            ("5 0 0 0 0 0 0 0 0 0 0 0", r"line 2: action 5 outside \[0, 4\)"),
+            ("1 0 0 0 0 0 0 0 0 0 0 " + "9" * 20,
+             "line 2: feature outside the 64-bit integer range"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                parse_log(["K=4", line])
 
     def test_header_comments_and_round_trip(self, tmp_path):
-        records = synthesize_uniform_log([0.2, 0.8], T=50, seed=3)
+        log = synthesize_uniform_log([0.2, 0.8], T=50, seed=3)
         path = tmp_path / "game.log"
-        write_log(path, 2, records)
+        write_log(path, 2, log)
         text = path.read_text().splitlines()
         assert text[0] == "K=2"
         K, parsed = parse_log(["# comment", "", *text])
         assert K == 2
-        assert parsed == records
+        for name in ("actions", "rewards", "features"):
+            assert np.array_equal(getattr(parsed, name), getattr(log, name))
+
+    def test_literal_text_round_trip(self, tmp_path):
+        text = ("K=3\n"
+                "2 1 0 1 0 0 1 1 0 0 0 1\n"
+                "0 0 1 1 1 1 1 1 1 1 1 1\n"
+                "1 1 0 0 0 0 0 0 0 0 0 0\n")
+        K, log = parse_log(["# header follows", *text.splitlines()])
+        assert K == 3
+        assert log.actions.tolist() == [2, 0, 1]
+        assert log.rewards.tolist() == [1, 0, 1]
+        assert log.features.tolist() == [[0, 1, 0, 0, 1, 1, 0, 0, 0, 1],
+                                         [1] * 10, [0] * 10]
+        path = tmp_path / "literal.log"
+        write_log(path, K, log)
+        assert path.read_bytes() == text.encode("ascii")
 
     def test_missing_header(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="line 1: expected 'K=<int>'"):
             parse_log(["7 0 1 0 0 1 0 1 0 0 1 0"])
+        with pytest.raises(ValueError, match="line 2: expected 'K=<int>'"):
+            parse_log(["# comment", "K=x"])
+        with pytest.raises(ValueError, match="no 'K=<int>' header"):
+            parse_log(["# comment only"])
+
+    def test_synthesized_arrays_are_the_raw_draws(self):
+        means = [0.1, 0.6, 0.9]
+        log = synthesize_uniform_log(means, T=200, seed=8)
+        rng = np.random.default_rng(8)
+        actions = rng.integers(0, 3, size=200)
+        uniforms = rng.random(200)
+        features = rng.integers(0, 2, size=(200, 10))
+        assert np.array_equal(log.actions, actions)
+        assert np.array_equal(log.rewards,
+                              uniforms < np.asarray(means)[actions])
+        assert np.array_equal(log.features, features)
+        assert len(log) == 200
+
+    def test_log_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="shape"):
+            BanditLog(np.zeros(3, int), np.zeros(2, int), np.zeros((3, 10), int))
+        with pytest.raises(ValueError, match="shape"):
+            BanditLog(np.zeros(3, int), np.zeros(3, int), np.zeros((3, 9), int))
 
 
 class TestImportanceWeightedReplay:
     def test_single_record_values(self):
-        match = [LogRecord(3, 1, (0,) * 10)]
+        match = _log([3], [1])
         trans = replay_importance_weighted(FixedPolicy(16, arm=3), match, 16)
         assert trans.payoffs[0] == 16.0
         trans = replay_importance_weighted(FixedPolicy(16, arm=4), match, 16)
         assert trans.payoffs[0] == 0.0
+
+    def test_logged_action_outside_range(self):
+        log = _log([0, 1, 5, 7], [1, 0, 1, 1])
+        with pytest.raises(ValueError, match=r"logged action 5 outside \[0, 4\)"):
+            replay_importance_weighted(FixedPolicy(4, arm=0), log, 4)
 
     def test_per_record_unbiasedness_by_enumeration(self):
         # exact expectation over the uniformly logged action, K <= 8
@@ -281,28 +333,53 @@ class TestImportanceWeightedReplay:
     def test_fixed_policy_value_estimate(self):
         K = 8
         means = [0.1 * (a % 5) + 0.1 for a in range(K)]
-        records = synthesize_uniform_log(means, T=40000, seed=11)
-        trans = replay_importance_weighted(FixedPolicy(K, arm=3), records, K)
+        log = synthesize_uniform_log(means, T=40000, seed=11)
+        trans = replay_importance_weighted(FixedPolicy(K, arm=3), log, K)
         truth = means[3]
-        se = np.std(trans.payoffs) / math.sqrt(len(records))
+        se = np.std(trans.payoffs) / math.sqrt(len(log))
         assert abs(trans.detail["estimated_value"] - truth) <= 3 * se
 
     def test_every_record_consumed(self):
-        records = synthesize_uniform_log([0.5] * 4, T=123, seed=5)
-        trans = replay_importance_weighted(FixedPolicy(4, arm=0), records, 4)
+        log = synthesize_uniform_log([0.5] * 4, T=123, seed=5)
+        trans = replay_importance_weighted(FixedPolicy(4, arm=0), log, 4)
         assert len(trans) == 123
 
 
 class TestRejectionSamplingReplay:
     def test_all_matching_log_fully_consumed(self):
-        records = [LogRecord(1, 1, (0,) * 10) for _ in range(40)]
-        trans = replay_rejection_sampling(FixedPolicy(2, arm=1), records, 2)
+        log = _log([1] * 40, [1] * 40)
+        trans = replay_rejection_sampling(FixedPolicy(2, arm=1), log, 2)
         assert trans.detail["effective_horizon"] == 40
         assert np.all(trans.payoffs == 1.0)
 
+    @pytest.mark.parametrize("arm", range(4))
+    def test_fixed_policy_accepts_exactly_its_records(self, arm):
+        log = synthesize_uniform_log([0.3, 0.5, 0.7, 0.9], T=500, seed=arm)
+        trans = replay_rejection_sampling(FixedPolicy(4, arm=arm), log, 4)
+        matching = log.actions == arm
+        assert trans.detail["effective_horizon"] == matching.sum()
+        assert np.array_equal(trans.payoffs, log.rewards[matching])
+        assert np.all(trans.arms == arm)
+
+    @pytest.mark.parametrize("logged", range(3))
+    def test_ucb_stops_at_first_arm_without_match(self, logged):
+        # UCB1 first plays arms 0, 1, 2 in order, so on a log holding only
+        # ``logged`` it is accepted once if that is arm 0 and never otherwise
+        log = _log([logged] * 30, [1] * 30)
+        trans = replay_rejection_sampling(UCB1Policy(3), log, 3)
+        assert trans.detail["effective_horizon"] == (1 if logged == 0 else 0)
+        assert trans.arms.tolist() == ([0] if logged == 0 else [])
+
+    def test_skips_to_next_matching_record(self):
+        # arms 0, 1, 2 match records 1, 2, 3; record 0 is passed over
+        log = _log([2, 0, 1, 2], [0, 1, 0, 1])
+        trans = replay_rejection_sampling(UCB1Policy(3), log, 3)
+        assert trans.arms.tolist() == [0, 1, 2]
+        assert trans.payoffs.tolist() == [1.0, 0.0, 1.0]
+
     def test_effective_horizon_matches_matching_rate(self):
-        records = synthesize_uniform_log([0.5, 0.5], T=1000, seed=21)
-        trans = replay_rejection_sampling(FixedPolicy(2, arm=0), records, 2)
+        log = synthesize_uniform_log([0.5, 0.5], T=1000, seed=21)
+        trans = replay_rejection_sampling(FixedPolicy(2, arm=0), log, 2)
         assert abs(trans.detail["effective_horizon"] - 500) <= 3 * math.sqrt(250)
 
     def test_ucb_replay_matches_live_play(self):
@@ -310,9 +387,9 @@ class TestRejectionSamplingReplay:
         means = [0.2, 0.45, 0.7, 0.35]
         replayed, live = [], []
         for rep in range(20):
-            records = synthesize_uniform_log(means, T=T, seed=1000 + rep)
+            log = synthesize_uniform_log(means, T=T, seed=1000 + rep)
             trans = replay_rejection_sampling(
-                UCB1Policy(K, parametrization="improved"), records, K)
+                UCB1Policy(K, parametrization="improved"), log, K)
             replayed.append(trans.payoffs.mean())
             rng = np.random.default_rng(5000 + rep)
             policy = UCB1Policy(K, parametrization="improved")

@@ -177,6 +177,9 @@ class TestRunner:
          "policy e.fixed_horizon"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy h]", "kind = hedge", "doubling = maybe"], "policy h.doubling"),
+        (["kind = pacbayes", "[params]", "m = 0"], "params.m"),
+        (["kind = recursive", "[params]", "m = 0"], "params.m"),
+        (["kind = recursive", "[params]", "t_max = 0"], "params.t_max"),
     ])
     def test_bad_values_name_the_field(self, tmp_path, capsys, lines, field):
         config = tmp_path / "bad.cfg"
@@ -335,8 +338,23 @@ class TestCli:
         assert main(["replay", "--log", str(log), "--policy", "ucb1",
                      "--mode", "rs"]) == 0
         assert "effective_horizon=" in capsys.readouterr().out
-        assert main(["replay", "--log", str(tmp_path / "nope.log"),
-                     "--policy", "ucb1", "--mode", "rs"]) == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("K=4\n0 2 0 0 0 0 0 0 0 0 0 0\n",
+         "--log: line 2: reward must be 0 or 1, got 2"),
+        ("K=4\n# comment\n0 1 0 0\n", "--log: line 3: expected 12 fields"),
+        ("0 1 0 0 0 0 0 0 0 0 0 0\n", "--log: line 1: expected 'K=<int>' header"),
+        (None, "--log: [Errno 2] No such file or directory"),
+    ], ids=["bad_reward", "field_count", "no_header", "missing_file"])
+    def test_replay_bad_log_is_config_error(self, tmp_path, capsys, text,
+                                            message):
+        log = tmp_path / "bad.log"
+        if text is not None:
+            log.write_text(text)
+        for mode in ("iw", "rs"):
+            assert main(["replay", "--log", str(log), "--policy", "ucb1",
+                         "--mode", mode]) == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy", ["fixed:x", "fixed:4", "fixed:-1",
                                         "fixed:", "greedy"])

@@ -444,6 +444,16 @@ class TestRecursive:
                + math.log(6 * 2 * math.sqrt(n_val) / 0.05)) / n_val
         assert stages[1].value == pytest.approx(kl_inverse(emp, eps, "upper"))
 
+    def test_all_one_losses(self):
+        # the rho-weighted mean of all-one losses can round to just above 1,
+        # which kl_inverse rejects; the true Gibbs loss is 1, so every stage
+        # must certify at least 1 and stage 1 exactly kl^-1(1, eps) = 1
+        table = LossTable(np.ones((20, 50)))
+        for T in (1, 2, 3):
+            stages = recursive_pb(table, 0.05, T, seed=0)
+            assert stages[0].value == 1.0
+            assert all(stage.value >= 1.0 for stage in stages)
+
     def test_injected_reference_draws_are_deterministic(self):
         rng = np.random.default_rng(4)
         table = LossTable((rng.random((5, 32)) < 0.5).astype(float))
