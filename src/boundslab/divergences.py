@@ -43,11 +43,12 @@ class ProbVec:
         ws = [float(w) for w in weights]
         if len(ws) < 1:
             raise ValueError("ProbVec needs at least one weight")
-        for w in ws:
-            if math.isnan(w):
-                raise ValueError("ProbVec weights must not be NaN")
-            if w < 0.0:
-                raise ValueError(f"ProbVec weights must be nonnegative, got {w}")
+        if not all(w >= 0.0 for w in ws):  # false for NaN too
+            for w in ws:
+                if math.isnan(w):
+                    raise ValueError("ProbVec weights must not be NaN")
+                if w < 0.0:
+                    raise ValueError(f"ProbVec weights must be nonnegative, got {w}")
         total = math.fsum(ws)
         if sub_normalized:
             if total > 1.0 + NORMALIZATION_TOL:
@@ -55,7 +56,8 @@ class ProbVec:
         else:
             if abs(total - 1.0) > NORMALIZATION_TOL:
                 raise ValueError(f"weights sum to {total}, not 1")
-            ws = [w / total for w in ws]
+            if total != 1.0:  # w / 1.0 is w
+                ws = [w / total for w in ws]
         self._weights = tuple(ws)
         self.sub_normalized = bool(sub_normalized)
 

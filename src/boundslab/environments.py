@@ -26,17 +26,14 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # its memory, whatever the horizon.
 BLOCK_CELLS = 1 << 14
 
-
-def _mix64(x: int) -> int:
-    """splitmix64 finalizer: a bijective 64-bit scramble."""
-    z = x & _MASK64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+# Rounds per block that ``BernoulliEnv.row`` keeps: 4 KiB at K = 2, small
+# enough that a series' envs held at once do not show in memory.
+ROW_BLOCK = 256
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``_mix64`` over numpy uint64, whose arithmetic wraps modulo 2**64."""
+    """splitmix64 finalizer, a bijective 64-bit scramble, over numpy uint64,
+    whose arithmetic wraps modulo 2**64."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -90,9 +87,11 @@ class GameTranscript:
 
 class BernoulliEnv:
     """Stochastic losses: each cell (t, a) is an independent Bernoulli draw
-    with mean ``means[a]``, derived lazily from (seed, t, a) so that full and
-    bandit runs over the same seed agree on every revealed entry and the
-    reveal order never changes a value."""
+    with mean ``means[a]``, a function of (seed, t, a) alone, so that full
+    and bandit runs over the same seed agree on every revealed entry and the
+    reveal order never changes a value.  Every cell comes from one block
+    generator, ``blocks``: ``row`` and ``loss`` read a block of
+    ``ROW_BLOCK`` rounds held on the env, refilled when t falls outside it."""
 
     def __init__(self, means: Sequence[float], seed: int) -> None:
         means = [float(m) for m in means]
@@ -102,20 +101,26 @@ class BernoulliEnv:
             raise ValueError("need at least one arm")
         self.means = tuple(means)
         self.K = len(means)
-        self._seed_state = _mix64(int(seed))
-
-    def _uniform(self, t: int, a: int) -> float:
-        cell = (t * self.K + a) & _MASK64
-        bits = _mix64((self._seed_state + cell * _GOLDEN) & _MASK64)
-        return bits / 2.0 ** 64
+        seed_bits = np.array([int(seed) & _MASK64], dtype=np.uint64)
+        self._seed_state = int(_mix64_array(seed_bits)[0])
+        self._t0 = 0
+        self._block = np.empty((0, self.K))
 
     def loss(self, t: int, a: int) -> float:
         if not 0 <= a < self.K:
             raise ValueError(f"arm {a} outside [0, {self.K})")
-        return 1.0 if self._uniform(t, a) < self.means[a] else 0.0
+        return self.row(t)[a]
 
     def row(self, t: int) -> list[float]:
-        return [self.loss(t, a) for a in range(self.K)]
+        i = t - self._t0
+        if not 0 <= i < len(self._block):
+            if t < 0:
+                raise ValueError(f"round {t} is negative")
+            self._t0 = t - t % ROW_BLOCK
+            self._block = BernoulliEnv.blocks([self], self._t0,
+                                              self._t0 + ROW_BLOCK)[0]
+            i = t - self._t0
+        return self._block[i].tolist()
 
     @staticmethod
     def blocks(envs: Sequence["BernoulliEnv"], t0: int, t1: int) -> np.ndarray:
@@ -149,7 +154,7 @@ class MatrixEnv:
         return float(self.matrix[t, a])
 
     def row(self, t: int) -> list[float]:
-        return [float(v) for v in self.matrix[t]]
+        return self.matrix[t].tolist()
 
     @staticmethod
     def blocks(envs: Sequence["MatrixEnv"], t0: int, t1: int) -> np.ndarray:
@@ -286,8 +291,7 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
         arms[t] = arm
         incurred[t] = row[arm]
         cumulative += row[arm]
-        for a in range(env.K):
-            column_sums[a] += row[a]
+        column_sums = [c + v for c, v in zip(column_sums, row)]
         policy.observe(row)
     detail = {
         "feedback": "full",

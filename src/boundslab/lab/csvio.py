@@ -55,9 +55,9 @@ def emit_csv(traces, path) -> None:
         handle.write(HEADER + "\n")
         for trace in traces:
             handle.write("".join(
-                f"{int(trace.t[i])},{trace.name},"
-                f"{format_value(trace.mean[i])},{format_value(trace.std[i])}\n"
-                for i in range(len(trace.t))))
+                f"{int(t)},{trace.name},{format_value(m)},{format_value(s)}\n"
+                for t, m, s in zip(trace.t.tolist(), trace.mean.tolist(),
+                                   trace.std.tolist())))
 
 
 def parse_csv(path) -> list[AggregateTrace]:

@@ -262,6 +262,8 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
     m = _convert(params.pop("m", "20"), int, "params.m", minimum=1)
     n_grid = parse_int_list(params.pop("n_grid", "100,200,400,800"),
                             "params.n_grid")
+    if not n_grid or min(n_grid) < 1:
+        raise ConfigError(f"params.n_grid: need sample sizes >= 1, got {n_grid}")
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     pi = ProbVec([1.0 / m] * m)
@@ -293,6 +295,10 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     n = _convert(params.pop("n", "1000"), int, "params.n")
     t_max = _convert(params.pop("t_max", "4"), int, "params.t_max",
                      minimum=1)
+    if n < 2 ** (t_max - 1):
+        raise ConfigError(f"params.n: must be >= 2**(params.t_max - 1) = "
+                          f"{2 ** (t_max - 1)} for params.t_max = {t_max}, "
+                          f"got {n}")
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     pi = ProbVec([1.0 / m] * m)

@@ -51,9 +51,10 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
     x_max = max(float(tr.t[-1]) for tr in traces)
     y_values = []
     for tr in traces:
-        y_values.extend(float(v) for v in tr.mean)
-        y_values.extend(float(m) + float(s) for m, s in zip(tr.mean, tr.std))
+        y_values += tr.mean.tolist()
+        y_values += (tr.mean + tr.std).tolist()
     y_min, y_max = min(y_values), max(y_values)
+    del y_values  # the largest object here; free it before drawing
     if y_max == y_min:
         y_min, y_max = y_min - 1.0, y_max + 1.0
     if x_max == x_min:
@@ -111,12 +112,13 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
 
     for i, tr in enumerate(traces):
         color = PALETTE[i % len(PALETTE)]
-        xs, means = _downsample(tr.t, tr.mean)
-        _, stds = _downsample(tr.t, tr.std)
-        mean_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(float(y)))}"
+        ts = tr.t.tolist()
+        xs, means = _downsample(ts, tr.mean.tolist())
+        _, bands = _downsample(ts, (tr.mean + tr.std).tolist())
+        mean_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
                             for x, y in zip(xs, means))
-        band_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(float(y) + float(s)))}"
-                            for x, y, s in zip(xs, means, stds))
+        band_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
+                            for x, y in zip(xs, bands))
         parts.append(f'<polyline points="{mean_pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<polyline points="{band_pts}" fill="none" '

@@ -68,6 +68,12 @@ def hedge_eta(K: int, *, T: int | None = None, t: int | None = None,
         return base if variant == "simple" else 2.0 * base
     if t is None or t < 1:
         raise ValueError("anytime variants need t >= 1")
+    return _anytime_eta(log_k, t, variant)
+
+
+def _anytime_eta(log_k: float, t: int, variant: str) -> float:
+    """The anytime Hedge rate at round t from log K: sqrt(ln K / t), doubled
+    for "anytime_tight"."""
     base = math.sqrt(log_k / t)
     return base if variant == "anytime_simple" else 2.0 * base
 
@@ -248,9 +254,13 @@ class HedgePolicy:
                  doubling: bool = False) -> None:
         if K < 2:
             raise ValueError(f"need at least two arms, got K={K}")
+        self._rate = eta  # a rate that never changes: explicit or fixed-horizon
         if eta is None and not doubling:
             # validate the schedule eagerly so config errors surface early
-            hedge_eta(K, T=T, t=1, variant=variant)
+            first = hedge_eta(K, T=T, t=1, variant=variant)
+            if variant in ("simple", "tight"):
+                self._rate = first
+        self._log_k = math.log(K)
         self.K = K
         self.variant = variant
         self.eta = eta
@@ -268,9 +278,9 @@ class HedgePolicy:
                 self.cum_losses = [0.0] * self.K
                 self._last_reset = round_t
             return eta_m
-        if self.eta is not None:
-            return self.eta
-        return hedge_eta(self.K, T=self.T, t=round_t, variant=self.variant)
+        if self._rate is not None:
+            return self._rate
+        return _anytime_eta(self._log_k, round_t, self.variant)
 
     def distribution(self) -> ProbVec:
         eta = self._current_eta()  # may reset losses at a period boundary
@@ -283,9 +293,9 @@ class HedgePolicy:
         """Consume the full loss column for the current round."""
         if len(losses) != self.K:
             raise ValueError("loss column has wrong length")
-        self._current_eta()  # applies any pending doubling reset
-        for a in range(self.K):
-            self.cum_losses[a] += float(losses[a])
+        if self.doubling:
+            self._current_eta()  # applies any pending reset
+        self.cum_losses = [c + float(v) for c, v in zip(self.cum_losses, losses)]
         self.t += 1
 
 

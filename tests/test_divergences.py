@@ -33,6 +33,19 @@ class TestProbVec:
         with pytest.raises(ValueError):
             ProbVec([])
 
+    @pytest.mark.parametrize("weights", [
+        [0.1, 0.2, 0.7], [1 / 3] * 3, [0.25, 0.75], [-0.0, 1.0]])
+    def test_keeps_weights_summing_to_exactly_one(self, weights):
+        assert math.fsum(weights) == 1.0
+        got = ProbVec(weights).weights
+        assert [w.hex() for w in got] == [w.hex() for w in weights]
+
+    def test_first_bad_weight_is_named(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ProbVec([0.5, float("nan"), -0.5, 1.0])
+        with pytest.raises(ValueError, match="nonnegative, got -0.5"):
+            ProbVec([0.5, -0.5, float("nan"), 1.0])
+
     def test_sub_normalized_allows_deficit(self):
         v = ProbVec([0.25, 0.25], sub_normalized=True)
         assert v.weights == (0.25, 0.25)

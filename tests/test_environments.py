@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -72,11 +73,38 @@ class TestBernoulliEnv:
             BernoulliEnv([], seed=0)
 
     def test_blocks_equal_rows(self):
+        # a window across a ``row`` block edge, not aligned to it
+        t0, t1 = environments.ROW_BLOCK - 60, environments.ROW_BLOCK + 40
         envs = [BernoulliEnv([0.1, 0.5, 0.9], seed=s) for s in (0, 2 ** 64 - 1, 77)]
-        block = BernoulliEnv.blocks(envs, 40, 140)
+        block = BernoulliEnv.blocks(envs, t0, t1)
         assert block.shape == (3, 100, 3)
         for env, rows in zip(envs, block):
-            assert rows.tolist() == [env.row(t) for t in range(40, 140)]
+            assert rows.tolist() == [env.row(t) for t in range(t0, t1)]
+
+    def test_rows_match_pinned_digest(self):
+        # SHA-256 of the float64 bytes of every row(t), t in [0, 600), of
+        # the three seeds, computed with a pure-Python per-cell splitmix64,
+        # an implementation independent of ``blocks``
+        envs = [BernoulliEnv((0.1, 0.5, 0.9), s) for s in (0, 2 ** 64 - 1, 77)]
+        rows = [[env.row(t) for t in range(600)] for env in envs]
+        assert all(type(v) is float for r in rows for row in r for v in row)
+        digest = hashlib.sha256(np.array(rows).tobytes()).hexdigest()
+        assert digest == ("300fff03f6d613a0a32beb13c85bc7c630a62b552ef22b71"
+                          "b2f8212a204e73dc")
+
+    def test_loss_at_block_edges(self):
+        # rounds [0, 600) are the pinned rows above
+        edge = environments.ROW_BLOCK
+        rows = [BernoulliEnv((0.1, 0.5, 0.9), 77).row(t) for t in range(600)]
+        env = BernoulliEnv((0.1, 0.5, 0.9), 77)
+        # forward and backward across edges, so each step may refill
+        for t in (edge - 1, edge, 0, 2 * edge, 2 * edge - 1, edge + 1, 599):
+            for a in range(3):
+                assert env.loss(t, a) == rows[t][a]
+        with pytest.raises(ValueError):
+            env.loss(edge, 3)
+        with pytest.raises(ValueError):
+            env.row(-1)
 
 
 class TestFtlBreaker:

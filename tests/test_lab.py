@@ -188,6 +188,30 @@ class TestRunner:
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert f"{field}: cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, fields", [
+        (["kind = recursive", "[params]", "n = 3", "t_max = 3"],
+         ("params.n", "params.t_max")),
+        (["kind = recursive", "[params]", "n = 0", "t_max = 1"],
+         ("params.n", "params.t_max")),
+        (["kind = pacbayes", "[params]", "n_grid = 0, 10"], ("params.n_grid",)),
+        (["kind = pacbayes", "[params]", "n_grid = 10, -1"], ("params.n_grid",)),
+        (["kind = pacbayes", "[params]", "n_grid = ,"], ("params.n_grid",)),
+    ])
+    def test_sample_sizes_too_small_name_the_field(self, tmp_path, capsys,
+                                                    lines, fields):
+        config = tmp_path / "small.cfg"
+        config.write_text("\n".join(["[experiment]", "name = small", "R = 1",
+                                     *lines]) + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert all(field in err for field in fields)
+
+    def test_smallest_recursive_sample_runs(self):
+        config = parse_config_lines([
+            "[experiment]", "name = rec", "kind = recursive", "R = 1",
+            "[params]", "n = 4", "t_max = 3", "m = 3"])
+        assert [len(tr.t) for tr in run_experiment(config)] == [3, 3]
+
     def test_replay_kind_estimates_fixed_arm_value(self):
         config = parse_config_lines([
             "[experiment]", "name = rp", "kind = replay", "T = 8000",

@@ -90,6 +90,30 @@ class TestHedgeEta:
         with pytest.raises(ValueError):
             hedge_eta(2, variant="simple")
 
+    @pytest.mark.parametrize("kwargs", [
+        {"variant": "simple", "T": 300},
+        {"variant": "tight", "T": 300},
+        {"variant": "anytime_simple"},
+        {"variant": "anytime_tight"},
+        {"eta": 0.37},
+        {"doubling": True},
+    ])
+    def test_hedge_rate_per_round(self, kwargs):
+        K, T = 3, 300
+        rng = np.random.default_rng(9)
+        pol = HedgePolicy(K, **kwargs)
+        for t in range(1, T + 1):
+            p = pol.distribution()  # applies a doubling reset first
+            if "eta" in kwargs:
+                eta = kwargs["eta"]
+            elif kwargs.get("doubling"):
+                eta = doubling_schedule(t, K)[1]
+            else:
+                eta = hedge_eta(K, T=kwargs.get("T"), t=t,
+                                variant=kwargs["variant"])
+            assert p == hedge_distribution(pol.cum_losses, eta)
+            pol.observe(rng.random(K).tolist())
+
 
 class TestFtlChoice:
     def test_examples(self):
