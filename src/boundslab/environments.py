@@ -210,28 +210,67 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
     12 whitespace-separated integers laid out as action id in [0, K), binary
     reward, then ten features (binary by convention, not checked).  Blank
     lines and '#'-prefixed comment lines are skipped.  The first malformed
-    line raises a ValueError that names it."""
+    line raises a ValueError that names it.
+
+    The loop over lines checks only the header and the field counts; the
+    records are converted to int64 in one call and their actions and rewards
+    checked as arrays.  Only when that fails does ``_first_bad_record`` go
+    back over the records one by one to find the line to name."""
     K = None
-    rows, linenos = [], []
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if K is None:
-            line = raw.strip()
-            try:
-                K = int(line[2:] if line.startswith("K=") else "")
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: expected 'K=<int>' header") from None
-            if K < 1:
-                raise ValueError(f"line {lineno}: K must be positive")
-            continue
-        if len(tokens) != LOG_FIELDS:
-            raise ValueError(f"line {lineno}: expected {LOG_FIELDS} fields, "
-                             f"got {len(tokens)}: {raw.strip()!r}")
+    tokens, linenos, records = [], [], []
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if K is None:
+                line = raw.strip()
+                try:
+                    K = int(line[2:] if line.startswith("K=") else "")
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: expected 'K=<int>' header") from None
+                if K < 1:
+                    raise ValueError(f"line {lineno}: K must be positive")
+                continue
+            if len(fields) != LOG_FIELDS:
+                _first_bad_record(K, linenos, records)
+                raise ValueError(f"line {lineno}: expected {LOG_FIELDS} fields, "
+                                 f"got {len(fields)}: {raw.strip()!r}")
+            tokens += fields
+            linenos.append(lineno)
+            records.append(raw)
+    except (OSError, UnicodeDecodeError):
+        # a bad record before the unreadable line is named first
+        _first_bad_record(K, linenos, records)
+        raise
+    if K is None:
+        raise ValueError("log has no 'K=<int>' header")
+    try:
+        # Python's int on each token, then a check that it fits 64 bits
+        table = np.array(tokens, dtype=np.int64).reshape(-1, LOG_FIELDS)
+    except (ValueError, OverflowError):
+        table = None
+    # a negative int64 reads as a uint64 of at least 2**63, so one unsigned
+    # comparison checks both ends of each range
+    if (table is None or (table[:, 0].view(np.uint64) >= K).any()
+            or (table[:, 1].view(np.uint64) > 1).any()):
+        lineno = _first_bad_record(K, linenos, records)
+        raise ValueError(f"line {lineno}: feature outside the 64-bit "
+                         "integer range")
+    return K, BanditLog(table[:, 0], table[:, 1], table[:, 2:])
+
+
+def _first_bad_record(K: int, linenos: list[int], records: list[str]
+                      ) -> int | None:
+    """Check the records of ``parse_log`` one line at a time, in order: raise
+    the error of the first line with a non-integer token, an action outside
+    [0, K) or a non-binary reward.  Otherwise return the number of the first
+    line with a value outside the 64-bit integer range, or None."""
+    overflow = None
+    for lineno, raw in zip(linenos, records):
         try:
-            values = list(map(int, tokens))
+            values = list(map(int, raw.split()))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-integer token in record "
                              f"{raw.strip()!r}") from exc
@@ -240,18 +279,9 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
             raise ValueError(f"line {lineno}: action {action} outside [0, {K})")
         if reward not in (0, 1):
             raise ValueError(f"line {lineno}: reward must be 0 or 1, got {reward}")
-        rows.append(values)
-        linenos.append(lineno)
-    if K is None:
-        raise ValueError("log has no 'K=<int>' header")
-    try:
-        table = np.array(rows, dtype=np.int64).reshape(len(rows), LOG_FIELDS)
-    except OverflowError:
-        lineno = next(n for n, row in zip(linenos, rows)
-                      if not all(-2 ** 63 <= v < 2 ** 63 for v in row))
-        raise ValueError(f"line {lineno}: feature outside the 64-bit "
-                         "integer range") from None
-    return K, BanditLog(table[:, 0], table[:, 1], table[:, 2:])
+        if overflow is None and not all(-2 ** 63 <= v < 2 ** 63 for v in values):
+            overflow = lineno
+    return overflow
 
 
 def write_log(path, K: int, log: BanditLog) -> None:

@@ -43,19 +43,16 @@ def aggregate(name: str, runs, t=None) -> AggregateTrace:
     return AggregateTrace(name, t, stacked.mean(axis=0), stacked.std(axis=0))
 
 
-def format_value(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
 def emit_csv(traces, path) -> None:
     """Write traces (iterable of AggregateTrace, order preserved) to a CSV
     file under the byte-level contract above, one series at a time so only
-    that series' rows are held as text."""
+    that series' rows are held as text.  ``tolist`` gives Python floats, so
+    each value is formatted in place."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(HEADER + "\n")
         for trace in traces:
             handle.write("".join(
-                f"{int(t)},{trace.name},{format_value(m)},{format_value(s)}\n"
+                f"{int(t)},{trace.name},{m:.12g},{s:.12g}\n"
                 for t, m, s in zip(trace.t.tolist(), trace.mean.tolist(),
                                    trace.std.tolist())))
 

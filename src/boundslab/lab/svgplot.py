@@ -9,6 +9,7 @@ point is always kept).
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 MAX_POINTS = 2000
 
@@ -38,6 +39,18 @@ def _ticks(low, high, count=5):
     return [low + (high - low) * i / (count - 1) for i in range(count)]
 
 
+def _y_range(traces):
+    """Built-in ``min`` and ``max`` of every y value drawn, taken one list at
+    a time: each trace's means, then its mean + std.  That order fixes which
+    NaN or signed zero they return."""
+    def y_lists():
+        for tr in traces:
+            yield tr.mean.tolist()
+            yield (tr.mean + tr.std).tolist()
+    return (min(chain.from_iterable(y_lists())),
+            max(chain.from_iterable(y_lists())))
+
+
 def _fmt(x):
     return f"{x:.2f}"
 
@@ -49,12 +62,7 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
         raise ValueError("need at least one trace to plot")
     x_min = min(float(tr.t[0]) for tr in traces)
     x_max = max(float(tr.t[-1]) for tr in traces)
-    y_values = []
-    for tr in traces:
-        y_values += tr.mean.tolist()
-        y_values += (tr.mean + tr.std).tolist()
-    y_min, y_max = min(y_values), max(y_values)
-    del y_values  # the largest object here; free it before drawing
+    y_min, y_max = _y_range(traces)
     if y_max == y_min:
         y_min, y_max = y_min - 1.0, y_max + 1.0
     if x_max == x_min:

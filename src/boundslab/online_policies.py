@@ -145,13 +145,20 @@ def ucb_index(mu_hat: float, t: int, n_pulls: int,
         raise ValueError("arm must have been played at least once")
     if t < 1:
         raise ValueError(f"round index must be >= 1, got {t}")
+    c = _radius_coefficient(math.log(t), parametrization)
+    return mu_hat + math.sqrt(c / n_pulls)
+
+
+def _radius_coefficient(log_t: float, parametrization: str) -> float:
+    """c with UCB1 radius sqrt(c / N) for an arm pulled N times, at ln t =
+    ``log_t``: 1.5 ln t for "original", ln t for "improved".  Scaling by 2 is
+    exact in binary floating point, so 1.5 ln t / N rounds to the same double
+    as 3 ln t / (2 N) for every N below 2**1023."""
     if parametrization == "original":
-        radius = math.sqrt(3.0 * math.log(t) / (2.0 * n_pulls))
-    elif parametrization == "improved":
-        radius = math.sqrt(math.log(t) / n_pulls)
-    else:
-        raise ValueError(f"unknown parametrization {parametrization!r}")
-    return mu_hat + radius
+        return 1.5 * log_t
+    if parametrization == "improved":
+        return log_t
+    raise ValueError(f"unknown parametrization {parametrization!r}")
 
 
 def epsilon_first_schedule(gap: float, T: int) -> tuple[float, int]:
@@ -511,13 +518,11 @@ class UCB1Policy:
     def act(self, rng=None) -> int:
         if self.t < self.K:
             return self.t  # forced initialization pass
-        round_t = self.t + 1
+        c = _radius_coefficient(math.log(self.t + 1), self.parametrization)
+        reward_range = self.reward_range
         best, best_index = 0, -math.inf
-        for a in range(self.K):
-            mu_hat = self.sums[a] / self.counts[a]
-            radius = ucb_index(0.0, round_t, self.counts[a],
-                               self.parametrization)
-            index = mu_hat + self.reward_range * radius
+        for a, (total, n) in enumerate(zip(self.sums, self.counts)):
+            index = total / n + reward_range * math.sqrt(c / n)
             if index > best_index:
                 best, best_index = a, index
         return best
@@ -561,11 +566,8 @@ class UCB1Batch:
     def act(self, t: int, u=None) -> np.ndarray:
         if t < self.K:
             return np.full(len(self.offsets), t)
-        log_t = math.log(t + 1)
-        if self.parametrization == "original":
-            radius = np.sqrt(3.0 * log_t / (2.0 * self.counts))
-        else:
-            radius = np.sqrt(log_t / self.counts)
+        c = _radius_coefficient(math.log(t + 1), self.parametrization)
+        radius = np.sqrt(c / self.counts)
         return (self.sums / self.counts + radius).argmax(axis=1)
 
     def update(self, arms: np.ndarray, losses: np.ndarray) -> None:

@@ -280,6 +280,64 @@ class TestLogParsing:
             with pytest.raises(ValueError, match=message):
                 parse_log(["K=4", line])
 
+    @pytest.mark.parametrize("bad, message", [
+        # the first bad line is named, whichever check the later one fails
+        ({3: "1 2 0 0 0 0 0 0 0 0 0 0", 5: "1 0 x 0 0 0 0 0 0 0 0 0"},
+         "line 3: reward must be 0 or 1, got 2"),
+        ({2: "1 0 x 0 0 0 0 0 0 0 0 0", 4: "1 0 0 0 0"},
+         "line 2: non-integer token"),
+        # a 64-bit overflow is reported only when no line fails another check
+        ({2: "1 0 0 0 0 0 0 0 0 0 0 " + "9" * 20,
+          6: "9 0 0 0 0 0 0 0 0 0 0 0"},
+         r"line 6: action 9 outside \[0, 4\)"),
+        ({3: "1 0 0 0 0 0 0 0 0 0 0 " + "9" * 20,
+          5: "1 0 0 0 0 0 0 0 0 0 0 -" + "9" * 20},
+         "line 3: feature outside the 64-bit integer range"),
+        ({4: "1 0 0 0 0 0 0 0 0 0 0 " + "9" * 20, 5: "1 0"},
+         "line 5: expected 12 fields, got 2"),
+        ({2: "1 -1 0 0 0 0 0 0 0 0 0 0", 3: "-1 0 0 0 0 0 0 0 0 0 0 0"},
+         "line 2: reward must be 0 or 1, got -1"),
+        ({7: "-1 0 0 0 0 0 0 0 0 0 0 0"}, r"line 7: action -1 outside \[0, 4\)"),
+    ])
+    def test_first_bad_line_is_named(self, bad, message):
+        good = "1 0 0 0 0 0 0 0 0 0 0 0"
+        lines = ["K=4"] + [bad.get(n, good) for n in range(2, 8)]
+        with pytest.raises(ValueError, match=message):
+            parse_log(lines)
+
+    def test_bad_record_named_before_a_later_read_error(self):
+        def lines():
+            yield "K=4"
+            yield "1 0 0 0 0 0 0 0 0 0 0 0"
+            yield "4 0 0 0 0 0 0 0 0 0 0 0"
+            raise UnicodeDecodeError("ascii", b"\xff", 0, 1, "bad byte")
+        with pytest.raises(ValueError, match=r"line 3: action 4 outside"):
+            parse_log(lines())
+
+    def test_messages_quote_the_line_as_written(self):
+        with pytest.raises(ValueError) as info:
+            parse_log(["K=4", "0 0 0 0 0 0 0 0 0 0 0 0",
+                       "  1\t0  0 0 0 0 0 0 0 0 0 2.5 \n"])
+        assert str(info.value) == ("line 3: non-integer token in record "
+                                   "'1\\t0  0 0 0 0 0 0 0 0 0 2.5'")
+
+    def test_tokens_parse_as_python_int(self):
+        K, log = parse_log(["K=4", "+1 0 1_0 ٣ -0 0 0 0 0 0 0 "
+                            + str(2 ** 63 - 1), "0 1 0 0 0 0 0 0 0 0 0 "
+                            + str(-2 ** 63)])
+        assert log.actions.tolist() == [1, 0]
+        assert log.rewards.tolist() == [0, 1]
+        assert log.features[0, :3].tolist() == [10, 3, 0]
+        assert log.features[:, -1].tolist() == [2 ** 63 - 1, -2 ** 63]
+        for token in ("1__0", "0x1", "1e3", "²"):
+            with pytest.raises(ValueError, match="line 2: non-integer token"):
+                parse_log(["K=4", "0 0 0 0 0 0 0 0 0 0 0 " + token])
+
+    def test_header_only_log_is_empty(self):
+        K, log = parse_log(["K=3", "# no records"])
+        assert K == 3 and len(log) == 0
+        assert log.features.shape == (0, 10)
+
     def test_header_comments_and_round_trip(self, tmp_path):
         log = synthesize_uniform_log([0.2, 0.8], T=50, seed=3)
         path = tmp_path / "game.log"

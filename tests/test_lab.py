@@ -17,7 +17,12 @@ from boundslab.lab.config import (
 )
 from boundslab.lab.csvio import AggregateTrace, aggregate, emit_csv, parse_csv
 from boundslab.lab.runner import run_experiment
-from boundslab.lab.svgplot import MAX_POINTS, _downsample, render_plot
+from boundslab.lab.svgplot import (
+    MAX_POINTS,
+    _downsample,
+    _y_range,
+    render_plot,
+)
 
 MINIMAL_GAME = [
     "[experiment]",
@@ -301,6 +306,28 @@ class TestSvg:
         render_plot(traces, a)
         render_plot(traces, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("names", [
+        ("zeros",), ("negative_zero_first",), ("zeros", "nan_first"),
+        ("nan_first", "zeros"), ("negative_zero_first", "nan_first"),
+    ])
+    def test_y_range_is_min_max_of_all_values_in_order(self, names):
+        nan = float("nan")
+        traces = {
+            "zeros": AggregateTrace("zeros", [1, 2, 3], [0.0, -0.0, 0.5],
+                                    [0.0, 0.0, 0.25]),
+            "negative_zero_first": AggregateTrace(
+                "negative_zero_first", [1, 2, 3], [-0.0, 0.0, -0.0],
+                [0.0, 0.0, 0.0]),
+            "nan_first": AggregateTrace("nan_first", [1, 2, 3],
+                                        [nan, -1.0, 3.0], [0.0, 0.5, 0.5]),
+        }
+        chosen = [traces[name] for name in names]
+        values = []
+        for tr in chosen:
+            values += tr.mean.tolist() + (tr.mean + tr.std).tolist()
+        assert list(map(repr, _y_range(chosen))) == [repr(min(values)),
+                                                     repr(max(values))]
 
     def test_downsampling_cap(self):
         xs = np.arange(10000)

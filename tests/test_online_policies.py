@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from boundslab.online_policies import (
     EXP3Policy,
@@ -271,6 +271,12 @@ class TestUcbIndex:
         assert math.isclose(0.5 + math.sqrt(math.log(t) / 3), 1.31650,
                             abs_tol=1e-5)
 
+    @given(st.integers(1, 10 ** 15), st.integers(1, 10 ** 15))
+    def test_radius_is_bit_equal_to_the_stated_formulas(self, t, n):
+        assert ucb_index(0.0, t, n, "original") == math.sqrt(
+            3.0 * math.log(t) / (2.0 * n))
+        assert ucb_index(0.0, t, n, "improved") == math.sqrt(math.log(t) / n)
+
     def test_round_one_is_mean(self):
         assert ucb_index(0.37, 1, 1, "original") == 0.37
         assert ucb_index(0.37, 1, 1, "improved") == 0.37
@@ -282,7 +288,41 @@ class TestUcbIndex:
             ucb_index(0.5, 10, 1, "bogus")
 
 
+@st.composite
+def ucb1_states(draw):
+    """A UCB1 policy's parameters and state (counts, sums, rounds played).
+    Arms are drawn from a pool of at most three (count, mean) pairs, so exact
+    ties between arms are common; ``t`` < K is a forced round."""
+    K = draw(st.integers(1, 6))
+    parametrization = draw(st.sampled_from(["original", "improved"]))
+    reward_range = draw(st.sampled_from([1.0, float(K)]))
+    pool = draw(st.lists(st.tuples(st.integers(1, 10 ** 6),
+                                   st.floats(0.0, 1.0)),
+                         min_size=1, max_size=3))
+    arms = draw(st.lists(st.sampled_from(pool), min_size=K, max_size=K))
+    counts = [n for n, _ in arms]
+    sums = [n * mean * reward_range for n, mean in arms]
+    t = draw(st.one_of(st.integers(0, K - 1), st.integers(K, 10 ** 7)))
+    return K, parametrization, reward_range, counts, sums, t
+
+
 class TestUcbPolicy:
+    @given(ucb1_states())
+    @example((3, "improved", 3.0, [2, 2, 2], [1.5, 1.5, 1.5], 6))
+    @example((2, "original", 1.0, [1, 1], [0.0, 0.0], 1))
+    def test_act_is_first_argmax_of_ucb_index(self, state):
+        K, parametrization, reward_range, counts, sums, t = state
+        pol = UCB1Policy(K, parametrization=parametrization,
+                         reward_range=reward_range)
+        pol.counts, pol.sums, pol.t = counts, sums, t
+        if t < K:
+            assert pol.act() == t
+            return
+        indices = [sums[a] / counts[a] + reward_range * ucb_index(
+                       0.0, t + 1, counts[a], parametrization)
+                   for a in range(K)]
+        assert pol.act() == indices.index(max(indices))
+
     def test_initialization_order_and_counts(self):
         rng = np.random.default_rng(0)
         pol = UCB1Policy(4)
