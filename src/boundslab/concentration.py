@@ -8,8 +8,11 @@ the moment-generating-function lemmas the bounds rest on.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .divergences import kl_inverse
 
@@ -34,11 +37,11 @@ class Sample:
 
     def __init__(self, values: Sequence[float], upper_bound: float,
                  lower_bound: Optional[float] = None):
-        vals = tuple(float(v) for v in values)
+        vals = tuple(map(float, values))
         if not vals:
             raise ValueError("sample must be nonempty")
         b = float(upper_bound)
-        if any(math.isnan(v) for v in vals) or math.isnan(b):
+        if any(map(math.isnan, vals)) or math.isnan(b):
             raise ValueError("sample values must not be NaN")
         if max(vals) > b:
             raise ValueError(f"sample value {max(vals)} exceeds upper bound {b}")
@@ -70,7 +73,7 @@ class Sample:
 
     @property
     def mean_sq(self) -> float:
-        return math.fsum(v * v for v in self.values) / self.n
+        return math.fsum(map(operator.mul, self.values, self.values)) / self.n
 
 
 class SplitGrid:
@@ -100,8 +103,20 @@ class SplitGrid:
         (continuous) values get the fractional clamped form.  Either way
         b_0 + sum_j alpha_j * x_{|j} reconstructs x exactly.
         """
-        return tuple(min(1.0, max(0.0, (x - lo) / alpha))
-                     for lo, alpha in zip(self.points, self.alphas))
+        return tuple(self.segment_column(x, j).item() for j in range(self.K))
+
+    def segment_column(self, values, j: int) -> np.ndarray:
+        """x_{|j} of every value: the float64 array clamp((x - b_{j-1})/alpha_j).
+
+        The clamp is ``min(1.0, max(0.0, v))`` element by element, NaN and
+        -0.0 going to 0.0 as with the builtins; ``np.maximum`` and
+        ``np.fmax`` give -0.0 for -0.0 depending on operand order and array
+        length.  Overflow gives inf silently, as Python float arithmetic does.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = (np.asarray(values, dtype=float) - self.points[j]) / self.alphas[j]
+        v = np.where(v > 0.0, v, 0.0)
+        return np.where(v < 1.0, v, 1.0)
 
 
 class LambdaGrid:
@@ -231,10 +246,9 @@ def split_kl_mean_bound(sample: Sample, grid: SplitGrid, delta: float) -> BoundR
         raise ValueError("sample values must lie within [b_0, b_K]")
     n = sample.n
     eps = math.log(grid.K / delta) / n
-    # column j of SplitGrid.segment_values, one pass over the sample per segment
-    segment_means = tuple(
-        math.fsum(min(1.0, max(0.0, (x - lo) / alpha)) for x in sample.values) / n
-        for lo, alpha in zip(grid.points, grid.alphas))
+    values = np.array(sample.values)
+    segment_means = tuple(math.fsum(grid.segment_column(values, j).tolist()) / n
+                          for j in range(grid.K))
     value = _split_kl_sum(grid.points[0], grid.alphas, segment_means, eps)
     return BoundResult(value, delta, "split-kl",
                        {"eps": eps, "segment_means": segment_means,

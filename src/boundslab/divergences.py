@@ -101,35 +101,45 @@ def binary_kl(p: float, q: float) -> float:
     q = _check_unit(q, "q")
     if p == q:
         return 0.0
+    if q == 0.0 or q == 1.0:
+        return math.inf
+    # the 0 ln 0 = 0 conventions drop the p term at p = 0, the 1-p term at 1
+    if p == 0.0:
+        return math.log(1.0 / (1.0 - q))
+    if p == 1.0:
+        return math.log(1.0 / q)
+    return _kl_interior(p, q)
+
+
+def _kl_interior(p: float, q: float) -> float:
+    """kl(p || q) for floats p, q in (0, 1), unchecked."""
     total = 0.0
-    if p > 0.0:
-        if q == 0.0:
-            return math.inf
-        total += p * math.log(p / q)
-    if p < 1.0:
-        if q == 1.0:
-            return math.inf
-        total += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
+    total += p * math.log(p / q)
+    total += (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
     return max(total, 0.0)
 
 
 def categorical_kl(rho: Sequence[float], pi: Sequence[float]) -> float:
     """KL(rho || pi) between two finite distributions of equal length."""
-    r = list(rho)
-    p = list(pi)
+    r = list(map(float, rho))
+    p = list(map(float, pi))
     if len(r) != len(p):
         raise ValueError(f"length mismatch: {len(r)} vs {len(p)}")
+    nan_at = None
+    if any(map(math.isnan, r)) or any(map(math.isnan, p)):
+        # the first NaN raises unless an earlier term is already infinite
+        nan_at = next(i for i, (ri, pi_i) in enumerate(zip(r, p))
+                      if math.isnan(ri) or math.isnan(pi_i))
+        r, p = r[:nan_at], p[:nan_at]
     total = 0.0
     for ri, pi_i in zip(r, p):
-        ri = float(ri)
-        pi_i = float(pi_i)
-        if math.isnan(ri) or math.isnan(pi_i):
-            raise ValueError("KL arguments must not be NaN")
         if ri == 0.0:
             continue
         if pi_i == 0.0:
             return math.inf
         total += ri * math.log(ri / pi_i)
+    if nan_at is not None:
+        raise ValueError("KL arguments must not be NaN")
     return total
 
 
@@ -155,13 +165,15 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
         # kl(0||q) = -ln(1-q) and kl(1||q) = -ln q, solved in closed form.
         return 1.0 - math.exp(-eps) if upper else math.exp(-eps)
     # p_hat is interior here, so kl(p_hat||edge) = inf > eps: the edge is
-    # infeasible and p_hat's end of the bracket stays feasible.
+    # infeasible and p_hat's end of the bracket stays feasible.  Every mid
+    # lies strictly between lo and hi (hi - lo > BISECT_TOL is far above an
+    # ulp), so it is interior too and the unchecked formula applies.
     lo, hi = (p_hat, 1.0) if upper else (0.0, p_hat)
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if (binary_kl(p_hat, mid) <= eps) == upper:
+        if (_kl_interior(p_hat, mid) <= eps) == upper:
             lo = mid
         else:
             hi = mid

@@ -3,7 +3,8 @@
 Format: "[section]" headers, "key = value" pairs, blank lines and full-line
 '#' comments.  Sections are "[experiment]", "[environment]", "[params]" and
 any number of "[policy <label>]" blocks.  Unknown keys and duplicate keys
-are errors; every error message carries the offending line or field path.
+are errors; every error message carries the offending line or field path,
+and an error on a field read from a line names that line too.
 """
 from __future__ import annotations
 
@@ -11,7 +12,22 @@ from dataclasses import dataclass, field
 
 
 class ConfigError(ValueError):
-    """Raised for any syntactic or semantic configuration problem."""
+    """Raised for any syntactic or semantic configuration problem.
+
+    ``path`` is the field the error is about, such as ``params.n`` or
+    ``policy hedge.eta``, or None.
+    """
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message)
+        self.path = path
+
+    def name_line(self, lines: dict) -> None:
+        """Append ``(line N)`` to the message when ``lines`` maps the
+        error's field to the source line it was read from."""
+        line = lines.get(self.path)
+        if line is not None:
+            self.args = (f"{self.args[0]} (line {line})",)
 
 
 EXPERIMENT_KINDS = ("game", "bounds", "pacbayes", "recursive", "replay")
@@ -30,23 +46,33 @@ class ExperimentConfig:
     environment: dict = field(default_factory=dict)
     policies: list = field(default_factory=list)  # (label, {key: value})
     params: dict = field(default_factory=dict)
+    # source line of each field read from a file: {"params.n": 14, ...}
+    lines: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"experiment.kind: unknown kind {self.kind!r}")
+            raise ConfigError(f"experiment.kind: unknown kind {self.kind!r}",
+                              "experiment.kind")
         if self.T < 1:
-            raise ConfigError(f"experiment.T: must be >= 1, got {self.T}")
+            raise ConfigError(f"experiment.T: must be >= 1, got {self.T}",
+                              "experiment.T")
         if self.R < 1:
-            raise ConfigError(f"experiment.R: must be >= 1, got {self.R}")
+            raise ConfigError(f"experiment.R: must be >= 1, got {self.R}",
+                              "experiment.R")
         if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("experiment.seed: must be a 64-bit integer")
+            raise ConfigError("experiment.seed: must be a 64-bit integer",
+                              "experiment.seed")
         if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"experiment.delta: must be in (0, 1), got {self.delta}")
+            raise ConfigError(
+                f"experiment.delta: must be in (0, 1), got {self.delta}",
+                "experiment.delta")
 
 
 def _parse_sections(lines):
-    """Split raw lines into {section: {key: value}} preserving order."""
+    """Split raw lines into {section: {key: value}} preserving order, and
+    map each key's field path (``params.n``, ``policy x.eta``) to its line."""
     sections: dict[str, dict] = {}
+    key_lines: dict[str, int] = {}
     current: dict | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -60,6 +86,8 @@ def _parse_sections(lines):
                 raise ConfigError(f"line {lineno}: duplicate section [{header}]")
             sections[header] = {}
             current = sections[header]
+            section = (f"policy {header[len('policy '):].strip()}"
+                       if header.startswith("policy ") else header)
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -72,7 +100,8 @@ def _parse_sections(lines):
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         current[key] = value
-    return sections
+        key_lines[f"{section}.{key}"] = lineno
+    return sections, key_lines
 
 
 def _convert(raw: str, kind: type, path: str, minimum=None):
@@ -91,25 +120,38 @@ def _convert(raw: str, kind: type, path: str, minimum=None):
             raise ValueError(raw)
         return value
     except ValueError:
-        raise ConfigError(f"{path}: cannot parse {raw!r} as {want}") from None
+        raise ConfigError(f"{path}: cannot parse {raw!r} as {want}",
+                          path) from None
 
 
 def parse_float_list(raw: str, path: str) -> list[float]:
     try:
         return [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"{path}: expected comma-separated numbers, got {raw!r}") from None
+        raise ConfigError(f"{path}: expected comma-separated numbers, got {raw!r}",
+                          path) from None
 
 
 def parse_int_list(raw: str, path: str) -> list[int]:
     try:
         return [int(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
-        raise ConfigError(f"{path}: expected comma-separated integers, got {raw!r}") from None
+        raise ConfigError(f"{path}: expected comma-separated integers, got {raw!r}",
+                          path) from None
 
 
 def parse_config_lines(lines) -> ExperimentConfig:
-    sections = _parse_sections(lines)
+    sections, key_lines = _parse_sections(lines)
+    try:
+        config = _build_config(sections)
+    except ConfigError as exc:
+        exc.name_line(key_lines)
+        raise
+    config.lines = key_lines
+    return config
+
+
+def _build_config(sections: dict) -> ExperimentConfig:
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
     exp = sections.pop("experiment")

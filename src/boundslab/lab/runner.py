@@ -74,7 +74,8 @@ def _build_policy(label: str, spec: dict, K: int, T: int):
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in _POLICY_KEYS:
-        raise ConfigError(f"policy {label}: unknown kind {kind!r}")
+        raise ConfigError(f"policy {label}: unknown kind {kind!r}",
+                          f"policy {label}.kind")
     unknown = set(spec) - _POLICY_KEYS[kind]
     if unknown:
         raise ConfigError(f"policy {label}: unknown keys {sorted(unknown)}")
@@ -124,18 +125,20 @@ def _game_envs(config: ExperimentConfig):
     if kind == "bernoulli":
         means = parse_float_list(env.pop("means", ""), "environment.means")
         if not means:
-            raise ConfigError("environment.means: required for bernoulli")
+            raise ConfigError("environment.means: required for bernoulli",
+                              "environment.means")
         out.append(("", len(means),
                     lambda seed, m=tuple(means): BernoulliEnv(m, seed),
                     lambda trans, m=np.asarray(means): pseudo_regret(trans.arms, m)))
     elif kind == "bernoulli_gap":
-        k_grid = parse_int_list(env.pop("k_grid", env.pop("k", "2")),
-                                "environment.k_grid")
+        # a single K may be given as "k"; errors name the key the file used
+        path = "environment.k_grid" if "k_grid" in env else "environment.k"
+        k_grid = parse_int_list(env.pop("k_grid", env.pop("k", "2")), path)
         gap = _convert(env.pop("gap", "0.25"), float, "environment.gap")
         base = _convert(env.pop("base", "0.5"), float, "environment.base")
         for k in k_grid:
             if k < 2:
-                raise ConfigError("environment.k_grid: each K must be >= 2")
+                raise ConfigError(f"{path}: each K must be >= 2", path)
             means = tuple([base - gap] + [base] * (k - 1))
             suffix = f"[K={k}]" if len(k_grid) > 1 else ""
             out.append((suffix, k,
@@ -153,7 +156,8 @@ def _game_envs(config: ExperimentConfig):
         out.append(("", losses.shape[1], lambda seed, m=losses: MatrixEnv(m),
                     lambda trans, m=losses: hindsight_regret(m, trans.arms)))
     else:
-        raise ConfigError(f"environment.kind: unknown kind {kind!r}")
+        raise ConfigError(f"environment.kind: unknown kind {kind!r}",
+                          "environment.kind")
     env.pop("feedback", None)  # informative only; the policy fixes the mode
     if env:
         raise ConfigError(f"environment: unknown keys {sorted(env)}")
@@ -240,7 +244,8 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
                 flat("unexpected_bernstein", unexpected),
                 flat("hoeffding", hoeff)]
 
-    raise ConfigError(f"params.family: unknown family {family!r}")
+    raise ConfigError(f"params.family: unknown family {family!r}",
+                      "params.family")
 
 
 def _synthetic_table(rng, m: int, n: int):
@@ -263,7 +268,8 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
     n_grid = parse_int_list(params.pop("n_grid", "100,200,400,800"),
                             "params.n_grid")
     if not n_grid or min(n_grid) < 1:
-        raise ConfigError(f"params.n_grid: need sample sizes >= 1, got {n_grid}")
+        raise ConfigError(f"params.n_grid: need sample sizes >= 1, got {n_grid}",
+                          "params.n_grid")
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     pi = ProbVec([1.0 / m] * m)
@@ -298,7 +304,7 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     if n < 2 ** (t_max - 1):
         raise ConfigError(f"params.n: must be >= 2**(params.t_max - 1) = "
                           f"{2 ** (t_max - 1)} for params.t_max = {t_max}, "
-                          f"got {n}")
+                          f"got {n}", "params.n")
     if params:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     pi = ProbVec([1.0 / m] * m)
@@ -328,7 +334,8 @@ def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
         raise ConfigError(f"params: unknown keys {sorted(params)}")
     K = len(means)
     if not 0 <= fixed_arm < K:
-        raise ConfigError("params.fixed_arm: outside the action range")
+        raise ConfigError("params.fixed_arm: outside the action range",
+                          "params.fixed_arm")
 
     def one_rep(r):
         env_seed, rng = repetition_seeds(config.seed, r)
@@ -361,5 +368,9 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> list[AggregateTrace]:
     """Run the experiment and return its aggregated traces (series order is
-    deterministic)."""
-    return _RUNNERS[config.kind](config)
+    deterministic).  A field error names the field's source line."""
+    try:
+        return _RUNNERS[config.kind](config)
+    except ConfigError as exc:
+        exc.name_line(config.lines)
+        raise

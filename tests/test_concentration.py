@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from _coverage import coverage_threshold, draw_matrix, violation_rates
 from boundslab.concentration import (
@@ -133,6 +135,17 @@ class TestSplitGrid:
             rebuilt = grid.points[0] + sum(a * s for a, s in zip(grid.alphas, segs))
             assert abs(rebuilt - x) < 1e-12
 
+    def test_clamp_sends_nan_and_negative_zero_to_zero(self):
+        # as min(1.0, max(0.0, v)) does, whatever the array length
+        grid = SplitGrid([0.0, 0.5, 1.0])
+        for x in (-0.0, math.nan, -5e-324):
+            assert [v.hex() for v in grid.segment_values(x)] == ["0x0.0p+0"] * 2
+        for n in (1, 3, 8, 17, 1000):
+            column = grid.segment_column(np.full(n, -0.0), 0).tolist()
+            assert [v.hex() for v in column] == ["0x0.0p+0"] * n
+        assert grid.segment_values(math.inf) == (1.0, 1.0)
+        assert grid.segment_values(0.5) == (1.0, 0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SplitGrid([0.0])
@@ -154,6 +167,20 @@ class TestSplitKlBound:
         expected = 0.5 + 0.5 * (1 - math.exp(-math.log(40) / 100))
         assert math.isclose(res.value, expected, rel_tol=1e-9)
         assert res.detail["segment_means"] == (1.0, 0.0)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0)
+                    | st.sampled_from([-0.0, 5e-324, 0.25, 0.5, 1.0 - 2.0 ** -53]),
+                    min_size=1, max_size=60),
+           st.sampled_from([[0.0, 1.0], [0.0, 0.5, 1.0], [0.0, 0.1, 0.7, 1.0],
+                            [j / 8 for j in range(9)], [0.0, 5e-324, 1.0]]))
+    @example([-0.0, -0.0], [0.0, 0.5, 1.0])
+    def test_segment_means_are_means_of_segment_values(self, values, points):
+        grid = SplitGrid(points)
+        res = split_kl_mean_bound(Sample.unit(values), grid, 0.05)
+        columns = zip(*(grid.segment_values(x) for x in values))
+        means = tuple(math.fsum(col) / len(values) for col in columns)
+        assert [m.hex() for m in res.detail["segment_means"]] == \
+            [m.hex() for m in means]
 
     def test_definition_at_32_segments(self):
         rng = np.random.default_rng(5)
@@ -362,3 +389,61 @@ class TestBoundResultAndSample:
     def test_bound_result_detail(self):
         res = BoundResult(0.5, 0.05, "demo", {"eps": 1.0})
         assert res.detail["eps"] == 1.0
+
+
+def digest_samples():
+    """Three seeded unit samples (continuous, on the 1/64 grid, and U-shaped
+    with the edge values appended) and an all -0.0 one."""
+    rng = np.random.default_rng(2022)
+    return [
+        Sample.unit(rng.random(500).tolist()),
+        Sample.unit((rng.integers(0, 65, 400) / 64).tolist()),
+        Sample.unit(rng.beta(0.3, 0.3, 300).tolist()
+                    + [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]),
+        Sample.unit([-0.0] * 7),
+    ]
+
+
+class TestPinnedDigest:
+    def test_split_kl_and_sample_match_pinned_digest(self):
+        # Sample.mean/mean_sq and split_kl_mean_bound's value, budget and
+        # segment means at K = 2, 8, 32, 64; pinned before the segment
+        # columns and the sample passes moved to numpy and map
+        values = []
+        for sample in digest_samples():
+            values += [sample.mean, sample.mean_sq]
+            for K in (2, 8, 32, 64):
+                grid = SplitGrid([j / K for j in range(K + 1)])
+                res = split_kl_mean_bound(sample, grid, 0.05)
+                values += [res.value, res.detail["eps"],
+                           *res.detail["segment_means"]]
+        assert all(type(v) is float for v in values)
+        digest = hashlib.sha256(
+            ",".join(v.hex() for v in values).encode()).hexdigest()
+        assert digest == (
+            "b5e75e1cf08ca84b810cad3d9ab92d9c"
+            "9706b027ae29a16bbb83118597ac75af")
+
+
+class TestSampleErrorContract:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.nan,
+                                     math.inf, -math.inf]), max_size=5),
+           st.sampled_from([1.0, 2.0, math.nan, math.inf]),
+           st.sampled_from([None, 0.0, -1.0, math.nan]))
+    def test_messages_in_order(self, values, upper, lower):
+        # empty, then NaN, then the upper bound, then the lower bound
+        if not values:
+            expected = "sample must be nonempty"
+        elif any(math.isnan(v) for v in values) or math.isnan(upper):
+            expected = "sample values must not be NaN"
+        elif max(values) > upper:
+            expected = f"sample value {max(values)} exceeds upper bound {upper}"
+        elif lower is not None and min(values) < lower:
+            expected = f"sample value {min(values)} below lower bound {lower}"
+        else:
+            sample = Sample(values, upper, lower)
+            assert sample.values == tuple(values) and sample.n == len(values)
+            return
+        with pytest.raises(ValueError) as info:
+            Sample(values, upper, lower)
+        assert type(info.value) is ValueError and str(info.value) == expected

@@ -1,10 +1,13 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from boundslab.divergences import (
     ProbVec,
+    _kl_interior,
     binary_entropy,
     binary_kl,
     binomial_entropy_bounds,
@@ -97,6 +100,15 @@ class TestBinaryKl:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             binary_kl(float("nan"), 0.5)
+
+    @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0 ** -53),
+           st.floats(min_value=5e-324, max_value=1.0 - 2.0 ** -53))
+    @example(0.5, 0.5)
+    @example(5e-324, 1.0 - 2.0 ** -53)
+    @example(1.0 - 2.0 ** -53, 5e-324)
+    def test_interior_formula_is_binary_kl(self, p, q):
+        # the unchecked formula the kl_inverse bisection runs is binary_kl's
+        assert _kl_interior(p, q).hex() == binary_kl(p, q).hex()
 
     def test_pinsker_on_grid(self):
         for p in UNIT_GRID:
@@ -263,3 +275,126 @@ class TestBinomialEntropyBounds:
             binomial_entropy_bounds(4, 5)
         with pytest.raises(ValueError):
             binomial_entropy_bounds(4, 0, tight=True)
+
+
+def hex_digest(values) -> str:
+    """SHA-256 over ``float.hex`` of each value, comma separated."""
+    return hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
+
+
+# The pinned grid: 0 and 1, the smallest subnormal, the largest double
+# below 1, and every k/n with n <= 40.
+DIGEST_P = sorted({0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0}
+                  | {k / n for n in range(1, 41) for k in range(n + 1)})
+DIGEST_EPS = (0.0, 1e-300, 1e-12, 1e-3, 0.05, 1.0, 50.0, math.inf)
+
+
+def categorical_cases():
+    """Seeded (rho, pi) pairs with zeros in either argument, some of them
+    putting mass where pi has none."""
+    rng = np.random.default_rng(2022)
+    cases = []
+    for k in range(2, 10):
+        for _ in range(6):
+            rho = rng.dirichlet(np.ones(k)).tolist()
+            pi = rng.dirichlet(np.full(k, 0.5)).tolist()
+            zeros = rng.integers(0, 4)
+            if zeros == 1:
+                rho[rng.integers(k)] = 0.0
+            elif zeros == 2:
+                j = int(rng.integers(k))
+                rho[j] = pi[j] = 0.0
+            elif zeros == 3:
+                pi[rng.integers(k)] = 0.0
+            cases.append((rho, pi))
+    cases.append(([-0.0, 1.0], [0.0, 1.0]))
+    cases.append(([0.5, 0.5], [0.5, 0.5]))
+    return cases
+
+
+class TestPinnedDigest:
+    def test_numeric_core_matches_pinned_digest(self):
+        # kl_inverse both ways on the p_hat x eps grid, binary_kl on the
+        # p x q grid with its edges, and categorical_kl; pinned before the
+        # bisection stopped going through the checked binary_kl
+        values = [kl_inverse(p, eps, direction) for p in DIGEST_P
+                  for eps in DIGEST_EPS for direction in ("upper", "lower")]
+        values += [binary_kl(p, q) for p in DIGEST_P for q in DIGEST_P]
+        values += [categorical_kl(rho, pi) for rho, pi in categorical_cases()]
+        assert all(type(v) is float for v in values)
+        assert hex_digest(values) == (
+            "551d0f136b292de781bbac1263346dd8"
+            "ab06093b9a705abe3fc5b91a58bfe1f6")
+
+
+def unit_error(name: str, x: float):
+    """The message for an argument that must lie in [0, 1], or None."""
+    if math.isnan(x):
+        return f"{name} must not be NaN"
+    if not 0.0 <= x <= 1.0:
+        return f"{name} must be in [0, 1], got {x}"
+    return None
+
+
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0,
+                               1.0 + 2.0 ** -52, -5e-324, math.nan, math.inf,
+                               -math.inf])
+ANY_FLOAT = EDGE_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
+
+
+class TestErrorContract:
+    """Which ValueError, with which message, NaN and out-of-range input
+    raises; p is checked before q, p_hat before eps before direction."""
+
+    @given(ANY_FLOAT, ANY_FLOAT)
+    def test_binary_kl(self, p, q):
+        expected = unit_error("p", p) or unit_error("q", q)
+        if expected is None:
+            assert binary_kl(p, q) >= 0.0
+            return
+        with pytest.raises(ValueError) as info:
+            binary_kl(p, q)
+        assert type(info.value) is ValueError and str(info.value) == expected
+
+    @given(ANY_FLOAT, ANY_FLOAT, st.sampled_from(["upper", "lower", "both"]))
+    def test_kl_inverse(self, p_hat, eps, direction):
+        expected = unit_error("p_hat", p_hat)
+        if expected is None and (math.isnan(eps) or eps < 0.0):
+            expected = f"eps must be a nonnegative real, got {eps}"
+        if expected is None and direction == "both":
+            expected = "direction must be 'upper' or 'lower', got 'both'"
+        if expected is None:
+            assert 0.0 <= kl_inverse(p_hat, eps, direction) <= 1.0
+            return
+        with pytest.raises(ValueError) as info:
+            kl_inverse(p_hat, eps, direction)
+        assert type(info.value) is ValueError and str(info.value) == expected
+
+    @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+        st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan]),
+                 min_size=k, max_size=k),
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]),
+                 min_size=k - 1, max_size=k))))
+    def test_categorical_kl(self, case):
+        rho, pi = case
+        if len(rho) != len(pi):
+            with pytest.raises(ValueError, match="^length mismatch: "):
+                categorical_kl(rho, pi)
+            return
+        # the first pair that is NaN or puts mass where pi has none decides
+        first = next((i for i, (r, q) in enumerate(zip(rho, pi))
+                      if math.isnan(r) or math.isnan(q) or (r != 0 and q == 0)),
+                     None)
+        if first is None:
+            assert math.isfinite(categorical_kl(rho, pi))
+        elif math.isnan(rho[first]) or math.isnan(pi[first]):
+            with pytest.raises(ValueError) as info:
+                categorical_kl(rho, pi)
+            assert str(info.value) == "KL arguments must not be NaN"
+        else:
+            assert categorical_kl(rho, pi) == math.inf
+
+    def test_categorical_kl_infinite_before_a_later_nan(self):
+        assert categorical_kl([0.5, math.nan], [0.0, 0.5]) == math.inf
+        with pytest.raises(ValueError, match="NaN"):
+            categorical_kl([0.0, math.nan, 0.5], [0.5, 0.5, 0.0])

@@ -369,6 +369,53 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "tiny.csv").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        (["T = 40", "# the horizon above", "delta = 1.5"],
+         "experiment.delta: must be in (0, 1), got 1.5 (line 5)"),
+        (["", "T = soon"], "experiment.T: cannot parse 'soon' as int (line 4)"),
+        (["kind = bounds", "[params]", "family = four_bounds", "n = abc"],
+         "params.n: cannot parse 'abc' as int (line 6)"),
+        (["kind = replay", "T = 30", "R = 1", "[params]", "means = 0.2, 0.8",
+          "fixed_arm = 2"],
+         "params.fixed_arm: outside the action range (line 8)"),
+        (["T = 20", "R = 1", "[environment]", "kind = bernoulli",
+          "means = 0.2, 0.8", "", "# a slow learner", "[policy h]",
+          "kind = hedge", "doubling = false", "", "[policy x]", "kind = exp3",
+          "eta = abc"],
+         "policy x.eta: cannot parse 'abc' as float (line 16)"),
+        (["T = 20", "[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy  y]", "kind = greedy"],
+         "policy y: unknown kind 'greedy' (line 8)"),
+        (["[environment]", "kind = bernoulli_gap", "k = x", "[policy u]",
+          "kind = ucb1"],
+         "environment.k: expected comma-separated integers, got 'x' (line 5)"),
+        (["[environment]", "kind = bernoulli_gap", "k_grid = 2, 1",
+          "[policy u]", "kind = ucb1"],
+         "environment.k_grid: each K must be >= 2 (line 5)"),
+    ], ids=["experiment", "experiment_parse", "params", "params_range",
+            "policy", "policy_kind", "environment_k", "environment_k_grid"])
+    def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
+                                          message):
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join(["[experiment]", "name = bad", *lines])
+                          + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_section_and_override_errors_name_no_line(self, tmp_path, capsys):
+        # a missing key has no line, and an override replaces the file's
+        # value, so neither error may point at the file
+        config = tmp_path / "tiny.cfg"
+        config.write_text("\n".join(MINIMAL_GAME) + "\n")
+        assert main(["run", str(config), "--reps", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: experiment.R: must be >= 1, got 0\n")
+        config.write_text("\n".join(MINIMAL_GAME[:6] + ["kind = bernoulli"]
+                                    + MINIMAL_GAME[8:]) + "\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: environment.means: required for bernoulli\n")
+
     def test_bounds_compare_command(self, tmp_path):
         assert main(["bounds-compare", "--n", "200", "--delta", "0.05",
                      "--grid", "21", "--out", str(tmp_path)]) == 0
