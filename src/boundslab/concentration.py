@@ -33,7 +33,7 @@ class Sample:
     """A finite sample of reals known to be bounded above by ``upper_bound``
     (and optionally below by ``lower_bound``)."""
 
-    __slots__ = ("values", "upper_bound", "lower_bound")
+    __slots__ = ("values", "upper_bound", "lower_bound", "_mean", "_mean_sq")
 
     def __init__(self, values: Sequence[float], upper_bound: float,
                  lower_bound: Optional[float] = None):
@@ -53,6 +53,7 @@ class Sample:
         self.values = vals
         self.upper_bound = b
         self.lower_bound = lower_bound
+        self._mean = self._mean_sq = None  # computed on first use
 
     @classmethod
     def unit(cls, values: Sequence[float]) -> "Sample":
@@ -69,11 +70,16 @@ class Sample:
 
     @property
     def mean(self) -> float:
-        return math.fsum(self.values) / self.n
+        if self._mean is None:
+            self._mean = math.fsum(self.values) / self.n
+        return self._mean
 
     @property
     def mean_sq(self) -> float:
-        return math.fsum(map(operator.mul, self.values, self.values)) / self.n
+        if self._mean_sq is None:
+            self._mean_sq = math.fsum(
+                map(operator.mul, self.values, self.values)) / self.n
+        return self._mean_sq
 
 
 class SplitGrid:
@@ -87,6 +93,9 @@ class SplitGrid:
         pts = tuple(float(p) for p in points)
         if len(pts) < 2:
             raise ValueError("grid needs at least two points (K >= 1)")
+        bad = next((p for p in pts if not math.isfinite(p)), None)
+        if bad is not None:
+            raise ValueError(f"grid points must be finite, got {bad}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing")
         self.points = pts

@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from boundslab.online_policies import bandit_batch
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -331,48 +330,46 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     return GameTranscript(arms, incurred, "loss", detail)
 
 
-def play_bandit(policies: Sequence, envs: Sequence, T: int,
+def play_bandit(policy, envs: Sequence, T: int,
                 rngs: Sequence | None = None) -> list[GameTranscript]:
-    """Run R bandit games at once, repetition r being ``policies[r]``
-    against ``envs[r]`` with random stream ``rngs[r]``; only the chosen entry
-    is revealed to a policy.
+    """Run R bandit games at once, one per row of ``policy``: row r plays
+    ``envs[r]`` with random stream ``rngs[r]``, and only the chosen entry is
+    revealed to it.
 
-    The policies must be fresh, of one class and with equal parameters
-    (see ``online_policies.bandit_batch``); the envs of one class with a
-    ``blocks`` method (``BernoulliEnv``, ``MatrixEnv``) and the policies'
-    arm count.  One loop over t steps all R games with the policies' batch
-    class.  Each game's arms, losses, final policy state and stream state
-    equal those of the scalar loop ``act`` -> ``env.loss`` -> ``update``.
-    Loss cells and uniforms are made a block of rounds at a time
-    (``BLOCK_CELLS``), and every cell of a block must lie in [0, 1].
+    ``policy`` holds R independent rows (``EXP3Policy``, ``UCB1Batch``,
+    ``EpsilonFirstPolicy``): ``act_rows(u)`` gives every row's arm for the
+    next round, from one uniform per row when ``policy.draws``, and
+    ``update_rows(arms, losses)`` takes their losses.  The envs must share
+    one class with a ``blocks`` method (``BernoulliEnv``, ``MatrixEnv``) and
+    the policy's arm count.  Loss cells and uniforms are made a block of
+    rounds at a time (``BLOCK_CELLS``), and every cell of a block must lie
+    in [0, 1].  The policy is left in its state after T rounds.
     """
-    R = len(policies)
+    R, K = policy.R, policy.K
     if len(envs) != R:
-        raise ValueError(f"need one env per policy, got {len(envs)} for {R}")
-    batch = bandit_batch(policies)
-    if any(type(env) is not type(envs[0]) or env.K != batch.K for env in envs):
-        raise ValueError(f"envs must share one class and K={batch.K}")
-    if batch.draws and (rngs is None or len(rngs) != R
-                        or len({id(rng) for rng in rngs}) != R):
+        raise ValueError(f"need one env per policy row, got {len(envs)} for R={R}")
+    if any(type(env) is not type(envs[0]) or env.K != K for env in envs):
+        raise ValueError(f"envs must share one class and K={K}")
+    if policy.draws and (rngs is None or len(rngs) != R
+                         or len({id(rng) for rng in rngs}) != R):
         raise ValueError("need one random stream of its own per repetition")
     rows = np.arange(R)
     arms = np.empty((R, T), dtype=int)
     incurred = np.empty((R, T))
-    step = max(1, BLOCK_CELLS // (R * batch.K))
+    step = max(1, BLOCK_CELLS // (R * K))
     for t0 in range(0, T, step):
         t1 = min(T, t0 + step)
         cells = type(envs[0]).blocks(envs, t0, t1)
         if not (0.0 <= cells.min() and cells.max() <= 1.0):
             raise ValueError("loss cells must lie in [0, 1]")
-        if batch.draws:
+        if policy.draws:
             uniforms = np.stack([rng.random(t1 - t0) for rng in rngs], axis=1)
         for i, t in enumerate(range(t0, t1)):
-            arm = batch.act(t, uniforms[i] if batch.draws else None)
+            arm = policy.act_rows(uniforms[i] if policy.draws else None)
             loss = cells[rows, i, arm]
-            batch.update(arm, loss)
+            policy.update_rows(arm, loss)
             arms[:, t] = arm
             incurred[:, t] = loss
-    batch.store(policies, T)
     return [GameTranscript(arms[r], incurred[r], "loss", {"feedback": "bandit"})
             for r in range(R)]
 

@@ -3,12 +3,13 @@
 Each repetition r of an experiment derives an independent stream from the
 master seed via ``SeedSequence(master, spawn_key=(r,))``; repetitions are
 aggregated (mean, population std) in repetition-index order, so the output
-is a pure function of the configuration.  The repetitions of one bandit
-series are played together by ``play_bandit``; everything else runs one
-repetition after another.
+is a pure function of the configuration.  A bandit series is one policy of
+R rows, whose repetitions ``play_bandit`` plays together; everything else
+runs one repetition after another.
 """
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -50,6 +51,7 @@ from boundslab.online_policies import (
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
+    UCB1Batch,
     UCB1Policy,
 )
 
@@ -70,7 +72,9 @@ _POLICY_KEYS = {
 }
 
 
-def _build_policy(label: str, spec: dict, K: int, T: int):
+def _build_policy(label: str, spec: dict, K: int, T: int, R: int):
+    """(policy, feedback mode) of one config policy: a bandit policy holds
+    the R repetitions as rows, a full-information one plays a single game."""
     spec = dict(spec)
     kind = spec.pop("kind", None)
     if kind not in _POLICY_KEYS:
@@ -101,14 +105,15 @@ def _build_policy(label: str, spec: dict, K: int, T: int):
                 variant=spec.get("variant", "losses"),
                 eta=parse("eta", float),
                 T=T if parse("fixed_horizon", bool, "false") else None,
+                R=R,
             ), "bandit"
         if kind == "ucb1":
-            return UCB1Policy(
-                K, parametrization=spec.get("parametrization", "original")
+            return UCB1Batch(
+                K, parametrization=spec.get("parametrization", "original"), R=R
             ), "bandit"
         if "gap" not in spec:
             raise ConfigError(f"policy {label}: epsilon_first needs 'gap'")
-        return EpsilonFirstPolicy(T, parse("gap", float)), "bandit"
+        return EpsilonFirstPolicy(T, parse("gap", float), R), "bandit"
     except ConfigError:
         raise
     except ValueError as exc:
@@ -171,14 +176,14 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
             env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
                                     for r in range(config.R)])
             envs = [env_factory(env_seed) for env_seed in env_seeds]
-            policies, modes = zip(*[_build_policy(label, spec, K, config.T)
-                                    for _ in envs])
-            if modes[0] == "full":
-                runs = [regret_fn(play_full_information(policy, env, config.T, rng))
-                        for policy, env, rng in zip(policies, envs, rngs)]
-            else:
+            policy, mode = _build_policy(label, spec, K, config.T, config.R)
+            if mode == "bandit":
                 runs = [regret_fn(game) for game
-                        in play_bandit(policies, envs, config.T, rngs)]
+                        in play_bandit(policy, envs, config.T, rngs)]
+            else:  # a fresh copy of the policy per repetition
+                runs = [regret_fn(play_full_information(
+                            copy.deepcopy(policy), env, config.T, rng))
+                        for env, rng in zip(envs, rngs)]
             traces.append(aggregate(label + suffix, runs))
     return traces
 

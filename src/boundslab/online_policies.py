@@ -6,14 +6,16 @@ classes wrap them into stateful players for the simulation drivers in
 :mod:`boundslab.environments`.  Everything is deterministic given the
 caller-supplied random stream; ties always break toward the lowest index.
 
-Each bandit policy class has a batch class next to it that plays R
-independent copies at once, with the state in (R, K) arrays.  A batch does
-the scalar class's float operations in the same order, so its arms and
-state equal R scalar runs bit for bit: exponentials go through
-``math.exp`` (``np.exp`` rounds differently), ``ProbVec`` totals through
-``math.fsum``, and one ``math.log`` is taken per round.  ``np.sqrt``,
-division and left-to-right ``np.add.accumulate`` round exactly like their
-scalar counterparts, and ``np.argmax`` breaks ties toward the lowest index.
+The bandit policies that ``play_bandit`` plays hold R independent rows, the
+R repetitions of a series, with the state in (R, K) arrays: ``act_rows``
+gives the arms of every row's next round and ``update_rows`` takes their
+losses.  A row does the float operations of one scalar game in the same
+order: exponentials go through ``math.exp`` (``np.exp`` rounds
+differently), ``ProbVec`` totals through ``math.fsum``, and one
+``math.log`` is taken per round.  ``np.sqrt``, division and left-to-right
+``np.add.accumulate`` round exactly like their scalar counterparts, and
+``np.argmax`` breaks ties toward the lowest index.  UCB1 is the one policy
+with a second, scalar implementation (see ``UCB1Batch``).
 """
 from __future__ import annotations
 
@@ -223,21 +225,6 @@ def exp3_eta(K: int, t: int, eta: float | None = None,
     return math.sqrt(math.log(K) / ((t + 1) * K))
 
 
-def _shared_parameters(policies: Sequence, *names: str) -> tuple:
-    """The parameters ``names`` of a batch: every policy must be of one class,
-    agree on them, and not have played yet."""
-    first = policies[0]
-    values = tuple(getattr(first, name) for name in names)
-    for policy in policies:
-        if (type(policy) is not type(first)
-                or tuple(getattr(policy, name) for name in names) != values):
-            raise ValueError("a batch needs policies of one class with equal "
-                             "parameters")
-        if policy.t != 0:
-            raise ValueError("a batch needs policies that have not played yet")
-    return values
-
-
 def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
     """What ``ProbVec`` does to each row: check the row sums to one within
     ``NORMALIZATION_TOL`` and divide it by its ``math.fsum``."""
@@ -328,7 +315,7 @@ class FTLPolicy:
 
 
 class EXP3Policy:
-    """Bandit exponential weights.
+    """Bandit exponential weights over R independent rows.
 
     The "losses" variant plays Hedge on importance-weighted loss estimates;
     with no explicit ``eta`` it uses the anytime rate sqrt(ln K / (t K)), or
@@ -336,10 +323,16 @@ class EXP3Policy:
     "rewards" variant mixes exponential weights on importance-weighted
     rewards with an explicit uniform-exploration floor eta/K and requires
     eta in (0, 1).
+
+    ``act``, ``update``, ``update_reward`` and ``replay_update`` are the
+    one-round contract of the offline replays, on a policy of one row.
     """
 
+    draws = True
+
     def __init__(self, K: int, *, variant: str = "losses",
-                 eta: float | None = None, T: int | None = None) -> None:
+                 eta: float | None = None, T: int | None = None,
+                 R: int = 1) -> None:
         if K < 2:
             raise ValueError(f"need at least two arms, got K={K}")
         if variant not in ("losses", "rewards"):
@@ -350,76 +343,25 @@ class EXP3Policy:
         elif eta is not None and eta <= 0.0:
             raise ValueError(f"eta must be positive, got {eta}")
         self.K = K
+        self.R = R
         self.variant = variant
         self.eta = eta
         self.T = T
-        self.cum_estimates = [0.0] * K  # losses or rewards, per variant
-        self.t = 0
-        self._p_last: ProbVec | None = None
+        self.offsets = np.arange(R) * K  # row starts, flat
+        self.estimates = np.zeros((R, K))  # losses or rewards, per variant
+        self.t = 0  # completed rounds
+        self.p = None  # this round's distributions, set by act_rows
 
-    def _current_eta(self) -> float:
-        return exp3_eta(self.K, self.t, self.eta, self.T)
-
-    def distribution(self) -> ProbVec:
-        eta = self._current_eta()
-        if self.variant == "losses":
-            return hedge_distribution(self.cum_estimates, eta)
-        # rewards: (1 - eta) * softmax(+eta R) + eta / K
-        high = max(self.cum_estimates)
-        weights = [math.exp(eta * (v - high)) for v in self.cum_estimates]
-        total = _left_sum(weights)
-        return ProbVec([(1.0 - eta) * w / total + eta / self.K for w in weights])
-
-    def act(self, rng) -> int:
-        p = self.distribution()
-        self._p_last = p
-        return sample_arm(p, rng.random())
-
-    def update(self, arm: int, loss: float) -> None:
-        """Consume the bandit loss of the arm played this round."""
-        if self._p_last is None:
-            raise ValueError("update() requires a preceding act()")
-        p_arm = self._p_last[arm]
-        if self.variant == "losses":
-            self.cum_estimates[arm] += importance_weighted_loss(loss, p_arm, True)
-        else:
-            reward = 1.0 - float(loss)
-            if not 0.0 <= reward <= 1.0:
-                raise ValueError(f"loss must be in [0, 1], got {loss}")
-            self.cum_estimates[arm] += reward / p_arm
-        self.t += 1
-        self._p_last = None
-
-    def update_reward(self, arm: int, reward: float) -> None:
-        self.update(arm, 1.0 - float(reward))
-
-    def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
-        """Offline replay contract: the [0, K]-range estimated reward is
-        mapped back to a [0, 1] loss, (K - r̃)/K, and fed as this round's
-        bandit loss with the rate unchanged."""
-        self.update(arm, (K - r_tilde) / K)
-
-
-class EXP3Batch:
-    """R fresh ``EXP3Policy`` copies with equal parameters, played at once."""
-
-    draws = True
-
-    def __init__(self, policies: Sequence[EXP3Policy]) -> None:
-        self.K, self.variant, self.eta, self.T = _shared_parameters(
-            policies, "K", "variant", "eta", "T")
-        self.offsets = np.arange(len(policies)) * self.K  # row starts, flat
-        self.estimates = np.zeros((len(policies), self.K))
-        self.p = None  # this round's distributions, set by act
-
-    def act(self, t: int, u: np.ndarray) -> np.ndarray:
-        eta = exp3_eta(self.K, t, self.eta, self.T)
+    def distributions(self) -> np.ndarray:
+        """The (R, K) playing distributions of the next round."""
+        eta = exp3_eta(self.K, self.t, self.eta, self.T)
         est = self.estimates
         if self.variant == "losses":
             # hedge_distribution: exp(-eta (L - min L)) / sum
             x = est - np.minimum.reduce(est, axis=1, keepdims=True)
             x *= -eta
         else:
+            # (1 - eta) * softmax(+eta R) + eta / K
             x = est - np.maximum.reduce(est, axis=1, keepdims=True)
             x *= eta
         weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
@@ -429,10 +371,17 @@ class EXP3Batch:
             p = weights / totals
         else:
             p = (1.0 - eta) * weights / totals + eta / self.K
-        self.p = _as_probvec_rows(p)
+        return _as_probvec_rows(p)
+
+    def act_rows(self, u: np.ndarray) -> np.ndarray:
+        """The arm of every row, drawn with one uniform per row."""
+        self.p = self.distributions()
         return sample_arms(self.p, u)
 
-    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
+    def update_rows(self, arms: np.ndarray, losses: np.ndarray) -> None:
+        """Consume the bandit loss of the arm each row played this round."""
+        if self.p is None:
+            raise ValueError("update() requires a preceding act()")
         cells = self.offsets + arms
         p_arm = self.p.ravel()[cells]
         if self.variant == "losses":
@@ -441,10 +390,33 @@ class EXP3Batch:
             self.estimates.ravel()[cells] += losses / p_arm
         else:
             self.estimates.ravel()[cells] += (1.0 - losses) / p_arm
+        self.t += 1
+        self.p = None
 
-    def store(self, policies: Sequence[EXP3Policy], T: int) -> None:
-        for policy, est in zip(policies, self.estimates.tolist()):
-            policy.cum_estimates, policy.t = est, T
+    def _one_row(self) -> None:
+        if self.R != 1:
+            raise ValueError(f"act/update play one row, the policy has R={self.R}")
+
+    def act(self, rng) -> int:
+        self._one_row()
+        return int(self.act_rows(np.array([rng.random()]))[0])
+
+    def update(self, arm: int, loss: float) -> None:
+        self._one_row()
+        loss = float(loss)
+        checked = loss if self.variant == "losses" else 1.0 - loss
+        if not 0.0 <= checked <= 1.0:
+            raise ValueError(f"loss must be in [0, 1], got {loss}")
+        self.update_rows(np.array([arm]), np.array([loss]))
+
+    def update_reward(self, arm: int, reward: float) -> None:
+        self.update(arm, 1.0 - float(reward))
+
+    def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
+        """Offline replay contract: the [0, K]-range estimated reward is
+        mapped back to a [0, 1] loss, (K - r̃)/K, and fed as this round's
+        bandit loss with the rate unchanged."""
+        self.update(arm, (K - r_tilde) / K)
 
 
 class EXP4Policy:
@@ -491,6 +463,13 @@ class EXP4Policy:
         self._pending = None
 
 
+def _check_ucb1(K: int, parametrization: str) -> None:
+    if K < 1:
+        raise ValueError(f"need at least one arm, got K={K}")
+    if parametrization not in ("original", "improved"):
+        raise ValueError(f"unknown parametrization {parametrization!r}")
+
+
 class UCB1Policy:
     """Deterministic optimism for stochastic bandits.
 
@@ -502,10 +481,7 @@ class UCB1Policy:
 
     def __init__(self, K: int, *, parametrization: str = "original",
                  reward_range: float = 1.0) -> None:
-        if K < 1:
-            raise ValueError(f"need at least one arm, got K={K}")
-        if parametrization not in ("original", "improved"):
-            raise ValueError(f"unknown parametrization {parametrization!r}")
+        _check_ucb1(K, parametrization)
         if reward_range <= 0.0:
             raise ValueError("reward_range must be positive")
         self.K = K
@@ -548,109 +524,68 @@ class UCB1Policy:
         self.update_reward(arm, r_tilde)
 
 
-class UCB1Batch:
-    """R fresh ``UCB1Policy`` copies with equal parameters, played at once
-    on losses (unit reward range)."""
+class _RewardRows:
+    """R rows of per-arm pull counts and reward sums, fed by losses."""
 
     draws = False
 
-    def __init__(self, policies: Sequence[UCB1Policy]) -> None:
-        self.K, self.parametrization, reward_range = _shared_parameters(
-            policies, "K", "parametrization", "reward_range")
-        if reward_range != 1.0:
-            raise ValueError("loss updates require unit reward range")
-        self.offsets = np.arange(len(policies)) * self.K  # row starts, flat
-        self.counts = np.zeros((len(policies), self.K))
-        self.sums = np.zeros((len(policies), self.K))
+    def __init__(self, K: int, R: int) -> None:
+        self.K = K
+        self.R = R
+        self.offsets = np.arange(R) * K  # row starts, flat
+        self.counts = np.zeros((R, K))
+        self.sums = np.zeros((R, K))
+        self.t = 0  # completed rounds
 
-    def act(self, t: int, u=None) -> np.ndarray:
-        if t < self.K:
-            return np.full(len(self.offsets), t)
-        c = _radius_coefficient(math.log(t + 1), self.parametrization)
-        radius = np.sqrt(c / self.counts)
-        return (self.sums / self.counts + radius).argmax(axis=1)
-
-    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
+    def update_rows(self, arms: np.ndarray, losses: np.ndarray) -> None:
         cells = self.offsets + arms
         self.counts.ravel()[cells] += 1.0
         self.sums.ravel()[cells] += 1.0 - losses
-
-    def store(self, policies: Sequence[UCB1Policy], T: int) -> None:
-        for policy, counts, sums in zip(policies, self.counts.tolist(),
-                                        self.sums.tolist()):
-            policy.counts, policy.sums, policy.t = list(map(int, counts)), sums, T
-
-
-class EpsilonFirstPolicy:
-    """Two-armed explore-then-commit: alternate both arms for the scheduled
-    exploration budget, then commit to the empirically best arm (rewards;
-    ties to the lowest index)."""
-
-    def __init__(self, T: int, gap: float) -> None:
-        self.epsilon, self.exploration_rounds = epsilon_first_schedule(gap, T)
-        self.K = 2
-        self.T = T
-        self.counts = [0, 0]
-        self.sums = [0.0, 0.0]
-        self.t = 0
-        self._commit: int | None = None
-
-    def act(self, rng=None) -> int:
-        if self.t < self.exploration_rounds:
-            return self.t % 2
-        if self._commit is None:
-            means = [
-                self.sums[a] / self.counts[a] if self.counts[a] else 0.0
-                for a in range(2)
-            ]
-            self._commit = 0 if means[0] >= means[1] else 1
-        return self._commit
-
-    def update_reward(self, arm: int, reward: float) -> None:
-        self.counts[arm] += 1
-        self.sums[arm] += float(reward)
         self.t += 1
 
-    def update(self, arm: int, loss: float) -> None:
-        self.update_reward(arm, 1.0 - float(loss))
+
+class UCB1Batch(_RewardRows):
+    """``UCB1Policy`` on losses (unit reward range) over R independent rows.
+
+    UCB1 is the one policy kept twice, for speed: the offline replays play
+    one scalar round at a time, and a K = 4 act+update round takes 3-4 µs
+    with ``UCB1Policy`` against 10-18 µs on a one-row batch (Python 3.11,
+    2 CPUs).  The ``replay`` benchmark plays some 75k such rounds per pass.
+    """
+
+    def __init__(self, K: int, *, parametrization: str = "original",
+                 R: int = 1) -> None:
+        _check_ucb1(K, parametrization)
+        super().__init__(K, R)
+        self.parametrization = parametrization
+
+    def act_rows(self, u=None) -> np.ndarray:
+        if self.t < self.K:
+            return np.full(self.R, self.t)  # forced initialization pass
+        c = _radius_coefficient(math.log(self.t + 1), self.parametrization)
+        radius = np.sqrt(c / self.counts)
+        return (self.sums / self.counts + radius).argmax(axis=1)
 
 
-class EpsilonFirstBatch:
-    """R fresh ``EpsilonFirstPolicy`` copies with equal schedules, played at
-    once."""
+class EpsilonFirstPolicy(_RewardRows):
+    """Two-armed explore-then-commit over R independent rows: alternate both
+    arms for the scheduled exploration budget, then commit each row to its
+    empirically best arm (rewards; ties to the lowest index)."""
 
-    draws = False
+    def __init__(self, T: int, gap: float, R: int = 1) -> None:
+        self.epsilon, self.exploration_rounds = epsilon_first_schedule(gap, T)
+        super().__init__(2, R)
+        self.T = T
+        self.commit = None  # each row's arm once exploration is over
 
-    def __init__(self, policies: Sequence[EpsilonFirstPolicy]) -> None:
-        (self.exploration_rounds,) = _shared_parameters(
-            policies, "exploration_rounds")
-        self.K = 2
-        self.offsets = np.arange(len(policies)) * 2  # row starts, flat
-        self.counts = np.zeros((len(policies), 2))
-        self.sums = np.zeros((len(policies), 2))
-        self.commit = None
-
-    def act(self, t: int, u=None) -> np.ndarray:
-        if t < self.exploration_rounds:
-            return np.full(len(self.offsets), t % 2)
+    def act_rows(self, u=None) -> np.ndarray:
+        if self.t < self.exploration_rounds:
+            return np.full(self.R, self.t % 2)
         if self.commit is None:
             means = np.divide(self.sums, self.counts, out=np.zeros_like(self.sums),
                               where=self.counts > 0)
             self.commit = np.where(means[:, 0] >= means[:, 1], 0, 1)
         return self.commit
-
-    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
-        cells = self.offsets + arms
-        self.counts.ravel()[cells] += 1.0
-        self.sums.ravel()[cells] += 1.0 - losses
-
-    def store(self, policies: Sequence[EpsilonFirstPolicy], T: int) -> None:
-        commits = ([None] * len(policies) if self.commit is None
-                   else self.commit.tolist())
-        for policy, counts, sums, commit in zip(
-                policies, self.counts.tolist(), self.sums.tolist(), commits):
-            policy.counts, policy.sums = list(map(int, counts)), sums
-            policy.t, policy._commit = T, commit
 
 
 class FixedPolicy:
@@ -683,49 +618,3 @@ class FixedPolicy:
 
     def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
         self.t += 1
-
-
-class FixedBatch:
-    """R fresh ``FixedPolicy`` copies with the same arm or distribution."""
-
-    def __init__(self, policies: Sequence[FixedPolicy]) -> None:
-        self.K, self.arm, dist = _shared_parameters(policies, "K", "arm", "dist")
-        self.draws = dist is not None
-        self.dist = None if dist is None else np.array([dist.weights])
-        self.R = len(policies)
-
-    def act(self, t: int, u: np.ndarray | None = None) -> np.ndarray:
-        if self.dist is None:
-            return np.full(self.R, self.arm)
-        return sample_arms(np.broadcast_to(self.dist, (self.R, self.K)), u)
-
-    def update(self, arms: np.ndarray, losses: np.ndarray) -> None:
-        pass
-
-    def store(self, policies: Sequence[FixedPolicy], T: int) -> None:
-        for policy in policies:
-            policy.t = T
-
-
-_BATCHES = {
-    EXP3Policy: EXP3Batch,
-    UCB1Policy: UCB1Batch,
-    EpsilonFirstPolicy: EpsilonFirstBatch,
-    FixedPolicy: FixedBatch,
-}
-
-
-def bandit_batch(policies: Sequence):
-    """The batch that plays ``policies``, R fresh bandit policies of one class
-    and parameters, as one.  A batch has the arm count ``K``, ``draws``
-    (whether ``act`` takes one uniform per repetition), ``act(t, u)`` giving
-    the R arms of round t (0-based), ``update(arms, losses)``, and
-    ``store(policies, T)`` that leaves each policy in the state T scalar
-    rounds would."""
-    if not policies:
-        raise ValueError("a batch needs at least one policy")
-    batch = _BATCHES.get(type(policies[0]))
-    if batch is None:
-        raise ValueError(
-            f"no batched bandit step for {type(policies[0]).__name__}")
-    return batch(policies)

@@ -36,6 +36,7 @@ from boundslab.online_policies import (
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
+    UCB1Batch,
     UCB1Policy,
 )
 from boundslab.pac_bayes import (
@@ -163,7 +164,7 @@ def test_criterion_05_ucb1_theorem_bounds():
     results = {}
     for param in ("original", "improved"):
         games = play_bandit(
-            [UCB1Policy(2, parametrization=param) for _ in range(20)],
+            UCB1Batch(2, parametrization=param, R=20),
             [BernoulliEnv(means, seed=rep) for rep in range(20)], T)
         regrets = [pseudo_regret(trans.arms, means)[-1] for trans in games]
         results[param] = float(np.mean(regrets))
@@ -186,7 +187,7 @@ def test_criterion_06_exp3_theorem_bound():
     for K in (2, 4):
         means = [0.5 - gap] + [0.5] * (K - 1)
         games = play_bandit(
-            [EXP3Policy(K) for _ in range(20)],
+            EXP3Policy(K, R=20),
             [BernoulliEnv(means, seed=100 * K + rep) for rep in range(20)], T,
             [np.random.default_rng(7000 + 100 * K + rep) for rep in range(20)])
         regrets = [pseudo_regret(trans.arms, means)[-1] for trans in games]

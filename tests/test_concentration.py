@@ -152,6 +152,15 @@ class TestSplitGrid:
         with pytest.raises(ValueError):
             SplitGrid([0.0, 0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_rejects_non_finite_points(self, bad, at):
+        # a NaN passes the strictly-increasing check, since b <= a is False
+        points = [0.0, 0.5, 1.0]
+        points[at] = bad
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            SplitGrid(points)
+
 
 class TestSplitKlBound:
     def test_single_segment_reduces_to_kl(self):
@@ -385,6 +394,16 @@ class TestBoundResultAndSample:
             Sample([1.2], upper_bound=1.0)
         with pytest.raises(ValueError):
             Sample.unit([-0.1])
+
+    def test_mean_and_mean_sq_are_summed_once(self, monkeypatch):
+        sample = Sample.unit([0.1, 0.2, 0.7])
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum",
+                            lambda xs: calls.append(1) or fsum(xs))
+        first = (sample.mean, sample.mean_sq)
+        unexpected_bernstein_mean_bound(sample, 0.05)
+        empirical_bernstein_mean_bound(sample, 0.05)
+        assert (sample.mean, sample.mean_sq) == first and len(calls) == 2
 
     def test_bound_result_detail(self):
         res = BoundResult(0.5, 0.05, "demo", {"eps": 1.0})

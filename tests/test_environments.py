@@ -28,8 +28,8 @@ from boundslab.online_policies import (
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
+    UCB1Batch,
     UCB1Policy,
-    bandit_batch,
 )
 
 
@@ -41,7 +41,7 @@ class TestBernoulliEnv:
     def test_all_half_means_have_no_gap(self):
         env = BernoulliEnv([0.5, 0.5, 0.5], seed=9)
         rng = np.random.default_rng(1)
-        [trans] = play_bandit([EXP3Policy(3)], [env], 200, [rng])
+        [trans] = play_bandit(EXP3Policy(3), [env], 200, [rng])
         assert np.all(pseudo_regret(trans.arms, env.means) == 0.0)
 
     def test_empirical_means_match_clt(self):
@@ -166,26 +166,51 @@ class TestUcbBreaker:
         T, K = 4000, 2
         matrix, _ = make_ucb_breaker(T, K=K)
         losses = 1.0 - matrix
-        games = play_bandit([EXP3Policy(K) for _ in range(20)],
+        games = play_bandit(EXP3Policy(K, R=20),
                             [MatrixEnv(losses) for _ in range(20)], T,
                             [np.random.default_rng(rep) for rep in range(20)])
         regrets = [hindsight_regret(losses, trans.arms)[-1] for trans in games]
         assert np.mean(regrets) <= math.sqrt(2 * K * T * math.log(K))
 
 
-# Every bandit policy the runner builds, plus both fixed-policy forms, as
-# (arm count, horizon) -> fresh policy; epsilon-first is two-armed only.
+# Every bandit policy the runner builds, as (arm count, horizon, rows) ->
+# fresh policy; epsilon-first is two-armed only.
 BANDIT_KINDS = {
-    "ucb1_original": lambda K, T: UCB1Policy(K, parametrization="original"),
-    "ucb1_improved": lambda K, T: UCB1Policy(K, parametrization="improved"),
-    "exp3_anytime": lambda K, T: EXP3Policy(K),
-    "exp3_fixed_horizon": lambda K, T: EXP3Policy(K, T=T),
-    "exp3_explicit_eta": lambda K, T: EXP3Policy(K, eta=0.3),
-    "exp3_rewards": lambda K, T: EXP3Policy(K, variant="rewards", eta=0.2),
-    "epsilon_first": lambda K, T: EpsilonFirstPolicy(T, 0.25),
-    "fixed_arm": lambda K, T: FixedPolicy(K, arm=K - 1),
-    "fixed_dist": lambda K, T: FixedPolicy(K, dist=[0.2] * (K - 1) + [1.2 - 0.2 * K]),
+    "ucb1_original": lambda K, T, R: UCB1Batch(K, parametrization="original", R=R),
+    "ucb1_improved": lambda K, T, R: UCB1Batch(K, parametrization="improved", R=R),
+    "exp3_anytime": lambda K, T, R: EXP3Policy(K, R=R),
+    "exp3_fixed_horizon": lambda K, T, R: EXP3Policy(K, T=T, R=R),
+    "exp3_explicit_eta": lambda K, T, R: EXP3Policy(K, eta=0.3, R=R),
+    "exp3_rewards": lambda K, T, R: EXP3Policy(K, variant="rewards", eta=0.2, R=R),
+    "epsilon_first": lambda K, T, R: EpsilonFirstPolicy(T, 0.25, R),
 }
+
+# SHA-256 of ``_game_digest`` over the R = 4 games of each kind below, as
+# the scalar loop act -> env.loss -> update of the former one-game EXP3 and
+# epsilon-first classes played them, one repetition at a time.
+SCALAR_LOOP_DIGESTS = {
+    ("epsilon_first", "bernoulli"): "14142e25d78ee739bc0221ac5b06ed2be4d2ab6b057fe05309e94e8652750dea",
+    ("epsilon_first", "ucb_breaker"): "7c6b90d947f9864a885c8c3a85d8f40517a5277e1b0e5f168fc0fc7195f353ac",
+    ("exp3_anytime", "bernoulli"): "f5c498bf40236d752359f6878a6b17c83b0a3a5fbddde25b877096364c49a1ec",
+    ("exp3_anytime", "ucb_breaker"): "7e55c90a2e3e6030a95ceef42e46f15e113053bc64512a6be8fe19a5a78b804b",
+    ("exp3_explicit_eta", "bernoulli"): "fe4ab6531ad96b1b2a5d4162a7177c8a96c461073b59825948df6968f1281e92",
+    ("exp3_explicit_eta", "ucb_breaker"): "cb3233fd26d528549644a523d3d5c92e0243cf5ec1bb98e299f906bac3ae5c55",
+    ("exp3_fixed_horizon", "bernoulli"): "efca6280530bd5de74946f743a6ea18b3901f610cdc083eaea8ef30e36763e52",
+    ("exp3_fixed_horizon", "ucb_breaker"): "480d0f381b0140e66366d7e2434d00551ddd83a4ac6e9879789137fa1bd4280a",
+    ("exp3_rewards", "bernoulli"): "7caeb53775fa0843eaeb3d730f5ae148d524529ccbd5fa7da9963999dbf6e9b9",
+    ("exp3_rewards", "ucb_breaker"): "5644dc34583e6752d0e2aab912748d69468c09ec1854962552ee6282cc57554a",
+}
+
+
+def _game_digest(games) -> str:
+    """One SHA-256 over (arms, losses, final per-arm state, next draw of the
+    stream) of each game, floats as ``float.hex``."""
+    h = hashlib.sha256()
+    for arms, losses, state, next_draw in games:
+        h.update(repr((arms, [float.hex(float(v)) for v in losses],
+                       [float.hex(float(v)) for v in state],
+                       float.hex(next_draw))).encode())
+    return h.hexdigest()
 
 
 def _bandit_envs(kind: str, K: int, T: int, R: int):
@@ -205,52 +230,56 @@ class TestBatchedBandit:
         monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
         K = 2 if policy_kind == "epsilon_first" else 3
         T, R = 400, 4
-        make = BANDIT_KINDS[policy_kind]
-        policies = [make(K, T) for _ in range(R)]
+        policy = BANDIT_KINDS[policy_kind](K, T, R)
         rngs = [np.random.default_rng(50 + r) for r in range(R)]
-        games = play_bandit(policies, _bandit_envs(env_kind, K, T, R), T, rngs)
-        assert len(games) == R
-        for r, game in enumerate(games):
-            policy, env = make(K, T), _bandit_envs(env_kind, K, T, R)[r]
-            rng = np.random.default_rng(50 + r)
-            arms, losses = [], []
-            for t in range(T):
-                arm = policy.act(rng)
-                loss = env.loss(t, arm)
-                policy.update(arm, loss)
-                arms.append(arm)
-                losses.append(loss)
-            assert game.arms.tolist() == arms
-            assert game.payoffs.tolist() == losses
-            assert vars(policies[r]) == vars(policy)
-            assert rngs[r].random() == rng.random()
+        games = play_bandit(policy, _bandit_envs(env_kind, K, T, R), T, rngs)
+        assert len(games) == R and policy.t == T
+        if policy_kind.startswith("ucb1"):
+            # the live scalar reference: one UCB1Policy game per repetition
+            for r, game in enumerate(games):
+                scalar = UCB1Policy(K, parametrization=policy.parametrization)
+                env = _bandit_envs(env_kind, K, T, R)[r]
+                arms, losses = [], []
+                for t in range(T):
+                    arm = scalar.act()
+                    loss = env.loss(t, arm)
+                    scalar.update(arm, loss)
+                    arms.append(arm)
+                    losses.append(loss)
+                assert game.arms.tolist() == arms
+                assert game.payoffs.tolist() == losses
+                assert policy.counts[r].tolist() == scalar.counts
+                assert policy.sums[r].tolist() == scalar.sums
+            return
+        state = (policy.estimates if policy_kind.startswith("exp3")
+                 else np.hstack([policy.counts, policy.sums]))
+        digest = _game_digest(
+            (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
+            for game, row, rng in zip(games, state.tolist(), rngs))
+        assert digest == SCALAR_LOOP_DIGESTS[policy_kind, env_kind]
 
     def test_input_checks(self):
         env = MatrixEnv(np.full((10, 2), 0.5))
         env.matrix[6, 0] = 1.5
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            play_bandit([UCB1Policy(2)], [env], 10)
-        batch = bandit_batch([EXP3Policy(2), EXP3Policy(2)])
-        batch.act(0, np.array([0.1, 0.9]))
-        batch.p[1] = (1.0, 0.0)
+            play_bandit(UCB1Batch(2), [env], 10)
+        policy = EXP3Policy(2, R=2)
+        policy.act_rows(np.array([0.1, 0.9]))
+        policy.p[1] = (1.0, 0.0)
         with pytest.raises(ValueError, match="zero-probability"):
-            batch.update(np.array([0, 1]), np.array([0.5, 0.5]))
+            policy.update_rows(np.array([0, 1]), np.array([0.5, 0.5]))
         envs = [BernoulliEnv([0.5, 0.5], seed=0)] * 2
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="random stream"):
-            play_bandit([EXP3Policy(2), EXP3Policy(2)], envs, 10, [rng, rng])
+            play_bandit(EXP3Policy(2, R=2), envs, 10, [rng, rng])
         with pytest.raises(ValueError, match="random stream"):
-            play_bandit([EXP3Policy(2), EXP3Policy(2)], envs, 10)
-        with pytest.raises(ValueError, match="equal parameters"):
-            play_bandit([EXP3Policy(2), EXP3Policy(2, eta=0.1)], envs, 10, [rng, None])
-        played = UCB1Policy(2)
-        played.update(0, 0.5)
-        with pytest.raises(ValueError, match="not played"):
-            play_bandit([played], envs[:1], 10)
+            play_bandit(EXP3Policy(2, R=2), envs, 10)
+        with pytest.raises(ValueError, match="one env per policy row"):
+            play_bandit(EXP3Policy(2, R=3), envs, 10, [rng, None, None])
         with pytest.raises(ValueError, match="K=3"):
-            play_bandit([UCB1Policy(3)], envs[:1], 10)
-        with pytest.raises(ValueError, match="HedgePolicy"):
-            play_bandit([HedgePolicy(2)], envs[:1], 10)
+            play_bandit(UCB1Batch(3), envs[:1], 10)
+        with pytest.raises(ValueError, match="R=2"):
+            EXP3Policy(2, R=2).act(rng)
 
 
 def _log(actions, rewards):

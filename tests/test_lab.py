@@ -437,6 +437,25 @@ class TestCli:
                      "--mode", "rs"]) == 0
         assert "effective_horizon=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("policy, mode, expected", [
+        ("ucb1", "iw", "estimated_value=0.681333"),
+        ("ucb1", "rs", "effective_horizon=750 mean_reward=0.785333"),
+        ("exp3", "iw", "estimated_value=0.630667"),
+        ("exp3", "rs", "effective_horizon=747 mean_reward=0.759036"),
+        ("fixed:2", "iw", "estimated_value=0.789333"),
+        ("fixed:2", "rs", "effective_horizon=726 mean_reward=0.815427"),
+    ])
+    def test_replay_command_output_is_pinned(self, tmp_path, capsys, policy,
+                                             mode, expected):
+        from boundslab.environments import synthesize_uniform_log, write_log
+
+        log = tmp_path / "demo.log"
+        write_log(log, 4, synthesize_uniform_log([0.2, 0.5, 0.8, 0.3],
+                                                 3000, 12))
+        assert main(["replay", "--log", str(log), "--policy", policy,
+                     "--mode", mode, "--seed", "5"]) == 0
+        assert capsys.readouterr().out == f"records=3000 K=4 {expected}\n"
+
     @pytest.mark.parametrize("text, message", [
         ("K=4\n0 2 0 0 0 0 0 0 0 0 0 0\n",
          "--log: line 2: reward must be 0 or 1, got 2"),
@@ -492,13 +511,13 @@ def test_preset_bytes_match_pins(preset, tmp_path):
         assert hashlib.sha256(written).hexdigest() == digest, artifact
 
 
-def _bench_workloads():
-    """``perfbench/workloads.py``, imported from its file: perfbench is a
+def _bench_module(stem: str):
+    """``perfbench/<stem>.py``, imported from its file: perfbench is a
     directory of scripts, not an installed package."""
-    name = "perfbench_workloads"
+    name = f"perfbench_{stem}"
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(
-            name, PINS.parent / "workloads.py")
+            name, PINS.parent / f"{stem}.py")
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
     return sys.modules[name]
@@ -517,7 +536,15 @@ def test_bench_operation_matches_pins(operation, tmp_path):
     """The split-kl sweep points and the replay log round trip, run as the
     benchmark runs them, give the pinned digests: a change to one split-kl
     digit or one replayed reward fails here."""
-    workloads = _bench_workloads()
+    workloads = _bench_module("workloads")
     workload, expected = _operation_pins()[operation]
     op, = [op for op in workloads.build(workload, 0) if op.name == operation]
     assert workloads.digest(op.run(tmp_path)) == expected
+
+
+def test_tracer_finds_every_target():
+    """The benchmark's tracer wraps library functions and policy methods by
+    name; one that is renamed or deleted would read 0 in every per-layer
+    metric it feeds, and shows up here in ``missing``."""
+    with _bench_module("tracer").Tracer() as tracer:
+        assert tracer.missing == []

@@ -14,6 +14,7 @@ from boundslab.online_policies import (
     UCB1Policy,
     doubling_schedule,
     epsilon_first_schedule,
+    exp3_eta,
     exp4_mix,
     ftl_choice,
     hedge_distribution,
@@ -153,22 +154,24 @@ class TestExp3:
     def test_first_round_uniform_both_variants(self):
         for variant, eta in (("losses", None), ("rewards", 0.2)):
             pol = EXP3Policy(4, variant=variant, eta=eta)
-            p = pol.distribution()
+            p = pol.distributions()[0]
             assert all(math.isclose(w, 0.25, rel_tol=1e-12) for w in p)
 
     def test_anytime_eta_default(self):
-        pol = EXP3Policy(3)
-        assert math.isclose(pol._current_eta(),
+        assert math.isclose(exp3_eta(3, 0),
                             math.sqrt(math.log(3) / 3), rel_tol=1e-12)
-        pol.t = 9
-        assert math.isclose(pol._current_eta(),
+        assert math.isclose(exp3_eta(3, 9),
                             math.sqrt(math.log(3) / 30), rel_tol=1e-12)
+        # the policy plays its first round at the anytime rate
+        first = EXP3Policy(3)
+        first.estimates[0] = (0.0, 1.0, 2.0)
+        assert first.distributions()[0].tolist() == list(
+            hedge_distribution([0.0, 1.0, 2.0], exp3_eta(3, 0)))
 
     def test_fixed_eta_grid_optimality(self):
         # sqrt(2 ln K / (K T)) minimizes ln K / eta + eta K T / 2
         K, T = 4, 2000
-        pol = EXP3Policy(K, T=T)
-        eta_star = pol._current_eta()
+        eta_star = exp3_eta(K, 0, T=T)
         objective = lambda e: math.log(K) / e + e * K * T / 2
         best = min(objective(0.0001 + 0.0999 * i / 9999) for i in range(10000))
         assert objective(eta_star) <= best + 1e-9
@@ -176,10 +179,10 @@ class TestExp3:
     def test_estimates_nondecreasing_and_unbiased_second_moment(self):
         rng = np.random.default_rng(5)
         pol = EXP3Policy(3)
-        prev = list(pol.cum_estimates)
+        prev = pol.estimates[0].tolist()
         for t in range(200):
             arm = pol.act(rng)
-            p = pol.distribution()
+            p = pol.p[0]
             # conditional second moment by enumeration over the drawn arm:
             # sum_a p(a) E[l~_a^2] = sum_a l_a^2 <= K
             losses = rng.random(3)
@@ -195,15 +198,15 @@ class TestExp3:
             assert second <= 3.0 + 1e-9
             pol.update(arm, float(losses[arm]))
             assert all(cur >= old - 1e-15
-                       for cur, old in zip(pol.cum_estimates, prev))
-            prev = list(pol.cum_estimates)
+                       for cur, old in zip(pol.estimates[0], prev))
+            prev = pol.estimates[0].tolist()
 
     def test_rewards_variant_floor(self):
         rng = np.random.default_rng(11)
         eta = 0.15
         pol = EXP3Policy(4, variant="rewards", eta=eta)
         for _ in range(300):
-            p = pol.distribution()
+            p = pol.distributions()[0]
             assert min(p) >= eta / 4 - 1e-12
             arm = pol.act(rng)
             pol.update(arm, float(rng.random()))
@@ -218,6 +221,23 @@ class TestExp3:
         pol = EXP3Policy(2)
         with pytest.raises(ValueError):
             pol.update(0, 0.5)
+
+    def test_one_row_contract_checks(self):
+        rng = np.random.default_rng(0)
+        for variant, eta in (("losses", None), ("rewards", 0.2)):
+            pol = EXP3Policy(2, variant=variant, eta=eta)
+            arm = pol.act(rng)
+            for bad in (-0.5, 1.5, math.nan):
+                with pytest.raises(ValueError, match=r"loss must be in \[0, 1\]"):
+                    pol.update(arm, bad)
+            pol.replay_update(arm, 2.0, 2)  # estimated reward K: loss 0
+            assert pol.t == 1 and pol.p is None
+        rows = EXP3Policy(2, R=2)
+        with pytest.raises(ValueError, match="R=2"):
+            rows.act(rng)
+        rows.act_rows(np.array([0.1, 0.9]))
+        with pytest.raises(ValueError, match="R=2"):
+            rows.update(0, 0.5)
 
 
 class TestExp4:
@@ -374,15 +394,17 @@ class TestEpsilonFirst:
         assert abs(derivative) < 1e-6
 
     def test_policy_alternates_then_commits(self):
-        pol = EpsilonFirstPolicy(10000, 0.2)
+        # row 0 sees arm 0 win, row 1 arm 1, row 2 a tie
+        losses = np.array([(0.1, 0.9), (0.9, 0.1), (0.5, 0.5)])
+        pol = EpsilonFirstPolicy(10000, 0.2, R=3)
         seen = []
         for t in range(pol.exploration_rounds):
-            arm = pol.act()
-            seen.append(arm)
-            pol.update_reward(arm, (0.9, 0.1)[arm])
-        assert seen[:4] == [0, 1, 0, 1]
-        assert seen.count(0) == seen.count(1)
-        assert pol.act() == 0  # empirically best arm
+            arms = pol.act_rows()
+            seen.append(arms.tolist())
+            pol.update_rows(arms, losses[np.arange(3), arms])
+        assert seen[:4] == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
+        assert sum(arms[0] for arms in seen) * 2 == len(seen)
+        assert pol.act_rows().tolist() == [0, 1, 0]  # empirically best arm
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -429,7 +451,7 @@ class TestSampling:
                 arm = pol.act(rng)
                 pol.update(arm, float(rng.random()))
                 arms.append(arm)
-            return arms, tuple(pol.cum_estimates)
+            return arms, tuple(pol.estimates[0].tolist())
 
         assert run() == run()
 
