@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from boundslab.online_policies import FixedPolicy, UCB1Policy
+
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -186,8 +188,6 @@ def make_ucb_breaker(T: int, K: int = 2, *, parametrization: str = "improved",
     per-arm offsets so no two arms tie within a round.  Returns the matrix
     and the predicted UCB1 trajectory; validated by simulation, not proved.
     """
-    from boundslab.online_policies import UCB1Policy
-
     if T < 2 * K:
         raise ValueError(f"need T >= 2K, got T={T}, K={K}")
     low, high = 0.1, 0.9
@@ -213,8 +213,12 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
 
     The loop over lines checks only the header and the field counts; the
     records are converted to int64 in one call and their actions and rewards
-    checked as arrays.  Only when that fails does ``_first_bad_record`` go
-    back over the records one by one to find the line to name."""
+    checked as arrays.  When every token is one ASCII digit (the logs
+    ``write_log`` makes of synthetic data) that call is a byte subtraction on
+    the tokens joined into one buffer; otherwise it is Python's ``int`` on
+    each token, which also reads signs, underscores and non-ASCII digits.
+    Only when the check fails does ``_first_bad_record`` go back over the
+    records one by one to find the line to name."""
     K = None
     tokens, linenos, records = [], [], []
     try:
@@ -245,11 +249,17 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
         raise
     if K is None:
         raise ValueError("log has no 'K=<int>' header")
-    try:
-        # Python's int on each token, then a check that it fits 64 bits
-        table = np.array(tokens, dtype=np.int64).reshape(-1, LOG_FIELDS)
-    except (ValueError, OverflowError):
-        table = None
+    digits = "".join(tokens)
+    if len(digits) == len(tokens) and digits.isascii() and digits.isdigit():
+        # every token is one ASCII digit: its value is its byte minus b"0"
+        table = (np.frombuffer(digits.encode("ascii"), dtype=np.uint8)
+                 - np.uint8(ord("0"))).astype(np.int64).reshape(-1, LOG_FIELDS)
+    else:
+        try:
+            # Python's int on each token, then a check that it fits 64 bits
+            table = np.array(tokens, dtype=np.int64).reshape(-1, LOG_FIELDS)
+        except (ValueError, OverflowError):
+            table = None
     # a negative int64 reads as a uint64 of at least 2**63, so one unsigned
     # comparison checks both ends of each range
     if (table is None or (table[:, 0].view(np.uint64) >= K).any()
@@ -284,12 +294,43 @@ def _first_bad_record(K: int, linenos: list[int], records: list[str]
 
 
 def write_log(path, K: int, log: BanditLog) -> None:
-    """Write ``log`` in the format ``parse_log`` reads."""
+    """Write ``log`` in the format ``parse_log`` reads: the header, then one
+    line per record of its 12 integers, each written as by ``%d`` and
+    separated by single spaces.
+
+    When every value is an integer in 0..9 (the synthetic logs) each record
+    is exactly 24 bytes, so the records are written from one (T, 24) uint8
+    table of digits, spaces and newlines; any other log is formatted one
+    line at a time.  Both give the same bytes."""
+    table = _digit_table(log)
+    if table is not None:
+        with open(path, "wb") as handle:
+            handle.write(f"K={K}\n".encode("ascii"))
+            handle.write(table)
+        return
     rows = np.column_stack((log.actions, log.rewards, log.features)).tolist()
     line = " ".join(["%d"] * LOG_FIELDS) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write(f"K={K}\n")
         handle.writelines(line % tuple(row) for row in rows)
+
+
+def _digit_table(log: BanditLog) -> np.ndarray | None:
+    """The records of ``log`` as the (T, 24) uint8 bytes of their lines when
+    every value is a bool or integer in 0..9; otherwise None."""
+    columns = (log.actions, log.rewards, log.features)
+    if any(c.dtype.kind not in "biu" for c in columns):
+        return None
+    if len(log) and any(c.min() < 0 or c.max() > 9 for c in columns):
+        return None
+    table = np.empty((len(log), 2 * LOG_FIELDS), dtype=np.uint8)
+    table[:, 1::2] = ord(" ")
+    table[:, -1] = ord("\n")
+    table[:, 0] = log.actions
+    table[:, 2] = log.rewards
+    table[:, 4::2] = log.features
+    table[:, ::2] += ord("0")
+    return table
 
 
 def synthesize_uniform_log(means: Sequence[float], T: int, seed: int,
@@ -400,25 +441,37 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
     r̃ = K * r * 1[policy action = logged action] (inverse of the 1/K logging
     propensity, range [0, K]), and the policy ingests r̃ under its own replay
     contract.  The mean of r̃ is an unbiased estimate of the policy's value.
+
+    A ``FixedPolicy`` with a set ``arm`` never learns and draws nothing, so
+    its replay is one array step with the bytes of the per-record loop: the
+    arms are that arm, r̃ is K * r where the logged action is the arm and
+    0.0 elsewhere, and ``policy.t`` advances by the log length.  Every other
+    policy acts and updates once per record.
     """
     outside = (log.actions < 0) | (log.actions >= K)
     if outside.any():
         action = int(log.actions[outside.argmax()])
         raise ValueError(f"logged action {action} outside [0, {K})")
-    arms, estimates = [], []
-    for action, reward in zip(log.actions.tolist(), log.rewards.tolist()):
-        arm = policy.act(rng)
-        r_tilde = float(K * reward) if arm == action else 0.0
-        policy.replay_update(arm, r_tilde, K)
-        arms.append(arm)
-        estimates.append(r_tilde)
-    estimates = np.asarray(estimates, dtype=float)
+    if type(policy) is FixedPolicy and policy.arm is not None:
+        arms = np.full(len(log), policy.arm, dtype=int)
+        estimates = np.where(log.actions == policy.arm, K * log.rewards,
+                             0).astype(np.float64)
+        policy.t += len(log)
+    else:
+        arms, estimates = [], []
+        for action, reward in zip(log.actions.tolist(), log.rewards.tolist()):
+            arm = policy.act(rng)
+            r_tilde = float(K * reward) if arm == action else 0.0
+            policy.replay_update(arm, r_tilde, K)
+            arms.append(arm)
+            estimates.append(r_tilde)
+        arms = np.asarray(arms, dtype=int)
+        estimates = np.asarray(estimates, dtype=float)
     detail = {
         "feedback": "iw-replay",
         "estimated_value": float(estimates.mean()) if len(log) else 0.0,
     }
-    return GameTranscript(np.asarray(arms, dtype=int), estimates, "reward",
-                          detail)
+    return GameTranscript(arms, estimates, "reward", detail)
 
 
 def replay_rejection_sampling(policy, log: BanditLog, K: int,

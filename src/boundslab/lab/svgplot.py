@@ -56,13 +56,17 @@ def _fmt(x):
 
 
 def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
-    """Render the traces to a standalone SVG file."""
+    """Render the traces to a standalone SVG file.  A trace with no point
+    (a replay's RS series when one repetition accepted no record) keeps its
+    legend entry and colour but sets no axis range and draws no line; at
+    least one trace must have a point."""
     traces = list(traces)
-    if not traces:
-        raise ValueError("need at least one trace to plot")
-    x_min = min(float(tr.t[0]) for tr in traces)
-    x_max = max(float(tr.t[-1]) for tr in traces)
-    y_min, y_max = _y_range(traces)
+    drawn = [tr for tr in traces if len(tr.t)]
+    if not drawn:
+        raise ValueError("need at least one trace with a point to plot")
+    x_min = min(float(tr.t[0]) for tr in drawn)
+    x_max = max(float(tr.t[-1]) for tr in drawn)
+    y_min, y_max = _y_range(drawn)
     if y_max == y_min:
         y_min, y_max = y_min - 1.0, y_max + 1.0
     if x_max == x_min:
@@ -120,17 +124,19 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
 
     for i, tr in enumerate(traces):
         color = PALETTE[i % len(PALETTE)]
-        ts = tr.t.tolist()
-        xs, means = _downsample(ts, tr.mean.tolist())
-        _, bands = _downsample(ts, (tr.mean + tr.std).tolist())
-        mean_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
-                            for x, y in zip(xs, means))
-        band_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
-                            for x, y in zip(xs, bands))
-        parts.append(f'<polyline points="{mean_pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<polyline points="{band_pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1" stroke-dasharray="6,4"/>')
+        if len(tr.t):
+            ts = tr.t.tolist()
+            xs, means = _downsample(ts, tr.mean.tolist())
+            _, bands = _downsample(ts, (tr.mean + tr.std).tolist())
+            mean_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
+                                for x, y in zip(xs, means))
+            band_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
+                                for x, y in zip(xs, bands))
+            parts.append(f'<polyline points="{mean_pts}" fill="none" '
+                         f'stroke="{color}" stroke-width="1.5"/>')
+            parts.append(f'<polyline points="{band_pts}" fill="none" '
+                         f'stroke="{color}" stroke-width="1" '
+                         f'stroke-dasharray="6,4"/>')
         ly = MARGIN_TOP + 14 + 18 * i
         lx = MARGIN_LEFT + plot_w + 18
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '

@@ -550,7 +550,9 @@ class UCB1Batch(_RewardRows):
     UCB1 is the one policy kept twice, for speed: the offline replays play
     one scalar round at a time, and a K = 4 act+update round takes 3-4 µs
     with ``UCB1Policy`` against 10-18 µs on a one-row batch (Python 3.11,
-    2 CPUs).  The ``replay`` benchmark plays some 75k such rounds per pass.
+    2 CPUs).  The ``replay`` benchmark plays some 75k such rounds per pass,
+    and its log round trip builds ``UCB1Policy(K, reward_range=K)`` itself
+    for the IW replay, so the scalar class stays until that changes too.
     """
 
     def __init__(self, K: int, *, parametrization: str = "original",

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boundslab import environments
 from boundslab.environments import (
@@ -288,6 +289,16 @@ def _log(actions, rewards):
                      np.zeros((len(actions), 10), dtype=np.int64))
 
 
+def _formatted(K, log) -> bytes:
+    """The bytes of the log format: a header, then each record's 12 values
+    written with ``%d`` and joined by single spaces."""
+    rows = zip(log.actions.tolist(), log.rewards.tolist(),
+               log.features.tolist())
+    lines = [f"K={K}"] + [" ".join("%d" % v for v in (a, r, *f))
+                          for a, r, f in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
 class TestLogParsing:
     def test_example_records(self):
         K, log = parse_log(["K=16", "7 0 1 0 0 1 0 1 0 0 1 0",
@@ -393,6 +404,76 @@ class TestLogParsing:
         write_log(path, K, log)
         assert path.read_bytes() == text.encode("ascii")
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_digit_table_matches_line_formatter(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(0, 300)) if seed else 0
+        dtypes = (np.int64, np.int32, np.uint8, bool, np.uint64, np.int8)
+        K = int(rng.integers(1, 11))
+        log = BanditLog(rng.integers(0, K, size=T).astype(dtypes[seed]),
+                        rng.integers(0, 2, size=T).astype(dtypes[seed - 1]),
+                        rng.integers(0, 10, size=(T, 10)).astype(
+                            dtypes[seed - 2]))
+        path = tmp_path / "digits.log"
+        write_log(path, K, log)
+        assert path.read_bytes() == _formatted(K, log)
+        K_read, parsed = parse_log(path.read_text().splitlines())
+        assert K_read == K
+        for name in ("actions", "rewards", "features"):
+            assert getattr(parsed, name).dtype == np.int64
+            assert np.array_equal(getattr(parsed, name), getattr(log, name))
+
+    @pytest.mark.parametrize("K, action, feature", [
+        (4, 3, 10),           # a multi-digit feature
+        (4, 2, -1),           # a negative feature
+        (4, 0, 2 ** 63 - 1),  # the int64 edges
+        (4, 1, -2 ** 63),
+        (11, 10, 0),          # a two-digit action
+    ])
+    def test_general_writer_round_trips(self, tmp_path, K, action, feature):
+        log = synthesize_uniform_log([0.5] * 4, T=40, seed=K)
+        features = log.features.copy()
+        features[17, 4] = feature
+        actions = log.actions.copy()
+        actions[23] = action
+        log = BanditLog(actions, log.rewards, features)
+        path = tmp_path / "general.log"
+        write_log(path, K, log)
+        assert path.read_bytes() == _formatted(K, log)
+        K_read, parsed = parse_log(path.read_text().splitlines())
+        assert K_read == K
+        for name in ("actions", "rewards", "features"):
+            assert np.array_equal(getattr(parsed, name), getattr(log, name))
+
+    def test_float_log_takes_the_line_formatter(self, tmp_path):
+        log = synthesize_uniform_log([0.5] * 4, T=5, seed=2)
+        features = log.features.astype(float) + 0.5
+        path = tmp_path / "float.log"
+        write_log(path, 4, BanditLog(log.actions, log.rewards, features))
+        assert path.read_bytes() == _formatted(4, log)  # %d truncates
+        features[3, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            write_log(path, 4, BanditLog(log.actions, log.rewards, features))
+
+    @pytest.mark.parametrize("line", [
+        "+3 1 0 0 0 0 0 0 0 0 0 5",
+        "3 1 0 0 0 0 0 0 0 0 0 +5",
+        "3 1 0 0 0 0 0 0 0 0 0 0_5",
+        "٣ 1 0 0 0 0 0 0 0 0 0 5",
+        "3 1 0 0 0 0 0 0 0 0 0 ٥",
+        "3\t1\t0\t0\t0\t0\t0\t0\t0\t0\t0\t5",
+        "3  1 0   0 0 0 0 0 0 0 0  5  ",
+        "  3 1 0 0 0 0 0 0 0 0 0 5",
+    ])
+    def test_both_conversions_give_the_same_arrays(self, line):
+        canonical = "3 1 0 0 0 0 0 0 0 0 0 5"
+        others = ["0 0 1 0 1 0 1 0 1 0 1 9", "2 1 9 8 7 6 5 4 3 2 1 0"]
+        _, want = parse_log(["K=4", others[0], canonical, others[1]])
+        _, got = parse_log(["K=4", others[0], line, others[1]])
+        for name in ("actions", "rewards", "features"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_missing_header(self):
         with pytest.raises(ValueError, match="line 1: expected 'K=<int>'"):
             parse_log(["7 0 1 0 0 1 0 1 0 0 1 0"])
@@ -458,6 +539,55 @@ class TestImportanceWeightedReplay:
         log = synthesize_uniform_log([0.5] * 4, T=123, seed=5)
         trans = replay_importance_weighted(FixedPolicy(4, arm=0), log, 4)
         assert len(trans) == 123
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_fixed_arm_step_matches_per_record_loop(self, data):
+        K = data.draw(st.integers(2, 12), label="K")
+        T = data.draw(st.integers(0, 200), label="T")
+        actions = data.draw(st.lists(st.integers(0, K - 1), min_size=T,
+                                     max_size=T), label="actions")
+        rewards = data.draw(st.lists(st.integers(0, 1), min_size=T,
+                                     max_size=T), label="rewards")
+        log = _log(np.array(actions, dtype=np.int64),
+                   np.array(rewards, dtype=np.int64))
+        for arm in range(K):
+            fixed = FixedPolicy(K, arm=arm)
+            step = replay_importance_weighted(fixed, log, K)
+            loop = replay_importance_weighted(_FixedArmLoop(arm), log, K)
+            for name in ("arms", "payoffs"):
+                got, want = getattr(step, name), getattr(loop, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert step.detail == loop.detail and step.kind == loop.kind
+            assert fixed.t == T
+
+    @pytest.mark.parametrize("bad", [-1, 4, 9])
+    def test_fixed_arm_step_checks_actions_like_the_loop(self, bad):
+        log = _log([0, 3, bad, 1, 7], [1, 0, 1, 1, 0])
+        messages = []
+        for policy in (FixedPolicy(4, arm=2), _FixedArmLoop(2)):
+            with pytest.raises(ValueError) as info:
+                replay_importance_weighted(policy, log, 4)
+            messages.append(str(info.value))
+            assert policy.t == 0
+        assert messages[0] == messages[1] == f"logged action {bad} outside [0, 4)"
+
+
+class _FixedArmLoop:
+    """Plays one arm, as ``FixedPolicy(K, arm=arm)`` does, through the
+    per-record loop of ``replay_importance_weighted``: it is not a
+    ``FixedPolicy``, so it takes the loop."""
+
+    def __init__(self, arm: int) -> None:
+        self.arm = arm
+        self.t = 0
+
+    def act(self, rng=None) -> int:
+        return self.arm
+
+    def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
+        self.t += 1
 
 
 class TestRejectionSamplingReplay:

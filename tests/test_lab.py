@@ -329,6 +329,36 @@ class TestSvg:
         assert list(map(repr, _y_range(chosen))) == [repr(min(values)),
                                                      repr(max(values))]
 
+    def test_trace_without_points_keeps_only_its_legend_entry(self, tmp_path):
+        first = AggregateTrace("first", [1, 2, 3], [0.0, 1.0, 0.5],
+                               [0.1, 0.0, 0.2])
+        empty = AggregateTrace("empty", [], [], [])
+        third = AggregateTrace("third", [2, 4], [2.0, -1.0], [0.0, 0.5])
+        drawn, mixed = tmp_path / "drawn.svg", tmp_path / "mixed.svg"
+        render_plot([first, third], drawn)
+        render_plot([first, empty, third], mixed)
+
+        def axes(path):  # everything drawn before the first series
+            text = path.read_text()
+            return text[:text.index("<polyline")]
+        assert axes(mixed) == axes(drawn)
+        lines = mixed.read_text().splitlines()
+        polylines = [ln for ln in lines if "<polyline" in ln]
+        assert len(polylines) == 4
+        assert [ln.count(color) for ln in polylines
+                for color in ("#1b6ca8", "#c0392b", "#27ae60")] == [
+            1, 0, 0] * 2 + [0, 0, 1] * 2
+        # the empty trace keeps its palette slot and legend entry
+        assert sum("<line" in ln and "#c0392b" in ln for ln in lines) == 1
+        assert ">empty</text>" in mixed.read_text()
+
+    def test_needs_a_trace_with_a_point(self, tmp_path):
+        empty = AggregateTrace("empty", [], [], [])
+        for traces in ([], [empty], [empty, empty]):
+            with pytest.raises(ValueError, match="with a point"):
+                render_plot(traces, tmp_path / "none.svg")
+            assert not (tmp_path / "none.svg").exists()
+
     def test_downsampling_cap(self):
         xs = np.arange(10000)
         ys = np.arange(10000.0)
@@ -354,6 +384,24 @@ class TestCli:
         assert main(["run", str(config), "--out", str(tmp_path),
                      "--reps", "2", "--seed", "99", "--plot"]) == 0
         assert (tmp_path / "tiny.svg").exists()
+
+    def test_replay_plot_with_an_empty_rs_series(self, tmp_path, capsys):
+        # with T = 5 some repetition's rejection sampler accepts no record,
+        # so every repetition of rs_mean_reward is cut to zero points
+        config = tmp_path / "tiny_replay.cfg"
+        config.write_text("\n".join([
+            "[experiment]", "name = tiny_replay", "kind = replay", "T = 5",
+            "R = 3", "seed = 0", "[params]", "means = 0.2, 0.5, 0.8, 0.35",
+            "fixed_arm = 2"]) + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path),
+                     "--plot"]) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "tiny_replay.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"iw_value_estimate"}
+        svg = (tmp_path / "tiny_replay.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert ">iw_value_estimate</text>" in svg
+        assert ">rs_mean_reward</text>" in svg
 
     @pytest.mark.parametrize("override, field", [
         (["--reps", "0"], "experiment.R"),
