@@ -40,16 +40,21 @@ class ProbVec:
     __slots__ = ("_weights", "sub_normalized")
 
     def __init__(self, weights: Iterable[float], sub_normalized: bool = False):
-        ws = [float(w) for w in weights]
+        ws = list(map(float, weights))
         if len(ws) < 1:
             raise ValueError("ProbVec needs at least one weight")
-        if not all(w >= 0.0 for w in ws):  # false for NaN too
-            for w in ws:
-                if math.isnan(w):
-                    raise ValueError("ProbVec weights must not be NaN")
-                if w < 0.0:
-                    raise ValueError(f"ProbVec weights must be nonnegative, got {w}")
-        total = math.fsum(ws)
+        # min finds any negative weight; it returns a NaN that comes first and
+        # skips any later one, which makes the total NaN instead (or makes
+        # fsum raise on an overflow it meets first)
+        if not min(ws) >= 0.0:
+            _raise_first_bad_weight(ws)
+        try:
+            total = math.fsum(ws)
+        except OverflowError:
+            _raise_first_bad_weight(ws)
+            raise
+        if total != total:
+            _raise_first_bad_weight(ws)
         if sub_normalized:
             if total > 1.0 + NORMALIZATION_TOL:
                 raise ValueError(f"sub-normalized weights sum to {total} > 1")
@@ -79,6 +84,15 @@ class ProbVec:
 
     def __repr__(self) -> str:
         return f"ProbVec({list(self._weights)!r})"
+
+
+def _raise_first_bad_weight(ws: list[float]) -> None:
+    """Raise the error of the first NaN or negative weight in ``ws``."""
+    for w in ws:
+        if math.isnan(w):
+            raise ValueError("ProbVec weights must not be NaN")
+        if w < 0.0:
+            raise ValueError(f"ProbVec weights must be nonnegative, got {w}")
 
 
 def binary_entropy(p: float) -> float:

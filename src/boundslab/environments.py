@@ -350,19 +350,32 @@ def synthesize_uniform_log(means: Sequence[float], T: int, seed: int,
 def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     """Run a full-information game: the policy picks an arm, incurs that
     entry, then sees the whole loss column.  The incremental hindsight-regret
-    accounting is stored in ``detail`` and is recomputable from the matrix."""
+    accounting is stored in ``detail`` and is recomputable from the matrix.
+
+    ``policy.act(u)`` takes one uniform per round when ``policy.draws``
+    (Hedge) and None otherwise (FTL).  The uniforms are drawn from ``rng`` a
+    block of rounds at a time (``BLOCK_CELLS``), which gives the same
+    doubles and leaves ``rng`` in the same state as one draw per round.
+    """
+    if policy.draws and rng is None:
+        raise ValueError("a policy that draws needs a random stream")
     arms = np.empty(T, dtype=int)
     incurred = np.empty(T)
     column_sums = [0.0] * env.K
     cumulative = 0.0
-    for t in range(T):
-        arm = policy.act(rng)
-        row = env.row(t)
-        arms[t] = arm
-        incurred[t] = row[arm]
-        cumulative += row[arm]
-        column_sums = [c + v for c, v in zip(column_sums, row)]
-        policy.observe(row)
+    step = max(1, BLOCK_CELLS // env.K)
+    for t0 in range(0, T, step):
+        t1 = min(T, t0 + step)
+        uniforms = (rng.random(t1 - t0).tolist() if policy.draws
+                    else [None] * (t1 - t0))
+        for t, u in zip(range(t0, t1), uniforms):
+            arm = policy.act(u)
+            row = env.row(t)
+            arms[t] = arm
+            incurred[t] = row[arm]
+            cumulative += row[arm]
+            column_sums = [c + v for c, v in zip(column_sums, row)]
+            policy.observe(row)
     detail = {
         "feedback": "full",
         "column_sums": tuple(column_sums),

@@ -46,6 +46,8 @@ from boundslab.lab.config import (
 )
 from boundslab.lab.csvio import AggregateTrace, aggregate
 from boundslab.online_policies import (
+    EXP3_VARIANTS,
+    HEDGE_ETA_VARIANTS,
     EXP3Policy,
     EpsilonFirstPolicy,
     FTLPolicy,
@@ -88,22 +90,40 @@ def _build_policy(label: str, spec: dict, K: int, T: int, R: int):
         raw = spec.get(key, default)
         return None if raw is None else _convert(raw, to, f"policy {label}.{key}")
 
+    def choice(key, allowed, default):
+        value = spec.get(key, default)
+        if value not in allowed:
+            raise ConfigError(f"policy {label}.{key}: unknown {key} {value!r}, "
+                              f"expected one of {', '.join(allowed)}",
+                              f"policy {label}.{key}")
+        return value
+
+    def rate(upper=math.inf):
+        eta = parse("eta", float)
+        if eta is not None and not 0.0 < eta < upper:
+            want = ("positive and finite" if upper == math.inf
+                    else f"in (0, {upper:g})")
+            raise ConfigError(f"policy {label}.eta: must be {want}, got "
+                              f"{spec['eta']!r}", f"policy {label}.eta")
+        return eta
+
     try:
         if kind == "hedge":
             return HedgePolicy(
                 K,
-                variant=spec.get("variant", "anytime_tight"),
-                eta=parse("eta", float),
+                variant=choice("variant", HEDGE_ETA_VARIANTS, "anytime_tight"),
+                eta=rate(),
                 T=T,
                 doubling=parse("doubling", bool, "false"),
             ), "full"
         if kind == "ftl":
             return FTLPolicy(K), "full"
         if kind == "exp3":
+            variant = choice("variant", EXP3_VARIANTS, "losses")
             return EXP3Policy(
                 K,
-                variant=spec.get("variant", "losses"),
-                eta=parse("eta", float),
+                variant=variant,
+                eta=rate(1.0 if variant == "rewards" else math.inf),
                 T=T if parse("fixed_horizon", bool, "false") else None,
                 R=R,
             ), "bandit"

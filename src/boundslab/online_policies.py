@@ -29,6 +29,7 @@ import numpy as np
 from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
+EXP3_VARIANTS = ("losses", "rewards")
 
 
 def _left_sum(values: list[float]) -> float:
@@ -48,10 +49,24 @@ def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
     losses = [float(v) for v in cum_losses]
     if not losses:
         raise ValueError("cum_losses must be nonempty")
+    return _hedge_weights(losses, eta)
+
+
+def _hedge_weights(losses: list[float], eta: float) -> ProbVec:
+    """``hedge_distribution`` unchecked, for a nonempty list of floats and a
+    rate already known to be positive and finite."""
     low = min(losses)
     weights = [math.exp(-eta * (v - low)) for v in losses]
     total = _left_sum(weights)
     return ProbVec([w / total for w in weights])
+
+
+def _check_rate(eta: float) -> float:
+    """An explicit learning rate as a float, if it is positive and finite."""
+    eta = float(eta)
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    return eta
 
 
 def hedge_eta(K: int, *, T: int | None = None, t: int | None = None,
@@ -114,26 +129,24 @@ def exp4_mix(expert_weights: ProbVec, advice: Sequence[Sequence[float]],
     mapping an arm-level estimated-loss vector to expert-level losses
     l̃_h = sum_a q_h(a) l̃_a.
     """
-    rows = [ProbVec(row) if not isinstance(row, ProbVec) else row for row in advice]
+    rows = [row.weights if isinstance(row, ProbVec) else ProbVec(row).weights
+            for row in advice]
     if len(rows) != len(expert_weights):
         raise ValueError("one advice row per expert required")
     K = len(rows[0])
     if any(len(row) != K for row in rows):
         raise ValueError("advice rows must share one arm count")
-    mixture = [
-        sum(expert_weights[h] * rows[h][a] for h in range(len(rows)))
-        for a in range(K)
-    ]
+    weights = tuple(expert_weights)
+    # sum over the experts in index order, one arm (column) at a time
+    mixture = [sum(map(operator.mul, weights, column)) for column in zip(*rows)]
     total = sum(mixture)
     p = ProbVec([v / total for v in mixture])
 
     def project(arm_losses: Sequence[float]) -> list[float]:
         if len(arm_losses) != K:
             raise ValueError("arm-loss vector has wrong length")
-        return [
-            sum(row[a] * float(arm_losses[a]) for a in range(K))
-            for row in rows
-        ]
+        losses = [float(v) for v in arm_losses]
+        return [sum(map(operator.mul, row, losses)) for row in rows]
 
     return p, project
 
@@ -241,14 +254,23 @@ class HedgePolicy:
     "anytime_simple"/"anytime_tight" use the running round; ``doubling``
     restarts a tight fixed-horizon rate on periods of doubling length.
     An explicit ``eta`` overrides the schedule.
+
+    Every argument is checked here, so a round runs no checks: a fixed rate
+    is taken once, an anytime rate once per round and a doubling rate once
+    per period, at its first round, when the losses are reset.
     """
+
+    draws = True
 
     def __init__(self, K: int, *, variant: str = "anytime_tight",
                  eta: float | None = None, T: int | None = None,
                  doubling: bool = False) -> None:
         if K < 2:
             raise ValueError(f"need at least two arms, got K={K}")
-        self._rate = eta  # a rate that never changes: explicit or fixed-horizon
+        if variant not in HEDGE_ETA_VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+        # a rate that never changes: explicit or fixed-horizon
+        self._rate = None if eta is None else _check_rate(eta)
         if eta is None and not doubling:
             # validate the schedule eagerly so config errors surface early
             first = hedge_eta(K, T=T, t=1, variant=variant)
@@ -262,26 +284,27 @@ class HedgePolicy:
         self.doubling = doubling
         self.cum_losses = [0.0] * K
         self.t = 0  # completed rounds
-        self._last_reset = 0
+        self._next_period = 1  # first round of the next doubling period
 
     def _current_eta(self) -> float:
         round_t = self.t + 1
         if self.doubling:
-            _, eta_m, reset = doubling_schedule(round_t, self.K)
-            if reset and self._last_reset != round_t:
+            if round_t >= self._next_period:
+                m, self._rate, _ = doubling_schedule(round_t, self.K)
                 self.cum_losses = [0.0] * self.K
-                self._last_reset = round_t
-            return eta_m
+                self._next_period = 2 ** (m + 1)
+            return self._rate
         if self._rate is not None:
             return self._rate
         return _anytime_eta(self._log_k, round_t, self.variant)
 
     def distribution(self) -> ProbVec:
         eta = self._current_eta()  # may reset losses at a period boundary
-        return hedge_distribution(self.cum_losses, eta)
+        return _hedge_weights(self.cum_losses, eta)
 
-    def act(self, rng) -> int:
-        return sample_arm(self.distribution(), rng.random())
+    def act(self, u: float) -> int:
+        """The arm of the next round, drawn with the uniform ``u``."""
+        return sample_arm(self.distribution(), u)
 
     def observe(self, losses: Sequence[float]) -> None:
         """Consume the full loss column for the current round."""
@@ -296,6 +319,8 @@ class HedgePolicy:
 class FTLPolicy:
     """Deterministic follow-the-leader over full-information feedback."""
 
+    draws = False
+
     def __init__(self, K: int) -> None:
         if K < 1:
             raise ValueError(f"need at least one arm, got K={K}")
@@ -303,7 +328,7 @@ class FTLPolicy:
         self.cum_losses = [0.0] * K
         self.t = 0
 
-    def act(self, rng=None) -> int:
+    def act(self, u=None) -> int:
         return ftl_choice(self.cum_losses)
 
     def observe(self, losses: Sequence[float]) -> None:
@@ -335,13 +360,13 @@ class EXP3Policy:
                  R: int = 1) -> None:
         if K < 2:
             raise ValueError(f"need at least two arms, got K={K}")
-        if variant not in ("losses", "rewards"):
+        if variant not in EXP3_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if variant == "rewards":
             if eta is None or not 0.0 < eta < 1.0:
                 raise ValueError("rewards variant needs eta in (0, 1)")
-        elif eta is not None and eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        elif eta is not None:
+            eta = _check_rate(eta)
         self.K = K
         self.R = R
         self.variant = variant
@@ -434,8 +459,7 @@ class EXP4Policy:
             if T is None or T < 1:
                 raise ValueError("need either eta or a horizon T")
             eta = math.sqrt(2.0 * math.log(n_experts) / (K * T))
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        eta = _check_rate(eta)
         self.n_experts = n_experts
         self.K = K
         self.eta = eta
@@ -444,7 +468,7 @@ class EXP4Policy:
         self._pending: tuple[ProbVec, Callable] | None = None
 
     def expert_weights(self) -> ProbVec:
-        return hedge_distribution(self.cum_expert_losses, self.eta)
+        return _hedge_weights(self.cum_expert_losses, self.eta)
 
     def act(self, advice: Sequence[Sequence[float]], rng) -> int:
         p, project = exp4_mix(self.expert_weights(), advice)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from boundslab.divergences import (
+    NORMALIZATION_TOL,
     ProbVec,
     _kl_interior,
     binary_entropy,
@@ -17,6 +18,32 @@ from boundslab.divergences import (
 )
 
 UNIT_GRID = [i / 100 for i in range(101)]
+
+
+def _probvec_rule(weights, sub_normalized):
+    """What ``ProbVec`` makes of ``weights``, as (weights, None) or (None,
+    (exception type, message)): the first NaN or negative weight in order
+    raises, then the sum checks on the ``math.fsum`` total decide."""
+    if not weights:
+        return None, (ValueError, "ProbVec needs at least one weight")
+    for w in weights:
+        if math.isnan(w):
+            return None, (ValueError, "ProbVec weights must not be NaN")
+        if w < 0.0:
+            return None, (ValueError,
+                          f"ProbVec weights must be nonnegative, got {w}")
+    try:
+        total = math.fsum(weights)
+    except OverflowError as exc:
+        return None, (OverflowError, str(exc))
+    if sub_normalized:
+        if total > 1.0 + NORMALIZATION_TOL:
+            return None, (ValueError,
+                          f"sub-normalized weights sum to {total} > 1")
+        return tuple(weights), None
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        return None, (ValueError, f"weights sum to {total}, not 1")
+    return tuple(w / total for w in weights), None
 
 
 class TestProbVec:
@@ -48,6 +75,32 @@ class TestProbVec:
             ProbVec([0.5, float("nan"), -0.5, 1.0])
         with pytest.raises(ValueError, match="nonnegative, got -0.5"):
             ProbVec([0.5, -0.5, float("nan"), 1.0])
+
+    @given(st.lists(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]),
+        st.floats(-1.0, 1.0)), max_size=6), st.booleans())
+    @example([1.0, math.nan, 1e308, 1e308], False)
+    @example([0.5, math.nan, -0.5], True)
+    @example([math.inf, math.nan], False)
+    def test_validation_follows_the_first_bad_weight_rule(self, weights, sub):
+        want, error = _probvec_rule(weights, sub)
+        if error is None:
+            got = ProbVec(weights, sub_normalized=sub).weights
+            assert [w.hex() for w in got] == [w.hex() for w in want]
+            return
+        with pytest.raises(Exception) as info:
+            ProbVec(weights, sub_normalized=sub)
+        assert (type(info.value), str(info.value)) == error
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
+           .filter(lambda ws: math.fsum(ws) > 0.0))
+    def test_valid_vector_keeps_its_weights(self, raw):
+        total = math.fsum(raw)
+        weights = [w / total for w in raw]
+        want, error = _probvec_rule(weights, False)
+        assert error is None
+        got = ProbVec(weights).weights
+        assert [w.hex() for w in got] == [w.hex() for w in want]
 
     def test_sub_normalized_allows_deficit(self):
         v = ProbVec([0.25, 0.25], sub_normalized=True)

@@ -283,6 +283,78 @@ class TestBatchedBandit:
             EXP3Policy(2, R=2).act(rng)
 
 
+# Each full-information policy of one game, built from (K, T).
+FULL_INFO_KINDS = {
+    "ftl": lambda K, T: FTLPolicy(K),
+    "hedge_anytime_simple": lambda K, T: HedgePolicy(K, variant="anytime_simple"),
+    "hedge_anytime_tight": lambda K, T: HedgePolicy(K, variant="anytime_tight"),
+    "hedge_doubling": lambda K, T: HedgePolicy(K, doubling=True),
+    "hedge_explicit_eta": lambda K, T: HedgePolicy(K, eta=0.3),
+    "hedge_simple": lambda K, T: HedgePolicy(K, variant="simple", T=T),
+    "hedge_tight": lambda K, T: HedgePolicy(K, variant="tight", T=T),
+}
+
+# SHA-256 of each full-information game's transcript, computed with the loop
+# that drew one uniform per Hedge round; see ``_full_info_digest``.
+FULL_INFO_DIGESTS = {
+    ("ftl", "bernoulli"): "c53f95a78916c0910ebcdb49375d6ea748394f966f9d33dce45f037d2f8e79dd",
+    ("ftl", "ftl_breaker"): "bca3147a73b5f815e35e1a0ba99d0a2a5e623bd36bbaf189cd588822d069774b",
+    ("hedge_anytime_simple", "bernoulli"): "7c8383d69b2af851d7a28bb6457eda4b64ec3b672a12892bda916b8bd25b4934",
+    ("hedge_anytime_simple", "ftl_breaker"): "1e2d8a8be1a65b0c8689c523ed570ccbe0eb5817fffeb8aa7df9e8a6562d1d6d",
+    ("hedge_anytime_tight", "bernoulli"): "23ddd86fab615e9ece3faf236c4beaf8bac250ec0d6eeb2dfd2aff970b30c0a3",
+    ("hedge_anytime_tight", "ftl_breaker"): "f25cc783da30b731a0e769db562b23272108a1a399e2abfff545e169ba750a93",
+    ("hedge_doubling", "bernoulli"): "cbc9ddf0fca141d6a36734f580365cb485cdd4c69e2129baec5b7c30b017210d",
+    ("hedge_doubling", "ftl_breaker"): "165f6c0d5f8f61fca8fba4aef73862f3b2266b0c7abe47bdf35e50fadee17d01",
+    ("hedge_explicit_eta", "bernoulli"): "d7d74c0c3186e9d71ecadbfe6580be0c3517959d4adb94ec25950c912fa7a105",
+    ("hedge_explicit_eta", "ftl_breaker"): "e6e2c8794b678dae83ca099d551afd8b2f56d30111600a754581a661ee2b8f37",
+    ("hedge_simple", "bernoulli"): "fee064ab448ee56e6e556cbd3d22d4b30255bc0624f019a0753bd96a34c5cf87",
+    ("hedge_simple", "ftl_breaker"): "02e9e915b6a67d7b40f1306df95871e5709d694c8a374c2b95b8e1530a43686d",
+    ("hedge_tight", "bernoulli"): "2526f0adea5d59cd1b60562be58bfa02290bddcd38e36043edb599e3eb7cd2a5",
+    ("hedge_tight", "ftl_breaker"): "09af2aefbbce0ba63e49c5cb2411013ea673cacc48a13ec6083ff8cffddb9522",
+}
+
+
+def _full_info_digest(trans, rng) -> str:
+    """One SHA-256 over the arm bytes, the payoffs, the ``detail`` sums and
+    regret (floats as ``float.hex``) and the next draw of the stream."""
+    detail = trans.detail
+    return hashlib.sha256(repr((
+        trans.arms.tobytes(),
+        [float.hex(v) for v in trans.payoffs.tolist()],
+        [float.hex(v) for v in detail["column_sums"]],
+        float.hex(detail["final_regret"]),
+        float.hex(rng.random()),
+    )).encode()).hexdigest()
+
+
+class TestFullInformation:
+    @pytest.mark.parametrize("block_cells", [40, environments.BLOCK_CELLS])
+    @pytest.mark.parametrize("env_kind", ["bernoulli", "ftl_breaker"])
+    @pytest.mark.parametrize("policy_kind", sorted(FULL_INFO_KINDS))
+    def test_transcript_is_pinned(self, policy_kind, env_kind, block_cells,
+                                  monkeypatch):
+        # 40 cells make blocks of 13 or 20 rounds, so a game spans many
+        monkeypatch.setattr(environments, "BLOCK_CELLS", block_cells)
+        T = 600  # doubling periods up to [512, 1024)
+        env = (BernoulliEnv((0.35, 0.5, 0.65), seed=2024)
+               if env_kind == "bernoulli" else MatrixEnv(make_ftl_breaker(T)))
+        policy = FULL_INFO_KINDS[policy_kind](env.K, T)
+        # at seed 31 the two anytime rates happen to play the same arms on
+        # the breaker, so their digests could not tell them apart
+        rng = np.random.default_rng(32)
+        trans = play_full_information(policy, env, T, rng)
+        assert policy.t == T
+        digest = _full_info_digest(trans, rng)
+        assert digest == FULL_INFO_DIGESTS[policy_kind, env_kind]
+
+    def test_a_drawing_policy_needs_a_stream(self):
+        env = MatrixEnv(make_ftl_breaker(10))
+        with pytest.raises(ValueError, match="random stream"):
+            play_full_information(HedgePolicy(2), env, 10)
+        trans = play_full_information(FTLPolicy(2), env, 10)
+        assert trans.arms.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
 def _log(actions, rewards):
     """A log of the given actions and rewards, with all-zero features."""
     return BanditLog(np.asarray(actions), np.asarray(rewards),

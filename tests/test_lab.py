@@ -450,6 +450,46 @@ class TestCli:
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("policy, message", [
+        (["kind = hedge", "eta = -1"],
+         "policy p.eta: must be positive and finite, got '-1' (line 10)"),
+        (["kind = hedge", "eta = 0"],
+         "policy p.eta: must be positive and finite, got '0' (line 10)"),
+        (["kind = hedge", "eta = nan"],
+         "policy p.eta: must be positive and finite, got 'nan' (line 10)"),
+        (["kind = hedge", "eta = inf"],
+         "policy p.eta: must be positive and finite, got 'inf' (line 10)"),
+        (["kind = hedge", "doubling = true", "eta = -1"],
+         "policy p.eta: must be positive and finite, got '-1' (line 11)"),
+        (["kind = hedge", "variant = bogus", "eta = 0.1"],
+         "policy p.variant: unknown variant 'bogus', expected one of simple, "
+         "tight, anytime_simple, anytime_tight (line 10)"),
+        (["kind = hedge", "doubling = true", "variant = bogus"],
+         "policy p.variant: unknown variant 'bogus', expected one of simple, "
+         "tight, anytime_simple, anytime_tight (line 11)"),
+        (["kind = exp3", "eta = nan"],
+         "policy p.eta: must be positive and finite, got 'nan' (line 10)"),
+        (["kind = exp3", "eta = -0.5"],
+         "policy p.eta: must be positive and finite, got '-0.5' (line 10)"),
+        (["kind = exp3", "variant = rewards", "eta = 1.5"],
+         "policy p.eta: must be in (0, 1), got '1.5' (line 11)"),
+        (["kind = exp3", "variant = gains"],
+         "policy p.variant: unknown variant 'gains', expected one of losses, "
+         "rewards (line 10)"),
+    ], ids=["hedge_negative", "hedge_zero", "hedge_nan", "hedge_inf",
+            "doubling_negative", "variant_with_eta", "variant_with_doubling",
+            "exp3_nan", "exp3_negative", "exp3_rewards_range", "exp3_variant"])
+    def test_bad_rates_and_variants_name_their_line(self, tmp_path, capsys,
+                                                     policy, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join([
+            "[experiment]", "name = bad", "T = 20", "R = 1", "[environment]",
+            "kind = bernoulli", "means = 0.2, 0.8", "[policy p]", *policy])
+            + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_section_and_override_errors_name_no_line(self, tmp_path, capsys):
         # a missing key has no line, and an override replaces the file's
         # value, so neither error may point at the file

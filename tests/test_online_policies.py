@@ -116,6 +116,32 @@ class TestHedgeEta:
             pol.observe(rng.random(K).tolist())
 
 
+class TestHedgePolicyChecks:
+    @pytest.mark.parametrize("kwargs", [
+        {"variant": "bogus"},
+        {"variant": "bogus", "eta": 0.1},
+        {"variant": "bogus", "doubling": True},
+    ])
+    def test_variant_is_always_checked(self, kwargs):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            HedgePolicy(2, **kwargs)
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("doubling", [False, True])
+    def test_explicit_eta_is_positive_and_finite(self, eta, doubling):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            HedgePolicy(2, eta=eta, doubling=doubling)
+
+    def test_round_needs_one_uniform(self):
+        assert HedgePolicy.draws and not FTLPolicy.draws
+        pol = HedgePolicy(3, eta=0.5)
+        pol.observe([1.0, 0.0, 1.0])
+        p = pol.distribution()
+        for u in (0.0, p[0] - 1e-12, p[0], 0.999999):
+            assert pol.act(u) == sample_arm(p, u)
+        assert FTLPolicy(3).act() == 0
+
+
 class TestFtlChoice:
     def test_examples(self):
         assert ftl_choice([1.0, 2.0]) == 0
@@ -211,6 +237,11 @@ class TestExp3:
             arm = pol.act(rng)
             pol.update(arm, float(rng.random()))
 
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
+    def test_losses_variant_needs_a_positive_finite_eta(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            EXP3Policy(2, eta=eta)
+
     def test_rewards_variant_requires_eta_in_unit_interval(self):
         with pytest.raises(ValueError):
             EXP3Policy(2, variant="rewards")
@@ -271,6 +302,11 @@ class TestExp4:
         assert math.isclose(pol.eta,
                             math.sqrt(2 * math.log(8) / (2 * 10000)),
                             rel_tol=1e-12)
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            EXP4Policy(3, 2, eta=eta)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -421,11 +457,23 @@ class TestDoubling:
         assert doubling_schedule(8, 2)[:1] == (3,)
         assert doubling_schedule(8, 2)[2] is True
 
+    def test_hedge_rate_and_resets_follow_the_schedule(self):
+        # the arm-0 loss grows within a period, so a reset shows as zero
+        # losses and the rate in the distribution of every later round
+        K = 2
+        pol = HedgePolicy(K, doubling=True)
+        for t in range(1, 2 ** 12 + 1):
+            p = pol.distribution()
+            _, eta, reset = doubling_schedule(t, K)
+            assert (pol.cum_losses == [0.0, 0.0]) == reset
+            assert p == hedge_distribution(pol.cum_losses, eta)
+            pol.observe([1.0, 0.0])
+
     def test_hedge_wrapper_resets(self):
         rng = np.random.default_rng(3)
         pol = HedgePolicy(2, doubling=True)
         for t in range(1, 10):
-            pol.act(rng)
+            pol.act(rng.random())
             pol.observe([1.0, 0.0])
             if t + 1 in (2, 4, 8):
                 # peeking at the next round's distribution applies the reset
