@@ -64,15 +64,18 @@ def _cmd_run(args) -> int:
         config, **{k: v for k, v in overrides.items() if v is not None})
     out_dir = Path(args.out or config.out or ".")
     traces = run_experiment(config)
+    for trace in traces:
+        if trace.note:
+            print(f"note: {trace.note}", file=sys.stderr)
     _write_outputs(config, traces, out_dir, args.plot)
     return 0
 
 
 def _cmd_bounds_compare(args) -> int:
-    config = ExperimentConfig(name="bounds_compare", kind="bounds",
-                              delta=args.delta)
-    config.params = {"family": "four_bounds", "n": str(args.n),
-                     "grid": str(args.grid)}
+    config = ExperimentConfig(
+        name="bounds_compare", kind="bounds", delta=args.delta,
+        params={"family": "four_bounds", "n": str(args.n), "grid": str(args.grid)},
+        sources={"params.n": "--n", "params.grid": "--grid"})
     traces = run_experiment(config)
     _write_outputs(config, traces, Path(args.out), plot=True)
     return 0
@@ -105,13 +108,15 @@ def _cmd_replay(args) -> int:
     )
     import numpy as np
 
+    if not 0 <= args.seed < 2 ** 64:
+        raise ConfigError(f"--seed: must be a 64-bit integer, got {args.seed}")
     # a log that cannot be read or parsed is bad input, named by its option
     try:
         with open(args.log, "r", encoding="ascii") as handle:
             K, log = parse_log(handle)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--log: {exc}") from exc
-    rng = np.random.default_rng(args.seed or 0)
+    rng = np.random.default_rng(args.seed)
     policy = _replay_policy(args.policy, K, args.mode)
     if args.mode == "iw":
         trans = replay_importance_weighted(policy, log, K, rng)

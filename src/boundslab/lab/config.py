@@ -2,9 +2,10 @@
 
 Format: "[section]" headers, "key = value" pairs, blank lines and full-line
 '#' comments.  Sections are "[experiment]", "[environment]", "[params]" and
-any number of "[policy <label>]" blocks.  Unknown keys and duplicate keys
-are errors; every error message carries the offending line or field path,
-and an error on a field read from a line names that line too.
+any number of "[policy <label>]" blocks.  Every section is read field by
+field through one reader, ``Section``; a key it never reads and a duplicate
+key are errors.  Every error message carries the offending line or field
+path, and an error on a field read from a line names that line too.
 """
 from __future__ import annotations
 
@@ -22,16 +23,15 @@ class ConfigError(ValueError):
         super().__init__(message)
         self.path = path
 
-    def name_line(self, lines: dict) -> None:
-        """Append ``(line N)`` to the message when ``lines`` maps the
-        error's field to the source line it was read from."""
-        line = lines.get(self.path)
-        if line is not None:
-            self.args = (f"{self.args[0]} (line {line})",)
+    def name_source(self, sources: dict) -> None:
+        """Append ``(line N)``, or the option that set the field, when
+        ``sources`` maps the error's field to where it was read from."""
+        source = sources.get(self.path)
+        if source is not None:
+            self.args = (f"{self.args[0]} ({source})",)
 
 
 EXPERIMENT_KINDS = ("game", "bounds", "pacbayes", "recursive", "replay")
-_EXPERIMENT_KEYS = {"name", "kind", "T", "R", "seed", "delta", "out"}
 
 
 @dataclass
@@ -43,19 +43,14 @@ class ExperimentConfig:
     seed: int = 0
     delta: float = 0.05
     out: str | None = None
-    environment: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)  # raw {key: value}
     policies: list = field(default_factory=list)  # (label, {key: value})
     params: dict = field(default_factory=dict)
-    # source line of each field read from a file: {"params.n": 14, ...}
-    lines: dict = field(default_factory=dict, repr=False, compare=False)
+    # where each field (and section) was read from: {"params.n": "line 14"}
+    sources: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"experiment.kind: unknown kind {self.kind!r}",
-                              "experiment.kind")
-        if self.T < 1:
-            raise ConfigError(f"experiment.T: must be >= 1, got {self.T}",
-                              "experiment.T")
+        # the fields a command-line option can set; the reader checks the rest
         if self.R < 1:
             raise ConfigError(f"experiment.R: must be >= 1, got {self.R}",
                               "experiment.R")
@@ -68,11 +63,42 @@ class ExperimentConfig:
                 "experiment.delta")
 
 
+class Section:
+    """One section's raw ``key = value`` strings, read a field at a time:
+    ``read`` converts a value (see ``_convert``), checks ``ok`` on it and
+    marks the key as known; ``close`` rejects every key never read."""
+
+    def __init__(self, name: str, raw: dict):
+        self.name, self.raw, self.known = name, raw, []
+
+    def error(self, key: str, text: str) -> ConfigError:
+        return ConfigError(f"{self.name}.{key}: {text}", f"{self.name}.{key}")
+
+    def read(self, key: str, kind=str, default=None, *, minimum=None,
+             ok=None, want: str = "", required: str | None = None):
+        self.known.append(key)
+        if key not in self.raw:
+            if required is not None:
+                raise self.error(key, f"required {required}")
+            return default
+        value = _convert(self.raw[key], kind, f"{self.name}.{key}", minimum)
+        if ok is not None and not ok(value):
+            raise self.error(key, f"must be {want}, got {self.raw[key]!r}")
+        return value
+
+    def close(self) -> None:
+        unread = [key for key in self.raw if key not in self.known]
+        if unread:
+            raise self.error(unread[0], f"unknown keys {unread}; [{self.name}] "
+                                        f"takes {', '.join(self.known)}")
+
+
 def _parse_sections(lines):
     """Split raw lines into {section: {key: value}} preserving order, and
-    map each key's field path (``params.n``, ``policy x.eta``) to its line."""
+    map each section (``params``, ``policy x``) and each key's field path
+    (``params.n``, ``policy x.eta``) to its line."""
     sections: dict[str, dict] = {}
-    key_lines: dict[str, int] = {}
+    sources: dict[str, str] = {}
     current: dict | None = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -82,12 +108,12 @@ def _parse_sections(lines):
             header = line[1:-1].strip()
             if not header:
                 raise ConfigError(f"line {lineno}: empty section header")
-            if header in sections:
-                raise ConfigError(f"line {lineno}: duplicate section [{header}]")
-            sections[header] = {}
-            current = sections[header]
             section = (f"policy {header[len('policy '):].strip()}"
                        if header.startswith("policy ") else header)
+            if section in sections:
+                raise ConfigError(f"line {lineno}: duplicate section [{section}]")
+            current = sections[section] = {}
+            sources[section] = f"line {lineno}"
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
@@ -100,89 +126,82 @@ def _parse_sections(lines):
         if key in current:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         current[key] = value
-        key_lines[f"{section}.{key}"] = lineno
-    return sections, key_lines
+        sources[f"{section}.{key}"] = f"line {lineno}"
+    return sections, sources
 
 
-def _convert(raw: str, kind: type, path: str, minimum=None):
-    """``raw`` as a ``kind``, no smaller than ``minimum`` if one is given;
-    anything else is a ConfigError naming ``path``."""
-    want = kind.__name__ if minimum is None else f"{kind.__name__} >= {minimum}"
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _convert(raw: str, kind, path: str, minimum=None):
+    """``raw`` as a ``kind``: ``str``, ``bool``, ``int``, ``float``, one of a
+    tuple of strings, or ``[int]`` / ``[float]`` for a comma-separated list
+    of at least one value.  An int's ``minimum`` is part of its kind.
+    Anything else is a ConfigError naming ``path``."""
+    if kind is str:
+        return raw
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"{path}: unknown {path.rpartition('.')[2]} "
+                              f"{raw!r}, expected one of {', '.join(kind)}", path)
+        return raw
+    many = isinstance(kind, list)
+    each = kind[0] if many else kind
+
+    def error(floor=""):
+        if many:
+            noun = "integers" if each is int else "numbers"
+            return ConfigError(f"{path}: expected comma-separated {noun}{floor}, "
+                               f"got {raw!r}", path)
+        return ConfigError(f"{path}: cannot parse {raw!r} as "
+                           f"{each.__name__}{floor}", path)
+
     try:
-        if kind is bool:
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        value = kind(raw)
-        if minimum is not None and value < minimum:
-            raise ValueError(raw)
-        return value
-    except ValueError:
-        raise ConfigError(f"{path}: cannot parse {raw!r} as {want}",
-                          path) from None
-
-
-def parse_float_list(raw: str, path: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"{path}: expected comma-separated numbers, got {raw!r}",
-                          path) from None
-
-
-def parse_int_list(raw: str, path: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"{path}: expected comma-separated integers, got {raw!r}",
-                          path) from None
+        values = ([each(tok) for tok in raw.split(",") if tok.strip()] if many
+                  else [_BOOLS[raw.lower()] if each is bool else each(raw)])
+    except (KeyError, ValueError):
+        raise error() from None
+    if not values:
+        raise error()
+    if minimum is not None and min(values) < minimum:
+        raise error(f" >= {minimum}")
+    return values if many else values[0]
 
 
 def parse_config_lines(lines) -> ExperimentConfig:
-    sections, key_lines = _parse_sections(lines)
+    sections, sources = _parse_sections(lines)
     try:
-        config = _build_config(sections)
+        if "experiment" not in sections:
+            raise ConfigError("missing [experiment] section")
+        exp = Section("experiment", sections.pop("experiment"))
+        config = ExperimentConfig(
+            name=exp.read("name", required="for every experiment"),
+            kind=exp.read("kind", EXPERIMENT_KINDS, "game"),
+            T=exp.read("T", int, 1000, minimum=1),
+            R=exp.read("R", int, 10),
+            seed=exp.read("seed", int, 0),
+            delta=exp.read("delta", float, 0.05),
+            out=exp.read("out"),
+            environment=sections.get("environment", {}),
+            params=sections.get("params", {}),
+            sources=sources,
+        )
+        exp.close()
+        uses = ("environment", "policy") if config.kind == "game" else ("params",)
+        for name, raw in sections.items():
+            section = "policy" if name.startswith("policy ") else name
+            if section not in ("environment", "params", "policy"):
+                raise ConfigError(f"unknown section [{name}]")
+            if section not in uses:
+                raise ConfigError(f"{name}: section not used by {config.kind} "
+                                  f"experiments", name)
+            if section == "policy":
+                config.policies.append((name[len("policy "):], raw))
+        if config.kind == "game" and not config.policies:
+            raise ConfigError("game experiments need at least one [policy] section")
     except ConfigError as exc:
-        exc.name_line(key_lines)
+        exc.name_source(sources)
         raise
-    config.lines = key_lines
-    return config
-
-
-def _build_config(sections: dict) -> ExperimentConfig:
-    if "experiment" not in sections:
-        raise ConfigError("missing [experiment] section")
-    exp = sections.pop("experiment")
-    unknown = set(exp) - _EXPERIMENT_KEYS
-    if unknown:
-        raise ConfigError(f"experiment: unknown keys {sorted(unknown)}")
-    if "name" not in exp:
-        raise ConfigError("experiment.name: required")
-    config = ExperimentConfig(
-        name=exp["name"],
-        kind=exp.get("kind", "game"),
-        T=_convert(exp.get("T", "1000"), int, "experiment.T"),
-        R=_convert(exp.get("R", "10"), int, "experiment.R"),
-        seed=_convert(exp.get("seed", "0"), int, "experiment.seed"),
-        delta=_convert(exp.get("delta", "0.05"), float, "experiment.delta"),
-        out=exp.get("out"),
-    )
-    config.environment = sections.pop("environment", {})
-    config.params = sections.pop("params", {})
-    for header in list(sections):
-        if header.startswith("policy "):
-            label = header[len("policy "):].strip()
-            if not label:
-                raise ConfigError(f"[{header}]: policy label required")
-            config.policies.append((label, sections.pop(header)))
-        else:
-            raise ConfigError(f"unknown section [{header}]")
-    if config.kind == "game" and not config.policies:
-        raise ConfigError("game experiments need at least one [policy] section")
-    if config.kind == "game" and not config.environment:
-        raise ConfigError("game experiments need an [environment] section")
     return config
 
 

@@ -16,12 +16,14 @@ HEADER = "t,series,mean,std"
 @dataclass
 class AggregateTrace:
     """Mean and population standard deviation of one named series across
-    repetitions, indexed by a time/grid axis ``t``."""
+    repetitions, indexed by a time/grid axis ``t``.  ``note`` says what the
+    runner did to the series that its rows do not show; it is not written."""
 
     name: str
     t: np.ndarray
     mean: np.ndarray
     std: np.ndarray
+    note: str = ""
 
     def __post_init__(self):
         self.t = np.asarray(self.t)

@@ -9,8 +9,8 @@ runs one repetition after another.
 """
 from __future__ import annotations
 
-import copy
 import math
+from functools import partial
 
 import numpy as np
 
@@ -37,17 +37,12 @@ from boundslab.environments import (
     replay_rejection_sampling,
     synthesize_uniform_log,
 )
-from boundslab.lab.config import (
-    ConfigError,
-    ExperimentConfig,
-    _convert,
-    parse_float_list,
-    parse_int_list,
-)
+from boundslab.lab.config import ConfigError, ExperimentConfig, Section
 from boundslab.lab.csvio import AggregateTrace, aggregate
 from boundslab.online_policies import (
     EXP3_VARIANTS,
     HEDGE_ETA_VARIANTS,
+    UCB1_PARAMETRIZATIONS,
     EXP3Policy,
     EpsilonFirstPolicy,
     FTLPolicy,
@@ -65,163 +60,151 @@ def repetition_seeds(master: int, r: int):
     return env_seed, np.random.default_rng(children[1])
 
 
-_POLICY_KEYS = {
-    "hedge": {"variant", "eta", "doubling"},
-    "ftl": set(),
-    "exp3": {"variant", "eta", "fixed_horizon"},
-    "ucb1": {"parametrization"},
-    "epsilon_first": {"gap"},
+# policy kind: (the feedback it plays, fewest arms, most arms or None)
+_PLAYS = {
+    "hedge": ("full", 2, None),
+    "ftl": ("full", 1, None),
+    "exp3": ("bandit", 2, None),
+    "ucb1": ("bandit", 1, None),
+    "epsilon_first": ("bandit", 2, 2),
 }
+_POSITIVE = {"ok": lambda x: 0.0 < x < math.inf, "want": "positive and finite"}
+_UNIT = {"ok": lambda x: 0.0 <= x <= 1.0, "want": "in [0, 1]"}
+_UNITS = {"ok": lambda xs: all(0.0 <= x <= 1.0 for x in xs), "want": "in [0, 1]"}
 
 
-def _build_policy(label: str, spec: dict, K: int, T: int, R: int):
-    """(policy, feedback mode) of one config policy: a bandit policy holds
-    the R repetitions as rows, a full-information one plays a single game."""
-    spec = dict(spec)
-    kind = spec.pop("kind", None)
-    if kind not in _POLICY_KEYS:
+def _read_policy(label: str, raw: dict, T: int, R: int):
+    """(kind, K -> a fresh policy) of one [policy] section: a bandit policy
+    holds the R repetitions as rows, a full-information one plays one game."""
+    f = Section(f"policy {label}", raw)
+    kind = f.read("kind")
+    if kind not in _PLAYS:
         raise ConfigError(f"policy {label}: unknown kind {kind!r}",
                           f"policy {label}.kind")
-    unknown = set(spec) - _POLICY_KEYS[kind]
-    if unknown:
-        raise ConfigError(f"policy {label}: unknown keys {sorted(unknown)}")
-
-    def parse(key, to, default=None):
-        raw = spec.get(key, default)
-        return None if raw is None else _convert(raw, to, f"policy {label}.{key}")
-
-    def choice(key, allowed, default):
-        value = spec.get(key, default)
-        if value not in allowed:
-            raise ConfigError(f"policy {label}.{key}: unknown {key} {value!r}, "
-                              f"expected one of {', '.join(allowed)}",
-                              f"policy {label}.{key}")
-        return value
-
-    def rate(upper=math.inf):
-        eta = parse("eta", float)
-        if eta is not None and not 0.0 < eta < upper:
-            want = ("positive and finite" if upper == math.inf
-                    else f"in (0, {upper:g})")
-            raise ConfigError(f"policy {label}.eta: must be {want}, got "
-                              f"{spec['eta']!r}", f"policy {label}.eta")
-        return eta
-
-    try:
-        if kind == "hedge":
-            return HedgePolicy(
-                K,
-                variant=choice("variant", HEDGE_ETA_VARIANTS, "anytime_tight"),
-                eta=rate(),
-                T=T,
-                doubling=parse("doubling", bool, "false"),
-            ), "full"
-        if kind == "ftl":
-            return FTLPolicy(K), "full"
-        if kind == "exp3":
-            variant = choice("variant", EXP3_VARIANTS, "losses")
-            return EXP3Policy(
-                K,
-                variant=variant,
-                eta=rate(1.0 if variant == "rewards" else math.inf),
-                T=T if parse("fixed_horizon", bool, "false") else None,
-                R=R,
-            ), "bandit"
-        if kind == "ucb1":
-            return UCB1Batch(
-                K, parametrization=spec.get("parametrization", "original"), R=R
-            ), "bandit"
-        if "gap" not in spec:
-            raise ConfigError(f"policy {label}: epsilon_first needs 'gap'")
-        return EpsilonFirstPolicy(T, parse("gap", float), R), "bandit"
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"policy {label}: {exc}") from exc
+    if kind == "hedge":
+        variant = f.read("variant", HEDGE_ETA_VARIANTS, "anytime_tight")
+        eta = f.read("eta", float, **_POSITIVE)
+        doubling = f.read("doubling", bool, False)
+        if doubling and eta is not None:
+            raise f.error("eta", f"must be unset when doubling is on, got "
+                                 f"{raw['eta']!r}")
+        make = partial(HedgePolicy, variant=variant, eta=eta, T=T,
+                       doubling=doubling)
+    elif kind == "exp3":
+        variant = f.read("variant", EXP3_VARIANTS, "losses")
+        eta = (f.read("eta", float, ok=lambda eta: 0.0 < eta < 1.0,
+                      want="in (0, 1)", required="for variant rewards")
+               if variant == "rewards" else f.read("eta", float, **_POSITIVE))
+        horizon = T if f.read("fixed_horizon", bool, False) else None
+        make = partial(EXP3Policy, variant=variant, eta=eta, T=horizon, R=R)
+    elif kind == "ucb1":
+        make = partial(UCB1Batch, R=R, parametrization=f.read(
+            "parametrization", UCB1_PARAMETRIZATIONS, "original"))
+    elif kind == "epsilon_first":
+        gap = f.read("gap", float, ok=lambda gap: 0.0 < gap <= 1.0,
+                     want="in (0, 1]", required="for epsilon_first")
+        make = lambda K: EpsilonFirstPolicy(T, gap, R)
+    else:
+        make = FTLPolicy
+    f.close()
+    return kind, make
 
 
-def _game_envs(config: ExperimentConfig):
-    """Expand the environment spec into (suffix, K, env factory, regret fn)
-    tuples; the factory maps an environment seed to a playable env."""
-    env = dict(config.environment)
-    kind = env.pop("kind", None)
-    T = config.T
-    out = []
+def _stochastic(means):
+    m = np.asarray(means)
+    return (lambda seed: BernoulliEnv(means, seed),
+            lambda trans: pseudo_regret(trans.arms, m))
+
+
+def _oblivious(losses):
+    return (lambda seed: MatrixEnv(losses),
+            lambda trans: hindsight_regret(losses, trans.arms))
+
+
+def _read_environment(raw: dict, T: int):
+    """(feedback or None, [(suffix, K, build)]) of the [environment]
+    section; ``build()`` gives the (env factory, regret fn) pair, and is
+    called only once every section has been checked."""
+    f = Section("environment", raw)
+    kind = f.read("kind", ("bernoulli", "bernoulli_gap", "ftl_breaker",
+                           "ucb_breaker"), required="for game experiments")
+    feedback = f.read("feedback", ("bandit", "full"))
     if kind == "bernoulli":
-        means = parse_float_list(env.pop("means", ""), "environment.means")
-        if not means:
-            raise ConfigError("environment.means: required for bernoulli",
-                              "environment.means")
-        out.append(("", len(means),
-                    lambda seed, m=tuple(means): BernoulliEnv(m, seed),
-                    lambda trans, m=np.asarray(means): pseudo_regret(trans.arms, m)))
+        means = tuple(f.read("means", [float], required="for bernoulli",
+                             **_UNITS))
+        envs = [("", len(means), partial(_stochastic, means))]
     elif kind == "bernoulli_gap":
         # a single K may be given as "k"; errors name the key the file used
-        path = "environment.k_grid" if "k_grid" in env else "environment.k"
-        k_grid = parse_int_list(env.pop("k_grid", env.pop("k", "2")), path)
-        gap = _convert(env.pop("gap", "0.25"), float, "environment.gap")
-        base = _convert(env.pop("base", "0.5"), float, "environment.base")
-        for k in k_grid:
-            if k < 2:
-                raise ConfigError(f"{path}: each K must be >= 2", path)
-            means = tuple([base - gap] + [base] * (k - 1))
-            suffix = f"[K={k}]" if len(k_grid) > 1 else ""
-            out.append((suffix, k,
-                        lambda seed, m=means: BernoulliEnv(m, seed),
-                        lambda trans, m=np.asarray(means): pseudo_regret(trans.arms, m)))
+        key = "k_grid" if "k_grid" in f.raw else "k"
+        k_grid = f.read(key, [int], [2])
+        if min(k_grid) < 2:
+            raise f.error(key, "each K must be >= 2")
+        base = f.read("base", float, 0.5, **_UNIT)
+        gap = f.read("gap", float, 0.25, ok=lambda gap: 0 <= base - gap <= 1,
+                     want=f"in [{base - 1:g}, {base:g}]")
+        envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
+            _stochastic, tuple([base - gap] + [base] * (k - 1))))
+            for k in k_grid]
     elif kind == "ftl_breaker":
-        matrix = make_ftl_breaker(T)
-        out.append(("", 2, lambda seed, m=matrix: MatrixEnv(m),
-                    lambda trans, m=matrix: hindsight_regret(m, trans.arms)))
-    elif kind == "ucb_breaker":
-        rewards, _ = make_ucb_breaker(
-            T, _convert(env.pop("k", "2"), int, "environment.k"),
-            parametrization=env.pop("parametrization", "improved"))
-        losses = 1.0 - rewards
-        out.append(("", losses.shape[1], lambda seed, m=losses: MatrixEnv(m),
-                    lambda trans, m=losses: hindsight_regret(m, trans.arms)))
+        if T < 2:
+            raise ConfigError(f"experiment.T: must be >= 2 for ftl_breaker, "
+                              f"got {T}", "experiment.T")
+        envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
     else:
-        raise ConfigError(f"environment.kind: unknown kind {kind!r}",
-                          "environment.kind")
-    env.pop("feedback", None)  # informative only; the policy fixes the mode
-    if env:
-        raise ConfigError(f"environment: unknown keys {sorted(env)}")
-    return out
+        k = f.read("k", int, 2, minimum=1)
+        parametrization = f.read("parametrization", UCB1_PARAMETRIZATIONS,
+                                 "improved")
+        if T < 2 * k:
+            raise ConfigError(f"experiment.T: must be >= 2 * environment.k = "
+                              f"{2 * k} for ucb_breaker, got {T}", "experiment.T")
+        envs = [("", k, lambda: _oblivious(1.0 - make_ucb_breaker(
+            T, k, parametrization=parametrization)[0]))]
+    f.close()
+    return feedback, envs
 
 
 def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
+    feedback, envs = _read_environment(config.environment, config.T)
+    policies = []
+    for label, raw in config.policies:
+        kind, make = _read_policy(label, raw, config.T, config.R)
+        mode, fewest, most = _PLAYS[kind]
+        if feedback not in (None, mode):
+            raise ConfigError(f"environment.feedback: must be {mode} for "
+                              f"policy {label} ({kind}), got {feedback!r}",
+                              "environment.feedback")
+        for _, K, _ in envs:
+            if not fewest <= K <= (most or K):
+                arms = fewest if most else f">= {fewest}"
+                raise ConfigError(f"policy {label}.kind: {kind} needs {arms} "
+                                  f"arms, got K = {K}", f"policy {label}.kind")
+        policies.append((label, mode, make))
+
     traces = []
-    for suffix, K, env_factory, regret_fn in _game_envs(config):
-        for label, spec in config.policies:
+    for suffix, K, build in envs:
+        env_factory, regret_fn = build()
+        for label, mode, make in policies:
             env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
                                     for r in range(config.R)])
-            envs = [env_factory(env_seed) for env_seed in env_seeds]
-            policy, mode = _build_policy(label, spec, K, config.T, config.R)
+            games = [env_factory(env_seed) for env_seed in env_seeds]
             if mode == "bandit":
                 runs = [regret_fn(game) for game
-                        in play_bandit(policy, envs, config.T, rngs)]
-            else:  # a fresh copy of the policy per repetition
+                        in play_bandit(make(K), games, config.T, rngs)]
+            else:  # a fresh policy per repetition
                 runs = [regret_fn(play_full_information(
-                            copy.deepcopy(policy), env, config.T, rng))
-                        for env, rng in zip(envs, rngs)]
+                            make(K), env, config.T, rng))
+                        for env, rng in zip(games, rngs)]
             traces.append(aggregate(label + suffix, runs))
     return traces
 
 
-def _bounds_params(config: ExperimentConfig):
-    params = dict(config.params)
-    family = params.pop("family", "four_bounds")
-    n = _convert(params.pop("n", "1000"), int, "params.n")
-    grid = _convert(params.pop("grid", "101"), int, "params.grid")
-    if params:
-        raise ConfigError(f"params: unknown keys {sorted(params)}")
-    if n < 2 or grid < 2:
-        raise ConfigError("params: need n >= 2 and grid >= 2")
-    return family, n, grid
-
-
 def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
-    family, n, grid = _bounds_params(config)
+    f = Section("params", config.params)
+    family = f.read("family", ("four_bounds", "split_kl",
+                               "unexpected_bernstein"), "four_bounds")
+    n = f.read("n", int, 1000, minimum=2)
+    grid = f.read("grid", int, 101, minimum=2)
+    f.close()
     delta = config.delta
     t = np.arange(grid)
     xs = t / (grid - 1)
@@ -256,21 +239,17 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
             kl_vals.append(kl_mean_bound(sample.mean, n, delta).value)
         return [flat("split_kl", split_vals), flat("kl", kl_vals)]
 
-    if family == "unexpected_bernstein":
-        kl_vals, emp, unexpected, hoeff = [], [], [], []
-        for p_hat in xs:
-            k = round(p_hat * n)
-            sample = Sample.unit([1.0] * k + [0.0] * (n - k))
-            kl_vals.append(kl_mean_bound(sample.mean, n, delta).value)
-            emp.append(empirical_bernstein_mean_bound(sample, delta).value)
-            unexpected.append(unexpected_bernstein_mean_bound(sample, delta).value)
-            hoeff.append(hoeffding_mean_bound(sample.mean, n, delta).value)
-        return [flat("kl", kl_vals), flat("empirical_bernstein", emp),
-                flat("unexpected_bernstein", unexpected),
-                flat("hoeffding", hoeff)]
-
-    raise ConfigError(f"params.family: unknown family {family!r}",
-                      "params.family")
+    kl_vals, emp, unexpected, hoeff = [], [], [], []
+    for p_hat in xs:
+        k = round(p_hat * n)
+        sample = Sample.unit([1.0] * k + [0.0] * (n - k))
+        kl_vals.append(kl_mean_bound(sample.mean, n, delta).value)
+        emp.append(empirical_bernstein_mean_bound(sample, delta).value)
+        unexpected.append(unexpected_bernstein_mean_bound(sample, delta).value)
+        hoeff.append(hoeffding_mean_bound(sample.mean, n, delta).value)
+    return [flat("kl", kl_vals), flat("empirical_bernstein", emp),
+            flat("unexpected_bernstein", unexpected),
+            flat("hoeffding", hoeff)]
 
 
 def _synthetic_table(rng, m: int, n: int):
@@ -288,15 +267,10 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
         pb_kl_bound,
     )
 
-    params = dict(config.params)
-    m = _convert(params.pop("m", "20"), int, "params.m", minimum=1)
-    n_grid = parse_int_list(params.pop("n_grid", "100,200,400,800"),
-                            "params.n_grid")
-    if not n_grid or min(n_grid) < 1:
-        raise ConfigError(f"params.n_grid: need sample sizes >= 1, got {n_grid}",
-                          "params.n_grid")
-    if params:
-        raise ConfigError(f"params: unknown keys {sorted(params)}")
+    f = Section("params", config.params)
+    m = f.read("m", int, 20, minimum=1)
+    n_grid = f.read("n_grid", [int], [100, 200, 400, 800], minimum=1)
+    f.close()
     pi = ProbVec([1.0 / m] * m)
 
     def one_rep(r):
@@ -321,17 +295,15 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
 def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     from boundslab.pac_bayes import alternating_minimize, recursive_pb
 
-    params = dict(config.params)
-    m = _convert(params.pop("m", "20"), int, "params.m", minimum=1)
-    n = _convert(params.pop("n", "1000"), int, "params.n")
-    t_max = _convert(params.pop("t_max", "4"), int, "params.t_max",
-                     minimum=1)
+    f = Section("params", config.params)
+    m = f.read("m", int, 20, minimum=1)
+    n = f.read("n", int, 1000)
+    t_max = f.read("t_max", int, 4, minimum=1)
     if n < 2 ** (t_max - 1):
-        raise ConfigError(f"params.n: must be >= 2**(params.t_max - 1) = "
-                          f"{2 ** (t_max - 1)} for params.t_max = {t_max}, "
-                          f"got {n}", "params.n")
-    if params:
-        raise ConfigError(f"params: unknown keys {sorted(params)}")
+        raise f.error("n", f"must be >= 2**(params.t_max - 1) = "
+                           f"{2 ** (t_max - 1)} for params.t_max = {t_max}, "
+                           f"got {n}")
+    f.close()
     pi = ProbVec([1.0 / m] * m)
     stages = list(range(1, t_max + 1))
 
@@ -352,15 +324,13 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
 
 
 def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
-    params = dict(config.params)
-    means = parse_float_list(params.pop("means", "0.3,0.7"), "params.means")
-    fixed_arm = _convert(params.pop("fixed_arm", "0"), int, "params.fixed_arm")
-    if params:
-        raise ConfigError(f"params: unknown keys {sorted(params)}")
+    f = Section("params", config.params)
+    means = f.read("means", [float], [0.3, 0.7], **_UNITS)
+    fixed_arm = f.read("fixed_arm", int, 0)
     K = len(means)
     if not 0 <= fixed_arm < K:
-        raise ConfigError("params.fixed_arm: outside the action range",
-                          "params.fixed_arm")
+        raise f.error("fixed_arm", "outside the action range")
+    f.close()
 
     def one_rep(r):
         env_seed, rng = repetition_seeds(config.seed, r)
@@ -375,11 +345,14 @@ def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
         return running, rs_running
 
     results = [one_rep(r) for r in range(config.R)]
-    horizon = min(len(r[1]) for r in results)
-    return [
-        aggregate("iw_value_estimate", [r[0] for r in results]),
-        aggregate("rs_mean_reward", [r[1][:horizon] for r in results]),
-    ]
+    horizons = [len(r[1]) for r in results]
+    horizon = min(horizons)
+    rs = aggregate("rs_mean_reward", [r[1][:horizon] for r in results])
+    if horizon < max(horizons):
+        rs.note = (f"rs_mean_reward: every repetition cut to {horizon} "
+                   f"rounds, the shortest rejection-sampling horizon "
+                   f"(repetition {horizons.index(horizon)})")
+    return [aggregate("iw_value_estimate", [r[0] for r in results]), rs]
 
 
 _RUNNERS = {
@@ -393,9 +366,10 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> list[AggregateTrace]:
     """Run the experiment and return its aggregated traces (series order is
-    deterministic).  A field error names the field's source line."""
+    deterministic).  Each kind reads and checks every field it uses before
+    it computes anything; a field error names its source line or option."""
     try:
         return _RUNNERS[config.kind](config)
     except ConfigError as exc:
-        exc.name_line(config.lines)
+        exc.name_source(config.sources)
         raise

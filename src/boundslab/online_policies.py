@@ -30,6 +30,7 @@ from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
 EXP3_VARIANTS = ("losses", "rewards")
+UCB1_PARAMETRIZATIONS = ("original", "improved")
 
 
 def _left_sum(values: list[float]) -> float:
@@ -253,7 +254,8 @@ class HedgePolicy:
     ``variant`` picks the rate: "simple"/"tight" need a horizon ``T``;
     "anytime_simple"/"anytime_tight" use the running round; ``doubling``
     restarts a tight fixed-horizon rate on periods of doubling length.
-    An explicit ``eta`` overrides the schedule.
+    An explicit ``eta`` replaces the ``variant`` schedule; it cannot be
+    combined with ``doubling``, which sets its own rate per period.
 
     Every argument is checked here, so a round runs no checks: a fixed rate
     is taken once, an anytime rate once per round and a doubling rate once
@@ -271,6 +273,8 @@ class HedgePolicy:
             raise ValueError(f"unknown variant {variant!r}")
         # a rate that never changes: explicit or fixed-horizon
         self._rate = None if eta is None else _check_rate(eta)
+        if doubling and eta is not None:
+            raise ValueError("give eta or doubling, not both")
         if eta is None and not doubling:
             # validate the schedule eagerly so config errors surface early
             first = hedge_eta(K, T=T, t=1, variant=variant)
@@ -490,7 +494,7 @@ class EXP4Policy:
 def _check_ucb1(K: int, parametrization: str) -> None:
     if K < 1:
         raise ValueError(f"need at least one arm, got K={K}")
-    if parametrization not in ("original", "improved"):
+    if parametrization not in UCB1_PARAMETRIZATIONS:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
 

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -147,6 +148,19 @@ class TestRunner:
             "[params]", "family = four_bounds", "bogus = 1",
         ])
         with pytest.raises(ConfigError, match="unknown keys"):
+            run_experiment(config)
+
+    def test_a_bad_last_policy_fails_before_any_game(self, monkeypatch):
+        def no_game(*args, **kwargs):
+            raise AssertionError("a game ran before every field was checked")
+
+        monkeypatch.setattr("boundslab.lab.runner.play_bandit", no_game)
+        monkeypatch.setattr("boundslab.lab.runner.play_full_information",
+                            no_game)
+        config = parse_config_lines(MINIMAL_GAME + [
+            "[policy h]", "kind = hedge", "[policy last]", "kind = ucb1",
+            "parametrization = bogus"])
+        with pytest.raises(ConfigError, match=r"^policy last\.parametrization"):
             run_experiment(config)
 
     def test_yes_turns_boolean_policy_keys_on(self):
@@ -387,7 +401,8 @@ class TestCli:
 
     def test_replay_plot_with_an_empty_rs_series(self, tmp_path, capsys):
         # with T = 5 some repetition's rejection sampler accepts no record,
-        # so every repetition of rs_mean_reward is cut to zero points
+        # so every repetition of rs_mean_reward is cut to zero points, and
+        # the run says so on stderr
         config = tmp_path / "tiny_replay.cfg"
         config.write_text("\n".join([
             "[experiment]", "name = tiny_replay", "kind = replay", "T = 5",
@@ -395,7 +410,9 @@ class TestCli:
             "fixed_arm = 2"]) + "\n")
         assert main(["run", str(config), "--out", str(tmp_path),
                      "--plot"]) == 0
-        assert capsys.readouterr().err == ""
+        assert capsys.readouterr().err == (
+            "note: rs_mean_reward: every repetition cut to 0 rounds, the "
+            "shortest rejection-sampling horizon (repetition 2)\n")
         rows = (tmp_path / "tiny_replay.csv").read_text().splitlines()[1:]
         assert {row.split(",")[1] for row in rows} == {"iw_value_estimate"}
         svg = (tmp_path / "tiny_replay.svg").read_text()
@@ -440,8 +457,73 @@ class TestCli:
         (["[environment]", "kind = bernoulli_gap", "k_grid = 2, 1",
           "[policy u]", "kind = ucb1"],
          "environment.k_grid: each K must be >= 2 (line 5)"),
+        (["[environment]", "kind = bernoulli", "means = 0.5, 1.5",
+          "[policy u]", "kind = ucb1"],
+         "environment.means: must be in [0, 1], got '0.5, 1.5' (line 5)"),
+        (["kind = replay", "[params]", "means = 0.2, -0.1"],
+         "params.means: must be in [0, 1], got '0.2, -0.1' (line 5)"),
+        (["[environment]", "kind = bernoulli_gap", "gap = 0.7", "[policy u]",
+          "kind = ucb1"],
+         "environment.gap: must be in [-0.5, 0.5], got '0.7' (line 5)"),
+        (["[environment]", "kind = ucb_breaker", "parametrization = bogus",
+          "[policy u]", "kind = ucb1"],
+         "environment.parametrization: unknown parametrization 'bogus', "
+         "expected one of original, improved (line 5)"),
+        (["[environment]", "kind = ucb_breaker", "k = 0", "[policy u]",
+          "kind = ucb1"],
+         "environment.k: cannot parse '0' as int >= 1 (line 5)"),
+        (["T = 3", "[environment]", "kind = ucb_breaker", "[policy u]",
+          "kind = ucb1"],
+         "experiment.T: must be >= 2 * environment.k = 4 for ucb_breaker, "
+         "got 3 (line 3)"),
+        (["T = 1", "[environment]", "kind = ftl_breaker", "[policy f]",
+          "kind = ftl"],
+         "experiment.T: must be >= 2 for ftl_breaker, got 1 (line 3)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.5, 0.8",
+          "[policy e]", "kind = epsilon_first", "gap = 0.3"],
+         "policy e.kind: epsilon_first needs 2 arms, got K = 3 (line 7)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy u]", "kind = ucb1", "bogus = 1"],
+         "policy u.bogus: unknown keys ['bogus']; [policy u] takes kind, "
+         "parametrization (line 8)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8", "bogus = 1",
+          "[policy u]", "kind = ucb1"],
+         "environment.bogus: unknown keys ['bogus']; [environment] takes kind, "
+         "feedback, means (line 6)"),
+        (["kind = bounds", "[params]", "n = 20", "bogus = 1"],
+         "params.bogus: unknown keys ['bogus']; [params] takes family, n, "
+         "grid (line 6)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy u]", "kind = ucb1", "parametrization = bogus"],
+         "policy u.parametrization: unknown parametrization 'bogus', "
+         "expected one of original, improved (line 8)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy e]", "kind = epsilon_first", "gap = 2"],
+         "policy e.gap: must be in (0, 1], got '2' (line 8)"),
+        (["kind = bounds", "[params]", "n = 1"],
+         "params.n: cannot parse '1' as int >= 2 (line 5)"),
+        (["[environment]", "kind = bernoulli", "means = 0.5", "[policy e]",
+          "kind = exp3"],
+         "policy e.kind: exp3 needs >= 2 arms, got K = 1 (line 7)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "feedback = bandit", "[policy h]", "kind = hedge"],
+         "environment.feedback: must be full for policy h (hedge), got "
+         "'bandit' (line 6)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy u]", "kind = ucb1", "[params]", "n = 3"],
+         "params: section not used by game experiments (line 8)"),
+        (["kind = bounds", "[environment]", "kind = bernoulli"],
+         "environment: section not used by bounds experiments (line 4)"),
+        (["kind = bounds", "[policy u]", "kind = ucb1"],
+         "policy u: section not used by bounds experiments (line 4)"),
     ], ids=["experiment", "experiment_parse", "params", "params_range",
-            "policy", "policy_kind", "environment_k", "environment_k_grid"])
+            "policy", "policy_kind", "environment_k", "environment_k_grid",
+            "environment_means", "params_means", "environment_gap",
+            "breaker_parametrization", "breaker_k", "breaker_T", "ftl_T",
+            "epsilon_first_K", "policy_unknown_key", "environment_unknown_key",
+            "params_unknown_key", "ucb1_parametrization", "epsilon_first_gap",
+            "params_n", "exp3_K", "feedback", "params_in_game",
+            "environment_in_bounds", "policy_in_bounds"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
                                           message):
         config = tmp_path / "bad.cfg"
@@ -476,9 +558,15 @@ class TestCli:
         (["kind = exp3", "variant = gains"],
          "policy p.variant: unknown variant 'gains', expected one of losses, "
          "rewards (line 10)"),
+        (["kind = hedge", "doubling = true", "eta = 0.1"],
+         "policy p.eta: must be unset when doubling is on, got '0.1' "
+         "(line 11)"),
+        (["kind = exp3", "variant = rewards"],
+         "policy p.eta: required for variant rewards"),
     ], ids=["hedge_negative", "hedge_zero", "hedge_nan", "hedge_inf",
             "doubling_negative", "variant_with_eta", "variant_with_doubling",
-            "exp3_nan", "exp3_negative", "exp3_rewards_range", "exp3_variant"])
+            "exp3_nan", "exp3_negative", "exp3_rewards_range", "exp3_variant",
+            "doubling_with_eta", "exp3_rewards_without_eta"])
     def test_bad_rates_and_variants_name_their_line(self, tmp_path, capsys,
                                                      policy, message):
         config = tmp_path / "bad.cfg"
@@ -503,6 +591,21 @@ class TestCli:
         assert main(["run", str(config)]) == 2
         assert capsys.readouterr().err == (
             "config error: environment.means: required for bernoulli\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["replay", "--log", "missing.log", "--policy", "ucb1", "--mode", "iw",
+          "--seed", "-1"], "--seed: must be a 64-bit integer, got -1"),
+        (["bounds-compare", "--n", "1"],
+         "params.n: cannot parse '1' as int >= 2 (--n)"),
+        (["bounds-compare", "--grid", "1"],
+         "params.grid: cannot parse '1' as int >= 2 (--grid)"),
+    ], ids=["replay_seed", "bounds_n", "bounds_grid"])
+    def test_option_errors_name_the_option(self, tmp_path, capsys, argv,
+                                           message):
+        assert main([*argv, *(["--out", str(tmp_path)]
+                              if argv[0] == "bounds-compare" else [])]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_bounds_compare_command(self, tmp_path):
         assert main(["bounds-compare", "--n", "200", "--delta", "0.05",
@@ -597,6 +700,35 @@ def test_preset_bytes_match_pins(preset, tmp_path):
     for artifact, digest in _preset_pins()[preset].items():
         written = (tmp_path / f"{preset}.{artifact}").read_bytes()
         assert hashlib.sha256(written).hexdigest() == digest, artifact
+
+
+def test_bound_presets_match_pins_under_baseline_cpu_dispatch(tmp_path):
+    """The bound presets reach their bytes through numpy's CPU-dispatched
+    and BLAS kernels.  Their pin check is rerun in one subprocess with the
+    AVX2/AVX-512 dispatch and the OpenBLAS core narrowed to the baseline, so
+    bytes that hold only on a wide-SIMD CPU fail here."""
+    presets = sorted(name for name, hashes in
+                     json.loads(PINS.read_text())["bounds"].items()
+                     if "csv" in hashes)
+    src = str(PINS.parent.parent / "src")
+    env = dict(os.environ,
+               NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+               OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = ("import sys\nfrom boundslab.lab.cli import main\n"
+              "sys.exit(max(main(['run', p, '--out', sys.argv[1], '--plot'])"
+              " for p in sys.argv[2:]))")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                           *presets], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert len(presets) == 5
+    for preset in presets:
+        for artifact, digest in _preset_pins()[preset].items():
+            written = (tmp_path / f"{preset}.{artifact}").read_bytes()
+            assert hashlib.sha256(written).hexdigest() == digest, (preset,
+                                                                    artifact)
 
 
 def _bench_module(stem: str):

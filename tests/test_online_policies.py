@@ -132,6 +132,10 @@ class TestHedgePolicyChecks:
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             HedgePolicy(2, eta=eta, doubling=doubling)
 
+    def test_eta_and_doubling_exclude_each_other(self):
+        with pytest.raises(ValueError, match="eta or doubling, not both"):
+            HedgePolicy(2, eta=0.1, doubling=True)
+
     def test_round_needs_one_uniform(self):
         assert HedgePolicy.draws and not FTLPolicy.draws
         pol = HedgePolicy(3, eta=0.5)
