@@ -187,27 +187,29 @@ def markov_chebyshev_tail(kind: str, *, mean: Optional[float] = None,
     raise ValueError(f"kind must be 'markov' or 'chebyshev', got {kind!r}")
 
 
+def _log_sides_over_delta(delta: float, sides: str) -> float:
+    """ln(sides/delta) with sides "one" (1) or "two" (2): the Hoeffding budget."""
+    _check_delta(delta)
+    if sides not in ("one", "two"):
+        raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
+    return math.log((1.0 if sides == "one" else 2.0) / delta)
+
+
 def hoeffding_radius(n: int, delta: float, sides: str = "one") -> float:
     """Hoeffding confidence radius sqrt(ln(sides/delta) / (2n)) for the mean
     of n iid [0,1]-valued variables."""
-    _check_delta(delta)
+    numer = _log_sides_over_delta(delta, sides)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if sides not in ("one", "two"):
-        raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
-    numer = math.log((1.0 if sides == "one" else 2.0) / delta)
     return math.sqrt(numer / (2.0 * n))
 
 
 def hoeffding_solve_n(eps: float, delta: float, sides: str = "one") -> int:
     """Smallest n whose Hoeffding radius is <= eps: ceil(ln(sides/delta) / (2 eps^2))."""
-    _check_delta(delta)
+    numer = _log_sides_over_delta(delta, sides)
     eps = float(eps)
     if eps <= 0 or math.isnan(eps):
         raise ValueError(f"eps must be positive, got {eps}")
-    if sides not in ("one", "two"):
-        raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
-    numer = math.log((1.0 if sides == "one" else 2.0) / delta)
     return max(1, math.ceil(numer / (2.0 * eps ** 2)))
 
 

@@ -19,6 +19,13 @@ BISECT_MAX_ITER = 200
 NORMALIZATION_TOL = 1e-9
 
 
+def _check_eps(eps: float) -> float:
+    eps = float(eps)
+    if math.isnan(eps) or eps < 0.0:
+        raise ValueError(f"eps must be a nonnegative real, got {eps}")
+    return eps
+
+
 def _check_unit(x: float, name: str) -> float:
     x = float(x)
     if math.isnan(x):
@@ -165,9 +172,7 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
     in q with a minimum of zero at q = p_hat, hence monotone on each side.
     """
     p_hat = _check_unit(p_hat, "p_hat")
-    eps = float(eps)
-    if math.isnan(eps) or eps < 0.0:
-        raise ValueError(f"eps must be a nonnegative real, got {eps}")
+    eps = _check_eps(eps)
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
 
@@ -203,9 +208,7 @@ def pinsker_relaxations(p_hat: float, eps: float) -> tuple:
       refined_lower  = max(0, p_hat - sqrt(2 p_hat eps))
     """
     p_hat = _check_unit(p_hat, "p_hat")
-    eps = float(eps)
-    if math.isnan(eps) or eps < 0.0:
-        raise ValueError(f"eps must be a nonnegative real, got {eps}")
+    eps = _check_eps(eps)
     plain = min(1.0, p_hat + math.sqrt(eps / 2.0))
     refined_upper = min(1.0, p_hat + math.sqrt(2.0 * p_hat * eps) + 2.0 * eps)
     refined_lower = max(0.0, p_hat - math.sqrt(2.0 * p_hat * eps))

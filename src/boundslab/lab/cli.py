@@ -8,17 +8,18 @@ log replay) and ``selftest``.  Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from importlib import resources
 from pathlib import Path
 
 from boundslab.lab.config import (
+    SEED,
     ConfigError,
     ExperimentConfig,
     _convert,
     parse_config,
+    parse_config_lines,
 )
 from boundslab.lab.csvio import emit_csv, parse_csv
 from boundslab.lab.runner import run_experiment
@@ -57,11 +58,8 @@ def _write_outputs(config: ExperimentConfig, traces, out_dir: Path,
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(resolve_config(args.config))
-    overrides = {"seed": args.seed, "R": args.reps}
-    # replace() re-runs the config's validation on the overridden values
-    config = dataclasses.replace(
-        config, **{k: v for k, v in overrides.items() if v is not None})
+    config = parse_config(resolve_config(args.config), {
+        "experiment.seed": (args.seed, "--seed"), "experiment.R": (args.reps, "--reps")})
     out_dir = Path(args.out or config.out or ".")
     traces = run_experiment(config)
     for trace in traces:
@@ -72,19 +70,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds_compare(args) -> int:
-    config = ExperimentConfig(
-        name="bounds_compare", kind="bounds", delta=args.delta,
-        params={"family": "four_bounds", "n": str(args.n), "grid": str(args.grid)},
-        sources={"params.n": "--n", "params.grid": "--grid"})
+    config = parse_config_lines(
+        ["[experiment]", "name = bounds_compare", "kind = bounds", "[params]",
+         "family = four_bounds"],
+        {"experiment.delta": (args.delta, "--delta"),
+         "params.n": (args.n, "--n"), "params.grid": (args.grid, "--grid")})
     traces = run_experiment(config)
     _write_outputs(config, traces, Path(args.out), plot=True)
     return 0
 
 
+def _read_option(raw: str, kind, path: str, option: str, **check):
+    """An option's value, read and checked as the config field ``path``."""
+    try:
+        return _convert(raw, kind, path, **check)
+    except ConfigError as exc:
+        exc.name_source({path: option})
+        raise
+
+
 def _replay_policy(spec: str, K: int, mode: str):
-    """The ``--policy`` choice (ucb1 | exp3 | fixed:<arm>) as a fresh policy.
-    Under importance weighting a payoff can reach K, so UCB1 widens its
-    radius to that range."""
+    """The ``--policy`` choice (ucb1 | exp3 | fixed:<arm>) as a fresh policy;
+    the arm is the field ``replay.arm``.  Under importance weighting a payoff
+    can reach K, so UCB1 widens its radius to that range."""
     from boundslab.online_policies import EXP3Policy, FixedPolicy, UCB1Policy
 
     if spec == "ucb1":
@@ -93,10 +101,9 @@ def _replay_policy(spec: str, K: int, mode: str):
     if spec == "exp3":
         return EXP3Policy(K)
     if spec.startswith("fixed:"):
-        arm = _convert(spec.split(":", 1)[1], int, "--policy")
-        if not 0 <= arm < K:
-            raise ConfigError(f"--policy: arm {arm} outside [0, {K})")
-        return FixedPolicy(K, arm=arm)
+        return FixedPolicy(K, arm=_read_option(
+            spec[len("fixed:"):], int, "replay.arm", "--policy",
+            ok=lambda arm: 0 <= arm < K, want=f"in [0, {K})"))
     raise ConfigError(f"--policy: unknown replay policy {spec!r}")
 
 
@@ -108,15 +115,14 @@ def _cmd_replay(args) -> int:
     )
     import numpy as np
 
-    if not 0 <= args.seed < 2 ** 64:
-        raise ConfigError(f"--seed: must be a 64-bit integer, got {args.seed}")
+    seed = _read_option(args.seed, int, "replay.seed", "--seed", **SEED)
     # a log that cannot be read or parsed is bad input, named by its option
     try:
         with open(args.log, "r", encoding="ascii") as handle:
             K, log = parse_log(handle)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"--log: {exc}") from exc
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     policy = _replay_policy(args.policy, K, args.mode)
     if args.mode == "iw":
         trans = replay_importance_weighted(policy, log, K, rng)
@@ -137,7 +143,6 @@ def _cmd_selftest(args) -> int:
     import numpy as np
 
     from boundslab.divergences import binary_kl, kl_inverse
-    from boundslab.lab.config import parse_config_lines
 
     checks = []
 
@@ -198,16 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="config path or preset name "
                        f"({', '.join(preset_names()) or 'none shipped'})")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--reps", type=int, default=None)
+    p_run.add_argument("--seed", default=None, help="sets experiment.seed")
+    p_run.add_argument("--reps", default=None, help="sets experiment.R")
     p_run.add_argument("--plot", action="store_true")
     p_run.set_defaults(fn=_cmd_run)
 
     p_bounds = sub.add_parser("bounds-compare",
                               help="emit the four mean-bound curves")
-    p_bounds.add_argument("--n", type=int, default=1000)
-    p_bounds.add_argument("--delta", type=float, default=0.01)
-    p_bounds.add_argument("--grid", type=int, default=1001)
+    p_bounds.add_argument("--n", default="1000", help="sets params.n")
+    p_bounds.add_argument("--delta", default="0.01", help="sets experiment.delta")
+    p_bounds.add_argument("--grid", default="1001", help="sets params.grid")
     p_bounds.add_argument("--out", default=".")
     p_bounds.set_defaults(fn=_cmd_bounds_compare)
 
@@ -216,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--policy", required=True,
                           help="ucb1 | exp3 | fixed:<arm>")
     p_replay.add_argument("--mode", choices=("iw", "rs"), required=True)
-    p_replay.add_argument("--seed", type=int, default=0)
+    p_replay.add_argument("--seed", default="0", help="sets replay.seed")
     p_replay.set_defaults(fn=_cmd_replay)
 
     p_self = sub.add_parser("selftest", help="run the built-in invariants")

@@ -2,10 +2,12 @@
 
 Format: "[section]" headers, "key = value" pairs, blank lines and full-line
 '#' comments.  Sections are "[experiment]", "[environment]", "[params]" and
-any number of "[policy <label>]" blocks.  Every section is read field by
-field through one reader, ``Section``; a key it never reads and a duplicate
-key are errors.  Every error message carries the offending line or field
-path, and an error on a field read from a line names that line too.
+any number of "[policy <label>]" blocks.  One reader, ``Section``, reads
+every field; a key it never reads and a duplicate key are errors.  A line, a
+command-line option and a default all enter as raw text and pass one
+converter and range check, ``_convert``, so a range or type error reads
+``<path>: must be <want>, got '<raw>'`` or ``<path>: cannot parse '<raw>'
+as <type>``, then ``(line N)`` or ``(--option)`` when the field has one.
 """
 from __future__ import annotations
 
@@ -31,42 +33,35 @@ class ConfigError(ValueError):
             self.args = (f"{self.args[0]} ({source})",)
 
 
-EXPERIMENT_KINDS = ("game", "bounds", "pacbayes", "recursive", "replay")
+def at_least(floor: int) -> dict:
+    """The ``ok``/``want`` pair of an int field's floor."""
+    return {"ok": lambda x: x >= floor, "want": f">= {floor}"}
+
+
+SEED = {"ok": lambda seed: 0 <= seed < 2 ** 64, "want": "in [0, 2**64)"}
 
 
 @dataclass
 class ExperimentConfig:
+    """A config as ``parse_config_lines`` reads it; sections stay raw."""
     name: str
-    kind: str = "game"
-    T: int = 1000
-    R: int = 10
-    seed: int = 0
-    delta: float = 0.05
-    out: str | None = None
-    environment: dict = field(default_factory=dict)  # raw {key: value}
-    policies: list = field(default_factory=list)  # (label, {key: value})
-    params: dict = field(default_factory=dict)
+    kind: str
+    T: int
+    R: int
+    seed: int
+    delta: float
+    out: str | None
+    environment: dict  # raw {key: value}
+    params: dict
     # where each field (and section) was read from: {"params.n": "line 14"}
-    sources: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        # the fields a command-line option can set; the reader checks the rest
-        if self.R < 1:
-            raise ConfigError(f"experiment.R: must be >= 1, got {self.R}",
-                              "experiment.R")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("experiment.seed: must be a 64-bit integer",
-                              "experiment.seed")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(
-                f"experiment.delta: must be in (0, 1), got {self.delta}",
-                "experiment.delta")
+    sources: dict = field(repr=False, compare=False)
+    policies: list = field(default_factory=list)  # (label, {key: value})
 
 
 class Section:
     """One section's raw ``key = value`` strings, read a field at a time:
-    ``read`` converts a value (see ``_convert``), checks ``ok`` on it and
-    marks the key as known; ``close`` rejects every key never read."""
+    ``read`` converts a value (see ``_convert``) and marks the key as
+    known; ``close`` rejects every key never read."""
 
     def __init__(self, name: str, raw: dict):
         self.name, self.raw, self.known = name, raw, []
@@ -74,17 +69,16 @@ class Section:
     def error(self, key: str, text: str) -> ConfigError:
         return ConfigError(f"{self.name}.{key}: {text}", f"{self.name}.{key}")
 
-    def read(self, key: str, kind=str, default=None, *, minimum=None,
+    def read(self, key: str, kind=str, default: str | None = None, *,
              ok=None, want: str = "", required: str | None = None):
+        """``key``'s value, else ``default``, written as a line would be so
+        it passes the same check; else None, or ``required``'s error."""
         self.known.append(key)
-        if key not in self.raw:
-            if required is not None:
-                raise self.error(key, f"required {required}")
-            return default
-        value = _convert(self.raw[key], kind, f"{self.name}.{key}", minimum)
-        if ok is not None and not ok(value):
-            raise self.error(key, f"must be {want}, got {self.raw[key]!r}")
-        return value
+        raw = self.raw.get(key, default)
+        if raw is None and required is not None:
+            raise self.error(key, f"required {required}")
+        return (None if raw is None
+                else _convert(raw, kind, f"{self.name}.{key}", ok, want))
 
     def close(self) -> None:
         unread = [key for key in self.raw if key not in self.known]
@@ -133,54 +127,60 @@ def _parse_sections(lines):
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _convert(raw: str, kind, path: str, minimum=None):
+def _convert(raw: str, kind, path: str, ok=None, want: str = ""):
     """``raw`` as a ``kind``: ``str``, ``bool``, ``int``, ``float``, one of a
     tuple of strings, or ``[int]`` / ``[float]`` for a comma-separated list
-    of at least one value.  An int's ``minimum`` is part of its kind.
-    Anything else is a ConfigError naming ``path``."""
-    if kind is str:
-        return raw
-    if isinstance(kind, tuple):
-        if raw not in kind:
-            raise ConfigError(f"{path}: unknown {path.rpartition('.')[2]} "
-                              f"{raw!r}, expected one of {', '.join(kind)}", path)
-        return raw
+    of at least one value; ``ok`` must hold on it (``want`` says what it
+    asks).  Anything else is a ConfigError naming ``path``."""
+    if isinstance(kind, tuple) and raw not in kind:
+        raise ConfigError(f"{path}: unknown {path.rpartition('.')[2]} "
+                          f"{raw!r}, expected one of {', '.join(kind)}", path)
+    value = (raw if kind is str or isinstance(kind, tuple)
+             else _number(raw, kind, path))
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{path}: must be {want}, got {raw!r}", path)
+    return value
+
+
+def _number(raw: str, kind, path: str):
     many = isinstance(kind, list)
     each = kind[0] if many else kind
-
-    def error(floor=""):
-        if many:
-            noun = "integers" if each is int else "numbers"
-            return ConfigError(f"{path}: expected comma-separated {noun}{floor}, "
-                               f"got {raw!r}", path)
-        return ConfigError(f"{path}: cannot parse {raw!r} as "
-                           f"{each.__name__}{floor}", path)
-
     try:
         values = ([each(tok) for tok in raw.split(",") if tok.strip()] if many
                   else [_BOOLS[raw.lower()] if each is bool else each(raw)])
     except (KeyError, ValueError):
-        raise error() from None
-    if not values:
-        raise error()
-    if minimum is not None and min(values) < minimum:
-        raise error(f" >= {minimum}")
-    return values if many else values[0]
+        values = []
+    if values:
+        return values if many else values[0]
+    if many:
+        noun = "integers" if each is int else "numbers"
+        raise ConfigError(f"{path}: expected comma-separated {noun}, "
+                          f"got {raw!r}", path)
+    raise ConfigError(f"{path}: cannot parse {raw!r} as {each.__name__}", path)
 
 
-def parse_config_lines(lines) -> ExperimentConfig:
+def parse_config_lines(lines, options=None) -> ExperimentConfig:
+    """Read a config from its lines.  ``options`` maps a field path such as
+    ``experiment.seed`` to the (raw value, option) that overrides its line,
+    so the option is read as the line would be; a None value is no option."""
     sections, sources = _parse_sections(lines)
     try:
         if "experiment" not in sections:
             raise ConfigError("missing [experiment] section")
+        for path, (raw, option) in (options or {}).items():
+            section, _, key = path.partition(".")
+            if raw is not None:
+                sections[section][key], sources[path] = raw, option
         exp = Section("experiment", sections.pop("experiment"))
         config = ExperimentConfig(
             name=exp.read("name", required="for every experiment"),
-            kind=exp.read("kind", EXPERIMENT_KINDS, "game"),
-            T=exp.read("T", int, 1000, minimum=1),
-            R=exp.read("R", int, 10),
-            seed=exp.read("seed", int, 0),
-            delta=exp.read("delta", float, 0.05),
+            kind=exp.read("kind", ("game", "bounds", "pacbayes", "recursive",
+                                   "replay"), "game"),
+            T=exp.read("T", int, "1000", **at_least(1)),
+            R=exp.read("R", int, "10", **at_least(1)),
+            seed=exp.read("seed", int, "0", **SEED),
+            delta=exp.read("delta", float, "0.05",
+                           ok=lambda delta: 0.0 < delta < 1.0, want="in (0, 1)"),
             out=exp.read("out"),
             environment=sections.get("environment", {}),
             params=sections.get("params", {}),
@@ -205,6 +205,6 @@ def parse_config_lines(lines) -> ExperimentConfig:
     return config
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, options=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config_lines(handle)
+        return parse_config_lines(handle, options)

@@ -37,7 +37,7 @@ from boundslab.environments import (
     replay_rejection_sampling,
     synthesize_uniform_log,
 )
-from boundslab.lab.config import ConfigError, ExperimentConfig, Section
+from boundslab.lab.config import ConfigError, ExperimentConfig, Section, at_least
 from boundslab.lab.csvio import AggregateTrace, aggregate
 from boundslab.online_policies import (
     EXP3_VARIANTS,
@@ -77,14 +77,11 @@ def _read_policy(label: str, raw: dict, T: int, R: int):
     """(kind, K -> a fresh policy) of one [policy] section: a bandit policy
     holds the R repetitions as rows, a full-information one plays one game."""
     f = Section(f"policy {label}", raw)
-    kind = f.read("kind")
-    if kind not in _PLAYS:
-        raise ConfigError(f"policy {label}: unknown kind {kind!r}",
-                          f"policy {label}.kind")
+    kind = f.read("kind", tuple(_PLAYS), required="for every policy")
     if kind == "hedge":
         variant = f.read("variant", HEDGE_ETA_VARIANTS, "anytime_tight")
         eta = f.read("eta", float, **_POSITIVE)
-        doubling = f.read("doubling", bool, False)
+        doubling = f.read("doubling", bool, "false")
         if doubling and eta is not None:
             raise f.error("eta", f"must be unset when doubling is on, got "
                                  f"{raw['eta']!r}")
@@ -95,7 +92,7 @@ def _read_policy(label: str, raw: dict, T: int, R: int):
         eta = (f.read("eta", float, ok=lambda eta: 0.0 < eta < 1.0,
                       want="in (0, 1)", required="for variant rewards")
                if variant == "rewards" else f.read("eta", float, **_POSITIVE))
-        horizon = T if f.read("fixed_horizon", bool, False) else None
+        horizon = T if f.read("fixed_horizon", bool, "false") else None
         make = partial(EXP3Policy, variant=variant, eta=eta, T=horizon, R=R)
     elif kind == "ucb1":
         make = partial(UCB1Batch, R=R, parametrization=f.read(
@@ -136,11 +133,10 @@ def _read_environment(raw: dict, T: int):
     elif kind == "bernoulli_gap":
         # a single K may be given as "k"; errors name the key the file used
         key = "k_grid" if "k_grid" in f.raw else "k"
-        k_grid = f.read(key, [int], [2])
-        if min(k_grid) < 2:
-            raise f.error(key, "each K must be >= 2")
-        base = f.read("base", float, 0.5, **_UNIT)
-        gap = f.read("gap", float, 0.25, ok=lambda gap: 0 <= base - gap <= 1,
+        k_grid = f.read(key, [int], "2", want="distinct integers >= 2",
+                        ok=lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks))
+        base = f.read("base", float, "0.5", **_UNIT)
+        gap = f.read("gap", float, "0.25", ok=lambda gap: 0 <= base - gap <= 1,
                      want=f"in [{base - 1:g}, {base:g}]")
         envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
             _stochastic, tuple([base - gap] + [base] * (k - 1))))
@@ -148,15 +144,15 @@ def _read_environment(raw: dict, T: int):
     elif kind == "ftl_breaker":
         if T < 2:
             raise ConfigError(f"experiment.T: must be >= 2 for ftl_breaker, "
-                              f"got {T}", "experiment.T")
+                              f"got '{T}'", "experiment.T")
         envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
     else:
-        k = f.read("k", int, 2, minimum=1)
+        k = f.read("k", int, "2", **at_least(1))
         parametrization = f.read("parametrization", UCB1_PARAMETRIZATIONS,
                                  "improved")
         if T < 2 * k:
             raise ConfigError(f"experiment.T: must be >= 2 * environment.k = "
-                              f"{2 * k} for ucb_breaker, got {T}", "experiment.T")
+                              f"{2 * k} for ucb_breaker, got '{T}'", "experiment.T")
         envs = [("", k, lambda: _oblivious(1.0 - make_ucb_breaker(
             T, k, parametrization=parametrization)[0]))]
     f.close()
@@ -202,8 +198,8 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
     f = Section("params", config.params)
     family = f.read("family", ("four_bounds", "split_kl",
                                "unexpected_bernstein"), "four_bounds")
-    n = f.read("n", int, 1000, minimum=2)
-    grid = f.read("grid", int, 101, minimum=2)
+    n = f.read("n", int, "1000", **at_least(2))
+    grid = f.read("grid", int, "101", **at_least(2))
     f.close()
     delta = config.delta
     t = np.arange(grid)
@@ -268,8 +264,9 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
     )
 
     f = Section("params", config.params)
-    m = f.read("m", int, 20, minimum=1)
-    n_grid = f.read("n_grid", [int], [100, 200, 400, 800], minimum=1)
+    m = f.read("m", int, "20", **at_least(1))
+    n_grid = f.read("n_grid", [int], "100, 200, 400, 800",
+                    ok=lambda ns: min(ns) >= 1, want="integers >= 1")
     f.close()
     pi = ProbVec([1.0 / m] * m)
 
@@ -296,13 +293,11 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     from boundslab.pac_bayes import alternating_minimize, recursive_pb
 
     f = Section("params", config.params)
-    m = f.read("m", int, 20, minimum=1)
-    n = f.read("n", int, 1000)
-    t_max = f.read("t_max", int, 4, minimum=1)
-    if n < 2 ** (t_max - 1):
-        raise f.error("n", f"must be >= 2**(params.t_max - 1) = "
-                           f"{2 ** (t_max - 1)} for params.t_max = {t_max}, "
-                           f"got {n}")
+    m = f.read("m", int, "20", **at_least(1))
+    t_max = f.read("t_max", int, "4", **at_least(1))
+    n = f.read("n", int, "1000", ok=lambda n: n >= 2 ** (t_max - 1),
+               want=f">= 2**(params.t_max - 1) = {2 ** (t_max - 1)} for "
+                    f"params.t_max = {t_max}")
     f.close()
     pi = ProbVec([1.0 / m] * m)
     stages = list(range(1, t_max + 1))
@@ -325,11 +320,10 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
 
 def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
     f = Section("params", config.params)
-    means = f.read("means", [float], [0.3, 0.7], **_UNITS)
-    fixed_arm = f.read("fixed_arm", int, 0)
+    means = f.read("means", [float], "0.3, 0.7", **_UNITS)
     K = len(means)
-    if not 0 <= fixed_arm < K:
-        raise f.error("fixed_arm", "outside the action range")
+    fixed_arm = f.read("fixed_arm", int, "0", ok=lambda arm: 0 <= arm < K,
+                       want=f"in [0, {K})")
     f.close()
 
     def one_rep(r):

@@ -15,7 +15,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import BoundResult, LambdaGrid, SplitGrid, _split_kl_sum
+from .concentration import (
+    BoundResult,
+    LambdaGrid,
+    SplitGrid,
+    _check_delta,
+    _split_kl_sum,
+)
 from .divergences import ProbVec, categorical_kl, kl_inverse
 
 
@@ -120,8 +126,7 @@ class PacBayesQuery:
     def __post_init__(self):
         if len(self.rho) != len(self.pi):
             raise ValueError("rho and pi must have equal length")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+        _check_delta(self.delta)
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
@@ -139,8 +144,7 @@ def occam_bound(table: LossTable, pi: ProbVec, delta: float,
     kl:        kl_inverse(L_hat(h), ln(1/(pi(h) delta)) / n, upper)
     A hypothesis with pi(h) = 0 gets the vacuous bound 1.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     if flavor not in ("hoeffding", "kl"):
         raise ValueError(f"flavor must be 'hoeffding' or 'kl', got {flavor!r}")
     if len(pi) != table.m:
@@ -256,8 +260,7 @@ def optimal_lambda(emp_loss: float, kl_term: float, n: int, delta: float) -> flo
     2 / (sqrt(2 n emp / (KL + ln(2 sqrt(n)/delta)) + 1) + 1), always in (0, 1]."""
     if emp_loss < 0 or kl_term < 0:
         raise ValueError("inputs must be nonnegative")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     complexity = kl_term + math.log(2.0 * math.sqrt(n) / delta)
     return _optimal_lambda_raw(emp_loss, complexity, n)
 
@@ -308,8 +311,7 @@ def alternating_minimize(pi: ProbVec, table: LossTable, delta: float,
     n.  With r > 0 (aggregation of hypotheses each trained on r examples),
     the table must carry validation masks and the denominator becomes n - r.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     if len(pi) != table.m:
         raise ValueError("pi length must match the number of hypotheses")
     if r < 0 or r >= table.n:
@@ -485,8 +487,7 @@ def recursive_pb(table: LossTable, delta: float, T: int,
     recomposing B_t = E_t + gamma_t B_{t-1}.  Returns one BoundResult per
     stage, each carrying its RecursiveStage record.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
+    _check_delta(delta)
     m, n = table.m, table.n
     sizes = geometric_split(n, T)
     starts = np.concatenate(([0], np.cumsum(sizes))).astype(int)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,20 @@ from boundslab.lab.svgplot import (
     _y_range,
     render_plot,
 )
+
+# A range or type error has one shape; every other field error is one of
+# the kinds OTHER_ERROR names, and no message is both.
+RANGE_ERROR = re.compile(
+    r"^config error: \S[^:]*: (must be .+, got '.*'|cannot parse '.*' as "
+    r"(int|float|bool)|expected comma-separated (integers|numbers), got '.*')"
+    r"( \((line \d+|--[a-z]+)\))?\n$")
+OTHER_ERROR = re.compile(r": (unknown |required |section not used |\w+ needs )")
+
+
+def assert_config_error(err: str, message: str) -> None:
+    assert err == f"config error: {message}\n"
+    assert bool(RANGE_ERROR.match(err)) != bool(OTHER_ERROR.search(err)), err
+
 
 MINIMAL_GAME = [
     "[experiment]",
@@ -196,9 +211,6 @@ class TestRunner:
          "policy e.fixed_horizon"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy h]", "kind = hedge", "doubling = maybe"], "policy h.doubling"),
-        (["kind = pacbayes", "[params]", "m = 0"], "params.m"),
-        (["kind = recursive", "[params]", "m = 0"], "params.m"),
-        (["kind = recursive", "[params]", "t_max = 0"], "params.t_max"),
     ])
     def test_bad_values_name_the_field(self, tmp_path, capsys, lines, field):
         config = tmp_path / "bad.cfg"
@@ -436,13 +448,13 @@ class TestCli:
 
     @pytest.mark.parametrize("lines, message", [
         (["T = 40", "# the horizon above", "delta = 1.5"],
-         "experiment.delta: must be in (0, 1), got 1.5 (line 5)"),
+         "experiment.delta: must be in (0, 1), got '1.5' (line 5)"),
         (["", "T = soon"], "experiment.T: cannot parse 'soon' as int (line 4)"),
         (["kind = bounds", "[params]", "family = four_bounds", "n = abc"],
          "params.n: cannot parse 'abc' as int (line 6)"),
         (["kind = replay", "T = 30", "R = 1", "[params]", "means = 0.2, 0.8",
           "fixed_arm = 2"],
-         "params.fixed_arm: outside the action range (line 8)"),
+         "params.fixed_arm: must be in [0, 2), got '2' (line 8)"),
         (["T = 20", "R = 1", "[environment]", "kind = bernoulli",
           "means = 0.2, 0.8", "", "# a slow learner", "[policy h]",
           "kind = hedge", "doubling = false", "", "[policy x]", "kind = exp3",
@@ -450,13 +462,19 @@ class TestCli:
          "policy x.eta: cannot parse 'abc' as float (line 16)"),
         (["T = 20", "[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy  y]", "kind = greedy"],
-         "policy y: unknown kind 'greedy' (line 8)"),
+         "policy y.kind: unknown kind 'greedy', expected one of hedge, ftl, "
+         "exp3, ucb1, epsilon_first (line 8)"),
         (["[environment]", "kind = bernoulli_gap", "k = x", "[policy u]",
           "kind = ucb1"],
          "environment.k: expected comma-separated integers, got 'x' (line 5)"),
         (["[environment]", "kind = bernoulli_gap", "k_grid = 2, 1",
           "[policy u]", "kind = ucb1"],
-         "environment.k_grid: each K must be >= 2 (line 5)"),
+         "environment.k_grid: must be distinct integers >= 2, got '2, 1' "
+         "(line 5)"),
+        (["[environment]", "kind = bernoulli_gap", "k_grid = 2, 2",
+          "[policy u]", "kind = ucb1"],
+         "environment.k_grid: must be distinct integers >= 2, got '2, 2' "
+         "(line 5)"),
         (["[environment]", "kind = bernoulli", "means = 0.5, 1.5",
           "[policy u]", "kind = ucb1"],
          "environment.means: must be in [0, 1], got '0.5, 1.5' (line 5)"),
@@ -471,14 +489,14 @@ class TestCli:
          "expected one of original, improved (line 5)"),
         (["[environment]", "kind = ucb_breaker", "k = 0", "[policy u]",
           "kind = ucb1"],
-         "environment.k: cannot parse '0' as int >= 1 (line 5)"),
+         "environment.k: must be >= 1, got '0' (line 5)"),
         (["T = 3", "[environment]", "kind = ucb_breaker", "[policy u]",
           "kind = ucb1"],
          "experiment.T: must be >= 2 * environment.k = 4 for ucb_breaker, "
-         "got 3 (line 3)"),
+         "got '3' (line 3)"),
         (["T = 1", "[environment]", "kind = ftl_breaker", "[policy f]",
           "kind = ftl"],
-         "experiment.T: must be >= 2 for ftl_breaker, got 1 (line 3)"),
+         "experiment.T: must be >= 2 for ftl_breaker, got '1' (line 3)"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.5, 0.8",
           "[policy e]", "kind = epsilon_first", "gap = 0.3"],
          "policy e.kind: epsilon_first needs 2 arms, got K = 3 (line 7)"),
@@ -501,7 +519,16 @@ class TestCli:
           "[policy e]", "kind = epsilon_first", "gap = 2"],
          "policy e.gap: must be in (0, 1], got '2' (line 8)"),
         (["kind = bounds", "[params]", "n = 1"],
-         "params.n: cannot parse '1' as int >= 2 (line 5)"),
+         "params.n: must be >= 2, got '1' (line 5)"),
+        (["T = 0"], "experiment.T: must be >= 1, got '0' (line 3)"),
+        (["kind = pacbayes", "[params]", "m = 0"],
+         "params.m: must be >= 1, got '0' (line 5)"),
+        (["kind = pacbayes", "[params]", "n_grid = 0, 10"],
+         "params.n_grid: must be integers >= 1, got '0, 10' (line 5)"),
+        (["kind = recursive", "[params]", "m = 0"],
+         "params.m: must be >= 1, got '0' (line 5)"),
+        (["kind = recursive", "[params]", "t_max = 0"],
+         "params.t_max: must be >= 1, got '0' (line 5)"),
         (["[environment]", "kind = bernoulli", "means = 0.5", "[policy e]",
           "kind = exp3"],
          "policy e.kind: exp3 needs >= 2 arms, got K = 1 (line 7)"),
@@ -518,19 +545,21 @@ class TestCli:
          "policy u: section not used by bounds experiments (line 4)"),
     ], ids=["experiment", "experiment_parse", "params", "params_range",
             "policy", "policy_kind", "environment_k", "environment_k_grid",
-            "environment_means", "params_means", "environment_gap",
+            "environment_k_grid_repeated", "environment_means", "params_means",
+            "environment_gap",
             "breaker_parametrization", "breaker_k", "breaker_T", "ftl_T",
             "epsilon_first_K", "policy_unknown_key", "environment_unknown_key",
             "params_unknown_key", "ucb1_parametrization", "epsilon_first_gap",
-            "params_n", "exp3_K", "feedback", "params_in_game",
-            "environment_in_bounds", "policy_in_bounds"])
+            "params_n", "experiment_T", "pacbayes_m", "pacbayes_n_grid",
+            "recursive_m", "recursive_t_max", "exp3_K", "feedback",
+            "params_in_game", "environment_in_bounds", "policy_in_bounds"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
                                           message):
         config = tmp_path / "bad.cfg"
         config.write_text("\n".join(["[experiment]", "name = bad", *lines])
                           + "\n")
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert_config_error(capsys.readouterr().err, message)
 
     @pytest.mark.parametrize("policy, message", [
         (["kind = hedge", "eta = -1"],
@@ -575,37 +604,67 @@ class TestCli:
             "kind = bernoulli", "means = 0.2, 0.8", "[policy p]", *policy])
             + "\n")
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert_config_error(capsys.readouterr().err, message)
         assert not (tmp_path / "bad.csv").exists()
 
-    def test_section_and_override_errors_name_no_line(self, tmp_path, capsys):
-        # a missing key has no line, and an override replaces the file's
-        # value, so neither error may point at the file
-        config = tmp_path / "tiny.cfg"
-        config.write_text("\n".join(MINIMAL_GAME) + "\n")
-        assert main(["run", str(config), "--reps", "0"]) == 2
-        assert capsys.readouterr().err == (
-            "config error: experiment.R: must be >= 1, got 0\n")
-        config.write_text("\n".join(MINIMAL_GAME[:6] + ["kind = bernoulli"]
-                                    + MINIMAL_GAME[8:]) + "\n")
-        assert main(["run", str(config)]) == 2
-        assert capsys.readouterr().err == (
-            "config error: environment.means: required for bernoulli\n")
+    @pytest.mark.parametrize("lines, message", [
+        (MINIMAL_GAME[:6] + ["kind = bernoulli"] + MINIMAL_GAME[8:],
+         "environment.means: required for bernoulli"),
+        (["[experiment]", "name = rec", "kind = recursive", "[params]",
+          "t_max = 12"],
+         "params.n: must be >= 2**(params.t_max - 1) = 2048 for "
+         "params.t_max = 12, got '1000'"),
+    ], ids=["missing_key", "default_value"])
+    def test_fields_not_in_the_file_name_no_line(self, tmp_path, capsys, lines,
+                                                 message):
+        # a missing key and a default have no line, so the error may not
+        # point at the file; a default passes the same check as a line
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        assert_config_error(capsys.readouterr().err, message)
 
     @pytest.mark.parametrize("argv, message", [
-        (["replay", "--log", "missing.log", "--policy", "ucb1", "--mode", "iw",
-          "--seed", "-1"], "--seed: must be a 64-bit integer, got -1"),
+        (["run", "tiny.cfg", "--reps", "0"],
+         "experiment.R: must be >= 1, got '0' (--reps)"),
+        (["run", "tiny.cfg", "--reps", "abc"],
+         "experiment.R: cannot parse 'abc' as int (--reps)"),
+        (["run", "tiny.cfg", "--seed", "-1"],
+         "experiment.seed: must be in [0, 2**64), got '-1' (--seed)"),
+        (["run", "tiny.cfg", "--seed", str(2 ** 64)],
+         f"experiment.seed: must be in [0, 2**64), got '{2 ** 64}' (--seed)"),
         (["bounds-compare", "--n", "1"],
-         "params.n: cannot parse '1' as int >= 2 (--n)"),
+         "params.n: must be >= 2, got '1' (--n)"),
         (["bounds-compare", "--grid", "1"],
-         "params.grid: cannot parse '1' as int >= 2 (--grid)"),
-    ], ids=["replay_seed", "bounds_n", "bounds_grid"])
-    def test_option_errors_name_the_option(self, tmp_path, capsys, argv,
-                                           message):
-        assert main([*argv, *(["--out", str(tmp_path)]
-                              if argv[0] == "bounds-compare" else [])]) == 2
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not list(tmp_path.iterdir())
+         "params.grid: must be >= 2, got '1' (--grid)"),
+        (["bounds-compare", "--delta", "1.5"],
+         "experiment.delta: must be in (0, 1), got '1.5' (--delta)"),
+        (["bounds-compare", "--delta", "abc"],
+         "experiment.delta: cannot parse 'abc' as float (--delta)"),
+        (["replay", "--log", "missing.log", "--policy", "ucb1", "--mode", "iw",
+          "--seed", "-1"],
+         "replay.seed: must be in [0, 2**64), got '-1' (--seed)"),
+        (["replay", "--log", "demo.log", "--policy", "fixed:9", "--mode", "iw"],
+         "replay.arm: must be in [0, 4), got '9' (--policy)"),
+        (["replay", "--log", "demo.log", "--policy", "fixed:x", "--mode", "rs"],
+         "replay.arm: cannot parse 'x' as int (--policy)"),
+    ], ids=["run_reps", "run_reps_parse", "run_seed", "run_seed_64_bits",
+            "bounds_n", "bounds_grid", "bounds_delta", "bounds_delta_parse",
+            "replay_seed", "replay_arm", "replay_arm_parse"])
+    def test_option_errors_name_the_option(self, tmp_path, monkeypatch, capsys,
+                                           argv, message):
+        # an option replaces the file's line, so its error names the option;
+        # every command writes to the working directory unless told otherwise
+        from boundslab.environments import synthesize_uniform_log, write_log
+
+        monkeypatch.chdir(tmp_path)
+        Path("tiny.cfg").write_text("\n".join(MINIMAL_GAME) + "\n")
+        write_log("demo.log", 4, synthesize_uniform_log([0.2, 0.5, 0.8, 0.3],
+                                                        50, 12))
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert_config_error(capsys.readouterr().err, message)
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_bounds_compare_command(self, tmp_path):
         assert main(["bounds-compare", "--n", "200", "--delta", "0.05",
@@ -692,14 +751,32 @@ def _preset_pins():
             for name, hashes in workload.items() if "csv" in hashes}
 
 
+def _assert_pinned(out_dir: Path, preset: str) -> None:
+    for artifact, digest in _preset_pins()[preset].items():
+        written = (out_dir / f"{preset}.{artifact}").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, artifact
+
+
 @pytest.mark.parametrize("preset", sorted(_preset_pins()))
 def test_preset_bytes_match_pins(preset, tmp_path):
     """``lab run <preset> --plot`` writes the pinned CSV and SVG bytes, so a
     change that moves any output digit fails here."""
     assert main(["run", preset, "--out", str(tmp_path), "--plot"]) == 0
-    for artifact, digest in _preset_pins()[preset].items():
-        written = (tmp_path / f"{preset}.{artifact}").read_bytes()
-        assert hashlib.sha256(written).hexdigest() == digest, artifact
+    _assert_pinned(tmp_path, preset)
+
+
+@pytest.mark.parametrize("argv, preset", [
+    (["bounds-compare"], "bounds_compare"),
+    (["run", "hedge_vs_ftl", "--seed", "1", "--reps", "10", "--plot"],
+     "hedge_vs_ftl"),
+], ids=["bounds_compare_defaults", "hedge_vs_ftl_overrides"])
+def test_options_read_as_their_lines(argv, preset, tmp_path):
+    """Options that give a preset's own values write the preset's pinned
+    bytes: ``bounds-compare``'s defaults are ``bounds_compare.cfg``'s lines,
+    and ``--seed 1 --reps 10`` are ``hedge_vs_ftl.cfg``'s, so an option and
+    a file line are read the same way."""
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    _assert_pinned(tmp_path, preset)
 
 
 def test_bound_presets_match_pins_under_baseline_cpu_dispatch(tmp_path):

@@ -467,3 +467,66 @@ class TestRecursive:
         threshold = coverage_threshold(0.05, 120)
         for name, rate in rates.items():
             assert rate <= threshold, f"{name} violated validity: {rate}"
+
+
+def _delta_calls():
+    """{name: call(delta)} for every public function and class of the bound
+    modules that takes ``delta``, each with valid other arguments."""
+    from boundslab import concentration as c
+
+    table = LossTable([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    pi = ProbVec([0.5, 0.5])
+    sample = c.Sample.unit([0.0, 0.5, 1.0, 0.25])
+    return {
+        "LambdaGrid.default": lambda d: LambdaGrid.default(100, d, 1.0),
+        "hoeffding_radius": lambda d: c.hoeffding_radius(100, d),
+        "hoeffding_solve_n": lambda d: c.hoeffding_solve_n(0.1, d),
+        "hoeffding_mean_bound": lambda d: c.hoeffding_mean_bound(0.5, 100, d),
+        "kl_mean_bound": lambda d: c.kl_mean_bound(0.5, 100, d),
+        "split_kl_mean_bound": lambda d: c.split_kl_mean_bound(
+            sample, SplitGrid([0.0, 0.5, 1.0]), d),
+        "bernstein_mean_bound": lambda d: c.bernstein_mean_bound(
+            0.5, 0.1, 1.0, 100, d),
+        "empirical_bernstein_mean_bound":
+            lambda d: c.empirical_bernstein_mean_bound(sample, d),
+        "unexpected_bernstein_mean_bound":
+            lambda d: c.unexpected_bernstein_mean_bound(sample, d),
+        "PacBayesQuery": lambda d: PacBayesQuery(pi, pi, 4, d),
+        "occam_bound": lambda d: occam_bound(table, pi, d),
+        "optimal_lambda": lambda d: optimal_lambda(0.3, 0.1, 100, d),
+        "alternating_minimize": lambda d: alternating_minimize(pi, table, d),
+        "recursive_pb": lambda d: recursive_pb(table, d, 2),
+    }
+
+
+def test_every_delta_taker_is_listed():
+    """The table below covers every public function, method and class of
+    the bound modules with a ``delta`` parameter; ``BoundResult`` only
+    records the delta of a bound already computed."""
+    import inspect
+
+    from boundslab import concentration, pac_bayes
+
+    found = set()
+    for module in (concentration, pac_bayes):
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or obj.__module__ != module.__name__):
+                continue
+            if "delta" in inspect.signature(obj).parameters:
+                found.add(name)
+            for attr, member in vars(obj).items() if inspect.isclass(obj) else ():
+                member = getattr(member, "__func__", member)
+                if (not attr.startswith("_") and inspect.isfunction(member)
+                        and "delta" in inspect.signature(member).parameters):
+                    found.add(f"{name}.{attr}")
+    assert found - {"BoundResult"} == set(_delta_calls())
+
+
+@pytest.mark.parametrize("name", sorted(_delta_calls()))
+@pytest.mark.parametrize("delta", [0.0, 1.0, -0.1, math.nan])
+def test_every_delta_taker_rejects_delta_outside_0_1(name, delta):
+    call = _delta_calls()[name]
+    call(0.05)
+    with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\), got "):
+        call(delta)
