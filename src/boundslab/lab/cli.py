@@ -90,21 +90,22 @@ def _read_option(raw: str, kind, path: str, option: str, **check):
 
 
 def _replay_policy(spec: str, K: int, mode: str):
-    """The ``--policy`` choice (ucb1 | exp3 | fixed:<arm>) as a fresh policy;
-    the arm is the field ``replay.arm``.  Under importance weighting a payoff
-    can reach K, so UCB1 widens its radius to that range."""
+    """The ``--policy`` choice (ucb1 | exp3 | fixed:<arm>), read as the field
+    ``replay.policy``, as a fresh policy; the arm is the field
+    ``replay.arm``.  Under importance weighting a payoff can reach K, so UCB1
+    widens its radius to that range."""
     from boundslab.online_policies import EXP3Policy, FixedPolicy, UCB1Policy
 
-    if spec == "ucb1":
-        return UCB1Policy(K, parametrization="improved",
-                          reward_range=K if mode == "iw" else 1.0)
-    if spec == "exp3":
-        return EXP3Policy(K)
     if spec.startswith("fixed:"):
         return FixedPolicy(K, arm=_read_option(
             spec[len("fixed:"):], int, "replay.arm", "--policy",
             ok=lambda arm: 0 <= arm < K, want=f"in [0, {K})"))
-    raise ConfigError(f"--policy: unknown replay policy {spec!r}")
+    kind = _read_option(spec, ("ucb1", "exp3", "fixed:<arm>"),
+                        "replay.policy", "--policy")
+    if kind == "ucb1":
+        return UCB1Policy(K, parametrization="improved",
+                          reward_range=K if mode == "iw" else 1.0)
+    return EXP3Policy(K)
 
 
 def _cmd_replay(args) -> int:

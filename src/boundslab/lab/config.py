@@ -11,6 +11,7 @@ as <type>``, then ``(line N)`` or ``(--option)`` when the field has one.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 
@@ -39,6 +40,12 @@ def at_least(floor: int) -> dict:
 
 
 SEED = {"ok": lambda seed: 0 <= seed < 2 ** 64, "want": "in [0, 2**64)"}
+
+# The outputs are written as ``<name>.csv`` and ``<name>.svg`` in one
+# directory, so a name is one non-empty path component.
+FILE_NAME = {"ok": lambda name: (name != "" and "\0" not in name
+                                 and os.path.basename(name) == name),
+             "want": "a file name"}
 
 
 @dataclass
@@ -173,7 +180,8 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
                 sections[section][key], sources[path] = raw, option
         exp = Section("experiment", sections.pop("experiment"))
         config = ExperimentConfig(
-            name=exp.read("name", required="for every experiment"),
+            name=exp.read("name", required="for every experiment",
+                          **FILE_NAME),
             kind=exp.read("kind", ("game", "bounds", "pacbayes", "recursive",
                                    "replay"), "game"),
             T=exp.read("T", int, "1000", **at_least(1)),
@@ -196,7 +204,12 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
                 raise ConfigError(f"{name}: section not used by {config.kind} "
                                   f"experiments", name)
             if section == "policy":
-                config.policies.append((name[len("policy "):], raw))
+                # a label is a series name, and a CSV row splits at ","
+                label = name[len("policy "):]
+                if "," in label:
+                    raise ConfigError(f"{name}: must be a label without ',', "
+                                      f"got {label!r}", name)
+                config.policies.append((label, raw))
         if config.kind == "game" and not config.policies:
             raise ConfigError("game experiments need at least one [policy] section")
     except ConfigError as exc:

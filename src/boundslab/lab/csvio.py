@@ -48,15 +48,15 @@ def aggregate(name: str, runs, t=None) -> AggregateTrace:
 def emit_csv(traces, path) -> None:
     """Write traces (iterable of AggregateTrace, order preserved) to a CSV
     file under the byte-level contract above, one series at a time so only
-    that series' rows are held as text.  ``tolist`` gives Python floats, so
-    each value is formatted in place."""
+    that series' rows are held as text.  ``tolist`` gives Python numbers, and
+    each row is one ``%`` template, the series name in it with ``%``
+    doubled: ``%d`` and ``%.12g`` print what ``int`` and ``f"{x:.12g}"`` do."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(HEADER + "\n")
         for trace in traces:
-            handle.write("".join(
-                f"{int(t)},{trace.name},{m:.12g},{s:.12g}\n"
-                for t, m, s in zip(trace.t.tolist(), trace.mean.tolist(),
-                                   trace.std.tolist())))
+            row = "%d," + trace.name.replace("%", "%%") + ",%.12g,%.12g\n"
+            handle.write("".join(map(row.__mod__, zip(
+                trace.t.tolist(), trace.mean.tolist(), trace.std.tolist()))))
 
 
 def parse_csv(path) -> list[AggregateTrace]:

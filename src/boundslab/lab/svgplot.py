@@ -4,12 +4,15 @@ Style (fixed, presentation-only): one solid polyline per series mean, one
 dashed polyline at mean + one standard deviation, five axis ticks per axis,
 and a legend on the right.  Identical inputs produce identical bytes; series
 longer than MAX_POINTS are downsampled with a uniform stride (the final
-point is always kept).
+point is always kept).  The title, legend and axis labels are written as
+XML character data, so a series named ``a<b&c`` reads back as that name.
 """
 from __future__ import annotations
 
 import math
 from itertools import chain
+
+import numpy as np
 
 MAX_POINTS = 2000
 
@@ -23,14 +26,16 @@ PALETTE = (
 
 
 def _downsample(xs, ys):
+    """The arrays ``xs`` and ``ys``, cut to every ``stride``-th point when
+    there are more than MAX_POINTS; the final point is kept."""
     n = len(xs)
     if n <= MAX_POINTS:
-        return list(xs), list(ys)
+        return xs, ys
     stride = math.ceil(n / MAX_POINTS)
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)
-    return [xs[i] for i in idx], [ys[i] for i in idx]
+    return xs[idx], ys[idx]
 
 
 def _ticks(low, high, count=5):
@@ -55,6 +60,23 @@ def _fmt(x):
     return f"{x:.2f}"
 
 
+# One polyline point: "%.2f" prints what ``_fmt`` does.
+_POINT = "%.2f,%.2f"
+
+
+def _scale(v, low, high, start, length):
+    """The pixel of ``v`` when [low, high] spans ``length`` pixels from
+    ``start``.  ``v`` may be a float or a float64 array: numpy rounds each
+    step of an array as Python rounds it on a float, so both give the same
+    pixels."""
+    return start + (v - low) / (high - low) * length
+
+
+def _escape(text):
+    """``text`` as XML character data: ``&``, ``<`` and ``>`` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
     """Render the traces to a standalone SVG file.  A trace with no point
     (a replay's RS series when one repetition accepted no record) keeps its
@@ -69,6 +91,9 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
     y_min, y_max = _y_range(drawn)
     if y_max == y_min:
         y_min, y_max = y_min - 1.0, y_max + 1.0
+    if y_max == y_min and math.isfinite(y_min):  # past 2**53, 1.0 rounds away
+        y_min, y_max = math.nextafter(y_min, -math.inf), math.nextafter(
+            y_max, math.inf)
     if x_max == x_min:
         x_max = x_min + 1.0
 
@@ -76,10 +101,10 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def sx(x):
-        return MARGIN_LEFT + (x - x_min) / (x_max - x_min) * plot_w
+        return _scale(x, x_min, x_max, MARGIN_LEFT, plot_w)
 
-    def sy(y):
-        return MARGIN_TOP + plot_h - (y - y_min) / (y_max - y_min) * plot_h
+    def sy(y):  # upwards from the bottom; a + b * -c is a - b * c exactly
+        return _scale(y, y_min, y_max, MARGIN_TOP + plot_h, -plot_h)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -96,14 +121,16 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
     if title:
         parts.append(
             f'<text x="{WIDTH // 2}" y="25" text-anchor="middle" '
-            f'font-family="monospace" font-size="16">{title}</text>')
+            f'font-family="monospace" font-size="16">{_escape(title)}</text>')
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="monospace" font-size="13">{xlabel}</text>')
+        f'text-anchor="middle" font-family="monospace" font-size="13">'
+        f'{_escape(xlabel)}</text>')
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="monospace" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{ylabel}</text>')
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">'
+        f'{_escape(ylabel)}</text>')
 
     for x in _ticks(x_min, x_max):
         px = sx(x)
@@ -125,13 +152,13 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
     for i, tr in enumerate(traces):
         color = PALETTE[i % len(PALETTE)]
         if len(tr.t):
-            ts = tr.t.tolist()
-            xs, means = _downsample(ts, tr.mean.tolist())
-            _, bands = _downsample(ts, (tr.mean + tr.std).tolist())
-            mean_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
-                                for x, y in zip(xs, means))
-            band_pts = " ".join(f"{_fmt(sx(float(x)))},{_fmt(sy(y))}"
-                                for x, y in zip(xs, bands))
+            xs, means = _downsample(tr.t, tr.mean)
+            _, bands = _downsample(tr.t, tr.mean + tr.std)
+            with np.errstate(all="ignore"):  # as on floats: NaN, inf pass
+                pxs = sx(xs.astype(float)).tolist()
+                mean_ys, band_ys = sy(means).tolist(), sy(bands).tolist()
+            mean_pts = " ".join(map(_POINT.__mod__, zip(pxs, mean_ys)))
+            band_pts = " ".join(map(_POINT.__mod__, zip(pxs, band_ys)))
             parts.append(f'<polyline points="{mean_pts}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
             parts.append(f'<polyline points="{band_pts}" fill="none" '
@@ -142,7 +169,7 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
         parts.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{lx + 32}" y="{ly + 4}" font-family="monospace" '
-                     f'font-size="12">{tr.name}</text>')
+                     f'font-size="12">{_escape(tr.name)}</text>')
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

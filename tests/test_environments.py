@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,6 +546,127 @@ class TestLogParsing:
         for name in ("actions", "rewards", "features"):
             assert getattr(got, name).dtype == getattr(want, name).dtype
             assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.integers(0, 300), K=st.integers(1, 10),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_digit_grid_equals_line_loop(self, tmp_path_factory, T, K, seed):
+        rng = np.random.default_rng(seed)
+        log = BanditLog(rng.integers(0, K, size=T), rng.integers(0, 2, size=T),
+                        rng.integers(0, 10, size=(T, 10)))
+        path = tmp_path_factory.mktemp("log") / "digits.log"
+        write_log(path, K, log)
+        with mock.patch.object(environments, "_scan_log",
+                               side_effect=AssertionError("took the loop")):
+            with open(path, "r", encoding="ascii") as handle:
+                K_grid, grid = parse_log(handle)
+        # splitlines drops the newlines, so these lines take the loop
+        with mock.patch.object(environments, "_scan_log",
+                               wraps=environments._scan_log) as scan:
+            K_loop, loop = parse_log(path.read_text().splitlines())
+        assert scan.called
+        assert K_grid == K_loop == K
+        for name in ("actions", "rewards", "features"):
+            got, want = getattr(grid, name), getattr(loop, name)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, getattr(log, name))
+
+    @pytest.mark.parametrize("edit, want", [
+        (lambda text: text.replace("\n", "\r\n"), (4, [])),
+        (lambda text: text[:-1], (4, [])),
+        (lambda text: "# a comment\n" + text, (4, [])),
+        (lambda text: text.replace("\n", "\n\n", 2), (4, [])),
+        (lambda text: text.replace("\n", "\n#" + "-" * 22 + "\n", 1), (4, [])),
+        (lambda text: text.replace("\n", "\n+", 1), (4, [])),
+        (lambda text: text.replace("\n", "\n" + "\t".join("0" * 12) + "\n",
+                                   1), (4, [[0] * 12])),
+        (lambda text: text.replace("K=4", "K=11", 1).replace(
+            "\n", "\n10 1 0 0 0 0 0 0 0 0 0 0\n", 1), (11, [[10, 1] + [0] * 10])),
+        (lambda text: text.replace("\n", "\n5 0 0 0 0 0 0 0 0 0 0 0\n", 1),
+         "line 2: action 5 outside [0, 4)"),
+        (lambda text: text.replace("\n", "\n0 2 0 0 0 0 0 0 0 0 0 0\n", 1),
+         "line 2: reward must be 0 or 1, got 2"),
+        (lambda text: text.replace("K=4", "K=0", 1), "line 1: K must be positive"),
+        (lambda text: "K=0\n", "line 1: K must be positive"),
+        (lambda text: text.replace("\n", "\n0 1 0 0 0 0 0 0 0 0 0 x\n", 1),
+         "line 2: non-integer token in record '0 1 0 0 0 0 0 0 0 0 0 x'"),
+        (lambda text: text.replace("\n", "\n1 0 0 0 0 0 0 0 0 0 00\n", 1),
+         "line 2: expected 12 fields, got 11: '1 0 0 0 0 0 0 0 0 0 00'"),
+    ], ids=["crlf", "no_final_newline", "leading_comment", "blank_line",
+            "comment_of_24", "plus_token", "tabs", "two_digit_action",
+            "bad_action", "bad_reward", "zero_K", "zero_K_no_records", "letter",
+            "field_count"])
+    def test_near_miss_layouts_take_the_line_loop(self, tmp_path, edit, want):
+        """``want`` is the error message, or K and the records the edit puts
+        before the written ones."""
+        log = synthesize_uniform_log([0.2, 0.5, 0.8, 0.3], T=8, seed=5)
+        path = tmp_path / "near.log"
+        write_log(path, 4, log)
+        path.write_bytes(edit(path.read_text()).encode("ascii"))
+        # newline="" keeps each line's CRLF as written
+        with mock.patch.object(environments, "_scan_log",
+                               wraps=environments._scan_log) as scan, \
+                open(path, "r", encoding="ascii", newline="") as handle:
+            if isinstance(want, str):
+                with pytest.raises(ValueError) as info:
+                    parse_log(handle)
+                assert str(info.value) == want
+            else:
+                K, parsed = parse_log(handle)
+        assert scan.called
+        if isinstance(want, str):
+            return
+        rows = np.array(want[1] + np.column_stack(
+            (log.actions, log.rewards, log.features)).tolist(), dtype=np.int64)
+        assert K == want[0]
+        assert np.array_equal(parsed.actions, rows[:, 0])
+        assert np.array_equal(parsed.rewards, rows[:, 1])
+        assert np.array_equal(parsed.features, rows[:, 2:])
+
+    @pytest.mark.parametrize("lines, raised", [
+        ([], UnicodeDecodeError),
+        (["K=x\n"], "line 1: expected 'K=<int>' header"),
+        (["K=4\n", "1 0\n"], "line 2: expected 12 fields, got 2: '1 0'"),
+        (["K=4\n", "1 0 0 0 0 0 0 0 0 0 0 0\n", "4 0 0 0 0 0 0 0 0 0 0 0\n"],
+         "line 3: action 4 outside [0, 4)"),
+        (["K=4\n", "1 0 0 0 0 0 0 0 0 0 0 0\n", "3 1 0 0 0 0 0 0 0 0 0 9\n"],
+         UnicodeDecodeError),
+    ], ids=["before_header", "after_bad_header", "after_field_count",
+            "after_bad_record", "after_good_records"])
+    def test_read_error_order(self, lines, raised):
+        def handle():
+            yield from lines
+            raise UnicodeDecodeError("ascii", b"\xff", 0, 1, "bad byte")
+        if raised is UnicodeDecodeError:
+            with pytest.raises(UnicodeDecodeError, match="bad byte"):
+                parse_log(handle())
+        else:
+            with pytest.raises(ValueError) as info:
+                parse_log(handle())
+            assert not isinstance(info.value, UnicodeDecodeError)
+            assert str(info.value) == raised
+
+    @pytest.mark.parametrize("bad_record", [False, True])
+    def test_undecodable_byte_after_a_full_buffer(self, tmp_path, bad_record):
+        # the handle decodes the first 8192 bytes and yields their lines
+        # before the byte it cannot decode raises
+        log = synthesize_uniform_log([0.5] * 4, T=500, seed=1)
+        path = tmp_path / "tail.log"
+        write_log(path, 4, log)
+        text = path.read_bytes()
+        if bad_record:
+            text = text.replace(b"\n", b"\n7 0 0 0 0 0 0 0 0 0 0 0\n", 1)
+        path.write_bytes(text + b"\xff\n")
+        with open(path, "r", encoding="ascii") as handle:
+            if bad_record:
+                with pytest.raises(ValueError,
+                                   match=r"^line 2: action 7 outside \[0, 4\)$"):
+                    parse_log(handle)
+            else:
+                with pytest.raises(UnicodeDecodeError):
+                    parse_log(handle)
 
     def test_missing_header(self):
         with pytest.raises(ValueError, match="line 1: expected 'K=<int>'"):

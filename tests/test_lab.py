@@ -6,10 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from boundslab.lab.cli import main, preset_names, resolve_config
 from boundslab.lab.config import (
@@ -21,7 +24,10 @@ from boundslab.lab.csvio import AggregateTrace, aggregate, emit_csv, parse_csv
 from boundslab.lab.runner import run_experiment
 from boundslab.lab.svgplot import (
     MAX_POINTS,
+    _POINT,
     _downsample,
+    _fmt,
+    _scale,
     _y_range,
     render_plot,
 )
@@ -52,6 +58,18 @@ MINIMAL_GAME = [
     "[policy exp3]",
     "kind = exp3",
 ]
+
+
+# Floats at the edges of the formats: NaN, infinities, signed zeros,
+# subnormals and integers past 2**53.
+EDGE_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e16,
+     -1e16, 123456789012.5, 0.005, 0.015, 2.675])
+# Series names as a label may be: any text but ",", line breaks and lone
+# surrogates, with "%" often.
+NAMES = st.text(st.characters(blacklist_characters=",\r\n",
+                              blacklist_categories=("Cs",)), max_size=8) | (
+    st.sampled_from(["h%d", "%", "%%s", "100%[K=2]"]))
 
 
 class TestConfigParsing:
@@ -300,6 +318,38 @@ class TestCsv:
         with pytest.raises(ValueError):
             AggregateTrace("x", [1], [0.0], [-0.1])
 
+    @settings(max_examples=60, deadline=None)
+    @given(name=NAMES, rows=st.lists(st.tuples(
+        st.integers(-2 ** 63, 2 ** 63 - 1), EDGE_FLOATS,
+        EDGE_FLOATS.map(abs) | st.just(-0.0)), max_size=20))
+    def test_rows_are_the_contract_f_strings(self, tmp_path_factory, name,
+                                             rows):
+        t, mean, std = (list(col) for col in zip(*rows)) if rows else ([],) * 3
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        emit_csv([AggregateTrace(name, np.array(t, dtype=np.int64), mean, std),
+                  AggregateTrace("tail", [3], [0.5], [0.0])], path)
+        want = "".join(f"{t},{series},{m:.12g},{s:.12g}\n" for series, t, m, s
+                       in [*((name, *row) for row in rows), ("tail", 3, 0.5, 0.0)])
+        assert path.read_bytes() == ("t,series,mean,std\n" + want).encode()
+
+    def test_game_series_named_with_percent(self, tmp_path):
+        traces = run_experiment(parse_config_lines(MINIMAL_GAME[:-2] + [
+            "[policy h%d]", "kind = hedge", "[policy 5%s]", "kind = ftl"]))
+        path = tmp_path / "percent.csv"
+        emit_csv(traces, path)
+        want = "".join(f"{t},{tr.name},{m:.12g},{s:.12g}\n" for tr in traces
+                       for t, m, s in zip(tr.t.tolist(), tr.mean.tolist(),
+                                          tr.std.tolist()))
+        assert [tr.name for tr in traces] == ["h%d", "5%s"]
+        assert path.read_text() == "t,series,mean,std\n" + want
+
+    def test_float_axis_is_written_as_int(self, tmp_path):
+        path = tmp_path / "axis.csv"
+        emit_csv([AggregateTrace("x", [2.7, -0.5, 1e16], [0.0] * 3,
+                                 [0.0] * 3)], path)
+        assert path.read_text().splitlines()[1:] == [
+            f"{int(t)},x,0,0" for t in (2.7, -0.5, 1e16)]
+
 
 class TestSvg:
     def test_constant_series_is_horizontal(self, tmp_path):
@@ -384,6 +434,73 @@ class TestSvg:
             with pytest.raises(ValueError, match="with a point"):
                 render_plot(traces, tmp_path / "none.svg")
             assert not (tmp_path / "none.svg").exists()
+
+    @settings(max_examples=200, deadline=None)
+    @given(EDGE_FLOATS, EDGE_FLOATS)
+    def test_point_template_is_the_contract_format(self, x, y):
+        assert _POINT % (x, y) == f"{_fmt(x)},{_fmt(y)}" == f"{x:.2f},{y:.2f}"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(EDGE_FLOATS, min_size=1, max_size=8), EDGE_FLOATS,
+           EDGE_FLOATS, st.sampled_from([(75, 565), (385, -330)]))
+    def test_scale_on_an_array_rounds_as_on_floats(self, values, low, high,
+                                                   axis):
+        assume(high != low)  # render_plot widens an empty range
+        with np.errstate(all="ignore"):
+            got = _scale(np.array(values), low, high, *axis).tolist()
+        want = [_scale(v, low, high, *axis) for v in values]
+        assert list(map(_fmt, got)) == list(map(_fmt, want))
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(EDGE_FLOATS, min_size=1, max_size=12))
+    def test_points_at_the_float_edges_warn_nothing(self, tmp_path_factory,
+                                                    means):
+        trace = AggregateTrace("s", np.arange(1, len(means) + 1), means,
+                               [0.0] * len(means))
+        path = tmp_path_factory.mktemp("svg") / "edges.svg"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            render_plot([trace], path)
+        polylines = ET.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}polyline")
+        for line in polylines:
+            points = line.get("points").split(" ")
+            assert len(points) == len(means)
+            assert all(re.fullmatch(r"(-?\d+\.\d\d|nan|-?inf),"
+                                    r"(-?\d+\.\d\d|nan|-?inf)", p)
+                       for p in points), points
+
+    @pytest.mark.parametrize("value", [1e16, -2.0 ** 60, 1.7e308])
+    def test_constant_series_past_2_53_is_drawn(self, tmp_path, value):
+        # y +- 1.0 rounds back to y there, which divided by a zero range
+        trace = AggregateTrace("big", [1, 2, 3], [value] * 3, [0.0] * 3)
+        render_plot([trace], tmp_path / "big.svg")
+        points = ET.parse(tmp_path / "big.svg").getroot().find(
+            "{http://www.w3.org/2000/svg}polyline").get("points")
+        assert len({p.split(",")[1] for p in points.split(" ")}) == 1
+
+    def test_text_is_escaped(self, tmp_path):
+        config = tmp_path / "esc.cfg"
+        config.write_text("\n".join([
+            "[experiment]", "name = x&y<z>", "T = 20", "R = 2",
+            "[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+            "[policy a<b&c]", "kind = exp3", "[policy plain]", "kind = ucb1",
+        ]) + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path), "--plot"]) == 0
+        root = ET.parse(tmp_path / "x&y<z>.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "x&y<z>"  # the title
+        assert texts[-2:] == ["a<b&c", "plain"]  # the legend
+        assert parse_csv(tmp_path / "x&y<z>.csv")[0].name == "a<b&c"
+
+    def test_axis_labels_are_escaped(self, tmp_path):
+        trace = AggregateTrace("s", [1, 2], [0.0, 1.0], [0.0, 0.0])
+        render_plot([trace], tmp_path / "l.svg", xlabel="t < T",
+                    ylabel="R&D >")
+        texts = [el.text for el in ET.parse(tmp_path / "l.svg").getroot()]
+        assert "t < T" in texts and "R&D >" in texts
 
     def test_downsampling_cap(self):
         xs = np.arange(10000)
@@ -543,6 +660,12 @@ class TestCli:
          "environment: section not used by bounds experiments (line 4)"),
         (["kind = bounds", "[policy u]", "kind = ucb1"],
          "policy u: section not used by bounds experiments (line 4)"),
+        (["name = sub/x"],
+         "experiment.name: must be a file name, got 'sub/x' (line 2)"),
+        (["name ="], "experiment.name: must be a file name, got '' (line 2)"),
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy h,x]", "kind = hedge"],
+         "policy h,x: must be a label without ',', got 'h,x' (line 6)"),
     ], ids=["experiment", "experiment_parse", "params", "params_range",
             "policy", "policy_kind", "environment_k", "environment_k_grid",
             "environment_k_grid_repeated", "environment_means", "params_means",
@@ -552,14 +675,17 @@ class TestCli:
             "params_unknown_key", "ucb1_parametrization", "epsilon_first_gap",
             "params_n", "experiment_T", "pacbayes_m", "pacbayes_n_grid",
             "recursive_m", "recursive_t_max", "exp3_K", "feedback",
-            "params_in_game", "environment_in_bounds", "policy_in_bounds"])
+            "params_in_game", "environment_in_bounds", "policy_in_bounds",
+            "name_path", "name_empty", "policy_label_comma"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
                                           message):
+        # a row that sets the name replaces the default "name = bad"
+        name = [] if lines[0].startswith("name") else ["name = bad"]
         config = tmp_path / "bad.cfg"
-        config.write_text("\n".join(["[experiment]", "name = bad", *lines])
-                          + "\n")
+        config.write_text("\n".join(["[experiment]", *name, *lines]) + "\n")
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert_config_error(capsys.readouterr().err, message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
     @pytest.mark.parametrize("policy, message", [
         (["kind = hedge", "eta = -1"],
@@ -648,9 +774,12 @@ class TestCli:
          "replay.arm: must be in [0, 4), got '9' (--policy)"),
         (["replay", "--log", "demo.log", "--policy", "fixed:x", "--mode", "rs"],
          "replay.arm: cannot parse 'x' as int (--policy)"),
+        (["replay", "--log", "demo.log", "--policy", "greedy", "--mode", "iw"],
+         "replay.policy: unknown policy 'greedy', expected one of ucb1, exp3, "
+         "fixed:<arm> (--policy)"),
     ], ids=["run_reps", "run_reps_parse", "run_seed", "run_seed_64_bits",
             "bounds_n", "bounds_grid", "bounds_delta", "bounds_delta_parse",
-            "replay_seed", "replay_arm", "replay_arm_parse"])
+            "replay_seed", "replay_arm", "replay_arm_parse", "replay_policy"])
     def test_option_errors_name_the_option(self, tmp_path, monkeypatch, capsys,
                                            argv, message):
         # an option replaces the file's line, so its error names the option;
