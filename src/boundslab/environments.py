@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -211,42 +212,41 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
     lines and '#'-prefixed comment lines are skipped.  The first malformed
     line raises a ValueError that names it.
 
-    The lines are read first.  A log in exactly ``write_log``'s digit layout
-    is read by ``_read_digit_table`` as one byte grid.  Any other log goes
+    When the first line is exactly "K=<ASCII digits>\n" with K >= 1, the
+    lines are collected and a log in exactly ``write_log``'s digit layout is
+    read by ``_read_digit_table`` as one byte grid.  Any other log goes
     through ``_scan_log``, a loop over lines that checks only the header and
-    the field counts; its records are converted to int64 in one call and
-    their actions and rewards checked as arrays.  When every token is one
-    ASCII digit that call is a byte subtraction on the tokens joined into one
-    buffer; otherwise it is Python's ``int`` on each token, which also reads
-    signs, underscores and non-ASCII digits.  Only when the check fails does
-    ``_first_bad_record`` go back over the records one by one to find the
-    line to name.  A line that cannot be read raises its OSError or
-    UnicodeDecodeError, unless a line before it is malformed."""
+    the field counts, and streams the lines when the first one is not such a
+    header.  Its records are converted to int64 in one numpy call, Python's
+    ``int`` on each token, which also reads signs, underscores and non-ASCII
+    digits, and their actions and rewards checked as arrays.  Only when the
+    check fails does ``_first_bad_record`` go back over the records one by
+    one to find the line to name.  A line that cannot be read raises its
+    OSError or UnicodeDecodeError, unless a line before it is malformed."""
+    lines = iter(lines)
     read = []
     try:
-        read.extend(lines)
+        read.extend(islice(lines, 1))
+        K = _layout_header(read[0]) if read else None
+        if K is not None:
+            read.extend(lines)  # the byte grid can still apply
     except (OSError, UnicodeDecodeError):
-        # a bad header or record before the unreadable line is named first
+        # a bad record before the unreadable line is named first
         K, _, linenos, records = _scan_log(read)
         _first_bad_record(K, linenos, records)
         raise
-    parsed = _read_digit_table(read)
-    if parsed is not None:
-        return parsed
-    K, tokens, linenos, records = _scan_log(read)
+    if K is not None:
+        parsed = _read_digit_table(K, read[1:])
+        if parsed is not None:
+            return parsed
+    K, tokens, linenos, records = _scan_log(chain(read, lines))
     if K is None:
         raise ValueError("log has no 'K=<int>' header")
-    digits = "".join(tokens)
-    if len(digits) == len(tokens) and digits.isascii() and digits.isdigit():
-        # every token is one ASCII digit: its value is its byte minus b"0"
-        table = (np.frombuffer(digits.encode("ascii"), dtype=np.uint8)
-                 - np.uint8(ord("0"))).astype(np.int64).reshape(-1, LOG_FIELDS)
-    else:
-        try:
-            # Python's int on each token, then a check that it fits 64 bits
-            table = np.array(tokens, dtype=np.int64).reshape(-1, LOG_FIELDS)
-        except (ValueError, OverflowError):
-            table = None
+    try:
+        # Python's int on each token, then a check that it fits 64 bits
+        table = np.array(tokens, dtype=np.int64).reshape(-1, LOG_FIELDS)
+    except (ValueError, OverflowError):
+        table = None
     # a negative int64 reads as a uint64 of at least 2**63, so one unsigned
     # comparison checks both ends of each range
     if (table is None or (table[:, 0].view(np.uint64) >= K).any()
@@ -257,36 +257,56 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
     return K, BanditLog(table[:, 0], table[:, 1], table[:, 2:])
 
 
-def _scan_log(lines: list[str]) -> tuple[int | None, list[str], list[int],
-                                          list[str]]:
+def _scan_log(lines: Iterable[str]) -> tuple[int | None, list[str],
+                                             list[int], list[str]]:
     """(K or None, tokens, line numbers, records) of ``parse_log``'s lines:
     the header is read and checked, comments and blank lines are skipped,
-    and a record with the wrong field count raises, once the records before
-    it have passed ``_first_bad_record``."""
+    and a record with the wrong field count or a line that cannot be read
+    raises, once the records before it have passed ``_first_bad_record``."""
     K = None
     tokens, linenos, records = [], [], []
-    for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if K is None:
-            line = raw.strip()
-            try:
-                K = int(line[2:] if line.startswith("K=") else "")
-            except ValueError:
-                raise ValueError(
-                    f"line {lineno}: expected 'K=<int>' header") from None
-            if K < 1:
-                raise ValueError(f"line {lineno}: K must be positive")
-            continue
-        if len(fields) != LOG_FIELDS:
-            _first_bad_record(K, linenos, records)
-            raise ValueError(f"line {lineno}: expected {LOG_FIELDS} fields, "
-                             f"got {len(fields)}: {raw.strip()!r}")
-        tokens += fields
-        linenos.append(lineno)
-        records.append(raw)
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if K is None:
+                line = raw.strip()
+                try:
+                    K = int(line[2:] if line.startswith("K=") else "")
+                except ValueError:
+                    raise ValueError(
+                        f"line {lineno}: expected 'K=<int>' header") from None
+                if K < 1:
+                    raise ValueError(f"line {lineno}: K must be positive")
+                continue
+            if len(fields) != LOG_FIELDS:
+                _first_bad_record(K, linenos, records)
+                raise ValueError(f"line {lineno}: expected {LOG_FIELDS} "
+                                 f"fields, got {len(fields)}: {raw.strip()!r}")
+            tokens += fields
+            linenos.append(lineno)
+            records.append(raw)
+    except (OSError, UnicodeDecodeError):
+        # a bad record before the unreadable line is named first
+        _first_bad_record(K, linenos, records)
+        raise
     return K, tokens, linenos, records
+
+
+def _layout_header(line) -> int | None:
+    """K of a "K=<ASCII digits>\n" header line with K >= 1, else None."""
+    if not isinstance(line, str):
+        return None
+    digits = line[2:-1]
+    if not (line.startswith("K=") and line.endswith("\n")
+            and digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        K = int(digits)
+    except ValueError:  # past int's digit limit it raises, as in the loop
+        return None
+    return K if K >= 1 else None
 
 
 # The bytes between the digits of a record in ``write_log``'s digit layout:
@@ -295,28 +315,21 @@ _DIGIT_SEPARATORS = np.frombuffer(b" " * (LOG_FIELDS - 1) + b"\n",
                                   dtype=np.uint8)
 
 
-def _read_digit_table(lines: list[str]) -> tuple[int, BanditLog] | None:
+def _read_digit_table(K: int, records: list[str]
+                      ) -> tuple[int, BanditLog] | None:
     """``parse_log``'s result, read as ``_digit_table`` writes it, when the
-    lines are exactly a "K=<ASCII digits>\\n" header with K >= 1 and then
-    records of 24 characters: twelve single ASCII digits, each followed by a
-    space or, the last, by a newline, with every action below K and every
-    reward 0 or 1.  Otherwise None, and ``parse_log`` takes its line loop."""
-    if not lines or not isinstance(lines[0], str):
-        return None
-    header, T = lines[0], len(lines) - 1
-    digits = header[2:-1]
-    if not (header.startswith("K=") and header.endswith("\n")
-            and digits.isascii() and digits.isdigit()):
-        return None
-    width = 2 * LOG_FIELDS + 1
+    records after a "K=<ASCII digits>\\n" header are all 24 characters:
+    twelve single ASCII digits, each followed by a space or, the last, by a
+    newline, with every action below K and every reward 0 or 1.  Otherwise
+    None, and ``parse_log`` takes its line loop."""
+    T, width = len(records), 2 * LOG_FIELDS + 1
     try:
-        K = int(digits)  # past int's digit limit it raises, as in the loop
         # each record, then a NUL: a line of any other length puts a NUL in
         # a column that must hold a digit or a separator
-        body = "\0".join(lines[1:] + [""])  # raises on a line not a str
-    except (ValueError, TypeError):
+        body = "\0".join(records + [""])
+    except TypeError:  # a line that is not a str
         return None
-    if K < 1 or not body.isascii() or len(body) != width * T:
+    if not body.isascii() or len(body) != width * T:
         return None
     grid = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(T, width)
     values = grid[:, :-1:2] - np.uint8(ord("0"))  # a byte below "0" wraps past 9

@@ -648,6 +648,24 @@ class TestLogParsing:
             assert not isinstance(info.value, UnicodeDecodeError)
             assert str(info.value) == raised
 
+    @pytest.mark.parametrize("head, message", [
+        (["t,policy,mean,std\n"], "line 1: expected 'K=<int>' header"),
+        (["# a comment\n", "K=x\n"], "line 2: expected 'K=<int>' header"),
+        (["K=4 \n", "1 0\n"], "line 2: expected 12 fields, got 2: '1 0'"),
+    ], ids=["csv", "comment_then_bad_header", "spaced_header"])
+    def test_loop_errors_come_before_the_rest_is_read(self, head, message):
+        # a first line that is not "K=<ASCII digits>\n" rules out the byte
+        # grid, so the lines stream through the loop as they are read
+        served = []
+        def handle():
+            for line in head + ["0 1 0 0 0 0 0 0 0 0 0 0\n"] * 1000:
+                served.append(line)
+                yield line
+        with pytest.raises(ValueError) as info:
+            parse_log(handle())
+        assert str(info.value) == message
+        assert len(served) == len(head)
+
     @pytest.mark.parametrize("bad_record", [False, True])
     def test_undecodable_byte_after_a_full_buffer(self, tmp_path, bad_record):
         # the handle decodes the first 8192 bytes and yields their lines
