@@ -10,6 +10,9 @@ depend on policy state beyond the chosen index at reveal time.
 """
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -28,8 +31,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # its memory, whatever the horizon.
 BLOCK_CELLS = 1 << 14
 
-# Rounds per block that ``BernoulliEnv.row`` keeps: 4 KiB at K = 2, small
-# enough that a series' envs held at once do not show in memory.
+# Rounds per block of Python rows that an env's ``row`` keeps: about 30 KiB
+# at K = 2, small enough that a series' envs held at once barely show in
+# memory.
 ROW_BLOCK = 256
 
 
@@ -87,13 +91,44 @@ class GameTranscript:
         return np.bincount(self.arms, minlength=K)
 
 
+def _row(self, t: int) -> list[float]:
+    """The K losses of round ``t``, as a fresh list of floats: changing it
+    changes no later read.  They are copied from a block of Python rows, the
+    ``ROW_BLOCK`` rounds from the multiple of ``ROW_BLOCK`` at or below t,
+    that the env's own ``blocks`` makes when t falls outside the block held.
+    A negative t, or one at or past the env's ``horizon``, raises a
+    ValueError."""
+    i = t - self._t0
+    if not 0 <= i < len(self._rows):
+        if not 0 <= t < self.horizon:
+            raise ValueError(f"round {t} outside [0, {self.horizon})")
+        t0 = t - t % ROW_BLOCK
+        t1 = min(t0 + ROW_BLOCK, self.horizon)
+        self._t0, self._rows = t0, type(self).blocks([self], t0, t1)[0].tolist()
+        i = t - t0
+    return self._rows[i][:]
+
+
+def _loss(self, t: int, a: int) -> float:
+    """Entry ``a`` of ``row(t)``; an arm outside [0, K) raises a
+    ValueError, as a round outside the horizon does."""
+    if not 0 <= a < self.K:
+        raise ValueError(f"arm {a} outside [0, {self.K})")
+    return self.row(t)[a]
+
+
 class BernoulliEnv:
     """Stochastic losses: each cell (t, a) is an independent Bernoulli draw
     with mean ``means[a]``, a function of (seed, t, a) alone, so that full
     and bandit runs over the same seed agree on every revealed entry and the
     reveal order never changes a value.  Every cell comes from one block
-    generator, ``blocks``: ``row`` and ``loss`` read a block of
-    ``ROW_BLOCK`` rounds held on the env, refilled when t falls outside it."""
+    generator, ``blocks``; ``row`` and ``loss`` are the ones ``MatrixEnv``
+    has, and read a block of rows that ``blocks`` makes.  There is no last
+    round."""
+
+    horizon = math.inf
+    # in each class's own namespace, where perfbench's tracer wraps them
+    row, loss = _row, _loss
 
     def __init__(self, means: Sequence[float], seed: int) -> None:
         means = [float(m) for m in means]
@@ -105,24 +140,7 @@ class BernoulliEnv:
         self.K = len(means)
         seed_bits = np.array([int(seed) & _MASK64], dtype=np.uint64)
         self._seed_state = int(_mix64_array(seed_bits)[0])
-        self._t0 = 0
-        self._block = np.empty((0, self.K))
-
-    def loss(self, t: int, a: int) -> float:
-        if not 0 <= a < self.K:
-            raise ValueError(f"arm {a} outside [0, {self.K})")
-        return self.row(t)[a]
-
-    def row(self, t: int) -> list[float]:
-        i = t - self._t0
-        if not 0 <= i < len(self._block):
-            if t < 0:
-                raise ValueError(f"round {t} is negative")
-            self._t0 = t - t % ROW_BLOCK
-            self._block = BernoulliEnv.blocks([self], self._t0,
-                                              self._t0 + ROW_BLOCK)[0]
-            i = t - self._t0
-        return self._block[i].tolist()
+        self._t0, self._rows = 0, []
 
     @staticmethod
     def blocks(envs: Sequence["BernoulliEnv"], t0: int, t1: int) -> np.ndarray:
@@ -140,7 +158,10 @@ class BernoulliEnv:
 
 class MatrixEnv:
     """Adversarial losses read from an explicit T x K matrix fixed before
-    play."""
+    play; ``horizon`` is T.  ``row`` and ``loss`` are the ones
+    ``BernoulliEnv`` has, and read a block of rows that ``blocks`` copies."""
+
+    row, loss = _row, _loss
 
     def __init__(self, matrix) -> None:
         matrix = np.asarray(matrix, dtype=float)
@@ -151,12 +172,7 @@ class MatrixEnv:
         self.matrix = matrix
         self.K = matrix.shape[1]
         self.horizon = matrix.shape[0]
-
-    def loss(self, t: int, a: int) -> float:
-        return float(self.matrix[t, a])
-
-    def row(self, t: int) -> list[float]:
-        return self.matrix[t].tolist()
+        self._t0, self._rows = 0, []
 
     @staticmethod
     def blocks(envs: Sequence["MatrixEnv"], t0: int, t1: int) -> np.ndarray:
@@ -423,35 +439,41 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     accounting is stored in ``detail`` and is recomputable from the matrix.
 
     ``policy.act(u)`` takes one uniform per round when ``policy.draws``
-    (Hedge) and None otherwise (FTL).  The uniforms are drawn from ``rng`` a
-    block of rounds at a time (``BLOCK_CELLS``), which gives the same
-    doubles and leaves ``rng`` in the same state as one draw per round.
+    (Hedge) and None otherwise (FTL).  A round is one ``act``, one
+    ``env.row`` and one ``observe``.  The game runs ``ROW_BLOCK`` rounds at
+    a time: the uniforms are drawn from ``rng`` per block, which gives the
+    same doubles and leaves ``rng`` in the same state as one draw per round,
+    and the block's rows are then added to the column sums, each column
+    left to right, as a running sum would.  The arms and incurred losses are
+    kept in lists and converted once, at the end.
     """
     if policy.draws and rng is None:
         raise ValueError("a policy that draws needs a random stream")
-    arms = np.empty(T, dtype=int)
-    incurred = np.empty(T)
+    act, row_of, observe = policy.act, env.row, policy.observe
+    arms, incurred = [], []
     column_sums = [0.0] * env.K
-    cumulative = 0.0
-    step = max(1, BLOCK_CELLS // env.K)
-    for t0 in range(0, T, step):
-        t1 = min(T, t0 + step)
+    for t0 in range(0, T, ROW_BLOCK):
+        t1 = min(T, t0 + ROW_BLOCK)
         uniforms = (rng.random(t1 - t0).tolist() if policy.draws
                     else [None] * (t1 - t0))
+        rows = []
         for t, u in zip(range(t0, t1), uniforms):
-            arm = policy.act(u)
-            row = env.row(t)
-            arms[t] = arm
-            incurred[t] = row[arm]
-            cumulative += row[arm]
-            column_sums = [c + v for c, v in zip(column_sums, row)]
-            policy.observe(row)
+            arms.append(act(u))
+            row = row_of(t)
+            rows.append(row)
+            observe(row)
+        incurred += map(operator.getitem, rows, arms[t0:t1])
+        column_sums = [functools.reduce(operator.add, column, total)
+                       for total, column in zip(column_sums, zip(*rows))]
     detail = {
         "feedback": "full",
         "column_sums": tuple(column_sums),
-        "final_regret": cumulative - min(column_sums),
+        # the running total, added left to right from 0.0
+        "final_regret": (functools.reduce(operator.add, incurred, 0.0)
+                         - min(column_sums)),
     }
-    return GameTranscript(arms, incurred, "loss", detail)
+    return GameTranscript(np.array(arms, dtype=int),
+                          np.array(incurred, dtype=float), "loss", detail)
 
 
 def play_bandit(policy, envs: Sequence, T: int,

@@ -62,16 +62,20 @@ class ExperimentConfig:
     params: dict
     # where each field (and section) was read from: {"params.n": "line 14"}
     sources: dict = field(repr=False, compare=False)
+    # the raw text of each [experiment] field, its default's when unset, for
+    # the checks another section's fields add: {"T": "03"}
+    texts: dict = field(repr=False, compare=False)
     policies: list = field(default_factory=list)  # (label, {key: value})
 
 
 class Section:
     """One section's raw ``key = value`` strings, read a field at a time:
-    ``read`` converts a value (see ``_convert``) and marks the key as
-    known; ``close`` rejects every key never read."""
+    ``read`` converts a value (see ``_convert``), marks the key as known
+    and keeps the text it read in ``texts``; ``close`` rejects every key
+    never read."""
 
     def __init__(self, name: str, raw: dict):
-        self.name, self.raw, self.known = name, raw, []
+        self.name, self.raw, self.known, self.texts = name, raw, [], {}
 
     def error(self, key: str, text: str) -> ConfigError:
         return ConfigError(f"{self.name}.{key}: {text}", f"{self.name}.{key}")
@@ -82,10 +86,12 @@ class Section:
         it passes the same check; else None, or ``required``'s error."""
         self.known.append(key)
         raw = self.raw.get(key, default)
-        if raw is None and required is not None:
-            raise self.error(key, f"required {required}")
-        return (None if raw is None
-                else _convert(raw, kind, f"{self.name}.{key}", ok, want))
+        if raw is None:
+            if required is not None:
+                raise self.error(key, f"required {required}")
+            return None
+        self.texts[key] = raw
+        return _convert(raw, kind, f"{self.name}.{key}", ok, want)
 
     def close(self) -> None:
         unread = [key for key in self.raw if key not in self.known]
@@ -193,6 +199,7 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
             environment=sections.get("environment", {}),
             params=sections.get("params", {}),
             sources=sources,
+            texts=exp.texts,
         )
         exp.close()
         uses = ("environment", "policy") if config.kind == "game" else ("params",)

@@ -118,11 +118,14 @@ def _oblivious(losses):
             lambda trans: hindsight_regret(losses, trans.arms))
 
 
-def _read_environment(raw: dict, T: int):
+def _read_environment(config: ExperimentConfig):
     """(feedback or None, [(suffix, K, build)]) of the [environment]
     section; ``build()`` gives the (env factory, regret fn) pair, and is
-    called only once every section has been checked."""
-    f = Section("environment", raw)
+    called only once every section has been checked.  A breaker's floor on
+    ``experiment.T`` is checked on the text T was read from."""
+    f = Section("environment", config.environment)
+    T = config.T
+    experiment = Section("experiment", config.texts)
     kind = f.read("kind", ("bernoulli", "bernoulli_gap", "ftl_breaker",
                            "ucb_breaker"), required="for game experiments")
     feedback = f.read("feedback", ("bandit", "full"))
@@ -142,17 +145,15 @@ def _read_environment(raw: dict, T: int):
             _stochastic, tuple([base - gap] + [base] * (k - 1))))
             for k in k_grid]
     elif kind == "ftl_breaker":
-        if T < 2:
-            raise ConfigError(f"experiment.T: must be >= 2 for ftl_breaker, "
-                              f"got '{T}'", "experiment.T")
+        experiment.read("T", int, ok=lambda T: T >= 2,
+                        want=">= 2 for ftl_breaker")
         envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
     else:
         k = f.read("k", int, "2", **at_least(1))
         parametrization = f.read("parametrization", UCB1_PARAMETRIZATIONS,
                                  "improved")
-        if T < 2 * k:
-            raise ConfigError(f"experiment.T: must be >= 2 * environment.k = "
-                              f"{2 * k} for ucb_breaker, got '{T}'", "experiment.T")
+        experiment.read("T", int, ok=lambda T: T >= 2 * k,
+                        want=f">= 2 * environment.k = {2 * k} for ucb_breaker")
         envs = [("", k, lambda: _oblivious(1.0 - make_ucb_breaker(
             T, k, parametrization=parametrization)[0]))]
     f.close()
@@ -160,7 +161,7 @@ def _read_environment(raw: dict, T: int):
 
 
 def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
-    feedback, envs = _read_environment(config.environment, config.T)
+    feedback, envs = _read_environment(config)
     policies = []
     for label, raw in config.policies:
         kind, make = _read_policy(label, raw, config.T, config.R)
@@ -172,8 +173,9 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
         for _, K, _ in envs:
             if not fewest <= K <= (most or K):
                 arms = fewest if most else f">= {fewest}"
-                raise ConfigError(f"policy {label}.kind: {kind} needs {arms} "
-                                  f"arms, got K = {K}", f"policy {label}.kind")
+                raise ConfigError(f"policy {label}.kind: must be a kind for "
+                                  f"K = {K} ({kind} takes {arms} arms), got "
+                                  f"{raw['kind']!r}", f"policy {label}.kind")
         policies.append((label, mode, make))
 
     traces = []
@@ -182,10 +184,12 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
         for label, mode, make in policies:
             env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
                                     for r in range(config.R)])
-            games = [env_factory(env_seed) for env_seed in env_seeds]
+            # made one at a time, so a full-information series holds one
+            # env's row block at a time
+            games = map(env_factory, env_seeds)
             if mode == "bandit":
                 runs = [regret_fn(game) for game
-                        in play_bandit(make(K), games, config.T, rngs)]
+                        in play_bandit(make(K), list(games), config.T, rngs)]
             else:  # a fresh policy per repetition
                 runs = [regret_fn(play_full_information(
                             make(K), env, config.T, rng))

@@ -45,15 +45,31 @@ def _ticks(low, high, count=5):
 
 
 def _y_range(traces):
-    """Built-in ``min`` and ``max`` of every y value drawn, taken one list at
-    a time: each trace's means, then its mean + std.  That order fixes which
-    NaN or signed zero they return."""
-    def y_lists():
-        for tr in traces:
-            yield tr.mean.tolist()
-            yield (tr.mean + tr.std).tolist()
-    return (min(chain.from_iterable(y_lists())),
-            max(chain.from_iterable(y_lists())))
+    """What the built-in ``min`` and ``max`` return over every y value
+    drawn, taken in order: each trace's means, then its mean + std.  That
+    order fixes which NaN or signed zero they return.  numpy finds each
+    array's extremes; a zero extreme is then the first zero in that order,
+    and only a NaN sends the builtins over the values themselves."""
+    arrays = [ys for tr in traces for ys in (tr.mean, tr.mean + tr.std)
+              if len(ys)]
+    lows = [ys.min() for ys in arrays]
+    if any(math.isnan(low) for low in lows):  # an array's min is NaN if any is
+        values = [ys.tolist() for ys in arrays]
+        return (min(chain.from_iterable(values)),
+                max(chain.from_iterable(values)))
+    return (_first_equal(arrays, min(lows)),
+            _first_equal(arrays, max(ys.max() for ys in arrays)))
+
+
+def _first_equal(arrays, value):
+    """``value`` as a float; a zero as the first zero in ``arrays``, which
+    is the one the builtins keep, with its sign."""
+    if value != 0.0:
+        return float(value)
+    for ys in arrays:
+        zeros = np.flatnonzero(ys == 0.0)
+        if len(zeros):
+            return float(ys[zeros[0]])
 
 
 def _fmt(x):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from itertools import accumulate, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,12 +32,6 @@ from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
 EXP3_VARIANTS = ("losses", "rewards")
 UCB1_PARAMETRIZATIONS = ("original", "improved")
-
-
-def _left_sum(values: list[float]) -> float:
-    """Left-to-right float sum, which ``np.add.accumulate`` reproduces; the
-    built-in ``sum`` compensates rounding error from Python 3.12 on."""
-    return functools.reduce(operator.add, values)
 
 
 def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
@@ -58,8 +53,10 @@ def _hedge_weights(losses: list[float], eta: float) -> ProbVec:
     rate already known to be positive and finite."""
     low = min(losses)
     weights = [math.exp(-eta * (v - low)) for v in losses]
-    total = _left_sum(weights)
-    return ProbVec([w / total for w in weights])
+    # a left-to-right sum, which ``np.add.accumulate`` reproduces; the
+    # built-in ``sum`` compensates rounding error from Python 3.12 on
+    total = functools.reduce(operator.add, weights)
+    return ProbVec(map(operator.truediv, weights, repeat(total)))
 
 
 def _check_rate(eta: float) -> float:
@@ -209,12 +206,15 @@ def doubling_schedule(t: int, K: int) -> tuple[int, float, bool]:
 
 def sample_arm(dist: Sequence[float], u: float) -> int:
     """Inverse-CDF draw from a distribution over arm indexes with a single
-    uniform ``u`` in [0, 1)."""
-    cum = 0.0
-    for a, w in enumerate(dist):
-        cum += float(w)
+    uniform ``u`` in [0, 1): the first arm whose running sum of the weights,
+    one left-to-right ``accumulate``, exceeds u, else the last arm.  The
+    weights are summed as given, so pass floats (a ``ProbVec`` holds
+    floats)."""
+    a = 0  # counted by hand: ``enumerate`` adds an iterator to every draw
+    for cum in accumulate(dist):
         if u < cum:
             return a
+        a += 1
     return len(dist) - 1
 
 
@@ -288,16 +288,15 @@ class HedgePolicy:
         self.doubling = doubling
         self.cum_losses = [0.0] * K
         self.t = 0  # completed rounds
-        self._next_period = 1  # first round of the next doubling period
+        # first round of the next doubling period; none without doubling
+        self._next_period = 1 if doubling else math.inf
 
     def _current_eta(self) -> float:
         round_t = self.t + 1
-        if self.doubling:
-            if round_t >= self._next_period:
-                m, self._rate, _ = doubling_schedule(round_t, self.K)
-                self.cum_losses = [0.0] * self.K
-                self._next_period = 2 ** (m + 1)
-            return self._rate
+        if round_t >= self._next_period:
+            m, self._rate, _ = doubling_schedule(round_t, self.K)
+            self.cum_losses = [0.0] * self.K
+            self._next_period = 2 ** (m + 1)
         if self._rate is not None:
             return self._rate
         return _anytime_eta(self._log_k, round_t, self.variant)
@@ -311,12 +310,12 @@ class HedgePolicy:
         return sample_arm(self.distribution(), u)
 
     def observe(self, losses: Sequence[float]) -> None:
-        """Consume the full loss column for the current round."""
+        """Consume the full loss column (floats) of the current round."""
         if len(losses) != self.K:
             raise ValueError("loss column has wrong length")
-        if self.doubling:
-            self._current_eta()  # applies any pending reset
-        self.cum_losses = [c + float(v) for c, v in zip(self.cum_losses, losses)]
+        if self.t + 1 >= self._next_period:
+            self._current_eta()  # applies the pending reset
+        self.cum_losses = list(map(operator.add, self.cum_losses, losses))
         self.t += 1
 
 

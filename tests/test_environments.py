@@ -109,6 +109,63 @@ class TestBernoulliEnv:
             env.row(-1)
 
 
+def _row_env(kind):
+    """A fresh env of each class, three arms; the matrix spans two row
+    blocks and part of a third."""
+    if kind == "bernoulli":
+        return BernoulliEnv((0.1, 0.5, 0.9), 77)
+    rng = np.random.default_rng(5)
+    return MatrixEnv(rng.random((2 * environments.ROW_BLOCK + 37, 3)))
+
+
+class TestRows:
+    """``row`` and ``loss``, which both env classes share."""
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "matrix"])
+    def test_row_is_a_fresh_list(self, kind):
+        env = _row_env(kind)
+        first = env.row(3)
+        assert type(first) is list and first is not env.row(3)
+        kept = list(first)
+        first[0] = 2.0
+        first.append(7.0)
+        assert env.row(3) == kept
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "matrix"])
+    def test_rows_equal_blocks_across_block_edges(self, kind):
+        edge = environments.ROW_BLOCK
+        t1 = 2 * edge + 37  # the matrix's horizon: its last round is t1 - 1
+        block = type(_row_env(kind)).blocks([_row_env(kind)], 0, t1)[0]
+        env = _row_env(kind)
+        # out of order, so each step may refill the block held
+        rounds = [edge, edge - 1, 0, t1 - 1, 2 * edge, 2 * edge - 1, edge + 1,
+                  t1 - 2, 1]
+        for t in rounds:
+            row = env.row(t)
+            assert row == block[t].tolist()
+            assert all(type(v) is float for v in row)
+            assert [env.loss(t, a) for a in range(3)] == row
+        assert [env.row(t) for t in range(t1)] == block.tolist()
+
+    @pytest.mark.parametrize("kind", ["bernoulli", "matrix"])
+    def test_rounds_and_arms_outside_the_game_raise(self, kind):
+        env = _row_env(kind)
+        env.row(0)  # a block is held: a negative t must not wrap into it
+        for t in (-1, -environments.ROW_BLOCK):
+            with pytest.raises(ValueError, match=rf"round {t} outside \[0, "):
+                env.row(t)
+            with pytest.raises(ValueError, match="outside"):
+                env.loss(t, 0)
+        for a in (-1, 3):
+            with pytest.raises(ValueError, match=rf"arm {a} outside \[0, 3\)"):
+                env.loss(0, a)
+        if kind == "matrix":
+            for t in (env.horizon, env.horizon + environments.ROW_BLOCK):
+                with pytest.raises(ValueError,
+                                   match=rf"round {t} outside \[0, {env.horizon}\)"):
+                    env.row(t)
+
+
 class TestFtlBreaker:
     def test_ftl_loses_every_round_after_the_first(self):
         T = 200
@@ -329,13 +386,14 @@ def _full_info_digest(trans, rng) -> str:
 
 
 class TestFullInformation:
-    @pytest.mark.parametrize("block_cells", [40, environments.BLOCK_CELLS])
+    @pytest.mark.parametrize("row_block", [13, environments.ROW_BLOCK])
     @pytest.mark.parametrize("env_kind", ["bernoulli", "ftl_breaker"])
     @pytest.mark.parametrize("policy_kind", sorted(FULL_INFO_KINDS))
-    def test_transcript_is_pinned(self, policy_kind, env_kind, block_cells,
+    def test_transcript_is_pinned(self, policy_kind, env_kind, row_block,
                                   monkeypatch):
-        # 40 cells make blocks of 13 or 20 rounds, so a game spans many
-        monkeypatch.setattr(environments, "BLOCK_CELLS", block_cells)
+        # blocks of 13 rounds, for the game loop and the env's rows, so a
+        # game spans many and the last one is short
+        monkeypatch.setattr(environments, "ROW_BLOCK", row_block)
         T = 600  # doubling periods up to [512, 1024)
         env = (BernoulliEnv((0.35, 0.5, 0.65), seed=2024)
                if env_kind == "bernoulli" else MatrixEnv(make_ftl_breaker(T)))

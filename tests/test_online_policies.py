@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -485,6 +486,17 @@ class TestDoubling:
                 assert math.isclose(p[0], 0.5, rel_tol=1e-12)
 
 
+def _running_sum_arm(dist, u):
+    """The reference inverse-CDF draw: a running float sum from 0.0, one
+    ``float`` add per weight."""
+    cum = 0.0
+    for a, w in enumerate(dist):
+        cum += float(w)
+        if u < cum:
+            return a
+    return len(dist) - 1
+
+
 class TestSampling:
     def test_inverse_cdf(self):
         dist = [0.2, 0.5, 0.3]
@@ -493,6 +505,29 @@ class TestSampling:
         assert sample_arm(dist, 0.2) == 1
         assert sample_arm(dist, 0.69) == 1
         assert sample_arm(dist, 0.999) == 2
+
+    @given(weights=st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-17, 0.5])
+                            | st.floats(min_value=0.0, max_value=1.0),
+                            min_size=1, max_size=8),
+           under_one=st.booleans(),
+           u=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(weights=[0.0, -0.0, 1.0], under_one=False, u=0.0)
+    def test_inverse_cdf_matches_the_running_sum_loop(self, weights, under_one,
+                                                      u):
+        if under_one:
+            # scale the weights so that their left-to-right sum lands just
+            # under 1, where u may pass every partial sum
+            total = math.fsum(weights)
+            if total > 0.0:
+                weights = [w / total * math.nextafter(1.0, 0.0) for w in weights]
+        # u at, and one ulp either side of, each partial sum and the ends
+        below_one = math.nextafter(1.0, 0.0)
+        points = [u, 0.0, below_one, *itertools.accumulate(weights)]
+        for c in points:
+            for v in (math.nextafter(c, -1.0), c, math.nextafter(c, 2.0)):
+                v = min(max(v, 0.0), below_one)
+                assert sample_arm(weights, v) == _running_sum_arm(weights, v)
+                assert sample_arm(tuple(weights), v) == sample_arm(weights, v)
 
     def test_determinism_of_policy_runs(self):
         def run():
