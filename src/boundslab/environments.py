@@ -167,7 +167,7 @@ class MatrixEnv:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise ValueError("need a T x K loss matrix")
-        if matrix.min() < 0.0 or matrix.max() > 1.0:
+        if not (0.0 <= matrix.min() and matrix.max() <= 1.0):  # NaN fails
             raise ValueError("loss entries must lie in [0, 1]")
         self.matrix = matrix
         self.K = matrix.shape[1]
@@ -231,14 +231,13 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
     When the first line is exactly "K=<ASCII digits>\n" with K >= 1, the
     lines are collected and a log in exactly ``write_log``'s digit layout is
     read by ``_read_digit_table`` as one byte grid.  Any other log goes
-    through ``_scan_log``, a loop over lines that checks only the header and
-    the field counts, and streams the lines when the first one is not such a
-    header.  Its records are converted to int64 in one numpy call, Python's
-    ``int`` on each token, which also reads signs, underscores and non-ASCII
-    digits, and their actions and rewards checked as arrays.  Only when the
-    check fails does ``_first_bad_record`` go back over the records one by
-    one to find the line to name.  A line that cannot be read raises its
-    OSError or UnicodeDecodeError, unless a line before it is malformed."""
+    through ``_scan_log``, one pass over the lines that checks each record
+    as it reads it, and streams the lines when the first one is not such a
+    header.  Each token is read by Python's ``int``, which also reads signs,
+    underscores and non-ASCII digits.  A value outside the 64-bit integer
+    range is named only when no line fails another check.  A line that
+    cannot be read raises its OSError or UnicodeDecodeError, unless a line
+    before it is malformed."""
     lines = iter(lines)
     read = []
     try:
@@ -247,67 +246,65 @@ def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
         if K is not None:
             read.extend(lines)  # the byte grid can still apply
     except (OSError, UnicodeDecodeError):
-        # a bad record before the unreadable line is named first
-        K, _, linenos, records = _scan_log(read)
-        _first_bad_record(K, linenos, records)
+        _scan_log(read)  # a bad record before the unreadable line is named
         raise
     if K is not None:
         parsed = _read_digit_table(K, read[1:])
         if parsed is not None:
             return parsed
-    K, tokens, linenos, records = _scan_log(chain(read, lines))
+    K, values, overflow = _scan_log(chain(read, lines))
     if K is None:
         raise ValueError("log has no 'K=<int>' header")
-    try:
-        # Python's int on each token, then a check that it fits 64 bits
-        table = np.array(tokens, dtype=np.int64).reshape(-1, LOG_FIELDS)
-    except (ValueError, OverflowError):
-        table = None
-    # a negative int64 reads as a uint64 of at least 2**63, so one unsigned
-    # comparison checks both ends of each range
-    if (table is None or (table[:, 0].view(np.uint64) >= K).any()
-            or (table[:, 1].view(np.uint64) > 1).any()):
-        lineno = _first_bad_record(K, linenos, records)
-        raise ValueError(f"line {lineno}: feature outside the 64-bit "
+    if overflow is not None:
+        raise ValueError(f"line {overflow}: feature outside the 64-bit "
                          "integer range")
+    table = np.array(values, dtype=np.int64).reshape(-1, LOG_FIELDS)
     return K, BanditLog(table[:, 0], table[:, 1], table[:, 2:])
 
 
-def _scan_log(lines: Iterable[str]) -> tuple[int | None, list[str],
-                                             list[int], list[str]]:
-    """(K or None, tokens, line numbers, records) of ``parse_log``'s lines:
-    the header is read and checked, comments and blank lines are skipped,
-    and a record with the wrong field count or a line that cannot be read
-    raises, once the records before it have passed ``_first_bad_record``."""
-    K = None
-    tokens, linenos, records = [], [], []
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            fields = raw.split()
-            if not fields or fields[0].startswith("#"):
-                continue
-            if K is None:
-                line = raw.strip()
-                try:
-                    K = int(line[2:] if line.startswith("K=") else "")
-                except ValueError:
-                    raise ValueError(
-                        f"line {lineno}: expected 'K=<int>' header") from None
-                if K < 1:
-                    raise ValueError(f"line {lineno}: K must be positive")
-                continue
-            if len(fields) != LOG_FIELDS:
-                _first_bad_record(K, linenos, records)
-                raise ValueError(f"line {lineno}: expected {LOG_FIELDS} "
-                                 f"fields, got {len(fields)}: {raw.strip()!r}")
-            tokens += fields
-            linenos.append(lineno)
-            records.append(raw)
-    except (OSError, UnicodeDecodeError):
-        # a bad record before the unreadable line is named first
-        _first_bad_record(K, linenos, records)
-        raise
-    return K, tokens, linenos, records
+def _scan_log(lines: Iterable[str]) -> tuple[int | None, list[int],
+                                             int | None]:
+    """(K or None, values, overflow line) of ``parse_log``'s lines, in one
+    pass: the header is read and checked, comments and blank lines are
+    skipped, and each record is checked as it is read, for its field count,
+    Python's ``int`` of each token, an action in [0, K) and a reward of 0 or
+    1; the first that fails raises.  ``values`` holds the records' integers
+    in order, and the overflow line is the first with a value outside the
+    64-bit integer range, or None."""
+    K = overflow = None
+    values = []
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        if K is None:
+            line = raw.strip()
+            try:
+                K = int(line[2:] if line.startswith("K=") else "")
+            except ValueError:
+                raise ValueError(
+                    f"line {lineno}: expected 'K=<int>' header") from None
+            if K < 1:
+                raise ValueError(f"line {lineno}: K must be positive")
+            continue
+        if len(fields) != LOG_FIELDS:
+            raise ValueError(f"line {lineno}: expected {LOG_FIELDS} "
+                             f"fields, got {len(fields)}: {raw.strip()!r}")
+        try:
+            record = list(map(int, fields))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: non-integer token in record "
+                             f"{raw.strip()!r}") from exc
+        action, reward = record[0], record[1]
+        if not 0 <= action < K:
+            raise ValueError(f"line {lineno}: action {action} outside [0, {K})")
+        if reward not in (0, 1):
+            raise ValueError(f"line {lineno}: reward must be 0 or 1, got {reward}")
+        if overflow is None and not (-2 ** 63 <= min(record)
+                                     and max(record) < 2 ** 63):
+            overflow = lineno
+        values += record
+    return K, values, overflow
 
 
 def _layout_header(line) -> int | None:
@@ -354,29 +351,6 @@ def _read_digit_table(K: int, records: list[str]
         return None
     table = values.astype(np.int64)
     return K, BanditLog(table[:, 0], table[:, 1], table[:, 2:])
-
-
-def _first_bad_record(K: int, linenos: list[int], records: list[str]
-                      ) -> int | None:
-    """Check the records of ``parse_log`` one line at a time, in order: raise
-    the error of the first line with a non-integer token, an action outside
-    [0, K) or a non-binary reward.  Otherwise return the number of the first
-    line with a value outside the 64-bit integer range, or None."""
-    overflow = None
-    for lineno, raw in zip(linenos, records):
-        try:
-            values = list(map(int, raw.split()))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-integer token in record "
-                             f"{raw.strip()!r}") from exc
-        action, reward = values[0], values[1]
-        if not 0 <= action < K:
-            raise ValueError(f"line {lineno}: action {action} outside [0, {K})")
-        if reward not in (0, 1):
-            raise ValueError(f"line {lineno}: reward must be 0 or 1, got {reward}")
-        if overflow is None and not all(-2 ** 63 <= v < 2 ** 63 for v in values):
-            overflow = lineno
-    return overflow
 
 
 def write_log(path, K: int, log: BanditLog) -> None:

@@ -22,7 +22,7 @@ from .concentration import (
     _check_delta,
     _split_kl_sum,
 )
-from .divergences import ProbVec, categorical_kl, kl_inverse
+from .divergences import ProbVec, _check_unit, categorical_kl, kl_inverse
 
 
 class LossTable:
@@ -188,8 +188,7 @@ def tree_prior(depth: int) -> float:
 def pb_kl_bound(q: PacBayesQuery, emp_loss: float) -> BoundResult:
     """PAC-Bayes-kl upper bound:
     kl_inverse(emp_loss, (KL(rho||pi) + ln(2 sqrt(n)/delta)) / n, upper)."""
-    if not 0.0 <= emp_loss <= 1.0:
-        raise ValueError("emp_loss must be in [0, 1]")
+    emp_loss = _check_unit(emp_loss, "emp_loss")
     kl_term = q.kl_term
     if math.isinf(kl_term):
         return BoundResult(1.0, q.delta, "pb-kl", {"kl": kl_term})
@@ -211,6 +210,7 @@ def pb_lambda_bound(q: PacBayesQuery, emp_loss: float, *,
         (1 - gamma/2) emp - (KL + ln(2 sqrt(n)/delta)) / (gamma n)
     The upper value may exceed 1 (vacuous but valid); it is returned raw.
     """
+    emp_loss = _check_unit(emp_loss, "emp_loss")
     kl_term = q.kl_term
     complexity = kl_term + math.log(2.0 * math.sqrt(q.n) / q.delta)
     if side == "upper":
@@ -422,8 +422,8 @@ def pb_unexpected_bernstein_bound(q: PacBayesQuery, emp_loss: float,
     emp_loss + min over lam of (lam * emp_sq_loss + (KL + ln(k/delta))/(n lam))."""
     if any(not 0.0 < lam <= 0.5 for lam in grid.lambdas):
         raise ValueError("lambda grid must lie in (0, 1/2]")
-    if emp_sq_loss < 0.0:
-        raise ValueError("emp_sq_loss must be nonnegative")
+    emp_loss = _check_unit(emp_loss, "emp_loss")
+    emp_sq_loss = _check_unit(emp_sq_loss, "emp_sq_loss")
     kl_term = q.kl_term
     budget = kl_term + math.log(grid.k / q.delta)
     best = math.inf

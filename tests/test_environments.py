@@ -69,8 +69,13 @@ class TestBernoulliEnv:
             assert env2.loss(t, arm) == rows[t][arm]
 
     def test_rejects_bad_means(self):
-        with pytest.raises(ValueError):
-            BernoulliEnv([0.5, 1.2], seed=0)
+        # and a loss matrix with such an entry; NaN fails both checks
+        for bad in (1.2, -0.1, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                BernoulliEnv([0.5, bad], seed=0)
+            with pytest.raises(ValueError, match=r"^loss entries must lie in "
+                               r"\[0, 1\]$"):
+                MatrixEnv([[0.5, bad]] * 5)
         with pytest.raises(ValueError):
             BernoulliEnv([], seed=0)
 
@@ -710,7 +715,14 @@ class TestLogParsing:
         (["t,policy,mean,std\n"], "line 1: expected 'K=<int>' header"),
         (["# a comment\n", "K=x\n"], "line 2: expected 'K=<int>' header"),
         (["K=4 \n", "1 0\n"], "line 2: expected 12 fields, got 2: '1 0'"),
-    ], ids=["csv", "comment_then_bad_header", "spaced_header"])
+        (["# c\n", "K=4\n", "4 0 0 0 0 0 0 0 0 0 0 0\n"],
+         "line 3: action 4 outside [0, 4)"),
+        (["K=4 \n", "0 2 0 0 0 0 0 0 0 0 0 0\n"],
+         "line 2: reward must be 0 or 1, got 2"),
+        (["# c\n", "K=4\n", "0 1 0 0 0 0 0 0 0 0 0 x\n"],
+         "line 3: non-integer token in record '0 1 0 0 0 0 0 0 0 0 0 x'"),
+    ], ids=["csv", "comment_then_bad_header", "spaced_header", "bad_action",
+            "bad_reward", "letter"])
     def test_loop_errors_come_before_the_rest_is_read(self, head, message):
         # a first line that is not "K=<ASCII digits>\n" rules out the byte
         # grid, so the lines stream through the loop as they are read

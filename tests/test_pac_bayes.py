@@ -120,6 +120,27 @@ class TestPbKl:
         assert abs(binary_kl(0.1, res.value) - res.detail["eps"]) < 1e-9
 
 
+@pytest.mark.parametrize("bad", [-3.0, 1.5, -5e-324, math.nan, math.inf,
+                                 -math.inf])
+def test_bounds_reject_an_impossible_empirical_loss(bad):
+    pi = ProbVec([1.0])
+    q = PacBayesQuery(pi, pi, 100, 0.05)
+    grid = LambdaGrid([0.5])
+    for name, bound in [
+        ("emp_loss", lambda: pb_kl_bound(q, bad)),
+        ("emp_loss", lambda: pb_lambda_bound(q, bad, lam=1.0)),
+        ("emp_loss", lambda: pb_lambda_bound(q, bad, gamma=1.0, side="lower")),
+        ("emp_loss", lambda: pb_unexpected_bernstein_bound(q, bad, 0.1, grid)),
+        ("emp_sq_loss",
+         lambda: pb_unexpected_bernstein_bound(q, 0.1, bad, grid)),
+    ]:
+        want = (f"{name} must not be NaN" if math.isnan(bad)
+                else f"{name} must be in [0, 1], got {bad}")
+        with pytest.raises(ValueError) as info:
+            bound()
+        assert str(info.value) == want
+
+
 class TestPbLambda:
     def test_upper_dominates_pb_kl(self):
         rng = np.random.default_rng(0)
