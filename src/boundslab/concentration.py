@@ -14,7 +14,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .divergences import kl_inverse
+from .divergences import (
+    _MAX,
+    _TINY,
+    _check_count,
+    _check_delta,
+    _check_nonneg,
+    _check_range,
+    _check_rate,
+    _check_unit,
+    kl_inverse,
+)
 
 
 @dataclass(frozen=True)
@@ -135,11 +145,9 @@ class LambdaGrid:
     __slots__ = ("lambdas",)
 
     def __init__(self, lambdas: Sequence[float]):
-        lams = tuple(float(x) for x in lambdas)
+        lams = tuple(_check_rate(x, "lambdas") for x in lambdas)
         if not lams:
             raise ValueError("lambda grid must be nonempty")
-        if any(x <= 0 for x in lams):
-            raise ValueError("lambda grid values must be positive")
         if any(b >= a for a, b in zip(lams, lams[1:])):
             raise ValueError("lambda grid must be strictly decreasing")
         self.lambdas = lams
@@ -153,19 +161,10 @@ class LambdaGrid:
         """The geometric grid {1/(2b), 1/(4b), ..., 1/(2^k b)} with
         k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), forced >= 1."""
         _check_delta(delta)
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        if b <= 0:
-            raise ValueError("b must be positive")
+        _check_count(n, "n")
+        b = _check_rate(b, "b")
         k = max(1, math.ceil(math.log2(math.sqrt(n / math.log(1.0 / delta)) / 2.0)))
         return cls([1.0 / (2.0 ** i * b) for i in range(1, k + 1)])
-
-
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if math.isnan(delta) or not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    return delta
 
 
 def markov_chebyshev_tail(kind: str, *, mean: Optional[float] = None,
@@ -173,17 +172,11 @@ def markov_chebyshev_tail(kind: str, *, mean: Optional[float] = None,
                           eps: float) -> float:
     """Markov tail E[X]/eps (X >= 0) or Chebyshev tail Var[X]/eps^2, clipped
     to [0, 1] since both bound a probability."""
-    eps = float(eps)
-    if eps <= 0 or math.isnan(eps):
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = _check_rate(eps, "eps")
     if kind == "markov":
-        if mean is None or mean < 0:
-            raise ValueError("markov needs a nonnegative mean")
-        return min(1.0, mean / eps)
+        return min(1.0, _check_nonneg(mean, "mean") / eps)
     if kind == "chebyshev":
-        if variance is None or variance < 0:
-            raise ValueError("chebyshev needs a nonnegative variance")
-        return min(1.0, variance / eps ** 2)
+        return min(1.0, _check_nonneg(variance, "variance") / eps ** 2)
     raise ValueError(f"kind must be 'markov' or 'chebyshev', got {kind!r}")
 
 
@@ -199,25 +192,20 @@ def hoeffding_radius(n: int, delta: float, sides: str = "one") -> float:
     """Hoeffding confidence radius sqrt(ln(sides/delta) / (2n)) for the mean
     of n iid [0,1]-valued variables."""
     numer = _log_sides_over_delta(delta, sides)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.sqrt(numer / (2.0 * n))
+    return math.sqrt(numer / (2.0 * _check_count(n, "n")))
 
 
 def hoeffding_solve_n(eps: float, delta: float, sides: str = "one") -> int:
     """Smallest n whose Hoeffding radius is <= eps: ceil(ln(sides/delta) / (2 eps^2))."""
     numer = _log_sides_over_delta(delta, sides)
-    eps = float(eps)
-    if eps <= 0 or math.isnan(eps):
-        raise ValueError(f"eps must be positive, got {eps}")
+    eps = _check_rate(eps, "eps")
     return max(1, math.ceil(numer / (2.0 * eps ** 2)))
 
 
 def hoeffding_mean_bound(p_hat: float, n: int, delta: float) -> BoundResult:
     """One-sided Hoeffding upper bound min(1, p_hat + sqrt(ln(1/delta)/(2n)))
     on the mean of n iid [0,1]-valued variables with empirical mean p_hat."""
-    if not 0.0 <= p_hat <= 1.0:
-        raise ValueError(f"p_hat must be in [0, 1], got {p_hat}")
+    p_hat = _check_unit(p_hat, "p_hat")
     radius = hoeffding_radius(n, delta, "one")
     return BoundResult(min(1.0, p_hat + radius), delta, "hoeffding",
                        {"radius": radius, "p_hat": p_hat, "n": n})
@@ -232,8 +220,7 @@ def kl_mean_bound(p_hat: float, n: int, delta: float, variant: str = "direct",
     argument costs.
     """
     _check_delta(delta)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count(n, "n")
     if variant == "direct":
         eps = math.log(1.0 / delta) / n
     elif variant == "via_lemma":
@@ -281,12 +268,10 @@ def bernstein_mean_bound(mean_hat: float, nu: float, b: float, n: int,
     """Bernstein bound mean_hat + sqrt(2 nu ln(1/delta)/n) + b ln(1/delta)/(3n)
     for variables bounded above by b with (known) variance nu."""
     _check_delta(delta)
-    if nu < 0:
-        raise ValueError("variance must be nonnegative")
-    if b <= 0:
-        raise ValueError("b must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    mean_hat = _check_range(mean_hat, "mean_hat", -_MAX, _MAX, "finite")
+    nu = _check_nonneg(nu, "nu")
+    b = _check_rate(b, "b")
+    _check_count(n, "n")
     budget = math.log(1.0 / delta)
     value = mean_hat + math.sqrt(2.0 * nu * budget / n) + b * budget / (3.0 * n)
     return BoundResult(value, delta, "bernstein", {"nu": nu, "b": b, "n": n})
@@ -295,9 +280,7 @@ def bernstein_mean_bound(mean_hat: float, nu: float, b: float, n: int,
 def bernstein_duals(x: float, direction: str = "f") -> float:
     """The pair f(x) = 1 + x - sqrt(1 + 2x) and its inverse
     f_inv(x) = x + sqrt(2x), both on x >= 0."""
-    x = float(x)
-    if math.isnan(x) or x < 0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    x = _check_nonneg(x, "x")
     if direction == "f":
         return 1.0 + x - math.sqrt(1.0 + 2.0 * x)
     if direction == "f_inv":
@@ -323,9 +306,7 @@ def empirical_bernstein_mean_bound(sample: Sample, delta: float) -> BoundResult:
     if not sample.is_unit_range:
         raise ValueError("empirical Bernstein expects a [0,1]-valued sample")
     n = sample.n
-    if n < 2:
-        raise ValueError("empirical Bernstein needs n >= 2")
-    nu_hat = sample_variance(sample)
+    nu_hat = sample_variance(sample)  # checks n >= 2
     budget = math.log(2.0 / delta)
     value = sample.mean + math.sqrt(2.0 * nu_hat * budget / n) \
         + 7.0 * budget / (3.0 * (n - 1.0))
@@ -336,9 +317,8 @@ def empirical_bernstein_mean_bound(sample: Sample, delta: float) -> BoundResult:
 def psi(u: float) -> float:
     """psi(u) = u - ln(1 + u), the rate function behind the unexpected
     Bernstein bound (defined for u > -1)."""
-    u = float(u)
-    if u <= -1.0:
-        raise ValueError("psi requires u > -1")
+    u = _check_range(u, "u", math.nextafter(-1.0, 0.0), _MAX,
+                     "finite and > -1")
     return u - math.log1p(u)
 
 
@@ -348,9 +328,7 @@ def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
     p_hat + psi(-lambda b)/(lambda b^2) * s_n + ln(k/delta)/(lambda n),
     where s_n is the mean of squares and b the sample's upper bound."""
     _check_delta(delta)
-    b = sample.upper_bound
-    if b <= 0:
-        raise ValueError("upper bound b must be positive")
+    b = _check_rate(sample.upper_bound, "upper bound b")
     n = sample.n
     if grid is None:
         grid = LambdaGrid.default(n, delta, b)
@@ -380,12 +358,8 @@ def kl_mgf_exact(n: int, p: float) -> float:
     C(n,k) (k/n)^k ((n-k)/n)^{n-k}, so the value is p-free for p in (0,1);
     at p in {0,1} the expectation is trivially 1.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = float(p)
-    if math.isnan(p) or not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    n = int(_check_count(n, "n"))
+    p = _check_unit(p, "p")
     if p in (0.0, 1.0):
         return 1.0
     log_terms = []
@@ -418,7 +392,7 @@ def mgf_lemma_check(values: Sequence[float], probs: Sequence[float],
         raise ValueError("values and probs must be nonempty and equal length")
     if any(q < 0 for q in ps) or abs(math.fsum(ps) - 1.0) > 1e-9:
         raise ValueError("probs must be a probability vector")
-    lam = float(lam)
+    lam = _check_range(lam, "lam", -_MAX, _MAX, "finite")
     mu = math.fsum(v * q for v, q in zip(vals, ps))
 
     if lemma == "hoeffding":
@@ -431,8 +405,8 @@ def mgf_lemma_check(values: Sequence[float], probs: Sequence[float],
         b = max(vals)
         if abs(mu) > 1e-9:
             raise ValueError("bernstein lemma requires a mean-zero variable")
-        if b <= 0 or not 0.0 < lam < 3.0 / b:
-            raise ValueError("bernstein lemma requires lam in (0, 3/b) with b > 0")
+        _check_rate(b, "b = max(values)")
+        _check_range(lam, "lam", _TINY, math.nextafter(3.0 / b, 0.0), "in (0, 3/b)")
         nu = math.fsum(q * v * v for v, q in zip(vals, ps))
         lhs = math.fsum(q * math.exp(lam * v) for v, q in zip(vals, ps))
         exponent = lam * lam * nu / (2.0 * (1.0 - lam * b / 3.0))
@@ -441,8 +415,8 @@ def mgf_lemma_check(values: Sequence[float], probs: Sequence[float],
 
     if lemma == "unexpected":
         b = max(vals)
-        if b <= 0 or not 0.0 <= lam < 1.0 / b:
-            raise ValueError("unexpected lemma requires lam in [0, 1/b) with b > 0")
+        _check_rate(b, "b = max(values)")
+        _check_range(lam, "lam", 0.0, math.nextafter(1.0 / b, 0.0), "in [0, 1/b)")
         coeff = (b * lam + math.log1p(-b * lam)) / (b * b)
         lhs = math.fsum(
             q * math.exp(lam * (mu - v) + coeff * v * v) for v, q in zip(vals, ps))

@@ -3,10 +3,16 @@
 Everything here is a pure function on plain floats (natural-log units
 throughout); this is the shared numerical core for the confidence bounds in
 the rest of the package.
+
+It also holds the library's domain checks, one per kind of scalar parameter
+(``_check_unit``, ``_check_delta``, ``_check_rate``, ``_check_nonneg``,
+``_check_count`` and the interval check ``_check_range``).  Every public
+entry point runs its scalar arguments through them before any arithmetic.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterable, Sequence
 
 # Bisection settings for kl_inverse: absolute tolerance on q with a hard
@@ -19,20 +25,57 @@ BISECT_MAX_ITER = 200
 NORMALIZATION_TOL = 1e-9
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if math.isnan(eps) or eps < 0.0:
-        raise ValueError(f"eps must be a nonnegative real, got {eps}")
-    return eps
+# Closed ends of open domains: a float x > 0 iff x >= _TINY, and so on.
+_TINY = math.ulp(0.0)
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_MAX = sys.float_info.max
+
+
+def _check_range(x: float, name: str, lo: float, hi: float,
+                 domain: str) -> float:
+    """``x`` as a float when lo <= x <= hi, which NaN fails; otherwise, and
+    for None, a ValueError "<name> must be <domain>, got <x>"."""
+    if x is not None:
+        x = float(x)
+        if lo <= x <= hi:
+            return x
+    raise ValueError(f"{name} must be {domain}, got {x}")
 
 
 def _check_unit(x: float, name: str) -> float:
+    """``x`` in [0, 1]: a probability, a loss or a mean of losses."""
     x = float(x)
-    if math.isnan(x):
-        raise ValueError(f"{name} must not be NaN")
     if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {x}")
+        raise ValueError(f"{name} must not be NaN" if x != x
+                         else f"{name} must be in [0, 1], got {x}")
     return x
+
+
+def _check_delta(x: float, name: str = "delta") -> float:
+    """``x`` in (0, 1): a confidence level, or a rate with that range."""
+    return _check_range(x, name, _TINY, _BELOW_ONE, "in (0, 1)")
+
+
+def _check_rate(x: float, name: str = "eta") -> float:
+    """``x`` positive and finite: a learning rate, a scale or a range."""
+    return _check_range(x, name, _TINY, _MAX, "positive and finite")
+
+
+def _check_nonneg(x: float, name: str, inf_ok: bool = False) -> float:
+    """``x`` >= 0, and finite unless ``inf_ok``: a budget or a variance."""
+    if inf_ok:
+        return _check_range(x, name, 0.0, math.inf, "a nonnegative real")
+    return _check_range(x, name, 0.0, _MAX, "nonnegative and finite")
+
+
+def _check_count(n, name: str, floor=1, stop=math.inf):
+    """``n`` as given when floor <= n < stop, which NaN fails: a sample
+    size, an arm count, a horizon or an index below ``stop``."""
+    if n is not None and floor <= n < stop:
+        return n
+    domain = (f">= {floor} and finite" if stop == math.inf
+              else f"in [{floor}, {stop})")
+    raise ValueError(f"{name} must be {domain}, got {n}")
 
 
 class ProbVec:
@@ -88,9 +131,6 @@ class ProbVec:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProbVec) and self._weights == other._weights
-
-    def __repr__(self) -> str:
-        return f"ProbVec({list(self._weights)!r})"
 
 
 def _raise_first_bad_weight(ws: list[float]) -> None:
@@ -172,7 +212,7 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
     in q with a minimum of zero at q = p_hat, hence monotone on each side.
     """
     p_hat = _check_unit(p_hat, "p_hat")
-    eps = _check_eps(eps)
+    eps = _check_nonneg(eps, "eps", inf_ok=True)
     if direction not in ("upper", "lower"):
         raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
 
@@ -208,7 +248,7 @@ def pinsker_relaxations(p_hat: float, eps: float) -> tuple:
       refined_lower  = max(0, p_hat - sqrt(2 p_hat eps))
     """
     p_hat = _check_unit(p_hat, "p_hat")
-    eps = _check_eps(eps)
+    eps = _check_nonneg(eps, "eps", inf_ok=True)
     plain = min(1.0, p_hat + math.sqrt(eps / 2.0))
     refined_upper = min(1.0, p_hat + math.sqrt(2.0 * p_hat * eps) + 2.0 * eps)
     refined_lower = max(0.0, p_hat - math.sqrt(2.0 * p_hat * eps))
@@ -224,15 +264,12 @@ def binomial_entropy_bounds(n: int, k: int, tight: bool = False) -> tuple:
         <= C(n,k) <=
       (e^{1/(12n)} / sqrt(2 pi)) sqrt(n / (k (n-k))) e^{n H(k/n)}.
     """
-    n = int(n)
-    k = int(k)
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
+    n = int(_check_count(n, "n"))
+    k = int(_check_count(k, "k", 0, n + 1))
     ent = n * binary_entropy(k / n)
     if not tight:
         return math.exp(ent) / (n + 1), math.exp(ent)
-    if not 1 <= k <= n - 1:
-        raise ValueError("tight bounds need 1 <= k <= n-1")
+    _check_count(k, "k", 1, n)  # the tight bounds need 1 <= k <= n-1
     lower = 0.5 * math.sqrt(n / (2.0 * k * (n - k))) * math.exp(ent)
     upper = (math.exp(1.0 / (12.0 * n)) / math.sqrt(2.0 * math.pi)) \
         * math.sqrt(n / (k * (n - k))) * math.exp(ent)

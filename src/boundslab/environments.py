@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from boundslab.divergences import _check_count, _check_unit
 from boundslab.online_policies import FixedPolicy, UCB1Policy
 
 
@@ -138,7 +139,8 @@ class BernoulliEnv:
             raise ValueError("need at least one arm")
         self.means = tuple(means)
         self.K = len(means)
-        seed_bits = np.array([int(seed) & _MASK64], dtype=np.uint64)
+        seed = int(_check_count(seed, "seed", 0))
+        seed_bits = np.array([seed & _MASK64], dtype=np.uint64)
         self._seed_state = int(_mix64_array(seed_bits)[0])
         self._t0, self._rows = 0, []
 
@@ -187,9 +189,7 @@ def make_ftl_breaker(T: int) -> np.ndarray:
     lowest-index-tiebreak follow-the-leader incurs loss 1 every round from
     t=2: row 1 is (0.5, 0) and later rows alternate (0, 1), (1, 0), always
     charging the current leader."""
-    if T < 2:
-        raise ValueError(f"need T >= 2, got {T}")
-    matrix = np.zeros((T, 2))
+    matrix = np.zeros((_check_count(T, "T", 2), 2))
     matrix[0] = (0.5, 0.0)
     for t in range(1, T):
         matrix[t] = (0.0, 1.0) if t % 2 == 1 else (1.0, 0.0)
@@ -205,8 +205,7 @@ def make_ucb_breaker(T: int, K: int = 2, *, parametrization: str = "improved",
     per-arm offsets so no two arms tie within a round.  Returns the matrix
     and the predicted UCB1 trajectory; validated by simulation, not proved.
     """
-    if T < 2 * K:
-        raise ValueError(f"need T >= 2K, got T={T}, K={K}")
+    _check_count(T, "T", 2 * _check_count(K, "K"))
     low, high = 0.1, 0.9
     probe = UCB1Policy(K, parametrization=parametrization)
     rewards = np.empty((T, K))
@@ -362,6 +361,7 @@ def write_log(path, K: int, log: BanditLog) -> None:
     is exactly 24 bytes, so the records are written from one (T, 24) uint8
     table of digits, spaces and newlines; any other log is formatted one
     line at a time.  Both give the same bytes."""
+    _check_count(K, "K")
     table = _digit_table(log)
     if table is not None:
         with open(path, "wb") as handle:
@@ -397,11 +397,9 @@ def synthesize_uniform_log(means: Sequence[float], T: int, seed: int,
                            ) -> BanditLog:
     """Uniform-logging synthetic log: action ~ Uniform(K), reward ~
     Bernoulli(means[action]), ten iid Bernoulli(1/2) features."""
-    means = [float(m) for m in means]
-    if any(not 0.0 <= m <= 1.0 for m in means):
-        raise ValueError("all means must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    actions = rng.integers(0, len(means), size=T)
+    means = [_check_unit(m, "means") for m in means]
+    rng = np.random.default_rng(_check_count(seed, "seed", 0))
+    actions = rng.integers(0, len(means), size=_check_count(T, "T", 0))
     rewards = (rng.random(T) < np.asarray(means)[actions]).astype(np.int64)
     features = rng.integers(0, 2, size=(T, LOG_FIELDS - 2))
     return BanditLog(actions, rewards, features)
@@ -421,6 +419,7 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     left to right, as a running sum would.  The arms and incurred losses are
     kept in lists and converted once, at the end.
     """
+    _check_count(T, "T", 0)
     if policy.draws and rng is None:
         raise ValueError("a policy that draws needs a random stream")
     act, row_of, observe = policy.act, env.row, policy.observe
@@ -465,6 +464,7 @@ def play_bandit(policy, envs: Sequence, T: int,
     rounds at a time (``BLOCK_CELLS``), and every cell of a block must lie
     in [0, 1].  The policy is left in its state after T rounds.
     """
+    _check_count(T, "T", 0)
     R, K = policy.R, policy.K
     if len(envs) != R:
         raise ValueError(f"need one env per policy row, got {len(envs)} for R={R}")
@@ -527,6 +527,7 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
     0.0 elsewhere, and ``policy.t`` advances by the log length.  Every other
     policy acts and updates once per record.
     """
+    _check_count(K, "K")
     outside = (log.actions < 0) | (log.actions >= K)
     if outside.any():
         action = int(log.actions[outside.argmax()])
@@ -560,6 +561,7 @@ def replay_rejection_sampling(policy, log: BanditLog, K: int,
     as a genuine bandit round and discarding the records passed over.  The
     replay stops at the first choice with no match left.  The effective
     horizon (number of accepted rounds) is reported in ``detail``."""
+    _check_count(K, "K")
     # the ascending record positions of each logged action, grouped by one
     # stable sort; the next match at or after ``idx`` is found by bisection
     order = np.argsort(log.actions, kind="stable")

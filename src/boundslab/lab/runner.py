@@ -299,6 +299,11 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     f = Section("params", config.params)
     m = f.read("m", int, "20", **at_least(1))
     t_max = f.read("t_max", int, "4", **at_least(1))
+    # 8 * 2**(t_max - 1) bytes, one table row, stays below 2**63 to t_max = 60
+    Section("params", f.texts).read(
+        "t_max", int, ok=lambda t: t <= 60, want="<= 60, as a table row of "
+        "n >= 2**(params.t_max - 1) float64 losses passes numpy's 2**63-byte "
+        "array limit above it")
     n = f.read("n", int, "1000", ok=lambda n: n >= 2 ** (t_max - 1),
                want=f">= 2**(params.t_max - 1) = {2 ** (t_max - 1)} for "
                     f"params.t_max = {t_max}")

@@ -27,7 +27,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from boundslab.divergences import NORMALIZATION_TOL, ProbVec
+from boundslab.divergences import (
+    _TINY,
+    NORMALIZATION_TOL,
+    ProbVec,
+    _check_count,
+    _check_delta,
+    _check_range,
+    _check_rate,
+    _check_unit,
+)
 
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
 EXP3_VARIANTS = ("losses", "rewards")
@@ -40,8 +49,7 @@ def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
     Stabilized by subtracting the minimum cumulative loss, which also makes
     the output invariant under shifting all losses by a constant.
     """
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    eta = _check_rate(eta)
     losses = [float(v) for v in cum_losses]
     if not losses:
         raise ValueError("cum_losses must be nonempty")
@@ -59,31 +67,18 @@ def _hedge_weights(losses: list[float], eta: float) -> ProbVec:
     return ProbVec(map(operator.truediv, weights, repeat(total)))
 
 
-def _check_rate(eta: float) -> float:
-    """An explicit learning rate as a float, if it is positive and finite."""
-    eta = float(eta)
-    if not 0.0 < eta < math.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    return eta
-
-
 def hedge_eta(K: int, *, T: int | None = None, t: int | None = None,
               variant: str = "simple") -> float:
     """Learning rate for Hedge: fixed-horizon ("simple", "tight") or
     round-dependent ("anytime_simple", "anytime_tight")."""
-    if K < 2:
-        raise ValueError(f"need at least two arms, got K={K}")
+    _check_count(K, "K", 2)
     if variant not in HEDGE_ETA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     log_k = math.log(K)
     if variant in ("simple", "tight"):
-        if T is None or T < 1:
-            raise ValueError("fixed-horizon variants need T >= 1")
-        base = math.sqrt(2.0 * log_k / T)
+        base = math.sqrt(2.0 * log_k / _check_count(T, "T"))
         return base if variant == "simple" else 2.0 * base
-    if t is None or t < 1:
-        raise ValueError("anytime variants need t >= 1")
-    return _anytime_eta(log_k, t, variant)
+    return _anytime_eta(log_k, _check_count(t, "t"), variant)
 
 
 def _anytime_eta(log_k: float, t: int, variant: str) -> float:
@@ -111,11 +106,8 @@ def importance_weighted_loss(loss: float, p_chosen: float, chosen: bool) -> floa
     distribution."""
     if not chosen:
         return 0.0
-    if p_chosen <= 0.0:
-        raise ValueError("cannot importance-weight a zero-probability arm")
-    if not 0.0 <= loss <= 1.0:
-        raise ValueError(f"loss must be in [0, 1], got {loss}")
-    return loss / p_chosen
+    p_chosen = _check_range(p_chosen, "p_chosen", _TINY, 1.0, "in (0, 1]")
+    return _check_unit(loss, "loss") / p_chosen
 
 
 def exp4_mix(expert_weights: ProbVec, advice: Sequence[Sequence[float]],
@@ -154,12 +146,9 @@ def ucb_index(mu_hat: float, t: int, n_pulls: int,
     """Upper confidence index mu_hat + radius for an arm pulled ``n_pulls``
     times by round ``t``.  "original" uses sqrt(3 ln t / (2 N)); "improved"
     uses sqrt(ln t / N)."""
-    if n_pulls < 1:
-        raise ValueError("arm must have been played at least once")
-    if t < 1:
-        raise ValueError(f"round index must be >= 1, got {t}")
-    c = _radius_coefficient(math.log(t), parametrization)
-    return mu_hat + math.sqrt(c / n_pulls)
+    mu_hat = _check_unit(mu_hat, "mu_hat")
+    c = _radius_coefficient(math.log(_check_count(t, "t")), parametrization)
+    return mu_hat + math.sqrt(c / _check_count(n_pulls, "n_pulls"))
 
 
 def _radius_coefficient(log_t: float, parametrization: str) -> float:
@@ -181,10 +170,8 @@ def epsilon_first_schedule(gap: float, T: int) -> tuple[float, int]:
     4 ln(T gap^2) / (T gap^2)) and the round count rounded up to an even
     number, capped at T.
     """
-    if not 0.0 < gap <= 1.0:
-        raise ValueError(f"gap must be in (0, 1], got {gap}")
-    if T < 1:
-        raise ValueError(f"T must be >= 1, got {T}")
+    gap = _check_range(gap, "gap", _TINY, 1.0, "in (0, 1]")
+    _check_count(T, "T")
     scale = T * gap * gap
     eps = max(0.0, 4.0 * math.log(scale) / scale) if scale > 0 else 0.0
     rounds = min(T, 2 * math.ceil(eps * T / 2.0))
@@ -197,8 +184,8 @@ def doubling_schedule(t: int, K: int) -> tuple[int, float, bool]:
     Period m covers rounds [2^m, 2^{m+1}); the rate is the tight fixed-horizon
     rate for horizon 2^m and a reset happens exactly at period boundaries.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    _check_count(t, "t")
+    _check_count(K, "K", 2)
     m = t.bit_length() - 1
     eta_m = math.sqrt(8.0 * math.log(K) / float(2 ** m))
     return m, eta_m, t == 2 ** m
@@ -232,6 +219,17 @@ def exp3_eta(K: int, t: int, eta: float | None = None,
     """EXP3 learning rate after ``t`` completed rounds: an explicit ``eta``,
     else the fixed-horizon sqrt(2 ln K / (K T)) when ``T`` is given, else the
     anytime sqrt(ln K / ((t + 1) K))."""
+    _check_count(K, "K", 2)
+    _check_count(t, "t", 0)
+    if eta is not None:
+        _check_rate(eta)
+    elif T is not None:
+        _check_count(T, "T")
+    return _exp3_eta(K, t, eta, T)
+
+
+def _exp3_eta(K: int, t: int, eta: float | None, T: int | None) -> float:
+    """``exp3_eta`` unchecked, for arguments a policy has checked."""
     if eta is not None:
         return eta
     if T is not None:
@@ -267,8 +265,7 @@ class HedgePolicy:
     def __init__(self, K: int, *, variant: str = "anytime_tight",
                  eta: float | None = None, T: int | None = None,
                  doubling: bool = False) -> None:
-        if K < 2:
-            raise ValueError(f"need at least two arms, got K={K}")
+        _check_count(K, "K", 2)
         if variant not in HEDGE_ETA_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         # a rate that never changes: explicit or fixed-horizon
@@ -325,9 +322,7 @@ class FTLPolicy:
     draws = False
 
     def __init__(self, K: int) -> None:
-        if K < 1:
-            raise ValueError(f"need at least one arm, got K={K}")
-        self.K = K
+        self.K = _check_count(K, "K")
         self.cum_losses = [0.0] * K
         self.t = 0
 
@@ -361,20 +356,18 @@ class EXP3Policy:
     def __init__(self, K: int, *, variant: str = "losses",
                  eta: float | None = None, T: int | None = None,
                  R: int = 1) -> None:
-        if K < 2:
-            raise ValueError(f"need at least two arms, got K={K}")
+        _check_count(K, "K", 2)
         if variant not in EXP3_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if variant == "rewards":
-            if eta is None or not 0.0 < eta < 1.0:
-                raise ValueError("rewards variant needs eta in (0, 1)")
+            eta = _check_delta(eta, "eta")
         elif eta is not None:
             eta = _check_rate(eta)
         self.K = K
-        self.R = R
+        self.R = _check_count(R, "R")
         self.variant = variant
         self.eta = eta
-        self.T = T
+        self.T = T if T is None else _check_count(T, "T")
         self.offsets = np.arange(R) * K  # row starts, flat
         self.estimates = np.zeros((R, K))  # losses or rewards, per variant
         self.t = 0  # completed rounds
@@ -382,7 +375,7 @@ class EXP3Policy:
 
     def distributions(self) -> np.ndarray:
         """The (R, K) playing distributions of the next round."""
-        eta = exp3_eta(self.K, self.t, self.eta, self.T)
+        eta = _exp3_eta(self.K, self.t, self.eta, self.T)
         est = self.estimates
         if self.variant == "losses":
             # hedge_distribution: exp(-eta (L - min L)) / sum
@@ -454,13 +447,10 @@ class EXP4Policy:
 
     def __init__(self, n_experts: int, K: int, *, eta: float | None = None,
                  T: int | None = None) -> None:
-        if n_experts < 1:
-            raise ValueError("need at least one expert")
-        if K < 2:
-            raise ValueError(f"need at least two arms, got K={K}")
+        _check_count(n_experts, "n_experts")
+        _check_count(K, "K", 2)
         if eta is None:
-            if T is None or T < 1:
-                raise ValueError("need either eta or a horizon T")
+            T = _check_count(T, "T")
             eta = math.sqrt(2.0 * math.log(n_experts) / (K * T))
         eta = _check_rate(eta)
         self.n_experts = n_experts
@@ -491,8 +481,7 @@ class EXP4Policy:
 
 
 def _check_ucb1(K: int, parametrization: str) -> None:
-    if K < 1:
-        raise ValueError(f"need at least one arm, got K={K}")
+    _check_count(K, "K")
     if parametrization not in UCB1_PARAMETRIZATIONS:
         raise ValueError(f"unknown parametrization {parametrization!r}")
 
@@ -509,11 +498,9 @@ class UCB1Policy:
     def __init__(self, K: int, *, parametrization: str = "original",
                  reward_range: float = 1.0) -> None:
         _check_ucb1(K, parametrization)
-        if reward_range <= 0.0:
-            raise ValueError("reward_range must be positive")
         self.K = K
         self.parametrization = parametrization
-        self.reward_range = float(reward_range)
+        self.reward_range = _check_rate(reward_range, "reward_range")
         self.counts = [0] * K
         self.sums = [0.0] * K
         self.t = 0
@@ -558,7 +545,7 @@ class _RewardRows:
 
     def __init__(self, K: int, R: int) -> None:
         self.K = K
-        self.R = R
+        self.R = _check_count(R, "R")
         self.offsets = np.arange(R) * K  # row starts, flat
         self.counts = np.zeros((R, K))
         self.sums = np.zeros((R, K))
@@ -623,10 +610,11 @@ class FixedPolicy:
 
     def __init__(self, K: int, *, arm: int | None = None,
                  dist: Sequence[float] | None = None) -> None:
+        _check_count(K, "K")
         if (arm is None) == (dist is None):
             raise ValueError("give exactly one of arm or dist")
-        if arm is not None and not 0 <= arm < K:
-            raise ValueError(f"arm {arm} outside [0, {K})")
+        if arm is not None:
+            _check_count(arm, "arm", 0, K)
         if dist is not None and len(dist) != K:
             raise ValueError("distribution has wrong length")
         self.K = K

@@ -15,14 +15,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import (
-    BoundResult,
-    LambdaGrid,
-    SplitGrid,
+from .concentration import BoundResult, LambdaGrid, SplitGrid, _split_kl_sum
+from .divergences import (
+    _TINY,
+    ProbVec,
+    _check_count,
     _check_delta,
-    _split_kl_sum,
+    _check_nonneg,
+    _check_range,
+    _check_rate,
+    _check_unit,
+    categorical_kl,
+    kl_inverse,
 )
-from .divergences import ProbVec, _check_unit, categorical_kl, kl_inverse
+
+# lam of the lambda-form upper bounds lies in (0, 2)
+_BELOW_TWO = math.nextafter(2.0, 0.0)
 
 
 class LossTable:
@@ -127,8 +135,7 @@ class PacBayesQuery:
         if len(self.rho) != len(self.pi):
             raise ValueError("rho and pi must have equal length")
         _check_delta(self.delta)
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_count(self.n, "n")
 
     @property
     def kl_term(self) -> float:
@@ -149,8 +156,6 @@ def occam_bound(table: LossTable, pi: ProbVec, delta: float,
         raise ValueError(f"flavor must be 'hoeffding' or 'kl', got {flavor!r}")
     if len(pi) != table.m:
         raise ValueError("pi length must match the number of hypotheses")
-    if math.fsum(pi.weights) > 1.0 + 1e-9:
-        raise ValueError("pi must sum to at most 1")
     n = table.n
     results = []
     for h, emp in enumerate(table.emp_losses()):
@@ -176,9 +181,7 @@ def tree_prior(depth: int) -> float:
     Computed through the log-space exponent so deep trees underflow to 0.0
     instead of overflowing intermediate integers.
     """
-    depth = int(depth)
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    depth = int(_check_count(depth, "depth", 0))
     if depth > 10:
         # exponent below -745 ln 2; the double-precision value is exactly 0
         return 0.0
@@ -214,14 +217,12 @@ def pb_lambda_bound(q: PacBayesQuery, emp_loss: float, *,
     kl_term = q.kl_term
     complexity = kl_term + math.log(2.0 * math.sqrt(q.n) / q.delta)
     if side == "upper":
-        if lam is None or not 0.0 < lam < 2.0:
-            raise ValueError("upper side needs lam in (0, 2)")
+        lam = _check_range(lam, "lam", _TINY, _BELOW_TWO, "in (0, 2)")
         value = _lambda_upper(emp_loss, complexity, lam, q.n)
         return BoundResult(value, q.delta, "pb-lambda-upper",
                            {"kl": kl_term, "lambda": lam})
     if side == "lower":
-        if gamma is None or gamma <= 0.0:
-            raise ValueError("lower side needs gamma > 0")
+        gamma = _check_rate(gamma, "gamma")
         value = max(0.0, _lambda_lower(emp_loss, complexity, gamma, q.n))
         return BoundResult(value, q.delta, "pb-lambda-lower",
                            {"kl": kl_term, "gamma": gamma})
@@ -242,9 +243,7 @@ def gibbs_posterior(pi: ProbVec, losses: Sequence[float], scale: float) -> ProbV
     """The distribution rho(h) proportional to pi(h) e^{-scale * loss(h)},
     computed with subtract-min stabilization; the exact minimizer of
     scale * E_rho[loss] + KL(rho || pi)."""
-    scale = float(scale)
-    if scale < 0.0:
-        raise ValueError("scale must be nonnegative")
+    scale = _check_nonneg(scale, "scale")
     ls = np.asarray(list(losses), dtype=float)
     if len(ls) != len(pi):
         raise ValueError("losses length must match pi")
@@ -258,8 +257,9 @@ def gibbs_posterior(pi: ProbVec, losses: Sequence[float], scale: float) -> ProbV
 def optimal_lambda(emp_loss: float, kl_term: float, n: int, delta: float) -> float:
     """Closed-form minimizer of the PAC-Bayes-lambda upper bound in lam:
     2 / (sqrt(2 n emp / (KL + ln(2 sqrt(n)/delta)) + 1) + 1), always in (0, 1]."""
-    if emp_loss < 0 or kl_term < 0:
-        raise ValueError("inputs must be nonnegative")
+    emp_loss = _check_unit(emp_loss, "emp_loss")
+    kl_term = _check_nonneg(kl_term, "kl_term")
+    _check_count(n, "n")
     _check_delta(delta)
     complexity = kl_term + math.log(2.0 * math.sqrt(n) / delta)
     return _optimal_lambda_raw(emp_loss, complexity, n)
@@ -314,8 +314,7 @@ def alternating_minimize(pi: ProbVec, table: LossTable, delta: float,
     _check_delta(delta)
     if len(pi) != table.m:
         raise ValueError("pi length must match the number of hypotheses")
-    if r < 0 or r >= table.n:
-        raise ValueError("r must be in [0, n)")
+    _check_count(r, "r", 0, table.n)
     if r > 0:
         if table.masks is None:
             raise ValueError("aggregation (r > 0) needs validation masks")
@@ -349,6 +348,8 @@ def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
                   (complexity 2 KL + ln(4 sqrt(m)/delta)), where the
                   disagreements may come from a separate unlabeled table.
     """
+    lam = _check_range(lam, "lam", _TINY, _BELOW_TWO, "in (0, 2)")
+    gamma = _check_rate(gamma, "gamma")
     rho_w = np.asarray(q.rho.weights)
     if kind == "first_order":
         emp = float(np.dot(rho_w, table.emp_losses()))
@@ -357,8 +358,6 @@ def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
                            {"gibbs_bound": inner.value, "emp_loss": emp})
 
     if kind == "tandem":
-        if not 0.0 < lam < 2.0:
-            raise ValueError("tandem needs lam in (0, 2)")
         tandem = table.tandem_losses()
         emp_tandem = float(rho_w @ tandem @ rho_w)
         n_eff = table.min_pairwise_overlap()
@@ -369,8 +368,6 @@ def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
                             "n_eff": n_eff})
 
     if kind == "disagreement":
-        if not 0.0 < lam < 2.0 or gamma <= 0.0:
-            raise ValueError("disagreement needs lam in (0, 2) and gamma > 0")
         emp = float(np.dot(rho_w, table.emp_losses()))
         n = table.n
         kl_term = q.kl_term
@@ -401,7 +398,7 @@ def pb_split_kl_bound(grid: SplitGrid, segment_means: Sequence[float],
     """PAC-Bayes-split-kl bound for losses on the grid b_0 < ... < b_K:
     b_0 + sum_j alpha_j kl_inverse(E_rho[F_hat_{|j}],
                                    (KL + ln(2 K sqrt(n)/delta)) / n, upper)."""
-    means = [float(x) for x in segment_means]
+    means = [_check_unit(x, "segment_means") for x in segment_means]
     if len(means) != grid.K:
         raise ValueError("one segment mean per grid segment required")
     kl_term = q.kl_term
@@ -420,8 +417,8 @@ def pb_unexpected_bernstein_bound(q: PacBayesQuery, emp_loss: float,
                                   grid: LambdaGrid) -> BoundResult:
     """PAC-Bayes-Unexpected-Bernstein bound with a lambda grid in (0, 1/2]:
     emp_loss + min over lam of (lam * emp_sq_loss + (KL + ln(k/delta))/(n lam))."""
-    if any(not 0.0 < lam <= 0.5 for lam in grid.lambdas):
-        raise ValueError("lambda grid must lie in (0, 1/2]")
+    for lam in grid.lambdas:
+        _check_range(lam, "grid lambdas", _TINY, 0.5, "in (0, 1/2]")
     emp_loss = _check_unit(emp_loss, "emp_loss")
     emp_sq_loss = _check_unit(emp_sq_loss, "emp_sq_loss")
     kl_term = q.kl_term
@@ -440,10 +437,8 @@ def pb_unexpected_bernstein_bound(q: PacBayesQuery, emp_loss: float,
 def geometric_split(n: int, T: int) -> list:
     """Split n into stage sizes [n_1, ..., n_T] with |S_T| = ceil(n/2),
     |S_{T-1}| = ceil(remaining/2), ..., and the remainder going to S_1."""
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if n < 2 ** (T - 1):
-        raise ValueError(f"n={n} too small for {T} geometric stages")
+    _check_count(T, "T")
+    _check_count(n, "n", 2 ** (T - 1))
     sizes = []
     remaining = n
     for _ in range(T - 1):
@@ -493,15 +488,13 @@ def recursive_pb(table: LossTable, delta: float, T: int,
     starts = np.concatenate(([0], np.cumsum(sizes))).astype(int)
     if gammas is None:
         gammas = [0.5] * T
-    gammas = [float(g) for g in gammas]
+    gammas = [_check_unit(g, "gammas") for g in gammas]
     if len(gammas) != T:
         raise ValueError("need one gamma per stage")
-    if any(not 0.0 <= g <= 1.0 for g in gammas):
-        raise ValueError("each gamma must be in [0, 1]")
     pi_prev = pi0 if pi0 is not None else ProbVec([1.0 / m] * m)
     if len(pi_prev) != m:
         raise ValueError("pi0 length must match the number of hypotheses")
-    seed_seq = np.random.SeedSequence(seed)
+    seed_seq = np.random.SeedSequence(_check_count(seed, "seed", 0))
     stage_seeds = seed_seq.spawn(T)
     losses = table.losses
 

@@ -1,0 +1,384 @@
+"""Every public entry point of the library names a bad scalar argument.
+
+The table lists, for each public function and class of the five library
+modules (a class with its public class and static methods), the scalar
+numeric parameters it takes: a call that passes one value for that
+parameter and valid values for the rest, a value in the domain and the
+finite values outside it.  NaN, +inf and -inf are fed as well, unless the
+row lists one as in the domain, and each must raise a ValueError whose
+message starts with the parameter's name.  A callable with no scalar
+numeric parameter, or whose checks are pinned elsewhere, is listed in
+``NO_ROW`` with the reason.  Instance methods are the per-round code and
+keep their own checks.
+"""
+import inspect
+import math
+import os
+
+import numpy as np
+import pytest
+
+from boundslab import (
+    concentration,
+    divergences,
+    environments,
+    online_policies,
+    pac_bayes,
+)
+from boundslab.concentration import (
+    LambdaGrid,
+    Sample,
+    SplitGrid,
+    bernstein_duals,
+    bernstein_mean_bound,
+    empirical_bernstein_mean_bound,
+    hoeffding_mean_bound,
+    hoeffding_radius,
+    hoeffding_solve_n,
+    kl_mean_bound,
+    kl_mgf_exact,
+    markov_chebyshev_tail,
+    mgf_lemma_check,
+    psi,
+    split_kl_mean_bound,
+    unexpected_bernstein_mean_bound,
+)
+from boundslab.divergences import (
+    ProbVec,
+    binary_entropy,
+    binary_kl,
+    binomial_entropy_bounds,
+    kl_inverse,
+    pinsker_relaxations,
+)
+from boundslab.environments import (
+    BernoulliEnv,
+    MatrixEnv,
+    make_ftl_breaker,
+    make_ucb_breaker,
+    play_bandit,
+    play_full_information,
+    replay_importance_weighted,
+    replay_rejection_sampling,
+    synthesize_uniform_log,
+    write_log,
+)
+from boundslab.online_policies import (
+    EXP3Policy,
+    EXP4Policy,
+    EpsilonFirstPolicy,
+    FixedPolicy,
+    FTLPolicy,
+    HedgePolicy,
+    UCB1Batch,
+    UCB1Policy,
+    doubling_schedule,
+    epsilon_first_schedule,
+    exp3_eta,
+    hedge_distribution,
+    hedge_eta,
+    importance_weighted_loss,
+    ucb_index,
+)
+from boundslab.pac_bayes import (
+    LossTable,
+    PacBayesQuery,
+    alternating_minimize,
+    geometric_split,
+    gibbs_posterior,
+    mv_bound,
+    occam_bound,
+    optimal_lambda,
+    pb_kl_bound,
+    pb_lambda_bound,
+    pb_split_kl_bound,
+    pb_unexpected_bernstein_bound,
+    recursive_pb,
+    tree_prior,
+)
+
+MODULES = (divergences, concentration, pac_bayes, online_policies,
+           environments)
+
+PI = ProbVec([0.5, 0.5])
+QUERY = PacBayesQuery(PI, PI, 100, 0.05)
+TABLE = LossTable([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+SAMPLE = Sample.unit([0.0, 0.5, 1.0, 0.25])
+LOG = synthesize_uniform_log([0.5, 0.5], 5, 0)
+
+
+def matrix_env():
+    return MatrixEnv(np.full((4, 2), 0.5))
+
+
+def row(param, call, good, *bad, in_domain=()):
+    """One scalar parameter: ``call(x)`` passes x for it, ``good`` is in
+    its domain and ``bad`` are the finite values outside it; NaN, +inf
+    and -inf are bad too unless listed in ``in_domain``."""
+    bad += tuple(x for x in (math.nan, math.inf, -math.inf)
+                 if x not in in_domain)
+    return param, call, good, bad
+
+
+ROWS = {
+    # divergences
+    "binary_entropy": [row("p", binary_entropy, 0.3, 1.5, -0.5)],
+    "binary_kl": [row("p", lambda x: binary_kl(x, 0.5), 0.3, 1.5),
+                  row("q", lambda x: binary_kl(0.5, x), 0.3, -0.5)],
+    "kl_inverse": [
+        row("p_hat", lambda x: kl_inverse(x, 0.1), 0.3, 1.5),
+        row("eps", lambda x: kl_inverse(0.3, x), 0.1, -1.0,
+            in_domain=(math.inf,))],
+    "pinsker_relaxations": [
+        row("p_hat", lambda x: pinsker_relaxations(x, 0.1), 0.3, 1.5),
+        row("eps", lambda x: pinsker_relaxations(0.3, x), 0.1, -1.0,
+            in_domain=(math.inf,))],
+    "binomial_entropy_bounds": [
+        row("n", lambda x: binomial_entropy_bounds(x, 1), 10, 0),
+        row("k", lambda x: binomial_entropy_bounds(10, x), 3, 11, -1)],
+    # concentration
+    "LambdaGrid": [row("lambdas", lambda x: LambdaGrid([x]), 0.5, 0.0)],
+    "LambdaGrid.default": [
+        row("n", lambda x: LambdaGrid.default(x, 0.05, 1.0), 100, 0),
+        row("delta", lambda x: LambdaGrid.default(100, x, 1.0), 0.05, 1.0),
+        row("b", lambda x: LambdaGrid.default(100, 0.05, x), 1.0, 0.0)],
+    "markov_chebyshev_tail": [
+        row("eps", lambda x: markov_chebyshev_tail("markov", mean=0.5,
+                                                   eps=x), 1.0, 0.0),
+        row("mean", lambda x: markov_chebyshev_tail("markov", mean=x,
+                                                    eps=1.0), 0.5, -1.0),
+        row("variance", lambda x: markov_chebyshev_tail(
+            "chebyshev", variance=x, eps=1.0), 0.5, -1.0)],
+    "hoeffding_radius": [
+        row("n", lambda x: hoeffding_radius(x, 0.05), 100, 0),
+        row("delta", lambda x: hoeffding_radius(100, x), 0.05, 0.0)],
+    "hoeffding_solve_n": [
+        row("eps", lambda x: hoeffding_solve_n(x, 0.05), 0.1, 0.0),
+        row("delta", lambda x: hoeffding_solve_n(0.1, x), 0.05, 1.0)],
+    "hoeffding_mean_bound": [
+        row("p_hat", lambda x: hoeffding_mean_bound(x, 100, 0.05), 0.3, 1.5),
+        row("n", lambda x: hoeffding_mean_bound(0.3, x, 0.05), 100, 0),
+        row("delta", lambda x: hoeffding_mean_bound(0.3, 100, x), 0.05, 1.0)],
+    "kl_mean_bound": [
+        row("p_hat", lambda x: kl_mean_bound(x, 100, 0.05), 0.3, 1.5),
+        row("n", lambda x: kl_mean_bound(0.3, x, 0.05), 100, 0),
+        row("delta", lambda x: kl_mean_bound(0.3, 100, x), 0.05, 1.0)],
+    "split_kl_mean_bound": [row("delta", lambda x: split_kl_mean_bound(
+        SAMPLE, SplitGrid([0.0, 0.5, 1.0]), x), 0.05, 1.0)],
+    "bernstein_mean_bound": [
+        row("mean_hat", lambda x: bernstein_mean_bound(x, 0.1, 1.0, 100,
+                                                       0.05), 0.5),
+        row("nu", lambda x: bernstein_mean_bound(0.5, x, 1.0, 100, 0.05),
+            0.1, -1.0),
+        row("b", lambda x: bernstein_mean_bound(0.5, 0.1, x, 100, 0.05),
+            1.0, 0.0),
+        row("n", lambda x: bernstein_mean_bound(0.5, 0.1, 1.0, x, 0.05),
+            100, 0),
+        row("delta", lambda x: bernstein_mean_bound(0.5, 0.1, 1.0, 100, x),
+            0.05, 1.0)],
+    "bernstein_duals": [row("x", bernstein_duals, 0.5, -1.0)],
+    "empirical_bernstein_mean_bound": [row(
+        "delta", lambda x: empirical_bernstein_mean_bound(SAMPLE, x),
+        0.05, 1.0)],
+    "psi": [row("u", psi, 0.5, -1.0)],
+    "unexpected_bernstein_mean_bound": [row(
+        "delta", lambda x: unexpected_bernstein_mean_bound(SAMPLE, x),
+        0.05, 1.0)],
+    "kl_mgf_exact": [row("n", lambda x: kl_mgf_exact(x, 0.3), 10, 0),
+                     row("p", lambda x: kl_mgf_exact(10, x), 0.3, 1.5)],
+    "mgf_lemma_check": [
+        row("lam", lambda x: mgf_lemma_check([0.0, 1.0], [0.5, 0.5], x,
+                                             "hoeffding"), 0.5),
+        row("lam", lambda x: mgf_lemma_check([-1.0, 1.0], [0.5, 0.5], x,
+                                             "bernstein"), 0.5, 0.0, 3.0),
+        row("lam", lambda x: mgf_lemma_check([0.0, 1.0], [0.5, 0.5], x,
+                                             "unexpected"), 0.5, -0.5, 1.0)],
+    # pac_bayes
+    "PacBayesQuery": [
+        row("n", lambda x: PacBayesQuery(PI, PI, x, 0.05), 100, 0),
+        row("delta", lambda x: PacBayesQuery(PI, PI, 100, x), 0.05, 1.0)],
+    "occam_bound": [row("delta", lambda x: occam_bound(TABLE, PI, x),
+                        0.05, 1.0)],
+    "tree_prior": [row("depth", tree_prior, 3, -1)],
+    "pb_kl_bound": [row("emp_loss", lambda x: pb_kl_bound(QUERY, x),
+                        0.3, 1.5)],
+    "pb_lambda_bound": [
+        row("emp_loss", lambda x: pb_lambda_bound(QUERY, x, lam=1.0),
+            0.3, 1.5),
+        row("lam", lambda x: pb_lambda_bound(QUERY, 0.3, lam=x), 1.0, 2.0),
+        row("gamma", lambda x: pb_lambda_bound(QUERY, 0.3, gamma=x,
+                                               side="lower"), 1.0, 0.0)],
+    "gibbs_posterior": [row("scale", lambda x: gibbs_posterior(
+        PI, [0.2, 0.4], x), 1.0, -1.0)],
+    "optimal_lambda": [
+        row("emp_loss", lambda x: optimal_lambda(x, 0.1, 100, 0.05), 0.3,
+            5.0),
+        row("kl_term", lambda x: optimal_lambda(0.3, x, 100, 0.05), 0.1,
+            -1.0),
+        row("n", lambda x: optimal_lambda(0.3, 0.1, x, 0.05), 100, 0),
+        row("delta", lambda x: optimal_lambda(0.3, 0.1, 100, x), 0.05, 1.0)],
+    "alternating_minimize": [
+        row("delta", lambda x: alternating_minimize(PI, TABLE, x), 0.05, 1.0),
+        row("r", lambda x: alternating_minimize(PI, TABLE, 0.05, x), 0, 4)],
+    "mv_bound": [
+        row("lam", lambda x: mv_bound("first_order", TABLE, QUERY, lam=x),
+            1.0, 2.0),
+        row("gamma", lambda x: mv_bound("first_order", TABLE, QUERY,
+                                        gamma=x), 1.0, 0.0)],
+    "pb_split_kl_bound": [row("segment_means", lambda x: pb_split_kl_bound(
+        SplitGrid([0.0, 0.5, 1.0]), [x, 0.2], QUERY), 0.3, 1.5)],
+    "pb_unexpected_bernstein_bound": [
+        row("emp_loss", lambda x: pb_unexpected_bernstein_bound(
+            QUERY, x, 0.1, LambdaGrid([0.5])), 0.3, 1.5),
+        row("emp_sq_loss", lambda x: pb_unexpected_bernstein_bound(
+            QUERY, 0.3, x, LambdaGrid([0.5])), 0.1, 1.5)],
+    "geometric_split": [row("n", lambda x: geometric_split(x, 3), 8, 3),
+                        row("T", lambda x: geometric_split(8, x), 3, 0)],
+    "recursive_pb": [
+        row("delta", lambda x: recursive_pb(TABLE, x, 2), 0.05, 1.0),
+        row("T", lambda x: recursive_pb(TABLE, 0.05, x), 2, 0),
+        row("gammas", lambda x: recursive_pb(TABLE, 0.05, 2,
+                                             gammas=[0.5, x]), 0.5, 1.5),
+        row("seed", lambda x: recursive_pb(TABLE, 0.05, 2, seed=x), 3, -1)],
+    # online_policies
+    "hedge_distribution": [row("eta", lambda x: hedge_distribution(
+        [1.0, 2.0], x), 0.5, 0.0)],
+    "hedge_eta": [
+        row("K", lambda x: hedge_eta(x, T=10), 2, 1),
+        row("T", lambda x: hedge_eta(2, T=x), 10, 0),
+        row("t", lambda x: hedge_eta(2, t=x, variant="anytime_simple"), 1,
+            0)],
+    "importance_weighted_loss": [
+        row("loss", lambda x: importance_weighted_loss(x, 0.5, True), 0.5,
+            1.5),
+        row("p_chosen", lambda x: importance_weighted_loss(0.5, x, True),
+            0.5, 0.0)],
+    "ucb_index": [
+        row("mu_hat", lambda x: ucb_index(x, 5, 2), 0.5, 1.5),
+        row("t", lambda x: ucb_index(0.5, x, 2), 5, 0),
+        row("n_pulls", lambda x: ucb_index(0.5, 5, x), 2, 0)],
+    "epsilon_first_schedule": [
+        row("gap", lambda x: epsilon_first_schedule(x, 100), 0.5, 0.0),
+        row("T", lambda x: epsilon_first_schedule(0.5, x), 100, 0)],
+    "doubling_schedule": [
+        row("t", lambda x: doubling_schedule(x, 2), 4, 0),
+        row("K", lambda x: doubling_schedule(4, x), 2, 1)],
+    "exp3_eta": [
+        row("K", lambda x: exp3_eta(x, 3), 2, 1),
+        row("t", lambda x: exp3_eta(2, x), 3, -1),
+        row("eta", lambda x: exp3_eta(2, 3, eta=x), 0.1, 0.0),
+        row("T", lambda x: exp3_eta(2, 3, T=x), 10, 0)],
+    "HedgePolicy": [
+        row("K", HedgePolicy, 2, 1),
+        row("eta", lambda x: HedgePolicy(2, eta=x), 0.5, 0.0),
+        row("T", lambda x: HedgePolicy(2, variant="simple", T=x), 10, 0)],
+    "FTLPolicy": [row("K", FTLPolicy, 2, 0)],
+    "EXP3Policy": [
+        row("K", EXP3Policy, 2, 1),
+        row("eta", lambda x: EXP3Policy(2, eta=x), 0.5, 0.0),
+        row("eta", lambda x: EXP3Policy(2, variant="rewards", eta=x), 0.5,
+            1.0),
+        row("T", lambda x: EXP3Policy(2, T=x), 10, 0),
+        row("R", lambda x: EXP3Policy(2, R=x), 2, 0)],
+    "EXP4Policy": [
+        row("n_experts", lambda x: EXP4Policy(x, 2, eta=0.1), 2, 0),
+        row("K", lambda x: EXP4Policy(2, x, eta=0.1), 2, 1),
+        row("eta", lambda x: EXP4Policy(2, 2, eta=x), 0.1, 0.0),
+        row("T", lambda x: EXP4Policy(2, 2, T=x), 10, 0)],
+    "UCB1Policy": [
+        row("K", UCB1Policy, 2, 0),
+        row("reward_range", lambda x: UCB1Policy(2, reward_range=x), 2.0,
+            0.0)],
+    "UCB1Batch": [row("K", UCB1Batch, 2, 0),
+                  row("R", lambda x: UCB1Batch(2, R=x), 2, 0)],
+    "EpsilonFirstPolicy": [
+        row("T", lambda x: EpsilonFirstPolicy(x, 0.5), 100, 0),
+        row("gap", lambda x: EpsilonFirstPolicy(100, x), 0.5, 1.5),
+        row("R", lambda x: EpsilonFirstPolicy(100, 0.5, x), 2, 0)],
+    "FixedPolicy": [row("K", lambda x: FixedPolicy(x, arm=0), 2, 0),
+                    row("arm", lambda x: FixedPolicy(2, arm=x), 1, 2, -1)],
+    # environments
+    "BernoulliEnv": [row("seed", lambda x: BernoulliEnv([0.5], x), 3, -1)],
+    "make_ftl_breaker": [row("T", make_ftl_breaker, 4, 1)],
+    "make_ucb_breaker": [
+        row("T", lambda x: make_ucb_breaker(x, 2), 4, 3),
+        row("K", lambda x: make_ucb_breaker(4, x), 2, 0)],
+    "write_log": [row("K", lambda x: write_log(os.devnull, x, LOG), 2, 0)],
+    "synthesize_uniform_log": [
+        row("means", lambda x: synthesize_uniform_log([x], 5, 0), 0.5, 1.5),
+        row("T", lambda x: synthesize_uniform_log([0.5], x, 0), 5, -1),
+        row("seed", lambda x: synthesize_uniform_log([0.5], 5, x), 0, -1)],
+    "play_full_information": [row("T", lambda x: play_full_information(
+        FTLPolicy(2), matrix_env(), x), 3, -1)],
+    "play_bandit": [row("T", lambda x: play_bandit(
+        UCB1Batch(2), [matrix_env()], x), 3, -1)],
+    "replay_importance_weighted": [row("K", lambda x: (
+        replay_importance_weighted(FixedPolicy(2, arm=0), LOG, x)), 2, 0)],
+    "replay_rejection_sampling": [row("K", lambda x: (
+        replay_rejection_sampling(FixedPolicy(2, arm=0), LOG, x)), 2, 0)],
+}
+
+NO_ROW = {
+    "ProbVec": "weights: a sequence, checked as a whole",
+    "categorical_kl": "rho and pi: sequences, checked as a whole",
+    "BoundResult": "a record of a bound already computed",
+    "Sample": "values and bounds checked as a whole, message by message "
+              "in TestSampleErrorContract",
+    "Sample.unit": "values: a sequence",
+    "SplitGrid": "points: a sequence, checked as a whole",
+    "sample_variance": "sample: a Sample",
+    "LossTable": "a loss matrix, checked as a whole",
+    "MinimizationResult": "a record of a minimization already run",
+    "mv_predict": "rho and predictions: sequences",
+    "RecursiveStage": "a record of a stage already computed",
+    "ftl_choice": "cum_losses: a sequence",
+    "exp4_mix": "expert weights and advice: sequences",
+    "sample_arm": "per-round code",
+    "sample_arms": "per-round code",
+    "BanditLog": "arrays",
+    "GameTranscript": "arrays and a payoff kind",
+    "BernoulliEnv.blocks": "per-block code of the game loops",
+    "MatrixEnv": "a loss matrix, checked as a whole",
+    "MatrixEnv.blocks": "per-block code of the game loops",
+    "parse_log": "lines of a log, checked record by record",
+    "hindsight_regret": "a loss matrix and arms",
+    "pseudo_regret": "arms and means: sequences",
+}
+
+
+def public_callables():
+    """The public functions and classes each module defines, and the
+    public class and static methods of its classes."""
+    for module in MODULES:
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or obj.__module__ != module.__name__):
+                continue
+            yield name
+            for attr, member in vars(obj).items() if inspect.isclass(obj) else ():
+                if (not attr.startswith("_")
+                        and isinstance(member, (classmethod, staticmethod))):
+                    yield f"{name}.{attr}"
+
+
+def test_every_public_callable_has_a_row():
+    names = list(public_callables())
+    assert len(names) == len(set(names))
+    assert not ROWS.keys() & NO_ROW.keys()
+    assert set(names) == ROWS.keys() | NO_ROW.keys()
+
+
+CASES = [(name, param, call, good, bad) for name, rows in ROWS.items()
+         for param, call, good, bads in rows for bad in bads]
+
+
+@pytest.mark.parametrize(
+    "name, param, call, good, bad", CASES,
+    ids=[f"{name}-{param}-{bad}" for name, param, _, _, bad in CASES])
+def test_a_bad_scalar_raises_a_value_error_naming_it(name, param, call, good,
+                                                     bad):
+    call(good)
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert type(info.value) is ValueError
+    assert str(info.value).startswith(f"{param} must "), str(info.value)

@@ -694,6 +694,12 @@ class TestCli:
          "params.m: must be >= 1, got '0' (line 5)"),
         (["kind = recursive", "[params]", "t_max = 0"],
          "params.t_max: must be >= 1, got '0' (line 5)"),
+        *[(["kind = recursive", "[params]", "m = 2", f"t_max = {t_max}",
+            "n = 10"],
+           "params.t_max: must be <= 60, as a table row of n >= "
+           "2**(params.t_max - 1) float64 losses passes numpy's 2**63-byte "
+           f"array limit above it, got '{t_max}' (line 6)")
+          for t_max in ("20000", "99999999999999999999")],
         (["[environment]", "kind = bernoulli", "means = 0.5", "[policy e]",
           "kind = exp3"],
          "policy e.kind: must be a kind for K = 1 (exp3 takes >= 2 arms), "
@@ -724,7 +730,8 @@ class TestCli:
             "epsilon_first_K", "policy_unknown_key", "environment_unknown_key",
             "params_unknown_key", "ucb1_parametrization", "epsilon_first_gap",
             "params_n", "experiment_T", "pacbayes_m", "pacbayes_n_grid",
-            "recursive_m", "recursive_t_max", "exp3_K", "feedback",
+            "recursive_m", "recursive_t_max", "recursive_t_max_20000",
+            "recursive_t_max_huge", "exp3_K", "feedback",
             "params_in_game", "environment_in_bounds", "policy_in_bounds",
             "name_path", "name_empty", "policy_label_comma"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
