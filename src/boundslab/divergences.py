@@ -210,6 +210,9 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
     ``upper`` returns max{q in [p_hat, 1] : kl(p_hat||q) <= eps}; ``lower``
     the min over [0, p_hat].  Bisection works because kl(p_hat||q) is convex
     in q with a minimum of zero at q = p_hat, hence monotone on each side.
+    The loop compares ``_kl_interior``'s two terms with ``eps`` inline and
+    without its ``max(., 0.0)`` clamp, which decides the same way: the sum
+    differs at most in the sign of a zero, and ``eps >= 0``.
     """
     p_hat = _check_unit(p_hat, "p_hat")
     eps = _check_nonneg(eps, "eps", inf_ok=True)
@@ -228,11 +231,13 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
     # lies strictly between lo and hi (hi - lo > BISECT_TOL is far above an
     # ulp), so it is interior too and the unchecked formula applies.
     lo, hi = (p_hat, 1.0) if upper else (0.0, p_hat)
+    q_hat, log = 1.0 - p_hat, math.log
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if (_kl_interior(p_hat, mid) <= eps) == upper:
+        if (p_hat * log(p_hat / mid) + q_hat * log(q_hat / (1.0 - mid))
+                <= eps) == upper:
             lo = mid
         else:
             hi = mid

@@ -93,6 +93,12 @@ class Section:
         self.texts[key] = raw
         return _convert(raw, kind, f"{self.name}.{key}", ok, want)
 
+    def check(self, key: str, kind, *, ok, want: str):
+        """Check the text ``key`` was read from once more, against a second
+        ``ok``/``want`` with its own message, such as a cap that depends on
+        another field."""
+        return _convert(self.texts[key], kind, f"{self.name}.{key}", ok, want)
+
     def close(self) -> None:
         unread = [key for key in self.raw if key not in self.known]
         if unread:

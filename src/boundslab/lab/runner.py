@@ -25,6 +25,7 @@ from boundslab.concentration import (
 )
 from boundslab.divergences import ProbVec, pinsker_relaxations
 from boundslab.environments import (
+    ROW_BLOCK,
     BernoulliEnv,
     MatrixEnv,
     hindsight_regret,
@@ -71,6 +72,24 @@ _PLAYS = {
 _POSITIVE = {"ok": lambda x: 0.0 < x < math.inf, "want": "positive and finite"}
 _UNIT = {"ok": lambda x: 0.0 <= x <= 1.0, "want": "in [0, 1]"}
 _UNITS = {"ok": lambda xs: all(0.0 <= x <= 1.0 for x in xs), "want": "in [0, 1]"}
+
+# The most floats one sample, bound grid, loss table or block of loss cells
+# may hold: 2**27, 1 GiB as float64.  Each size field that sets one of them
+# is capped so that it fits.
+MAX_CELLS = 2 ** 27
+
+
+def _cap(f: Section, key: str, kind, holder: str, per: int = 1,
+         per_text: str = "") -> None:
+    """Check ``key``, which ``f`` has read, once more: each of its values
+    times ``per`` (``per_text``) must be at most MAX_CELLS, the floats
+    ``holder`` may hold."""
+    most = MAX_CELLS // per
+    bound = f"2**27 // {per_text} = {most}" if per_text else "2**27"
+    many = isinstance(kind, list)
+    f.check(key, kind, ok=lambda v: (max(v) if many else v) <= most,
+            want=f"{'integers ' if many else ''}<= {bound}, as {holder} "
+                 f"holds at most 2**27 floats (1 GiB as float64)")
 
 
 def _read_policy(label: str, raw: dict, T: int, R: int):
@@ -138,6 +157,12 @@ def _read_environment(config: ExperimentConfig):
         key = "k_grid" if "k_grid" in f.raw else "k"
         k_grid = f.read(key, [int], "2", want="distinct integers >= 2",
                         ok=lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks))
+        # the largest block of cells is one round of the R repetitions (a
+        # bandit block of more rounds stays under BLOCK_CELLS) or ROW_BLOCK
+        # rounds of one full-information env
+        rows = f"max(experiment.R, {ROW_BLOCK})"
+        _cap(f, key, [int], f"a block of {rows} rows of k loss cells",
+             max(config.R, ROW_BLOCK), rows)
         base = f.read("base", float, "0.5", **_UNIT)
         gap = f.read("gap", float, "0.25", ok=lambda gap: 0 <= base - gap <= 1,
                      want=f"in [{base - 1:g}, {base:g}]")
@@ -203,7 +228,10 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
     family = f.read("family", ("four_bounds", "split_kl",
                                "unexpected_bernstein"), "four_bounds")
     n = f.read("n", int, "1000", **at_least(2))
+    if family != "four_bounds":
+        _cap(f, "n", int, "a sample of params.n values")
     grid = f.read("grid", int, "101", **at_least(2))
+    _cap(f, "grid", int, "the grid of params.grid points")
     f.close()
     delta = config.delta
     t = np.arange(grid)
@@ -269,8 +297,10 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
 
     f = Section("params", config.params)
     m = f.read("m", int, "20", **at_least(1))
+    _cap(f, "m", int, "the params.m x n loss table")
     n_grid = f.read("n_grid", [int], "100, 200, 400, 800",
                     ok=lambda ns: min(ns) >= 1, want="integers >= 1")
+    _cap(f, "n_grid", [int], "the params.m x n loss table", m, "params.m")
     f.close()
     pi = ProbVec([1.0 / m] * m)
 
@@ -298,15 +328,16 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
 
     f = Section("params", config.params)
     m = f.read("m", int, "20", **at_least(1))
+    _cap(f, "m", int, "the params.m x params.n loss table")
     t_max = f.read("t_max", int, "4", **at_least(1))
     # 8 * 2**(t_max - 1) bytes, one table row, stays below 2**63 to t_max = 60
-    Section("params", f.texts).read(
-        "t_max", int, ok=lambda t: t <= 60, want="<= 60, as a table row of "
-        "n >= 2**(params.t_max - 1) float64 losses passes numpy's 2**63-byte "
-        "array limit above it")
+    f.check("t_max", int, ok=lambda t: t <= 60, want="<= 60, as a table row "
+            "of n >= 2**(params.t_max - 1) float64 losses passes numpy's "
+            "2**63-byte array limit above it")
     n = f.read("n", int, "1000", ok=lambda n: n >= 2 ** (t_max - 1),
                want=f">= 2**(params.t_max - 1) = {2 ** (t_max - 1)} for "
                     f"params.t_max = {t_max}")
+    _cap(f, "n", int, "the params.m x params.n loss table", m, "params.m")
     f.close()
     pi = ProbVec([1.0 / m] * m)
     stages = list(range(1, t_max + 1))

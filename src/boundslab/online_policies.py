@@ -450,6 +450,8 @@ class EXP4Policy:
         _check_count(n_experts, "n_experts")
         _check_count(K, "K", 2)
         if eta is None:
+            # ln 1 = 0: one expert would derive the rate 0
+            _check_count(n_experts, "n_experts", 2)
             T = _check_count(T, "T")
             eta = math.sqrt(2.0 * math.log(n_experts) / (K * T))
         eta = _check_rate(eta)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from boundslab.divergences import (
+    BISECT_MAX_ITER,
+    BISECT_TOL,
     NORMALIZATION_TOL,
     ProbVec,
     _kl_interior,
@@ -160,7 +162,8 @@ class TestBinaryKl:
     @example(5e-324, 1.0 - 2.0 ** -53)
     @example(1.0 - 2.0 ** -53, 5e-324)
     def test_interior_formula_is_binary_kl(self, p, q):
-        # the unchecked formula the kl_inverse bisection runs is binary_kl's
+        # binary_kl's unchecked interior formula; kl_inverse's loop inlines
+        # it, and test_bisection_decides_by_binary_kl holds the two together
         assert _kl_interior(p, q).hex() == binary_kl(p, q).hex()
 
     def test_pinsker_on_grid(self):
@@ -210,7 +213,36 @@ def grid_scan_upper(p_hat, eps, step=1e-6):
     return min(best, 1.0)
 
 
+def bisect_by_binary_kl(p_hat, eps, direction):
+    """kl_inverse's bisection for an interior p_hat, deciding each step by
+    the public ``binary_kl(p_hat, mid) <= eps``."""
+    upper = direction == "upper"
+    lo, hi = (p_hat, 1.0) if upper else (0.0, p_hat)
+    for _ in range(BISECT_MAX_ITER):
+        if hi - lo <= BISECT_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if (binary_kl(p_hat, mid) <= eps) == upper:
+            lo = mid
+        else:
+            hi = mid
+    return lo if upper else hi
+
+
 class TestKlInverse:
+    @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0 ** -53),
+           st.sampled_from([0.0, 5e-324, 1e-300])
+           | st.floats(min_value=1e-12, max_value=1e3),
+           st.sampled_from(["upper", "lower"]))
+    @example(5e-324, 0.0, "upper")
+    @example(5e-324, 1e3, "lower")
+    @example(1.0 - 2.0 ** -53, 5e-324, "upper")
+    @example(1.0 - 2.0 ** -53, 1e-300, "lower")
+    def test_bisection_decides_by_binary_kl(self, p_hat, eps, direction):
+        # the loop's inline, unclamped kl decides every step as binary_kl
+        assert (kl_inverse(p_hat, eps, direction).hex()
+                == bisect_by_binary_kl(p_hat, eps, direction).hex())
+
     def test_zero_budget_is_identity(self):
         assert kl_inverse(0.3, 0.0, "upper") == pytest.approx(0.3, abs=1e-7)
         assert kl_inverse(0.3, 0.0, "lower") == pytest.approx(0.3, abs=1e-7)

@@ -40,6 +40,10 @@ RANGE_ERROR = re.compile(
     r"( \((line \d+|--[a-z]+)\))?\n$")
 OTHER_ERROR = re.compile(r": (unknown |required |section not used )")
 
+# A size field's value past every cap, and the end of a cap's message.
+HUGE = "99999999999999999999"
+AT_MOST_CELLS = "at most 2**27 floats (1 GiB as float64)"
+
 
 def assert_config_error(err: str, message: str) -> None:
     assert err == f"config error: {message}\n"
@@ -721,6 +725,32 @@ class TestCli:
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy h,x]", "kind = hedge"],
          "policy h,x: must be a label without ',', got 'h,x' (line 6)"),
+        *[(["kind = bounds", "[params]", f"family = {family}", f"n = {HUGE}"],
+           "params.n: must be <= 2**27, as a sample of params.n values holds "
+           f"{AT_MOST_CELLS}, got '{HUGE}' (line 6)")
+          for family in ("split_kl", "unexpected_bernstein")],
+        (["kind = bounds", "[params]", f"grid = {HUGE}"],
+         "params.grid: must be <= 2**27, as the grid of params.grid points "
+         f"holds {AT_MOST_CELLS}, got '{HUGE}' (line 5)"),
+        (["kind = pacbayes", "[params]", f"m = {HUGE}"],
+         "params.m: must be <= 2**27, as the params.m x n loss table holds "
+         f"{AT_MOST_CELLS}, got '{HUGE}' (line 5)"),
+        (["kind = pacbayes", "[params]", "m = 2", f"n_grid = 10, {HUGE}"],
+         "params.n_grid: must be integers <= 2**27 // params.m = 67108864, as "
+         f"the params.m x n loss table holds {AT_MOST_CELLS}, got "
+         f"'10, {HUGE}' (line 6)"),
+        (["kind = recursive", "[params]", f"m = {HUGE}"],
+         "params.m: must be <= 2**27, as the params.m x params.n loss table "
+         f"holds {AT_MOST_CELLS}, got '{HUGE}' (line 5)"),
+        (["kind = recursive", "[params]", "m = 2", f"n = {HUGE}"],
+         "params.n: must be <= 2**27 // params.m = 67108864, as the params.m "
+         f"x params.n loss table holds {AT_MOST_CELLS}, got '{HUGE}' "
+         "(line 6)"),
+        (["R = 1", "[environment]", "kind = bernoulli_gap",
+          f"k_grid = 2, {HUGE}", "[policy u]", "kind = ucb1"],
+         "environment.k_grid: must be integers <= 2**27 // max(experiment.R, "
+         "256) = 524288, as a block of max(experiment.R, 256) rows of k loss "
+         f"cells holds {AT_MOST_CELLS}, got '2, {HUGE}' (line 6)"),
     ], ids=["experiment", "experiment_parse", "params", "params_range",
             "policy", "policy_kind", "environment_k", "environment_k_grid",
             "environment_k_grid_repeated", "environment_means", "params_means",
@@ -733,7 +763,10 @@ class TestCli:
             "recursive_m", "recursive_t_max", "recursive_t_max_20000",
             "recursive_t_max_huge", "exp3_K", "feedback",
             "params_in_game", "environment_in_bounds", "policy_in_bounds",
-            "name_path", "name_empty", "policy_label_comma"])
+            "name_path", "name_empty", "policy_label_comma",
+            "split_kl_n_huge", "unexpected_bernstein_n_huge", "grid_huge",
+            "pacbayes_m_huge", "pacbayes_n_grid_huge", "recursive_m_huge",
+            "recursive_n_huge", "k_grid_huge"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
                                           message):
         # a row that sets the name replaces the default "name = bad"
@@ -743,6 +776,44 @@ class TestCli:
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert_config_error(capsys.readouterr().err, message)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+    def test_mid_sized_size_fields_exit_2_under_a_memory_limit(self, tmp_path):
+        # 10**9 floats are 8 GB: past the caps, so each run stops at its
+        # field; the child runs under RLIMIT_AS, so a cap that stops holding
+        # fails here at its first allocation instead of filling the host
+        rows = [
+            ("params.n", ["kind = bounds", "[params]", "family = split_kl",
+                          "n = 1000000000"]),
+            ("params.grid", ["kind = bounds", "[params]", "grid = 1000000000"]),
+            ("params.n_grid", ["kind = pacbayes", "[params]", "m = 1",
+                               "n_grid = 1000000000"]),
+            ("params.n", ["kind = recursive", "[params]", "m = 1",
+                          "n = 1000000000"]),
+            ("environment.k_grid", ["R = 1", "[environment]",
+                                    "kind = bernoulli_gap",
+                                    "k_grid = 1000000000", "[policy u]",
+                                    "kind = ucb1"]),
+        ]
+        configs = []
+        for i, (_, lines) in enumerate(rows):
+            configs.append(tmp_path / f"mid{i}.cfg")
+            configs[-1].write_text("\n".join(["[experiment]", "name = mid",
+                                              *lines]) + "\n")
+        script = ("import resource, sys\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                  "from boundslab.lab.cli import main\n"
+                  "print([main(['run', p, '--out', sys.argv[1]])"
+                  " for p in sys.argv[2:]])")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path),
+                               *map(str, configs)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout == f"{[2] * len(rows)}\n", done.stderr
+        errors = done.stderr.splitlines()
+        assert [error.split(":")[1].strip() for error in errors] == [
+            field for field, _ in rows]
 
     @pytest.mark.parametrize("policy, message", [
         (["kind = hedge", "eta = -1"],

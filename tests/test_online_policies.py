@@ -308,6 +308,13 @@ class TestExp4:
                             math.sqrt(2 * math.log(8) / (2 * 10000)),
                             rel_tol=1e-12)
 
+    def test_default_eta_needs_two_experts(self):
+        # the derived rate sqrt(2 ln 1 / (K T)) is 0; an explicit eta is not
+        with pytest.raises(ValueError) as info:
+            EXP4Policy(1, 2, T=100)
+        assert str(info.value) == "n_experts must be >= 2 and finite, got 1"
+        assert EXP4Policy(1, 2, eta=0.1).eta == 0.1
+
     @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
     def test_eta_must_be_positive_and_finite(self, eta):
         with pytest.raises(ValueError, match="eta must be positive and finite"):
