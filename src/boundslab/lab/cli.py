@@ -1,9 +1,9 @@
 """``lab`` command-line interface.
 
 Subcommands: ``run`` (execute a config file or shipped preset), ``bounds-
-compare`` (the four-bounds curve without a config file), ``replay`` (offline
-log replay) and ``selftest``.  Exit codes: 0 success, 2 configuration error,
-3 runtime error.
+compare`` (the ``bounds_compare`` preset, with options for its n, delta and
+grid), ``replay`` (offline log replay) and ``selftest``.  Exit codes: 0
+success, 2 configuration error, 3 runtime error.
 """
 from __future__ import annotations
 
@@ -70,9 +70,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bounds_compare(args) -> int:
+    preset = resources.files(PRESET_PACKAGE) / "bounds_compare.cfg"
     config = parse_config_lines(
-        ["[experiment]", "name = bounds_compare", "kind = bounds", "[params]",
-         "family = four_bounds"],
+        preset.read_text(encoding="utf-8").splitlines(),
         {"experiment.delta": (args.delta, "--delta"),
          "params.n": (args.n, "--n"), "params.grid": (args.grid, "--grid")})
     traces = run_experiment(config)
@@ -80,10 +80,10 @@ def _cmd_bounds_compare(args) -> int:
     return 0
 
 
-def _read_option(raw: str, kind, path: str, option: str, **check):
+def _read_option(raw: str, kind, path: str, option: str, *rules):
     """An option's value, read and checked as the config field ``path``."""
     try:
-        return _convert(raw, kind, path, **check)
+        return _convert(raw, kind, path, *rules)
     except ConfigError as exc:
         exc.name_source({path: option})
         raise
@@ -99,7 +99,7 @@ def _replay_policy(spec: str, K: int, mode: str):
     if spec.startswith("fixed:"):
         return FixedPolicy(K, arm=_read_option(
             spec[len("fixed:"):], int, "replay.arm", "--policy",
-            ok=lambda arm: 0 <= arm < K, want=f"in [0, {K})"))
+            (lambda arm: 0 <= arm < K, f"in [0, {K})")))
     kind = _read_option(spec, ("ucb1", "exp3", "fixed:<arm>"),
                         "replay.policy", "--policy")
     if kind == "ucb1":
@@ -116,7 +116,7 @@ def _cmd_replay(args) -> int:
     )
     import numpy as np
 
-    seed = _read_option(args.seed, int, "replay.seed", "--seed", **SEED)
+    seed = _read_option(args.seed, int, "replay.seed", "--seed", SEED)
     # a log that cannot be read or parsed is bad input, named by its option
     try:
         with open(args.log, "r", encoding="ascii") as handle:
@@ -211,9 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds-compare",
                               help="emit the four mean-bound curves")
-    p_bounds.add_argument("--n", default="1000", help="sets params.n")
-    p_bounds.add_argument("--delta", default="0.01", help="sets experiment.delta")
-    p_bounds.add_argument("--grid", default="1001", help="sets params.grid")
+    p_bounds.add_argument("--n", default=None, help="sets params.n")
+    p_bounds.add_argument("--delta", default=None, help="sets experiment.delta")
+    p_bounds.add_argument("--grid", default=None, help="sets params.grid")
     p_bounds.add_argument("--out", default=".")
     p_bounds.set_defaults(fn=_cmd_bounds_compare)
 

@@ -3,11 +3,13 @@
 Format: "[section]" headers, "key = value" pairs, blank lines and full-line
 '#' comments.  Sections are "[experiment]", "[environment]", "[params]" and
 any number of "[policy <label>]" blocks.  One reader, ``Section``, reads
-every field; a key it never reads and a duplicate key are errors.  A line, a
-command-line option and a default all enter as raw text and pass one
-converter and range check, ``_convert``, so a range or type error reads
-``<path>: must be <want>, got '<raw>'`` or ``<path>: cannot parse '<raw>'
-as <type>``, then ``(line N)`` or ``(--option)`` when the field has one.
+every field once; a key it never reads and a duplicate key are errors.  A
+line, a command-line option and a default all enter as raw text and pass one
+converter, ``_convert``, with the field's rules: one ordered list of ``(ok,
+want)`` pairs (its floor, its cap, its ties to other fields).  The first that
+fails reads ``<path>: must be <want>, got '<raw>'``; a type error reads
+``<path>: cannot parse '<raw>' as <type>``.  Either ends with ``(line N)`` or
+``(--option)`` when the field has one.
 """
 from __future__ import annotations
 
@@ -34,18 +36,17 @@ class ConfigError(ValueError):
             self.args = (f"{self.args[0]} ({source})",)
 
 
-def at_least(floor: int) -> dict:
-    """The ``ok``/``want`` pair of an int field's floor."""
-    return {"ok": lambda x: x >= floor, "want": f">= {floor}"}
+def at_least(floor: int) -> tuple:
+    """The rule of an int field's floor."""
+    return lambda x: x >= floor, f">= {floor}"
 
 
-SEED = {"ok": lambda seed: 0 <= seed < 2 ** 64, "want": "in [0, 2**64)"}
+SEED = (lambda seed: 0 <= seed < 2 ** 64, "in [0, 2**64)")
 
 # The outputs are written as ``<name>.csv`` and ``<name>.svg`` in one
 # directory, so a name is one non-empty path component.
-FILE_NAME = {"ok": lambda name: (name != "" and "\0" not in name
-                                 and os.path.basename(name) == name),
-             "want": "a file name"}
+FILE_NAME = (lambda name: (name != "" and "\0" not in name
+                           and os.path.basename(name) == name), "a file name")
 
 
 @dataclass
@@ -80,10 +81,11 @@ class Section:
     def error(self, key: str, text: str) -> ConfigError:
         return ConfigError(f"{self.name}.{key}: {text}", f"{self.name}.{key}")
 
-    def read(self, key: str, kind=str, default: str | None = None, *,
-             ok=None, want: str = "", required: str | None = None):
-        """``key``'s value, else ``default``, written as a line would be so
-        it passes the same check; else None, or ``required``'s error."""
+    def read(self, key: str, kind=str, default: str | None = None, *rules,
+             required: str | None = None):
+        """``key``'s value, checked against ``rules`` in order; else
+        ``default``, written as a line would be so it passes the same
+        rules; else None, or ``required``'s error."""
         self.known.append(key)
         raw = self.raw.get(key, default)
         if raw is None:
@@ -91,13 +93,7 @@ class Section:
                 raise self.error(key, f"required {required}")
             return None
         self.texts[key] = raw
-        return _convert(raw, kind, f"{self.name}.{key}", ok, want)
-
-    def check(self, key: str, kind, *, ok, want: str):
-        """Check the text ``key`` was read from once more, against a second
-        ``ok``/``want`` with its own message, such as a cap that depends on
-        another field."""
-        return _convert(self.texts[key], kind, f"{self.name}.{key}", ok, want)
+        return _convert(raw, kind, f"{self.name}.{key}", *rules)
 
     def close(self) -> None:
         unread = [key for key in self.raw if key not in self.known]
@@ -146,18 +142,20 @@ def _parse_sections(lines):
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _convert(raw: str, kind, path: str, ok=None, want: str = ""):
+def _convert(raw: str, kind, path: str, *rules):
     """``raw`` as a ``kind``: ``str``, ``bool``, ``int``, ``float``, one of a
     tuple of strings, or ``[int]`` / ``[float]`` for a comma-separated list
-    of at least one value; ``ok`` must hold on it (``want`` says what it
-    asks).  Anything else is a ConfigError naming ``path``."""
+    of at least one value; each rule's ``ok`` must hold on it, in order
+    (its ``want`` says what it asks).  Anything else is a ConfigError
+    naming ``path``."""
     if isinstance(kind, tuple) and raw not in kind:
         raise ConfigError(f"{path}: unknown {path.rpartition('.')[2]} "
                           f"{raw!r}, expected one of {', '.join(kind)}", path)
     value = (raw if kind is str or isinstance(kind, tuple)
              else _number(raw, kind, path))
-    if ok is not None and not ok(value):
-        raise ConfigError(f"{path}: must be {want}, got {raw!r}", path)
+    for ok, want in rules:
+        if not ok(value):
+            raise ConfigError(f"{path}: must be {want}, got {raw!r}", path)
     return value
 
 
@@ -192,15 +190,15 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
                 sections[section][key], sources[path] = raw, option
         exp = Section("experiment", sections.pop("experiment"))
         config = ExperimentConfig(
-            name=exp.read("name", required="for every experiment",
-                          **FILE_NAME),
+            name=exp.read("name", str, None, FILE_NAME,
+                          required="for every experiment"),
             kind=exp.read("kind", ("game", "bounds", "pacbayes", "recursive",
                                    "replay"), "game"),
-            T=exp.read("T", int, "1000", **at_least(1)),
-            R=exp.read("R", int, "10", **at_least(1)),
-            seed=exp.read("seed", int, "0", **SEED),
+            T=exp.read("T", int, "1000", at_least(1)),
+            R=exp.read("R", int, "10", at_least(1)),
+            seed=exp.read("seed", int, "0", SEED),
             delta=exp.read("delta", float, "0.05",
-                           ok=lambda delta: 0.0 < delta < 1.0, want="in (0, 1)"),
+                           (lambda delta: 0.0 < delta < 1.0, "in (0, 1)")),
             out=exp.read("out"),
             environment=sections.get("environment", {}),
             params=sections.get("params", {}),

@@ -25,6 +25,7 @@ from boundslab.concentration import (
 )
 from boundslab.divergences import ProbVec, pinsker_relaxations
 from boundslab.environments import (
+    LOG_FIELDS,
     ROW_BLOCK,
     BernoulliEnv,
     MatrixEnv,
@@ -69,27 +70,26 @@ _PLAYS = {
     "ucb1": ("bandit", 1, None),
     "epsilon_first": ("bandit", 2, 2),
 }
-_POSITIVE = {"ok": lambda x: 0.0 < x < math.inf, "want": "positive and finite"}
-_UNIT = {"ok": lambda x: 0.0 <= x <= 1.0, "want": "in [0, 1]"}
-_UNITS = {"ok": lambda xs: all(0.0 <= x <= 1.0 for x in xs), "want": "in [0, 1]"}
+_POSITIVE = (lambda x: 0.0 < x < math.inf, "positive and finite")
+_UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+_UNITS = (lambda xs: all(0.0 <= x <= 1.0 for x in xs), "in [0, 1]")
 
-# The most floats one sample, bound grid, loss table or block of loss cells
-# may hold: 2**27, 1 GiB as float64.  Each size field that sets one of them
-# is capped so that it fits.
+# The most floats one sample, bound grid, loss table, block of loss cells
+# or series may hold: 2**27, 1 GiB as float64.  Each size field that sets
+# one of them is capped so that it fits.
 MAX_CELLS = 2 ** 27
+SERIES = "the experiment.R x experiment.T series"
 
 
-def _cap(f: Section, key: str, kind, holder: str, per: int = 1,
-         per_text: str = "") -> None:
-    """Check ``key``, which ``f`` has read, once more: each of its values
-    times ``per`` (``per_text``) must be at most MAX_CELLS, the floats
+def _cap(holder: str, per: int = 1, per_text: str = "", many=False) -> tuple:
+    """The rule that a size field's value, or each of its values when
+    ``many``, times ``per`` (``per_text``) is at most MAX_CELLS, the floats
     ``holder`` may hold."""
     most = MAX_CELLS // per
     bound = f"2**27 // {per_text} = {most}" if per_text else "2**27"
-    many = isinstance(kind, list)
-    f.check(key, kind, ok=lambda v: (max(v) if many else v) <= most,
-            want=f"{'integers ' if many else ''}<= {bound}, as {holder} "
-                 f"holds at most 2**27 floats (1 GiB as float64)")
+    return (lambda v: (max(v) if many else v) <= most,
+            f"{'integers ' if many else ''}<= {bound}, as {holder} holds at "
+            f"most 2**27 floats (1 GiB as float64)")
 
 
 def _read_policy(label: str, raw: dict, T: int, R: int):
@@ -99,7 +99,7 @@ def _read_policy(label: str, raw: dict, T: int, R: int):
     kind = f.read("kind", tuple(_PLAYS), required="for every policy")
     if kind == "hedge":
         variant = f.read("variant", HEDGE_ETA_VARIANTS, "anytime_tight")
-        eta = f.read("eta", float, **_POSITIVE)
+        eta = f.read("eta", float, None, _POSITIVE)
         doubling = f.read("doubling", bool, "false")
         if doubling and eta is not None:
             raise f.error("eta", f"must be unset when doubling is on, got "
@@ -108,17 +108,17 @@ def _read_policy(label: str, raw: dict, T: int, R: int):
                        doubling=doubling)
     elif kind == "exp3":
         variant = f.read("variant", EXP3_VARIANTS, "losses")
-        eta = (f.read("eta", float, ok=lambda eta: 0.0 < eta < 1.0,
-                      want="in (0, 1)", required="for variant rewards")
-               if variant == "rewards" else f.read("eta", float, **_POSITIVE))
+        eta = (f.read("eta", float, None, (lambda eta: 0.0 < eta < 1.0,
+                      "in (0, 1)"), required="for variant rewards")
+               if variant == "rewards" else f.read("eta", float, None, _POSITIVE))
         horizon = T if f.read("fixed_horizon", bool, "false") else None
         make = partial(EXP3Policy, variant=variant, eta=eta, T=horizon, R=R)
     elif kind == "ucb1":
         make = partial(UCB1Batch, R=R, parametrization=f.read(
             "parametrization", UCB1_PARAMETRIZATIONS, "original"))
     elif kind == "epsilon_first":
-        gap = f.read("gap", float, ok=lambda gap: 0.0 < gap <= 1.0,
-                     want="in (0, 1]", required="for epsilon_first")
+        gap = f.read("gap", float, None, (lambda gap: 0.0 < gap <= 1.0,
+                     "in (0, 1]"), required="for epsilon_first")
         make = lambda K: EpsilonFirstPolicy(T, gap, R)
     else:
         make = FTLPolicy
@@ -140,45 +140,47 @@ def _oblivious(losses):
 def _read_environment(config: ExperimentConfig):
     """(feedback or None, [(suffix, K, build)]) of the [environment]
     section; ``build()`` gives the (env factory, regret fn) pair, and is
-    called only once every section has been checked.  A breaker's floor on
-    ``experiment.T`` is checked on the text T was read from."""
+    called only once every section has been checked.  The caps on T, then R,
+    and a breaker's floor on T are checked on the text each was read from."""
     f = Section("environment", config.environment)
     T = config.T
     experiment = Section("experiment", config.texts)
+    experiment.read("T", int, None, _cap("a game of experiment.T rounds"))
+    experiment.read("R", int, None, _cap(SERIES, T, "experiment.T"))
     kind = f.read("kind", ("bernoulli", "bernoulli_gap", "ftl_breaker",
                            "ucb_breaker"), required="for game experiments")
     feedback = f.read("feedback", ("bandit", "full"))
     if kind == "bernoulli":
-        means = tuple(f.read("means", [float], required="for bernoulli",
-                             **_UNITS))
+        means = tuple(f.read("means", [float], None, _UNITS,
+                             required="for bernoulli"))
         envs = [("", len(means), partial(_stochastic, means))]
     elif kind == "bernoulli_gap":
         # a single K may be given as "k"; errors name the key the file used
         key = "k_grid" if "k_grid" in f.raw else "k"
-        k_grid = f.read(key, [int], "2", want="distinct integers >= 2",
-                        ok=lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks))
         # the largest block of cells is one round of the R repetitions (a
         # bandit block of more rounds stays under BLOCK_CELLS) or ROW_BLOCK
         # rounds of one full-information env
         rows = f"max(experiment.R, {ROW_BLOCK})"
-        _cap(f, key, [int], f"a block of {rows} rows of k loss cells",
-             max(config.R, ROW_BLOCK), rows)
-        base = f.read("base", float, "0.5", **_UNIT)
-        gap = f.read("gap", float, "0.25", ok=lambda gap: 0 <= base - gap <= 1,
-                     want=f"in [{base - 1:g}, {base:g}]")
+        k_grid = f.read(key, [int], "2", (
+            lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),
+            "distinct integers >= 2"), _cap(f"a block of {rows} rows of k loss "
+            "cells", max(config.R, ROW_BLOCK), rows, many=True))
+        base = f.read("base", float, "0.5", _UNIT)
+        gap = f.read("gap", float, "0.25", (lambda gap: 0 <= base - gap <= 1,
+                                            f"in [{base - 1:g}, {base:g}]"))
         envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
             _stochastic, tuple([base - gap] + [base] * (k - 1))))
             for k in k_grid]
     elif kind == "ftl_breaker":
-        experiment.read("T", int, ok=lambda T: T >= 2,
-                        want=">= 2 for ftl_breaker")
+        experiment.read("T", int, None, (lambda T: T >= 2, ">= 2 for ftl_breaker"))
         envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
     else:
-        k = f.read("k", int, "2", **at_least(1))
+        k = f.read("k", int, "2", at_least(1), _cap(
+            "the experiment.T x environment.k reward matrix", T, "experiment.T"))
         parametrization = f.read("parametrization", UCB1_PARAMETRIZATIONS,
                                  "improved")
-        experiment.read("T", int, ok=lambda T: T >= 2 * k,
-                        want=f">= 2 * environment.k = {2 * k} for ucb_breaker")
+        experiment.read("T", int, None, (lambda T: T >= 2 * k, f">= 2 * "
+                        f"environment.k = {2 * k} for ucb_breaker"))
         envs = [("", k, lambda: _oblivious(1.0 - make_ucb_breaker(
             T, k, parametrization=parametrization)[0]))]
     f.close()
@@ -227,11 +229,11 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
     f = Section("params", config.params)
     family = f.read("family", ("four_bounds", "split_kl",
                                "unexpected_bernstein"), "four_bounds")
-    n = f.read("n", int, "1000", **at_least(2))
-    if family != "four_bounds":
-        _cap(f, "n", int, "a sample of params.n values")
-    grid = f.read("grid", int, "101", **at_least(2))
-    _cap(f, "grid", int, "the grid of params.grid points")
+    # four_bounds allocates nothing by n, so it takes any n
+    sample = [_cap("a sample of params.n values")] if family != "four_bounds" else []
+    n = f.read("n", int, "1000", at_least(2), *sample)
+    grid = f.read("grid", int, "101", at_least(2),
+                  _cap("the grid of params.grid points"))
     f.close()
     delta = config.delta
     t = np.arange(grid)
@@ -296,11 +298,10 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
     )
 
     f = Section("params", config.params)
-    m = f.read("m", int, "20", **at_least(1))
-    _cap(f, "m", int, "the params.m x n loss table")
+    m = f.read("m", int, "20", at_least(1), _cap("the params.m x n loss table"))
     n_grid = f.read("n_grid", [int], "100, 200, 400, 800",
-                    ok=lambda ns: min(ns) >= 1, want="integers >= 1")
-    _cap(f, "n_grid", [int], "the params.m x n loss table", m, "params.m")
+                    (lambda ns: min(ns) >= 1, "integers >= 1"),
+                    _cap("the params.m x n loss table", m, "params.m", many=True))
     f.close()
     pi = ProbVec([1.0 / m] * m)
 
@@ -327,17 +328,15 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     from boundslab.pac_bayes import alternating_minimize, recursive_pb
 
     f = Section("params", config.params)
-    m = f.read("m", int, "20", **at_least(1))
-    _cap(f, "m", int, "the params.m x params.n loss table")
-    t_max = f.read("t_max", int, "4", **at_least(1))
+    table = "the params.m x params.n loss table"
+    m = f.read("m", int, "20", at_least(1), _cap(table))
     # 8 * 2**(t_max - 1) bytes, one table row, stays below 2**63 to t_max = 60
-    f.check("t_max", int, ok=lambda t: t <= 60, want="<= 60, as a table row "
-            "of n >= 2**(params.t_max - 1) float64 losses passes numpy's "
-            "2**63-byte array limit above it")
-    n = f.read("n", int, "1000", ok=lambda n: n >= 2 ** (t_max - 1),
-               want=f">= 2**(params.t_max - 1) = {2 ** (t_max - 1)} for "
-                    f"params.t_max = {t_max}")
-    _cap(f, "n", int, "the params.m x params.n loss table", m, "params.m")
+    t_max = f.read("t_max", int, "4", at_least(1), (
+        lambda t: t <= 60, "<= 60, as a table row of n >= 2**(params.t_max "
+        "- 1) float64 losses passes numpy's 2**63-byte array limit above it"))
+    n = f.read("n", int, "1000", (lambda n: n >= 2 ** (t_max - 1), f">= 2**("
+               f"params.t_max - 1) = {2 ** (t_max - 1)} for params.t_max = "
+               f"{t_max}"), _cap(table, m, "params.m"))
     f.close()
     pi = ProbVec([1.0 / m] * m)
     stages = list(range(1, t_max + 1))
@@ -359,11 +358,15 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
 
 
 def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
+    experiment = Section("experiment", config.texts)
+    experiment.read("T", int, None, _cap(f"a log of experiment.T records of "
+                    f"{LOG_FIELDS} values", LOG_FIELDS, str(LOG_FIELDS)))
+    experiment.read("R", int, None, _cap(SERIES, config.T, "experiment.T"))
     f = Section("params", config.params)
-    means = f.read("means", [float], "0.3, 0.7", **_UNITS)
+    means = f.read("means", [float], "0.3, 0.7", _UNITS)
     K = len(means)
-    fixed_arm = f.read("fixed_arm", int, "0", ok=lambda arm: 0 <= arm < K,
-                       want=f"in [0, {K})")
+    fixed_arm = f.read("fixed_arm", int, "0", (lambda arm: 0 <= arm < K,
+                                               f"in [0, {K})"))
     f.close()
 
     def one_rep(r):

@@ -48,28 +48,16 @@ def _y_range(traces):
     """What the built-in ``min`` and ``max`` return over every y value
     drawn, taken in order: each trace's means, then its mean + std.  That
     order fixes which NaN or signed zero they return.  numpy finds each
-    array's extremes; a zero extreme is then the first zero in that order,
-    and only a NaN sends the builtins over the values themselves."""
+    array's first extreme, and the builtins pick among those in the same
+    order; only a NaN sends them over the values themselves."""
     arrays = [ys for tr in traces for ys in (tr.mean, tr.mean + tr.std)
               if len(ys)]
-    lows = [ys.min() for ys in arrays]
-    if any(math.isnan(low) for low in lows):  # an array's min is NaN if any is
+    lows = [float(ys[ys.argmin()]) for ys in arrays]
+    if any(math.isnan(low) for low in lows):  # argmin finds a NaN if any
         values = [ys.tolist() for ys in arrays]
         return (min(chain.from_iterable(values)),
                 max(chain.from_iterable(values)))
-    return (_first_equal(arrays, min(lows)),
-            _first_equal(arrays, max(ys.max() for ys in arrays)))
-
-
-def _first_equal(arrays, value):
-    """``value`` as a float; a zero as the first zero in ``arrays``, which
-    is the one the builtins keep, with its sign."""
-    if value != 0.0:
-        return float(value)
-    for ys in arrays:
-        zeros = np.flatnonzero(ys == 0.0)
-        if len(zeros):
-            return float(ys[zeros[0]])
+    return min(lows), max(float(ys[ys.argmax()]) for ys in arrays)
 
 
 def _fmt(x):

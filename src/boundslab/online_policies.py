@@ -257,7 +257,8 @@ class HedgePolicy:
 
     Every argument is checked here, so a round runs no checks: a fixed rate
     is taken once, an anytime rate once per round and a doubling rate once
-    per period, at its first round, when the losses are reset.
+    per period, when ``observe`` ends the round before its first and resets
+    the losses.  ``distribution`` only reads.
     """
 
     draws = True
@@ -268,11 +269,14 @@ class HedgePolicy:
         _check_count(K, "K", 2)
         if variant not in HEDGE_ETA_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        # a rate that never changes: explicit or fixed-horizon
+        # a rate that holds for more than one round: explicit, fixed-horizon
+        # or the current doubling period's; None for an anytime rate
         self._rate = None if eta is None else _check_rate(eta)
         if doubling and eta is not None:
             raise ValueError("give eta or doubling, not both")
-        if eta is None and not doubling:
+        if doubling:
+            self._rate = doubling_schedule(1, K)[1]
+        elif eta is None:
             # validate the schedule eagerly so config errors surface early
             first = hedge_eta(K, T=T, t=1, variant=variant)
             if variant in ("simple", "tight"):
@@ -280,26 +284,13 @@ class HedgePolicy:
         self._log_k = math.log(K)
         self.K = K
         self.variant = variant
-        self.eta = eta
-        self.T = T
-        self.doubling = doubling
         self.cum_losses = [0.0] * K
         self.t = 0  # completed rounds
         # first round of the next doubling period; none without doubling
-        self._next_period = 1 if doubling else math.inf
-
-    def _current_eta(self) -> float:
-        round_t = self.t + 1
-        if round_t >= self._next_period:
-            m, self._rate, _ = doubling_schedule(round_t, self.K)
-            self.cum_losses = [0.0] * self.K
-            self._next_period = 2 ** (m + 1)
-        if self._rate is not None:
-            return self._rate
-        return _anytime_eta(self._log_k, round_t, self.variant)
+        self._next_period = 2 if doubling else math.inf
 
     def distribution(self) -> ProbVec:
-        eta = self._current_eta()  # may reset losses at a period boundary
+        eta = self._rate or _anytime_eta(self._log_k, self.t + 1, self.variant)
         return _hedge_weights(self.cum_losses, eta)
 
     def act(self, u: float) -> int:
@@ -310,10 +301,12 @@ class HedgePolicy:
         """Consume the full loss column (floats) of the current round."""
         if len(losses) != self.K:
             raise ValueError("loss column has wrong length")
-        if self.t + 1 >= self._next_period:
-            self._current_eta()  # applies the pending reset
         self.cum_losses = list(map(operator.add, self.cum_losses, losses))
         self.t += 1
+        if self.t + 1 >= self._next_period:  # the next round starts a period
+            m, self._rate, _ = doubling_schedule(self.t + 1, self.K)
+            self.cum_losses = [0.0] * self.K
+            self._next_period = 2 ** (m + 1)
 
 
 class FTLPolicy:
@@ -332,8 +325,7 @@ class FTLPolicy:
     def observe(self, losses: Sequence[float]) -> None:
         if len(losses) != self.K:
             raise ValueError("loss column has wrong length")
-        for a in range(self.K):
-            self.cum_losses[a] += float(losses[a])
+        self.cum_losses = list(map(operator.add, self.cum_losses, losses))
         self.t += 1
 
 

@@ -751,6 +751,28 @@ class TestCli:
          "environment.k_grid: must be integers <= 2**27 // max(experiment.R, "
          "256) = 524288, as a block of max(experiment.R, 256) rows of k loss "
          f"cells holds {AT_MOST_CELLS}, got '2, {HUGE}' (line 6)"),
+        ([f"T = {HUGE}", "[environment]", "kind = bernoulli",
+          "means = 0.2, 0.8", "[policy u]", "kind = ucb1"],
+         "experiment.T: must be <= 2**27, as a game of experiment.T rounds "
+         f"holds {AT_MOST_CELLS}, got '{HUGE}' (line 3)"),
+        (["kind = replay", f"T = {HUGE}"],
+         "experiment.T: must be <= 2**27 // 12 = 11184810, as a log of "
+         f"experiment.T records of 12 values holds {AT_MOST_CELLS}, got "
+         f"'{HUGE}' (line 4)"),
+        (["T = 40", f"R = {HUGE}", "[environment]", "kind = bernoulli",
+          "means = 0.2, 0.8", "[policy u]", "kind = ucb1"],
+         "experiment.R: must be <= 2**27 // experiment.T = 3355443, as the "
+         f"experiment.R x experiment.T series holds {AT_MOST_CELLS}, got "
+         f"'{HUGE}' (line 4)"),
+        (["kind = replay", "T = 100", f"R = {HUGE}"],
+         "experiment.R: must be <= 2**27 // experiment.T = 1342177, as the "
+         f"experiment.R x experiment.T series holds {AT_MOST_CELLS}, got "
+         f"'{HUGE}' (line 5)"),
+        (["T = 1000", "[environment]", "kind = ucb_breaker", f"k = {HUGE}",
+          "[policy u]", "kind = ucb1"],
+         "environment.k: must be <= 2**27 // experiment.T = 134217, as the "
+         f"experiment.T x environment.k reward matrix holds {AT_MOST_CELLS}, "
+         f"got '{HUGE}' (line 6)"),
     ], ids=["experiment", "experiment_parse", "params", "params_range",
             "policy", "policy_kind", "environment_k", "environment_k_grid",
             "environment_k_grid_repeated", "environment_means", "params_means",
@@ -766,7 +788,9 @@ class TestCli:
             "name_path", "name_empty", "policy_label_comma",
             "split_kl_n_huge", "unexpected_bernstein_n_huge", "grid_huge",
             "pacbayes_m_huge", "pacbayes_n_grid_huge", "recursive_m_huge",
-            "recursive_n_huge", "k_grid_huge"])
+            "recursive_n_huge", "k_grid_huge", "game_T_huge",
+            "replay_T_huge", "game_R_huge", "replay_R_huge",
+            "breaker_k_huge"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
                                           message):
         # a row that sets the name replaces the default "name = bad"
@@ -793,6 +817,16 @@ class TestCli:
                                     "kind = bernoulli_gap",
                                     "k_grid = 1000000000", "[policy u]",
                                     "kind = ucb1"]),
+            ("experiment.T", ["T = 1000000000", "[environment]",
+                              "kind = bernoulli", "means = 0.2, 0.8",
+                              "[policy u]", "kind = ucb1"]),
+            ("experiment.T", ["kind = replay", "T = 1000000000"]),
+            ("experiment.R", ["T = 40", "R = 1000000000", "[environment]",
+                              "kind = bernoulli", "means = 0.2, 0.8",
+                              "[policy u]", "kind = ucb1"]),
+            ("environment.k", ["T = 1000", "[environment]",
+                               "kind = ucb_breaker", "k = 1000000000",
+                               "[policy u]", "kind = ucb1"]),
         ]
         configs = []
         for i, (_, lines) in enumerate(rows):
@@ -883,6 +917,10 @@ class TestCli:
          "experiment.R: must be >= 1, got '0' (--reps)"),
         (["run", "tiny.cfg", "--reps", "abc"],
          "experiment.R: cannot parse 'abc' as int (--reps)"),
+        (["run", "tiny.cfg", "--reps", HUGE],
+         "experiment.R: must be <= 2**27 // experiment.T = 3355443, as the "
+         f"experiment.R x experiment.T series holds {AT_MOST_CELLS}, got "
+         f"'{HUGE}' (--reps)"),
         (["run", "tiny.cfg", "--seed", "-1"],
          "experiment.seed: must be in [0, 2**64), got '-1' (--seed)"),
         (["run", "tiny.cfg", "--seed", str(2 ** 64)],
@@ -905,7 +943,7 @@ class TestCli:
         (["replay", "--log", "demo.log", "--policy", "greedy", "--mode", "iw"],
          "replay.policy: unknown policy 'greedy', expected one of ucb1, exp3, "
          "fixed:<arm> (--policy)"),
-    ], ids=["run_reps", "run_reps_parse", "run_seed", "run_seed_64_bits",
+    ], ids=["run_reps", "run_reps_parse", "run_reps_huge", "run_seed", "run_seed_64_bits",
             "bounds_n", "bounds_grid", "bounds_delta", "bounds_delta_parse",
             "replay_seed", "replay_arm", "replay_arm_parse", "replay_policy"])
     def test_option_errors_name_the_option(self, tmp_path, monkeypatch, capsys,

@@ -481,6 +481,17 @@ class TestDoubling:
             assert p == hedge_distribution(pol.cum_losses, eta)
             pol.observe([1.0, 0.0])
 
+    def test_hedge_distribution_changes_nothing(self):
+        # the period restart belongs to observe: a distribution asked for at
+        # any round, period starts included, leaves the losses as they were
+        rng = np.random.default_rng(5)
+        pol = HedgePolicy(3, doubling=True)
+        for t in range(1, 2 ** 7 + 1):
+            before = list(pol.cum_losses)
+            assert pol.distribution() == pol.distribution()
+            assert pol.cum_losses == before
+            pol.observe(rng.random(3).tolist())
+
     def test_hedge_wrapper_resets(self):
         rng = np.random.default_rng(3)
         pol = HedgePolicy(2, doubling=True)
