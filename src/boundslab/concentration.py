@@ -53,10 +53,12 @@ class Sample:
         b = float(upper_bound)
         if any(map(math.isnan, vals)) or math.isnan(b):
             raise ValueError("sample values must not be NaN")
+        b = _check_range(b, "upper_bound", -_MAX, _MAX, "finite")
         if max(vals) > b:
             raise ValueError(f"sample value {max(vals)} exceeds upper bound {b}")
         if lower_bound is not None:
-            lower_bound = float(lower_bound)
+            lower_bound = _check_range(lower_bound, "lower_bound", -_MAX, _MAX,
+                                       "finite")
             if min(vals) < lower_bound:
                 raise ValueError(
                     f"sample value {min(vals)} below lower bound {lower_bound}")
@@ -386,11 +388,11 @@ def mgf_lemma_check(values: Sequence[float], probs: Sequence[float],
     unexpected:  E[e^{lam (mu - Z) + ((b lam + ln(1 - b lam)) / b^2) Z^2}]
                  (Z <= b, lam in [0, 1/b))  vs  1
     """
-    vals = [float(v) for v in values]
-    ps = [float(q) for q in probs]
+    vals = [_check_range(v, "values", -_MAX, _MAX, "finite") for v in values]
+    ps = [_check_unit(q, "probs") for q in probs]
     if len(vals) != len(ps) or not vals:
         raise ValueError("values and probs must be nonempty and equal length")
-    if any(q < 0 for q in ps) or abs(math.fsum(ps) - 1.0) > 1e-9:
+    if abs(math.fsum(ps) - 1.0) > 1e-9:
         raise ValueError("probs must be a probability vector")
     lam = _check_range(lam, "lam", -_MAX, _MAX, "finite")
     mu = math.fsum(v * q for v, q in zip(vals, ps))

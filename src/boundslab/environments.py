@@ -498,7 +498,7 @@ def hindsight_regret(loss_matrix, arms: Sequence[int]) -> np.ndarray:
     """Cumulative regret against the best single arm in hindsight,
     recomputed from the stored oblivious matrix."""
     matrix = np.asarray(loss_matrix, dtype=float)
-    arms = np.asarray(arms, dtype=int)
+    arms = _check_arms(arms, matrix.shape[1])
     incurred = np.cumsum(matrix[np.arange(len(arms)), arms])
     best = np.min(np.cumsum(matrix[: len(arms)], axis=0), axis=1)
     return incurred - best
@@ -509,7 +509,15 @@ def pseudo_regret(arms: Sequence[int], means: Sequence[float]) -> np.ndarray:
     in a stochastic loss environment with known means."""
     means = np.asarray(means, dtype=float)
     gaps = means - means.min()
-    return np.cumsum(gaps[np.asarray(arms, dtype=int)])
+    return np.cumsum(gaps[_check_arms(arms, len(means))])
+
+
+def _check_arms(arms: Sequence[int], K: int) -> np.ndarray:
+    """``arms`` as ints in [0, K), which numpy would read from the end."""
+    arms = np.asarray(arms, dtype=int)
+    _check_count(arms.min(initial=0), "arms", 0, K)
+    _check_count(arms.max(initial=0), "arms", 0, K)
+    return arms
 
 
 def replay_importance_weighted(policy, log: BanditLog, K: int,

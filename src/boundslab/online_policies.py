@@ -23,7 +23,7 @@ import functools
 import math
 import operator
 from itertools import accumulate, repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -111,13 +111,13 @@ def importance_weighted_loss(loss: float, p_chosen: float, chosen: bool) -> floa
 
 
 def exp4_mix(expert_weights: ProbVec, advice: Sequence[Sequence[float]],
-             ) -> tuple[ProbVec, Callable[[Sequence[float]], list[float]]]:
+             ) -> tuple[ProbVec, list[tuple]]:
     """Mix expert advice into an arm distribution.
 
     ``advice`` is an N x K row-stochastic matrix (one ProbVec-like row per
-    expert).  Returns the mixture p(a) = sum_h w(h) q_h(a) and a projector
-    mapping an arm-level estimated-loss vector to expert-level losses
-    l̃_h = sum_a q_h(a) l̃_a.
+    expert).  Returns the mixture p(a) = sum_h w(h) q_h(a) and the advice
+    rows q_h as normalised weight tuples, from which an arm-level loss
+    estimate maps to expert h's l̃_h = sum_a q_h(a) l̃_a.
     """
     rows = [row.weights if isinstance(row, ProbVec) else ProbVec(row).weights
             for row in advice]
@@ -130,15 +130,7 @@ def exp4_mix(expert_weights: ProbVec, advice: Sequence[Sequence[float]],
     # sum over the experts in index order, one arm (column) at a time
     mixture = [sum(map(operator.mul, weights, column)) for column in zip(*rows)]
     total = sum(mixture)
-    p = ProbVec([v / total for v in mixture])
-
-    def project(arm_losses: Sequence[float]) -> list[float]:
-        if len(arm_losses) != K:
-            raise ValueError("arm-loss vector has wrong length")
-        losses = [float(v) for v in arm_losses]
-        return [sum(map(operator.mul, row, losses)) for row in rows]
-
-    return p, project
+    return ProbVec([v / total for v in mixture]), rows
 
 
 def ucb_index(mu_hat: float, t: int, n_pulls: int,
@@ -416,10 +408,7 @@ class EXP3Policy:
 
     def update(self, arm: int, loss: float) -> None:
         self._one_row()
-        loss = float(loss)
-        checked = loss if self.variant == "losses" else 1.0 - loss
-        if not 0.0 <= checked <= 1.0:
-            raise ValueError(f"loss must be in [0, 1], got {loss}")
+        loss = _check_range(loss, "loss", 0.0, 1.0, "in [0, 1]")
         self.update_rows(np.array([arm]), np.array([loss]))
 
     def update_reward(self, arm: int, reward: float) -> None:
@@ -452,24 +441,23 @@ class EXP4Policy:
         self.eta = eta
         self.cum_expert_losses = [0.0] * n_experts
         self.t = 0
-        self._pending: tuple[ProbVec, Callable] | None = None
+        self._pending: tuple[ProbVec, list[tuple]] | None = None
 
     def expert_weights(self) -> ProbVec:
         return _hedge_weights(self.cum_expert_losses, self.eta)
 
     def act(self, advice: Sequence[Sequence[float]], rng) -> int:
-        p, project = exp4_mix(self.expert_weights(), advice)
-        self._pending = (p, project)
-        return sample_arm(p, rng.random())
+        self._pending = exp4_mix(self.expert_weights(), advice)
+        return sample_arm(self._pending[0], rng.random())
 
     def update(self, arm: int, loss: float) -> None:
         if self._pending is None:
             raise ValueError("update() requires a preceding act()")
-        p, project = self._pending
-        arm_losses = [0.0] * self.K
-        arm_losses[arm] = importance_weighted_loss(loss, p[arm], True)
-        for h, val in enumerate(project(arm_losses)):
-            self.cum_expert_losses[h] += val
+        p, rows = self._pending
+        # l̃ is zero off the played arm, so sum_a q_h(a) l̃_a is q_h(arm) l̃_arm
+        estimate = importance_weighted_loss(loss, p[arm], True)
+        for h, row in enumerate(rows):
+            self.cum_expert_losses[h] += row[arm] * estimate
         self.t += 1
         self._pending = None
 

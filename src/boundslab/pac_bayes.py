@@ -37,9 +37,9 @@ class LossTable:
     """An m x n matrix of per-hypothesis, per-example losses in [0, 1].
 
     Optionally carries a matching matrix of binary predictions (+-1) for
-    majority-vote quantities, and per-hypothesis validation masks (boolean
-    column selectors) for bounds that must not evaluate a hypothesis on the
-    data it was trained on.
+    majority-vote quantities, and per-hypothesis validation masks (an m x n
+    boolean matrix, row h the columns hypothesis h is evaluated on) for
+    bounds that must not evaluate a hypothesis on the data it was trained on.
     """
 
     def __init__(self, losses, predictions=None, masks=None):
@@ -59,16 +59,20 @@ class LossTable:
                 raise ValueError("predictions must be +-1")
             self.predictions = preds.astype(int)
         self.masks = None
+        self._overlaps = self.n  # per pair, the columns both masks keep
         if masks is not None:
-            mk = [np.asarray(row, dtype=bool) for row in masks]
-            if len(mk) != self.losses.shape[0]:
+            if len(masks) != self.m:
                 raise ValueError("one mask per hypothesis required")
-            for row in mk:
-                if row.shape != (self.losses.shape[1],):
-                    raise ValueError("each mask must select columns")
-                if not row.any():
-                    raise ValueError("masks must keep at least one column")
-            self.masks = mk
+            try:
+                self.masks = np.array(masks, dtype=bool)
+            except ValueError:  # rows of different lengths
+                pass
+            if self.masks is None or self.masks.shape != self.losses.shape:
+                raise ValueError("each mask must select columns")
+            if not self.masks.any(axis=1).all():
+                raise ValueError("masks must keep at least one column")
+            keep = self.masks.astype(float)
+            self._overlaps = keep @ keep.T
 
     @property
     def m(self) -> int:
@@ -94,16 +98,11 @@ class LossTable:
         err = self.losses
         if not np.isin(err, (0.0, 1.0)).all():
             raise ValueError("tandem losses are defined for zero-one losses")
-        if self.masks is None:
-            return err @ err.T / self.n
-        out = np.empty((self.m, self.m))
-        for h in range(self.m):
-            for g in range(self.m):
-                overlap = self.masks[h] & self.masks[g]
-                if not overlap.any():
-                    raise ValueError("empty validation overlap")
-                out[h, g] = (err[h, overlap] * err[g, overlap]).mean()
-        return out
+        if not np.all(self._overlaps):
+            raise ValueError("empty validation overlap")
+        kept = err if self.masks is None else err * self.masks
+        # both-err counts are exact integers, each divided once, as a mean is
+        return kept @ kept.T / self._overlaps
 
     def disagreements(self) -> np.ndarray:
         """m x m matrix of empirical disagreement rates between predictions."""
@@ -113,13 +112,7 @@ class LossTable:
         return (self.n - agree) / (2.0 * self.n)
 
     def min_pairwise_overlap(self) -> int:
-        if self.masks is None:
-            return self.n
-        best = self.n
-        for h in range(self.m):
-            for g in range(self.m):
-                best = min(best, int((self.masks[h] & self.masks[g]).sum()))
-        return best
+        return int(np.min(self._overlaps))
 
 
 @dataclass(frozen=True)
@@ -318,9 +311,8 @@ def alternating_minimize(pi: ProbVec, table: LossTable, delta: float,
     if r > 0:
         if table.masks is None:
             raise ValueError("aggregation (r > 0) needs validation masks")
-        for mask in table.masks:
-            if int(mask.sum()) != table.n - r:
-                raise ValueError("each validation mask must keep n - r columns")
+        if (table.masks.sum(axis=1) != table.n - r).any():
+            raise ValueError("each validation mask must keep n - r columns")
     n_eff = table.n - r
     complexity = math.log(2.0 * math.sqrt(n_eff) / delta)
     return _alternating_minimize_core(pi, table.emp_losses(), n_eff, complexity)
@@ -526,6 +518,9 @@ def recursive_pb(table: LossTable, delta: float, T: int,
                 if draws.shape != (n_val,):
                     raise ValueError("reference draws must cover the "
                                      "validation columns of the stage")
+                # a draw indexes a hypothesis; numpy would wrap one below 0
+                _check_count(draws.min(), f"reference_draws[{t}]", 0, m)
+                _check_count(draws.max(), f"reference_draws[{t}]", 0, m)
             else:
                 rng = np.random.default_rng(stage_seeds[t - 1])
                 draws = rng.choice(m, size=n_val, p=np.asarray(pi_prev.weights))

@@ -447,16 +447,23 @@ class TestPinnedDigest:
 class TestSampleErrorContract:
     @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.nan,
                                      math.inf, -math.inf]), max_size=5),
-           st.sampled_from([1.0, 2.0, math.nan, math.inf]),
-           st.sampled_from([None, 0.0, -1.0, math.nan]))
+           st.sampled_from([1.0, 2.0, math.nan, math.inf, -math.inf]),
+           st.sampled_from([None, 0.0, -1.0, math.nan, -math.inf]))
+    @example([0.5], 1.0, math.nan)
+    @example([0.5], math.inf, None)
     def test_messages_in_order(self, values, upper, lower):
-        # empty, then NaN, then the upper bound, then the lower bound
+        # empty, then NaN, then the upper bound, then the lower bound; each
+        # bound must be finite
         if not values:
             expected = "sample must be nonempty"
         elif any(math.isnan(v) for v in values) or math.isnan(upper):
             expected = "sample values must not be NaN"
+        elif math.isinf(upper):
+            expected = f"upper_bound must be finite, got {upper}"
         elif max(values) > upper:
             expected = f"sample value {max(values)} exceeds upper bound {upper}"
+        elif lower is not None and not math.isfinite(lower):
+            expected = f"lower_bound must be finite, got {lower}"
         elif lower is not None and min(values) < lower:
             expected = f"sample value {min(values)} below lower bound {lower}"
         else:

@@ -192,7 +192,11 @@ ROWS = {
         row("lam", lambda x: mgf_lemma_check([-1.0, 1.0], [0.5, 0.5], x,
                                              "bernstein"), 0.5, 0.0, 3.0),
         row("lam", lambda x: mgf_lemma_check([0.0, 1.0], [0.5, 0.5], x,
-                                             "unexpected"), 0.5, -0.5, 1.0)],
+                                             "unexpected"), 0.5, -0.5, 1.0),
+        row("values", lambda x: mgf_lemma_check([0.0, x], [0.5, 0.5], 0.5,
+                                                "hoeffding"), 1.0),
+        row("probs", lambda x: mgf_lemma_check([0.0, 1.0], [x, 1.0 - x], 0.5,
+                                               "hoeffding"), 0.5, -0.5, 1.5)],
     # pac_bayes
     "PacBayesQuery": [
         row("n", lambda x: PacBayesQuery(PI, PI, x, 0.05), 100, 0),

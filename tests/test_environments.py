@@ -947,6 +947,18 @@ class TestRegretAccounting:
         direct = np.cumsum(means[arms]) - np.arange(1, 101) * means.min()
         assert np.allclose(got, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("regret", [
+        lambda arms: pseudo_regret(arms, [0.2, 0.5]),
+        lambda arms: hindsight_regret([[0.0, 1.0], [1.0, 0.0]], arms)],
+        ids=["pseudo_regret", "hindsight_regret"])
+    @pytest.mark.parametrize("arm", [-1, 2])
+    def test_arms_outside_the_arm_count_are_rejected(self, regret, arm):
+        # numpy would read arm -1 as the last arm
+        with pytest.raises(ValueError) as info:
+            regret([arm, 0])
+        assert str(info.value) == f"arms must be in [0, 2), got {arm}"
+        assert len(regret([1, 0])) == 2
+
     def test_full_information_accounting_is_recomputable(self):
         T = 500
         matrix = make_ftl_breaker(T)

@@ -1,3 +1,4 @@
+import fnmatch
 import hashlib
 import importlib.util
 import json
@@ -1037,6 +1038,114 @@ class TestCli:
 
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
+
+
+# The fuzz gate: every shipped preset, with T and R shrunk, gets each bad
+# token in each of its fields in turn.
+FUZZ_TOKENS = ("", "0", "-1", "1, -1", "0.5", "nan", "inf", "x", HUGE,
+               "1000000000")
+# A row runs to the end with a token below every floor or past every cap.
+FUZZ_TO_THE_END = ("-1", "1, -1", HUGE)
+# A field whose value another field's rule reads may be named by that rule:
+# the means set K, which a policy kind's arm count and params.fixed_arm are
+# checked against, and environment.gap's range is set by environment.base.
+FUZZ_TIES = {"environment.means": "policy *.kind",
+             "params.means": "params.fixed_arm",
+             "environment.base": "environment.gap"}
+# The child runs each row until its kind's first library or numpy call, the
+# point where every field has been read, unless the row is marked to run to
+# the end; it prints [exit code, stderr] per row, and 1 with the traceback
+# for any exception main lets through.
+FUZZ_CHILD = """\
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from boundslab.lab import cli, runner
+
+class Stop(Exception):
+    pass
+
+def stop(*args, **kwargs):
+    raise Stop
+
+class StopNumpy:
+    __getattr__ = stop
+
+real = dict(vars(runner))
+stubs = {name: StopNumpy() if obj is np else stop
+         for name, obj in real.items() if obj is np or callable(obj)
+         and getattr(obj, "__module__", "").startswith("boundslab.")
+         and not obj.__module__.startswith("boundslab.lab")}
+parser = cli.build_parser()
+cli.build_parser = lambda: parser
+results = []
+for path, full in json.loads(sys.stdin.read()):
+    vars(runner).update(real if full else stubs)
+    err, quiet = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(quiet):
+            code = cli.main(["run", path, "--out", sys.argv[1]])
+    except Stop:
+        code = 0
+    except Exception:
+        code = 1
+        err.write(traceback.format_exc())
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _fuzz_rows():
+    """(field, token, lines, full) for each preset field and bad token.  A
+    row runs to the end (``full``) when its token is in FUZZ_TO_THE_END,
+    except in experiment.name, which sizes nothing, and in pacbayes and
+    recursive R, which has no cap and runs R repetitions."""
+    for preset in preset_names():
+        lines = [line for line in resolve_config(preset).read_text().splitlines()
+                 if line.partition("=")[0].strip() not in ("T", "R")]
+        at = lines.index("[experiment]") + 1
+        lines[at:at] = ["T = 64", "R = 2"]
+        kind = parse_config_lines(lines).kind
+        section = None
+        for i, line in enumerate(lines):
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line and not line.startswith("#"):
+                key = line.partition("=")[0].strip()
+                field = f"{section}.{key}"
+                uncapped = (field == "experiment.R"
+                            and kind in ("pacbayes", "recursive"))
+                for token in FUZZ_TOKENS:
+                    full = (token in FUZZ_TO_THE_END and not uncapped
+                            and field != "experiment.name")
+                    yield (field, token, [*lines[:i], f"{key} = {token}",
+                                          *lines[i + 1:]], full)
+
+
+def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(tmp_path):
+    rows = list(_fuzz_rows())
+    jobs = []
+    for i, (_, _, lines, full) in enumerate(rows):
+        path = tmp_path / f"row{i}.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        jobs.append((str(path), full))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", FUZZ_CHILD, str(tmp_path)],
+                          input=json.dumps(jobs), env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    bad = []
+    for (field, token, _, full), (code, err) in zip(
+            rows, json.loads(done.stdout)):
+        named = err.removeprefix("config error: ").partition(": ")[0]
+        names_field = named == field or fnmatch.fnmatchcase(
+            named, FUZZ_TIES.get(field, field))
+        one_shape = RANGE_ERROR.match(err) or OTHER_ERROR.search(err)
+        if code != 0 and not (code == 2 and one_shape and names_field):
+            bad.append((field, token, full, code, err))
+    assert not bad
 
 
 def _preset_pins():

@@ -263,7 +263,8 @@ class TestExp3:
         for variant, eta in (("losses", None), ("rewards", 0.2)):
             pol = EXP3Policy(2, variant=variant, eta=eta)
             arm = pol.act(rng)
-            for bad in (-0.5, 1.5, math.nan):
+            # -1e-17 is a loss below 0 although 1 - (-1e-17) rounds to 1
+            for bad in (-0.5, 1.5, math.nan, -1e-17):
                 with pytest.raises(ValueError, match=r"loss must be in \[0, 1\]"):
                     pol.update(arm, bad)
             pol.replay_update(arm, 2.0, 2)  # estimated reward K: loss 0
@@ -286,21 +287,36 @@ class TestExp4:
         assert math.isclose(p[0], 0.75, rel_tol=1e-12)
 
     def test_single_expert_follows_advice(self):
-        p, project = exp4_mix(ProbVec([1.0]), [(0.2, 0.3, 0.5)])
+        p, rows = exp4_mix(ProbVec([1.0]), [(0.2, 0.3, 0.5)])
         assert all(math.isclose(a, b, rel_tol=1e-12)
                    for a, b in zip(p, (0.2, 0.3, 0.5)))
-        # projector: expert loss is the advice-weighted arm loss
-        assert math.isclose(project([1.0, 0.0, 0.0])[0], 0.2, rel_tol=1e-12)
+        assert rows == [(0.2, 0.3, 0.5)]
+        # the one expert is charged its advice for the played arm times l̃
+        pol = EXP4Policy(1, 3, eta=0.1)
+        arm = pol.act([(0.2, 0.3, 0.5)], np.random.default_rng(0))
+        pol.update(arm, 0.5)
+        assert pol.cum_expert_losses == [rows[0][arm] * (0.5 / p[arm])]
 
-    def test_projector_matches_manual_sum(self):
+    def test_expert_losses_are_the_advice_weighted_estimates(self):
+        # expert h is charged sum_a q_h(a) l̃_a, l̃ zero off the played arm
         rng = np.random.default_rng(2)
-        advice = rng.dirichlet(np.ones(3), size=4)
-        w = ProbVec(rng.dirichlet(np.ones(4)))
-        p, project = exp4_mix(w, advice)
-        arm_losses = rng.random(3)
-        got = project(arm_losses)
-        want = advice @ arm_losses
-        assert np.allclose(got, want, rtol=1e-12)
+        N, K = 4, 3
+        pol = EXP4Policy(N, K, eta=0.3)
+        want = [0.0] * N
+        for _ in range(200):
+            advice = rng.dirichlet(np.ones(K), size=N)
+            p, rows = exp4_mix(pol.expert_weights(), advice)
+            assert rows == [ProbVec(row).weights for row in advice]
+            assert np.allclose(p.weights, np.asarray(pol.expert_weights().weights)
+                               @ advice, rtol=1e-12)
+            arm = pol.act(advice, rng)
+            loss = float(rng.random())
+            estimates = [0.0] * K
+            estimates[arm] = loss / p[arm]
+            for h, row in enumerate(rows):
+                want[h] += sum(q * est for q, est in zip(row, estimates))
+            pol.update(arm, loss)
+            assert pol.cum_expert_losses == want
 
     def test_default_eta(self):
         pol = EXP4Policy(8, 2, T=10000)

@@ -50,6 +50,51 @@ class TestLossTable:
         masks = [[True, True, False], [False, True, True]]
         table = LossTable(np.zeros((2, 3)), masks=masks)
         assert table.min_pairwise_overlap() == 1
+        assert LossTable(np.zeros((2, 3))).min_pairwise_overlap() == 3
+
+    @staticmethod
+    def tandem_per_pair(losses, masks):
+        """Tandem losses one pair at a time: the mean of both errors over
+        the columns both masks keep."""
+        m = len(losses)
+        out = np.empty((m, m))
+        for h in range(m):
+            for g in range(m):
+                keep = masks[h] & masks[g]
+                out[h, g] = (losses[h, keep] * losses[g, keep]).mean()
+        return out
+
+    def test_masked_tandem_losses_match_a_per_pair_mean(self):
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            m, n = rng.integers(1, 6), rng.integers(1, 30)
+            losses = (rng.random((m, n)) < 0.4).astype(float)
+            masks = rng.random((m, n)) < 0.8
+            masks[:, 0] = True  # every pair shares column 0
+            table = LossTable(losses, predictions=np.where(losses, -1, 1),
+                              masks=masks)
+            assert np.array_equal(table.tandem_losses(),
+                                  self.tandem_per_pair(losses, masks))
+            assert table.min_pairwise_overlap() == min(
+                (mh & mg).sum() for mh in masks for mg in masks)
+
+    def test_tandem_losses_need_every_pair_to_overlap(self):
+        losses = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
+        table = LossTable(losses, predictions=[[-1, 1, -1], [1, -1, -1]],
+                          masks=[[True, False, False], [False, True, True]])
+        assert table.min_pairwise_overlap() == 0
+        with pytest.raises(ValueError, match="^empty validation overlap$"):
+            table.tandem_losses()
+
+    @pytest.mark.parametrize("masks, message", [
+        ([[True, True]], "one mask per hypothesis required"),
+        ([[True], [True, False]], "each mask must select columns"),
+        ([True, False], "each mask must select columns"),
+        ([[True, True], [False, False]], "masks must keep at least one column"),
+    ])
+    def test_mask_errors(self, masks, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LossTable(np.zeros((2, 2)), masks=masks)
 
 
 class TestOccam:
@@ -482,6 +527,15 @@ class TestRecursive:
         a = recursive_pb(table, 0.05, 2, seed=1, reference_draws=draws)
         b = recursive_pb(table, 0.05, 2, seed=99, reference_draws=draws)
         assert a[1].value == b[1].value
+
+    @pytest.mark.parametrize("draw", [-1, 3])
+    def test_reference_draws_outside_the_hypotheses_are_rejected(self, draw):
+        # numpy would read draw -1 as hypothesis m - 1, and 3 raise IndexError
+        table = LossTable(np.random.default_rng(5).random((3, 8)))
+        with pytest.raises(ValueError) as info:
+            recursive_pb(table, 0.05, 2, reference_draws={2: [draw] * 4})
+        assert str(info.value) == f"reference_draws[2] must be in [0, 3), got {draw}"
+        recursive_pb(table, 0.05, 2, reference_draws={2: [2] * 4})
 
     def test_validity_monte_carlo(self):
         rates = pb_validity_rates(trials=120, seed=77)
