@@ -40,8 +40,8 @@ class BoundResult:
 
 
 class Sample:
-    """A finite sample of reals known to be bounded above by ``upper_bound``
-    (and optionally below by ``lower_bound``)."""
+    """A finite sample of finite reals known to be bounded above by
+    ``upper_bound`` (and optionally below by ``lower_bound``)."""
 
     __slots__ = ("values", "upper_bound", "lower_bound", "_mean", "_mean_sq")
 
@@ -59,9 +59,9 @@ class Sample:
         if lower_bound is not None:
             lower_bound = _check_range(lower_bound, "lower_bound", -_MAX, _MAX,
                                        "finite")
-            if min(vals) < lower_bound:
-                raise ValueError(
-                    f"sample value {min(vals)} below lower bound {lower_bound}")
+        lower = -_MAX if lower_bound is None else lower_bound
+        if min(vals) < lower:
+            raise ValueError(f"sample value {min(vals)} below lower bound {lower}")
         self.values = vals
         self.upper_bound = b
         self.lower_bound = lower_bound

@@ -499,6 +499,9 @@ def hindsight_regret(loss_matrix, arms: Sequence[int]) -> np.ndarray:
     recomputed from the stored oblivious matrix."""
     matrix = np.asarray(loss_matrix, dtype=float)
     arms = _check_arms(arms, matrix.shape[1])
+    if len(arms) > len(matrix):
+        raise ValueError(f"arms must hold at most one arm per loss-matrix row "
+                         f"({len(matrix)}), got {len(arms)}")
     incurred = np.cumsum(matrix[np.arange(len(arms)), arms])
     best = np.min(np.cumsum(matrix[: len(arms)], axis=0), axis=1)
     return incurred - best
@@ -533,9 +536,12 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
     its replay is one array step with the bytes of the per-record loop: the
     arms are that arm, r̃ is K * r where the logged action is the arm and
     0.0 elsewhere, and ``policy.t`` advances by the log length.  Every other
-    policy acts and updates once per record.
+    policy acts and updates once per record.  A policy that ``draws`` takes
+    its draws from ``rng``, which it then needs.
     """
     _check_count(K, "K")
+    if policy.draws and rng is None:
+        raise ValueError("a policy that draws needs a random stream")
     outside = (log.actions < 0) | (log.actions >= K)
     if outside.any():
         action = int(log.actions[outside.argmax()])
@@ -568,8 +574,11 @@ def replay_rejection_sampling(policy, log: BanditLog, K: int,
     whose action matches the policy's choice, feeding that (action, reward)
     as a genuine bandit round and discarding the records passed over.  The
     replay stops at the first choice with no match left.  The effective
-    horizon (number of accepted rounds) is reported in ``detail``."""
+    horizon (number of accepted rounds) is reported in ``detail``.  A policy
+    that ``draws`` needs ``rng``, as in the importance-weighted replay."""
     _check_count(K, "K")
+    if policy.draws and rng is None:
+        raise ValueError("a policy that draws needs a random stream")
     # the ascending record positions of each logged action, grouped by one
     # stable sort; the next match at or after ``idx`` is found by bisection
     order = np.argsort(log.actions, kind="stable")

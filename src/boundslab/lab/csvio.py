@@ -65,8 +65,7 @@ def parse_csv(path) -> list[AggregateTrace]:
         lines = [line.rstrip("\n") for line in handle]
     if not lines or lines[0] != HEADER:
         raise ValueError(f"{path}: missing header {HEADER!r}")
-    order: list[str] = []
-    data: dict[str, list] = {}
+    data: dict[str, list] = {}  # series in order of first appearance
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -74,17 +73,6 @@ def parse_csv(path) -> list[AggregateTrace]:
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields")
         t, series, mean, std = parts
-        if series not in data:
-            order.append(series)
-            data[series] = []
-        data[series].append((int(t), float(mean), float(std)))
-    traces = []
-    for series in order:
-        rows = data[series]
-        traces.append(AggregateTrace(
-            series,
-            np.array([r[0] for r in rows]),
-            np.array([r[1] for r in rows]),
-            np.array([r[2] for r in rows]),
-        ))
-    return traces
+        data.setdefault(series, []).append((int(t), float(mean), float(std)))
+    return [AggregateTrace(series, *map(np.array, zip(*rows)))
+            for series, rows in data.items()]

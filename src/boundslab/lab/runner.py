@@ -243,43 +243,44 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
         return AggregateTrace(name, t, np.asarray(values), np.zeros(grid))
 
     if family == "four_bounds":
-        eps = math.log(1.0 / delta) / n
-        hoeff, plain, refined, kl = [], [], [], []
-        for p_hat in xs:
-            hoeff.append(hoeffding_mean_bound(p_hat, n, delta).value)
-            pl, ru, _ = pinsker_relaxations(p_hat, eps)
-            plain.append(pl)
-            refined.append(ru)
-            kl.append(kl_mean_bound(p_hat, n, delta).value)
-        return [flat("hoeffding", hoeff), flat("pinsker", plain),
-                flat("refined_pinsker", refined), flat("kl", kl)]
+        names = ("hoeffding", "pinsker", "refined_pinsker", "kl")
 
-    if family == "split_kl":
+        def point(p_hat):
+            hoeff = hoeffding_mean_bound(p_hat, n, delta).value
+            kl = kl_mean_bound(p_hat, n, delta)
+            plain, refined, _ = pinsker_relaxations(p_hat, kl.detail["eps"])
+            return hoeff, plain, refined, kl.value
+    elif family == "split_kl":
         # ternary sample on {0, 1/2, 1}: x is the fraction of 1/2-values,
         # the remainder split as evenly as possible between 0 and 1
+        names = ("split_kl", "kl")
         split_grid = SplitGrid([0.0, 0.5, 1.0])
-        split_vals, kl_vals = [], []
-        for frac in xs:
+
+        def point(frac):
             n_half = round(frac * n)
             n_one = (n - n_half) // 2
-            n_zero = n - n_half - n_one
-            values = [0.0] * n_zero + [0.5] * n_half + [1.0] * n_one
-            sample = Sample.unit(values)
-            split_vals.append(split_kl_mean_bound(sample, split_grid, delta).value)
-            kl_vals.append(kl_mean_bound(sample.mean, n, delta).value)
-        return [flat("split_kl", split_vals), flat("kl", kl_vals)]
+            sample = Sample.unit([0.0] * (n - n_half - n_one) + [0.5] * n_half
+                                 + [1.0] * n_one)
+            return (split_kl_mean_bound(sample, split_grid, delta).value,
+                    kl_mean_bound(sample.mean, n, delta).value)
+    else:
+        names = ("kl", "empirical_bernstein", "unexpected_bernstein", "hoeffding")
 
-    kl_vals, emp, unexpected, hoeff = [], [], [], []
-    for p_hat in xs:
-        k = round(p_hat * n)
-        sample = Sample.unit([1.0] * k + [0.0] * (n - k))
-        kl_vals.append(kl_mean_bound(sample.mean, n, delta).value)
-        emp.append(empirical_bernstein_mean_bound(sample, delta).value)
-        unexpected.append(unexpected_bernstein_mean_bound(sample, delta).value)
-        hoeff.append(hoeffding_mean_bound(sample.mean, n, delta).value)
-    return [flat("kl", kl_vals), flat("empirical_bernstein", emp),
-            flat("unexpected_bernstein", unexpected),
-            flat("hoeffding", hoeff)]
+        def point(p_hat):
+            k = round(p_hat * n)
+            sample = Sample.unit([1.0] * k + [0.0] * (n - k))
+            return (kl_mean_bound(sample.mean, n, delta).value,
+                    empirical_bernstein_mean_bound(sample, delta).value,
+                    unexpected_bernstein_mean_bound(sample, delta).value,
+                    hoeffding_mean_bound(sample.mean, n, delta).value)
+    return list(map(flat, names, zip(*map(point, xs))))
+
+
+def _read_reps(config: ExperimentConfig, cells: int, cells_text: str) -> None:
+    """Cap experiment.R by the ``cells`` loss cells one repetition draws."""
+    Section("experiment", config.texts).read("R", int, None, _cap(
+        "the experiment.R repetitions' draw of loss cells", cells,
+        f"({cells_text})"))
 
 
 def _synthetic_table(rng, m: int, n: int):
@@ -303,25 +304,23 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
                     (lambda ns: min(ns) >= 1, "integers >= 1"),
                     _cap("the params.m x n loss table", m, "params.m", many=True))
     f.close()
+    _read_reps(config, m * sum(n_grid), "params.m x sum(params.n_grid)")
     pi = ProbVec([1.0 / m] * m)
 
-    def one_rep(r):
-        env_seed, _ = repetition_seeds(config.seed, r)
-        rng = np.random.default_rng(env_seed)
-        minimized, at_prior = [], []
-        for n in n_grid:
-            table = _synthetic_table(rng, m, n)
-            fit = alternating_minimize(pi, table, config.delta)
-            minimized.append(fit.bound)
-            q = PacBayesQuery(pi, pi, n, config.delta)
-            at_prior.append(pb_kl_bound(q, float(table.emp_losses().mean())).value)
-        return minimized, at_prior
+    def at_n(rng, n):
+        table = _synthetic_table(rng, m, n)
+        return (alternating_minimize(pi, table, config.delta).bound,
+                pb_kl_bound(PacBayesQuery(pi, pi, n, config.delta),
+                            float(table.emp_losses().mean())).value)
 
-    results = [one_rep(r) for r in range(config.R)]
-    return [
-        aggregate("pb_lambda_minimized", [r[0] for r in results], t=n_grid),
-        aggregate("pb_kl_at_prior", [r[1] for r in results], t=n_grid),
-    ]
+    def one_rep(r):
+        # one stream per repetition draws its tables in n_grid order
+        env_seed, _ = repetition_seeds(config.seed, r)
+        return zip(*map(partial(at_n, np.random.default_rng(env_seed)), n_grid))
+
+    minimized, at_prior = zip(*map(one_rep, range(config.R)))
+    return [aggregate("pb_lambda_minimized", minimized, t=n_grid),
+            aggregate("pb_kl_at_prior", at_prior, t=n_grid)]
 
 
 def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
@@ -338,23 +337,21 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
                f"params.t_max - 1) = {2 ** (t_max - 1)} for params.t_max = "
                f"{t_max}"), _cap(table, m, "params.m"))
     f.close()
+    _read_reps(config, m * n, "params.m x params.n")
     pi = ProbVec([1.0 / m] * m)
     stages = list(range(1, t_max + 1))
 
     def one_rep(r):
         env_seed, _ = repetition_seeds(config.seed, r)
-        rng = np.random.default_rng(env_seed)
-        table = _synthetic_table(rng, m, n)
+        table = _synthetic_table(np.random.default_rng(env_seed), m, n)
         recursive = [recursive_pb(table, config.delta, T, seed=env_seed)[-1].value
                      for T in stages]
         baseline = alternating_minimize(pi, table, config.delta).bound
         return recursive, [baseline] * t_max
 
-    results = [one_rep(r) for r in range(config.R)]
-    return [
-        aggregate("recursive_pb", [r[0] for r in results], t=stages),
-        aggregate("pb_lambda_full_sample", [r[1] for r in results], t=stages),
-    ]
+    recursive, baseline = zip(*map(one_rep, range(config.R)))
+    return [aggregate("recursive_pb", recursive, t=stages),
+            aggregate("pb_lambda_full_sample", baseline, t=stages)]
 
 
 def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
@@ -381,15 +378,15 @@ def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
                       if len(rs) else np.zeros(0))
         return running, rs_running
 
-    results = [one_rep(r) for r in range(config.R)]
-    horizons = [len(r[1]) for r in results]
+    iw_runs, rs_runs = zip(*map(one_rep, range(config.R)))
+    horizons = list(map(len, rs_runs))
     horizon = min(horizons)
-    rs = aggregate("rs_mean_reward", [r[1][:horizon] for r in results])
+    rs = aggregate("rs_mean_reward", [run[:horizon] for run in rs_runs])
     if horizon < max(horizons):
         rs.note = (f"rs_mean_reward: every repetition cut to {horizon} "
                    f"rounds, the shortest rejection-sampling horizon "
                    f"(repetition {horizons.index(horizon)})")
-    return [aggregate("iw_value_estimate", [r[0] for r in results]), rs]
+    return [aggregate("iw_value_estimate", iw_runs), rs]
 
 
 _RUNNERS = {

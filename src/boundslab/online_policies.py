@@ -477,6 +477,8 @@ class UCB1Policy:
     needed by importance-weighted replay.
     """
 
+    draws = False
+
     def __init__(self, K: int, *, parametrization: str = "original",
                  reward_range: float = 1.0) -> None:
         _check_ucb1(K, parametrization)
@@ -602,6 +604,7 @@ class FixedPolicy:
         self.K = K
         self.arm = arm
         self.dist = ProbVec(dist) if dist is not None else None
+        self.draws = dist is not None
         self.t = 0
 
     def act(self, rng=None) -> int:

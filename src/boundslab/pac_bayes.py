@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import BoundResult, LambdaGrid, SplitGrid, _split_kl_sum
+from .concentration import (BoundResult, LambdaGrid, SplitGrid, _split_kl_sum,
+                            hoeffding_mean_bound, kl_mean_bound)
 from .divergences import (
     _TINY,
     ProbVec,
@@ -142,7 +143,8 @@ def occam_bound(table: LossTable, pi: ProbVec, delta: float,
 
     hoeffding: L_hat(h) + sqrt(ln(1/(pi(h) delta)) / (2n))
     kl:        kl_inverse(L_hat(h), ln(1/(pi(h) delta)) / n, upper)
-    A hypothesis with pi(h) = 0 gets the vacuous bound 1.
+    are ``hoeffding_mean_bound`` and ``kl_mean_bound`` at the budget
+    pi(h) delta; where that is 0.0 (pi(h) = 0, or an underflow) the bound is 1.
     """
     _check_delta(delta)
     if flavor not in ("hoeffding", "kl"):
@@ -152,18 +154,15 @@ def occam_bound(table: LossTable, pi: ProbVec, delta: float,
     n = table.n
     results = []
     for h, emp in enumerate(table.emp_losses()):
-        w = pi[h]
-        if w == 0.0:
-            results.append(BoundResult(1.0, delta, f"occam-{flavor}",
-                                       {"pi_h": 0.0, "emp_loss": float(emp)}))
-            continue
-        budget = math.log(1.0 / (w * delta))
-        if flavor == "hoeffding":
-            value = min(1.0, float(emp) + math.sqrt(budget / (2.0 * n)))
+        w, emp = pi[h], float(emp)
+        if w * delta == 0.0:
+            value = 1.0
+        elif flavor == "hoeffding":
+            value = hoeffding_mean_bound(emp, n, w * delta).value
         else:
-            value = kl_inverse(float(emp), budget / n, "upper")
+            value = kl_mean_bound(emp, n, w * delta).value
         results.append(BoundResult(value, delta, f"occam-{flavor}",
-                                   {"pi_h": w, "emp_loss": float(emp)}))
+                                   {"pi_h": w, "emp_loss": emp}))
     return results
 
 

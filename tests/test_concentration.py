@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -451,9 +452,11 @@ class TestSampleErrorContract:
            st.sampled_from([None, 0.0, -1.0, math.nan, -math.inf]))
     @example([0.5], 1.0, math.nan)
     @example([0.5], math.inf, None)
+    @example([-math.inf, 0.5], 1.0, None)
     def test_messages_in_order(self, values, upper, lower):
         # empty, then NaN, then the upper bound, then the lower bound; each
-        # bound must be finite
+        # bound must be finite, and with no lower bound the values must be
+        # at least -max float
         if not values:
             expected = "sample must be nonempty"
         elif any(math.isnan(v) for v in values) or math.isnan(upper):
@@ -464,8 +467,9 @@ class TestSampleErrorContract:
             expected = f"sample value {max(values)} exceeds upper bound {upper}"
         elif lower is not None and not math.isfinite(lower):
             expected = f"lower_bound must be finite, got {lower}"
-        elif lower is not None and min(values) < lower:
-            expected = f"sample value {min(values)} below lower bound {lower}"
+        elif min(values) < (floor := -sys.float_info.max if lower is None
+                            else lower):
+            expected = f"sample value {min(values)} below lower bound {floor}"
         else:
             sample = Sample(values, upper, lower)
             assert sample.values == tuple(values) and sample.n == len(values)

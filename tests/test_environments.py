@@ -856,10 +856,40 @@ class TestImportanceWeightedReplay:
         assert messages[0] == messages[1] == f"logged action {bad} outside [0, 4)"
 
 
+@pytest.mark.parametrize("replay", [replay_importance_weighted,
+                                    replay_rejection_sampling],
+                         ids=["iw", "rs"])
+@pytest.mark.parametrize("make", [lambda: EXP3Policy(4),
+                                  lambda: FixedPolicy(4, dist=[0.25] * 4)],
+                         ids=["exp3", "fixed_dist"])
+def test_a_replay_names_a_missing_random_stream(replay, make):
+    # checked before the first record, so the policy has not moved
+    log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
+    policy = make()
+    with pytest.raises(ValueError) as info:
+        replay(policy, log, 4)
+    assert str(info.value) == "a policy that draws needs a random stream"
+    assert policy.t == 0
+    replay(policy, log, 4, np.random.default_rng(0))
+    assert policy.t > 0
+
+
+def test_policies_that_draw_nothing_replay_without_a_stream():
+    log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
+    for policy in (UCB1Policy(4), FixedPolicy(4, arm=1)):
+        assert policy.draws is False
+        assert len(replay_rejection_sampling(policy, log, 4)) > 0
+    assert FixedPolicy(4, dist=[0.25] * 4).draws is True
+    ucb = UCB1Policy(4, reward_range=4)
+    assert len(replay_importance_weighted(ucb, log, 4)) == 50
+
+
 class _FixedArmLoop:
     """Plays one arm, as ``FixedPolicy(K, arm=arm)`` does, through the
     per-record loop of ``replay_importance_weighted``: it is not a
     ``FixedPolicy``, so it takes the loop."""
+
+    draws = False
 
     def __init__(self, arm: int) -> None:
         self.arm = arm
@@ -958,6 +988,18 @@ class TestRegretAccounting:
             regret([arm, 0])
         assert str(info.value) == f"arms must be in [0, 2), got {arm}"
         assert len(regret([1, 0])) == 2
+
+    @pytest.mark.parametrize("rows, arms", [([[0.0, 1.0]], [0, 1]),
+                                            ([], [0]),
+                                            ([[0.5, 0.5]] * 3, [1] * 4)])
+    def test_arms_past_the_matrix_rows_are_rejected(self, rows, arms):
+        matrix = np.array(rows).reshape(len(rows), 2)
+        with pytest.raises(ValueError) as info:
+            hindsight_regret(matrix, arms)
+        assert str(info.value) == (f"arms must hold at most one arm per "
+                                   f"loss-matrix row ({len(rows)}), got "
+                                   f"{len(arms)}")
+        assert len(hindsight_regret(matrix, arms[:len(rows)])) == len(rows)
 
     def test_full_information_accounting_is_recomputable(self):
         T = 500

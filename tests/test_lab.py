@@ -22,6 +22,7 @@ from boundslab.lab.config import (
     parse_config_lines,
 )
 from boundslab.lab.csvio import AggregateTrace, aggregate, emit_csv, parse_csv
+from boundslab.lab import runner
 from boundslab.lab.runner import run_experiment
 from boundslab.lab.svgplot import (
     MAX_POINTS,
@@ -318,6 +319,44 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert [ln.split(",")[1] for ln in lines[1:]] == [
             "b_series", "b_series", "a_series", "a_series"]
+
+    def test_parse_groups_series_in_first_appearance_order(self, tmp_path):
+        path = tmp_path / "aba.csv"
+        path.write_text("t,series,mean,std\n1,b,0.5,0\n1,a,0.25,0.5\n"
+                        "2,b,0.75,0.125\n\n2,a,1,0\n")
+        parsed = parse_csv(path)
+        assert [tr.name for tr in parsed] == ["b", "a"]
+        assert [tr.t.tolist() for tr in parsed] == [[1, 2], [1, 2]]
+        assert [tr.mean.tolist() for tr in parsed] == [[0.5, 0.75], [0.25, 1.0]]
+        assert [tr.std.tolist() for tr in parsed] == [[0.0, 0.125], [0.5, 0.0]]
+
+    def test_parse_reads_each_value_exactly(self, tmp_path):
+        # an int64 axis, and the doubles of the printed decimals
+        rows = [(2 ** 62 + 1, "0.123456789012", "1.5e-07"),
+                (-3, "-98765.4321098", "0"), (7, "1e+300", "3.33333333333")]
+        path = tmp_path / "exact.csv"
+        path.write_text("t,series,mean,std\n" + "".join(
+            f"{t},s,{mean},{std}\n" for t, mean, std in rows))
+        trace, = parse_csv(path)
+        assert trace.t.dtype == np.int64
+        assert trace.mean.dtype == trace.std.dtype == np.float64
+        assert trace.t.tolist() == [t for t, _, _ in rows]
+        assert trace.mean.tolist() == [float(mean) for _, mean, _ in rows]
+        assert trace.std.tolist() == [float(std) for _, _, std in rows]
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,series,mean,std\n1,a,0.5,0\n1,a,0.5\n", ":3: expected 4 fields"),
+        ("t,series,mean,std\n1,a,b,0.5,0\n", ":2: expected 4 fields"),
+        ("1,a,0.5,0\n", ": missing header 't,series,mean,std'"),
+        ("", ": missing header 't,series,mean,std'"),
+    ], ids=["short_line", "comma_in_name", "no_header", "empty"])
+    def test_parse_errors_name_the_file_and_line(self, tmp_path, text,
+                                                 message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_csv(path)
+        assert str(info.value) == f"{path}{message}"
 
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
@@ -802,6 +841,32 @@ class TestCli:
         assert_config_error(capsys.readouterr().err, message)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("lines, per", [
+        (["kind = pacbayes", f"R = {HUGE}", "[params]", "m = 2",
+          "n_grid = 10, 20"], "(params.m x sum(params.n_grid)) = 2236962"),
+        (["kind = recursive", f"R = {HUGE}", "[params]", "m = 2", "n = 10"],
+         "(params.m x params.n) = 6710886"),
+        (["kind = pacbayes", "R = 4474"], "(params.m x sum(params.n_grid)) "
+         "= 4473"),
+    ], ids=["pacbayes_R_huge", "recursive_R_huge", "pacbayes_R_past_cap"])
+    def test_repetitions_are_capped_by_the_cells_they_draw(
+            self, tmp_path, capsys, monkeypatch, lines, per):
+        # a run past the cap stops at experiment.R before it draws a table,
+        # which a run of that many repetitions would go on doing
+        def no_table(*args):
+            raise AssertionError("a repetition drew a loss table")
+
+        monkeypatch.setattr(runner, "_synthetic_table", no_table)
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join(["[experiment]", "name = bad", *lines])
+                          + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        raw = lines[1].partition("= ")[2]
+        assert_config_error(capsys.readouterr().err, (
+            f"experiment.R: must be <= 2**27 // {per}, as the experiment.R "
+            f"repetitions' draw of loss cells holds {AT_MOST_CELLS}, got "
+            f"'{raw}' (line 4)"))
+
     def test_mid_sized_size_fields_exit_2_under_a_memory_limit(self, tmp_path):
         # 10**9 floats are 8 GB: past the caps, so each run stops at its
         # field; the child runs under RLIMIT_AS, so a cap that stops holding
@@ -1098,14 +1163,12 @@ print(json.dumps(results))
 def _fuzz_rows():
     """(field, token, lines, full) for each preset field and bad token.  A
     row runs to the end (``full``) when its token is in FUZZ_TO_THE_END,
-    except in experiment.name, which sizes nothing, and in pacbayes and
-    recursive R, which has no cap and runs R repetitions."""
+    except in experiment.name, which sizes nothing."""
     for preset in preset_names():
         lines = [line for line in resolve_config(preset).read_text().splitlines()
                  if line.partition("=")[0].strip() not in ("T", "R")]
         at = lines.index("[experiment]") + 1
         lines[at:at] = ["T = 64", "R = 2"]
-        kind = parse_config_lines(lines).kind
         section = None
         for i, line in enumerate(lines):
             if line.startswith("["):
@@ -1113,11 +1176,8 @@ def _fuzz_rows():
             elif "=" in line and not line.startswith("#"):
                 key = line.partition("=")[0].strip()
                 field = f"{section}.{key}"
-                uncapped = (field == "experiment.R"
-                            and kind in ("pacbayes", "recursive"))
                 for token in FUZZ_TOKENS:
-                    full = (token in FUZZ_TO_THE_END and not uncapped
-                            and field != "experiment.name")
+                    full = token in FUZZ_TO_THE_END and field != "experiment.name"
                     yield (field, token, [*lines[:i], f"{key} = {token}",
                                           *lines[i + 1:]], full)
 
@@ -1164,9 +1224,14 @@ def _assert_pinned(out_dir: Path, preset: str) -> None:
 @pytest.mark.parametrize("preset", sorted(_preset_pins()))
 def test_preset_bytes_match_pins(preset, tmp_path):
     """``lab run <preset> --plot`` writes the pinned CSV and SVG bytes, so a
-    change that moves any output digit fails here."""
+    change that moves any output digit fails here; ``parse_csv`` then reads
+    the CSV back to traces that ``emit_csv`` writes to the same bytes."""
     assert main(["run", preset, "--out", str(tmp_path), "--plot"]) == 0
     _assert_pinned(tmp_path, preset)
+    # the CSV reads back to the traces that write it again byte for byte
+    csv = tmp_path / f"{preset}.csv"
+    emit_csv(parse_csv(csv), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == csv.read_bytes()
 
 
 @pytest.mark.parametrize("argv, preset", [

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from _coverage import coverage_threshold, pb_validity_rates
-from boundslab.concentration import LambdaGrid, SplitGrid
+from boundslab.concentration import (
+    LambdaGrid,
+    SplitGrid,
+    hoeffding_mean_bound,
+    kl_mean_bound,
+)
 from boundslab.divergences import ProbVec, binary_kl, categorical_kl, kl_inverse
 from boundslab.pac_bayes import (
     LossTable,
@@ -122,6 +127,29 @@ class TestOccam:
         pi = ProbVec([1.0, 0.0], sub_normalized=True)
         res = occam_bound(table, pi, 0.1, "kl")
         assert res[1].value == 1.0
+
+    @pytest.mark.parametrize("flavor", ["hoeffding", "kl"])
+    def test_budget_that_underflows_gives_vacuous_bound(self, flavor):
+        # tree_prior(10) * 1e-13 is 0.0 in double precision
+        table = LossTable(np.zeros((2, 100)))
+        pi = ProbVec([tree_prior(10), 0.5], sub_normalized=True)
+        assert tree_prior(10) > 0.0 and tree_prior(10) * 1e-13 == 0.0
+        res = occam_bound(table, pi, 1e-13, flavor)
+        assert res[0].value == 1.0
+        assert res[0].detail == {"pi_h": tree_prior(10), "emp_loss": 0.0}
+        assert res[1].value < 1.0
+
+    @pytest.mark.parametrize("flavor, mean_bound", [
+        ("hoeffding", hoeffding_mean_bound), ("kl", kl_mean_bound)])
+    def test_each_hypothesis_gets_its_mean_bound_at_its_budget(self, flavor,
+                                                              mean_bound):
+        rng = np.random.default_rng(12)
+        table = LossTable((rng.random((4, 30)) < 0.4).astype(float))
+        pi = ProbVec([0.4, 0.3, 0.2, 0.1])
+        for delta in (1e-9, 0.05, 0.999):
+            res = occam_bound(table, pi, delta, flavor)
+            for r, w, emp in zip(res, pi.weights, table.emp_losses()):
+                assert r.value == mean_bound(float(emp), 30, w * delta).value
 
     def test_super_normalized_rejected(self):
         table = LossTable(np.zeros((2, 10)))
