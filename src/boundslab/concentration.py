@@ -83,15 +83,39 @@ class Sample:
     @property
     def mean(self) -> float:
         if self._mean is None:
-            self._mean = math.fsum(self.values) / self.n
+            self._mean = _mean_of_powers(self.values, 1)
         return self._mean
 
     @property
     def mean_sq(self) -> float:
+        """The mean of the squared values; ``inf`` only when that mean is
+        past the float range."""
         if self._mean_sq is None:
-            self._mean_sq = math.fsum(
-                map(operator.mul, self.values, self.values)) / self.n
+            self._mean_sq = _mean_of_powers(self.values, 2)
         return self._mean_sq
+
+
+def _mean_of_powers(values: tuple, power: int) -> float:
+    """The mean of v**power (``power`` 1 or 2) over finite ``values``:
+    ``math.fsum`` of the terms over n wherever that sum stays finite, and
+    otherwise the same mean over the values scaled by a power of two."""
+    n = len(values)
+    try:
+        mean = math.fsum(values if power == 1
+                         else map(operator.mul, values, values)) / n
+    except OverflowError:  # a partial sum passed the float range
+        mean = math.inf
+    if not math.isinf(mean):
+        return mean
+    # 2**-k keeps n terms below the float range and scales each exactly,
+    # save for terms that underflow, far below the sum
+    k = n.bit_length() + 512 * (power - 1)
+    scaled = [math.ldexp(v, -k) for v in values]
+    try:
+        return math.ldexp(math.fsum(scaled if power == 1 else map(
+            operator.mul, scaled, scaled)) / n, k * power)
+    except OverflowError:  # the mean of squares is past the float range
+        return math.inf
 
 
 class SplitGrid:

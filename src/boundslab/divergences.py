@@ -24,6 +24,10 @@ BISECT_MAX_ITER = 200
 # refuses to silently renormalize it.
 NORMALIZATION_TOL = 1e-9
 
+# kl_inverse's error budget for one evaluation of its kl in doubles, per
+# unit of |t1| + |t2| + 1 (see kl_inverse).
+_KL_ERR = 64.0 * 2.0 ** -53
+
 
 # Closed ends of open domains: a float x > 0 iff x >= _TINY, and so on.
 _TINY = math.ulp(0.0)
@@ -213,6 +217,27 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
     The loop compares ``_kl_interior``'s two terms with ``eps`` inline and
     without its ``max(., 0.0)`` clamp, which decides the same way: the sum
     differs at most in the sign of a zero, and ``eps >= 0``.
+
+    The loop spends its logs only near the root.  ``_kl_window`` certifies
+    a window (a, b) around it, and the loop moves lo to a mid <= a and hi
+    to a mid >= b with no log; a mid inside is decided by the formula.  The
+    bracket, the mids, BISECT_TOL, BISECT_MAX_ITER and the returned end are
+    the plain bisection's, and so is the returned double, because a mid
+    outside the window gets the answer the formula would give there:
+
+    - Let t1, t2 be the formula's terms, g their sum and E = _KL_ERR
+      (|t1| + |t2| + 1), which bounds g's rounding error many times over.
+    - The end on p_hat's side, c, has g(c) + 2E(c) <= eps.  Between p_hat
+      and c the true kl is at most kl(c), being convex with its minimum
+      within an ulp of p_hat, and E is at most E(c), since |t1| and |t2|
+      grow away from p_hat; so the formula finds every mid there feasible.
+    - The far end, f, has g(f) - 2E(f) > eps and lies more than _KL_ERR
+      from p_hat, which keeps kl - E growing beyond f; so the formula finds
+      every mid beyond f infeasible.
+
+    An end whose check fails is the bracket's own: the end on p_hat's side
+    for an eps below about 1e-13, and both ends, which leave the plain
+    bisection, for a root within rounding of p_hat.
     """
     p_hat = _check_unit(p_hat, "p_hat")
     eps = _check_nonneg(eps, "eps", inf_ok=True)
@@ -232,16 +257,77 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
     # ulp), so it is interior too and the unchecked formula applies.
     lo, hi = (p_hat, 1.0) if upper else (0.0, p_hat)
     q_hat, log = 1.0 - p_hat, math.log
+    a, b = _kl_window(p_hat, q_hat, eps, lo, hi, edge)
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if (p_hat * log(p_hat / mid) + q_hat * log(q_hat / (1.0 - mid))
+        if mid <= a or mid < b and (
+                p_hat * log(p_hat / mid) + q_hat * log(q_hat / (1.0 - mid))
                 <= eps) == upper:
             lo = mid
         else:
             hi = mid
     return lo if upper else hi
+
+
+def _kl_window(p_hat, q_hat, eps, lo, hi, edge):
+    """kl_inverse's window (a, b) for an interior p_hat: each end is a
+    certified point or the bracket's own end.
+
+    Newton's method finds the root x first, in t = -ln|q - edge|.  In t the
+    kl is convex and tends to a line toward the edge: a step from the near
+    side lands on the far side, the steps from there fall monotonically
+    onto the root, and none reaches the edge (an iterate that rounds onto
+    it ends the iteration).  The start is the root's series to the order
+    eps**1.5, and where that lies outside the bracket, the point at t-distance
+    (sqrt(2 p_hat q_hat eps) + eps/2) / |edge - p_hat| from p_hat.  The
+    iteration stops once the next step's error, from the curvature, is below
+    a sixteenth of h = 8E/|kl'| + 2**-50 x, and the window is x -+ h.
+    """
+    log, exp = math.log, math.exp
+    w, pq = abs(p_hat - edge), p_hat * q_hat
+    d0 = math.sqrt(2.0 * pq * eps)
+    d = d0 + eps * (d0 * (1.0 - 13.0 * pq) / (18.0 * pq) + (2.0 * w - 1.0) / 1.5)
+    f = 1.0 - d / w
+    if not 0.0 < f < 1.0:
+        f = exp(-(d0 + 0.5 * eps) / w)
+    x = edge + (p_hat - edge) * f
+    if x == edge:
+        x = math.nextafter(edge, p_hat)
+    # past _KL_ERR from p_hat, t1 has the sign of p_hat - edge, t2 and slope
+    # that of side = edge - p_hat; the kl's t-derivative is -slope s > 0,
+    # and k is its second derivative over it
+    side = 2.0 * edge - 1.0
+    for _ in range(BISECT_MAX_ITER):
+        if not (lo < x < hi and (x - p_hat) * side > _KL_ERR):
+            return lo, hi
+        s, u, v = x - edge, p_hat / x, q_hat / (1.0 - x)
+        t1, t2, slope = p_hat * log(u), q_hat * log(v), v - u
+        err = _KL_ERR * ((t2 - t1) * side + 1.0)
+        k = -(u * (s / x) + v * (s / (1.0 - x))) / slope - 1.0
+        dt = (t1 + t2 - eps) / -(slope * s)
+        # exp overflows past 709, so a step is cut to dt = 700
+        x = edge + s * exp(700.0 if dt > 700.0 else dt)
+        if x == edge or -err <= k * dt * dt * s * slope <= err:
+            break
+    else:
+        return lo, hi
+    h = 8.0 * err / (slope * side) + x * 2.0 ** -50
+    # each of x -+ h that the loop would certainly find feasible is an end
+    # on p_hat's side, and each it would certainly find infeasible one
+    # beyond the root; rounding could decide the rest either way
+    a, b = lo, hi
+    for y in (x - h, x + h):
+        if lo < y < hi and abs(y - p_hat) > _KL_ERR:
+            t1 = p_hat * log(p_hat / y)
+            t2 = q_hat * log(q_hat / (1.0 - y))
+            e = 2.0 * _KL_ERR * (abs(t1) + abs(t2) + 1.0)
+            if t1 + t2 + e <= eps:
+                a, b = (y, b) if edge else (a, y)
+            elif t1 + t2 - e > eps:
+                a, b = (a, y) if edge else (y, b)
+    return a, b
 
 
 def pinsker_relaxations(p_hat: float, eps: float) -> tuple:

@@ -81,15 +81,16 @@ MAX_CELLS = 2 ** 27
 SERIES = "the experiment.R x experiment.T series"
 
 
-def _cap(holder: str, per: int = 1, per_text: str = "", many=False) -> tuple:
-    """The rule that a size field's value, or each of its values when
-    ``many``, times ``per`` (``per_text``) is at most MAX_CELLS, the floats
-    ``holder`` may hold."""
+def _cap(holder: str, per: int = 1, per_text: str = "", many=None) -> tuple:
+    """The rule that a size field's value, or the ``many`` (``max`` or
+    ``sum``) of its values, times ``per`` (``per_text``) is at most
+    MAX_CELLS, the floats ``holder`` may hold."""
     most = MAX_CELLS // per
     bound = f"2**27 // {per_text} = {most}" if per_text else "2**27"
-    return (lambda v: (max(v) if many else v) <= most,
-            f"{'integers ' if many else ''}<= {bound}, as {holder} holds at "
-            f"most 2**27 floats (1 GiB as float64)")
+    what = {None: "", max: "integers ", sum: "integers with a sum "}[many]
+    return (lambda v: (many(v) if many else v) <= most,
+            f"{what}<= {bound}, as {holder} holds at most 2**27 floats "
+            f"(1 GiB as float64)")
 
 
 def _read_policy(label: str, raw: dict, T: int, R: int):
@@ -164,7 +165,7 @@ def _read_environment(config: ExperimentConfig):
         k_grid = f.read(key, [int], "2", (
             lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),
             "distinct integers >= 2"), _cap(f"a block of {rows} rows of k loss "
-            "cells", max(config.R, ROW_BLOCK), rows, many=True))
+            "cells", max(config.R, ROW_BLOCK), rows, many=max))
         base = f.read("base", float, "0.5", _UNIT)
         gap = f.read("gap", float, "0.25", (lambda gap: 0 <= base - gap <= 1,
                                             f"in [{base - 1:g}, {base:g}]"))
@@ -302,7 +303,8 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
     m = f.read("m", int, "20", at_least(1), _cap("the params.m x n loss table"))
     n_grid = f.read("n_grid", [int], "100, 200, 400, 800",
                     (lambda ns: min(ns) >= 1, "integers >= 1"),
-                    _cap("the params.m x n loss table", m, "params.m", many=True))
+                    _cap("a repetition's draw of params.m x sum(params.n_grid) "
+                         "loss cells", m, "params.m", many=sum))
     f.close()
     _read_reps(config, m * sum(n_grid), "params.m x sum(params.n_grid)")
     pi = ProbVec([1.0 / m] * m)

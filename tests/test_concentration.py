@@ -406,6 +406,16 @@ class TestBoundResultAndSample:
         empirical_bernstein_mean_bound(sample, 0.05)
         assert (sample.mean, sample.mean_sq) == first and len(calls) == 2
 
+    def test_mean_and_mean_sq_past_the_float_range(self):
+        # the sums overflow, the means do not, until the squares' mean does
+        big = sys.float_info.max
+        assert Sample([big, big], big).mean == big
+        assert Sample([big, big, -big], big).mean == big / 3
+        assert Sample([1.5e154, 0.0, 0.0, 0.0], 2e154).mean_sq \
+            == (1.5e154 / 2) ** 2
+        assert Sample([1.3e154, 1.3e154], 2e154).mean_sq == 1.3e154 ** 2
+        assert Sample([1e300, 0.0], 1e300).mean_sq == math.inf
+
     def test_bound_result_detail(self):
         res = BoundResult(0.5, 0.05, "demo", {"eps": 1.0})
         assert res.detail["eps"] == 1.0

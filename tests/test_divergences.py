@@ -20,6 +20,9 @@ from boundslab.divergences import (
 )
 
 UNIT_GRID = [i / 100 for i in range(101)]
+# kl_inverse's budget in the bounds_compare preset: ln(1/delta)/n at
+# delta = 0.01, n = 1000
+BOUNDS_EPS = math.log(1.0 / 0.01) / 1000
 
 
 def _probvec_rule(weights, sub_normalized):
@@ -238,10 +241,57 @@ class TestKlInverse:
     @example(5e-324, 1e3, "lower")
     @example(1.0 - 2.0 ** -53, 5e-324, "upper")
     @example(1.0 - 2.0 ** -53, 1e-300, "lower")
+    # the window's edges: budgets too small to certify it, ...
+    @example(0.3, 1e-300, "upper")
+    @example(0.3, 1e-300, "lower")
+    @example(0.3, 1e-30, "upper")
+    @example(0.3, 1e-30, "lower")
+    @example(0.3, 1e-16, "upper")
+    @example(0.3, 1e-16, "lower")
+    # ... p_hat where p_hat + sqrt(eps/2) is past 1 (or p_hat - sqrt(eps/2)
+    # below 0), up to roots within rounding of the edge, ...
+    @example(0.95, BOUNDS_EPS, "upper")
+    @example(0.99, BOUNDS_EPS, "upper")
+    @example(0.9999, BOUNDS_EPS, "upper")
+    @example(1.0 - 1e-9, BOUNDS_EPS, "upper")
+    @example(0.01, BOUNDS_EPS, "lower")
+    @example(1e-9, BOUNDS_EPS, "lower")
+    # ... and the extreme interior p_hat
+    @example(5e-324, BOUNDS_EPS, "upper")
+    @example(5e-324, BOUNDS_EPS, "lower")
+    @example(1.0 - 2.0 ** -53, BOUNDS_EPS, "upper")
+    @example(1.0 - 2.0 ** -53, BOUNDS_EPS, "lower")
     def test_bisection_decides_by_binary_kl(self, p_hat, eps, direction):
-        # the loop's inline, unclamped kl decides every step as binary_kl
+        # the loop's inline, unclamped kl decides every step as binary_kl,
+        # and a mid outside the window is decided as binary_kl would
         assert (kl_inverse(p_hat, eps, direction).hex()
                 == bisect_by_binary_kl(p_hat, eps, direction).hex())
+
+    def test_seeded_sweep_decides_by_binary_kl(self):
+        rng = np.random.default_rng(20260)
+        n = 3000
+        # p_hat log-uniform near 0 and near 1, and uniform; eps log-uniform
+        # from below the window's reach to far past the bounds' scale
+        far = 10.0 ** rng.uniform(-320.0, -0.3, n)
+        p_hats = np.choose(rng.integers(0, 3, n),
+                           [far, 1.0 - 10.0 ** rng.uniform(-16.0, -0.3, n),
+                            rng.random(n)])
+        epss = 10.0 ** rng.uniform(-18.0, 2.0, n)
+        directions = rng.choice(["upper", "lower"], n)
+        for p_hat, eps, direction in zip(p_hats.tolist(), epss.tolist(),
+                                         directions.tolist()):
+            assert (kl_inverse(p_hat, eps, direction).hex()
+                    == bisect_by_binary_kl(p_hat, eps, direction).hex()), \
+                (p_hat, eps, direction)
+
+    def test_bounds_compare_spends_its_logs_near_the_root(self, monkeypatch):
+        # the plain bisection took 72.3 logs a call on this grid
+        calls = []
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
+        for k in range(1, 1000):
+            kl_inverse(k / 1000, BOUNDS_EPS, "upper")
+        assert len(calls) / 999 <= 30
 
     def test_zero_budget_is_identity(self):
         assert kl_inverse(0.3, 0.0, "upper") == pytest.approx(0.3, abs=1e-7)

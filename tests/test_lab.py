@@ -1,6 +1,8 @@
+import contextlib
 import fnmatch
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -18,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from boundslab.lab.cli import main, preset_names, resolve_config
 from boundslab.lab.config import (
     ConfigError,
+    Section,
     parse_config,
     parse_config_lines,
 )
@@ -776,9 +779,15 @@ class TestCli:
          "params.m: must be <= 2**27, as the params.m x n loss table holds "
          f"{AT_MOST_CELLS}, got '{HUGE}' (line 5)"),
         (["kind = pacbayes", "[params]", "m = 2", f"n_grid = 10, {HUGE}"],
-         "params.n_grid: must be integers <= 2**27 // params.m = 67108864, as "
-         f"the params.m x n loss table holds {AT_MOST_CELLS}, got "
-         f"'10, {HUGE}' (line 6)"),
+         "params.n_grid: must be integers with a sum <= 2**27 // params.m = "
+         "67108864, as a repetition's draw of params.m x sum(params.n_grid) "
+         f"loss cells holds {AT_MOST_CELLS}, got '10, {HUGE}' (line 6)"),
+        (["kind = pacbayes", "R = 1", "[params]", "m = 2",
+          "n_grid = 67108864, 67108864"],
+         "params.n_grid: must be integers with a sum <= 2**27 // params.m = "
+         "67108864, as a repetition's draw of params.m x sum(params.n_grid) "
+         f"loss cells holds {AT_MOST_CELLS}, got '67108864, 67108864' "
+         "(line 7)"),
         (["kind = recursive", "[params]", f"m = {HUGE}"],
          "params.m: must be <= 2**27, as the params.m x params.n loss table "
          f"holds {AT_MOST_CELLS}, got '{HUGE}' (line 5)"),
@@ -827,7 +836,8 @@ class TestCli:
             "params_in_game", "environment_in_bounds", "policy_in_bounds",
             "name_path", "name_empty", "policy_label_comma",
             "split_kl_n_huge", "unexpected_bernstein_n_huge", "grid_huge",
-            "pacbayes_m_huge", "pacbayes_n_grid_huge", "recursive_m_huge",
+            "pacbayes_m_huge", "pacbayes_n_grid_huge",
+            "pacbayes_n_grid_sum_huge", "recursive_m_huge",
             "recursive_n_huge", "k_grid_huge", "game_T_huge",
             "replay_T_huge", "game_R_huge", "replay_R_huge",
             "breaker_k_huge"])
@@ -1160,30 +1170,94 @@ print(json.dumps(results))
 """
 
 
-def _fuzz_rows():
-    """(field, token, lines, full) for each preset field and bad token.  A
-    row runs to the end (``full``) when its token is in FUZZ_TO_THE_END,
-    except in experiment.name, which sizes nothing."""
+def _shrunk_preset(preset):
+    """The preset's lines with T and R shrunk to 64 and 2."""
+    lines = [line for line in resolve_config(preset).read_text().splitlines()
+             if line.partition("=")[0].strip() not in ("T", "R")]
+    at = lines.index("[experiment]") + 1
+    lines[at:at] = ["T = 64", "R = 2"]
+    return lines
+
+
+def _fields(lines):
+    """(section, line index, key) for each key line of ``lines``, and
+    (section, line index, None) for each section header."""
+    section = None
+    for i, line in enumerate(lines):
+        if line.startswith("["):
+            section = line.strip("[]")
+            yield section, i, None
+        elif "=" in line and not line.startswith("#"):
+            yield section, i, line.partition("=")[0].strip()
+
+
+def _runner_keys(tmp_path, monkeypatch):
+    """{section: keys} of every key the runner reads in an ``experiment``,
+    ``environment``, ``policy`` (any label) or ``params`` section, as
+    Section.read records them.  Each preset runs with an unknown key in one
+    section at a time, so that the run stops where that section closes, and
+    an environment or policy section also runs with each kind its ``kind``
+    field offers."""
+    keys, kinds = {}, {}
+    read = Section.read
+
+    def recording(self, key, kind=str, *args, **kwargs):
+        section = self.name.partition(" ")[0]
+        keys.setdefault(section, {})[key] = None
+        if key == "kind" and section != "experiment":
+            kinds[section] = kind
+        return read(self, key, kind, *args, **kwargs)
+
+    monkeypatch.setattr(Section, "read", recording)
+
+    def probe(lines, i):
+        config = tmp_path / "probe.cfg"
+        config.write_text("\n".join(
+            [*lines[:i + 1], "unread = 1", *lines[i + 1:]]) + "\n")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+
+    # (lines, section, header line, its kind line or None) of every section
+    sections = []
+    for lines in map(_shrunk_preset, preset_names()):
+        fields = list(_fields(lines))
+        sections += [(lines, section, i, next(
+            (j for s, j, k in fields if s == section and k == "kind"), None))
+            for section, i, key in fields if key is None]
+    for lines, _, i, _ in sections:
+        probe(lines, i)
+    for lines, section, i, at in sections:
+        for kind in kinds.get(section.partition(" ")[0], ()):
+            probe([*lines[:at], f"kind = {kind}", *lines[at + 1:]], i)
+    return {section: list(found) for section, found in keys.items()}
+
+
+def _fuzz_rows(runner_keys):
+    """(field, token, lines, full) for each bad token in each key the runner
+    reads in each section of each preset: in place where the preset sets
+    the key, and after the section's header where it does not.  A row runs
+    to the end (``full``) when its token is in FUZZ_TO_THE_END, except in
+    experiment.name, which sizes nothing."""
     for preset in preset_names():
-        lines = [line for line in resolve_config(preset).read_text().splitlines()
-                 if line.partition("=")[0].strip() not in ("T", "R")]
-        at = lines.index("[experiment]") + 1
-        lines[at:at] = ["T = 64", "R = 2"]
-        section = None
-        for i, line in enumerate(lines):
-            if line.startswith("["):
-                section = line.strip("[]")
-            elif "=" in line and not line.startswith("#"):
-                key = line.partition("=")[0].strip()
+        lines = _shrunk_preset(preset)
+        fields = list(_fields(lines))
+        set_here = {(section, key) for section, _, key in fields}
+        for section, i, key in fields:
+            edits = ([(key, i, i + 1)] if key is not None else
+                     [(k, i + 1, i + 1)
+                      for k in runner_keys[section.partition(" ")[0]]
+                      if (section, k) not in set_here])
+            for key, start, stop in edits:
                 field = f"{section}.{key}"
                 for token in FUZZ_TOKENS:
                     full = token in FUZZ_TO_THE_END and field != "experiment.name"
-                    yield (field, token, [*lines[:i], f"{key} = {token}",
-                                          *lines[i + 1:]], full)
+                    yield (field, token, [*lines[:start], f"{key} = {token}",
+                                          *lines[stop:]], full)
 
 
-def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(tmp_path):
-    rows = list(_fuzz_rows())
+def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(
+        tmp_path, monkeypatch):
+    rows = list(_fuzz_rows(_runner_keys(tmp_path, monkeypatch)))
     jobs = []
     for i, (_, _, lines, full) in enumerate(rows):
         path = tmp_path / f"row{i}.cfg"
