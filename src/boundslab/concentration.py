@@ -190,7 +190,7 @@ class LambdaGrid:
         _check_count(n, "n")
         b = _check_rate(b, "b")
         k = max(1, math.ceil(math.log2(math.sqrt(n / math.log(1.0 / delta)) / 2.0)))
-        return cls([1.0 / (2.0 ** i * b) for i in range(1, k + 1)])
+        return cls([0.5 ** i / b for i in range(1, k + 1)])
 
 
 def markov_chebyshev_tail(kind: str, *, mean: Optional[float] = None,

@@ -46,6 +46,26 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _threshold(mean: float) -> int:
+    """The number of 64-bit words b with ``float(b) / 2**64 < mean``, for a
+    mean in [0, 1].  Rounding b to a double is monotone in b, so these words
+    are exactly those below the count.  ``mean * 2**64`` is exact, and a word
+    more than 2**11 (an ulp of the largest words) below its ceiling rounds
+    below it, so a bisection over the 2**11 words under that ceiling finds
+    the count in 11 steps.  The count is below 2**64 even for a mean of 1,
+    as the largest words round up to 2**64."""
+    scaled = mean * 2.0 ** 64
+    high = math.ceil(scaled)  # float(high) >= scaled: no word from it on counts
+    low = max(0, high - 2 ** 11)  # every word below low counts
+    while low < high:
+        mid = (low + high) // 2
+        if float(mid) < scaled:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
 # Fields of one log record: action id, binary reward, ten binary features.
 LOG_FIELDS = 12
 
@@ -139,6 +159,7 @@ class BernoulliEnv:
             raise ValueError("need at least one arm")
         self.means = tuple(means)
         self.K = len(means)
+        self._thresholds = tuple(map(_threshold, means))
         seed = int(_check_count(seed, "seed", 0))
         seed_bits = np.array([seed & _MASK64], dtype=np.uint64)
         self._seed_state = int(_mix64_array(seed_bits)[0])
@@ -148,14 +169,16 @@ class BernoulliEnv:
     def blocks(envs: Sequence["BernoulliEnv"], t0: int, t1: int) -> np.ndarray:
         """The rows ``row(t)`` for t in [t0, t1) of each env, as an
         (R, t1 - t0, K) array: the same splitmix64 over numpy uint64, for
-        the R seed states at once."""
+        the R seed states at once.  Cell (t, a) is a loss when its word b
+        lies below arm a's threshold (see ``_threshold``), that is when
+        ``float(b) / 2**64 < means[a]``, compared as integers."""
         K = envs[0].K
         states = np.array([env._seed_state for env in envs], dtype=np.uint64)
         cells = np.arange(t0 * K, t1 * K, dtype=np.uint64) * np.uint64(_GOLDEN)
         bits = _mix64_array(states[:, None] + cells)
-        uniform = bits.astype(float).reshape(len(envs), t1 - t0, K) / 2.0 ** 64
-        means = np.array([env.means for env in envs])[:, None, :]
-        return (uniform < means).astype(float)
+        thresholds = np.array([env._thresholds for env in envs], dtype=np.uint64)
+        return (bits.reshape(len(envs), t1 - t0, K)
+                < thresholds[:, None, :]).astype(float)
 
 
 class MatrixEnv:
@@ -462,7 +485,9 @@ def play_bandit(policy, envs: Sequence, T: int,
     one class with a ``blocks`` method (``BernoulliEnv``, ``MatrixEnv``) and
     the policy's arm count.  Loss cells and uniforms are made a block of
     rounds at a time (``BLOCK_CELLS``), and every cell of a block must lie
-    in [0, 1].  The policy is left in its state after T rounds.
+    in [0, 1].  A block is laid out once as one row of R·K cells per round,
+    so a round reads its R losses with one flat index.  The policy is left
+    in its state after T rounds.
     """
     _check_count(T, "T", 0)
     R, K = policy.R, policy.K
@@ -473,7 +498,8 @@ def play_bandit(policy, envs: Sequence, T: int,
     if policy.draws and (rngs is None or len(rngs) != R
                          or len({id(rng) for rng in rngs}) != R):
         raise ValueError("need one random stream of its own per repetition")
-    rows = np.arange(R)
+    offsets = np.arange(R) * K  # row starts in a round's R·K cells
+    act_rows, update_rows = policy.act_rows, policy.update_rows
     arms = np.empty((R, T), dtype=int)
     incurred = np.empty((R, T))
     step = max(1, BLOCK_CELLS // (R * K))
@@ -482,12 +508,13 @@ def play_bandit(policy, envs: Sequence, T: int,
         cells = type(envs[0]).blocks(envs, t0, t1)
         if not (0.0 <= cells.min() and cells.max() <= 1.0):
             raise ValueError("loss cells must lie in [0, 1]")
-        if policy.draws:
-            uniforms = np.stack([rng.random(t1 - t0) for rng in rngs], axis=1)
-        for i, t in enumerate(range(t0, t1)):
-            arm = policy.act_rows(uniforms[i] if policy.draws else None)
-            loss = cells[rows, i, arm]
-            policy.update_rows(arm, loss)
+        rounds = cells.transpose(1, 0, 2).reshape(t1 - t0, R * K)
+        uniforms = (np.stack([rng.random(t1 - t0) for rng in rngs], axis=1)
+                    if policy.draws else [None] * (t1 - t0))
+        for t, u, cells_t in zip(range(t0, t1), uniforms, rounds):
+            arm = act_rows(u)
+            loss = cells_t[offsets + arm]
+            update_rows(arm, loss)
             arms[:, t] = arm
             incurred[:, t] = loss
     return [GameTranscript(arms[r], incurred[r], "loss", {"feedback": "bandit"})

@@ -73,6 +73,7 @@ _PLAYS = {
 _POSITIVE = (lambda x: 0.0 < x < math.inf, "positive and finite")
 _UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _UNITS = (lambda xs: all(0.0 <= x <= 1.0 for x in xs), "in [0, 1]")
+_ARMS = (lambda means: len(means) >= 2, "at least 2 values, one mean per arm")
 
 # The most floats one sample, bound grid, loss table, block of loss cells
 # or series may hold: 2**27, 1 GiB as float64.  Each size field that sets
@@ -152,7 +153,7 @@ def _read_environment(config: ExperimentConfig):
                            "ucb_breaker"), required="for game experiments")
     feedback = f.read("feedback", ("bandit", "full"))
     if kind == "bernoulli":
-        means = tuple(f.read("means", [float], None, _UNITS,
+        means = tuple(f.read("means", [float], None, _UNITS, _ARMS,
                              required="for bernoulli"))
         envs = [("", len(means), partial(_stochastic, means))]
     elif kind == "bernoulli_gap":
@@ -362,7 +363,7 @@ def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
                     f"{LOG_FIELDS} values", LOG_FIELDS, str(LOG_FIELDS)))
     experiment.read("R", int, None, _cap(SERIES, config.T, "experiment.T"))
     f = Section("params", config.params)
-    means = f.read("means", [float], "0.3, 0.7", _UNITS)
+    means = f.read("means", [float], "0.3, 0.7", _UNITS, _ARMS)
     K = len(means)
     fixed_arm = f.read("fixed_arm", int, "0", (lambda arm: 0 <= arm < K,
                                                f"in [0, {K})"))

@@ -231,11 +231,13 @@ def _exp3_eta(K: int, t: int, eta: float | None, T: int | None) -> float:
 
 def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
     """What ``ProbVec`` does to each row: check the row sums to one within
-    ``NORMALIZATION_TOL`` and divide it by its ``math.fsum``."""
-    totals = np.array(list(map(math.fsum, p.tolist())))
-    if not np.abs(totals - 1.0).max() <= NORMALIZATION_TOL:
-        raise ValueError(f"weights sum to {totals}, not 1")
-    return p / totals[:, None]
+    ``NORMALIZATION_TOL`` and divide it by its ``math.fsum``.  The check
+    runs on the Python floats ``fsum`` returns; a NaN total fails it."""
+    totals = list(map(math.fsum, p.tolist()))
+    for total in totals:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
+            raise ValueError(f"weights sum to {np.array(totals)}, not 1")
+    return p / np.array(totals)[:, None]
 
 
 class HedgePolicy:

@@ -274,6 +274,20 @@ class TestUnexpectedBernstein:
         assert grid.k == 2
         assert grid.lambdas == (0.5, 0.25)
 
+    def test_default_grid_at_the_largest_upper_bound(self):
+        # 2**i * b overflows at b = max float, and 1 / inf is 0.0; the grid
+        # is 2**-i / b, the same doubles wherever 2**i * b is finite
+        big = sys.float_info.max
+        assert all(lam > 0.0 for lam in LambdaGrid.default(10 ** 6, 0.05,
+                                                            big).lambdas)
+        res = unexpected_bernstein_mean_bound(Sample([big, big], big), 0.05)
+        assert res.detail["lambda"] == 0.5 / big
+        bs = [1e-300, 0.5, 1.0, 3.0, 1e300,
+              *(np.random.default_rng(21).random(200) * 100).tolist()]
+        for b in bs:
+            assert LambdaGrid.default(10 ** 6, 0.05, b).lambdas == tuple(
+                1.0 / (2.0 ** i * b) for i in range(1, 10))
+
     def test_grid_must_be_admissible(self):
         sample = Sample([0.1, 0.2], upper_bound=0.5)
         with pytest.raises(ValueError):

@@ -99,6 +99,46 @@ class TestBernoulliEnv:
         assert digest == ("300fff03f6d613a0a32beb13c85bc7c630a62b552ef22b71"
                           "b2f8212a204e73dc")
 
+    @pytest.mark.parametrize("mean", [
+        0.0, 5e-324, 2.0 ** -11, 0.25, 0.35, 0.5, 0.65, 1.0 - 2.0 ** -53, 1.0,
+        *np.random.default_rng(22).random(20).tolist()])
+    def test_threshold_counts_the_words_below_the_mean(self, mean):
+        # a word counts as a loss when float(b) / 2**64 < mean; the count is
+        # a prefix of the words, so checking its two edges checks them all
+        threshold = environments._threshold(mean)
+        assert 0 <= threshold < 2 ** 64
+        for b in (threshold - 1, threshold):
+            if 0 <= b < 2 ** 64:
+                assert (b < threshold) == (float(b) / 2.0 ** 64 < mean)
+
+    def test_numpy_casts_words_as_python_floats_do(self):
+        # the pins were set with cells from numpy's cast of the words to
+        # float64; the thresholds, found with ``float``, keep them only if
+        # that cast rounds as ``float`` does
+        edges = [0, 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 3,
+                 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 2 ** 10, 2 ** 63 + 2 ** 10 + 1,
+                 2 ** 64 - 2 ** 11, 2 ** 64 - 2 ** 10 - 1, 2 ** 64 - 2 ** 10,
+                 2 ** 64 - 1]
+        seeded = np.random.default_rng(7).integers(
+            0, 2 ** 64, size=20000, dtype=np.uint64, endpoint=False).tolist()
+        words = edges + seeded
+        cast = np.array(words, dtype=np.uint64).astype(float).tolist()
+        assert cast == [float(b) for b in words]
+
+    def test_blocks_equal_the_float_compare_of_the_words(self):
+        # edge and seeded means: a cell is float(b) / 2**64 < mean
+        rng = np.random.default_rng(3)
+        means = [0.0, 1.0, 2.0 ** -11, *rng.random(5).tolist()]
+        envs = [BernoulliEnv(means, s) for s in (0, 2 ** 64 - 1, 91)]
+        block = BernoulliEnv.blocks(envs, 40, 300)
+        K = len(means)
+        cells = np.arange(40 * K, 300 * K, dtype=np.uint64) * np.uint64(
+            environments._GOLDEN)
+        states = np.array([env._seed_state for env in envs], dtype=np.uint64)
+        bits = environments._mix64_array(states[:, None] + cells)
+        uniform = bits.astype(float).reshape(3, 260, K) / 2.0 ** 64
+        assert np.array_equal(block, (uniform < np.array(means)).astype(float))
+
     def test_loss_at_block_edges(self):
         # rounds [0, 600) are the pinned rows above
         edge = environments.ROW_BLOCK

@@ -747,7 +747,7 @@ class TestCli:
            "2**(params.t_max - 1) float64 losses passes numpy's 2**63-byte "
            f"array limit above it, got '{t_max}' (line 6)")
           for t_max in ("20000", "99999999999999999999")],
-        (["[environment]", "kind = bernoulli", "means = 0.5", "[policy e]",
+        (["[environment]", "kind = ucb_breaker", "k = 1", "[policy e]",
           "kind = exp3"],
          "policy e.kind: must be a kind for K = 1 (exp3 takes >= 2 arms), "
          "got 'exp3' (line 7)"),
@@ -822,6 +822,13 @@ class TestCli:
          "environment.k: must be <= 2**27 // experiment.T = 134217, as the "
          f"experiment.T x environment.k reward matrix holds {AT_MOST_CELLS}, "
          f"got '{HUGE}' (line 6)"),
+        (["[environment]", "kind = bernoulli", "means = 0.5", "[policy e]",
+          "kind = exp3"],
+         "environment.means: must be at least 2 values, one mean per arm, "
+         "got '0.5' (line 5)"),
+        (["kind = replay", "[params]", "means = 0.5", "fixed_arm = 1"],
+         "params.means: must be at least 2 values, one mean per arm, "
+         "got '0.5' (line 5)"),
     ], ids=["experiment", "experiment_parse", "params", "params_range",
             "policy", "policy_kind", "environment_k", "environment_k_grid",
             "environment_k_grid_repeated", "environment_means", "params_means",
@@ -840,7 +847,7 @@ class TestCli:
             "pacbayes_n_grid_sum_huge", "recursive_m_huge",
             "recursive_n_huge", "k_grid_huge", "game_T_huge",
             "replay_T_huge", "game_R_huge", "replay_R_huge",
-            "breaker_k_huge"])
+            "breaker_k_huge", "environment_means_one", "params_means_one"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
                                           message):
         # a row that sets the name replaces the default "name = bad"
@@ -1122,11 +1129,8 @@ FUZZ_TOKENS = ("", "0", "-1", "1, -1", "0.5", "nan", "inf", "x", HUGE,
 # A row runs to the end with a token below every floor or past every cap.
 FUZZ_TO_THE_END = ("-1", "1, -1", HUGE)
 # A field whose value another field's rule reads may be named by that rule:
-# the means set K, which a policy kind's arm count and params.fixed_arm are
-# checked against, and environment.gap's range is set by environment.base.
-FUZZ_TIES = {"environment.means": "policy *.kind",
-             "params.means": "params.fixed_arm",
-             "environment.base": "environment.gap"}
+# environment.gap's range is set by environment.base.
+FUZZ_TIES = {"environment.base": "environment.gap"}
 # The child runs each row until its kind's first library or numpy call, the
 # point where every field has been read, unless the row is marked to run to
 # the end; it prints [exit code, stderr] per row, and 1 with the traceback

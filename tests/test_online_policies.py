@@ -13,6 +13,7 @@ from boundslab.online_policies import (
     FixedPolicy,
     HedgePolicy,
     UCB1Policy,
+    _as_probvec_rows,
     doubling_schedule,
     epsilon_first_schedule,
     exp3_eta,
@@ -24,7 +25,7 @@ from boundslab.online_policies import (
     sample_arm,
     ucb_index,
 )
-from boundslab.divergences import ProbVec
+from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 
 finite_losses = st.lists(
     st.floats(min_value=0.0, max_value=50.0), min_size=2, max_size=8
@@ -252,6 +253,25 @@ class TestExp3:
             EXP3Policy(2, variant="rewards")
         with pytest.raises(ValueError):
             EXP3Policy(2, variant="rewards", eta=1.5)
+
+    def test_a_nan_estimate_fails_the_sum_check(self):
+        pol = EXP3Policy(2, R=2)
+        pol.estimates[0, 1] = math.nan
+        with pytest.raises(ValueError) as caught:
+            pol.distributions()
+        assert str(caught.value) == "weights sum to [nan  1.], not 1"
+
+    @pytest.mark.parametrize("off", [2 * NORMALIZATION_TOL,
+                                     -2 * NORMALIZATION_TOL])
+    def test_a_row_off_one_fails_the_sum_check(self, off):
+        p = np.array([[0.5, 0.5], [0.5, 0.5 + off], [0.25, 0.75]])
+        with pytest.raises(ValueError) as caught:
+            _as_probvec_rows(p)
+        assert str(caught.value) == "weights sum to [1. 1. 1.], not 1"
+        # within the tolerance, each row is divided by its sum
+        p[1, 1] = 0.5 + off / 4
+        assert _as_probvec_rows(p).tolist() == [
+            list(ProbVec(row)) for row in p.tolist()]
 
     def test_update_requires_act(self):
         pol = EXP3Policy(2)
