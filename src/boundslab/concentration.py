@@ -1,14 +1,14 @@
 """High-confidence bounds on the mean of bounded samples.
 
-Covers the Markov/Chebyshev tails, the Hoeffding radius/sample-size pair, the
-kl and split-kl mean bounds, the Bernstein family (plain, empirical,
-"unexpected" with a lambda grid), plus exact finite-summation verifiers for
-the moment-generating-function lemmas the bounds rest on.
+Covers the Hoeffding radius and mean bound, the kl and split-kl mean bounds,
+the empirical and "unexpected" (lambda-grid) Bernstein bounds, and the exact
+finite-summation value of E[e^{n kl(p_hat || p)}].
 """
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -16,10 +16,8 @@ import numpy as np
 
 from .divergences import (
     _MAX,
-    _TINY,
     _check_count,
     _check_delta,
-    _check_nonneg,
     _check_range,
     _check_rate,
     _check_unit,
@@ -193,19 +191,6 @@ class LambdaGrid:
         return cls([0.5 ** i / b for i in range(1, k + 1)])
 
 
-def markov_chebyshev_tail(kind: str, *, mean: Optional[float] = None,
-                          variance: Optional[float] = None,
-                          eps: float) -> float:
-    """Markov tail E[X]/eps (X >= 0) or Chebyshev tail Var[X]/eps^2, clipped
-    to [0, 1] since both bound a probability."""
-    eps = _check_rate(eps, "eps")
-    if kind == "markov":
-        return min(1.0, _check_nonneg(mean, "mean") / eps)
-    if kind == "chebyshev":
-        return min(1.0, _check_nonneg(variance, "variance") / eps ** 2)
-    raise ValueError(f"kind must be 'markov' or 'chebyshev', got {kind!r}")
-
-
 def _log_sides_over_delta(delta: float, sides: str) -> float:
     """ln(sides/delta) with sides "one" (1) or "two" (2): the Hoeffding budget."""
     _check_delta(delta)
@@ -219,13 +204,6 @@ def hoeffding_radius(n: int, delta: float, sides: str = "one") -> float:
     of n iid [0,1]-valued variables."""
     numer = _log_sides_over_delta(delta, sides)
     return math.sqrt(numer / (2.0 * _check_count(n, "n")))
-
-
-def hoeffding_solve_n(eps: float, delta: float, sides: str = "one") -> int:
-    """Smallest n whose Hoeffding radius is <= eps: ceil(ln(sides/delta) / (2 eps^2))."""
-    numer = _log_sides_over_delta(delta, sides)
-    eps = _check_rate(eps, "eps")
-    return max(1, math.ceil(numer / (2.0 * eps ** 2)))
 
 
 def hoeffding_mean_bound(p_hat: float, n: int, delta: float) -> BoundResult:
@@ -289,31 +267,6 @@ def _split_kl_sum(b0: float, alphas: Sequence[float], means: Sequence[float],
     return value
 
 
-def bernstein_mean_bound(mean_hat: float, nu: float, b: float, n: int,
-                         delta: float) -> BoundResult:
-    """Bernstein bound mean_hat + sqrt(2 nu ln(1/delta)/n) + b ln(1/delta)/(3n)
-    for variables bounded above by b with (known) variance nu."""
-    _check_delta(delta)
-    mean_hat = _check_range(mean_hat, "mean_hat", -_MAX, _MAX, "finite")
-    nu = _check_nonneg(nu, "nu")
-    b = _check_rate(b, "b")
-    _check_count(n, "n")
-    budget = math.log(1.0 / delta)
-    value = mean_hat + math.sqrt(2.0 * nu * budget / n) + b * budget / (3.0 * n)
-    return BoundResult(value, delta, "bernstein", {"nu": nu, "b": b, "n": n})
-
-
-def bernstein_duals(x: float, direction: str = "f") -> float:
-    """The pair f(x) = 1 + x - sqrt(1 + 2x) and its inverse
-    f_inv(x) = x + sqrt(2x), both on x >= 0."""
-    x = _check_nonneg(x, "x")
-    if direction == "f":
-        return 1.0 + x - math.sqrt(1.0 + 2.0 * x)
-    if direction == "f_inv":
-        return x + math.sqrt(2.0 * x)
-    raise ValueError(f"direction must be 'f' or 'f_inv', got {direction!r}")
-
-
 def sample_variance(sample: Sample) -> float:
     """Unbiased variance estimate nu_hat = (1/(n(n-1))) sum_{i<j} (X_i - X_j)^2,
     computed via the O(n) identity (n/(n-1)) (mean of squares - mean^2)."""
@@ -354,7 +307,9 @@ def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
     p_hat + psi(-lambda b)/(lambda b^2) * s_n + ln(k/delta)/(lambda n),
     where s_n is the mean of squares and b the sample's upper bound."""
     _check_delta(delta)
-    b = _check_rate(sample.upper_bound, "upper bound b")
+    # b below the smallest normal float overflows the default grid's 0.5 / b
+    b = _check_range(sample.upper_bound, "upper bound b", sys.float_info.min,
+                     _MAX, f">= {sys.float_info.min} and finite")
     n = sample.n
     if grid is None:
         grid = LambdaGrid.default(n, delta, b)
@@ -399,54 +354,3 @@ def kl_mgf_exact(n: int, p: float) -> float:
         log_terms.append(term)
     peak = max(log_terms)
     return math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms)
-
-
-def mgf_lemma_check(values: Sequence[float], probs: Sequence[float],
-                    lam: float, lemma: str) -> tuple:
-    """Exactly evaluate both sides of a moment-generating-function lemma on a
-    finite support; returns (lhs, rhs) with the contract lhs <= rhs.
-
-    hoeffding:   E[e^{lam Z}]  vs  e^{lam mu + lam^2 (b-a)^2 / 8}
-    bernstein:   E[e^{lam Z}] (mean-zero Z <= b, lam in (0, 3/b))
-                 vs  exp(lam^2 nu / (2 (1 - lam b / 3)))
-    unexpected:  E[e^{lam (mu - Z) + ((b lam + ln(1 - b lam)) / b^2) Z^2}]
-                 (Z <= b, lam in [0, 1/b))  vs  1
-    """
-    vals = [_check_range(v, "values", -_MAX, _MAX, "finite") for v in values]
-    ps = [_check_unit(q, "probs") for q in probs]
-    if len(vals) != len(ps) or not vals:
-        raise ValueError("values and probs must be nonempty and equal length")
-    if abs(math.fsum(ps) - 1.0) > 1e-9:
-        raise ValueError("probs must be a probability vector")
-    lam = _check_range(lam, "lam", -_MAX, _MAX, "finite")
-    mu = math.fsum(v * q for v, q in zip(vals, ps))
-
-    if lemma == "hoeffding":
-        a, b = min(vals), max(vals)
-        lhs = math.fsum(q * math.exp(lam * v) for v, q in zip(vals, ps))
-        rhs = math.exp(lam * mu + lam * lam * (b - a) ** 2 / 8.0)
-        return lhs, rhs
-
-    if lemma == "bernstein":
-        b = max(vals)
-        if abs(mu) > 1e-9:
-            raise ValueError("bernstein lemma requires a mean-zero variable")
-        _check_rate(b, "b = max(values)")
-        _check_range(lam, "lam", _TINY, math.nextafter(3.0 / b, 0.0), "in (0, 3/b)")
-        nu = math.fsum(q * v * v for v, q in zip(vals, ps))
-        lhs = math.fsum(q * math.exp(lam * v) for v, q in zip(vals, ps))
-        exponent = lam * lam * nu / (2.0 * (1.0 - lam * b / 3.0))
-        rhs = math.exp(exponent) if exponent < 700 else math.inf
-        return lhs, rhs
-
-    if lemma == "unexpected":
-        b = max(vals)
-        _check_rate(b, "b = max(values)")
-        _check_range(lam, "lam", 0.0, math.nextafter(1.0 / b, 0.0), "in [0, 1/b)")
-        coeff = (b * lam + math.log1p(-b * lam)) / (b * b)
-        lhs = math.fsum(
-            q * math.exp(lam * (mu - v) + coeff * v * v) for v, q in zip(vals, ps))
-        return lhs, 1.0
-
-    raise ValueError(
-        f"lemma must be 'hoeffding', 'bernstein' or 'unexpected', got {lemma!r}")

@@ -1,4 +1,4 @@
-"""Entropy and divergence primitives, numerical inverses, and relaxations.
+"""Divergence primitives, numerical inverses, and relaxations.
 
 Everything here is a pure function on plain floats (natural-log units
 throughout); this is the shared numerical core for the confidence bounds in
@@ -146,17 +146,6 @@ def _raise_first_bad_weight(ws: list[float]) -> None:
             raise ValueError(f"ProbVec weights must be nonnegative, got {w}")
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p), in nats: -p ln p - (1-p) ln(1-p)."""
-    p = _check_unit(p, "p")
-    total = 0.0
-    if p > 0.0:
-        total -= p * math.log(p)
-    if p < 1.0:
-        total -= (1.0 - p) * math.log(1.0 - p)
-    return max(total, 0.0)
-
-
 def binary_kl(p: float, q: float) -> float:
     """kl(p || q) between Bernoulli biases, with the usual 0 ln 0 conventions.
 
@@ -190,21 +179,16 @@ def categorical_kl(rho: Sequence[float], pi: Sequence[float]) -> float:
     p = list(map(float, pi))
     if len(r) != len(p):
         raise ValueError(f"length mismatch: {len(r)} vs {len(p)}")
-    nan_at = None
-    if any(map(math.isnan, r)) or any(map(math.isnan, p)):
-        # the first NaN raises unless an earlier term is already infinite
-        nan_at = next(i for i, (ri, pi_i) in enumerate(zip(r, p))
-                      if math.isnan(ri) or math.isnan(pi_i))
-        r, p = r[:nan_at], p[:nan_at]
     total = 0.0
     for ri, pi_i in zip(r, p):
+        # the first NaN raises unless an earlier term is already infinite
+        if math.isnan(ri) or math.isnan(pi_i):
+            raise ValueError("KL arguments must not be NaN")
         if ri == 0.0:
             continue
         if pi_i == 0.0:
             return math.inf
         total += ri * math.log(ri / pi_i)
-    if nan_at is not None:
-        raise ValueError("KL arguments must not be NaN")
     return total
 
 
@@ -344,24 +328,3 @@ def pinsker_relaxations(p_hat: float, eps: float) -> tuple:
     refined_upper = min(1.0, p_hat + math.sqrt(2.0 * p_hat * eps) + 2.0 * eps)
     refined_lower = max(0.0, p_hat - math.sqrt(2.0 * p_hat * eps))
     return plain, refined_upper, refined_lower
-
-
-def binomial_entropy_bounds(n: int, k: int, tight: bool = False) -> tuple:
-    """Entropy-based lower/upper bounds on the binomial coefficient C(n, k).
-
-    Loose: e^{n H(k/n)} / (n+1)  <=  C(n,k)  <=  e^{n H(k/n)}.
-    Tight (Stirling-based, requires 1 <= k <= n-1):
-      (1/2) sqrt(n / (2 k (n-k))) e^{n H(k/n)}
-        <= C(n,k) <=
-      (e^{1/(12n)} / sqrt(2 pi)) sqrt(n / (k (n-k))) e^{n H(k/n)}.
-    """
-    n = int(_check_count(n, "n"))
-    k = int(_check_count(k, "k", 0, n + 1))
-    ent = n * binary_entropy(k / n)
-    if not tight:
-        return math.exp(ent) / (n + 1), math.exp(ent)
-    _check_count(k, "k", 1, n)  # the tight bounds need 1 <= k <= n-1
-    lower = 0.5 * math.sqrt(n / (2.0 * k * (n - k))) * math.exp(ent)
-    upper = (math.exp(1.0 / (12.0 * n)) / math.sqrt(2.0 * math.pi)) \
-        * math.sqrt(n / (k * (n - k))) * math.exp(ent)
-    return lower, upper

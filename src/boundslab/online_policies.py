@@ -1,7 +1,7 @@
 """Online decision rules for repeated games against losses in [0, 1].
 
 Module-level functions give the closed-form pieces (exponential-weights
-distributions, learning rates, confidence indexes, schedules); the policy
+distributions, learning rates, schedules); the policy
 classes wrap them into stateful players for the simulation drivers in
 :mod:`boundslab.environments`.  Everything is deterministic given the
 caller-supplied random stream; ties always break toward the lowest index.
@@ -133,16 +133,6 @@ def exp4_mix(expert_weights: ProbVec, advice: Sequence[Sequence[float]],
     return ProbVec([v / total for v in mixture]), rows
 
 
-def ucb_index(mu_hat: float, t: int, n_pulls: int,
-              parametrization: str = "original") -> float:
-    """Upper confidence index mu_hat + radius for an arm pulled ``n_pulls``
-    times by round ``t``.  "original" uses sqrt(3 ln t / (2 N)); "improved"
-    uses sqrt(ln t / N)."""
-    mu_hat = _check_unit(mu_hat, "mu_hat")
-    c = _radius_coefficient(math.log(_check_count(t, "t")), parametrization)
-    return mu_hat + math.sqrt(c / _check_count(n_pulls, "n_pulls"))
-
-
 def _radius_coefficient(log_t: float, parametrization: str) -> float:
     """c with UCB1 radius sqrt(c / N) for an arm pulled N times, at ln t =
     ``log_t``: 1.5 ln t for "original", ln t for "improved".  Scaling by 2 is
@@ -206,22 +196,11 @@ def sample_arms(dists: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[:, None] < cum).argmax(axis=1)
 
 
-def exp3_eta(K: int, t: int, eta: float | None = None,
-             T: int | None = None) -> float:
+def _exp3_eta(K: int, t: int, eta: float | None, T: int | None) -> float:
     """EXP3 learning rate after ``t`` completed rounds: an explicit ``eta``,
     else the fixed-horizon sqrt(2 ln K / (K T)) when ``T`` is given, else the
-    anytime sqrt(ln K / ((t + 1) K))."""
-    _check_count(K, "K", 2)
-    _check_count(t, "t", 0)
-    if eta is not None:
-        _check_rate(eta)
-    elif T is not None:
-        _check_count(T, "T")
-    return _exp3_eta(K, t, eta, T)
-
-
-def _exp3_eta(K: int, t: int, eta: float | None, T: int | None) -> float:
-    """``exp3_eta`` unchecked, for arguments a policy has checked."""
+    anytime sqrt(ln K / ((t + 1) K)).  Unchecked: ``EXP3Policy`` checks its
+    own K, eta and T."""
     if eta is not None:
         return eta
     if T is not None:
@@ -236,7 +215,8 @@ def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
     totals = list(map(math.fsum, p.tolist()))
     for total in totals:
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise ValueError(f"weights sum to {np.array(totals)}, not 1")
+            raise ValueError(f"row {totals.index(total)}: weights sum to "
+                             f"{total}, not 1")
     return p / np.array(totals)[:, None]
 
 
@@ -410,6 +390,7 @@ class EXP3Policy:
 
     def update(self, arm: int, loss: float) -> None:
         self._one_row()
+        _check_count(arm, "arm", 0, self.K)
         loss = _check_range(loss, "loss", 0.0, 1.0, "in [0, 1]")
         self.update_rows(np.array([arm]), np.array([loss]))
 
@@ -455,6 +436,7 @@ class EXP4Policy:
     def update(self, arm: int, loss: float) -> None:
         if self._pending is None:
             raise ValueError("update() requires a preceding act()")
+        _check_count(arm, "arm", 0, self.K)
         p, rows = self._pending
         # l̃ is zero off the played arm, so sum_a q_h(a) l̃_a is q_h(arm) l̃_arm
         estimate = importance_weighted_loss(loss, p[arm], True)
@@ -504,6 +486,8 @@ class UCB1Policy:
         return best
 
     def update_reward(self, arm: int, reward: float) -> None:
+        if not 0 <= arm < self.K:
+            raise ValueError(f"arm must be in [0, {self.K}), got {arm}")
         if not 0.0 <= reward <= self.reward_range + 1e-12:
             raise ValueError(f"reward {reward} outside [0, {self.reward_range}]")
         self.counts[arm] += 1

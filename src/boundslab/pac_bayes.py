@@ -10,7 +10,7 @@ bound built on excess losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -246,18 +246,9 @@ def gibbs_posterior(pi: ProbVec, losses: Sequence[float], scale: float) -> ProbV
     return ProbVec(weights / weights.sum())
 
 
-def optimal_lambda(emp_loss: float, kl_term: float, n: int, delta: float) -> float:
-    """Closed-form minimizer of the PAC-Bayes-lambda upper bound in lam:
-    2 / (sqrt(2 n emp / (KL + ln(2 sqrt(n)/delta)) + 1) + 1), always in (0, 1]."""
-    emp_loss = _check_unit(emp_loss, "emp_loss")
-    kl_term = _check_nonneg(kl_term, "kl_term")
-    _check_count(n, "n")
-    _check_delta(delta)
-    complexity = kl_term + math.log(2.0 * math.sqrt(n) / delta)
-    return _optimal_lambda_raw(emp_loss, complexity, n)
-
-
 def _optimal_lambda_raw(emp_loss: float, complexity: float, n: int) -> float:
+    """The lam minimizing ``_lambda_upper``, in (0, 1]: 2 / (sqrt(2 n emp /
+    complexity + 1) + 1), with complexity = KL + ln(2 sqrt(n)/delta)."""
     return 2.0 / (math.sqrt(2.0 * n * emp_loss / complexity + 1.0) + 1.0)
 
 

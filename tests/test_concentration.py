@@ -12,43 +12,17 @@ from boundslab.concentration import (
     LambdaGrid,
     Sample,
     SplitGrid,
-    bernstein_duals,
-    bernstein_mean_bound,
     empirical_bernstein_mean_bound,
     hoeffding_mean_bound,
     hoeffding_radius,
-    hoeffding_solve_n,
     kl_mean_bound,
     kl_mgf_exact,
-    markov_chebyshev_tail,
-    mgf_lemma_check,
     psi,
     sample_variance,
     split_kl_mean_bound,
     unexpected_bernstein_mean_bound,
 )
 from boundslab.divergences import binary_kl, kl_inverse
-
-
-class TestMarkovChebyshev:
-    def test_markov_coin_example(self):
-        # Expected number of heads in 10 fair flips is 5; tail at 8 is 5/8.
-        assert markov_chebyshev_tail("markov", mean=5, eps=8) == 5 / 8
-
-    def test_chebyshev_zero_variance(self):
-        assert markov_chebyshev_tail("chebyshev", variance=0, eps=0.1) == 0.0
-
-    def test_chebyshev_sample_mean(self):
-        # Var of a mean of 100 iid Bernoulli(1/2) is 0.25/100.
-        assert markov_chebyshev_tail(
-            "chebyshev", variance=0.25 / 100, eps=0.1) == pytest.approx(0.25)
-
-    def test_clipping_and_errors(self):
-        assert markov_chebyshev_tail("markov", mean=5, eps=1) == 1.0
-        with pytest.raises(ValueError):
-            markov_chebyshev_tail("markov", mean=5, eps=0)
-        with pytest.raises(ValueError):
-            markov_chebyshev_tail("banana", mean=1, eps=1)
 
 
 class TestHoeffding:
@@ -59,18 +33,6 @@ class TestHoeffding:
     def test_radius_round_trip(self):
         r = hoeffding_radius(400, 0.03, "one")
         assert math.isclose(math.exp(-2 * 400 * r * r), 0.03, rel_tol=1e-12)
-
-    def test_solve_n(self):
-        assert hoeffding_solve_n(0.01, 0.01, "one") == 23026
-        assert hoeffding_solve_n(1.0, 0.5, "one") == 1
-        assert hoeffding_solve_n(0.1, 2 * math.exp(-2), "two") == 100
-
-    def test_solve_n_is_smallest(self):
-        for eps, delta in [(0.05, 0.1), (0.02, 0.01)]:
-            n = hoeffding_solve_n(eps, delta, "one")
-            assert hoeffding_radius(n, delta, "one") <= eps
-            if n > 1:
-                assert hoeffding_radius(n - 1, delta, "one") > eps
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -211,32 +173,6 @@ class TestSplitKlBound:
                                 SplitGrid([0.0, 1.0]), 0.05)
 
 
-class TestBernstein:
-    def test_zero_variance(self):
-        res = bernstein_mean_bound(0.2, 0.0, 1.0, 50, 0.1)
-        assert math.isclose(res.value, 0.2 + math.log(10) / 150, rel_tol=1e-12)
-
-    def test_worked_value(self):
-        res = bernstein_mean_bound(0.0, 0.25, 1.0, 100, math.exp(-1))
-        assert math.isclose(res.value, math.sqrt(0.005) + 1 / 300, rel_tol=1e-12)
-        assert math.isclose(res.value, 0.074045, abs_tol=1e-6)
-
-    def test_delta_near_one(self):
-        res = bernstein_mean_bound(0.3, 0.1, 1.0, 100, 1 - 1e-12)
-        assert abs(res.value - 0.3) < 1e-6
-
-    def test_duals(self):
-        assert bernstein_duals(0.0, "f") == 0.0
-        assert math.isclose(bernstein_duals(4.0, "f"), 2.0, rel_tol=1e-12)
-        assert math.isclose(bernstein_duals(2.0, "f_inv"), 4.0, rel_tol=1e-12)
-        for x in np.linspace(0.1, 10, 25):
-            assert math.isclose(
-                bernstein_duals(bernstein_duals(float(x), "f"), "f_inv"), x,
-                rel_tol=1e-9)
-        with pytest.raises(ValueError):
-            bernstein_duals(-1.0)
-
-
 class TestEmpiricalBernstein:
     def test_constant_sample(self):
         sample = Sample.unit([0.4] * 20)
@@ -288,6 +224,38 @@ class TestUnexpectedBernstein:
             assert LambdaGrid.default(10 ** 6, 0.05, b).lambdas == tuple(
                 1.0 / (2.0 ** i * b) for i in range(1, 10))
 
+    def test_upper_bound_below_the_smallest_normal_float(self):
+        # the default grid's 0.5 / b overflows at a subnormal b, which is
+        # named before any lambda is built
+        tiny = sys.float_info.min
+        with pytest.raises(ValueError) as caught:
+            unexpected_bernstein_mean_bound(Sample([0.0, 5e-324], 5e-324), 0.05)
+        assert str(caught.value) == (
+            f"upper bound b must be >= {tiny} and finite, got 5e-324")
+        res = unexpected_bernstein_mean_bound(Sample([0.0, tiny], tiny), 0.05)
+        assert res.detail["lambda"] == 0.5 / tiny
+        assert 0.5 * tiny < res.value < 1e-307
+
+    @pytest.mark.parametrize("b", [5e-324, 1e-310,
+                                   math.nextafter(sys.float_info.min, 0.0)])
+    def test_a_subnormal_upper_bound_is_named(self, b):
+        with pytest.raises(ValueError) as caught:
+            unexpected_bernstein_mean_bound(Sample([0.0, b], b), 0.05)
+        assert str(caught.value) == (
+            f"upper bound b must be >= {sys.float_info.min} and finite, "
+            f"got {b}")
+
+    @pytest.mark.parametrize("b", [1e-150, 1e-10, 0.5, 3.0, 1e10, 1e150])
+    def test_the_default_bound_scales_with_b(self, b):
+        # X / b is a [0, 1] sample, and each term of the bound is b times
+        # its term there while b^2 neither underflows nor overflows
+        values = np.random.default_rng(23).random(200) * 0.5
+        unit = unexpected_bernstein_mean_bound(Sample.unit(values), 0.05)
+        assert unit.value < 1.0  # not capped
+        res = unexpected_bernstein_mean_bound(Sample(values * b, b), 0.05)
+        assert res.detail["lambda"] == unit.detail["lambda"] / b
+        assert math.isclose(res.value, b * unit.value, rel_tol=1e-12)
+
     def test_grid_must_be_admissible(self):
         sample = Sample([0.1, 0.2], upper_bound=0.5)
         with pytest.raises(ValueError):
@@ -327,55 +295,6 @@ class TestKlMgfExact:
     def test_large_n_no_overflow(self):
         v = kl_mgf_exact(10000, 0.5)
         assert math.sqrt(10000) <= v <= 2 * math.sqrt(10000)
-
-
-class TestMgfLemmaCheck:
-    def test_lambda_zero(self):
-        lhs, rhs = mgf_lemma_check([-1, 1], [0.5, 0.5], 0.0, "hoeffding")
-        assert (lhs, rhs) == (1.0, 1.0)
-        lhs, rhs = mgf_lemma_check([-1, 1], [0.5, 0.5], 0.0, "unexpected")
-        assert (lhs, rhs) == (1.0, 1.0)
-
-    def test_rademacher(self):
-        lhs, rhs = mgf_lemma_check([-1, 1], [0.5, 0.5], 1.0, "hoeffding")
-        assert math.isclose(lhs, math.cosh(1), rel_tol=1e-12)
-        assert math.isclose(rhs, math.exp(0.5), rel_tol=1e-12)
-
-    def test_bernoulli(self):
-        lhs, rhs = mgf_lemma_check([0, 1], [0.5, 0.5], 1.0, "hoeffding")
-        assert math.isclose(lhs, 0.5 * (1 + math.e), rel_tol=1e-12)
-        assert math.isclose(rhs, math.exp(0.5 + 0.125), rel_tol=1e-12)
-        assert lhs == pytest.approx(1.85914, abs=1e-5)
-        assert rhs == pytest.approx(1.86825, abs=1e-5)
-
-    def test_randomized_supports(self):
-        rng = np.random.default_rng(17)
-        for _ in range(1000):
-            size = rng.integers(2, 6)
-            vals = np.sort(rng.uniform(-1, 1, size))
-            probs = rng.dirichlet(np.ones(size))
-            lam = float(rng.uniform(0, 3))
-            lhs, rhs = mgf_lemma_check(vals, probs, lam, "hoeffding")
-            assert lhs <= rhs * (1 + 1e-12)
-
-            centered = vals - float(np.dot(vals, probs))
-            b = float(centered.max())
-            if b > 1e-6:
-                lam_b = float(rng.uniform(1e-6, 3.0 / b * 0.999))
-                lhs, rhs = mgf_lemma_check(centered, probs, lam_b, "bernstein")
-                assert lhs <= rhs * (1 + 1e-12)
-
-            positive = np.abs(vals) + 0.05
-            b_u = float(positive.max())
-            lam_u = float(rng.uniform(0, 0.999 / b_u))
-            lhs, rhs = mgf_lemma_check(positive, probs, lam_u, "unexpected")
-            assert lhs <= rhs * (1 + 1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mgf_lemma_check([1, 2], [0.5, 0.5], 0.5, "bernstein")  # not mean zero
-        with pytest.raises(ValueError):
-            mgf_lemma_check([0, 1], [0.5, 0.5], 1.5, "unexpected")  # lam >= 1/b
 
 
 class TestCoverage:

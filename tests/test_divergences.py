@@ -11,9 +11,7 @@ from boundslab.divergences import (
     NORMALIZATION_TOL,
     ProbVec,
     _kl_interior,
-    binary_entropy,
     binary_kl,
-    binomial_entropy_bounds,
     categorical_kl,
     kl_inverse,
     pinsker_relaxations,
@@ -112,28 +110,6 @@ class TestProbVec:
         assert v.weights == (0.25, 0.25)
         with pytest.raises(ValueError):
             ProbVec([0.75, 0.75], sub_normalized=True)
-
-
-class TestBinaryEntropy:
-    def test_conventions_and_maximum(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert math.isclose(binary_entropy(0.5), math.log(2), rel_tol=1e-12)
-
-    def test_quarter(self):
-        expected = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
-        assert math.isclose(binary_entropy(0.25), expected, rel_tol=1e-12)
-        assert math.isclose(binary_entropy(0.25), 0.562335, abs_tol=1e-6)
-
-    def test_range(self):
-        for p in UNIT_GRID:
-            assert 0.0 <= binary_entropy(p) <= math.log(2) + 1e-15
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binary_entropy(-0.1)
-        with pytest.raises(ValueError):
-            binary_entropy(1.1)
 
 
 class TestBinaryKl:
@@ -379,39 +355,6 @@ class TestPinskerRelaxations:
         assert rl == 0.0
 
 
-class TestBinomialEntropyBounds:
-    def test_loose_example(self):
-        lower, upper = binomial_entropy_bounds(4, 2, tight=False)
-        assert math.isclose(lower, 3.2, rel_tol=1e-9)
-        assert math.isclose(upper, 16.0, rel_tol=1e-9)
-
-    def test_tight_example(self):
-        lower, upper = binomial_entropy_bounds(4, 2, tight=True)
-        assert math.isclose(lower, 5.657, abs_tol=1e-3)
-        assert math.isclose(upper, 6.517, abs_tol=1e-3)
-
-    def test_k_zero(self):
-        lower, upper = binomial_entropy_bounds(7, 0, tight=False)
-        assert math.isclose(lower, 1.0 / 8.0)
-        assert upper == 1.0
-
-    def test_brackets_exact_coefficient(self):
-        for n in range(1, 31):
-            for k in range(n + 1):
-                exact = math.comb(n, k)
-                lower, upper = binomial_entropy_bounds(n, k, tight=False)
-                assert lower <= exact <= upper
-                if 1 <= k <= n - 1:
-                    lower, upper = binomial_entropy_bounds(n, k, tight=True)
-                    assert lower <= exact <= upper
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial_entropy_bounds(4, 5)
-        with pytest.raises(ValueError):
-            binomial_entropy_bounds(4, 0, tight=True)
-
-
 def hex_digest(values) -> str:
     """SHA-256 over ``float.hex`` of each value, comma separated."""
     return hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
@@ -477,6 +420,33 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0,
 ANY_FLOAT = EDGE_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
 
 
+# the entries whose order decides categorical_kl: zero, a subnormal, inner
+# values, one, +inf and NaN
+KL_ENTRIES = [0.0, 5e-324, 0.25, 1.0, math.inf, math.nan]
+
+
+def two_pass_categorical_kl(rho, pi):
+    """categorical_kl by a NaN pre-scan, then a sum over the pairs before
+    the first NaN: +inf if one of them puts mass where pi has none, else
+    the error for the NaN if there is one, else the sum.  Returns a
+    ValueError instead of raising it, math.log's on a zero ratio too."""
+    nan_at = next((i for i, (r, q) in enumerate(zip(rho, pi))
+                   if math.isnan(r) or math.isnan(q)), len(rho))
+    total = 0.0
+    for r, q in zip(rho[:nan_at], pi[:nan_at]):
+        if r == 0.0:
+            continue
+        if q == 0.0:
+            return math.inf
+        try:
+            total += r * math.log(r / q)
+        except ValueError as error:  # r / q is 0 when q is inf
+            return error
+    if nan_at < len(rho):
+        return ValueError("KL arguments must not be NaN")
+    return total
+
+
 class TestErrorContract:
     """Which ValueError, with which message, NaN and out-of-range input
     raises; p is checked before q, p_hat before eps before direction."""
@@ -528,6 +498,23 @@ class TestErrorContract:
             assert str(info.value) == "KL arguments must not be NaN"
         else:
             assert categorical_kl(rho, pi) == math.inf
+
+    @pytest.mark.parametrize("r0", KL_ENTRIES)
+    @pytest.mark.parametrize("q0", KL_ENTRIES)
+    def test_categorical_kl_agrees_with_the_two_pass_sum(self, r0, q0):
+        # every (rho, pi) of length 2 whose first pair is (r0, q0)
+        for r1 in KL_ENTRIES:
+            for q1 in KL_ENTRIES:
+                rho, pi = [r0, r1], [q0, q1]
+                want = two_pass_categorical_kl(rho, pi)
+                if isinstance(want, ValueError):
+                    with pytest.raises(ValueError) as info:
+                        categorical_kl(rho, pi)
+                    assert str(info.value) == str(want), (rho, pi)
+                else:
+                    got = categorical_kl(rho, pi)
+                    same = got == want or math.isnan(got) and math.isnan(want)
+                    assert same, (rho, pi, got, want)
 
     def test_categorical_kl_infinite_before_a_later_nan(self):
         assert categorical_kl([0.5, math.nan], [0.0, 0.5]) == math.inf

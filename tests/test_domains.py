@@ -29,25 +29,18 @@ from boundslab.concentration import (
     LambdaGrid,
     Sample,
     SplitGrid,
-    bernstein_duals,
-    bernstein_mean_bound,
     empirical_bernstein_mean_bound,
     hoeffding_mean_bound,
     hoeffding_radius,
-    hoeffding_solve_n,
     kl_mean_bound,
     kl_mgf_exact,
-    markov_chebyshev_tail,
-    mgf_lemma_check,
     psi,
     split_kl_mean_bound,
     unexpected_bernstein_mean_bound,
 )
 from boundslab.divergences import (
     ProbVec,
-    binary_entropy,
     binary_kl,
-    binomial_entropy_bounds,
     kl_inverse,
     pinsker_relaxations,
 )
@@ -74,11 +67,9 @@ from boundslab.online_policies import (
     UCB1Policy,
     doubling_schedule,
     epsilon_first_schedule,
-    exp3_eta,
     hedge_distribution,
     hedge_eta,
     importance_weighted_loss,
-    ucb_index,
 )
 from boundslab.pac_bayes import (
     LossTable,
@@ -88,7 +79,6 @@ from boundslab.pac_bayes import (
     gibbs_posterior,
     mv_bound,
     occam_bound,
-    optimal_lambda,
     pb_kl_bound,
     pb_lambda_bound,
     pb_split_kl_bound,
@@ -120,184 +110,155 @@ def row(param, call, good, *bad, in_domain=()):
     return param, call, good, bad
 
 
+# the floats next to the closed ends of [0, 1], outside it
+BELOW_ZERO = -math.ulp(0.0)
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+# the finite values outside [0, 1], and outside (0, 1) and (0, inf)
+UNIT = (-0.5, BELOW_ZERO, ABOVE_ONE, 1.5)
+OPEN_UNIT = (0.0, 1.0)
+POSITIVE = (-1.0, -0.0, 0.0)
+
+
 ROWS = {
     # divergences
-    "binary_entropy": [row("p", binary_entropy, 0.3, 1.5, -0.5)],
-    "binary_kl": [row("p", lambda x: binary_kl(x, 0.5), 0.3, 1.5),
-                  row("q", lambda x: binary_kl(0.5, x), 0.3, -0.5)],
+    "binary_kl": [row("p", lambda x: binary_kl(x, 0.5), 0.3, *UNIT),
+                  row("q", lambda x: binary_kl(0.5, x), 0.3, *UNIT)],
     "kl_inverse": [
-        row("p_hat", lambda x: kl_inverse(x, 0.1), 0.3, 1.5),
-        row("eps", lambda x: kl_inverse(0.3, x), 0.1, -1.0,
+        row("p_hat", lambda x: kl_inverse(x, 0.1), 0.3, *UNIT),
+        row("eps", lambda x: kl_inverse(0.3, x), 0.1, -1.0, BELOW_ZERO,
             in_domain=(math.inf,))],
     "pinsker_relaxations": [
-        row("p_hat", lambda x: pinsker_relaxations(x, 0.1), 0.3, 1.5),
+        row("p_hat", lambda x: pinsker_relaxations(x, 0.1), 0.3,
+            *UNIT),
         row("eps", lambda x: pinsker_relaxations(0.3, x), 0.1, -1.0,
+            BELOW_ZERO,
             in_domain=(math.inf,))],
-    "binomial_entropy_bounds": [
-        row("n", lambda x: binomial_entropy_bounds(x, 1), 10, 0),
-        row("k", lambda x: binomial_entropy_bounds(10, x), 3, 11, -1)],
     # concentration
-    "LambdaGrid": [row("lambdas", lambda x: LambdaGrid([x]), 0.5, 0.0)],
+    "LambdaGrid": [row("lambdas", lambda x: LambdaGrid([x]), 0.5, *POSITIVE)],
     "LambdaGrid.default": [
         row("n", lambda x: LambdaGrid.default(x, 0.05, 1.0), 100, 0),
-        row("delta", lambda x: LambdaGrid.default(100, x, 1.0), 0.05, 1.0),
-        row("b", lambda x: LambdaGrid.default(100, 0.05, x), 1.0, 0.0)],
-    "markov_chebyshev_tail": [
-        row("eps", lambda x: markov_chebyshev_tail("markov", mean=0.5,
-                                                   eps=x), 1.0, 0.0),
-        row("mean", lambda x: markov_chebyshev_tail("markov", mean=x,
-                                                    eps=1.0), 0.5, -1.0),
-        row("variance", lambda x: markov_chebyshev_tail(
-            "chebyshev", variance=x, eps=1.0), 0.5, -1.0)],
+        row("delta", lambda x: LambdaGrid.default(100, x, 1.0), 0.05,
+            *OPEN_UNIT),
+        row("b", lambda x: LambdaGrid.default(100, 0.05, x), 1.0,
+            *POSITIVE)],
     "hoeffding_radius": [
         row("n", lambda x: hoeffding_radius(x, 0.05), 100, 0),
-        row("delta", lambda x: hoeffding_radius(100, x), 0.05, 0.0)],
-    "hoeffding_solve_n": [
-        row("eps", lambda x: hoeffding_solve_n(x, 0.05), 0.1, 0.0),
-        row("delta", lambda x: hoeffding_solve_n(0.1, x), 0.05, 1.0)],
+        row("delta", lambda x: hoeffding_radius(100, x), 0.05, *OPEN_UNIT)],
     "hoeffding_mean_bound": [
-        row("p_hat", lambda x: hoeffding_mean_bound(x, 100, 0.05), 0.3, 1.5),
+        row("p_hat", lambda x: hoeffding_mean_bound(x, 100, 0.05), 0.3,
+            *UNIT),
         row("n", lambda x: hoeffding_mean_bound(0.3, x, 0.05), 100, 0),
-        row("delta", lambda x: hoeffding_mean_bound(0.3, 100, x), 0.05, 1.0)],
+        row("delta", lambda x: hoeffding_mean_bound(0.3, 100, x), 0.05,
+            *OPEN_UNIT)],
     "kl_mean_bound": [
-        row("p_hat", lambda x: kl_mean_bound(x, 100, 0.05), 0.3, 1.5),
+        row("p_hat", lambda x: kl_mean_bound(x, 100, 0.05), 0.3, *UNIT),
         row("n", lambda x: kl_mean_bound(0.3, x, 0.05), 100, 0),
-        row("delta", lambda x: kl_mean_bound(0.3, 100, x), 0.05, 1.0)],
+        row("delta", lambda x: kl_mean_bound(0.3, 100, x), 0.05,
+            *OPEN_UNIT)],
     "split_kl_mean_bound": [row("delta", lambda x: split_kl_mean_bound(
-        SAMPLE, SplitGrid([0.0, 0.5, 1.0]), x), 0.05, 1.0)],
-    "bernstein_mean_bound": [
-        row("mean_hat", lambda x: bernstein_mean_bound(x, 0.1, 1.0, 100,
-                                                       0.05), 0.5),
-        row("nu", lambda x: bernstein_mean_bound(0.5, x, 1.0, 100, 0.05),
-            0.1, -1.0),
-        row("b", lambda x: bernstein_mean_bound(0.5, 0.1, x, 100, 0.05),
-            1.0, 0.0),
-        row("n", lambda x: bernstein_mean_bound(0.5, 0.1, 1.0, x, 0.05),
-            100, 0),
-        row("delta", lambda x: bernstein_mean_bound(0.5, 0.1, 1.0, 100, x),
-            0.05, 1.0)],
-    "bernstein_duals": [row("x", bernstein_duals, 0.5, -1.0)],
+        SAMPLE, SplitGrid([0.0, 0.5, 1.0]), x), 0.05, *OPEN_UNIT)],
     "empirical_bernstein_mean_bound": [row(
         "delta", lambda x: empirical_bernstein_mean_bound(SAMPLE, x),
-        0.05, 1.0)],
-    "psi": [row("u", psi, 0.5, -1.0)],
+        0.05, *OPEN_UNIT)],
+    "psi": [row("u", psi, 0.5, -1.0, math.nextafter(-1.0, -2.0))],
     "unexpected_bernstein_mean_bound": [row(
         "delta", lambda x: unexpected_bernstein_mean_bound(SAMPLE, x),
-        0.05, 1.0)],
+        0.05, *OPEN_UNIT)],
     "kl_mgf_exact": [row("n", lambda x: kl_mgf_exact(x, 0.3), 10, 0),
-                     row("p", lambda x: kl_mgf_exact(10, x), 0.3, 1.5)],
-    "mgf_lemma_check": [
-        row("lam", lambda x: mgf_lemma_check([0.0, 1.0], [0.5, 0.5], x,
-                                             "hoeffding"), 0.5),
-        row("lam", lambda x: mgf_lemma_check([-1.0, 1.0], [0.5, 0.5], x,
-                                             "bernstein"), 0.5, 0.0, 3.0),
-        row("lam", lambda x: mgf_lemma_check([0.0, 1.0], [0.5, 0.5], x,
-                                             "unexpected"), 0.5, -0.5, 1.0),
-        row("values", lambda x: mgf_lemma_check([0.0, x], [0.5, 0.5], 0.5,
-                                                "hoeffding"), 1.0),
-        row("probs", lambda x: mgf_lemma_check([0.0, 1.0], [x, 1.0 - x], 0.5,
-                                               "hoeffding"), 0.5, -0.5, 1.5)],
+                     row("p", lambda x: kl_mgf_exact(10, x), 0.3, *UNIT)],
     # pac_bayes
     "PacBayesQuery": [
         row("n", lambda x: PacBayesQuery(PI, PI, x, 0.05), 100, 0),
-        row("delta", lambda x: PacBayesQuery(PI, PI, 100, x), 0.05, 1.0)],
+        row("delta", lambda x: PacBayesQuery(PI, PI, 100, x), 0.05,
+            *OPEN_UNIT)],
     "occam_bound": [row("delta", lambda x: occam_bound(TABLE, PI, x),
-                        0.05, 1.0)],
+                        0.05, *OPEN_UNIT)],
     "tree_prior": [row("depth", tree_prior, 3, -1)],
     "pb_kl_bound": [row("emp_loss", lambda x: pb_kl_bound(QUERY, x),
-                        0.3, 1.5)],
+                        0.3, *UNIT)],
     "pb_lambda_bound": [
         row("emp_loss", lambda x: pb_lambda_bound(QUERY, x, lam=1.0),
-            0.3, 1.5),
-        row("lam", lambda x: pb_lambda_bound(QUERY, 0.3, lam=x), 1.0, 2.0),
+            0.3, *UNIT),
+        row("lam", lambda x: pb_lambda_bound(QUERY, 0.3, lam=x), 1.0,
+            0.0, 2.0),
         row("gamma", lambda x: pb_lambda_bound(QUERY, 0.3, gamma=x,
-                                               side="lower"), 1.0, 0.0)],
+                                               side="lower"), 1.0,
+            *POSITIVE)],
     "gibbs_posterior": [row("scale", lambda x: gibbs_posterior(
-        PI, [0.2, 0.4], x), 1.0, -1.0)],
-    "optimal_lambda": [
-        row("emp_loss", lambda x: optimal_lambda(x, 0.1, 100, 0.05), 0.3,
-            5.0),
-        row("kl_term", lambda x: optimal_lambda(0.3, x, 100, 0.05), 0.1,
-            -1.0),
-        row("n", lambda x: optimal_lambda(0.3, 0.1, x, 0.05), 100, 0),
-        row("delta", lambda x: optimal_lambda(0.3, 0.1, 100, x), 0.05, 1.0)],
+        PI, [0.2, 0.4], x), 1.0, -1.0, BELOW_ZERO)],
     "alternating_minimize": [
-        row("delta", lambda x: alternating_minimize(PI, TABLE, x), 0.05, 1.0),
-        row("r", lambda x: alternating_minimize(PI, TABLE, 0.05, x), 0, 4)],
+        row("delta", lambda x: alternating_minimize(PI, TABLE, x), 0.05,
+            *OPEN_UNIT),
+        row("r", lambda x: alternating_minimize(PI, TABLE, 0.05, x), 0,
+            -1, 4)],
     "mv_bound": [
         row("lam", lambda x: mv_bound("first_order", TABLE, QUERY, lam=x),
-            1.0, 2.0),
+            1.0, 0.0, 2.0),
         row("gamma", lambda x: mv_bound("first_order", TABLE, QUERY,
-                                        gamma=x), 1.0, 0.0)],
+                                        gamma=x), 1.0, *POSITIVE)],
     "pb_split_kl_bound": [row("segment_means", lambda x: pb_split_kl_bound(
-        SplitGrid([0.0, 0.5, 1.0]), [x, 0.2], QUERY), 0.3, 1.5)],
+        SplitGrid([0.0, 0.5, 1.0]), [x, 0.2], QUERY), 0.3, *UNIT)],
     "pb_unexpected_bernstein_bound": [
         row("emp_loss", lambda x: pb_unexpected_bernstein_bound(
-            QUERY, x, 0.1, LambdaGrid([0.5])), 0.3, 1.5),
+            QUERY, x, 0.1, LambdaGrid([0.5])), 0.3, *UNIT),
         row("emp_sq_loss", lambda x: pb_unexpected_bernstein_bound(
-            QUERY, 0.3, x, LambdaGrid([0.5])), 0.1, 1.5)],
+            QUERY, 0.3, x, LambdaGrid([0.5])), 0.1, *UNIT)],
     "geometric_split": [row("n", lambda x: geometric_split(x, 3), 8, 3),
                         row("T", lambda x: geometric_split(8, x), 3, 0)],
     "recursive_pb": [
-        row("delta", lambda x: recursive_pb(TABLE, x, 2), 0.05, 1.0),
+        row("delta", lambda x: recursive_pb(TABLE, x, 2), 0.05,
+            *OPEN_UNIT),
         row("T", lambda x: recursive_pb(TABLE, 0.05, x), 2, 0),
         row("gammas", lambda x: recursive_pb(TABLE, 0.05, 2,
-                                             gammas=[0.5, x]), 0.5, 1.5),
+                                             gammas=[0.5, x]), 0.5, *UNIT),
         row("seed", lambda x: recursive_pb(TABLE, 0.05, 2, seed=x), 3, -1)],
     # online_policies
     "hedge_distribution": [row("eta", lambda x: hedge_distribution(
-        [1.0, 2.0], x), 0.5, 0.0)],
+        [1.0, 2.0], x), 0.5, *POSITIVE)],
     "hedge_eta": [
-        row("K", lambda x: hedge_eta(x, T=10), 2, 1),
+        row("K", lambda x: hedge_eta(x, T=10), 2, 0, 1),
         row("T", lambda x: hedge_eta(2, T=x), 10, 0),
         row("t", lambda x: hedge_eta(2, t=x, variant="anytime_simple"), 1,
             0)],
     "importance_weighted_loss": [
         row("loss", lambda x: importance_weighted_loss(x, 0.5, True), 0.5,
-            1.5),
+            *UNIT),
         row("p_chosen", lambda x: importance_weighted_loss(0.5, x, True),
-            0.5, 0.0)],
-    "ucb_index": [
-        row("mu_hat", lambda x: ucb_index(x, 5, 2), 0.5, 1.5),
-        row("t", lambda x: ucb_index(0.5, x, 2), 5, 0),
-        row("n_pulls", lambda x: ucb_index(0.5, 5, x), 2, 0)],
+            0.5, 0.0, ABOVE_ONE)],
     "epsilon_first_schedule": [
-        row("gap", lambda x: epsilon_first_schedule(x, 100), 0.5, 0.0),
+        row("gap", lambda x: epsilon_first_schedule(x, 100), 0.5, 0.0,
+            ABOVE_ONE),
         row("T", lambda x: epsilon_first_schedule(0.5, x), 100, 0)],
     "doubling_schedule": [
         row("t", lambda x: doubling_schedule(x, 2), 4, 0),
-        row("K", lambda x: doubling_schedule(4, x), 2, 1)],
-    "exp3_eta": [
-        row("K", lambda x: exp3_eta(x, 3), 2, 1),
-        row("t", lambda x: exp3_eta(2, x), 3, -1),
-        row("eta", lambda x: exp3_eta(2, 3, eta=x), 0.1, 0.0),
-        row("T", lambda x: exp3_eta(2, 3, T=x), 10, 0)],
+        row("K", lambda x: doubling_schedule(4, x), 2, 0, 1)],
     "HedgePolicy": [
-        row("K", HedgePolicy, 2, 1),
-        row("eta", lambda x: HedgePolicy(2, eta=x), 0.5, 0.0),
+        row("K", HedgePolicy, 2, 0, 1),
+        row("eta", lambda x: HedgePolicy(2, eta=x), 0.5, *POSITIVE),
         row("T", lambda x: HedgePolicy(2, variant="simple", T=x), 10, 0)],
     "FTLPolicy": [row("K", FTLPolicy, 2, 0)],
     "EXP3Policy": [
-        row("K", EXP3Policy, 2, 1),
-        row("eta", lambda x: EXP3Policy(2, eta=x), 0.5, 0.0),
+        row("K", EXP3Policy, 2, 0, 1),
+        row("eta", lambda x: EXP3Policy(2, eta=x), 0.5, *POSITIVE),
         row("eta", lambda x: EXP3Policy(2, variant="rewards", eta=x), 0.5,
-            1.0),
+            *OPEN_UNIT),
         row("T", lambda x: EXP3Policy(2, T=x), 10, 0),
         row("R", lambda x: EXP3Policy(2, R=x), 2, 0)],
     "EXP4Policy": [
         row("n_experts", lambda x: EXP4Policy(x, 2, eta=0.1), 2, 0),
-        row("K", lambda x: EXP4Policy(2, x, eta=0.1), 2, 1),
-        row("eta", lambda x: EXP4Policy(2, 2, eta=x), 0.1, 0.0),
+        row("K", lambda x: EXP4Policy(2, x, eta=0.1), 2, 0, 1),
+        row("eta", lambda x: EXP4Policy(2, 2, eta=x), 0.1, *POSITIVE),
         row("T", lambda x: EXP4Policy(2, 2, T=x), 10, 0)],
     "UCB1Policy": [
         row("K", UCB1Policy, 2, 0),
         row("reward_range", lambda x: UCB1Policy(2, reward_range=x), 2.0,
-            0.0)],
+            *POSITIVE)],
     "UCB1Batch": [row("K", UCB1Batch, 2, 0),
                   row("R", lambda x: UCB1Batch(2, R=x), 2, 0)],
     "EpsilonFirstPolicy": [
         row("T", lambda x: EpsilonFirstPolicy(x, 0.5), 100, 0),
-        row("gap", lambda x: EpsilonFirstPolicy(100, x), 0.5, 1.5),
+        row("gap", lambda x: EpsilonFirstPolicy(100, x), 0.5, 0.0,
+            ABOVE_ONE, 1.5),
         row("R", lambda x: EpsilonFirstPolicy(100, 0.5, x), 2, 0)],
     "FixedPolicy": [row("K", lambda x: FixedPolicy(x, arm=0), 2, 0),
                     row("arm", lambda x: FixedPolicy(2, arm=x), 1, 2, -1)],
@@ -309,7 +270,8 @@ ROWS = {
         row("K", lambda x: make_ucb_breaker(4, x), 2, 0)],
     "write_log": [row("K", lambda x: write_log(os.devnull, x, LOG), 2, 0)],
     "synthesize_uniform_log": [
-        row("means", lambda x: synthesize_uniform_log([x], 5, 0), 0.5, 1.5),
+        row("means", lambda x: synthesize_uniform_log([x], 5, 0), 0.5,
+            *UNIT),
         row("T", lambda x: synthesize_uniform_log([0.5], x, 0), 5, -1),
         row("seed", lambda x: synthesize_uniform_log([0.5], 5, x), 0, -1)],
     "play_full_information": [row("T", lambda x: play_full_information(

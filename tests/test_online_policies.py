@@ -12,18 +12,18 @@ from boundslab.online_policies import (
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
+    UCB1Batch,
     UCB1Policy,
     _as_probvec_rows,
+    _radius_coefficient,
     doubling_schedule,
     epsilon_first_schedule,
-    exp3_eta,
     exp4_mix,
     ftl_choice,
     hedge_distribution,
     hedge_eta,
     importance_weighted_loss,
     sample_arm,
-    ucb_index,
 )
 from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 
@@ -190,23 +190,29 @@ class TestExp3:
             assert all(math.isclose(w, 0.25, rel_tol=1e-12) for w in p)
 
     def test_anytime_eta_default(self):
-        assert math.isclose(exp3_eta(3, 0),
-                            math.sqrt(math.log(3) / 3), rel_tol=1e-12)
-        assert math.isclose(exp3_eta(3, 9),
-                            math.sqrt(math.log(3) / 30), rel_tol=1e-12)
-        # the policy plays its first round at the anytime rate
-        first = EXP3Policy(3)
-        first.estimates[0] = (0.0, 1.0, 2.0)
-        assert first.distributions()[0].tolist() == list(
-            hedge_distribution([0.0, 1.0, 2.0], exp3_eta(3, 0)))
+        # after t rounds the policy plays Hedge at sqrt(ln K / ((t + 1) K))
+        pol = EXP3Policy(3)
+        pol.estimates[0] = (0.0, 1.0, 2.0)
+        for t, eta in ((0, math.sqrt(math.log(3) / 3)),
+                       (9, math.sqrt(math.log(3) / 30))):
+            pol.t = t
+            assert pol.distributions()[0].tolist() == list(
+                hedge_distribution([0.0, 1.0, 2.0], eta))
 
     def test_fixed_eta_grid_optimality(self):
         # sqrt(2 ln K / (K T)) minimizes ln K / eta + eta K T / 2
         K, T = 4, 2000
-        eta_star = exp3_eta(K, 0, T=T)
+        eta_star = math.sqrt(2 * math.log(K) / (K * T))
         objective = lambda e: math.log(K) / e + e * K * T / 2
         best = min(objective(0.0001 + 0.0999 * i / 9999) for i in range(10000))
         assert objective(eta_star) <= best + 1e-9
+        # the policy given T plays at that rate in every round
+        pol = EXP3Policy(K, T=T)
+        pol.estimates[0] = (0.0, 1.0, 3.0, 2.0)
+        for t in (0, 9):
+            pol.t = t
+            assert pol.distributions()[0].tolist() == list(
+                hedge_distribution([0.0, 1.0, 3.0, 2.0], eta_star))
 
     def test_estimates_nondecreasing_and_unbiased_second_moment(self):
         rng = np.random.default_rng(5)
@@ -259,19 +265,31 @@ class TestExp3:
         pol.estimates[0, 1] = math.nan
         with pytest.raises(ValueError) as caught:
             pol.distributions()
-        assert str(caught.value) == "weights sum to [nan  1.], not 1"
+        assert str(caught.value) == "row 0: weights sum to nan, not 1"
 
-    @pytest.mark.parametrize("off", [2 * NORMALIZATION_TOL,
-                                     -2 * NORMALIZATION_TOL])
-    def test_a_row_off_one_fails_the_sum_check(self, off):
-        p = np.array([[0.5, 0.5], [0.5, 0.5 + off], [0.25, 0.75]])
+    @pytest.mark.parametrize("off, total", [
+        (2 * NORMALIZATION_TOL, "1.0000000020000002"),
+        (-2 * NORMALIZATION_TOL, "0.9999999980000001")],
+        ids=["2e-09", "-2e-09"])
+    def test_a_row_off_one_fails_the_sum_check(self, off, total):
+        p = np.array([[0.5, 0.5], [0.5, 0.5 + off], [0.25, 0.75 + off]])
         with pytest.raises(ValueError) as caught:
             _as_probvec_rows(p)
-        assert str(caught.value) == "weights sum to [1. 1. 1.], not 1"
+        # the first failing row, with its fsum total as a Python float
+        assert str(caught.value) == f"row 1: weights sum to {total}, not 1"
         # within the tolerance, each row is divided by its sum
-        p[1, 1] = 0.5 + off / 4
+        p[1:, 1] = 0.5 + off / 4, 0.75 + off / 4
         assert _as_probvec_rows(p).tolist() == [
             list(ProbVec(row)) for row in p.tolist()]
+
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_the_first_row_off_one_is_named(self, bad):
+        # row ``bad`` sums to 2, and every row after it to more
+        p = np.full((3, 2), 0.5)
+        p[bad:, 1] += np.arange(1.0, 4.0 - bad)
+        with pytest.raises(ValueError) as caught:
+            _as_probvec_rows(p)
+        assert str(caught.value) == f"row {bad}: weights sum to 2.0, not 1"
 
     def test_update_requires_act(self):
         pol = EXP3Policy(2)
@@ -295,6 +313,36 @@ class TestExp3:
         rows.act_rows(np.array([0.1, 0.9]))
         with pytest.raises(ValueError, match="R=2"):
             rows.update(0, 0.5)
+
+    # -1 and -3 index the last and the first arm of a Python sequence
+    @pytest.mark.parametrize("arm", [-1, -3, 3, 4])
+    def test_an_arm_outside_the_policy_is_rejected(self, arm):
+        pol = EXP3Policy(3)
+        pol.act(np.random.default_rng(0))
+        for call in (lambda: pol.update(arm, 0.5),
+                     lambda: pol.update_reward(arm, 0.5),
+                     lambda: pol.replay_update(arm, 1.5, 3)):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == f"arm must be in [0, 3), got {arm}"
+        assert pol.estimates.tolist() == [[0.0] * 3] and pol.t == 0
+        pol.update(2, 0.5)  # the round is still open
+        assert pol.t == 1
+
+    @pytest.mark.parametrize("call", ["update", "update_reward",
+                                      "replay_update"])
+    @pytest.mark.parametrize("arm", [0, 2])
+    def test_an_arm_at_either_end_is_credited(self, arm, call):
+        # loss 0.5 three ways: loss 0.5, reward 0.5, estimated reward 1.5 of 3
+        pol = EXP3Policy(3)
+        pol.act(np.random.default_rng(0))
+        p_arm = pol.p[0, arm]
+        args = {"update": (0.5,), "update_reward": (0.5,),
+                "replay_update": (1.5, 3)}[call]
+        getattr(pol, call)(arm, *args)
+        want = [0.0] * 3
+        want[arm] = 0.5 / p_arm
+        assert pol.estimates.tolist() == [want] and pol.t == 1
 
 
 class TestExp4:
@@ -338,6 +386,17 @@ class TestExp4:
             pol.update(arm, loss)
             assert pol.cum_expert_losses == want
 
+    @pytest.mark.parametrize("arm", [-1, -2, 2, 3])
+    def test_an_arm_outside_the_policy_is_rejected(self, arm):
+        pol = EXP4Policy(2, 2, eta=0.1)
+        pol.act([(0.5, 0.5), (1.0, 0.0)], np.random.default_rng(0))
+        with pytest.raises(ValueError) as caught:
+            pol.update(arm, 0.5)
+        assert str(caught.value) == f"arm must be in [0, 2), got {arm}"
+        assert pol.cum_expert_losses == [0.0, 0.0] and pol.t == 0
+        pol.update(1, 0.5)  # the round is still open
+        assert pol.t == 1
+
     def test_default_eta(self):
         pol = EXP4Policy(8, 2, T=10000)
         assert math.isclose(pol.eta,
@@ -363,33 +422,18 @@ class TestExp4:
             exp4_mix(ProbVec([1.0]), [(0.9, 0.2)])
 
 
-class TestUcbIndex:
-    def test_examples(self):
-        assert math.isclose(ucb_index(0.5, int(math.e ** 2) + 1, 3, "original"),
-                            0.5 + math.sqrt(3 * math.log(int(math.e ** 2) + 1) / 6),
-                            rel_tol=1e-12)
-        # exact closed forms at t = e^2 via the continuous formula
-        t = math.e ** 2
-        assert math.isclose(0.5 + math.sqrt(3 * math.log(t) / 6), 1.5,
-                            rel_tol=1e-12)
-        assert math.isclose(0.5 + math.sqrt(math.log(t) / 3), 1.31650,
-                            abs_tol=1e-5)
-
+class TestRadiusCoefficient:
     @given(st.integers(1, 10 ** 15), st.integers(1, 10 ** 15))
     def test_radius_is_bit_equal_to_the_stated_formulas(self, t, n):
-        assert ucb_index(0.0, t, n, "original") == math.sqrt(
-            3.0 * math.log(t) / (2.0 * n))
-        assert ucb_index(0.0, t, n, "improved") == math.sqrt(math.log(t) / n)
-
-    def test_round_one_is_mean(self):
-        assert ucb_index(0.37, 1, 1, "original") == 0.37
-        assert ucb_index(0.37, 1, 1, "improved") == 0.37
+        log_t = math.log(t)
+        assert math.sqrt(_radius_coefficient(log_t, "original") / n) \
+            == math.sqrt(3.0 * math.log(t) / (2.0 * n))
+        assert math.sqrt(_radius_coefficient(log_t, "improved") / n) \
+            == math.sqrt(math.log(t) / n)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            ucb_index(0.5, 10, 0, "original")
-        with pytest.raises(ValueError):
-            ucb_index(0.5, 10, 1, "bogus")
+        with pytest.raises(ValueError, match="unknown parametrization 'bogus'"):
+            _radius_coefficient(1.0, "bogus")
 
 
 @st.composite
@@ -410,11 +454,24 @@ def ucb1_states(draw):
     return K, parametrization, reward_range, counts, sums, t
 
 
+def first_argmax_of_the_index(counts, sums, reward_range, parametrization,
+                              t):
+    """The first arm maximising sums/counts + range * sqrt(c / counts) in
+    round t + 1, with c = 1.5 ln(t + 1) ("original") or ln(t + 1)."""
+    c = {"original": 1.5, "improved": 1.0}[parametrization] * math.log(t + 1)
+    indices = [v / n + reward_range * math.sqrt(c / n)
+               for n, v in zip(counts, sums)]
+    return indices.index(max(indices))
+
+
 class TestUcbPolicy:
     @given(ucb1_states())
     @example((3, "improved", 3.0, [2, 2, 2], [1.5, 1.5, 1.5], 6))
     @example((2, "original", 1.0, [1, 1], [0.0, 0.0], 1))
-    def test_act_is_first_argmax_of_ucb_index(self, state):
+    # the arm flips if either coefficient is scaled by 1.5 or by 1 / 1.5
+    @example((2, "improved", 1.0, [100, 10000], [20.0, 5000.0], 10100))
+    @example((2, "original", 1.0, [100, 10000], [20.0, 5000.0], 10100))
+    def test_act_is_first_argmax_of_the_index(self, state):
         K, parametrization, reward_range, counts, sums, t = state
         pol = UCB1Policy(K, parametrization=parametrization,
                          reward_range=reward_range)
@@ -422,10 +479,55 @@ class TestUcbPolicy:
         if t < K:
             assert pol.act() == t
             return
-        indices = [sums[a] / counts[a] + reward_range * ucb_index(
-                       0.0, t + 1, counts[a], parametrization)
-                   for a in range(K)]
-        assert pol.act() == indices.index(max(indices))
+        assert pol.act() == first_argmax_of_the_index(
+            counts, sums, reward_range, parametrization, t)
+
+    @given(ucb1_states())
+    @example((3, "improved", 3.0, [2, 2, 2], [1.5, 1.5, 1.5], 6))
+    @example((3, "original", 1.0, [1, 4, 9], [0.5, 2.0, 4.5], 20))
+    @example((2, "improved", 1.0, [100, 10000], [20.0, 5000.0], 10100))
+    @example((2, "original", 1.0, [100, 10000], [20.0, 5000.0], 10100))
+    def test_batch_rows_are_first_argmaxes_of_the_index(self, state):
+        # the state, and the state with its arms reversed, as two rows
+        K, parametrization, reward_range, counts, sums, t = state
+        sums = [v / reward_range for v in sums]  # the batch has range 1
+        rows = [(counts, sums), (counts[::-1], sums[::-1])]
+        pol = UCB1Batch(K, parametrization=parametrization, R=2)
+        pol.counts = np.array([n for n, _ in rows], dtype=float)
+        pol.sums = np.array([v for _, v in rows])
+        pol.t = t
+        expected = [t, t] if t < K else [
+            first_argmax_of_the_index(n, v, 1.0, parametrization, t)
+            for n, v in rows]
+        assert pol.act_rows().tolist() == expected
+
+    # -1 and -3 index the last and the first arm of a Python list
+    @pytest.mark.parametrize("arm", [-1, -3, 3, 4])
+    def test_an_arm_outside_the_policy_is_rejected(self, arm):
+        unit, replay = UCB1Policy(3), UCB1Policy(3, reward_range=3.0)
+        for call in (lambda: unit.update_reward(arm, 0.5),
+                     lambda: unit.update(arm, 0.5),
+                     lambda: replay.replay_update(arm, 1.5, 3)):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == f"arm must be in [0, 3), got {arm}"
+        for pol in (unit, replay):
+            assert (pol.counts, pol.sums, pol.t) == ([0] * 3, [0.0] * 3, 0)
+
+    @pytest.mark.parametrize("call", ["update", "update_reward",
+                                      "replay_update"])
+    @pytest.mark.parametrize("arm", [0, 2])
+    def test_an_arm_at_either_end_is_credited(self, arm, call):
+        # reward 0.25 on the unit range, or estimated reward 1.5 of 3
+        pol, value, reward = {
+            "update": (UCB1Policy(3), (0.75,), 0.25),
+            "update_reward": (UCB1Policy(3), (0.25,), 0.25),
+            "replay_update": (UCB1Policy(3, reward_range=3.0), (1.5, 3), 1.5),
+        }[call]
+        getattr(pol, call)(arm, *value)
+        counts, sums = [0] * 3, [0.0] * 3
+        counts[arm], sums[arm] = 1, reward
+        assert (pol.counts, pol.sums, pol.t) == (counts, sums, 1)
 
     def test_initialization_order_and_counts(self):
         rng = np.random.default_rng(0)

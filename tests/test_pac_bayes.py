@@ -20,7 +20,6 @@ from boundslab.pac_bayes import (
     mv_bound,
     mv_predict,
     occam_bound,
-    optimal_lambda,
     pb_kl_bound,
     pb_lambda_bound,
     pb_split_kl_bound,
@@ -230,7 +229,8 @@ class TestPbLambda:
     def test_zero_loss_grid_minimum(self):
         pi = ProbVec([1.0])
         q = PacBayesQuery(pi, pi, 500, 0.05)
-        lam_star = optimal_lambda(0.0, 0.0, 500, 0.05)
+        lam_star = alternating_minimize(pi, LossTable(np.zeros((1, 500))),
+                                        0.05).lam
         assert lam_star == 1.0
         best = pb_lambda_bound(q, 0.0, lam=lam_star, side="upper").value
         for lam in np.linspace(0.01, 1.99, 500):
@@ -293,19 +293,26 @@ class TestGibbsPosterior:
 
 
 class TestOptimalLambda:
+    """The minimiser's lam on one hypothesis, where KL = 0."""
+
     def test_ratio_three(self):
         # choose inputs so 2 n emp / complexity = 3
         n, delta = 100, 0.05
         complexity = math.log(2 * math.sqrt(n) / delta)
         emp = 3 * complexity / (2 * n)
-        assert math.isclose(optimal_lambda(emp, 0.0, n, delta), 2 / 3, rel_tol=1e-12)
+        fit = alternating_minimize(ProbVec([1.0]), LossTable([[emp] * n]), delta)
+        assert math.isclose(fit.lam, 2 / 3, rel_tol=1e-12)
 
     def test_matches_grid_search(self):
         pi = ProbVec([1.0])
         q = PacBayesQuery(pi, pi, 300, 0.1)
         for emp in (0.0, 0.05, 0.3, 0.8):
-            lam_star = optimal_lambda(emp, 0.0, 300, 0.1)
+            lam_star = alternating_minimize(pi, LossTable([[emp] * 300]),
+                                            0.1).lam
             assert 0 < lam_star <= 1
+            complexity = math.log(2 * math.sqrt(300) / 0.1)
+            assert math.isclose(lam_star, 2 / (math.sqrt(
+                2 * 300 * emp / complexity + 1) + 1), rel_tol=1e-12)
             best = pb_lambda_bound(q, emp, lam=lam_star, side="upper").value
             grid = np.linspace(1e-4, 2 - 1e-4, 10_000)
             grid_best = min(
@@ -583,20 +590,16 @@ def _delta_calls():
     return {
         "LambdaGrid.default": lambda d: LambdaGrid.default(100, d, 1.0),
         "hoeffding_radius": lambda d: c.hoeffding_radius(100, d),
-        "hoeffding_solve_n": lambda d: c.hoeffding_solve_n(0.1, d),
         "hoeffding_mean_bound": lambda d: c.hoeffding_mean_bound(0.5, 100, d),
         "kl_mean_bound": lambda d: c.kl_mean_bound(0.5, 100, d),
         "split_kl_mean_bound": lambda d: c.split_kl_mean_bound(
             sample, SplitGrid([0.0, 0.5, 1.0]), d),
-        "bernstein_mean_bound": lambda d: c.bernstein_mean_bound(
-            0.5, 0.1, 1.0, 100, d),
         "empirical_bernstein_mean_bound":
             lambda d: c.empirical_bernstein_mean_bound(sample, d),
         "unexpected_bernstein_mean_bound":
             lambda d: c.unexpected_bernstein_mean_bound(sample, d),
         "PacBayesQuery": lambda d: PacBayesQuery(pi, pi, 4, d),
         "occam_bound": lambda d: occam_bound(table, pi, d),
-        "optimal_lambda": lambda d: optimal_lambda(0.3, 0.1, 100, d),
         "alternating_minimize": lambda d: alternating_minimize(pi, table, d),
         "recursive_pb": lambda d: recursive_pb(table, d, 2),
     }
