@@ -139,15 +139,6 @@ class SplitGrid:
     def K(self) -> int:
         return len(self.alphas)
 
-    def segment_values(self, x: float) -> tuple:
-        """The per-segment components x_{|j} = clamp((x - b_{j-1})/alpha_j).
-
-        On grid points this reduces to the indicator 1[x >= b_j]; off-grid
-        (continuous) values get the fractional clamped form.  Either way
-        b_0 + sum_j alpha_j * x_{|j} reconstructs x exactly.
-        """
-        return tuple(self.segment_column(x, j).item() for j in range(self.K))
-
     def segment_column(self, values, j: int) -> np.ndarray:
         """x_{|j} of every value: the float64 array clamp((x - b_{j-1})/alpha_j).
 
@@ -260,7 +251,7 @@ def split_kl_mean_bound(sample: Sample, grid: SplitGrid, delta: float) -> BoundR
 def _split_kl_sum(b0: float, alphas: Sequence[float], means: Sequence[float],
                   eps: float) -> float:
     """The split-kl reassembly (Wu & Seldin, 2022), summed left to right;
-    shared by the mean, PAC-Bayes and recursive split-kl bounds."""
+    shared by the mean and recursive split-kl bounds."""
     value = b0
     for alpha, mean in zip(alphas, means):
         value += alpha * kl_inverse(mean, eps, "upper")
@@ -304,8 +295,11 @@ def psi(u: float) -> float:
 def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
                                     grid: Optional[LambdaGrid] = None) -> BoundResult:
     """Unexpected Bernstein bound: min over lambda in the grid of
-    p_hat + psi(-lambda b)/(lambda b^2) * s_n + ln(k/delta)/(lambda n),
-    where s_n is the mean of squares and b the sample's upper bound."""
+    p_hat + psi(-lambda b)/(lambda b) * s_n/b + ln(k/delta)/(lambda n),
+    where s_n is the mean of squares and b the sample's upper bound.
+
+    s_n/b is summed as the mean of v * (v / b): it stays finite wherever the
+    bound does, and normal where b * b and the squares underflow."""
     _check_delta(delta)
     # b below the smallest normal float overflows the default grid's 0.5 / b
     b = _check_range(sample.upper_bound, "upper bound b", sys.float_info.min,
@@ -315,20 +309,24 @@ def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
         grid = LambdaGrid.default(n, delta, b)
     if max(grid.lambdas) >= 1.0 / b:
         raise ValueError("every lambda must be < 1/b")
-    s_n = sample.mean_sq
+    # v * (v / b) is v * v at b = 1, whose mean the sample already holds
+    s_n_over_b = (sample.mean_sq if b == 1.0 else _mean_of_powers(
+        tuple(v * (v / b) for v in sample.values), 1))
     p_hat = sample.mean
     budget = math.log(grid.k / delta)
     best_value = math.inf
     best_lambda = grid.lambdas[0]
     for lam in grid.lambdas:
-        value = p_hat + psi(-lam * b) / (lam * b * b) * s_n + budget / (lam * n)
+        value = (p_hat + psi(-lam * b) / (lam * b) * s_n_over_b
+                 + budget / (lam * n))
         if value < best_value:
             best_value = value
             best_lambda = lam
     if sample.is_unit_range:
         best_value = min(1.0, best_value)
     return BoundResult(best_value, delta, "unexpected-bernstein",
-                       {"lambda": best_lambda, "k": grid.k, "s_n": s_n, "n": n})
+                       {"lambda": best_lambda, "k": grid.k,
+                        "s_n_over_b": s_n_over_b, "n": n})
 
 
 def kl_mgf_exact(n: int, p: float) -> float:

@@ -181,9 +181,14 @@ def categorical_kl(rho: Sequence[float], pi: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(r)} vs {len(p)}")
     total = 0.0
     for ri, pi_i in zip(r, p):
-        # the first NaN raises unless an earlier term is already infinite
-        if math.isnan(ri) or math.isnan(pi_i):
-            raise ValueError("KL arguments must not be NaN")
+        # the first bad entry raises unless an earlier term is already
+        # infinite; a NaN fails the range test too, and is named first
+        if not (0.0 <= ri <= _MAX and 0.0 <= pi_i <= _MAX):
+            if math.isnan(ri) or math.isnan(pi_i):
+                raise ValueError("KL arguments must not be NaN")
+            bad = pi_i if 0.0 <= ri <= _MAX else ri
+            raise ValueError(f"KL arguments must be finite and nonnegative, "
+                             f"got {bad}")
         if ri == 0.0:
             continue
         if pi_i == 0.0:

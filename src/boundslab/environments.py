@@ -478,10 +478,10 @@ def play_bandit(policy, envs: Sequence, T: int,
     ``envs[r]`` with random stream ``rngs[r]``, and only the chosen entry is
     revealed to it.
 
-    ``policy`` holds R independent rows (``EXP3Policy``, ``UCB1Batch``,
-    ``EpsilonFirstPolicy``): ``act_rows(u)`` gives every row's arm for the
-    next round, from one uniform per row when ``policy.draws``, and
-    ``update_rows(arms, losses)`` takes their losses.  The envs must share
+    ``policy`` holds R independent rows (``EXP3Policy``, ``UCB1Batch``):
+    ``act_rows(u)`` gives every row's arm for the next round, from one
+    uniform per row when ``policy.draws``, and ``update_rows(arms, losses)``
+    takes their losses.  The envs must share
     one class with a ``blocks`` method (``BernoulliEnv``, ``MatrixEnv``) and
     the policy's arm count.  Loss cells and uniforms are made a block of
     rounds at a time (``BLOCK_CELLS``), and every cell of a block must lie

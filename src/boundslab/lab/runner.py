@@ -46,7 +46,6 @@ from boundslab.online_policies import (
     HEDGE_ETA_VARIANTS,
     UCB1_PARAMETRIZATIONS,
     EXP3Policy,
-    EpsilonFirstPolicy,
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
@@ -62,13 +61,12 @@ def repetition_seeds(master: int, r: int):
     return env_seed, np.random.default_rng(children[1])
 
 
-# policy kind: (the feedback it plays, fewest arms, most arms or None)
+# policy kind: (the feedback it plays, fewest arms)
 _PLAYS = {
-    "hedge": ("full", 2, None),
-    "ftl": ("full", 1, None),
-    "exp3": ("bandit", 2, None),
-    "ucb1": ("bandit", 1, None),
-    "epsilon_first": ("bandit", 2, 2),
+    "hedge": ("full", 2),
+    "ftl": ("full", 1),
+    "exp3": ("bandit", 2),
+    "ucb1": ("bandit", 1),
 }
 _POSITIVE = (lambda x: 0.0 < x < math.inf, "positive and finite")
 _UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
@@ -118,10 +116,6 @@ def _read_policy(label: str, raw: dict, T: int, R: int):
     elif kind == "ucb1":
         make = partial(UCB1Batch, R=R, parametrization=f.read(
             "parametrization", UCB1_PARAMETRIZATIONS, "original"))
-    elif kind == "epsilon_first":
-        gap = f.read("gap", float, None, (lambda gap: 0.0 < gap <= 1.0,
-                     "in (0, 1]"), required="for epsilon_first")
-        make = lambda K: EpsilonFirstPolicy(T, gap, R)
     else:
         make = FTLPolicy
     f.close()
@@ -194,17 +188,17 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
     policies = []
     for label, raw in config.policies:
         kind, make = _read_policy(label, raw, config.T, config.R)
-        mode, fewest, most = _PLAYS[kind]
+        mode, fewest = _PLAYS[kind]
         if feedback not in (None, mode):
             raise ConfigError(f"environment.feedback: must be {mode} for "
                               f"policy {label} ({kind}), got {feedback!r}",
                               "environment.feedback")
         for _, K, _ in envs:
-            if not fewest <= K <= (most or K):
-                arms = fewest if most else f">= {fewest}"
+            if K < fewest:
                 raise ConfigError(f"policy {label}.kind: must be a kind for "
-                                  f"K = {K} ({kind} takes {arms} arms), got "
-                                  f"{raw['kind']!r}", f"policy {label}.kind")
+                                  f"K = {K} ({kind} takes >= {fewest} "
+                                  f"arms), got {raw['kind']!r}",
+                                  f"policy {label}.kind")
         policies.append((label, mode, make))
 
     traces = []

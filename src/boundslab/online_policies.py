@@ -145,21 +145,6 @@ def _radius_coefficient(log_t: float, parametrization: str) -> float:
     raise ValueError(f"unknown parametrization {parametrization!r}")
 
 
-def epsilon_first_schedule(gap: float, T: int) -> tuple[float, int]:
-    """Exploration budget for the two-armed explore-then-commit rule.
-
-    Returns (epsilon, exploration_rounds) with epsilon = max(0,
-    4 ln(T gap^2) / (T gap^2)) and the round count rounded up to an even
-    number, capped at T.
-    """
-    gap = _check_range(gap, "gap", _TINY, 1.0, "in (0, 1]")
-    _check_count(T, "T")
-    scale = T * gap * gap
-    eps = max(0.0, 4.0 * math.log(scale) / scale) if scale > 0 else 0.0
-    rounds = min(T, 2 * math.ceil(eps * T / 2.0))
-    return eps, rounds
-
-
 def doubling_schedule(t: int, K: int) -> tuple[int, float, bool]:
     """Doubling-trick period index, per-period Hedge rate and reset flag.
 
@@ -508,28 +493,9 @@ class UCB1Policy:
         self.update_reward(arm, r_tilde)
 
 
-class _RewardRows:
-    """R rows of per-arm pull counts and reward sums, fed by losses."""
-
-    draws = False
-
-    def __init__(self, K: int, R: int) -> None:
-        self.K = K
-        self.R = _check_count(R, "R")
-        self.offsets = np.arange(R) * K  # row starts, flat
-        self.counts = np.zeros((R, K))
-        self.sums = np.zeros((R, K))
-        self.t = 0  # completed rounds
-
-    def update_rows(self, arms: np.ndarray, losses: np.ndarray) -> None:
-        cells = self.offsets + arms
-        self.counts.ravel()[cells] += 1.0
-        self.sums.ravel()[cells] += 1.0 - losses
-        self.t += 1
-
-
-class UCB1Batch(_RewardRows):
-    """``UCB1Policy`` on losses (unit reward range) over R independent rows.
+class UCB1Batch:
+    """``UCB1Policy`` on losses (unit reward range) over R independent rows
+    of per-arm pull counts and reward sums.
 
     UCB1 is the one policy kept twice, for speed: the offline replays play
     one scalar round at a time, and a K = 4 act+update round takes 3-4 µs
@@ -539,11 +505,18 @@ class UCB1Batch(_RewardRows):
     for the IW replay, so the scalar class stays until that changes too.
     """
 
+    draws = False
+
     def __init__(self, K: int, *, parametrization: str = "original",
                  R: int = 1) -> None:
         _check_ucb1(K, parametrization)
-        super().__init__(K, R)
+        self.K = K
+        self.R = _check_count(R, "R")
         self.parametrization = parametrization
+        self.offsets = np.arange(R) * K  # row starts, flat
+        self.counts = np.zeros((R, K))
+        self.sums = np.zeros((R, K))
+        self.t = 0  # completed rounds
 
     def act_rows(self, u=None) -> np.ndarray:
         if self.t < self.K:
@@ -552,26 +525,11 @@ class UCB1Batch(_RewardRows):
         radius = np.sqrt(c / self.counts)
         return (self.sums / self.counts + radius).argmax(axis=1)
 
-
-class EpsilonFirstPolicy(_RewardRows):
-    """Two-armed explore-then-commit over R independent rows: alternate both
-    arms for the scheduled exploration budget, then commit each row to its
-    empirically best arm (rewards; ties to the lowest index)."""
-
-    def __init__(self, T: int, gap: float, R: int = 1) -> None:
-        self.epsilon, self.exploration_rounds = epsilon_first_schedule(gap, T)
-        super().__init__(2, R)
-        self.T = T
-        self.commit = None  # each row's arm once exploration is over
-
-    def act_rows(self, u=None) -> np.ndarray:
-        if self.t < self.exploration_rounds:
-            return np.full(self.R, self.t % 2)
-        if self.commit is None:
-            means = np.divide(self.sums, self.counts, out=np.zeros_like(self.sums),
-                              where=self.counts > 0)
-            self.commit = np.where(means[:, 0] >= means[:, 1], 0, 1)
-        return self.commit
+    def update_rows(self, arms: np.ndarray, losses: np.ndarray) -> None:
+        cells = self.offsets + arms
+        self.counts.ravel()[cells] += 1.0
+        self.sums.ravel()[cells] += 1.0 - losses
+        self.t += 1
 
 
 class FixedPolicy:

@@ -1,11 +1,10 @@
 """Generalization bounds over finite hypothesis classes and their minimization.
 
 Hypotheses are represented purely by loss/prediction tables, so every quantity
-in a bound is exactly computable.  Covers Occam-style union bounds, the
-PAC-Bayes-kl / lambda / split-kl / Unexpected-Bernstein inequalities, weighted
-majority-vote bounds (first order, tandem, disagreement), posterior
-construction by alternating minimization, and the recursive (stage-wise)
-bound built on excess losses.
+in a bound is exactly computable.  Covers the PAC-Bayes-kl and PAC-Bayes-lambda
+inequalities, weighted majority-vote bounds (first order, tandem,
+disagreement), posterior construction by alternating minimization, and the
+recursive (stage-wise) bound built on excess losses with the split-kl form.
 """
 from __future__ import annotations
 
@@ -15,8 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import (BoundResult, LambdaGrid, SplitGrid, _split_kl_sum,
-                            hoeffding_mean_bound, kl_mean_bound)
+from .concentration import BoundResult, _split_kl_sum
 from .divergences import (
     _TINY,
     ProbVec,
@@ -134,50 +132,6 @@ class PacBayesQuery:
     @property
     def kl_term(self) -> float:
         return categorical_kl(self.rho, self.pi)
-
-
-def occam_bound(table: LossTable, pi: ProbVec, delta: float,
-                flavor: str = "hoeffding") -> list:
-    """Per-hypothesis bounds with the confidence budget delta distributed
-    according to pi (which may be sub-normalized).
-
-    hoeffding: L_hat(h) + sqrt(ln(1/(pi(h) delta)) / (2n))
-    kl:        kl_inverse(L_hat(h), ln(1/(pi(h) delta)) / n, upper)
-    are ``hoeffding_mean_bound`` and ``kl_mean_bound`` at the budget
-    pi(h) delta; where that is 0.0 (pi(h) = 0, or an underflow) the bound is 1.
-    """
-    _check_delta(delta)
-    if flavor not in ("hoeffding", "kl"):
-        raise ValueError(f"flavor must be 'hoeffding' or 'kl', got {flavor!r}")
-    if len(pi) != table.m:
-        raise ValueError("pi length must match the number of hypotheses")
-    n = table.n
-    results = []
-    for h, emp in enumerate(table.emp_losses()):
-        w, emp = pi[h], float(emp)
-        if w * delta == 0.0:
-            value = 1.0
-        elif flavor == "hoeffding":
-            value = hoeffding_mean_bound(emp, n, w * delta).value
-        else:
-            value = kl_mean_bound(emp, n, w * delta).value
-        results.append(BoundResult(value, delta, f"occam-{flavor}",
-                                   {"pi_h": w, "emp_loss": emp}))
-    return results
-
-
-def tree_prior(depth: int) -> float:
-    """Confidence-budget prior for binary decision trees of a given depth:
-    2^{-(d+1)} * 2^{-2^d} (geometric over depths, uniform within a depth).
-
-    Computed through the log-space exponent so deep trees underflow to 0.0
-    instead of overflowing intermediate integers.
-    """
-    depth = int(_check_count(depth, "depth", 0))
-    if depth > 10:
-        # exponent below -745 ln 2; the double-precision value is exactly 0
-        return 0.0
-    return math.exp(-(depth + 1 + 2.0 ** depth) * math.log(2.0))
 
 
 def pb_kl_bound(q: PacBayesQuery, emp_loss: float) -> BoundResult:
@@ -373,47 +327,6 @@ def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
 
     raise ValueError(
         f"kind must be 'first_order', 'tandem' or 'disagreement', got {kind!r}")
-
-
-def pb_split_kl_bound(grid: SplitGrid, segment_means: Sequence[float],
-                      q: PacBayesQuery) -> BoundResult:
-    """PAC-Bayes-split-kl bound for losses on the grid b_0 < ... < b_K:
-    b_0 + sum_j alpha_j kl_inverse(E_rho[F_hat_{|j}],
-                                   (KL + ln(2 K sqrt(n)/delta)) / n, upper)."""
-    means = [_check_unit(x, "segment_means") for x in segment_means]
-    if len(means) != grid.K:
-        raise ValueError("one segment mean per grid segment required")
-    kl_term = q.kl_term
-    if math.isinf(kl_term):
-        return BoundResult(grid.points[-1], q.delta, "pb-split-kl",
-                           {"kl": kl_term})
-    eps = (kl_term + math.log(2.0 * grid.K * math.sqrt(q.n) / q.delta)) / q.n
-    value = _split_kl_sum(grid.points[0], grid.alphas, means, eps)
-    return BoundResult(value, q.delta, "pb-split-kl",
-                       {"kl": kl_term, "eps": eps,
-                        "segment_means": tuple(means)})
-
-
-def pb_unexpected_bernstein_bound(q: PacBayesQuery, emp_loss: float,
-                                  emp_sq_loss: float,
-                                  grid: LambdaGrid) -> BoundResult:
-    """PAC-Bayes-Unexpected-Bernstein bound with a lambda grid in (0, 1/2]:
-    emp_loss + min over lam of (lam * emp_sq_loss + (KL + ln(k/delta))/(n lam))."""
-    for lam in grid.lambdas:
-        _check_range(lam, "grid lambdas", _TINY, 0.5, "in (0, 1/2]")
-    emp_loss = _check_unit(emp_loss, "emp_loss")
-    emp_sq_loss = _check_unit(emp_sq_loss, "emp_sq_loss")
-    kl_term = q.kl_term
-    budget = kl_term + math.log(grid.k / q.delta)
-    best = math.inf
-    best_lam = grid.lambdas[0]
-    for lam in grid.lambdas:
-        value = lam * emp_sq_loss + budget / (q.n * lam)
-        if value < best:
-            best = value
-            best_lam = lam
-    return BoundResult(emp_loss + best, q.delta, "pb-unexpected-bernstein",
-                       {"kl": kl_term, "lambda": best_lam, "k": grid.k})
 
 
 def geometric_split(n: int, T: int) -> list:

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,32 +83,41 @@ class TestKlMeanBound:
                     assert kl_b <= p_hat + radius + 1e-9
 
 
+def segment_components(grid, x):
+    """x_{|j} = min(1, max(0, (x - b_{j-1}) / alpha_j)) of one value for
+    every segment j, by the definition, in Python floats."""
+    return tuple(min(1.0, max(0.0, (x - b) / alpha))
+                 for b, alpha in zip(grid.points, grid.alphas))
+
+
 class TestSplitGrid:
     def test_reconstruction_on_grid_points(self):
+        # on the grid points each column is the indicator 1[x >= b_j]
         grid = SplitGrid([0.0, 0.25, 0.5, 1.0])
-        for x in grid.points:
-            segs = grid.segment_values(x)
-            rebuilt = grid.points[0] + sum(a * s for a, s in zip(grid.alphas, segs))
-            assert math.isclose(rebuilt, x, abs_tol=1e-12)
+        columns = [grid.segment_column(grid.points, j) for j in range(grid.K)]
+        for j, column in enumerate(columns):
+            assert column.tolist() == [float(x >= grid.points[j + 1])
+                                       for x in grid.points]
+        rebuilt = grid.points[0] + sum(a * c for a, c in zip(grid.alphas, columns))
+        assert np.abs(rebuilt - grid.points).max() < 1e-12
 
     def test_reconstruction_continuous(self):
         grid = SplitGrid([-1.0, 0.0, 0.5, 2.0])
-        rng = np.random.default_rng(7)
-        for x in rng.uniform(-1, 2, size=200):
-            segs = grid.segment_values(float(x))
-            rebuilt = grid.points[0] + sum(a * s for a, s in zip(grid.alphas, segs))
-            assert abs(rebuilt - x) < 1e-12
+        values = np.random.default_rng(7).uniform(-1, 2, size=200)
+        columns = [grid.segment_column(values, j) for j in range(grid.K)]
+        rebuilt = grid.points[0] + sum(a * c for a, c in zip(grid.alphas, columns))
+        assert np.abs(rebuilt - values).max() < 1e-12
 
     def test_clamp_sends_nan_and_negative_zero_to_zero(self):
         # as min(1.0, max(0.0, v)) does, whatever the array length
         grid = SplitGrid([0.0, 0.5, 1.0])
         for x in (-0.0, math.nan, -5e-324):
-            assert [v.hex() for v in grid.segment_values(x)] == ["0x0.0p+0"] * 2
-        for n in (1, 3, 8, 17, 1000):
-            column = grid.segment_column(np.full(n, -0.0), 0).tolist()
-            assert [v.hex() for v in column] == ["0x0.0p+0"] * n
-        assert grid.segment_values(math.inf) == (1.0, 1.0)
-        assert grid.segment_values(0.5) == (1.0, 0.0)
+            for n in (1, 3, 8, 17, 1000):
+                for j in range(grid.K):
+                    column = grid.segment_column(np.full(n, x), j).tolist()
+                    assert [v.hex() for v in column] == ["0x0.0p+0"] * n
+        assert [grid.segment_column([math.inf, 0.5], j).tolist()
+                for j in range(grid.K)] == [[1.0, 1.0], [1.0, 0.0]]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -149,7 +159,7 @@ class TestSplitKlBound:
     def test_segment_means_are_means_of_segment_values(self, values, points):
         grid = SplitGrid(points)
         res = split_kl_mean_bound(Sample.unit(values), grid, 0.05)
-        columns = zip(*(grid.segment_values(x) for x in values))
+        columns = zip(*(segment_components(grid, x) for x in values))
         means = tuple(math.fsum(col) / len(values) for col in columns)
         assert [m.hex() for m in res.detail["segment_means"]] == \
             [m.hex() for m in means]
@@ -159,7 +169,7 @@ class TestSplitKlBound:
         values = [float(v) for v in rng.random(300)] + [0.0, 0.5, 1.0]
         grid = SplitGrid([j / 32 for j in range(33)])
         res = split_kl_mean_bound(Sample.unit(values), grid, 0.05)
-        columns = zip(*(grid.segment_values(v) for v in values))
+        columns = zip(*(segment_components(grid, v) for v in values))
         means = tuple(math.fsum(col) / len(values) for col in columns)
         assert res.detail["segment_means"] == means
         value = grid.points[0]
@@ -245,16 +255,43 @@ class TestUnexpectedBernstein:
             f"upper bound b must be >= {sys.float_info.min} and finite, "
             f"got {b}")
 
-    @pytest.mark.parametrize("b", [1e-150, 1e-10, 0.5, 3.0, 1e10, 1e150])
+    @pytest.mark.parametrize("b", [1e-300, 1e-160, 1e-150, 1e-10, 0.5, 3.0,
+                                   1e10, 1e150])
     def test_the_default_bound_scales_with_b(self, b):
         # X / b is a [0, 1] sample, and each term of the bound is b times
-        # its term there while b^2 neither underflows nor overflows
+        # its term there; below 1.5e-154 b^2 and the squares underflow, and
+        # the variance term still comes from the mean of X (X / b)
         values = np.random.default_rng(23).random(200) * 0.5
         unit = unexpected_bernstein_mean_bound(Sample.unit(values), 0.05)
         assert unit.value < 1.0  # not capped
         res = unexpected_bernstein_mean_bound(Sample(values * b, b), 0.05)
         assert res.detail["lambda"] == unit.detail["lambda"] / b
         assert math.isclose(res.value, b * unit.value, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("values, b", [
+        ([0.0, sys.float_info.min], sys.float_info.min),
+        ([0.0, 3 * sys.float_info.min], 3 * sys.float_info.min),
+        ([0.0, 1e-200], 1e-200),
+        ([0.0, 1e-160], 1e-160),
+        ([-0.5, 1e-160], 1e-160),
+        ([0.0, 1e160], 1e160),
+        ([0.2, 0.7, 1.0], 1.0),
+        ([-3.0, 1e10], 1e10),
+    ])
+    def test_the_variance_term_matches_its_exact_value(self, values, b):
+        # b * b underflows from b = 1.5e-154 down to m, the smallest normal
+        # float, (v / b)^2 overflows at v = -0.5, b = 1e-160, and v^2 at
+        # v = 1e160; the bound is still its formula with s_n summed exactly,
+        # with psi and the log taken in floats
+        res = unexpected_bernstein_mean_bound(Sample(values, b), 0.05)
+        lam, k = Fraction(res.detail["lambda"]), res.detail["k"]
+        n = len(values)
+        s_n = sum(Fraction(v) ** 2 for v in values) / n
+        exact = (sum(map(Fraction, values)) / n
+                 + Fraction(psi(-res.detail["lambda"] * b))
+                 / (lam * Fraction(b) ** 2) * s_n
+                 + Fraction(math.log(k / 0.05)) / (lam * n))
+        assert math.isclose(res.value, float(exact), rel_tol=1e-12)
 
     def test_grid_must_be_admissible(self):
         sample = Sample([0.1, 0.2], upper_bound=0.5)

@@ -420,31 +420,36 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0 - 2.0 ** -53, 1.0,
 ANY_FLOAT = EDGE_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
 
 
-# the entries whose order decides categorical_kl: zero, a subnormal, inner
-# values, one, +inf and NaN
-KL_ENTRIES = [0.0, 5e-324, 0.25, 1.0, math.inf, math.nan]
+# the entries whose order decides categorical_kl: both zeros, a subnormal,
+# inner values, one, negative values down to the one next to zero, both
+# infinities and NaN
+KL_ENTRIES = [0.0, -0.0, 5e-324, 0.25, 1.0, -0.25, -5e-324, math.inf,
+              -math.inf, math.nan]
 
 
 def two_pass_categorical_kl(rho, pi):
-    """categorical_kl by a NaN pre-scan, then a sum over the pairs before
-    the first NaN: +inf if one of them puts mass where pi has none, else
-    the error for the NaN if there is one, else the sum.  Returns a
-    ValueError instead of raising it, math.log's on a zero ratio too."""
-    nan_at = next((i for i, (r, q) in enumerate(zip(rho, pi))
-                   if math.isnan(r) or math.isnan(q)), len(rho))
+    """categorical_kl by a pre-scan for the first pair holding a NaN, an
+    infinite or a negative entry, then a sum over the pairs before it: +inf
+    if one of them puts mass where pi has none, else the error for that
+    pair if there is one (NaN named first), else the sum.  Returns a
+    ValueError instead of raising it."""
+    ok = lambda x: 0.0 <= x < math.inf
+    bad_at = next((i for i, (r, q) in enumerate(zip(rho, pi))
+                   if not (ok(r) and ok(q))), len(rho))
     total = 0.0
-    for r, q in zip(rho[:nan_at], pi[:nan_at]):
+    for r, q in zip(rho[:bad_at], pi[:bad_at]):
         if r == 0.0:
             continue
         if q == 0.0:
             return math.inf
-        try:
-            total += r * math.log(r / q)
-        except ValueError as error:  # r / q is 0 when q is inf
-            return error
-    if nan_at < len(rho):
+        total += r * math.log(r / q)
+    if bad_at == len(rho):
+        return total
+    r, q = rho[bad_at], pi[bad_at]
+    if math.isnan(r) or math.isnan(q):
         return ValueError("KL arguments must not be NaN")
-    return total
+    return ValueError("KL arguments must be finite and nonnegative, got "
+                      f"{q if ok(r) else r}")
 
 
 class TestErrorContract:

@@ -59,14 +59,12 @@ from boundslab.environments import (
 from boundslab.online_policies import (
     EXP3Policy,
     EXP4Policy,
-    EpsilonFirstPolicy,
     FixedPolicy,
     FTLPolicy,
     HedgePolicy,
     UCB1Batch,
     UCB1Policy,
     doubling_schedule,
-    epsilon_first_schedule,
     hedge_distribution,
     hedge_eta,
     importance_weighted_loss,
@@ -78,13 +76,9 @@ from boundslab.pac_bayes import (
     geometric_split,
     gibbs_posterior,
     mv_bound,
-    occam_bound,
     pb_kl_bound,
     pb_lambda_bound,
-    pb_split_kl_bound,
-    pb_unexpected_bernstein_bound,
     recursive_pb,
-    tree_prior,
 )
 
 MODULES = (divergences, concentration, pac_bayes, online_policies,
@@ -171,9 +165,6 @@ ROWS = {
         row("n", lambda x: PacBayesQuery(PI, PI, x, 0.05), 100, 0),
         row("delta", lambda x: PacBayesQuery(PI, PI, 100, x), 0.05,
             *OPEN_UNIT)],
-    "occam_bound": [row("delta", lambda x: occam_bound(TABLE, PI, x),
-                        0.05, *OPEN_UNIT)],
-    "tree_prior": [row("depth", tree_prior, 3, -1)],
     "pb_kl_bound": [row("emp_loss", lambda x: pb_kl_bound(QUERY, x),
                         0.3, *UNIT)],
     "pb_lambda_bound": [
@@ -196,13 +187,6 @@ ROWS = {
             1.0, 0.0, 2.0),
         row("gamma", lambda x: mv_bound("first_order", TABLE, QUERY,
                                         gamma=x), 1.0, *POSITIVE)],
-    "pb_split_kl_bound": [row("segment_means", lambda x: pb_split_kl_bound(
-        SplitGrid([0.0, 0.5, 1.0]), [x, 0.2], QUERY), 0.3, *UNIT)],
-    "pb_unexpected_bernstein_bound": [
-        row("emp_loss", lambda x: pb_unexpected_bernstein_bound(
-            QUERY, x, 0.1, LambdaGrid([0.5])), 0.3, *UNIT),
-        row("emp_sq_loss", lambda x: pb_unexpected_bernstein_bound(
-            QUERY, 0.3, x, LambdaGrid([0.5])), 0.1, *UNIT)],
     "geometric_split": [row("n", lambda x: geometric_split(x, 3), 8, 3),
                         row("T", lambda x: geometric_split(8, x), 3, 0)],
     "recursive_pb": [
@@ -225,10 +209,6 @@ ROWS = {
             *UNIT),
         row("p_chosen", lambda x: importance_weighted_loss(0.5, x, True),
             0.5, 0.0, ABOVE_ONE)],
-    "epsilon_first_schedule": [
-        row("gap", lambda x: epsilon_first_schedule(x, 100), 0.5, 0.0,
-            ABOVE_ONE),
-        row("T", lambda x: epsilon_first_schedule(0.5, x), 100, 0)],
     "doubling_schedule": [
         row("t", lambda x: doubling_schedule(x, 2), 4, 0),
         row("K", lambda x: doubling_schedule(4, x), 2, 0, 1)],
@@ -255,11 +235,6 @@ ROWS = {
             *POSITIVE)],
     "UCB1Batch": [row("K", UCB1Batch, 2, 0),
                   row("R", lambda x: UCB1Batch(2, R=x), 2, 0)],
-    "EpsilonFirstPolicy": [
-        row("T", lambda x: EpsilonFirstPolicy(x, 0.5), 100, 0),
-        row("gap", lambda x: EpsilonFirstPolicy(100, x), 0.5, 0.0,
-            ABOVE_ONE, 1.5),
-        row("R", lambda x: EpsilonFirstPolicy(100, 0.5, x), 2, 0)],
     "FixedPolicy": [row("K", lambda x: FixedPolicy(x, arm=0), 2, 0),
                     row("arm", lambda x: FixedPolicy(2, arm=x), 1, 2, -1)],
     # environments
@@ -286,7 +261,7 @@ ROWS = {
 
 NO_ROW = {
     "ProbVec": "weights: a sequence, checked as a whole",
-    "categorical_kl": "rho and pi: sequences, checked as a whole",
+    "categorical_kl": "rho and pi: sequences, checked entry by entry",
     "BoundResult": "a record of a bound already computed",
     "Sample": "values and bounds checked as a whole, message by message "
               "in TestSampleErrorContract",

@@ -26,7 +26,6 @@ from boundslab.environments import (
 )
 from boundslab.online_policies import (
     EXP3Policy,
-    EpsilonFirstPolicy,
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
@@ -278,7 +277,7 @@ class TestUcbBreaker:
 
 
 # Every bandit policy the runner builds, as (arm count, horizon, rows) ->
-# fresh policy; epsilon-first is two-armed only.
+# fresh policy.
 BANDIT_KINDS = {
     "ucb1_original": lambda K, T, R: UCB1Batch(K, parametrization="original", R=R),
     "ucb1_improved": lambda K, T, R: UCB1Batch(K, parametrization="improved", R=R),
@@ -286,15 +285,12 @@ BANDIT_KINDS = {
     "exp3_fixed_horizon": lambda K, T, R: EXP3Policy(K, T=T, R=R),
     "exp3_explicit_eta": lambda K, T, R: EXP3Policy(K, eta=0.3, R=R),
     "exp3_rewards": lambda K, T, R: EXP3Policy(K, variant="rewards", eta=0.2, R=R),
-    "epsilon_first": lambda K, T, R: EpsilonFirstPolicy(T, 0.25, R),
 }
 
 # SHA-256 of ``_game_digest`` over the R = 4 games of each kind below, as
-# the scalar loop act -> env.loss -> update of the former one-game EXP3 and
-# epsilon-first classes played them, one repetition at a time.
+# the scalar loop act -> env.loss -> update of the former one-game EXP3
+# class played them, one repetition at a time.
 SCALAR_LOOP_DIGESTS = {
-    ("epsilon_first", "bernoulli"): "14142e25d78ee739bc0221ac5b06ed2be4d2ab6b057fe05309e94e8652750dea",
-    ("epsilon_first", "ucb_breaker"): "7c6b90d947f9864a885c8c3a85d8f40517a5277e1b0e5f168fc0fc7195f353ac",
     ("exp3_anytime", "bernoulli"): "f5c498bf40236d752359f6878a6b17c83b0a3a5fbddde25b877096364c49a1ec",
     ("exp3_anytime", "ucb_breaker"): "7e55c90a2e3e6030a95ceef42e46f15e113053bc64512a6be8fe19a5a78b804b",
     ("exp3_explicit_eta", "bernoulli"): "fe4ab6531ad96b1b2a5d4162a7177c8a96c461073b59825948df6968f1281e92",
@@ -332,8 +328,7 @@ class TestBatchedBandit:
                                                monkeypatch):
         # small blocks, so a game spans many of them
         monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
-        K = 2 if policy_kind == "epsilon_first" else 3
-        T, R = 400, 4
+        K, T, R = 3, 400, 4
         policy = BANDIT_KINDS[policy_kind](K, T, R)
         rngs = [np.random.default_rng(50 + r) for r in range(R)]
         games = play_bandit(policy, _bandit_envs(env_kind, K, T, R), T, rngs)

@@ -230,7 +230,7 @@ class TestRunner:
         (["[environment]", "kind = ucb_breaker", "k = 2.5",
           "[policy u]", "kind = ucb1"], "environment.k"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
-          "[policy e]", "kind = epsilon_first", "gap = wide"], "policy e.gap"),
+          "[policy h]", "kind = hedge", "eta = fast"], "policy h.eta"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy e]", "kind = exp3", "eta = fast"], "policy e.eta"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
@@ -667,7 +667,7 @@ class TestCli:
         (["T = 20", "[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy  y]", "kind = greedy"],
          "policy y.kind: unknown kind 'greedy', expected one of hedge, ftl, "
-         "exp3, ucb1, epsilon_first (line 8)"),
+         "exp3, ucb1 (line 8)"),
         (["[environment]", "kind = bernoulli_gap", "k = x", "[policy u]",
           "kind = ucb1"],
          "environment.k: expected comma-separated integers, got 'x' (line 5)"),
@@ -708,10 +708,10 @@ class TestCli:
           "kind = ucb1"],
          "experiment.T: must be >= 2 * environment.k = 4 for ucb_breaker, "
          "got '03' (line 3)"),
-        (["[environment]", "kind = bernoulli", "means = 0.2, 0.5, 0.8",
+        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy e]", "kind = epsilon_first", "gap = 0.3"],
-         "policy e.kind: must be a kind for K = 3 (epsilon_first takes 2 "
-         "arms), got 'epsilon_first' (line 7)"),
+         "policy e.kind: unknown kind 'epsilon_first', expected one of hedge, "
+         "ftl, exp3, ucb1 (line 7)"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy u]", "kind = ucb1", "bogus = 1"],
          "policy u.bogus: unknown keys ['bogus']; [policy u] takes kind, "
@@ -727,9 +727,6 @@ class TestCli:
           "[policy u]", "kind = ucb1", "parametrization = bogus"],
          "policy u.parametrization: unknown parametrization 'bogus', "
          "expected one of original, improved (line 8)"),
-        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
-          "[policy e]", "kind = epsilon_first", "gap = 2"],
-         "policy e.gap: must be in (0, 1], got '2' (line 8)"),
         (["kind = bounds", "[params]", "n = 1"],
          "params.n: must be >= 2, got '1' (line 5)"),
         (["T = 0"], "experiment.T: must be >= 1, got '0' (line 3)"),
@@ -835,8 +832,8 @@ class TestCli:
             "environment_gap",
             "breaker_parametrization", "breaker_k", "breaker_T", "ftl_T",
             "ftl_T_raw", "breaker_T_raw",
-            "epsilon_first_K", "policy_unknown_key", "environment_unknown_key",
-            "params_unknown_key", "ucb1_parametrization", "epsilon_first_gap",
+            "epsilon_first_kind", "policy_unknown_key", "environment_unknown_key",
+            "params_unknown_key", "ucb1_parametrization",
             "params_n", "experiment_T", "pacbayes_m", "pacbayes_n_grid",
             "recursive_m", "recursive_t_max", "recursive_t_max_20000",
             "recursive_t_max_huge", "exp3_K", "feedback",

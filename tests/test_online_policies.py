@@ -8,7 +8,6 @@ from hypothesis import example, given, strategies as st
 from boundslab.online_policies import (
     EXP3Policy,
     EXP4Policy,
-    EpsilonFirstPolicy,
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
@@ -17,7 +16,6 @@ from boundslab.online_policies import (
     _as_probvec_rows,
     _radius_coefficient,
     doubling_schedule,
-    epsilon_first_schedule,
     exp4_mix,
     ftl_choice,
     hedge_distribution,
@@ -558,43 +556,6 @@ class TestUcbPolicy:
             arm = pol.act()
             pol.update(arm, (0.1, 0.9)[arm])
         assert pol.counts[0] > pol.counts[1]
-
-
-class TestEpsilonFirst:
-    def test_schedule_example(self):
-        eps, rounds = epsilon_first_schedule(0.2, 10000)
-        assert math.isclose(eps, 0.0599146, abs_tol=1e-6)
-        assert rounds == 600
-
-    def test_small_horizon_no_exploration(self):
-        eps, rounds = epsilon_first_schedule(0.1, 100)  # T * gap^2 = 1
-        assert eps == 0.0
-        assert rounds == 0
-
-    def test_stationary_point(self):
-        T, gap = 10000, 0.2
-        eps, _ = epsilon_first_schedule(gap, T)
-        f = lambda e: e / 2 + 2 * math.exp(-e * T * gap * gap / 4)
-        h = 1e-6
-        derivative = (f(eps + h) - f(eps - h)) / (2 * h)
-        assert abs(derivative) < 1e-6
-
-    def test_policy_alternates_then_commits(self):
-        # row 0 sees arm 0 win, row 1 arm 1, row 2 a tie
-        losses = np.array([(0.1, 0.9), (0.9, 0.1), (0.5, 0.5)])
-        pol = EpsilonFirstPolicy(10000, 0.2, R=3)
-        seen = []
-        for t in range(pol.exploration_rounds):
-            arms = pol.act_rows()
-            seen.append(arms.tolist())
-            pol.update_rows(arms, losses[np.arange(3), arms])
-        assert seen[:4] == [[0] * 3, [1] * 3, [0] * 3, [1] * 3]
-        assert sum(arms[0] for arms in seen) * 2 == len(seen)
-        assert pol.act_rows().tolist() == [0, 1, 0]  # empirically best arm
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            epsilon_first_schedule(0.0, 100)
 
 
 class TestDoubling:
