@@ -174,11 +174,13 @@ class LambdaGrid:
     @classmethod
     def default(cls, n: int, delta: float, b: float) -> "LambdaGrid":
         """The geometric grid {1/(2b), 1/(4b), ..., 1/(2^k b)} with
-        k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), forced >= 1."""
+        k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), forced >= 1.  Below
+        delta = 1 / DBL_MAX, 1 / delta overflows and the ratio is 0: k = 1."""
         _check_delta(delta)
         _check_count(n, "n")
         b = _check_rate(b, "b")
-        k = max(1, math.ceil(math.log2(math.sqrt(n / math.log(1.0 / delta)) / 2.0)))
+        ratio = math.sqrt(n / math.log(1.0 / delta)) / 2.0
+        k = max(1, math.ceil(math.log2(max(ratio, 1.0))))
         return cls([0.5 ** i / b for i in range(1, k + 1)])
 
 

@@ -193,7 +193,10 @@ def categorical_kl(rho: Sequence[float], pi: Sequence[float]) -> float:
             continue
         if pi_i == 0.0:
             return math.inf
-        total += ri * math.log(ri / pi_i)
+        try:
+            total += ri * math.log(ri / pi_i)
+        except ValueError:  # ri / pi_i underflowed to 0.0, as pi_i is above 1
+            total += ri * (math.log(ri) - math.log(pi_i))
     return total
 
 

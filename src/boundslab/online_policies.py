@@ -6,12 +6,14 @@ classes wrap them into stateful players for the simulation drivers in
 :mod:`boundslab.environments`.  Everything is deterministic given the
 caller-supplied random stream; ties always break toward the lowest index.
 
-The bandit policies that ``play_bandit`` plays hold R independent rows, the
-R repetitions of a series, with the state in (R, K) arrays: ``act_rows``
-gives the arms of every row's next round and ``update_rows`` takes their
-losses.  A row does the float operations of one scalar game in the same
-order: exponentials go through ``math.exp`` (``np.exp`` rounds
-differently), ``ProbVec`` totals through ``math.fsum``, and one
+The bandit policies that ``play_bandit`` plays (EXP3, EXP4, ``UCB1Batch``)
+hold R independent rows, the R repetitions of a series, with the state in
+(R, K) arrays, or (R, N) for EXP4's N experts: ``act_rows`` gives the arms
+of every row's next round and ``update_rows`` takes their losses.  EXP3 and
+EXP4 take their exponential weights from one row kernel,
+``_exp_weights_rows``.  A row does the float operations of one scalar game
+in the same order: exponentials go through ``math.exp`` (``np.exp`` rounds
+differently), ``ProbVec`` totals through ``math.fsum``, and at most one
 ``math.log`` is taken per round.  ``np.sqrt``, division and left-to-right
 ``np.add.accumulate`` round exactly like their scalar counterparts, and
 ``np.argmax`` breaks ties toward the lowest index.  UCB1 is the one policy
@@ -28,14 +30,13 @@ from typing import Sequence
 import numpy as np
 
 from boundslab.divergences import (
-    _TINY,
     NORMALIZATION_TOL,
     ProbVec,
     _check_count,
     _check_delta,
     _check_range,
     _check_rate,
-    _check_unit,
+    _raise_first_bad_weight,
 )
 
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
@@ -98,39 +99,6 @@ def ftl_choice(cum_losses: Sequence[float]) -> int:
         if float(cum_losses[a]) < best_val:
             best, best_val = a, float(cum_losses[a])
     return best
-
-
-def importance_weighted_loss(loss: float, p_chosen: float, chosen: bool) -> float:
-    """Inverse-propensity loss estimate: loss/p if this arm was the one
-    played, else 0.  Unbiased for the true loss under the playing
-    distribution."""
-    if not chosen:
-        return 0.0
-    p_chosen = _check_range(p_chosen, "p_chosen", _TINY, 1.0, "in (0, 1]")
-    return _check_unit(loss, "loss") / p_chosen
-
-
-def exp4_mix(expert_weights: ProbVec, advice: Sequence[Sequence[float]],
-             ) -> tuple[ProbVec, list[tuple]]:
-    """Mix expert advice into an arm distribution.
-
-    ``advice`` is an N x K row-stochastic matrix (one ProbVec-like row per
-    expert).  Returns the mixture p(a) = sum_h w(h) q_h(a) and the advice
-    rows q_h as normalised weight tuples, from which an arm-level loss
-    estimate maps to expert h's l̃_h = sum_a q_h(a) l̃_a.
-    """
-    rows = [row.weights if isinstance(row, ProbVec) else ProbVec(row).weights
-            for row in advice]
-    if len(rows) != len(expert_weights):
-        raise ValueError("one advice row per expert required")
-    K = len(rows[0])
-    if any(len(row) != K for row in rows):
-        raise ValueError("advice rows must share one arm count")
-    weights = tuple(expert_weights)
-    # sum over the experts in index order, one arm (column) at a time
-    mixture = [sum(map(operator.mul, weights, column)) for column in zip(*rows)]
-    total = sum(mixture)
-    return ProbVec([v / total for v in mixture]), rows
 
 
 def _radius_coefficient(log_t: float, parametrization: str) -> float:
@@ -203,6 +171,18 @@ def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
             raise ValueError(f"row {totals.index(total)}: weights sum to "
                              f"{total}, not 1")
     return p / np.array(totals)[:, None]
+
+
+def _exp_weights_rows(losses: np.ndarray, eta: float,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``_hedge_weights`` of each row of an (R, K) array of losses, before
+    its division: the weights exp(-eta (L - min L)), one ``math.exp`` per
+    cell, and each row's left-to-right total, as an (R, 1) array."""
+    x = losses - np.minimum.reduce(losses, axis=1, keepdims=True)
+    x *= -eta
+    weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                          x.size).reshape(x.shape)
+    return weights, np.add.accumulate(weights, axis=1)[:, -1:]
 
 
 class HedgePolicy:
@@ -327,23 +307,13 @@ class EXP3Policy:
     def distributions(self) -> np.ndarray:
         """The (R, K) playing distributions of the next round."""
         eta = _exp3_eta(self.K, self.t, self.eta, self.T)
-        est = self.estimates
         if self.variant == "losses":
-            # hedge_distribution: exp(-eta (L - min L)) / sum
-            x = est - np.minimum.reduce(est, axis=1, keepdims=True)
-            x *= -eta
-        else:
-            # (1 - eta) * softmax(+eta R) + eta / K
-            x = est - np.maximum.reduce(est, axis=1, keepdims=True)
-            x *= eta
-        weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
-                              x.size).reshape(x.shape)
-        totals = np.add.accumulate(weights, axis=1)[:, -1:]
-        if self.variant == "losses":
-            p = weights / totals
-        else:
-            p = (1.0 - eta) * weights / totals + eta / self.K
-        return _as_probvec_rows(p)
+            weights, totals = _exp_weights_rows(self.estimates, eta)
+            return _as_probvec_rows(weights / totals)
+        # (1 - eta) * softmax(+eta R) + eta / K: exp(-eta (-R - min(-R)))
+        # is exp(eta (R - max R)), since negation is exact
+        weights, totals = _exp_weights_rows(-self.estimates, eta)
+        return _as_probvec_rows((1.0 - eta) * weights / totals + eta / self.K)
 
     def act_rows(self, u: np.ndarray) -> np.ndarray:
         """The arm of every row, drawn with one uniform per row."""
@@ -390,12 +360,18 @@ class EXP3Policy:
 
 
 class EXP4Policy:
-    """Exponential weights over experts whose per-round advice mixes into an
-    arm distribution; bandit feedback is importance-weighted at the arm level
-    and projected back onto the experts."""
+    """Exponential weights over experts whose advice mixes into an arm
+    distribution, over R independent rows.  ``advice(t)`` gives round t's
+    (n_experts, K) advice, one distribution over the arms per expert, for
+    every row.  A row plays p(a) = sum_h w(h) q_h(a) and charges expert h
+    q_h(a) l / p(a) for the loss l of the played arm a.
+    """
 
-    def __init__(self, n_experts: int, K: int, *, eta: float | None = None,
-                 T: int | None = None) -> None:
+    draws = True
+
+    def __init__(self, n_experts: int, K: int, advice, *,
+                 eta: float | None = None, T: int | None = None,
+                 R: int = 1) -> None:
         _check_count(n_experts, "n_experts")
         _check_count(K, "K", 2)
         if eta is None:
@@ -403,32 +379,45 @@ class EXP4Policy:
             _check_count(n_experts, "n_experts", 2)
             T = _check_count(T, "T")
             eta = math.sqrt(2.0 * math.log(n_experts) / (K * T))
-        eta = _check_rate(eta)
+        self.eta = _check_rate(eta)
         self.n_experts = n_experts
         self.K = K
-        self.eta = eta
-        self.cum_expert_losses = [0.0] * n_experts
-        self.t = 0
-        self._pending: tuple[ProbVec, list[tuple]] | None = None
+        self.R = _check_count(R, "R")
+        self.advice = advice
+        self.offsets = np.arange(R) * K  # row starts, flat
+        self.estimates = np.zeros((R, n_experts))  # expert losses
+        self.t = 0  # completed rounds
+        self.p = self.q = None  # this round's mixtures and advice
 
-    def expert_weights(self) -> ProbVec:
-        return _hedge_weights(self.cum_expert_losses, self.eta)
+    def act_rows(self, u: np.ndarray) -> np.ndarray:
+        """The arm of every row, drawn with one uniform per row.  The advice
+        is checked and divided row by row as ``ProbVec`` does it, but every
+        NaN or negative entry is checked for before any row sum."""
+        q = np.asarray(self.advice(self.t), dtype=float)
+        if q.shape != (self.n_experts, self.K):
+            raise ValueError(f"advice must have shape ({self.n_experts}, "
+                             f"{self.K}), got {q.shape}")
+        if not np.minimum.reduce(q, axis=None) >= 0.0:  # np.minimum keeps NaN
+            _raise_first_bad_weight(q.ravel().tolist())
+        self.q = q = _as_probvec_rows(q)
+        weights, totals = _exp_weights_rows(self.estimates, self.eta)
+        w = _as_probvec_rows(weights / totals)
+        # summed over the experts in index order, then over the arms
+        mixture = np.add.accumulate(w[:, :, None] * q, axis=1)[:, -1]
+        totals = np.add.accumulate(mixture, axis=1)[:, -1:]
+        self.p = _as_probvec_rows(mixture / totals)
+        return sample_arms(self.p, u)
 
-    def act(self, advice: Sequence[Sequence[float]], rng) -> int:
-        self._pending = exp4_mix(self.expert_weights(), advice)
-        return sample_arm(self._pending[0], rng.random())
-
-    def update(self, arm: int, loss: float) -> None:
-        if self._pending is None:
-            raise ValueError("update() requires a preceding act()")
-        _check_count(arm, "arm", 0, self.K)
-        p, rows = self._pending
-        # l̃ is zero off the played arm, so sum_a q_h(a) l̃_a is q_h(arm) l̃_arm
-        estimate = importance_weighted_loss(loss, p[arm], True)
-        for h, row in enumerate(rows):
-            self.cum_expert_losses[h] += row[arm] * estimate
+    def update_rows(self, arms: np.ndarray, losses: np.ndarray) -> None:
+        """Consume the bandit loss of the arm each row played this round."""
+        if self.p is None:
+            raise ValueError("update_rows() requires a preceding act_rows()")
+        p_arm = self.p.ravel()[self.offsets + arms]
+        if not np.minimum.reduce(p_arm) > 0.0:
+            raise ValueError("cannot importance-weight a zero-probability arm")
+        self.estimates += self.q[:, arms].T * (losses / p_arm)[:, None]
         self.t += 1
-        self._pending = None
+        self.p = self.q = None
 
 
 def _check_ucb1(K: int, parametrization: str) -> None:

@@ -233,7 +233,9 @@ def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
         lam = _optimal_lambda_raw(emp, kl_term + complexity, n_eff)
         new_bound = _lambda_upper(emp, kl_term + complexity, lam, n_eff)
         trace.append(new_bound)
-        if bound - new_bound < rel_tol * max(bound, 1e-300):
+        # inf - inf is NaN, which fails the test: an infinite bound stops here
+        if (new_bound == math.inf
+                or bound - new_bound < rel_tol * max(bound, 1e-300)):
             bound = min(bound, new_bound)
             break
         bound = new_bound

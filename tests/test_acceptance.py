@@ -4,6 +4,7 @@ One test per reproducibility criterion; each prints a single PASS/FAIL line
 (run pytest with -s to see them all) and enforces the stated numeric
 tolerance and runtime budget.
 """
+import hashlib
 import math
 import time
 
@@ -199,38 +200,41 @@ def test_criterion_06_exp3_theorem_bound():
             ok and elapsed < 20.0, " ".join(details) + f" {elapsed:.1f}s")
 
 
+# SHA-256 of the float.hex of criterion 7's 20 regrets, as the former
+# one-game EXP4 class played them, one repetition at a time
+EXP4_REGRETS_DIGEST = ("8752c2d265928516f0c600487d42487b"
+                       "d08ff9a76815146cd67be8f156e03c64")
+
+
 def test_criterion_07_exp4_theorem_bound():
     start = time.perf_counter()
-    T, K, N = 10000, 2, 4
+    T, K, N, R = 10000, 2, 4, 20
     means = np.array([0.375, 0.5])
     advice_static = [
         (1.0, 0.0),  # constant-optimal expert
         (0.0, 1.0),
         (0.5, 0.5),
     ]
-    regrets = []
-    for rep in range(20):
-        env = BernoulliEnv(means, seed=300 + rep)
-        rng = np.random.default_rng(900 + rep)
-        policy = EXP4Policy(N, K, T=T)
-        incurred = 0.0
-        expert_totals = np.zeros(N)
-        for t in range(T):
-            alternating = (1.0, 0.0) if t % 2 == 0 else (0.0, 1.0)
-            advice = [*advice_static, alternating]
-            arm = policy.act(advice, rng)
-            row = env.row(t)
-            incurred += row[arm]
-            policy.update(arm, row[arm])
-            for h in range(N):
-                expert_totals[h] += advice[h][0] * row[0] + advice[h][1] * row[1]
-        regrets.append(incurred - expert_totals.min())
+    advice = [np.array([*advice_static, alternating])
+              for alternating in ((1.0, 0.0), (0.0, 1.0))]
+    envs = [BernoulliEnv(means, seed=300 + rep) for rep in range(R)]
+    games = play_bandit(EXP4Policy(N, K, lambda t: advice[t % 2], T=T, R=R),
+                        envs, T, [np.random.default_rng(900 + rep)
+                                  for rep in range(R)])
+    # every loss is 0 or 1 and every advice entry 0, 0.5 or 1, so these sums
+    # are exact in any order
+    expert_totals = np.einsum("rtk,thk->rh", BernoulliEnv.blocks(envs, 0, T),
+                              np.stack([advice[t % 2] for t in range(T)]))
+    regrets = [game.payoffs.sum() - totals.min()
+               for game, totals in zip(games, expert_totals)]
+    digest = hashlib.sha256(repr([float.hex(float(v)) for v in regrets])
+                            .encode()).hexdigest()
     bound = math.sqrt(2 * K * T * math.log(N))
     mean_regret = float(np.mean(regrets))
     elapsed = time.perf_counter() - start
     _report(7, "EXP4 regret vs best expert within theorem bound",
-            mean_regret <= bound and elapsed < 20.0,
-            f"{mean_regret:.0f}<={bound:.0f} {elapsed:.1f}s")
+            mean_regret <= bound and digest == EXP4_REGRETS_DIGEST
+            and elapsed < 20.0, f"{mean_regret:.0f}<={bound:.0f} {elapsed:.1f}s")
 
 
 def test_criterion_08_pac_bayes_minimizer():

@@ -171,6 +171,11 @@ class TestCategoricalKl:
         with pytest.raises(ValueError):
             categorical_kl([1.0], [0.5, 0.5])
 
+    def test_a_ratio_that_underflows_gives_the_finite_term(self):
+        # 5e-324 / 2.0 rounds to 0.0; 5e-324 ln(5e-324 / 2) is -745.13 times
+        # the smallest subnormal, which rounds to -745 times it
+        assert categorical_kl([5e-324, 0.5], [2.0, 0.5]) == -745 * 5e-324
+
     def test_product_distribution_doubles_kl(self):
         rho = [0.7, 0.2, 0.1]
         pi = [0.3, 0.3, 0.4]

@@ -67,7 +67,6 @@ from boundslab.online_policies import (
     doubling_schedule,
     hedge_distribution,
     hedge_eta,
-    importance_weighted_loss,
 )
 from boundslab.pac_bayes import (
     LossTable,
@@ -89,6 +88,7 @@ QUERY = PacBayesQuery(PI, PI, 100, 0.05)
 TABLE = LossTable([[0.0, 1.0, 0.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
 SAMPLE = Sample.unit([0.0, 0.5, 1.0, 0.25])
 LOG = synthesize_uniform_log([0.5, 0.5], 5, 0)
+ADVICE = lambda t: np.full((2, 2), 0.5)  # EXP4's advice in every round
 
 
 def matrix_env():
@@ -204,11 +204,6 @@ ROWS = {
         row("T", lambda x: hedge_eta(2, T=x), 10, 0),
         row("t", lambda x: hedge_eta(2, t=x, variant="anytime_simple"), 1,
             0)],
-    "importance_weighted_loss": [
-        row("loss", lambda x: importance_weighted_loss(x, 0.5, True), 0.5,
-            *UNIT),
-        row("p_chosen", lambda x: importance_weighted_loss(0.5, x, True),
-            0.5, 0.0, ABOVE_ONE)],
     "doubling_schedule": [
         row("t", lambda x: doubling_schedule(x, 2), 4, 0),
         row("K", lambda x: doubling_schedule(4, x), 2, 0, 1)],
@@ -225,10 +220,11 @@ ROWS = {
         row("T", lambda x: EXP3Policy(2, T=x), 10, 0),
         row("R", lambda x: EXP3Policy(2, R=x), 2, 0)],
     "EXP4Policy": [
-        row("n_experts", lambda x: EXP4Policy(x, 2, eta=0.1), 2, 0),
-        row("K", lambda x: EXP4Policy(2, x, eta=0.1), 2, 0, 1),
-        row("eta", lambda x: EXP4Policy(2, 2, eta=x), 0.1, *POSITIVE),
-        row("T", lambda x: EXP4Policy(2, 2, T=x), 10, 0)],
+        row("n_experts", lambda x: EXP4Policy(x, 2, ADVICE, eta=0.1), 2, 0),
+        row("K", lambda x: EXP4Policy(2, x, ADVICE, eta=0.1), 2, 0, 1),
+        row("eta", lambda x: EXP4Policy(2, 2, ADVICE, eta=x), 0.1, *POSITIVE),
+        row("T", lambda x: EXP4Policy(2, 2, ADVICE, T=x), 10, 0),
+        row("R", lambda x: EXP4Policy(2, 2, ADVICE, eta=0.1, R=x), 2, 0)],
     "UCB1Policy": [
         row("K", UCB1Policy, 2, 0),
         row("reward_range", lambda x: UCB1Policy(2, reward_range=x), 2.0,
@@ -273,7 +269,6 @@ NO_ROW = {
     "mv_predict": "rho and predictions: sequences",
     "RecursiveStage": "a record of a stage already computed",
     "ftl_choice": "cum_losses: a sequence",
-    "exp4_mix": "expert weights and advice: sequences",
     "sample_arm": "per-round code",
     "sample_arms": "per-round code",
     "BanditLog": "arrays",

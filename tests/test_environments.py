@@ -26,6 +26,7 @@ from boundslab.environments import (
 )
 from boundslab.online_policies import (
     EXP3Policy,
+    EXP4Policy,
     FTLPolicy,
     FixedPolicy,
     HedgePolicy,
@@ -321,6 +322,51 @@ def _bandit_envs(kind: str, K: int, T: int, R: int):
     return [MatrixEnv(1.0 - rewards) for _ in range(R)]
 
 
+def _exp4_advice(kind: str, N: int, K: int):
+    """advice(t) of N experts over K arms: a fixed matrix, one arm per
+    expert rotating with t (the last expert uniform), or Dirichlet rows,
+    whose ``math.fsum`` is often off 1.0 and so divides them again."""
+    if kind == "static":
+        q = 1.0 + (7 * np.arange(N)[:, None] + 3 * np.arange(K)) % 5
+        q = q / q.sum(axis=1, keepdims=True)
+        return lambda t: q
+
+    def advice(t):
+        if kind == "dirichlet":
+            return np.random.default_rng([7, t]).dirichlet(np.ones(K), size=N)
+        q = np.zeros((N, K))
+        q[np.arange(N), (np.arange(N) + t) % K] = 1.0
+        q[-1] = 1.0 / K
+        return q
+    return advice
+
+
+# SHA-256 of ``_game_digest`` over the R = 3 games (final state: the expert
+# losses) of each (advice, env, N, K, eta) below, as the loop act(advice(t),
+# rng) -> env.loss -> update of the former one-game EXP4 class played them,
+# one repetition at a time; eta None is sqrt(2 ln N / (K T)).
+EXP4_DIGESTS = {
+    ("static", "bernoulli", 4, 2, None): "61636cee2d5e85ef81c5b0ffa876da0123f96f9e260586eb5a0792cdf048f793",
+    ("static", "bernoulli", 3, 3, 0.3): "47d69288c2a7ad58725086f49eed49526df9f3ed4a0e13cb1bb29bce73d3e282",
+    ("static", "bernoulli", 5, 4, None): "6ac9f44c0eea568429b979bb15c5d49bc483d3a40d06f4e9560b6daed5ae5d1b",
+    ("static", "matrix", 4, 2, None): "22c04dbe364542e30514956f2bccb1deadb4de72ad0caca0e51add14fd4cccd3",
+    ("static", "matrix", 3, 3, 0.3): "b4ebf4b394c393c6055ae2636f38eba0351bc19b1f10ce092b8bbfb8a698ec5e",
+    ("static", "matrix", 5, 4, None): "b938d641f455b3cb5618769b85bf11966a354638ec942b616902d166c36771ca",
+    ("varying", "bernoulli", 4, 2, None): "23c521c2188d368b894b4fc0965a7e24133c388827a6a4df8e39827fa1bf9507",
+    ("varying", "bernoulli", 3, 3, 0.3): "0f8cb973266a9146663766522759d09ef8b248c6eb43a311488d89eaa3199041",
+    ("varying", "bernoulli", 5, 4, None): "52f541ebcdfc02868e30a51023fb7f3927a5064052ecd930b6f039097848adf7",
+    ("varying", "matrix", 4, 2, None): "e44f4597b263923c7f634fa2f5511eef9f15a8ef864275a32eb9ccd46ee02297",
+    ("varying", "matrix", 3, 3, 0.3): "e054cdb990a8c4d8d2a6c2daebf48f50591ce31a1206d3fce818f79408bb4ea0",
+    ("varying", "matrix", 5, 4, None): "c01bcbb4866a60772766fdba3fe7627871f4f25cf1dc3df5a5931fb989dc8bfe",
+    ("dirichlet", "bernoulli", 4, 2, None): "c71e4c87052d3e12cae55203785c2bf1313c99f40f3a3b2b6c23af689b0cc754",
+    ("dirichlet", "bernoulli", 3, 3, 0.3): "fe60bf3be76856fe3bf234bfba57744d0f4a3afd15c3e66cf725993e08bc15d5",
+    ("dirichlet", "bernoulli", 5, 4, None): "3b40b25d83f5ef74f92c6651e26246358e7a6b08d588b69a2badb90cb7700a18",
+    ("dirichlet", "matrix", 4, 2, None): "bbd5185d9bf817ac476cb9ba359f3041824a94fa23c984262f582563d786c149",
+    ("dirichlet", "matrix", 3, 3, 0.3): "208030f1dab5c78bb3de55b868f910cdb270a2d02c1306f6b6820b4946cc401e",
+    ("dirichlet", "matrix", 5, 4, None): "0fac734756d90b7f59a6125c99924e28072956b1865af7102347470f405925f6",
+}
+
+
 class TestBatchedBandit:
     @pytest.mark.parametrize("env_kind", ["bernoulli", "ucb_breaker"])
     @pytest.mark.parametrize("policy_kind", sorted(BANDIT_KINDS))
@@ -356,6 +402,24 @@ class TestBatchedBandit:
             (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
             for game, row, rng in zip(games, state.tolist(), rngs))
         assert digest == SCALAR_LOOP_DIGESTS[policy_kind, env_kind]
+
+    @pytest.mark.parametrize("advice, env_kind, N, K, eta", list(EXP4_DIGESTS))
+    def test_exp4_equals_scalar_loop_per_repetition(self, advice, env_kind, N,
+                                                    K, eta, monkeypatch):
+        monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
+        T, R = 300, 3
+        policy = EXP4Policy(N, K, _exp4_advice(advice, N, K), eta=eta, T=T,
+                            R=R)
+        envs = (_bandit_envs("bernoulli", K, T, R) if env_kind == "bernoulli"
+                else [MatrixEnv(np.random.default_rng(2000 + r).random((T, K)))
+                      for r in range(R)])
+        rngs = [np.random.default_rng(50 + r) for r in range(R)]
+        games = play_bandit(policy, envs, T, rngs)
+        assert policy.t == T
+        digest = _game_digest(
+            (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
+            for game, row, rng in zip(games, policy.estimates.tolist(), rngs))
+        assert digest == EXP4_DIGESTS[advice, env_kind, N, K, eta]
 
     def test_input_checks(self):
         env = MatrixEnv(np.full((10, 2), 0.5))

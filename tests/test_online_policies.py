@@ -16,11 +16,9 @@ from boundslab.online_policies import (
     _as_probvec_rows,
     _radius_coefficient,
     doubling_schedule,
-    exp4_mix,
     ftl_choice,
     hedge_distribution,
     hedge_eta,
-    importance_weighted_loss,
     sample_arm,
 )
 from boundslab.divergences import NORMALIZATION_TOL, ProbVec
@@ -158,26 +156,46 @@ class TestFtlChoice:
 
 
 class TestImportanceWeighting:
+    """The loss estimates that EXP3's and EXP4's ``update_rows`` add: l / p
+    at the played arm, 0 elsewhere, and for EXP4 expert h's advice for the
+    played arm times that."""
+
+    @staticmethod
+    def _policies(K, advice):
+        return (EXP3Policy(K, R=K),
+                EXP4Policy(len(advice), K, lambda t: advice, eta=0.5, R=K))
+
     def test_values(self):
-        assert importance_weighted_loss(1.0, 0.25, True) == 4.0
-        assert importance_weighted_loss(0.7, 0.1, False) == 0.0
+        pol = EXP3Policy(4, R=2)
+        pol.act_rows(np.array([0.1, 0.9]))  # the first round is uniform
+        pol.update_rows(np.array([0, 3]), np.array([1.0, 0.7]))
+        assert pol.estimates.tolist() == [[4.0, 0.0, 0.0, 0.0],
+                                          [0.0, 0.0, 0.0, 0.7 / 0.25]]
 
     def test_zero_probability_rejected(self):
-        with pytest.raises(ValueError):
-            importance_weighted_loss(0.5, 0.0, True)
+        for pol in self._policies(2, np.array([(1.0, 0.0)])):
+            with pytest.raises(ValueError, match="requires a preceding act"):
+                pol.update_rows(np.array([0, 1]), np.array([0.5, 0.5]))
+            pol.act_rows(np.array([0.5, 0.5]))
+            pol.p[1] = (1.0, 0.0)
+            with pytest.raises(ValueError, match="zero-probability"):
+                pol.update_rows(np.array([0, 1]), np.array([0.5, 0.5]))
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0),
                     min_size=2, max_size=6))
     def test_conditional_unbiasedness_by_enumeration(self, losses):
+        # from one state, row d plays arm d: the estimates averaged over the
+        # playing distribution are the losses, and each expert's its advice
+        # times the losses
         K = len(losses)
-        p = [1.0 / K] * K
-        for a in range(K):
-            estimate = sum(
-                p[drawn] * importance_weighted_loss(losses[a], p[a], drawn == a)
-                for drawn in range(K)
-            )
-            assert math.isclose(estimate, losses[a], rel_tol=1e-12,
-                                abs_tol=1e-12)
+        advice = np.random.default_rng(K).dirichlet(np.ones(K), size=3)
+        for pol in self._policies(K, advice):
+            pol.act_rows(np.zeros(K))
+            p = pol.p[0]
+            pol.update_rows(np.arange(K), np.array(losses))
+            want = advice @ losses if isinstance(pol, EXP4Policy) else losses
+            assert np.allclose(p @ pol.estimates, want, rtol=1e-12,
+                               atol=1e-12)
 
 
 class TestExp3:
@@ -222,13 +240,11 @@ class TestExp3:
             # conditional second moment by enumeration over the drawn arm:
             # sum_a p(a) E[l~_a^2] = sum_a l_a^2 <= K
             losses = rng.random(3)
+            probe = EXP3Policy(3, R=3)
+            probe.p = np.tile(p, (3, 1))
+            probe.update_rows(np.arange(3), losses)  # row d plays arm d
             second = sum(
-                p[a] * sum(
-                    p[drawn]
-                    * importance_weighted_loss(
-                        float(losses[a]), p[a], drawn == a) ** 2
-                    for drawn in range(3)
-                )
+                p[a] * sum(p[d] * probe.estimates[d, a] ** 2 for d in range(3))
                 for a in range(3)
             )
             assert second <= 3.0 + 1e-9
@@ -343,81 +359,94 @@ class TestExp3:
         assert pol.estimates.tolist() == [want] and pol.t == 1
 
 
+def _static(*rows):
+    advice = np.array(rows)
+    return lambda t: advice
+
+
 class TestExp4:
     def test_mixture_examples(self):
-        w = ProbVec([0.5, 0.5])
-        p, _ = exp4_mix(w, [(1.0, 0.0), (0.0, 1.0)])
-        assert p.weights == (0.5, 0.5)
-        w = ProbVec([0.75, 0.25])
-        p, _ = exp4_mix(w, [(1.0, 0.0), (0.0, 1.0)])
-        assert math.isclose(p[0], 0.75, rel_tol=1e-12)
+        pol = EXP4Policy(2, 2, _static((1.0, 0.0), (0.0, 1.0)), eta=1.0)
+        pol.act_rows(np.array([0.5]))
+        assert pol.p.tolist() == [[0.5, 0.5]]
+        # expert weights 0.75 and 0.25
+        pol.estimates[0] = (0.0, math.log(3.0))
+        pol.act_rows(np.array([0.5]))
+        assert math.isclose(pol.p[0, 0], 0.75, rel_tol=1e-12)
 
     def test_single_expert_follows_advice(self):
-        p, rows = exp4_mix(ProbVec([1.0]), [(0.2, 0.3, 0.5)])
-        assert all(math.isclose(a, b, rel_tol=1e-12)
-                   for a, b in zip(p, (0.2, 0.3, 0.5)))
-        assert rows == [(0.2, 0.3, 0.5)]
+        pol = EXP4Policy(1, 3, _static((0.2, 0.3, 0.5)), eta=0.1)
+        [arm] = pol.act_rows(np.array([0.6]))
+        p, q = pol.p[0], pol.q[0]
+        assert np.allclose(p, (0.2, 0.3, 0.5), rtol=1e-12)
+        assert tuple(q) == ProbVec((0.2, 0.3, 0.5)).weights
         # the one expert is charged its advice for the played arm times l̃
-        pol = EXP4Policy(1, 3, eta=0.1)
-        arm = pol.act([(0.2, 0.3, 0.5)], np.random.default_rng(0))
-        pol.update(arm, 0.5)
-        assert pol.cum_expert_losses == [rows[0][arm] * (0.5 / p[arm])]
+        pol.update_rows(np.array([arm]), np.array([0.5]))
+        assert pol.estimates.tolist() == [[q[arm] * (0.5 / p[arm])]]
 
     def test_expert_losses_are_the_advice_weighted_estimates(self):
-        # expert h is charged sum_a q_h(a) l̃_a, l̃ zero off the played arm
+        # expert h is charged sum_a q_h(a) l̃_a, l̃ zero off the played arm,
+        # and a row plays the advice mixed by Hedge on its expert losses
         rng = np.random.default_rng(2)
-        N, K = 4, 3
-        pol = EXP4Policy(N, K, eta=0.3)
-        want = [0.0] * N
-        for _ in range(200):
-            advice = rng.dirichlet(np.ones(K), size=N)
-            p, rows = exp4_mix(pol.expert_weights(), advice)
-            assert rows == [ProbVec(row).weights for row in advice]
-            assert np.allclose(p.weights, np.asarray(pol.expert_weights().weights)
-                               @ advice, rtol=1e-12)
-            arm = pol.act(advice, rng)
-            loss = float(rng.random())
-            estimates = [0.0] * K
-            estimates[arm] = loss / p[arm]
-            for h, row in enumerate(rows):
-                want[h] += sum(q * est for q, est in zip(row, estimates))
-            pol.update(arm, loss)
-            assert pol.cum_expert_losses == want
-
-    @pytest.mark.parametrize("arm", [-1, -2, 2, 3])
-    def test_an_arm_outside_the_policy_is_rejected(self, arm):
-        pol = EXP4Policy(2, 2, eta=0.1)
-        pol.act([(0.5, 0.5), (1.0, 0.0)], np.random.default_rng(0))
-        with pytest.raises(ValueError) as caught:
-            pol.update(arm, 0.5)
-        assert str(caught.value) == f"arm must be in [0, 2), got {arm}"
-        assert pol.cum_expert_losses == [0.0, 0.0] and pol.t == 0
-        pol.update(1, 0.5)  # the round is still open
-        assert pol.t == 1
+        N, K, R, eta = 4, 3, 2, 0.3
+        advice = rng.dirichlet(np.ones(K), size=(200, N))
+        pol = EXP4Policy(N, K, lambda t: advice[t], eta=eta, R=R)
+        want = np.zeros((R, N))
+        for t in range(200):
+            weights = np.array([hedge_distribution(row, eta).weights
+                                for row in pol.estimates.tolist()])
+            arms = pol.act_rows(rng.random(R))
+            rows = [ProbVec(row).weights for row in advice[t]]
+            assert list(map(tuple, pol.q.tolist())) == rows
+            assert np.allclose(pol.p, weights @ advice[t], rtol=1e-12)
+            losses = rng.random(R)
+            for r, arm in enumerate(arms):
+                estimates = [0.0] * K
+                estimates[arm] = losses[r] / pol.p[r, arm]
+                for h, row in enumerate(rows):
+                    want[r, h] += sum(q * est for q, est in zip(row, estimates))
+            pol.update_rows(arms, losses)
+            assert pol.estimates.tolist() == want.tolist()
 
     def test_default_eta(self):
-        pol = EXP4Policy(8, 2, T=10000)
+        pol = EXP4Policy(8, 2, _static(*[(0.5, 0.5)] * 8), T=10000)
         assert math.isclose(pol.eta,
                             math.sqrt(2 * math.log(8) / (2 * 10000)),
                             rel_tol=1e-12)
 
     def test_default_eta_needs_two_experts(self):
         # the derived rate sqrt(2 ln 1 / (K T)) is 0; an explicit eta is not
+        advice = _static((0.5, 0.5))
         with pytest.raises(ValueError) as info:
-            EXP4Policy(1, 2, T=100)
+            EXP4Policy(1, 2, advice, T=100)
         assert str(info.value) == "n_experts must be >= 2 and finite, got 1"
-        assert EXP4Policy(1, 2, eta=0.1).eta == 0.1
+        assert EXP4Policy(1, 2, advice, eta=0.1).eta == 0.1
 
     @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
     def test_eta_must_be_positive_and_finite(self, eta):
         with pytest.raises(ValueError, match="eta must be positive and finite"):
-            EXP4Policy(3, 2, eta=eta)
+            EXP4Policy(3, 2, _static(*[(0.5, 0.5)] * 3), eta=eta)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            exp4_mix(ProbVec([0.5, 0.5]), [(1.0, 0.0)])
-        with pytest.raises(ValueError):
-            exp4_mix(ProbVec([1.0]), [(0.9, 0.2)])
+    @pytest.mark.parametrize("advice", [
+        [(1.0, 0.0)], [(1.0, 0.0, 0.0)] * 2, [0.5, 0.5], [[(0.5, 0.5)]] * 2])
+    def test_advice_of_the_wrong_shape(self, advice):
+        pol = EXP4Policy(2, 2, lambda t: advice, eta=0.1)
+        shape = np.shape(advice)
+        with pytest.raises(ValueError) as info:
+            pol.act_rows(np.array([0.5]))
+        assert str(info.value) == f"advice must have shape (2, 2), got {shape}"
+
+    @pytest.mark.parametrize("bad", [
+        (1.5, -0.5), (-math.inf, 2.0), (math.nan, 1.0), (0.5, math.nan),
+        (math.nan, -1.0), (0.9, 0.2), (math.inf, 0.0), (0.5, 0.5 - 1e-8)])
+    def test_advice_raises_as_its_probvec_would(self, bad):
+        # with ProbVec's message; a row sum off one names the row
+        pol = EXP4Policy(2, 2, _static((0.5, 0.5), bad), eta=0.1)
+        with pytest.raises(ValueError) as want:
+            ProbVec(bad)
+        with pytest.raises(ValueError) as got:
+            pol.act_rows(np.array([0.5]))
+        assert str(got.value) in (str(want.value), f"row 1: {want.value}")
 
 
 class TestRadiusCoefficient:

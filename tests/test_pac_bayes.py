@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -512,3 +513,20 @@ def test_every_delta_taker_rejects_delta_outside_0_1(name, delta):
     call(0.05)
     with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\), got "):
         call(delta)
+
+
+@pytest.mark.parametrize("name", sorted(_delta_calls()))
+def test_every_delta_taker_is_vacuous_at_the_smallest_delta(name):
+    # 1 / 5e-324 overflows to inf: no error and no warning, every bound is
+    # vacuous, the default lambda grid is the forced k = 1 one and the
+    # minimiser stops after one step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = _delta_calls()[name](5e-324)
+    for r in result if isinstance(result, list) else [result]:
+        value = getattr(r, "value", getattr(r, "bound", r))
+        assert not isinstance(value, float) or value >= 1.0
+    if name == "LambdaGrid.default":
+        assert result.k == 1
+    if name == "alternating_minimize":
+        assert result.trace == (math.inf, math.inf)
