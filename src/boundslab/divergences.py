@@ -86,14 +86,12 @@ class ProbVec:
     """A finite probability distribution as an ordered weight vector.
 
     Weights within ``NORMALIZATION_TOL`` of summing to one are renormalized;
-    anything further off is rejected.  Sub-normalized vectors (sum <= 1, used
-    for confidence-budget priors) are allowed only with ``sub_normalized=True``
-    and are kept as given.
+    anything further off is rejected.
     """
 
-    __slots__ = ("_weights", "sub_normalized")
+    __slots__ = ("_weights",)
 
-    def __init__(self, weights: Iterable[float], sub_normalized: bool = False):
+    def __init__(self, weights: Iterable[float]):
         ws = list(map(float, weights))
         if len(ws) < 1:
             raise ValueError("ProbVec needs at least one weight")
@@ -109,16 +107,11 @@ class ProbVec:
             raise
         if total != total:
             _raise_first_bad_weight(ws)
-        if sub_normalized:
-            if total > 1.0 + NORMALIZATION_TOL:
-                raise ValueError(f"sub-normalized weights sum to {total} > 1")
-        else:
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                raise ValueError(f"weights sum to {total}, not 1")
-            if total != 1.0:  # w / 1.0 is w
-                ws = [w / total for w in ws]
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            raise ValueError(f"weights sum to {total}, not 1")
+        if total != 1.0:  # w / 1.0 is w
+            ws = [w / total for w in ws]
         self._weights = tuple(ws)
-        self.sub_normalized = bool(sub_normalized)
 
     @property
     def weights(self) -> tuple:
@@ -193,10 +186,9 @@ def categorical_kl(rho: Sequence[float], pi: Sequence[float]) -> float:
             continue
         if pi_i == 0.0:
             return math.inf
-        try:
-            total += ri * math.log(ri / pi_i)
-        except ValueError:  # ri / pi_i underflowed to 0.0, as pi_i is above 1
-            total += ri * (math.log(ri) - math.log(pi_i))
+        ratio = ri / pi_i  # under- or overflows for pi_i above 1 or near 0
+        total += ri * (math.log(ratio) if 0.0 < ratio <= _MAX
+                       else math.log(ri) - math.log(pi_i))
     return total
 
 

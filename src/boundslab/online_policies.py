@@ -42,6 +42,9 @@ from boundslab.divergences import (
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
 EXP3_VARIANTS = ("losses", "rewards")
 UCB1_PARAMETRIZATIONS = ("original", "improved")
+# HedgePolicy's memo cap in loss cells, 2048 distributions (0.7 MiB) at K = 2:
+# presets need <= 656; means 0.25, 0.5 over T = 10**5 add 25134 (8.5 MiB)
+_MEMO_CELLS = 4096
 
 
 def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
@@ -57,9 +60,9 @@ def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
     return _hedge_weights(losses, eta)
 
 
-def _hedge_weights(losses: list[float], eta: float) -> ProbVec:
-    """``hedge_distribution`` unchecked, for a nonempty list of floats and a
-    rate already known to be positive and finite."""
+def _hedge_weights(losses: Sequence[float], eta: float) -> ProbVec:
+    """``hedge_distribution`` unchecked, for a nonempty list or tuple of
+    floats and a rate already known to be positive and finite."""
     low = min(losses)
     weights = [math.exp(-eta * (v - low)) for v in losses]
     # a left-to-right sum, which ``np.add.accumulate`` reproduces; the
@@ -197,7 +200,9 @@ class HedgePolicy:
     Every argument is checked here, so a round runs no checks: a fixed rate
     is taken once, an anytime rate once per round and a doubling rate once
     per period, when ``observe`` ends the round before its first and resets
-    the losses.  ``distribution`` only reads.
+    the losses and the memo.  A rate that holds for more than one round
+    memoises its distributions on the shifted losses L - min L (min 0.0, so
+    the same exponents), up to ``_MEMO_CELLS`` loss cells.
     """
 
     draws = True
@@ -223,14 +228,23 @@ class HedgePolicy:
         self._log_k = math.log(K)
         self.K = K
         self.variant = variant
-        self.cum_losses = [0.0] * K
+        self.cum_losses, self._memo = [0.0] * K, {}
         self.t = 0  # completed rounds
         # first round of the next doubling period; none without doubling
         self._next_period = 2 if doubling else math.inf
 
     def distribution(self) -> ProbVec:
-        eta = self._rate or _anytime_eta(self._log_k, self.t + 1, self.variant)
-        return _hedge_weights(self.cum_losses, eta)
+        if self._rate is None:
+            eta = _anytime_eta(self._log_k, self.t + 1, self.variant)
+            return _hedge_weights(self.cum_losses, eta)
+        low = min(self.cum_losses)
+        shifted = tuple([v - low for v in self.cum_losses])
+        dist = self._memo.get(shifted)
+        if dist is None:
+            if len(self._memo) >= _MEMO_CELLS // self.K:
+                self._memo.clear()
+            dist = self._memo[shifted] = _hedge_weights(shifted, self._rate)
+        return dist
 
     def act(self, u: float) -> int:
         """The arm of the next round, drawn with the uniform ``u``."""
@@ -244,7 +258,7 @@ class HedgePolicy:
         self.t += 1
         if self.t + 1 >= self._next_period:  # the next round starts a period
             m, self._rate, _ = doubling_schedule(self.t + 1, self.K)
-            self.cum_losses = [0.0] * self.K
+            self.cum_losses, self._memo = [0.0] * self.K, {}
             self._next_period = 2 ** (m + 1)
 
 

@@ -193,10 +193,7 @@ def gibbs_posterior(pi: ProbVec, losses: Sequence[float], scale: float) -> ProbV
     ls = np.asarray(list(losses), dtype=float)
     if len(ls) != len(pi):
         raise ValueError("losses length must match pi")
-    w = np.asarray(pi.weights)
-    if not w.any():
-        raise ValueError("pi must have positive mass somewhere")
-    weights = w * np.exp(-scale * (ls - ls.min()))
+    weights = np.asarray(pi.weights) * np.exp(-scale * (ls - ls.min()))
     return ProbVec(weights / weights.sum())
 
 

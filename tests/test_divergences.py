@@ -23,7 +23,7 @@ UNIT_GRID = [i / 100 for i in range(101)]
 BOUNDS_EPS = math.log(1.0 / 0.01) / 1000
 
 
-def _probvec_rule(weights, sub_normalized):
+def _probvec_rule(weights):
     """What ``ProbVec`` makes of ``weights``, as (weights, None) or (None,
     (exception type, message)): the first NaN or negative weight in order
     raises, then the sum checks on the ``math.fsum`` total decide."""
@@ -39,11 +39,6 @@ def _probvec_rule(weights, sub_normalized):
         total = math.fsum(weights)
     except OverflowError as exc:
         return None, (OverflowError, str(exc))
-    if sub_normalized:
-        if total > 1.0 + NORMALIZATION_TOL:
-            return None, (ValueError,
-                          f"sub-normalized weights sum to {total} > 1")
-        return tuple(weights), None
     if abs(total - 1.0) > NORMALIZATION_TOL:
         return None, (ValueError, f"weights sum to {total}, not 1")
     return tuple(w / total for w in weights), None
@@ -81,18 +76,17 @@ class TestProbVec:
 
     @given(st.lists(st.one_of(
         st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]),
-        st.floats(-1.0, 1.0)), max_size=6), st.booleans())
-    @example([1.0, math.nan, 1e308, 1e308], False)
-    @example([0.5, math.nan, -0.5], True)
-    @example([math.inf, math.nan], False)
-    def test_validation_follows_the_first_bad_weight_rule(self, weights, sub):
-        want, error = _probvec_rule(weights, sub)
+        st.floats(-1.0, 1.0)), max_size=6))
+    @example([1.0, math.nan, 1e308, 1e308])
+    @example([math.inf, math.nan])
+    def test_validation_follows_the_first_bad_weight_rule(self, weights):
+        want, error = _probvec_rule(weights)
         if error is None:
-            got = ProbVec(weights, sub_normalized=sub).weights
+            got = ProbVec(weights).weights
             assert [w.hex() for w in got] == [w.hex() for w in want]
             return
         with pytest.raises(Exception) as info:
-            ProbVec(weights, sub_normalized=sub)
+            ProbVec(weights)
         assert (type(info.value), str(info.value)) == error
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8)
@@ -100,16 +94,10 @@ class TestProbVec:
     def test_valid_vector_keeps_its_weights(self, raw):
         total = math.fsum(raw)
         weights = [w / total for w in raw]
-        want, error = _probvec_rule(weights, False)
+        want, error = _probvec_rule(weights)
         assert error is None
         got = ProbVec(weights).weights
         assert [w.hex() for w in got] == [w.hex() for w in want]
-
-    def test_sub_normalized_allows_deficit(self):
-        v = ProbVec([0.25, 0.25], sub_normalized=True)
-        assert v.weights == (0.25, 0.25)
-        with pytest.raises(ValueError):
-            ProbVec([0.75, 0.75], sub_normalized=True)
 
 
 class TestBinaryKl:
@@ -175,6 +163,12 @@ class TestCategoricalKl:
         # 5e-324 / 2.0 rounds to 0.0; 5e-324 ln(5e-324 / 2) is -745.13 times
         # the smallest subnormal, which rounds to -745 times it
         assert categorical_kl([5e-324, 0.5], [2.0, 0.5]) == -745 * 5e-324
+
+    def test_a_ratio_that_overflows_gives_the_finite_term(self):
+        # 1.0 / 5e-324 overflows to inf; the divergence is ln(1 / 5e-324)
+        kl = categorical_kl([1.0, 0.0], [5e-324, 1.0])
+        assert kl == -math.log(5e-324)
+        assert kl == pytest.approx(744.44, abs=0.01)
 
     def test_product_distribution_doubles_kl(self):
         rho = [0.7, 0.2, 0.1]
@@ -447,7 +441,10 @@ def two_pass_categorical_kl(rho, pi):
             continue
         if q == 0.0:
             return math.inf
-        total += r * math.log(r / q)
+        # a ratio that overflows, as 1.0 / 5e-324 does, gives the finite term
+        ratio = r / q
+        total += r * (math.log(ratio) if ratio < math.inf
+                      else math.log(r) - math.log(q))
     if bad_at == len(rho):
         return total
     r, q = rho[bad_at], pi[bad_at]

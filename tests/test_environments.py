@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boundslab import environments
+from boundslab import environments, online_policies
+from boundslab.divergences import ProbVec
 from boundslab.environments import (
     BanditLog,
     BernoulliEnv,
@@ -32,6 +33,9 @@ from boundslab.online_policies import (
     HedgePolicy,
     UCB1Batch,
     UCB1Policy,
+    doubling_schedule,
+    hedge_distribution,
+    hedge_eta,
 )
 
 
@@ -516,6 +520,116 @@ class TestFullInformation:
             play_full_information(HedgePolicy(2), env, 10)
         trans = play_full_information(FTLPolicy(2), env, 10)
         assert trans.arms.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+
+
+# SHA-256 (``_full_info_digest``) of fixed-rate Hedge games, computed before
+# ``HedgePolicy`` remembered its distributions.  On the uniform real-valued
+# matrices no shifted loss vector recurs, so every round misses the memo.
+FIXED_RATE_DIGESTS = {
+    ("hedge_doubling", "bernoulli_k5"): "fb85253ad8de9b81187b5c7c2ce735863ca3c77dde0ecf6d11529ae57db2aabf",
+    ("hedge_doubling", "uniform_k2"): "c92d44317e4b622d37ea2b9c81c19783acebd3931ca6373b9e85f61abe2fbbba",
+    ("hedge_doubling", "uniform_k5"): "b5f926798bbe2de2dfa4694a30675042410172884f32083f91422b67b3575599",
+    ("hedge_explicit_eta", "bernoulli_k5"): "de0dffbcddc3961a1503a3f0f8a0bfd08b7d8b78b43e6ca2227f873fc093a4f1",
+    ("hedge_explicit_eta", "uniform_k2"): "b64f2bb8b315533c0e99d3ba41ad0384d011f3f11e0456eb2ff536457c7f8e3e",
+    ("hedge_explicit_eta", "uniform_k5"): "b023e9f903bed1177773f0343815b11f2460b1caff0f277e97cf16d371d169c4",
+    ("hedge_tight", "bernoulli_k5"): "628fb41b82465471ddf227c6833a21e450d922db4c65158d4aef42330bac945e",
+    ("hedge_tight", "uniform_k2"): "49dd2e85d26823f2acb3124bebbcd1fb24546e4445db749c8061fae721861631",
+    ("hedge_tight", "uniform_k5"): "d6bdda4e8c35254e70b812ad39cc555aa8539fafb5aea3b100e3abf01bffde73",
+}
+FIXED_RATE_KINDS = ("hedge_doubling", "hedge_explicit_eta", "hedge_tight")
+MEMO_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5")
+
+
+def _memo_env(kind: str, T: int):
+    """A K = 5 Bernoulli env, or a seeded T x K matrix of uniform reals."""
+    if kind == "bernoulli_k5":
+        return BernoulliEnv((0.1, 0.3, 0.5, 0.7, 0.9), seed=2026)
+    K = int(kind[-1])
+    return MatrixEnv(np.random.default_rng(K).random((T, K)))
+
+
+def _fixed_rate(policy_kind: str, K: int, T: int, t: int) -> float:
+    """The rate a fixed-rate policy kind of ``FULL_INFO_KINDS`` plays in
+    round t, counted from 0."""
+    if policy_kind == "hedge_doubling":
+        return doubling_schedule(t + 1, K)[1]
+    if policy_kind == "hedge_explicit_eta":
+        return 0.3
+    return hedge_eta(K, T=T, variant="tight")
+
+
+class TestFixedRateMemo:
+    T = 600  # doubling periods up to [512, 1024)
+
+    @pytest.mark.parametrize("env_kind", MEMO_ENVS)
+    @pytest.mark.parametrize("policy_kind", FIXED_RATE_KINDS)
+    def test_transcript_is_pinned(self, policy_kind, env_kind):
+        env = _memo_env(env_kind, self.T)
+        rng = np.random.default_rng(32)
+        trans = play_full_information(
+            FULL_INFO_KINDS[policy_kind](env.K, self.T), env, self.T, rng)
+        digest = _full_info_digest(trans, rng)
+        assert digest == FIXED_RATE_DIGESTS[policy_kind, env_kind]
+
+    @pytest.mark.parametrize("cells", [6, online_policies._MEMO_CELLS])
+    @pytest.mark.parametrize("env_kind", MEMO_ENVS)
+    @pytest.mark.parametrize("policy_kind", FIXED_RATE_KINDS)
+    def test_each_distribution_is_hedge_distribution(
+            self, policy_kind, env_kind, cells, monkeypatch):
+        # 6 cells hold 3 distributions at K = 2 and 1 at K = 5
+        monkeypatch.setattr(online_policies, "_MEMO_CELLS", cells)
+        env = _memo_env(env_kind, self.T)
+        policy = FULL_INFO_KINDS[policy_kind](env.K, self.T)
+        for t in range(self.T):
+            eta = _fixed_rate(policy_kind, env.K, self.T, t)
+            want = hedge_distribution(policy.cum_losses, eta)
+            assert policy.distribution().weights == want.weights
+            policy.observe(env.row(t))
+
+    @pytest.mark.parametrize("policy_kind", ["hedge_doubling", "hedge_tight"])
+    def test_memo_is_cleared_when_full_and_at_each_period(
+            self, policy_kind, monkeypatch):
+        # 8 cells hold 4 distributions at K = 2; every round misses
+        monkeypatch.setattr(online_policies, "_MEMO_CELLS", 8)
+        env = _memo_env("uniform_k2", self.T)
+        policy = FULL_INFO_KINDS[policy_kind](2, self.T)
+        sizes, want = [], []
+        for t in range(self.T):
+            policy.distribution()
+            sizes.append(len(policy._memo))
+            # earlier rounds of this period; doubling's period of round
+            # t + 1 starts at the largest power of 2 at or below it
+            played = t
+            if policy_kind == "hedge_doubling":
+                played = t + 1 - 2 ** ((t + 1).bit_length() - 1)
+            want.append(played % 4 + 1)
+            policy.observe(env.row(t))
+        assert sizes == want
+
+    @pytest.mark.parametrize("variant", ["anytime_simple", "anytime_tight"])
+    def test_an_anytime_rate_never_uses_the_memo(self, variant):
+        env = BernoulliEnv((0.5, 0.5), seed=2)
+        policy = HedgePolicy(2, variant=variant)
+        for t in range(self.T):
+            policy.distribution()
+            assert policy._memo == {}
+            policy.observe(env.row(t))
+
+    def test_a_tight_hedge_game_builds_few_distributions(self, monkeypatch):
+        # the shape of the tight_hedge preset's games: without the memo,
+        # each of the 2000 rounds builds its ProbVec
+        built = []
+        init = ProbVec.__init__
+
+        def counted_init(self, weights):
+            built.append(weights)
+            init(self, weights)
+
+        monkeypatch.setattr(ProbVec, "__init__", counted_init)
+        env = BernoulliEnv((0.5, 0.5), seed=2)
+        play_full_information(HedgePolicy(2, variant="tight", T=2000), env,
+                              2000, np.random.default_rng(2))
+        assert len(built) == 48
 
 
 def _log(actions, rewards):

@@ -102,8 +102,7 @@ class TestPbKl:
         assert math.isclose(res.value, kl_inverse(0.1, eps, "upper"), rel_tol=1e-12)
 
     def test_off_support_posterior_is_vacuous(self):
-        q = PacBayesQuery(ProbVec([1.0, 0.0]),
-                          ProbVec([0.0, 1.0], sub_normalized=True), 100, 0.05)
+        q = PacBayesQuery(ProbVec([1.0, 0.0]), ProbVec([0.0, 1.0]), 100, 0.05)
         assert pb_kl_bound(q, 0.0).value == 1.0
 
     def test_inversion_consistency(self):
@@ -202,11 +201,6 @@ class TestGibbsPosterior:
                 continue
             w = w / w.sum()
             assert objective(w) >= base - 1e-9
-
-    def test_all_zero_prior_rejected(self):
-        pi = ProbVec([0.0, 0.0], sub_normalized=True)
-        with pytest.raises(ValueError):
-            gibbs_posterior(pi, [0.1, 0.2], 1.0)
 
 
 class TestOptimalLambda:
