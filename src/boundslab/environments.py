@@ -550,6 +550,20 @@ def _check_arms(arms: Sequence[int], K: int) -> np.ndarray:
     return arms
 
 
+def _check_replay(policy, log: BanditLog, K: int, rng) -> None:
+    """Both replays' contract, checked before any round: the policy plays K
+    arms, one that ``draws`` has ``rng``, each logged action is in [0, K)."""
+    _check_count(K, "K")
+    if policy.K != K:
+        raise ValueError(f"the policy plays {policy.K} arms, the log has {K}")
+    if policy.draws and rng is None:
+        raise ValueError("a policy that draws needs a random stream")
+    outside = (log.actions < 0) | (log.actions >= K)
+    if outside.any():
+        action = int(log.actions[outside.argmax()])
+        raise ValueError(f"logged action {action} outside [0, {K})")
+
+
 def replay_importance_weighted(policy, log: BanditLog, K: int,
                                rng=None) -> GameTranscript:
     """Evaluate/train a policy offline on a uniformly-logged bandit log.
@@ -563,16 +577,9 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
     its replay is one array step with the bytes of the per-record loop: the
     arms are that arm, r̃ is K * r where the logged action is the arm and
     0.0 elsewhere, and ``policy.t`` advances by the log length.  Every other
-    policy acts and updates once per record.  A policy that ``draws`` takes
-    its draws from ``rng``, which it then needs.
+    policy acts and updates once per record, after ``_check_replay``.
     """
-    _check_count(K, "K")
-    if policy.draws and rng is None:
-        raise ValueError("a policy that draws needs a random stream")
-    outside = (log.actions < 0) | (log.actions >= K)
-    if outside.any():
-        action = int(log.actions[outside.argmax()])
-        raise ValueError(f"logged action {action} outside [0, {K})")
+    _check_replay(policy, log, K, rng)
     if type(policy) is FixedPolicy and policy.arm is not None:
         arms = np.full(len(log), policy.arm, dtype=int)
         estimates = np.where(log.actions == policy.arm, K * log.rewards,
@@ -601,11 +608,9 @@ def replay_rejection_sampling(policy, log: BanditLog, K: int,
     whose action matches the policy's choice, feeding that (action, reward)
     as a genuine bandit round and discarding the records passed over.  The
     replay stops at the first choice with no match left.  The effective
-    horizon (number of accepted rounds) is reported in ``detail``.  A policy
-    that ``draws`` needs ``rng``, as in the importance-weighted replay."""
-    _check_count(K, "K")
-    if policy.draws and rng is None:
-        raise ValueError("a policy that draws needs a random stream")
+    horizon (number of accepted rounds) is reported in ``detail``.  It
+    starts with ``_check_replay``, as the importance-weighted replay does."""
+    _check_replay(policy, log, K, rng)
     # the ascending record positions of each logged action, grouped by one
     # stable sort; the next match at or after ``idx`` is found by bisection
     order = np.argsort(log.actions, kind="stable")

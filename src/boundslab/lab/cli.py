@@ -100,8 +100,10 @@ def _replay_policy(spec: str, K: int, mode: str):
         return FixedPolicy(K, arm=_read_option(
             spec[len("fixed:"):], int, "replay.arm", "--policy",
             (lambda arm: 0 <= arm < K, f"in [0, {K})")))
+    exp3_arms = (lambda kind: kind != "exp3" or K >= 2, f"ucb1 or fixed:<arm> "
+                 f"for a log of K = {K} (exp3 takes >= 2 arms)")
     kind = _read_option(spec, ("ucb1", "exp3", "fixed:<arm>"),
-                        "replay.policy", "--policy")
+                        "replay.policy", "--policy", exp3_arms)
     if kind == "ucb1":
         return UCB1Policy(K, parametrization="improved",
                           reward_range=K if mode == "iw" else 1.0)

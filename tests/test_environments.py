@@ -1049,7 +1049,7 @@ class TestImportanceWeightedReplay:
         for arm in range(K):
             fixed = FixedPolicy(K, arm=arm)
             step = replay_importance_weighted(fixed, log, K)
-            loop = replay_importance_weighted(_FixedArmLoop(arm), log, K)
+            loop = replay_importance_weighted(_FixedArmLoop(K, arm), log, K)
             for name in ("arms", "payoffs"):
                 got, want = getattr(step, name), getattr(loop, name)
                 assert got.dtype == want.dtype and got.shape == want.shape
@@ -1061,7 +1061,7 @@ class TestImportanceWeightedReplay:
     def test_fixed_arm_step_checks_actions_like_the_loop(self, bad):
         log = _log([0, 3, bad, 1, 7], [1, 0, 1, 1, 0])
         messages = []
-        for policy in (FixedPolicy(4, arm=2), _FixedArmLoop(2)):
+        for policy in (FixedPolicy(4, arm=2), _FixedArmLoop(4, 2)):
             with pytest.raises(ValueError) as info:
                 replay_importance_weighted(policy, log, 4)
             messages.append(str(info.value))
@@ -1087,6 +1087,45 @@ def test_a_replay_names_a_missing_random_stream(replay, make):
     assert policy.t > 0
 
 
+@pytest.mark.parametrize("replay", [replay_importance_weighted,
+                                    replay_rejection_sampling],
+                         ids=["iw", "rs"])
+@pytest.mark.parametrize("actions, bad", [([0, 7, 1, -1], 7),
+                                          ([2, -1, 3, 7], -1),
+                                          ([0, 1, 2, 4], 4)])
+def test_a_replay_rejects_a_logged_action_outside_its_arms(replay, actions,
+                                                           bad):
+    # before the first record, whatever the policy; rejection sampling
+    # would otherwise pass over such records as never matched
+    log = _log(actions, [1, 0, 1, 1])
+    for policy in (UCB1Policy(4), UCB1Policy(4, reward_range=4.0),
+                   FixedPolicy(4, arm=2), EXP3Policy(4)):
+        with pytest.raises(ValueError) as info:
+            replay(policy, log, 4, np.random.default_rng(0))
+        assert str(info.value) == f"logged action {bad} outside [0, 4)"
+        assert policy.t == 0
+
+
+@pytest.mark.parametrize("replay", [replay_importance_weighted,
+                                    replay_rejection_sampling],
+                         ids=["iw", "rs"])
+@pytest.mark.parametrize("make", [
+    lambda: UCB1Policy(5), lambda: UCB1Policy(5, reward_range=5.0),
+    lambda: UCB1Policy(3, reward_range=3.0), lambda: FixedPolicy(6, arm=5),
+    lambda: FixedPolicy(2, arm=0), lambda: EXP3Policy(5)],
+    ids=["ucb1_5", "ucb1_5_range_5", "ucb1_3", "fixed_6_arm_5", "fixed_2",
+         "exp3_5"])
+def test_a_replay_rejects_a_policy_of_other_arms(replay, make):
+    # a K = 5 policy would play the never-logged arm 4, and rejection
+    # sampling would stop at its first pull of it
+    log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
+    policy = make()
+    with pytest.raises(ValueError) as info:
+        replay(policy, log, 4, np.random.default_rng(0))
+    assert str(info.value) == f"the policy plays {policy.K} arms, the log has 4"
+    assert policy.t == 0
+
+
 def test_policies_that_draw_nothing_replay_without_a_stream():
     log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
     for policy in (UCB1Policy(4), FixedPolicy(4, arm=1)):
@@ -1104,7 +1143,8 @@ class _FixedArmLoop:
 
     draws = False
 
-    def __init__(self, arm: int) -> None:
+    def __init__(self, K: int, arm: int) -> None:
+        self.K = K
         self.arm = arm
         self.t = 0
 
@@ -1175,6 +1215,64 @@ class TestRejectionSamplingReplay:
         se = math.sqrt(replayed.var() / 20 + live.var() / 20)
         assert abs(replayed.mean() - live.mean()) <= 3 * se
 
+
+# SHA-256 of scalar ``UCB1Policy`` games, taken before the policy resolved its
+# radius scale at construction: replays of a seeded uniform log (reward
+# range 1 under rejection sampling, K under importance weighting) and the
+# UCB breaker's matrix and trajectory (round robin under both
+# parametrizations, so each K has one breaker digest).
+UCB1_DIGESTS = {
+    ("iw", 2, "original"): "8251def45f68f2697239d4f898502bd3cfcc7160adc006710afa08e60392c5ad",
+    ("iw", 2, "improved"): "67148a88f23d9e486b579c3a06d4646fe95b13051a1711b26b12b8a8691fd416",
+    ("iw", 3, "original"): "3dbb9d090ac2520a0271fae1792d56c38840dfc3825022852af10b38a487dd3f",
+    ("iw", 3, "improved"): "c40df1ab01f1edbe530b5eec24e85d9ffb140fe6eada90816602301ba5d9492e",
+    ("iw", 5, "original"): "38b5bdd39a7d9c790034332c319d386d78317cba4900f34055194aa68d315ddf",
+    ("iw", 5, "improved"): "5fcd5d7509a041dae8ee32e6ee13d0cf88f6c1ded42b487338b0c371e0b1d145",
+    ("rs", 2, "original"): "312f5a7d7b70d2a537d3e0b30456b4fe64c3067493dbc44c28f25d920ef1771b",
+    ("rs", 2, "improved"): "7ed6ec6d1fc4e108a85fbf4b7409770b4ab9ee2688b2304f77a105b052f327bf",
+    ("rs", 3, "original"): "039ee29335eb44dd25cdd1d4e2d5ae8d80dae25c32001cace848d7f11744c861",
+    ("rs", 3, "improved"): "9bcfbcd0d898ba417b894abb6cf0b7d0f94c1267c50b00557312f4816c2f9598",
+    ("rs", 5, "original"): "659c8e06a62accca31f0f0afd7d76cf18b077ff275d2f876e86697ec290df6d8",
+    ("rs", 5, "improved"): "ce1ac33fa7003b7acb915255fadb0ff1b52443a2f9b81ec813f49d37569aa714",
+    ("breaker", 2, "original"): "5316b3861f2d6fb6f72cb765a4d4b72ac6c5339b57ffd02c87730e63a2314ff4",
+    ("breaker", 2, "improved"): "5316b3861f2d6fb6f72cb765a4d4b72ac6c5339b57ffd02c87730e63a2314ff4",
+    ("breaker", 3, "original"): "f5e6627e3e72f0aebdef897088b5973a56fb506c766651980c2b86646b755bc2",
+    ("breaker", 3, "improved"): "f5e6627e3e72f0aebdef897088b5973a56fb506c766651980c2b86646b755bc2",
+}
+
+
+def _ucb1_digest(kind: str, K: int, parametrization: str) -> str:
+    """SHA-256 of one pinned scalar UCB1 game: arms, payoffs and detail of
+    a replay ("rs", "iw"), or the breaker's matrix and trajectory, floats
+    as ``float.hex``."""
+    h = hashlib.sha256()
+    if kind == "breaker":
+        matrix, trajectory = make_ucb_breaker(600, K,
+                                              parametrization=parametrization)
+        h.update(repr(([float.hex(v) for v in matrix.ravel().tolist()],
+                       trajectory)).encode())
+        return h.hexdigest()
+    log = synthesize_uniform_log([0.2 + 0.6 * a / (K - 1) for a in range(K)],
+                                 T=3000, seed=40 + K)
+    policy = UCB1Policy(K, parametrization=parametrization,
+                        reward_range=K if kind == "iw" else 1.0)
+    replay = (replay_importance_weighted if kind == "iw"
+              else replay_rejection_sampling)
+    trans = replay(policy, log, K)
+    detail = {key: float.hex(v) if isinstance(v, float) else v
+              for key, v in sorted(trans.detail.items())}
+    h.update(repr((trans.arms.tolist(),
+                   [float.hex(v) for v in trans.payoffs.tolist()],
+                   detail, policy.counts,
+                   [float.hex(v) for v in policy.sums])).encode())
+    return h.hexdigest()
+
+
+class TestScalarUcb1Pinned:
+    @pytest.mark.parametrize("kind, K, parametrization", list(UCB1_DIGESTS))
+    def test_game_is_pinned(self, kind, K, parametrization):
+        assert _ucb1_digest(kind, K, parametrization) \
+            == UCB1_DIGESTS[kind, K, parametrization]
 
 class TestRegretAccounting:
     def test_pseudo_regret_examples(self):

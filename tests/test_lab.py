@@ -1023,9 +1023,13 @@ class TestCli:
         (["replay", "--log", "demo.log", "--policy", "greedy", "--mode", "iw"],
          "replay.policy: unknown policy 'greedy', expected one of ucb1, exp3, "
          "fixed:<arm> (--policy)"),
+        (["replay", "--log", "one.log", "--policy", "exp3", "--mode", "iw"],
+         "replay.policy: must be ucb1 or fixed:<arm> for a log of K = 1 (exp3 "
+         "takes >= 2 arms), got 'exp3' (--policy)"),
     ], ids=["run_reps", "run_reps_parse", "run_reps_huge", "run_seed", "run_seed_64_bits",
             "bounds_n", "bounds_grid", "bounds_delta", "bounds_delta_parse",
-            "replay_seed", "replay_arm", "replay_arm_parse", "replay_policy"])
+            "replay_seed", "replay_arm", "replay_arm_parse", "replay_policy",
+            "replay_exp3_one_arm"])
     def test_option_errors_name_the_option(self, tmp_path, monkeypatch, capsys,
                                            argv, message):
         # an option replaces the file's line, so its error names the option;
@@ -1036,6 +1040,7 @@ class TestCli:
         Path("tiny.cfg").write_text("\n".join(MINIMAL_GAME) + "\n")
         write_log("demo.log", 4, synthesize_uniform_log([0.2, 0.5, 0.8, 0.3],
                                                         50, 12))
+        write_log("one.log", 1, synthesize_uniform_log([0.5], 50, 12))
         before = sorted(tmp_path.iterdir())
         assert main(argv) == 2
         assert_config_error(capsys.readouterr().err, message)

@@ -14,7 +14,6 @@ from boundslab.online_policies import (
     UCB1Batch,
     UCB1Policy,
     _as_probvec_rows,
-    _radius_coefficient,
     doubling_schedule,
     ftl_choice,
     hedge_distribution,
@@ -452,15 +451,21 @@ class TestExp4:
 class TestRadiusCoefficient:
     @given(st.integers(1, 10 ** 15), st.integers(1, 10 ** 15))
     def test_radius_is_bit_equal_to_the_stated_formulas(self, t, n):
+        # c = scale * ln t, with each class's construction-time scale
         log_t = math.log(t)
-        assert math.sqrt(_radius_coefficient(log_t, "original") / n) \
-            == math.sqrt(3.0 * math.log(t) / (2.0 * n))
-        assert math.sqrt(_radius_coefficient(log_t, "improved") / n) \
-            == math.sqrt(math.log(t) / n)
+        for cls in (UCB1Policy, UCB1Batch):
+            original = cls(2, parametrization="original").scale
+            improved = cls(2, parametrization="improved").scale
+            assert math.sqrt(original * log_t / n) \
+                == math.sqrt(3.0 * math.log(t) / (2.0 * n))
+            assert math.sqrt(improved * log_t / n) \
+                == math.sqrt(math.log(t) / n)
 
     def test_domain(self):
-        with pytest.raises(ValueError, match="unknown parametrization 'bogus'"):
-            _radius_coefficient(1.0, "bogus")
+        for cls in (UCB1Policy, UCB1Batch):
+            with pytest.raises(ValueError,
+                               match="unknown parametrization 'bogus'"):
+                cls(2, parametrization="bogus")
 
 
 @st.composite
