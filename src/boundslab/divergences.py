@@ -120,14 +120,8 @@ class ProbVec:
     def __len__(self) -> int:
         return len(self._weights)
 
-    def __getitem__(self, i: int) -> float:
-        return self._weights[i]
-
     def __iter__(self):
         return iter(self._weights)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ProbVec) and self._weights == other._weights
 
 
 def _raise_first_bad_weight(ws: list[float]) -> None:

@@ -573,14 +573,14 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
     propensity, range [0, K]), and the policy ingests r̃ under its own replay
     contract.  The mean of r̃ is an unbiased estimate of the policy's value.
 
-    A ``FixedPolicy`` with a set ``arm`` never learns and draws nothing, so
-    its replay is one array step with the bytes of the per-record loop: the
-    arms are that arm, r̃ is K * r where the logged action is the arm and
-    0.0 elsewhere, and ``policy.t`` advances by the log length.  Every other
-    policy acts and updates once per record, after ``_check_replay``.
+    A ``FixedPolicy`` never learns and draws nothing, so its replay is one
+    array step with the bytes of the per-record loop: the arms are its arm,
+    r̃ is K * r where the logged action is the arm and 0.0 elsewhere, and
+    ``policy.t`` advances by the log length.  Every other policy acts and
+    updates once per record, after ``_check_replay``.
     """
     _check_replay(policy, log, K, rng)
-    if type(policy) is FixedPolicy and policy.arm is not None:
+    if type(policy) is FixedPolicy:
         arms = np.full(len(log), policy.arm, dtype=int)
         estimates = np.where(log.actions == policy.arm, K * log.rewards,
                              0).astype(np.float64)

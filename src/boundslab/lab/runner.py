@@ -161,9 +161,16 @@ def _read_environment(config: ExperimentConfig):
             lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),
             "distinct integers >= 2"), _cap(f"a block of {rows} rows of k loss "
             "cells", max(config.R, ROW_BLOCK), rows, many=max))
+        # the best arm's mean, base - gap, must lie in [0, 1]; the error names
+        # gap, or base when gap is at its default: the rule lets 0.25 pass,
+        # and at 0.25 only base < gap puts that mean outside [0, 1]
         base = f.read("base", float, "0.5", _UNIT)
-        gap = f.read("gap", float, "0.25", (lambda gap: 0 <= base - gap <= 1,
-                                            f"in [{base - 1:g}, {base:g}]"))
+        gap = f.read("gap", float, "0.25", (
+            lambda gap: gap == 0.25 or 0 <= base - gap <= 1,
+            f"in [{base - 1:g}, {base:g}]"))
+        if base < gap:
+            raise f.error("base", f"must be in [0.25, 1] for environment.gap "
+                                  f"= 0.25, got {f.texts['base']!r}")
         envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
             _stochastic, tuple([base - gap] + [base] * (k - 1))))
             for k in k_grid]

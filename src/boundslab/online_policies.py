@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from boundslab.divergences import (
+    _MAX,
     NORMALIZATION_TOL,
     ProbVec,
     _check_count,
@@ -54,7 +55,8 @@ def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
     the output invariant under shifting all losses by a constant.
     """
     eta = _check_rate(eta)
-    losses = [float(v) for v in cum_losses]
+    losses = [_check_range(v, "cum_losses", -_MAX, _MAX, "finite")
+              for v in cum_losses]
     if not losses:
         raise ValueError("cum_losses must be nonempty")
     return _hedge_weights(losses, eta)
@@ -530,28 +532,19 @@ class UCB1Batch:
 
 
 class FixedPolicy:
-    """Non-learning policy playing a fixed arm or a fixed distribution;
-    useful as the evaluation target in offline replay."""
+    """Non-learning policy that always plays one arm and never draws; the
+    evaluation target of the offline replays."""
 
-    def __init__(self, K: int, *, arm: int | None = None,
-                 dist: Sequence[float] | None = None) -> None:
+    draws = False
+
+    def __init__(self, K: int, *, arm: int) -> None:
         _check_count(K, "K")
-        if (arm is None) == (dist is None):
-            raise ValueError("give exactly one of arm or dist")
-        if arm is not None:
-            _check_count(arm, "arm", 0, K)
-        if dist is not None and len(dist) != K:
-            raise ValueError("distribution has wrong length")
         self.K = K
-        self.arm = arm
-        self.dist = ProbVec(dist) if dist is not None else None
-        self.draws = dist is not None
+        self.arm = _check_count(arm, "arm", 0, K)
         self.t = 0
 
     def act(self, rng=None) -> int:
-        if self.arm is not None:
-            return self.arm
-        return sample_arm(self.dist, rng.random())
+        return self.arm
 
     def update(self, arm: int, loss: float) -> None:
         self.t += 1

@@ -1,10 +1,11 @@
 """Generalization bounds over finite hypothesis classes and their minimization.
 
 Hypotheses are represented purely by loss/prediction tables, so every quantity
-in a bound is exactly computable.  Covers the PAC-Bayes-kl and PAC-Bayes-lambda
-inequalities, weighted majority-vote bounds (first order, tandem,
-disagreement), posterior construction by alternating minimization, and the
-recursive (stage-wise) bound built on excess losses with the split-kl form.
+in a bound is exactly computable.  Covers the PAC-Bayes-kl inequality and the
+PAC-Bayes-lambda upper bound, the tandem-loss and disagreement tables of a
+weighted majority vote, posterior construction by alternating minimization,
+and the recursive (stage-wise) bound built on excess losses with the split-kl
+form.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .divergences import (
     _check_delta,
     _check_nonneg,
     _check_range,
-    _check_rate,
     _check_unit,
     categorical_kl,
     kl_inverse,
@@ -35,13 +35,11 @@ _BELOW_TWO = math.nextafter(2.0, 0.0)
 class LossTable:
     """An m x n matrix of per-hypothesis, per-example losses in [0, 1].
 
-    Optionally carries a matching matrix of binary predictions (+-1) for
-    majority-vote quantities, and per-hypothesis validation masks (an m x n
-    boolean matrix, row h the columns hypothesis h is evaluated on) for
-    bounds that must not evaluate a hypothesis on the data it was trained on.
+    Optionally carries a matching matrix of binary predictions (+-1), from
+    which the tandem losses and disagreements of a majority vote are read.
     """
 
-    def __init__(self, losses, predictions=None, masks=None):
+    def __init__(self, losses, predictions=None):
         self.losses = np.asarray(losses, dtype=float)
         if self.losses.ndim != 2:
             raise ValueError("losses must be a 2-D matrix")
@@ -57,21 +55,6 @@ class LossTable:
             if not np.isin(preds, (-1, 1)).all():
                 raise ValueError("predictions must be +-1")
             self.predictions = preds.astype(int)
-        self.masks = None
-        self._overlaps = self.n  # per pair, the columns both masks keep
-        if masks is not None:
-            if len(masks) != self.m:
-                raise ValueError("one mask per hypothesis required")
-            try:
-                self.masks = np.array(masks, dtype=bool)
-            except ValueError:  # rows of different lengths
-                pass
-            if self.masks is None or self.masks.shape != self.losses.shape:
-                raise ValueError("each mask must select columns")
-            if not self.masks.any(axis=1).all():
-                raise ValueError("masks must keep at least one column")
-            keep = self.masks.astype(float)
-            self._overlaps = keep @ keep.T
 
     @property
     def m(self) -> int:
@@ -82,26 +65,19 @@ class LossTable:
         return self.losses.shape[1]
 
     def emp_losses(self) -> np.ndarray:
-        """Per-hypothesis empirical loss; masked row mean when masks are set."""
-        if self.masks is None:
-            return self.losses.mean(axis=1)
-        return np.array([self.losses[h, self.masks[h]].mean()
-                         for h in range(self.m)])
+        """Per-hypothesis empirical loss: the row means."""
+        return self.losses.mean(axis=1)
 
     def tandem_losses(self) -> np.ndarray:
         """m x m matrix of empirical tandem losses: the rate at which both
-        hypotheses err on the same example.  With masks, entry (h, h') is
-        evaluated on the overlap of the two validation sets."""
+        hypotheses err on the same example."""
         if self.predictions is None:
             raise ValueError("tandem losses need a prediction table")
         err = self.losses
         if not np.isin(err, (0.0, 1.0)).all():
             raise ValueError("tandem losses are defined for zero-one losses")
-        if not np.all(self._overlaps):
-            raise ValueError("empty validation overlap")
-        kept = err if self.masks is None else err * self.masks
         # both-err counts are exact integers, each divided once, as a mean is
-        return kept @ kept.T / self._overlaps
+        return err @ err.T / self.n
 
     def disagreements(self) -> np.ndarray:
         """m x m matrix of empirical disagreement rates between predictions."""
@@ -109,9 +85,6 @@ class LossTable:
             raise ValueError("disagreements need a prediction table")
         agree = self.predictions @ self.predictions.T  # in [-n, n]
         return (self.n - agree) / (2.0 * self.n)
-
-    def min_pairwise_overlap(self) -> int:
-        return int(np.min(self._overlaps))
 
 
 @dataclass(frozen=True)
@@ -148,41 +121,24 @@ def pb_kl_bound(q: PacBayesQuery, emp_loss: float) -> BoundResult:
 
 
 def pb_lambda_bound(q: PacBayesQuery, emp_loss: float, *,
-                    lam: Optional[float] = None,
-                    gamma: Optional[float] = None,
-                    side: str = "upper") -> BoundResult:
-    """PAC-Bayes-lambda relaxation.
+                    lam: float) -> BoundResult:
+    """PAC-Bayes-lambda upper bound, for lam in (0, 2):
 
-    upper (lam in (0,2)):
         emp/(1 - lam/2) + (KL + ln(2 sqrt(n)/delta)) / (lam (1 - lam/2) n)
-    lower (gamma > 0), clipped at 0:
-        (1 - gamma/2) emp - (KL + ln(2 sqrt(n)/delta)) / (gamma n)
-    The upper value may exceed 1 (vacuous but valid); it is returned raw.
+
+    The value may exceed 1 (vacuous but valid); it is returned raw.
     """
     emp_loss = _check_unit(emp_loss, "emp_loss")
+    lam = _check_range(lam, "lam", _TINY, _BELOW_TWO, "in (0, 2)")
     kl_term = q.kl_term
     complexity = kl_term + math.log(2.0 * math.sqrt(q.n) / q.delta)
-    if side == "upper":
-        lam = _check_range(lam, "lam", _TINY, _BELOW_TWO, "in (0, 2)")
-        value = _lambda_upper(emp_loss, complexity, lam, q.n)
-        return BoundResult(value, q.delta, "pb-lambda-upper",
-                           {"kl": kl_term, "lambda": lam})
-    if side == "lower":
-        gamma = _check_rate(gamma, "gamma")
-        value = max(0.0, _lambda_lower(emp_loss, complexity, gamma, q.n))
-        return BoundResult(value, q.delta, "pb-lambda-lower",
-                           {"kl": kl_term, "gamma": gamma})
-    raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
+    return BoundResult(_lambda_upper(emp_loss, complexity, lam, q.n), q.delta,
+                       "pb-lambda-upper", {"kl": kl_term, "lambda": lam})
 
 
 def _lambda_upper(emp: float, complexity: float, lam: float, n: int) -> float:
     """The PAC-Bayes-lambda upper form, shared by every lambda-form bound."""
     return emp / (1.0 - lam / 2.0) + complexity / (lam * (1.0 - lam / 2.0) * n)
-
-
-def _lambda_lower(emp: float, complexity: float, gamma: float, n: int) -> float:
-    """The PAC-Bayes-lambda lower form, unclipped."""
-    return (1.0 - gamma / 2.0) * emp - complexity / (gamma * n)
 
 
 def gibbs_posterior(pi: ProbVec, losses: Sequence[float], scale: float) -> ProbVec:
@@ -239,93 +195,16 @@ def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
     return MinimizationResult(rho, lam, bound, tuple(trace))
 
 
-def alternating_minimize(pi: ProbVec, table: LossTable, delta: float,
-                         r: int = 0) -> MinimizationResult:
-    """Minimize the PAC-Bayes-lambda upper bound over (rho, lambda).
-
-    With r = 0 the bound is evaluated on full-sample losses with denominator
-    n.  With r > 0 (aggregation of hypotheses each trained on r examples),
-    the table must carry validation masks and the denominator becomes n - r.
-    """
+def alternating_minimize(pi: ProbVec, table: LossTable,
+                         delta: float) -> MinimizationResult:
+    """Minimize the PAC-Bayes-lambda upper bound over (rho, lambda), on the
+    table's full-sample losses with denominator n."""
     _check_delta(delta)
     if len(pi) != table.m:
         raise ValueError("pi length must match the number of hypotheses")
-    _check_count(r, "r", 0, table.n)
-    if r > 0:
-        if table.masks is None:
-            raise ValueError("aggregation (r > 0) needs validation masks")
-        if (table.masks.sum(axis=1) != table.n - r).any():
-            raise ValueError("each validation mask must keep n - r columns")
-    n_eff = table.n - r
-    complexity = math.log(2.0 * math.sqrt(n_eff) / delta)
-    return _alternating_minimize_core(pi, table.emp_losses(), n_eff, complexity)
-
-
-def mv_predict(rho: ProbVec, predictions: Sequence[int]) -> int:
-    """rho-weighted majority vote over +-1 predictions; ties go to +1."""
-    if len(predictions) != len(rho):
-        raise ValueError("predictions length must match rho")
-    total = math.fsum(w * p for w, p in zip(rho.weights, predictions))
-    return 1 if total >= 0.0 else -1
-
-
-def mv_bound(kind: str, table: LossTable, q: PacBayesQuery,
-             unlabeled_predictions=None, lam: float = 1.0,
-             gamma: float = 1.0) -> BoundResult:
-    """Bounds on the loss of the rho-weighted majority vote.
-
-    first_order:  2 x PAC-Bayes-kl bound on E_rho[L_hat].
-    tandem:       4 x lambda-form bound on the expected tandem loss, with
-                  complexity 2 KL + ln(2 sqrt(n)/delta); n is the minimum
-                  pairwise validation overlap when masks are present.
-    disagreement: 4 x upper bound on E_rho[L_hat] (budget ln(4 sqrt(n)/delta))
-                  minus 2 x lower bound on the expected disagreement
-                  (complexity 2 KL + ln(4 sqrt(m)/delta)), where the
-                  disagreements may come from a separate unlabeled table.
-    """
-    lam = _check_range(lam, "lam", _TINY, _BELOW_TWO, "in (0, 2)")
-    gamma = _check_rate(gamma, "gamma")
-    rho_w = np.asarray(q.rho.weights)
-    if kind == "first_order":
-        emp = float(np.dot(rho_w, table.emp_losses()))
-        inner = pb_kl_bound(q, emp)
-        return BoundResult(2.0 * inner.value, q.delta, "mv-first-order",
-                           {"gibbs_bound": inner.value, "emp_loss": emp})
-
-    if kind == "tandem":
-        tandem = table.tandem_losses()
-        emp_tandem = float(rho_w @ tandem @ rho_w)
-        n_eff = table.min_pairwise_overlap()
-        complexity = 2.0 * q.kl_term + math.log(2.0 * math.sqrt(n_eff) / q.delta)
-        inner = _lambda_upper(emp_tandem, complexity, lam, n_eff)
-        return BoundResult(4.0 * inner, q.delta, "mv-tandem",
-                           {"emp_tandem": emp_tandem, "lambda": lam,
-                            "n_eff": n_eff})
-
-    if kind == "disagreement":
-        emp = float(np.dot(rho_w, table.emp_losses()))
-        n = table.n
-        kl_term = q.kl_term
-        upper = _lambda_upper(
-            emp, kl_term + math.log(4.0 * math.sqrt(n) / q.delta), lam, n)
-        if unlabeled_predictions is not None:
-            dis_table = LossTable(np.zeros_like(np.asarray(unlabeled_predictions),
-                                                dtype=float),
-                                  predictions=unlabeled_predictions)
-        else:
-            dis_table = table
-        dis = dis_table.disagreements()
-        emp_dis = float(rho_w @ dis @ rho_w)
-        m_eff = dis_table.n
-        lower = _lambda_lower(
-            emp_dis, 2.0 * kl_term + math.log(4.0 * math.sqrt(m_eff) / q.delta),
-            gamma, m_eff)
-        return BoundResult(4.0 * upper - 2.0 * lower, q.delta, "mv-disagreement",
-                           {"emp_loss": emp, "emp_disagreement": emp_dis,
-                            "lambda": lam, "gamma": gamma})
-
-    raise ValueError(
-        f"kind must be 'first_order', 'tandem' or 'disagreement', got {kind!r}")
+    complexity = math.log(2.0 * math.sqrt(table.n) / delta)
+    return _alternating_minimize_core(pi, table.emp_losses(), table.n,
+                                      complexity)
 
 
 def geometric_split(n: int, T: int) -> list:

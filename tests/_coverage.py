@@ -92,7 +92,7 @@ def pb_validity_rates(trials=500, m=20, n=256, delta=0.05, seed=123,
         q = PacBayesQuery(fit.rho, pi, n, delta)
         if pb_kl_bound(q, emp).value < true_gibbs:
             violations["pb_kl"] += 1
-        if pb_lambda_bound(q, emp, lam=fit.lam, side="upper").value < true_gibbs:
+        if pb_lambda_bound(q, emp, lam=fit.lam).value < true_gibbs:
             violations["pb_lambda"] += 1
         for T in recursive_stages:
             stages = recursive_pb(table, delta, T, seed=int(trial))

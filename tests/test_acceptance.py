@@ -44,7 +44,6 @@ from boundslab.pac_bayes import (
     LossTable,
     PacBayesQuery,
     alternating_minimize,
-    mv_bound,
     pb_kl_bound,
 )
 

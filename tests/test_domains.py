@@ -74,7 +74,6 @@ from boundslab.pac_bayes import (
     alternating_minimize,
     geometric_split,
     gibbs_posterior,
-    mv_bound,
     pb_kl_bound,
     pb_lambda_bound,
     recursive_pb,
@@ -171,22 +170,11 @@ ROWS = {
         row("emp_loss", lambda x: pb_lambda_bound(QUERY, x, lam=1.0),
             0.3, *UNIT),
         row("lam", lambda x: pb_lambda_bound(QUERY, 0.3, lam=x), 1.0,
-            0.0, 2.0),
-        row("gamma", lambda x: pb_lambda_bound(QUERY, 0.3, gamma=x,
-                                               side="lower"), 1.0,
-            *POSITIVE)],
+            0.0, 2.0)],
     "gibbs_posterior": [row("scale", lambda x: gibbs_posterior(
         PI, [0.2, 0.4], x), 1.0, -1.0, BELOW_ZERO)],
-    "alternating_minimize": [
-        row("delta", lambda x: alternating_minimize(PI, TABLE, x), 0.05,
-            *OPEN_UNIT),
-        row("r", lambda x: alternating_minimize(PI, TABLE, 0.05, x), 0,
-            -1, 4)],
-    "mv_bound": [
-        row("lam", lambda x: mv_bound("first_order", TABLE, QUERY, lam=x),
-            1.0, 0.0, 2.0),
-        row("gamma", lambda x: mv_bound("first_order", TABLE, QUERY,
-                                        gamma=x), 1.0, *POSITIVE)],
+    "alternating_minimize": [row("delta", lambda x: alternating_minimize(
+        PI, TABLE, x), 0.05, *OPEN_UNIT)],
     "geometric_split": [row("n", lambda x: geometric_split(x, 3), 8, 3),
                         row("T", lambda x: geometric_split(8, x), 3, 0)],
     "recursive_pb": [
@@ -197,8 +185,10 @@ ROWS = {
                                              gammas=[0.5, x]), 0.5, *UNIT),
         row("seed", lambda x: recursive_pb(TABLE, 0.05, 2, seed=x), 3, -1)],
     # online_policies
-    "hedge_distribution": [row("eta", lambda x: hedge_distribution(
-        [1.0, 2.0], x), 0.5, *POSITIVE)],
+    "hedge_distribution": [
+        row("eta", lambda x: hedge_distribution([1.0, 2.0], x), 0.5,
+            *POSITIVE),
+        row("cum_losses", lambda x: hedge_distribution([x, 0.0], 1.0), 2.0)],
     "hedge_eta": [
         row("K", lambda x: hedge_eta(x, T=10), 2, 0, 1),
         row("T", lambda x: hedge_eta(2, T=x), 10, 0),
@@ -266,7 +256,6 @@ NO_ROW = {
     "sample_variance": "sample: a Sample",
     "LossTable": "a loss matrix, checked as a whole",
     "MinimizationResult": "a record of a minimization already run",
-    "mv_predict": "rho and predictions: sequences",
     "RecursiveStage": "a record of a stage already computed",
     "ftl_choice": "cum_losses: a sequence",
     "sample_arm": "per-round code",

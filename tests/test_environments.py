@@ -1030,6 +1030,20 @@ class TestImportanceWeightedReplay:
         se = np.std(trans.payoffs) / math.sqrt(len(log))
         assert abs(trans.detail["estimated_value"] - truth) <= 3 * se
 
+    @pytest.mark.parametrize("arm", range(4))
+    def test_fixed_policy_estimates_are_k_times_its_matched_rewards(self,
+                                                                    arm):
+        log = synthesize_uniform_log([0.3, 0.5, 0.7, 0.9], T=500, seed=arm)
+        policy = FixedPolicy(4, arm=arm)
+        trans = replay_importance_weighted(policy, log, 4)
+        want = [4.0 * r if a == arm else 0.0
+                for a, r in zip(log.actions.tolist(), log.rewards.tolist())]
+        assert trans.payoffs.tolist() == want
+        assert trans.arms.tolist() == [arm] * 500
+        assert trans.detail == {"feedback": "iw-replay",
+                                "estimated_value": float(np.mean(want))}
+        assert policy.t == 500
+
     def test_every_record_consumed(self):
         log = synthesize_uniform_log([0.5] * 4, T=123, seed=5)
         trans = replay_importance_weighted(FixedPolicy(4, arm=0), log, 4)
@@ -1072,9 +1086,10 @@ class TestImportanceWeightedReplay:
 @pytest.mark.parametrize("replay", [replay_importance_weighted,
                                     replay_rejection_sampling],
                          ids=["iw", "rs"])
-@pytest.mark.parametrize("make", [lambda: EXP3Policy(4),
-                                  lambda: FixedPolicy(4, dist=[0.25] * 4)],
-                         ids=["exp3", "fixed_dist"])
+@pytest.mark.parametrize("make", [
+    lambda: EXP3Policy(4),
+    lambda: EXP3Policy(4, variant="rewards", eta=0.1)],
+    ids=["exp3", "exp3_rewards"])
 def test_a_replay_names_a_missing_random_stream(replay, make):
     # checked before the first record, so the policy has not moved
     log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
@@ -1131,9 +1146,25 @@ def test_policies_that_draw_nothing_replay_without_a_stream():
     for policy in (UCB1Policy(4), FixedPolicy(4, arm=1)):
         assert policy.draws is False
         assert len(replay_rejection_sampling(policy, log, 4)) > 0
-    assert FixedPolicy(4, dist=[0.25] * 4).draws is True
     ucb = UCB1Policy(4, reward_range=4)
     assert len(replay_importance_weighted(ucb, log, 4)) == 50
+
+
+@pytest.mark.parametrize("replay", [replay_importance_weighted,
+                                    replay_rejection_sampling],
+                         ids=["iw", "rs"])
+def test_a_fixed_policy_replays_the_same_with_a_stream(replay):
+    # it never draws, so a stream changes no byte and is left as it was
+    log = synthesize_uniform_log([0.2, 0.4, 0.6, 0.8], T=300, seed=12)
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    without = replay(FixedPolicy(4, arm=2), log, 4)
+    with_rng = replay(FixedPolicy(4, arm=2), log, 4, rng)
+    assert rng.bit_generator.state == state
+    for name in ("arms", "payoffs"):
+        assert (getattr(without, name).tobytes()
+                == getattr(with_rng, name).tobytes())
+    assert without.detail == with_rng.detail
 
 
 class _FixedArmLoop:

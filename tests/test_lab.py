@@ -1,5 +1,4 @@
 import contextlib
-import fnmatch
 import hashlib
 import importlib.util
 import io
@@ -687,6 +686,17 @@ class TestCli:
         (["[environment]", "kind = bernoulli_gap", "gap = 0.7", "[policy u]",
           "kind = ucb1"],
          "environment.gap: must be in [-0.5, 0.5], got '0.7' (line 5)"),
+        (["[environment]", "kind = bernoulli_gap", "base = 0", "[policy u]",
+          "kind = ucb1"],
+         "environment.base: must be in [0.25, 1] for environment.gap = 0.25, "
+         "got '0' (line 5)"),
+        (["[environment]", "kind = bernoulli_gap", "gap = 0.25", "base = 0",
+          "[policy u]", "kind = ucb1"],
+         "environment.base: must be in [0.25, 1] for environment.gap = 0.25, "
+         "got '0' (line 6)"),
+        (["[environment]", "kind = bernoulli_gap", "base = 0", "gap = 0.3",
+          "[policy u]", "kind = ucb1"],
+         "environment.gap: must be in [-1, 0], got '0.3' (line 6)"),
         (["[environment]", "kind = ucb_breaker", "parametrization = bogus",
           "[policy u]", "kind = ucb1"],
          "environment.parametrization: unknown parametrization 'bogus', "
@@ -829,7 +839,8 @@ class TestCli:
     ], ids=["experiment", "experiment_parse", "params", "params_range",
             "policy", "policy_kind", "environment_k", "environment_k_grid",
             "environment_k_grid_repeated", "environment_means", "params_means",
-            "environment_gap",
+            "environment_gap", "environment_base", "environment_base_gap_set",
+            "environment_gap_base_set",
             "breaker_parametrization", "breaker_k", "breaker_T", "ftl_T",
             "ftl_T_raw", "breaker_T_raw",
             "epsilon_first_kind", "policy_unknown_key", "environment_unknown_key",
@@ -1130,9 +1141,6 @@ FUZZ_TOKENS = ("", "0", "-1", "1, -1", "0.5", "nan", "inf", "x", HUGE,
                "1000000000")
 # A row runs to the end with a token below every floor or past every cap.
 FUZZ_TO_THE_END = ("-1", "1, -1", HUGE)
-# A field whose value another field's rule reads may be named by that rule:
-# environment.gap's range is set by environment.base.
-FUZZ_TIES = {"environment.base": "environment.gap"}
 # The child runs each row until its kind's first library or numpy call, the
 # point where every field has been read, unless the row is marked to run to
 # the end; it prints [exit code, stderr] per row, and 1 with the traceback
@@ -1280,10 +1288,8 @@ def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(
     for (field, token, _, full), (code, err) in zip(
             rows, json.loads(done.stdout)):
         named = err.removeprefix("config error: ").partition(": ")[0]
-        names_field = named == field or fnmatch.fnmatchcase(
-            named, FUZZ_TIES.get(field, field))
         one_shape = RANGE_ERROR.match(err) or OTHER_ERROR.search(err)
-        if code != 0 and not (code == 2 and one_shape and names_field):
+        if code != 0 and not (code == 2 and one_shape and named == field):
             bad.append((field, token, full, code, err))
     assert not bad
 

@@ -34,8 +34,8 @@ class TestHedgeDistribution:
 
     def test_closed_form_two_arms(self):
         p = hedge_distribution([0.0, math.log(2)], 1.0)
-        assert math.isclose(p[0], 2 / 3, rel_tol=1e-12)
-        assert math.isclose(p[1], 1 / 3, rel_tol=1e-12)
+        assert math.isclose(p.weights[0], 2 / 3, rel_tol=1e-12)
+        assert math.isclose(p.weights[1], 1 / 3, rel_tol=1e-12)
 
     @given(finite_losses, st.floats(min_value=0.01, max_value=5.0),
            st.floats(min_value=-20.0, max_value=20.0))
@@ -54,6 +54,15 @@ class TestHedgeDistribution:
     def test_rejects_bad_eta(self):
         with pytest.raises(ValueError):
             hedge_distribution([0.0, 1.0], 0.0)
+
+    # tests/test_domains.py feeds NaN and +-inf as the first entry
+    @pytest.mark.parametrize("cum_losses, bad", [
+        ([math.inf, math.inf], "inf"), ([0.0, math.inf], "inf"),
+        ([0.0, -math.inf], "-inf"), ([1.0, 2.0, math.nan], "nan")])
+    def test_rejects_a_non_finite_cumulative_loss(self, cum_losses, bad):
+        with pytest.raises(ValueError) as info:
+            hedge_distribution(cum_losses, 1.0)
+        assert str(info.value) == f"cum_losses must be finite, got {bad}"
 
 
 class TestHedgeEta:
@@ -109,7 +118,7 @@ class TestHedgeEta:
             else:
                 eta = hedge_eta(K, T=kwargs.get("T"), t=t,
                                 variant=kwargs["variant"])
-            assert p == hedge_distribution(pol.cum_losses, eta)
+            assert p.weights == hedge_distribution(pol.cum_losses, eta).weights
             pol.observe(rng.random(K).tolist())
 
 
@@ -138,7 +147,7 @@ class TestHedgePolicyChecks:
         pol = HedgePolicy(3, eta=0.5)
         pol.observe([1.0, 0.0, 1.0])
         p = pol.distribution()
-        for u in (0.0, p[0] - 1e-12, p[0], 0.999999):
+        for u in (0.0, p.weights[0] - 1e-12, p.weights[0], 0.999999):
             assert pol.act(u) == sample_arm(p, u)
         assert FTLPolicy(3).act() == 0
 
@@ -611,7 +620,7 @@ class TestDoubling:
             p = pol.distribution()
             _, eta, reset = doubling_schedule(t, K)
             assert (pol.cum_losses == [0.0, 0.0]) == reset
-            assert p == hedge_distribution(pol.cum_losses, eta)
+            assert p.weights == hedge_distribution(pol.cum_losses, eta).weights
             pol.observe([1.0, 0.0])
 
     def test_hedge_distribution_changes_nothing(self):
@@ -621,7 +630,7 @@ class TestDoubling:
         pol = HedgePolicy(3, doubling=True)
         for t in range(1, 2 ** 7 + 1):
             before = list(pol.cum_losses)
-            assert pol.distribution() == pol.distribution()
+            assert pol.distribution().weights == pol.distribution().weights
             assert pol.cum_losses == before
             pol.observe(rng.random(3).tolist())
 
@@ -634,7 +643,7 @@ class TestDoubling:
             if t + 1 in (2, 4, 8):
                 # peeking at the next round's distribution applies the reset
                 p = pol.distribution()
-                assert math.isclose(p[0], 0.5, rel_tol=1e-12)
+                assert math.isclose(p.weights[0], 0.5, rel_tol=1e-12)
 
 
 def _running_sum_arm(dist, u):
@@ -701,14 +710,25 @@ class TestFixedPolicy:
         pol.update_reward(2, 1.0)
         assert pol.act() == 2
 
-    def test_distribution_sampling(self):
-        rng = np.random.default_rng(9)
-        pol = FixedPolicy(2, dist=[0.8, 0.2])
-        draws = [pol.act(rng) for _ in range(2000)]
-        assert abs(sum(draws) / 2000 - 0.2) < 0.03
+    @pytest.mark.parametrize("arm", range(4))
+    def test_plays_its_arm_and_never_draws(self, arm):
+        pol = FixedPolicy(4, arm=arm)
+        assert pol.draws is False
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert [pol.act(rng) for _ in range(5)] == [arm] * 5
+        assert pol.act() == arm
+        assert rng.bit_generator.state == state
 
-    def test_rejects_ambiguous_construction(self):
-        with pytest.raises(ValueError):
+    def test_arm_is_a_required_keyword(self):
+        with pytest.raises(TypeError):
             FixedPolicy(2)
-        with pytest.raises(ValueError):
-            FixedPolicy(2, arm=0, dist=[0.5, 0.5])
+        with pytest.raises(TypeError):
+            FixedPolicy(2, 0)
+
+    def test_replay_update_counts_a_round(self):
+        pol = FixedPolicy(3, arm=1)
+        for t, (arm, r_tilde) in enumerate([(1, 3.0), (0, 0.0), (1, 0.0)]):
+            pol.replay_update(arm, r_tilde, 3)
+            assert pol.t == t + 1
+            assert pol.act() == 1

@@ -13,8 +13,6 @@ from boundslab.pac_bayes import (
     alternating_minimize,
     geometric_split,
     gibbs_posterior,
-    mv_bound,
-    mv_predict,
     pb_kl_bound,
     pb_lambda_bound,
     recursive_pb,
@@ -35,62 +33,46 @@ class TestLossTable:
             LossTable([[0.5, 1.5]])
         with pytest.raises(ValueError):
             LossTable([[0.5]], predictions=[[2]])
-        with pytest.raises(ValueError):
-            LossTable([[0.5, 0.5]], masks=[[False, False]])
 
-    def test_masked_emp_losses(self):
-        table = LossTable([[0.0, 1.0, 1.0]], masks=[[False, True, True]])
-        assert table.emp_losses()[0] == 1.0
+    @pytest.mark.parametrize("call, message", [
+        (lambda: LossTable([0.0, 1.0]), "losses must be a 2-D matrix"),
+        (lambda: LossTable([[0.0, math.nan]]), "losses must not contain NaN"),
+        (lambda: LossTable([[-5e-324, 0.5]]), "losses must lie in [0, 1]"),
+        (lambda: LossTable([[0.5, math.inf]]), "losses must lie in [0, 1]"),
+        (lambda: LossTable([[0.0, 1.0]], predictions=[[1, -1, 1]]),
+         "predictions shape must match losses"),
+        (lambda: LossTable([[0.0, 1.0]], predictions=[[1, 0]]),
+         "predictions must be +-1"),
+        (lambda: LossTable([[0.0, 1.0]]).tandem_losses(),
+         "tandem losses need a prediction table"),
+        (lambda: LossTable([[0.0, 0.5]], predictions=[[1, -1]])
+         .tandem_losses(), "tandem losses are defined for zero-one losses"),
+        (lambda: LossTable([[0.0, 1.0]]).disagreements(),
+         "disagreements need a prediction table"),
+    ], ids=["one_dimensional", "nan", "below_zero", "infinite",
+            "prediction_shape", "prediction_value", "tandem_unlabelled",
+            "tandem_real_losses", "disagreements_unlabelled"])
+    def test_error_messages(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
-    def test_min_pairwise_overlap(self):
-        masks = [[True, True, False], [False, True, True]]
-        table = LossTable(np.zeros((2, 3)), masks=masks)
-        assert table.min_pairwise_overlap() == 1
-        assert LossTable(np.zeros((2, 3))).min_pairwise_overlap() == 3
+    def test_emp_losses_are_row_means(self):
+        rng = np.random.default_rng(4)
+        losses = rng.random((6, 37))
+        got = LossTable(losses).emp_losses()
+        assert got.tolist() == [row.mean() for row in losses]
 
-    @staticmethod
-    def tandem_per_pair(losses, masks):
-        """Tandem losses one pair at a time: the mean of both errors over
-        the columns both masks keep."""
-        m = len(losses)
-        out = np.empty((m, m))
-        for h in range(m):
-            for g in range(m):
-                keep = masks[h] & masks[g]
-                out[h, g] = (losses[h, keep] * losses[g, keep]).mean()
-        return out
-
-    def test_masked_tandem_losses_match_a_per_pair_mean(self):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            m, n = rng.integers(1, 6), rng.integers(1, 30)
-            losses = (rng.random((m, n)) < 0.4).astype(float)
-            masks = rng.random((m, n)) < 0.8
-            masks[:, 0] = True  # every pair shares column 0
-            table = LossTable(losses, predictions=np.where(losses, -1, 1),
-                              masks=masks)
-            assert np.array_equal(table.tandem_losses(),
-                                  self.tandem_per_pair(losses, masks))
-            assert table.min_pairwise_overlap() == min(
-                (mh & mg).sum() for mh in masks for mg in masks)
-
-    def test_tandem_losses_need_every_pair_to_overlap(self):
-        losses = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
-        table = LossTable(losses, predictions=[[-1, 1, -1], [1, -1, -1]],
-                          masks=[[True, False, False], [False, True, True]])
-        assert table.min_pairwise_overlap() == 0
-        with pytest.raises(ValueError, match="^empty validation overlap$"):
-            table.tandem_losses()
-
-    @pytest.mark.parametrize("masks, message", [
-        ([[True, True]], "one mask per hypothesis required"),
-        ([[True], [True, False]], "each mask must select columns"),
-        ([True, False], "each mask must select columns"),
-        ([[True, True], [False, False]], "masks must keep at least one column"),
-    ])
-    def test_mask_errors(self, masks, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            LossTable(np.zeros((2, 2)), masks=masks)
+    def test_tandem_losses_match_a_per_pair_mean(self):
+        # the both-err count of each pair, divided once by n, is the same
+        # double as the mean of the pair's product of errors
+        rng = np.random.default_rng(8)
+        for m, n in [(1, 1), (3, 7), (5, 100), (4, 333)]:
+            table = make_binary_table(rng, m, n)
+            err = table.losses
+            want = [[(err[i] * err[j]).mean() for j in range(m)]
+                    for i in range(m)]
+            assert table.tandem_losses().tolist() == want
 
 
 class TestPbKl:
@@ -120,7 +102,6 @@ def test_bounds_reject_an_impossible_empirical_loss(bad):
     for name, bound in [
         ("emp_loss", lambda: pb_kl_bound(q, bad)),
         ("emp_loss", lambda: pb_lambda_bound(q, bad, lam=1.0)),
-        ("emp_loss", lambda: pb_lambda_bound(q, bad, gamma=1.0, side="lower")),
     ]:
         want = (f"{name} must not be NaN" if math.isnan(bad)
                 else f"{name} must be in [0, 1], got {bad}")
@@ -140,7 +121,7 @@ class TestPbLambda:
             emp = float(rng.uniform(0, 0.5))
             kl_b = pb_kl_bound(q, emp).value
             lam = float(rng.uniform(0.05, 1.95))
-            assert pb_lambda_bound(q, emp, lam=lam, side="upper").value >= kl_b - 1e-9
+            assert pb_lambda_bound(q, emp, lam=lam).value >= kl_b - 1e-9
 
     def test_zero_loss_grid_minimum(self):
         pi = ProbVec([1.0])
@@ -148,21 +129,36 @@ class TestPbLambda:
         lam_star = alternating_minimize(pi, LossTable(np.zeros((1, 500))),
                                         0.05).lam
         assert lam_star == 1.0
-        best = pb_lambda_bound(q, 0.0, lam=lam_star, side="upper").value
+        best = pb_lambda_bound(q, 0.0, lam=lam_star).value
         for lam in np.linspace(0.01, 1.99, 500):
-            assert best <= pb_lambda_bound(q, 0.0, lam=float(lam),
-                                           side="upper").value + 1e-12
-
-    def test_lower_clips_at_zero(self):
-        pi = ProbVec([1.0])
-        q = PacBayesQuery(pi, pi, 100, 0.05)
-        assert pb_lambda_bound(q, 0.1, gamma=1e-9, side="lower").value == 0.0
+            assert best <= pb_lambda_bound(q, 0.0, lam=float(lam)).value + 1e-12
 
     def test_lambda_domain(self):
         pi = ProbVec([1.0])
         q = PacBayesQuery(pi, pi, 100, 0.05)
         with pytest.raises(ValueError):
-            pb_lambda_bound(q, 0.1, lam=2.0, side="upper")
+            pb_lambda_bound(q, 0.1, lam=2.0)
+
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 1.0, 1.5, 1.95])
+    def test_upper_closed_form(self, lam):
+        rho, pi = ProbVec([0.7, 0.2, 0.1]), ProbVec([1 / 3] * 3)
+        q = PacBayesQuery(rho, pi, 400, 0.05)
+        res = pb_lambda_bound(q, 0.2, lam=lam)
+        kl = categorical_kl(rho, pi)
+        complexity = kl + math.log(2 * math.sqrt(400) / 0.05)
+        want = (0.2 / (1 - lam / 2)
+                + complexity / (lam * (1 - lam / 2) * 400))
+        assert math.isclose(res.value, want, rel_tol=1e-12)
+        assert res.method == "pb-lambda-upper" and res.delta == 0.05
+        assert res.detail == {"kl": kl, "lambda": lam}
+
+    def test_lam_is_a_required_keyword(self):
+        pi = ProbVec([1.0])
+        q = PacBayesQuery(pi, pi, 100, 0.05)
+        with pytest.raises(TypeError):
+            pb_lambda_bound(q, 0.1)
+        with pytest.raises(TypeError):
+            pb_lambda_bound(q, 0.1, 1.0)
 
 
 class TestGibbsPosterior:
@@ -224,10 +220,10 @@ class TestOptimalLambda:
             complexity = math.log(2 * math.sqrt(300) / 0.1)
             assert math.isclose(lam_star, 2 / (math.sqrt(
                 2 * 300 * emp / complexity + 1) + 1), rel_tol=1e-12)
-            best = pb_lambda_bound(q, emp, lam=lam_star, side="upper").value
+            best = pb_lambda_bound(q, emp, lam=lam_star).value
             grid = np.linspace(1e-4, 2 - 1e-4, 10_000)
             grid_best = min(
-                pb_lambda_bound(q, emp, lam=float(l), side="upper").value
+                pb_lambda_bound(q, emp, lam=float(l)).value
                 for l in grid)
             assert best <= grid_best + 1e-8
 
@@ -256,37 +252,26 @@ class TestAlternatingMinimize:
         assert fit.bound <= trace[0] + 1e-12
         assert 0 < fit.lam <= 1
 
-    def test_aggregation_uses_validation_losses(self):
-        rng = np.random.default_rng(7)
-        m, n, r = 4, 40, 10
-        losses = rng.random((m, n))
-        masks = []
-        for h in range(m):
-            mask = np.ones(n, dtype=bool)
-            mask[h * r:(h + 1) * r] = False
-            masks.append(mask)
-        table = LossTable(losses, masks=masks)
-        fit = alternating_minimize(ProbVec([0.25] * m), table, 0.05, r=r)
-        # the objective must be built from masked means and n - r
+    def test_last_trace_entry_is_the_lambda_bound_of_the_fit(self):
+        # the table's n is the denominator, as in pb_lambda_bound
+        rng = np.random.default_rng(6)
+        table = LossTable(rng.random((8, 300)))
+        pi = ProbVec([1 / 8] * 8)
+        fit = alternating_minimize(pi, table, 0.05)
         emp = float(np.dot(fit.rho.weights, table.emp_losses()))
-        complexity = math.log(2 * math.sqrt(n - r) / 0.05)
-        kl_term = categorical_kl(fit.rho, ProbVec([0.25] * m))
-        expected = emp / (1 - fit.lam / 2) \
-            + (kl_term + complexity) / (fit.lam * (1 - fit.lam / 2) * (n - r))
-        assert math.isclose(fit.bound, expected, rel_tol=1e-9)
+        q = PacBayesQuery(fit.rho, pi, table.n, 0.05)
+        assert fit.trace[-1] == pb_lambda_bound(q, emp, lam=fit.lam).value
+        assert fit.bound <= fit.trace[-1]
 
-    def test_aggregation_requires_masks(self):
-        table = LossTable(np.zeros((2, 10)))
-        with pytest.raises(ValueError):
-            alternating_minimize(ProbVec([0.5, 0.5]), table, 0.05, r=2)
+    def test_prior_length_must_match_the_table(self):
+        table = LossTable(np.zeros((3, 10)))
+        with pytest.raises(ValueError) as info:
+            alternating_minimize(ProbVec([0.5, 0.5]), table, 0.05)
+        assert str(info.value) == ("pi length must match the number of "
+                                   "hypotheses")
 
 
 class TestMajorityVote:
-    def test_mv_predict(self):
-        assert mv_predict(ProbVec([1 / 3] * 3), [1, 1, -1]) == 1
-        assert mv_predict(ProbVec([0.6, 0.4]), [-1, 1]) == -1
-        assert mv_predict(ProbVec([0.5, 0.5]), [-1, 1]) == 1  # tie -> +1
-
     def _disjoint_error_table(self, M=4, per_block=5):
         n = M * per_block
         labels = np.ones(n, dtype=int)
@@ -305,34 +290,11 @@ class TestMajorityVote:
         assert first_order_oracle == pytest.approx(0.5)
         assert second_order_oracle == pytest.approx(0.25)
 
-    def test_first_order_is_twice_gibbs_bound(self):
-        table = self._disjoint_error_table()
-        pi = ProbVec([0.25] * 4)
-        q = PacBayesQuery(pi, pi, table.n, 0.05)
-        res = mv_bound("first_order", table, q)
-        assert math.isclose(res.value, 2 * res.detail["gibbs_bound"], rel_tol=1e-12)
-        assert res.value >= 2 * res.detail["emp_loss"]
-
     def test_single_hypothesis_tandem_is_diagonal(self):
         rng = np.random.default_rng(3)
         table = make_binary_table(rng, 1, 200)
         tandem = table.tandem_losses()
         assert tandem[0, 0] == pytest.approx(table.emp_losses()[0])
-
-    def test_tandem_bound_formula(self):
-        rng = np.random.default_rng(9)
-        table = make_binary_table(rng, 6, 300)
-        pi = ProbVec([1 / 6] * 6)
-        rho = ProbVec(rng.dirichlet(np.ones(6)))
-        q = PacBayesQuery(rho, pi, table.n, 0.05)
-        lam = 0.7
-        res = mv_bound("tandem", table, q, lam=lam)
-        rho_w = np.asarray(rho.weights)
-        emp_t = float(rho_w @ table.tandem_losses() @ rho_w)
-        complexity = 2 * categorical_kl(rho, pi) + math.log(2 * math.sqrt(300) / 0.05)
-        expected = 4 * (emp_t / (1 - lam / 2)
-                        + complexity / (lam * (1 - lam / 2) * 300))
-        assert math.isclose(res.value, expected, rel_tol=1e-12)
 
     def test_tandem_never_exceeds_first_moment(self):
         rng = np.random.default_rng(11)
@@ -353,17 +315,6 @@ class TestMajorityVote:
             rhs = float(np.dot(rho, table.emp_losses())) \
                 - 0.5 * float(rho @ table.disagreements() @ rho)
             assert abs(lhs - rhs) < 1e-12
-
-    def test_disagreement_bound_runs_with_unlabeled_data(self):
-        rng = np.random.default_rng(13)
-        table = make_binary_table(rng, 4, 150)
-        extra_preds = rng.choice([-1, 1], size=(4, 600))
-        pi = ProbVec([0.25] * 4)
-        q = PacBayesQuery(pi, pi, table.n, 0.05)
-        res = mv_bound("disagreement", table, q,
-                       unlabeled_predictions=extra_preds, lam=1.0, gamma=1.0)
-        assert res.detail["emp_disagreement"] >= 0
-        assert math.isfinite(res.value)
 
 
 class TestPbSplitKl:
