@@ -1,4 +1,4 @@
-"""High-confidence bounds on the mean of bounded samples.
+"""High-confidence upper bounds on the mean of samples in [0, 1].
 
 Covers the Hoeffding radius and mean bound, the kl and split-kl mean bounds,
 the empirical and "unexpected" (lambda-grid) Bernstein bounds, and the exact
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -38,41 +37,27 @@ class BoundResult:
 
 
 class Sample:
-    """A finite sample of finite reals known to be bounded above by
-    ``upper_bound`` (and optionally below by ``lower_bound``)."""
+    """A finite sample of losses in [0, 1]."""
 
-    __slots__ = ("values", "upper_bound", "lower_bound", "_mean", "_mean_sq")
+    __slots__ = ("values", "_mean", "_mean_sq")
 
-    def __init__(self, values: Sequence[float], upper_bound: float,
-                 lower_bound: Optional[float] = None):
+    def __init__(self, values: Sequence[float]):
         vals = tuple(map(float, values))
         if not vals:
             raise ValueError("sample must be nonempty")
-        b = float(upper_bound)
-        if any(map(math.isnan, vals)) or math.isnan(b):
+        if any(map(math.isnan, vals)):
             raise ValueError("sample values must not be NaN")
-        b = _check_range(b, "upper_bound", -_MAX, _MAX, "finite")
-        if max(vals) > b:
-            raise ValueError(f"sample value {max(vals)} exceeds upper bound {b}")
-        if lower_bound is not None:
-            lower_bound = _check_range(lower_bound, "lower_bound", -_MAX, _MAX,
-                                       "finite")
-        lower = -_MAX if lower_bound is None else lower_bound
-        if min(vals) < lower:
-            raise ValueError(f"sample value {min(vals)} below lower bound {lower}")
+        if max(vals) > 1.0:
+            raise ValueError(f"sample value {max(vals)} exceeds upper bound 1.0")
+        if min(vals) < 0.0:
+            raise ValueError(f"sample value {min(vals)} below lower bound 0.0")
         self.values = vals
-        self.upper_bound = b
-        self.lower_bound = lower_bound
         self._mean = self._mean_sq = None  # computed on first use
 
     @classmethod
     def unit(cls, values: Sequence[float]) -> "Sample":
-        """A sample declared to live in [0, 1]."""
-        return cls(values, upper_bound=1.0, lower_bound=0.0)
-
-    @property
-    def is_unit_range(self) -> bool:
-        return self.lower_bound == 0.0 and self.upper_bound == 1.0
+        """A sample declared to live in [0, 1], as every ``Sample`` is."""
+        return cls(values)
 
     @property
     def n(self) -> int:
@@ -81,39 +66,16 @@ class Sample:
     @property
     def mean(self) -> float:
         if self._mean is None:
-            self._mean = _mean_of_powers(self.values, 1)
+            self._mean = math.fsum(self.values) / self.n
         return self._mean
 
     @property
     def mean_sq(self) -> float:
-        """The mean of the squared values; ``inf`` only when that mean is
-        past the float range."""
+        """The mean of the squared values."""
         if self._mean_sq is None:
-            self._mean_sq = _mean_of_powers(self.values, 2)
+            self._mean_sq = math.fsum(
+                map(operator.mul, self.values, self.values)) / self.n
         return self._mean_sq
-
-
-def _mean_of_powers(values: tuple, power: int) -> float:
-    """The mean of v**power (``power`` 1 or 2) over finite ``values``:
-    ``math.fsum`` of the terms over n wherever that sum stays finite, and
-    otherwise the same mean over the values scaled by a power of two."""
-    n = len(values)
-    try:
-        mean = math.fsum(values if power == 1
-                         else map(operator.mul, values, values)) / n
-    except OverflowError:  # a partial sum passed the float range
-        mean = math.inf
-    if not math.isinf(mean):
-        return mean
-    # 2**-k keeps n terms below the float range and scales each exactly,
-    # save for terms that underflow, far below the sum
-    k = n.bit_length() + 512 * (power - 1)
-    scaled = [math.ldexp(v, -k) for v in values]
-    try:
-        return math.ldexp(math.fsum(scaled if power == 1 else map(
-            operator.mul, scaled, scaled)) / n, k * power)
-    except OverflowError:  # the mean of squares is past the float range
-        return math.inf
 
 
 class SplitGrid:
@@ -172,30 +134,21 @@ class LambdaGrid:
         return len(self.lambdas)
 
     @classmethod
-    def default(cls, n: int, delta: float, b: float) -> "LambdaGrid":
-        """The geometric grid {1/(2b), 1/(4b), ..., 1/(2^k b)} with
+    def default(cls, n: int, delta: float) -> "LambdaGrid":
+        """The geometric grid {1/2, 1/4, ..., 1/2^k} with
         k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), forced >= 1.  Below
         delta = 1 / DBL_MAX, 1 / delta overflows and the ratio is 0: k = 1."""
         _check_delta(delta)
         _check_count(n, "n")
-        b = _check_rate(b, "b")
         ratio = math.sqrt(n / math.log(1.0 / delta)) / 2.0
         k = max(1, math.ceil(math.log2(max(ratio, 1.0))))
-        return cls([0.5 ** i / b for i in range(1, k + 1)])
+        return cls([0.5 ** i for i in range(1, k + 1)])
 
 
-def _log_sides_over_delta(delta: float, sides: str) -> float:
-    """ln(sides/delta) with sides "one" (1) or "two" (2): the Hoeffding budget."""
-    _check_delta(delta)
-    if sides not in ("one", "two"):
-        raise ValueError(f"sides must be 'one' or 'two', got {sides!r}")
-    return math.log((1.0 if sides == "one" else 2.0) / delta)
-
-
-def hoeffding_radius(n: int, delta: float, sides: str = "one") -> float:
-    """Hoeffding confidence radius sqrt(ln(sides/delta) / (2n)) for the mean
-    of n iid [0,1]-valued variables."""
-    numer = _log_sides_over_delta(delta, sides)
+def hoeffding_radius(n: int, delta: float) -> float:
+    """Hoeffding confidence radius sqrt(ln(1/delta) / (2n)) for the mean of
+    n iid [0,1]-valued variables."""
+    numer = math.log(1.0 / _check_delta(delta))
     return math.sqrt(numer / (2.0 * _check_count(n, "n")))
 
 
@@ -203,38 +156,27 @@ def hoeffding_mean_bound(p_hat: float, n: int, delta: float) -> BoundResult:
     """One-sided Hoeffding upper bound min(1, p_hat + sqrt(ln(1/delta)/(2n)))
     on the mean of n iid [0,1]-valued variables with empirical mean p_hat."""
     p_hat = _check_unit(p_hat, "p_hat")
-    radius = hoeffding_radius(n, delta, "one")
+    radius = hoeffding_radius(n, delta)
     return BoundResult(min(1.0, p_hat + radius), delta, "hoeffding",
                        {"radius": radius, "p_hat": p_hat, "n": n})
 
 
-def kl_mean_bound(p_hat: float, n: int, delta: float, variant: str = "direct",
-                  direction: str = "upper") -> BoundResult:
-    """kl confidence bound on a Bernoulli/[0,1] mean.
-
-    ``direct`` inverts kl at budget ln(1/delta)/n; ``via_lemma`` at the
-    slightly larger ln(2 sqrt(n)/delta)/n that a uniform (two-sided-capable)
-    argument costs.
-    """
+def kl_mean_bound(p_hat: float, n: int, delta: float) -> BoundResult:
+    """kl upper bound on a Bernoulli/[0,1] mean: kl inverted from above at
+    the budget ln(1/delta)/n."""
     _check_delta(delta)
     _check_count(n, "n")
-    if variant == "direct":
-        eps = math.log(1.0 / delta) / n
-    elif variant == "via_lemma":
-        eps = math.log(2.0 * math.sqrt(n) / delta) / n
-    else:
-        raise ValueError(f"variant must be 'direct' or 'via_lemma', got {variant!r}")
-    value = kl_inverse(p_hat, eps, direction)
-    return BoundResult(value, delta, f"kl-{variant}-{direction}",
+    eps = math.log(1.0 / delta) / n
+    return BoundResult(kl_inverse(p_hat, eps), delta, "kl-direct-upper",
                        {"eps": eps, "p_hat": p_hat, "n": n})
 
 
 def split_kl_mean_bound(sample: Sample, grid: SplitGrid, delta: float) -> BoundResult:
-    """Split-kl upper bound on the mean of a sample in [b_0, b_K].
+    """Split-kl upper bound on the mean of a sample with values in [b_0, b_K].
 
     Decomposes each value into segment components, applies the kl inverse per
     segment with the shared budget ln(K/delta)/n, and reassembles:
-    b_0 + sum_j alpha_j * kl_inverse(p_hat_{|j}, ln(K/delta)/n, upper).
+    b_0 + sum_j alpha_j * kl_inverse(p_hat_{|j}, ln(K/delta)/n).
     """
     _check_delta(delta)
     if min(sample.values) < grid.points[0] or max(sample.values) > grid.points[-1]:
@@ -256,7 +198,7 @@ def _split_kl_sum(b0: float, alphas: Sequence[float], means: Sequence[float],
     shared by the mean and recursive split-kl bounds."""
     value = b0
     for alpha, mean in zip(alphas, means):
-        value += alpha * kl_inverse(mean, eps, "upper")
+        value += alpha * kl_inverse(mean, eps)
     return value
 
 
@@ -272,11 +214,9 @@ def sample_variance(sample: Sample) -> float:
 
 
 def empirical_bernstein_mean_bound(sample: Sample, delta: float) -> BoundResult:
-    """Empirical Bernstein bound for a [0,1]-valued sample:
+    """Empirical Bernstein bound:
     p_hat + sqrt(2 nu_hat ln(2/delta)/n) + 7 ln(2/delta)/(3(n-1))."""
     _check_delta(delta)
-    if not sample.is_unit_range:
-        raise ValueError("empirical Bernstein expects a [0,1]-valued sample")
     n = sample.n
     nu_hat = sample_variance(sample)  # checks n >= 2
     budget = math.log(2.0 / delta)
@@ -296,39 +236,29 @@ def psi(u: float) -> float:
 
 def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
                                     grid: Optional[LambdaGrid] = None) -> BoundResult:
-    """Unexpected Bernstein bound: min over lambda in the grid of
-    p_hat + psi(-lambda b)/(lambda b) * s_n/b + ln(k/delta)/(lambda n),
-    where s_n is the mean of squares and b the sample's upper bound.
-
-    s_n/b is summed as the mean of v * (v / b): it stays finite wherever the
-    bound does, and normal where b * b and the squares underflow."""
+    """Unexpected Bernstein bound: min(1, min over lambda in the grid of
+    p_hat + psi(-lambda b)/(lambda b) * s_n/b + ln(k/delta)/(lambda n)) at
+    the samples' upper end b = 1, where s_n is the mean of squares; the
+    ``s_n_over_b`` detail and the lambda limit 1/b keep the general names."""
     _check_delta(delta)
-    # b below the smallest normal float overflows the default grid's 0.5 / b
-    b = _check_range(sample.upper_bound, "upper bound b", sys.float_info.min,
-                     _MAX, f">= {sys.float_info.min} and finite")
     n = sample.n
     if grid is None:
-        grid = LambdaGrid.default(n, delta, b)
-    if max(grid.lambdas) >= 1.0 / b:
+        grid = LambdaGrid.default(n, delta)
+    if max(grid.lambdas) >= 1.0:
         raise ValueError("every lambda must be < 1/b")
-    # v * (v / b) is v * v at b = 1, whose mean the sample already holds
-    s_n_over_b = (sample.mean_sq if b == 1.0 else _mean_of_powers(
-        tuple(v * (v / b) for v in sample.values), 1))
+    s_n = sample.mean_sq
     p_hat = sample.mean
     budget = math.log(grid.k / delta)
     best_value = math.inf
     best_lambda = grid.lambdas[0]
     for lam in grid.lambdas:
-        value = (p_hat + psi(-lam * b) / (lam * b) * s_n_over_b
-                 + budget / (lam * n))
+        value = p_hat + psi(-lam) / lam * s_n + budget / (lam * n)
         if value < best_value:
             best_value = value
             best_lambda = lam
-    if sample.is_unit_range:
-        best_value = min(1.0, best_value)
-    return BoundResult(best_value, delta, "unexpected-bernstein",
+    return BoundResult(min(1.0, best_value), delta, "unexpected-bernstein",
                        {"lambda": best_lambda, "k": grid.k,
-                        "s_n_over_b": s_n_over_b, "n": n})
+                        "s_n_over_b": s_n, "n": n})
 
 
 def kl_mgf_exact(n: int, p: float) -> float:

@@ -186,15 +186,15 @@ def categorical_kl(rho: Sequence[float], pi: Sequence[float]) -> float:
     return total
 
 
-def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
-    """Numerically invert kl(p_hat || q) <= eps.
+def kl_inverse(p_hat: float, eps: float) -> float:
+    """Numerically invert kl(p_hat || q) <= eps from above.
 
-    ``upper`` returns max{q in [p_hat, 1] : kl(p_hat||q) <= eps}; ``lower``
-    the min over [0, p_hat].  Bisection works because kl(p_hat||q) is convex
-    in q with a minimum of zero at q = p_hat, hence monotone on each side.
-    The loop compares ``_kl_interior``'s two terms with ``eps`` inline and
-    without its ``max(., 0.0)`` clamp, which decides the same way: the sum
-    differs at most in the sign of a zero, and ``eps >= 0``.
+    Returns max{q in [p_hat, 1] : kl(p_hat||q) <= eps}.  Bisection works
+    because kl(p_hat||q) is convex in q with a minimum of zero at q = p_hat,
+    hence increasing on [p_hat, 1].  The loop compares ``_kl_interior``'s two
+    terms with ``eps`` inline and without its ``max(., 0.0)`` clamp, which
+    decides the same way: the sum differs at most in the sign of a zero, and
+    ``eps >= 0``.
 
     The loop spends its logs only near the root.  ``_kl_window`` certifies
     a window (a, b) around it, and the loop moves lo to a mid <= a and hi
@@ -205,120 +205,113 @@ def kl_inverse(p_hat: float, eps: float, direction: str = "upper") -> float:
 
     - Let t1, t2 be the formula's terms, g their sum and E = _KL_ERR
       (|t1| + |t2| + 1), which bounds g's rounding error many times over.
-    - The end on p_hat's side, c, has g(c) + 2E(c) <= eps.  Between p_hat
-      and c the true kl is at most kl(c), being convex with its minimum
-      within an ulp of p_hat, and E is at most E(c), since |t1| and |t2|
-      grow away from p_hat; so the formula finds every mid there feasible.
-    - The far end, f, has g(f) - 2E(f) > eps and lies more than _KL_ERR
-      from p_hat, which keeps kl - E growing beyond f; so the formula finds
-      every mid beyond f infeasible.
+    - The low end, a, has g(a) + 2E(a) <= eps.  Between p_hat and a the
+      true kl is at most kl(a), being convex with its minimum within an ulp
+      of p_hat, and E is at most E(a), since |t1| and |t2| grow away from
+      p_hat; so the formula finds every mid there feasible.
+    - The high end, b, has g(b) - 2E(b) > eps and lies more than _KL_ERR
+      above p_hat, which keeps kl - E growing beyond b; so the formula
+      finds every mid beyond b infeasible.
 
-    An end whose check fails is the bracket's own: the end on p_hat's side
-    for an eps below about 1e-13, and both ends, which leave the plain
-    bisection, for a root within rounding of p_hat.
+    An end whose check fails is the bracket's own: the low end for an eps
+    below about 1e-13, and both ends, which leave the plain bisection, for
+    a root within rounding of p_hat.
     """
     p_hat = _check_unit(p_hat, "p_hat")
     eps = _check_nonneg(eps, "eps", inf_ok=True)
-    if direction not in ("upper", "lower"):
-        raise ValueError(f"direction must be 'upper' or 'lower', got {direction!r}")
-
-    upper = direction == "upper"
-    edge = 1.0 if upper else 0.0
-    if math.isinf(eps) or p_hat == edge:
-        return edge
-    if p_hat == 1.0 - edge:
-        # kl(0||q) = -ln(1-q) and kl(1||q) = -ln q, solved in closed form.
-        return 1.0 - math.exp(-eps) if upper else math.exp(-eps)
-    # p_hat is interior here, so kl(p_hat||edge) = inf > eps: the edge is
-    # infeasible and p_hat's end of the bracket stays feasible.  Every mid
-    # lies strictly between lo and hi (hi - lo > BISECT_TOL is far above an
-    # ulp), so it is interior too and the unchecked formula applies.
-    lo, hi = (p_hat, 1.0) if upper else (0.0, p_hat)
+    if math.isinf(eps) or p_hat == 1.0:
+        return 1.0
+    if p_hat == 0.0:
+        # kl(0||q) = -ln(1-q), solved in closed form.
+        return 1.0 - math.exp(-eps)
+    # p_hat is interior here, so kl(p_hat||1) = inf > eps: 1 is infeasible
+    # and p_hat stays feasible.  Every mid lies strictly between lo and hi
+    # (hi - lo > BISECT_TOL is far above an ulp), so it is interior too and
+    # the unchecked formula applies.
+    lo, hi = p_hat, 1.0
     q_hat, log = 1.0 - p_hat, math.log
-    a, b = _kl_window(p_hat, q_hat, eps, lo, hi, edge)
+    a, b = _kl_window(p_hat, q_hat, eps)
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
         if mid <= a or mid < b and (
                 p_hat * log(p_hat / mid) + q_hat * log(q_hat / (1.0 - mid))
-                <= eps) == upper:
+                <= eps):
             lo = mid
         else:
             hi = mid
-    return lo if upper else hi
+    return lo
 
 
-def _kl_window(p_hat, q_hat, eps, lo, hi, edge):
+def _kl_window(p_hat, q_hat, eps):
     """kl_inverse's window (a, b) for an interior p_hat: each end is a
-    certified point or the bracket's own end.
+    certified point or the bracket's own end, p_hat or 1.
 
-    Newton's method finds the root x first, in t = -ln|q - edge|.  In t the
-    kl is convex and tends to a line toward the edge: a step from the near
-    side lands on the far side, the steps from there fall monotonically
-    onto the root, and none reaches the edge (an iterate that rounds onto
-    it ends the iteration).  The start is the root's series to the order
-    eps**1.5, and where that lies outside the bracket, the point at t-distance
-    (sqrt(2 p_hat q_hat eps) + eps/2) / |edge - p_hat| from p_hat.  The
-    iteration stops once the next step's error, from the curvature, is below
-    a sixteenth of h = 8E/|kl'| + 2**-50 x, and the window is x -+ h.
+    Newton's method finds the root x first, in t = -ln(1 - q).  In t the
+    kl is convex and tends to a line toward 1: a step from the near side
+    lands on the far side, the steps from there fall monotonically onto the
+    root, and none reaches 1 (an iterate that rounds onto it ends the
+    iteration).  The start is the root's series to the order eps**1.5, and
+    where that lies outside the bracket, the point at t-distance
+    (sqrt(2 p_hat q_hat eps) + eps/2) / q_hat from p_hat.  The iteration
+    stops once the next step's error, from the curvature, is below a
+    sixteenth of h = 8E/kl' + 2**-50 x, and the window is x -+ h.
     """
     log, exp = math.log, math.exp
-    w, pq = abs(p_hat - edge), p_hat * q_hat
+    pq = p_hat * q_hat
     d0 = math.sqrt(2.0 * pq * eps)
-    d = d0 + eps * (d0 * (1.0 - 13.0 * pq) / (18.0 * pq) + (2.0 * w - 1.0) / 1.5)
-    f = 1.0 - d / w
+    d = d0 + eps * (d0 * (1.0 - 13.0 * pq) / (18.0 * pq)
+                    + (2.0 * q_hat - 1.0) / 1.5)
+    f = 1.0 - d / q_hat
     if not 0.0 < f < 1.0:
-        f = exp(-(d0 + 0.5 * eps) / w)
-    x = edge + (p_hat - edge) * f
-    if x == edge:
-        x = math.nextafter(edge, p_hat)
-    # past _KL_ERR from p_hat, t1 has the sign of p_hat - edge, t2 and slope
-    # that of side = edge - p_hat; the kl's t-derivative is -slope s > 0,
-    # and k is its second derivative over it
-    side = 2.0 * edge - 1.0
+        f = exp(-(d0 + 0.5 * eps) / q_hat)
+    x = 1.0 - q_hat * f
+    if x == 1.0:
+        x = _BELOW_ONE
+    # past _KL_ERR above p_hat, t1 is negative and t2 and slope positive;
+    # the kl's t-derivative is -slope s > 0, and k is its second derivative
+    # over it
     for _ in range(BISECT_MAX_ITER):
-        if not (lo < x < hi and (x - p_hat) * side > _KL_ERR):
-            return lo, hi
-        s, u, v = x - edge, p_hat / x, q_hat / (1.0 - x)
+        if not (x < 1.0 and x - p_hat > _KL_ERR):
+            return p_hat, 1.0
+        s, u, v = x - 1.0, p_hat / x, q_hat / (1.0 - x)
         t1, t2, slope = p_hat * log(u), q_hat * log(v), v - u
-        err = _KL_ERR * ((t2 - t1) * side + 1.0)
+        err = _KL_ERR * (t2 - t1 + 1.0)
         k = -(u * (s / x) + v * (s / (1.0 - x))) / slope - 1.0
         dt = (t1 + t2 - eps) / -(slope * s)
         # exp overflows past 709, so a step is cut to dt = 700
-        x = edge + s * exp(700.0 if dt > 700.0 else dt)
-        if x == edge or -err <= k * dt * dt * s * slope <= err:
+        x = 1.0 + s * exp(700.0 if dt > 700.0 else dt)
+        if x == 1.0 or -err <= k * dt * dt * s * slope <= err:
             break
     else:
-        return lo, hi
-    h = 8.0 * err / (slope * side) + x * 2.0 ** -50
-    # each of x -+ h that the loop would certainly find feasible is an end
-    # on p_hat's side, and each it would certainly find infeasible one
-    # beyond the root; rounding could decide the rest either way
-    a, b = lo, hi
+        return p_hat, 1.0
+    h = 8.0 * err / slope + x * 2.0 ** -50
+    # each of x -+ h that the loop would certainly find feasible is a low
+    # end, and each it would certainly find infeasible a high end; rounding
+    # could decide the rest either way
+    a, b = p_hat, 1.0
     for y in (x - h, x + h):
-        if lo < y < hi and abs(y - p_hat) > _KL_ERR:
+        if y < 1.0 and y - p_hat > _KL_ERR:
             t1 = p_hat * log(p_hat / y)
             t2 = q_hat * log(q_hat / (1.0 - y))
             e = 2.0 * _KL_ERR * (abs(t1) + abs(t2) + 1.0)
             if t1 + t2 + e <= eps:
-                a, b = (y, b) if edge else (a, y)
+                a = y
             elif t1 + t2 - e > eps:
-                a, b = (a, y) if edge else (y, b)
+                b = y
     return a, b
 
 
 def pinsker_relaxations(p_hat: float, eps: float) -> tuple:
-    """Closed-form relaxations of the kl upper/lower inverse.
+    """Closed-form relaxations of the kl upper inverse.
 
-    Returns (plain, refined_upper, refined_lower):
-      plain          = min(1, p_hat + sqrt(eps/2))
-      refined_upper  = min(1, p_hat + sqrt(2 p_hat eps) + 2 eps)
-      refined_lower  = max(0, p_hat - sqrt(2 p_hat eps))
+    Returns (plain, refined):
+      plain    = min(1, p_hat + sqrt(eps/2))
+      refined  = min(1, p_hat + sqrt(2 p_hat eps) + 2 eps)
     """
     p_hat = _check_unit(p_hat, "p_hat")
     eps = _check_nonneg(eps, "eps", inf_ok=True)
     plain = min(1.0, p_hat + math.sqrt(eps / 2.0))
-    refined_upper = min(1.0, p_hat + math.sqrt(2.0 * p_hat * eps) + 2.0 * eps)
-    refined_lower = max(0.0, p_hat - math.sqrt(2.0 * p_hat * eps))
-    return plain, refined_upper, refined_lower
+    refined = min(1.0, p_hat + math.sqrt(2.0 * p_hat * eps) + 2.0 * eps)
+    return plain, refined

@@ -227,6 +227,11 @@ def make_ucb_breaker(T: int, K: int = 2, *, parametrization: str = "improved",
     other arm gets a high one.  Rewards are interior to [0, 1] with small
     per-arm offsets so no two arms tie within a round.  Returns the matrix
     and the predicted UCB1 trajectory; validated by simulation, not proved.
+
+    Under either parametrization the simulated UCB1 plays the round robin
+    t mod K until its radius gap falls under the 1e-6 offsets.  That
+    happens first for "improved", at round 27339 for K = 2 and 25787 for
+    K = 3, so ``parametrization`` changes the bytes of long games only.
     """
     _check_count(T, "T", 2 * _check_count(K, "K"))
     low, high = 0.1, 0.9

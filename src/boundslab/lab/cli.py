@@ -149,7 +149,7 @@ def _cmd_selftest(args) -> int:
 
     checks = []
 
-    value = kl_inverse(0.3, 0.05, "upper")
+    value = kl_inverse(0.3, 0.05)
     checks.append(("kl inverse round trip",
                    abs(binary_kl(0.3, value) - 0.05) < 1e-9))
 

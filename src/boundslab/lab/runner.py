@@ -251,7 +251,7 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
         def point(p_hat):
             hoeff = hoeffding_mean_bound(p_hat, n, delta).value
             kl = kl_mean_bound(p_hat, n, delta)
-            plain, refined, _ = pinsker_relaxations(p_hat, kl.detail["eps"])
+            plain, refined = pinsker_relaxations(p_hat, kl.detail["eps"])
             return hoeff, plain, refined, kl.value
     elif family == "split_kl":
         # ternary sample on {0, 1/2, 1}: x is the fraction of 1/2-values,

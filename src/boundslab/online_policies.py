@@ -59,6 +59,12 @@ def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
               for v in cum_losses]
     if not losses:
         raise ValueError("cum_losses must be nonempty")
+    if max(losses) - min(losses) == math.inf:
+        # halve the losses and double the rate.  The spread overflows only
+        # for a min of -2**970 or below, so a halved gap that is not 0 is
+        # at least 2**917, and past a rate of _MAX / 2 its product with the
+        # capped rate is inf, as with the true one
+        return _hedge_weights([0.5 * v for v in losses], min(2.0 * eta, _MAX))
     return _hedge_weights(losses, eta)
 
 

@@ -109,13 +109,13 @@ class PacBayesQuery:
 
 def pb_kl_bound(q: PacBayesQuery, emp_loss: float) -> BoundResult:
     """PAC-Bayes-kl upper bound:
-    kl_inverse(emp_loss, (KL(rho||pi) + ln(2 sqrt(n)/delta)) / n, upper)."""
+    kl_inverse(emp_loss, (KL(rho||pi) + ln(2 sqrt(n)/delta)) / n)."""
     emp_loss = _check_unit(emp_loss, "emp_loss")
     kl_term = q.kl_term
     if math.isinf(kl_term):
         return BoundResult(1.0, q.delta, "pb-kl", {"kl": kl_term})
     eps = (kl_term + math.log(2.0 * math.sqrt(q.n) / q.delta)) / q.n
-    value = kl_inverse(emp_loss, eps, "upper")
+    value = kl_inverse(emp_loss, eps)
     return BoundResult(value, q.delta, "pb-kl",
                        {"kl": kl_term, "eps": eps, "emp_loss": emp_loss})
 
@@ -289,7 +289,7 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             emp = min(1.0, max(0.0, float(np.dot(pi_star.weights,
                                                  losses.mean(axis=1)))))
             kl_term = categorical_kl(pi_star, pi_prev)
-            bound = kl_inverse(emp, (kl_term + complexity) / n_val, "upper")
+            bound = kl_inverse(emp, (kl_term + complexity) / n_val)
             stage = RecursiveStage(t, n_t, n_val, 0.0, pi_star, (0.0, 1.0),
                                    None, bound)
         else:

@@ -61,9 +61,9 @@ def test_criterion_01_bound_curves():
     start = time.perf_counter()
     n, delta = 1000, 0.01
     eps = math.log(1.0 / delta) / n
-    radius = hoeffding_radius(n, delta, "one")
+    radius = hoeffding_radius(n, delta)
     hoeff_at_zero = radius
-    kl_at_zero = kl_inverse(0.0, eps, "upper")
+    kl_at_zero = kl_inverse(0.0, eps)
     values_ok = (abs(hoeff_at_zero - 0.047985) <= 1e-6
                  and abs(kl_at_zero - 0.0045946) <= 1e-6)
     # the exact inversion is at least as tight as every relaxation at all
@@ -71,14 +71,14 @@ def test_criterion_01_bound_curves():
     ordering_ok = True
     for i in range(1001):
         p_hat = i / 1000
-        kl = kl_inverse(p_hat, eps, "upper")
-        plain, refined, _ = pinsker_relaxations(p_hat, eps)
+        kl = kl_inverse(p_hat, eps)
+        plain, refined = pinsker_relaxations(p_hat, eps)
         clipped_hoeffding = min(1.0, p_hat + radius)
         if not (kl <= refined + 1e-12 and kl <= plain + 1e-12
                 and kl <= clipped_hoeffding + 1e-12):
             ordering_ok = False
             break
-    _, refined_zero, _ = pinsker_relaxations(0.0, eps)
+    _, refined_zero = pinsker_relaxations(0.0, eps)
     chain_at_zero = kl_at_zero < refined_zero < min(
         pinsker_relaxations(0.0, eps)[0], hoeff_at_zero) + 1e-15
     elapsed = time.perf_counter() - start

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -28,11 +27,10 @@ from boundslab.divergences import binary_kl, kl_inverse
 
 class TestHoeffding:
     def test_radius_values(self):
-        assert math.isclose(hoeffding_radius(1000, 0.01, "one"), 0.047985, abs_tol=1e-6)
-        assert math.isclose(hoeffding_radius(1000, 0.01, "two"), 0.051470, abs_tol=1e-6)
+        assert math.isclose(hoeffding_radius(1000, 0.01), 0.047985, abs_tol=1e-6)
 
     def test_radius_round_trip(self):
-        r = hoeffding_radius(400, 0.03, "one")
+        r = hoeffding_radius(400, 0.03)
         assert math.isclose(math.exp(-2 * 400 * r * r), 0.03, rel_tol=1e-12)
 
     def test_domain(self):
@@ -54,32 +52,30 @@ class TestHoeffding:
 
 
 class TestKlMeanBound:
+    @pytest.mark.parametrize("p_hat, n, delta", [
+        (0.0, 1, 0.5), (0.37, 100, 0.05), (1.0 - 2.0 ** -53, 10 ** 6, 1e-9)])
+    def test_is_kl_inverse_at_its_budget(self, p_hat, n, delta):
+        eps = math.log(1.0 / delta) / n
+        res = kl_mean_bound(p_hat, n, delta)
+        assert res == BoundResult(kl_inverse(p_hat, eps), delta,
+                                  "kl-direct-upper",
+                                  {"eps": eps, "p_hat": p_hat, "n": n})
+
     def test_closed_form_at_zero(self):
-        res = kl_mean_bound(0.0, 1000, 0.01, "direct", "upper")
+        res = kl_mean_bound(0.0, 1000, 0.01)
         assert math.isclose(res.value, 1 - math.exp(-math.log(100) / 1000), rel_tol=1e-9)
         assert math.isclose(res.value, 0.0045946, abs_tol=1e-6)
 
-    def test_symmetry_at_half(self):
-        up = kl_mean_bound(0.5, 200, 0.05, "direct", "upper").value
-        lo = kl_mean_bound(0.5, 200, 0.05, "direct", "lower").value
-        assert math.isclose(up + lo, 1.0, abs_tol=1e-8)
-
-    def test_via_lemma_budget(self):
-        res = kl_mean_bound(0.1, 1000, 0.01, "via_lemma", "upper")
-        expected_eps = math.log(2 * math.sqrt(1000) / 0.01) / 1000
-        assert math.isclose(res.detail["eps"], expected_eps, rel_tol=1e-12)
-        assert res.value == pytest.approx(kl_inverse(0.1, expected_eps, "upper"))
-
     def test_matches_inversion(self):
-        res = kl_mean_bound(0.1, 1000, 0.01, "direct", "upper")
+        res = kl_mean_bound(0.1, 1000, 0.01)
         assert abs(binary_kl(0.1, res.value) - math.log(100) / 1000) < 1e-9
 
     def test_kl_never_looser_than_hoeffding(self):
         for n in (10, 100, 1000):
             for delta in (0.5, 0.05, 0.01):
-                radius = hoeffding_radius(n, delta, "one")
+                radius = hoeffding_radius(n, delta)
                 for p_hat in np.linspace(0, 1, 21):
-                    kl_b = kl_mean_bound(float(p_hat), n, delta, "direct", "upper").value
+                    kl_b = kl_mean_bound(float(p_hat), n, delta).value
                     assert kl_b <= p_hat + radius + 1e-9
 
 
@@ -140,7 +136,7 @@ class TestSplitKlBound:
         values = [0, 1, 1, 0, 1, 0, 0, 0, 1, 1]
         sample = Sample.unit(values)
         res = split_kl_mean_bound(sample, SplitGrid([0.0, 1.0]), 0.05)
-        ref = kl_mean_bound(sample.mean, sample.n, 0.05, "direct", "upper")
+        ref = kl_mean_bound(sample.mean, sample.n, 0.05)
         assert math.isclose(res.value, ref.value, abs_tol=1e-10)
 
     def test_ternary_all_half(self):
@@ -174,13 +170,15 @@ class TestSplitKlBound:
         assert res.detail["segment_means"] == means
         value = grid.points[0]
         for alpha, mean in zip(grid.alphas, means):
-            value += alpha * kl_inverse(mean, res.detail["eps"], "upper")
+            value += alpha * kl_inverse(mean, res.detail["eps"])
         assert res.value == value
 
-    def test_out_of_range_sample(self):
-        with pytest.raises(ValueError):
-            split_kl_mean_bound(Sample([1.5], upper_bound=2.0),
-                                SplitGrid([0.0, 1.0]), 0.05)
+    @pytest.mark.parametrize("value", [0.1, 0.9])
+    def test_out_of_range_sample(self, value):
+        with pytest.raises(ValueError, match=r"^sample values must lie "
+                           r"within \[b_0, b_K\]$"):
+            split_kl_mean_bound(Sample([value]), SplitGrid([0.2, 0.5, 0.8]),
+                                0.05)
 
 
 class TestEmpiricalBernstein:
@@ -216,93 +214,49 @@ class TestUnexpectedBernstein:
         assert math.isclose(psi(-0.5), 0.193147, abs_tol=1e-6)
 
     def test_default_grid(self):
-        grid = LambdaGrid.default(100, 0.05, 1.0)
+        grid = LambdaGrid.default(100, 0.05)
         assert grid.k == 2
         assert grid.lambdas == (0.5, 0.25)
 
-    def test_default_grid_at_the_largest_upper_bound(self):
-        # 2**i * b overflows at b = max float, and 1 / inf is 0.0; the grid
-        # is 2**-i / b, the same doubles wherever 2**i * b is finite
-        big = sys.float_info.max
-        assert all(lam > 0.0 for lam in LambdaGrid.default(10 ** 6, 0.05,
-                                                            big).lambdas)
-        res = unexpected_bernstein_mean_bound(Sample([big, big], big), 0.05)
-        assert res.detail["lambda"] == 0.5 / big
-        bs = [1e-300, 0.5, 1.0, 3.0, 1e300,
-              *(np.random.default_rng(21).random(200) * 100).tolist()]
-        for b in bs:
-            assert LambdaGrid.default(10 ** 6, 0.05, b).lambdas == tuple(
-                1.0 / (2.0 ** i * b) for i in range(1, 10))
+    def test_default_grid_is_the_halving_grid(self):
+        # k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), at least 1; at
+        # delta = 5e-324, 1 / delta overflows and k is 1
+        for n, delta, k in [(1, 0.5, 1), (10, 0.05, 1), (100, 0.05, 2),
+                            (10 ** 6, 0.05, 9), (10 ** 6, 1e-300, 5),
+                            (10 ** 6, 5e-324, 1)]:
+            assert LambdaGrid.default(n, delta).lambdas == tuple(
+                0.5 ** i for i in range(1, k + 1))
 
-    def test_upper_bound_below_the_smallest_normal_float(self):
-        # the default grid's 0.5 / b overflows at a subnormal b, which is
-        # named before any lambda is built
-        tiny = sys.float_info.min
-        with pytest.raises(ValueError) as caught:
-            unexpected_bernstein_mean_bound(Sample([0.0, 5e-324], 5e-324), 0.05)
-        assert str(caught.value) == (
-            f"upper bound b must be >= {tiny} and finite, got 5e-324")
-        res = unexpected_bernstein_mean_bound(Sample([0.0, tiny], tiny), 0.05)
-        assert res.detail["lambda"] == 0.5 / tiny
-        assert 0.5 * tiny < res.value < 1e-307
-
-    @pytest.mark.parametrize("b", [5e-324, 1e-310,
-                                   math.nextafter(sys.float_info.min, 0.0)])
-    def test_a_subnormal_upper_bound_is_named(self, b):
-        with pytest.raises(ValueError) as caught:
-            unexpected_bernstein_mean_bound(Sample([0.0, b], b), 0.05)
-        assert str(caught.value) == (
-            f"upper bound b must be >= {sys.float_info.min} and finite, "
-            f"got {b}")
-
-    @pytest.mark.parametrize("b", [1e-300, 1e-160, 1e-150, 1e-10, 0.5, 3.0,
-                                   1e10, 1e150])
-    def test_the_default_bound_scales_with_b(self, b):
-        # X / b is a [0, 1] sample, and each term of the bound is b times
-        # its term there; below 1.5e-154 b^2 and the squares underflow, and
-        # the variance term still comes from the mean of X (X / b)
-        values = np.random.default_rng(23).random(200) * 0.5
-        unit = unexpected_bernstein_mean_bound(Sample.unit(values), 0.05)
-        assert unit.value < 1.0  # not capped
-        res = unexpected_bernstein_mean_bound(Sample(values * b, b), 0.05)
-        assert res.detail["lambda"] == unit.detail["lambda"] / b
-        assert math.isclose(res.value, b * unit.value, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("values, b", [
-        ([0.0, sys.float_info.min], sys.float_info.min),
-        ([0.0, 3 * sys.float_info.min], 3 * sys.float_info.min),
-        ([0.0, 1e-200], 1e-200),
-        ([0.0, 1e-160], 1e-160),
-        ([-0.5, 1e-160], 1e-160),
-        ([0.0, 1e160], 1e160),
-        ([0.2, 0.7, 1.0], 1.0),
-        ([-3.0, 1e10], 1e10),
+    @pytest.mark.parametrize("values", [
+        [0.0, 1.0], [0.2, 0.7, 1.0], [0.5] * 7, [0.0] * 5 + [1.0],
+        [5e-324, 1.0 - 2.0 ** -53], [1e-160, 0.0], [1.0] * 3,
+        (np.random.default_rng(23).random(200) * 0.5).tolist(),
     ])
-    def test_the_variance_term_matches_its_exact_value(self, values, b):
-        # b * b underflows from b = 1.5e-154 down to m, the smallest normal
-        # float, (v / b)^2 overflows at v = -0.5, b = 1e-160, and v^2 at
-        # v = 1e160; the bound is still its formula with s_n summed exactly,
-        # with psi and the log taken in floats
-        res = unexpected_bernstein_mean_bound(Sample(values, b), 0.05)
+    def test_the_bound_matches_its_exact_value(self, values):
+        # the formula with p_hat and s_n summed exactly, with psi and the
+        # log taken in floats, before the cap at 1
+        res = unexpected_bernstein_mean_bound(Sample(values), 0.05)
         lam, k = Fraction(res.detail["lambda"]), res.detail["k"]
         n = len(values)
         s_n = sum(Fraction(v) ** 2 for v in values) / n
         exact = (sum(map(Fraction, values)) / n
-                 + Fraction(psi(-res.detail["lambda"] * b))
-                 / (lam * Fraction(b) ** 2) * s_n
+                 + Fraction(psi(-res.detail["lambda"])) / lam * s_n
                  + Fraction(math.log(k / 0.05)) / (lam * n))
-        assert math.isclose(res.value, float(exact), rel_tol=1e-12)
+        assert res.detail["s_n_over_b"] == float(s_n)
+        assert math.isclose(res.value, min(1.0, float(exact)), rel_tol=1e-12)
 
     def test_grid_must_be_admissible(self):
-        sample = Sample([0.1, 0.2], upper_bound=0.5)
-        with pytest.raises(ValueError):
-            unexpected_bernstein_mean_bound(sample, 0.05, LambdaGrid([2.0]))
+        sample = Sample([0.1, 0.2])
+        for lam in (1.0, 2.0):
+            with pytest.raises(ValueError, match="^every lambda must be < 1/b$"):
+                unexpected_bernstein_mean_bound(sample, 0.05,
+                                                LambdaGrid([lam, 0.5]))
 
     def test_min_over_grid_matches_exhaustive(self):
         rng = np.random.default_rng(3)
         vals = rng.random(60)
         sample = Sample.unit(vals)
-        grid = LambdaGrid.default(60, 0.1, 1.0)
+        grid = LambdaGrid.default(60, 0.1)
         res = unexpected_bernstein_mean_bound(sample, 0.1, grid)
         budget = math.log(grid.k / 0.1)
         explicit = min(
@@ -349,7 +303,7 @@ class TestCoverage:
         N, n, delta, M = 100, 50, 0.05, 10_000
         population = rng.random(N)
         mu = population.mean()
-        radius = hoeffding_radius(n, delta, "one")
+        radius = hoeffding_radius(n, delta)
         idx = np.argsort(rng.random((M, N)), axis=1)[:, :n]
         means = population[idx].mean(axis=1)
         hold_rate = float(np.mean(means + radius >= mu))
@@ -360,9 +314,9 @@ class TestCoverage:
 class TestBoundResultAndSample:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            Sample([], upper_bound=1.0)
+            Sample([])
         with pytest.raises(ValueError):
-            Sample([1.2], upper_bound=1.0)
+            Sample([1.2])
         with pytest.raises(ValueError):
             Sample.unit([-0.1])
 
@@ -376,15 +330,39 @@ class TestBoundResultAndSample:
         empirical_bernstein_mean_bound(sample, 0.05)
         assert (sample.mean, sample.mean_sq) == first and len(calls) == 2
 
-    def test_mean_and_mean_sq_past_the_float_range(self):
-        # the sums overflow, the means do not, until the squares' mean does
-        big = sys.float_info.max
-        assert Sample([big, big], big).mean == big
-        assert Sample([big, big, -big], big).mean == big / 3
-        assert Sample([1.5e154, 0.0, 0.0, 0.0], 2e154).mean_sq \
-            == (1.5e154 / 2) ** 2
-        assert Sample([1.3e154, 1.3e154], 2e154).mean_sq == 1.3e154 ** 2
-        assert Sample([1e300, 0.0], 1e300).mean_sq == math.inf
+    def test_unit_is_the_plain_constructor(self):
+        values = [0.0, -0.0, 5e-324, 0.25, 1.0]
+        for sample in (Sample(values), Sample.unit(values)):
+            assert type(sample) is Sample and sample.values == tuple(values)
+        assert Sample.unit(np.array(values)).values == tuple(values)
+
+    @pytest.mark.parametrize("index", range(4))
+    def test_mean_and_mean_sq_are_within_an_ulp_of_exact(self, index):
+        # math.fsum rounds each sum once, and the division by n once more
+        sample = digest_samples()[index]
+        exact = [sum(map(Fraction, sample.values)) / sample.n,
+                 sum(Fraction(v) ** 2 for v in sample.values) / sample.n]
+        for got, want in zip((sample.mean, sample.mean_sq), exact):
+            assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want)))
+
+    @pytest.mark.parametrize("bound, method, keys", [
+        (lambda s: hoeffding_mean_bound(s.mean, s.n, 0.05), "hoeffding",
+         {"radius", "p_hat", "n"}),
+        (lambda s: kl_mean_bound(s.mean, s.n, 0.05), "kl-direct-upper",
+         {"eps", "p_hat", "n"}),
+        (lambda s: split_kl_mean_bound(s, SplitGrid([0.0, 0.5, 1.0]), 0.05),
+         "split-kl", {"eps", "segment_means", "K", "n"}),
+        (lambda s: empirical_bernstein_mean_bound(s, 0.05),
+         "empirical-bernstein", {"nu_hat", "n"}),
+        (lambda s: unexpected_bernstein_mean_bound(s, 0.05),
+         "unexpected-bernstein", {"lambda", "k", "s_n_over_b", "n"}),
+    ], ids=["hoeffding", "kl", "split_kl", "empirical_bernstein",
+            "unexpected_bernstein"])
+    def test_bound_result_method_and_detail_keys(self, bound, method, keys):
+        sample = Sample([0.0, 0.5, 1.0, 0.25, 0.5])
+        res = bound(sample)
+        assert (res.method, res.delta, set(res.detail)) == (method, 0.05, keys)
+        assert sample.mean <= res.value <= 1.0
 
     def test_bound_result_detail(self):
         res = BoundResult(0.5, 0.05, "demo", {"eps": 1.0})
@@ -426,34 +404,27 @@ class TestPinnedDigest:
 
 
 class TestSampleErrorContract:
-    @given(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.nan,
-                                     math.inf, -math.inf]), max_size=5),
-           st.sampled_from([1.0, 2.0, math.nan, math.inf, -math.inf]),
-           st.sampled_from([None, 0.0, -1.0, math.nan, -math.inf]))
-    @example([0.5], 1.0, math.nan)
-    @example([0.5], math.inf, None)
-    @example([-math.inf, 0.5], 1.0, None)
-    def test_messages_in_order(self, values, upper, lower):
-        # empty, then NaN, then the upper bound, then the lower bound; each
-        # bound must be finite, and with no lower bound the values must be
-        # at least -max float
+    @given(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 0.5, 1.0, 1.5,
+                                     -5e-324, -1.0, math.nan, math.inf,
+                                     -math.inf]), max_size=5))
+    @example([-math.inf, 0.5])
+    @example([math.inf, -math.inf])
+    def test_messages_in_order(self, values):
+        # empty, then NaN, then above 1, then below 0
         if not values:
             expected = "sample must be nonempty"
-        elif any(math.isnan(v) for v in values) or math.isnan(upper):
+        elif any(math.isnan(v) for v in values):
             expected = "sample values must not be NaN"
-        elif math.isinf(upper):
-            expected = f"upper_bound must be finite, got {upper}"
-        elif max(values) > upper:
-            expected = f"sample value {max(values)} exceeds upper bound {upper}"
-        elif lower is not None and not math.isfinite(lower):
-            expected = f"lower_bound must be finite, got {lower}"
-        elif min(values) < (floor := -sys.float_info.max if lower is None
-                            else lower):
-            expected = f"sample value {min(values)} below lower bound {floor}"
+        elif max(values) > 1.0:
+            expected = f"sample value {max(values)} exceeds upper bound 1.0"
+        elif min(values) < 0.0:
+            expected = f"sample value {min(values)} below lower bound 0.0"
         else:
-            sample = Sample(values, upper, lower)
-            assert sample.values == tuple(values) and sample.n == len(values)
+            for sample in (Sample(values), Sample.unit(values)):
+                assert sample.values == tuple(values)
+                assert sample.n == len(values)
             return
-        with pytest.raises(ValueError) as info:
-            Sample(values, upper, lower)
-        assert type(info.value) is ValueError and str(info.value) == expected
+        for make in (Sample, Sample.unit):
+            with pytest.raises(ValueError) as info:
+                make(values)
+            assert type(info.value) is ValueError and str(info.value) == expected

@@ -191,56 +191,47 @@ def grid_scan_upper(p_hat, eps, step=1e-6):
     return min(best, 1.0)
 
 
-def bisect_by_binary_kl(p_hat, eps, direction):
+def bisect_by_binary_kl(p_hat, eps):
     """kl_inverse's bisection for an interior p_hat, deciding each step by
     the public ``binary_kl(p_hat, mid) <= eps``."""
-    upper = direction == "upper"
-    lo, hi = (p_hat, 1.0) if upper else (0.0, p_hat)
+    lo, hi = p_hat, 1.0
     for _ in range(BISECT_MAX_ITER):
         if hi - lo <= BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if (binary_kl(p_hat, mid) <= eps) == upper:
+        if binary_kl(p_hat, mid) <= eps:
             lo = mid
         else:
             hi = mid
-    return lo if upper else hi
+    return lo
 
 
 class TestKlInverse:
     @given(st.floats(min_value=5e-324, max_value=1.0 - 2.0 ** -53),
            st.sampled_from([0.0, 5e-324, 1e-300])
-           | st.floats(min_value=1e-12, max_value=1e3),
-           st.sampled_from(["upper", "lower"]))
-    @example(5e-324, 0.0, "upper")
-    @example(5e-324, 1e3, "lower")
-    @example(1.0 - 2.0 ** -53, 5e-324, "upper")
-    @example(1.0 - 2.0 ** -53, 1e-300, "lower")
+           | st.floats(min_value=1e-12, max_value=1e3))
+    @example(5e-324, 0.0)
+    @example(5e-324, 1e3)
+    @example(1.0 - 2.0 ** -53, 5e-324)
+    @example(1.0 - 2.0 ** -53, 1e-300)
     # the window's edges: budgets too small to certify it, ...
-    @example(0.3, 1e-300, "upper")
-    @example(0.3, 1e-300, "lower")
-    @example(0.3, 1e-30, "upper")
-    @example(0.3, 1e-30, "lower")
-    @example(0.3, 1e-16, "upper")
-    @example(0.3, 1e-16, "lower")
-    # ... p_hat where p_hat + sqrt(eps/2) is past 1 (or p_hat - sqrt(eps/2)
-    # below 0), up to roots within rounding of the edge, ...
-    @example(0.95, BOUNDS_EPS, "upper")
-    @example(0.99, BOUNDS_EPS, "upper")
-    @example(0.9999, BOUNDS_EPS, "upper")
-    @example(1.0 - 1e-9, BOUNDS_EPS, "upper")
-    @example(0.01, BOUNDS_EPS, "lower")
-    @example(1e-9, BOUNDS_EPS, "lower")
+    @example(0.3, 1e-300)
+    @example(0.3, 1e-30)
+    @example(0.3, 1e-16)
+    # ... p_hat where p_hat + sqrt(eps/2) is past 1, up to roots within
+    # rounding of 1, ...
+    @example(0.95, BOUNDS_EPS)
+    @example(0.99, BOUNDS_EPS)
+    @example(0.9999, BOUNDS_EPS)
+    @example(1.0 - 1e-9, BOUNDS_EPS)
     # ... and the extreme interior p_hat
-    @example(5e-324, BOUNDS_EPS, "upper")
-    @example(5e-324, BOUNDS_EPS, "lower")
-    @example(1.0 - 2.0 ** -53, BOUNDS_EPS, "upper")
-    @example(1.0 - 2.0 ** -53, BOUNDS_EPS, "lower")
-    def test_bisection_decides_by_binary_kl(self, p_hat, eps, direction):
+    @example(5e-324, BOUNDS_EPS)
+    @example(1.0 - 2.0 ** -53, BOUNDS_EPS)
+    def test_bisection_decides_by_binary_kl(self, p_hat, eps):
         # the loop's inline, unclamped kl decides every step as binary_kl,
         # and a mid outside the window is decided as binary_kl would
-        assert (kl_inverse(p_hat, eps, direction).hex()
-                == bisect_by_binary_kl(p_hat, eps, direction).hex())
+        assert (kl_inverse(p_hat, eps).hex()
+                == bisect_by_binary_kl(p_hat, eps).hex())
 
     def test_seeded_sweep_decides_by_binary_kl(self):
         rng = np.random.default_rng(20260)
@@ -252,12 +243,9 @@ class TestKlInverse:
                            [far, 1.0 - 10.0 ** rng.uniform(-16.0, -0.3, n),
                             rng.random(n)])
         epss = 10.0 ** rng.uniform(-18.0, 2.0, n)
-        directions = rng.choice(["upper", "lower"], n)
-        for p_hat, eps, direction in zip(p_hats.tolist(), epss.tolist(),
-                                         directions.tolist()):
-            assert (kl_inverse(p_hat, eps, direction).hex()
-                    == bisect_by_binary_kl(p_hat, eps, direction).hex()), \
-                (p_hat, eps, direction)
+        for p_hat, eps in zip(p_hats.tolist(), epss.tolist()):
+            assert (kl_inverse(p_hat, eps).hex()
+                    == bisect_by_binary_kl(p_hat, eps).hex()), (p_hat, eps)
 
     def test_bounds_compare_spends_its_logs_near_the_root(self, monkeypatch):
         # the plain bisection took 72.3 logs a call on this grid
@@ -265,40 +253,32 @@ class TestKlInverse:
         log = math.log
         monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
         for k in range(1, 1000):
-            kl_inverse(k / 1000, BOUNDS_EPS, "upper")
+            kl_inverse(k / 1000, BOUNDS_EPS)
         assert len(calls) / 999 <= 30
 
     def test_zero_budget_is_identity(self):
-        assert kl_inverse(0.3, 0.0, "upper") == pytest.approx(0.3, abs=1e-7)
-        assert kl_inverse(0.3, 0.0, "lower") == pytest.approx(0.3, abs=1e-7)
+        assert kl_inverse(0.3, 0.0) == pytest.approx(0.3, abs=1e-7)
 
     def test_closed_form_at_zero(self):
         eps = 0.25
-        assert math.isclose(kl_inverse(0.0, eps, "upper"), 1.0 - math.exp(-eps))
-        assert kl_inverse(0.0, eps, "lower") == 0.0
+        assert math.isclose(kl_inverse(0.0, eps), 1.0 - math.exp(-eps))
 
     def test_closed_form_at_one(self):
-        eps = 0.25
-        assert kl_inverse(1.0, eps, "upper") == 1.0
-        assert math.isclose(kl_inverse(1.0, eps, "lower"), math.exp(-eps))
+        assert kl_inverse(1.0, 0.25) == 1.0
 
     def test_infinite_budget(self):
-        assert kl_inverse(0.4, math.inf, "upper") == 1.0
-        assert kl_inverse(0.4, math.inf, "lower") == 0.0
+        assert kl_inverse(0.4, math.inf) == 1.0
 
     def test_matches_grid_scan_oracle(self):
-        q = kl_inverse(0.1, 0.05, "upper")
+        q = kl_inverse(0.1, 0.05)
         assert 0.1 < q < 1.0
         assert abs(q - grid_scan_upper(0.1, 0.05)) < 1e-5
 
     def test_round_trip_when_interior(self):
         for p_hat in (0.05, 0.1, 0.3, 0.5, 0.9):
             for eps in (1e-4, 1e-2, 0.1):
-                q = kl_inverse(p_hat, eps, "upper")
+                q = kl_inverse(p_hat, eps)
                 if q < 1.0:
-                    assert abs(binary_kl(p_hat, q) - eps) < 1e-9
-                q = kl_inverse(p_hat, eps, "lower")
-                if q > 0.0:
                     assert abs(binary_kl(p_hat, q) - eps) < 1e-9
 
     @given(
@@ -308,7 +288,7 @@ class TestKlInverse:
     )
     def test_monotone_in_eps(self, p_hat, e1, e2):
         lo, hi = min(e1, e2), max(e1, e2)
-        assert kl_inverse(p_hat, lo, "upper") <= kl_inverse(p_hat, hi, "upper") + 1e-10
+        assert kl_inverse(p_hat, lo) <= kl_inverse(p_hat, hi) + 1e-10
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -317,41 +297,33 @@ class TestKlInverse:
     )
     def test_monotone_in_p_hat(self, p1, p2, eps):
         lo, hi = min(p1, p2), max(p1, p2)
-        assert kl_inverse(lo, eps, "upper") <= kl_inverse(hi, eps, "upper") + 1e-10
+        assert kl_inverse(lo, eps) <= kl_inverse(hi, eps) + 1e-10
 
     def test_tighter_than_relaxations(self):
         for p_hat in UNIT_GRID:
             for eps in (1e-4, 1e-3, 1e-2, 0.1, 0.5):
-                q = kl_inverse(p_hat, eps, "upper")
-                plain, refined_upper, _ = pinsker_relaxations(p_hat, eps)
-                assert q <= min(plain, refined_upper) + 1e-9
-
-    def test_lower_bounded_by_refined_lower(self):
-        for p_hat in UNIT_GRID:
-            for eps in (1e-4, 1e-2, 0.1):
-                q = kl_inverse(p_hat, eps, "lower")
-                _, _, refined_lower = pinsker_relaxations(p_hat, eps)
-                assert q >= refined_lower - 1e-9
+                q = kl_inverse(p_hat, eps)
+                plain, refined = pinsker_relaxations(p_hat, eps)
+                assert q <= min(plain, refined) + 1e-9
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             kl_inverse(0.5, -1.0)
-        with pytest.raises(ValueError):
-            kl_inverse(0.5, 0.1, "sideways")
 
 
 class TestPinskerRelaxations:
     def test_plain(self):
-        plain, _, _ = pinsker_relaxations(0.1, 0.02)
+        plain, _ = pinsker_relaxations(0.1, 0.02)
         assert math.isclose(plain, 0.2, rel_tol=1e-12)
 
     def test_refined_upper(self):
-        _, ru, _ = pinsker_relaxations(0.01, 0.005)
-        assert math.isclose(ru, 0.03, rel_tol=1e-12)
+        _, refined = pinsker_relaxations(0.01, 0.005)
+        assert math.isclose(refined, 0.03, rel_tol=1e-12)
 
-    def test_refined_lower_clips_at_zero(self):
-        _, _, rl = pinsker_relaxations(0.02, 0.01)
-        assert rl == 0.0
+    @pytest.mark.parametrize("p_hat", [0.0, 0.3, 1.0])
+    def test_infinite_budget_gives_one(self, p_hat):
+        # at p_hat = 0 the refined form's 0 * inf is NaN, and min keeps 1
+        assert pinsker_relaxations(p_hat, math.inf) == (1.0, 1.0)
 
 
 def hex_digest(values) -> str:
@@ -391,17 +363,18 @@ def categorical_cases():
 
 class TestPinnedDigest:
     def test_numeric_core_matches_pinned_digest(self):
-        # kl_inverse both ways on the p_hat x eps grid, binary_kl on the
-        # p x q grid with its edges, and categorical_kl; pinned before the
-        # bisection stopped going through the checked binary_kl
-        values = [kl_inverse(p, eps, direction) for p in DIGEST_P
-                  for eps in DIGEST_EPS for direction in ("upper", "lower")]
+        # kl_inverse on the p_hat x eps grid, binary_kl on the p x q grid
+        # with its edges, and categorical_kl; this list was pinned before
+        # the bisection stopped going through the checked binary_kl, with a
+        # lower inverse after each upper one, and re-pinned without those
+        # lower values by the code that still computed both
+        values = [kl_inverse(p, eps) for p in DIGEST_P for eps in DIGEST_EPS]
         values += [binary_kl(p, q) for p in DIGEST_P for q in DIGEST_P]
         values += [categorical_kl(rho, pi) for rho, pi in categorical_cases()]
         assert all(type(v) is float for v in values)
         assert hex_digest(values) == (
-            "551d0f136b292de781bbac1263346dd8"
-            "ab06093b9a705abe3fc5b91a58bfe1f6")
+            "d597486c321e1b16cc8d934f7be6fba4"
+            "bd04d9eb37ddef838acc13daedb8231a")
 
 
 def unit_error(name: str, x: float):
@@ -456,7 +429,7 @@ def two_pass_categorical_kl(rho, pi):
 
 class TestErrorContract:
     """Which ValueError, with which message, NaN and out-of-range input
-    raises; p is checked before q, p_hat before eps before direction."""
+    raises; p is checked before q, p_hat before eps."""
 
     @given(ANY_FLOAT, ANY_FLOAT)
     def test_binary_kl(self, p, q):
@@ -468,18 +441,16 @@ class TestErrorContract:
             binary_kl(p, q)
         assert type(info.value) is ValueError and str(info.value) == expected
 
-    @given(ANY_FLOAT, ANY_FLOAT, st.sampled_from(["upper", "lower", "both"]))
-    def test_kl_inverse(self, p_hat, eps, direction):
+    @given(ANY_FLOAT, ANY_FLOAT)
+    def test_kl_inverse(self, p_hat, eps):
         expected = unit_error("p_hat", p_hat)
         if expected is None and (math.isnan(eps) or eps < 0.0):
             expected = f"eps must be a nonnegative real, got {eps}"
-        if expected is None and direction == "both":
-            expected = "direction must be 'upper' or 'lower', got 'both'"
         if expected is None:
-            assert 0.0 <= kl_inverse(p_hat, eps, direction) <= 1.0
+            assert p_hat <= kl_inverse(p_hat, eps) <= 1.0
             return
         with pytest.raises(ValueError) as info:
-            kl_inverse(p_hat, eps, direction)
+            kl_inverse(p_hat, eps)
         assert type(info.value) is ValueError and str(info.value) == expected
 
     @given(st.integers(1, 5).flatmap(lambda k: st.tuples(

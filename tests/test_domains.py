@@ -129,11 +129,9 @@ ROWS = {
     # concentration
     "LambdaGrid": [row("lambdas", lambda x: LambdaGrid([x]), 0.5, *POSITIVE)],
     "LambdaGrid.default": [
-        row("n", lambda x: LambdaGrid.default(x, 0.05, 1.0), 100, 0),
-        row("delta", lambda x: LambdaGrid.default(100, x, 1.0), 0.05,
-            *OPEN_UNIT),
-        row("b", lambda x: LambdaGrid.default(100, 0.05, x), 1.0,
-            *POSITIVE)],
+        row("n", lambda x: LambdaGrid.default(x, 0.05), 100, 0),
+        row("delta", lambda x: LambdaGrid.default(100, x), 0.05,
+            *OPEN_UNIT)],
     "hoeffding_radius": [
         row("n", lambda x: hoeffding_radius(x, 0.05), 100, 0),
         row("delta", lambda x: hoeffding_radius(100, x), 0.05, *OPEN_UNIT)],
@@ -249,7 +247,7 @@ NO_ROW = {
     "ProbVec": "weights: a sequence, checked as a whole",
     "categorical_kl": "rho and pi: sequences, checked entry by entry",
     "BoundResult": "a record of a bound already computed",
-    "Sample": "values and bounds checked as a whole, message by message "
+    "Sample": "values: a sequence, checked as a whole, message by message "
               "in TestSampleErrorContract",
     "Sample.unit": "values: a sequence",
     "SplitGrid": "points: a sequence, checked as a whole",

@@ -280,6 +280,20 @@ class TestUcbBreaker:
         regrets = [hindsight_regret(losses, trans.arms)[-1] for trans in games]
         assert np.mean(regrets) <= math.sqrt(2 * K * T * math.log(K))
 
+    @pytest.mark.parametrize("K, first", [(2, 27339), (3, 25787)])
+    def test_parametrizations_part_once_the_radius_gap_is_below_the_offsets(
+            self, K, first):
+        # both play the round robin t mod K until the radius gap of
+        # "improved" falls under the 1e-6 arm offsets; "original" keeps it
+        # past that round
+        original = make_ucb_breaker(first + 1, K, parametrization="original")
+        improved = make_ucb_breaker(first + 1, K, parametrization="improved")
+        assert original[1] == [t % K for t in range(first + 1)]
+        assert improved[1][:first] == original[1][:first]
+        assert improved[1][first] != first % K
+        assert np.array_equal(original[0][:first], improved[0][:first])
+        assert not np.array_equal(original[0][first], improved[0][first])
+
 
 # Every bandit policy the runner builds, as (arm count, horizon, rows) ->
 # fresh policy.
@@ -1250,8 +1264,9 @@ class TestRejectionSamplingReplay:
 # SHA-256 of scalar ``UCB1Policy`` games, taken before the policy resolved its
 # radius scale at construction: replays of a seeded uniform log (reward
 # range 1 under rejection sampling, K under importance weighting) and the
-# UCB breaker's matrix and trajectory (round robin under both
-# parametrizations, so each K has one breaker digest).
+# UCB breaker's matrix and trajectory.  At T = 600 the breaker is the round
+# robin under both parametrizations, so each K has one breaker digest; the
+# two part only in long games (TestUcbBreaker pins where).
 UCB1_DIGESTS = {
     ("iw", 2, "original"): "8251def45f68f2697239d4f898502bd3cfcc7160adc006710afa08e60392c5ad",
     ("iw", 2, "improved"): "67148a88f23d9e486b579c3a06d4646fe95b13051a1711b26b12b8a8691fd416",

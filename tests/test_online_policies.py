@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from boundslab.online_policies import (
     UCB1Batch,
     UCB1Policy,
     _as_probvec_rows,
+    _hedge_weights,
     doubling_schedule,
     ftl_choice,
     hedge_distribution,
@@ -22,6 +24,7 @@ from boundslab.online_policies import (
 )
 from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 
+BIG = sys.float_info.max
 finite_losses = st.lists(
     st.floats(min_value=0.0, max_value=50.0), min_size=2, max_size=8
 )
@@ -63,6 +66,31 @@ class TestHedgeDistribution:
         with pytest.raises(ValueError) as info:
             hedge_distribution(cum_losses, 1.0)
         assert str(info.value) == f"cum_losses must be finite, got {bad}"
+
+    # max - min overflows; at eta = 5e-324, eta times the spread is about
+    # 1.8e-15, so the arms share the mass about evenly; at larger rates a
+    # higher loss gets 0, and never NaN
+    @pytest.mark.parametrize("cum_losses, eta, want, tol", [
+        ([BIG, -BIG], 5e-324, (0.5, 0.5), 1e-15),
+        ([BIG, -BIG, 0.0, -BIG], 5e-324, (0.25,) * 4, 1e-15),
+        ([BIG, -BIG], BIG, (0.0, 1.0), 0.0),
+        ([BIG, 0.0, -BIG], 1e-300, (0.0, 0.0, 1.0), 0.0),
+    ])
+    def test_a_spread_past_the_float_range(self, cum_losses, eta, want, tol):
+        got = hedge_distribution(cum_losses, eta).weights
+        assert len(got) == len(want)
+        assert all(abs(w - v) <= tol for w, v in zip(got, want))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=6)
+           .filter(lambda ls: max(ls) - min(ls) < math.inf),
+           st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    @example([0.0, 1.0], sys.float_info.max)
+    @example([sys.float_info.max, 0.0], 5e-324)
+    def test_a_finite_spread_keeps_the_kernel_doubles(self, losses, eta):
+        want = _hedge_weights(losses, eta).weights
+        assert [w.hex() for w in hedge_distribution(losses, eta)] == \
+            [w.hex() for w in want]
 
 
 class TestHedgeEta:

@@ -81,7 +81,7 @@ class TestPbKl:
         q = PacBayesQuery(pi, pi, 1000, 0.05)
         res = pb_kl_bound(q, 0.1)
         eps = math.log(2 * math.sqrt(1000) / 0.05) / 1000
-        assert math.isclose(res.value, kl_inverse(0.1, eps, "upper"), rel_tol=1e-12)
+        assert math.isclose(res.value, kl_inverse(0.1, eps), rel_tol=1e-12)
 
     def test_off_support_posterior_is_vacuous(self):
         q = PacBayesQuery(ProbVec([1.0, 0.0]), ProbVec([0.0, 1.0]), 100, 0.05)
@@ -365,7 +365,7 @@ class TestRecursive:
                            losses[:, 64 - n_val:].mean(axis=1)))
         eps = (categorical_kl(st.pi_star, stages[0].detail["stage"].pi_star)
                + math.log(6 * 2 * math.sqrt(n_val) / 0.05)) / n_val
-        assert stages[1].value == pytest.approx(kl_inverse(emp, eps, "upper"))
+        assert stages[1].value == pytest.approx(kl_inverse(emp, eps))
 
     def test_all_one_losses(self):
         # the rho-weighted mean of all-one losses can round to just above 1,
@@ -410,7 +410,7 @@ def _delta_calls():
     pi = ProbVec([0.5, 0.5])
     sample = c.Sample.unit([0.0, 0.5, 1.0, 0.25])
     return {
-        "LambdaGrid.default": lambda d: LambdaGrid.default(100, d, 1.0),
+        "LambdaGrid.default": lambda d: LambdaGrid.default(100, d),
         "hoeffding_radius": lambda d: c.hoeffding_radius(100, d),
         "hoeffding_mean_bound": lambda d: c.hoeffding_mean_bound(0.5, 100, d),
         "kl_mean_bound": lambda d: c.kl_mean_bound(0.5, 100, d),
