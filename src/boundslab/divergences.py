@@ -312,6 +312,8 @@ def pinsker_relaxations(p_hat: float, eps: float) -> tuple:
     """
     p_hat = _check_unit(p_hat, "p_hat")
     eps = _check_nonneg(eps, "eps", inf_ok=True)
+    if math.isinf(eps):  # as kl_inverse; at p_hat = 0, 0 * inf is NaN
+        return 1.0, 1.0
     plain = min(1.0, p_hat + math.sqrt(eps / 2.0))
     refined = min(1.0, p_hat + math.sqrt(2.0 * p_hat * eps) + 2.0 * eps)
     return plain, refined

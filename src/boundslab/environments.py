@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from boundslab.divergences import _check_count, _check_unit
-from boundslab.online_policies import FixedPolicy, UCB1Policy
+from boundslab.online_policies import FixedPolicy, HedgePolicy, UCB1Policy
 
 
 _MASK64 = (1 << 64) - 1
@@ -438,34 +438,54 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     entry, then sees the whole loss column.  The incremental hindsight-regret
     accounting is stored in ``detail`` and is recomputable from the matrix.
 
-    ``policy.act(u)`` takes one uniform per round when ``policy.draws``
-    (Hedge) and None otherwise (FTL).  A round is one ``act``, one
-    ``env.row`` and one ``observe``.  The game runs ``ROW_BLOCK`` rounds at
-    a time: the uniforms are drawn from ``rng`` per block, which gives the
-    same doubles and leaves ``rng`` in the same state as one draw per round,
-    and the block's rows are then added to the column sums, each column
-    left to right, as a running sum would.  The arms and incurred losses are
-    kept in lists and converted once, at the end.
+    A Hedge whose rate holds over a period (``policy.fixed_rate``) plays a
+    block of rounds at a time with ``policy.play_rows``: a block ends after
+    ``ROW_BLOCK`` rounds or at the policy's next period start, and reads its
+    rows from ``type(env).blocks``.  A game past the env's ``horizon`` plays
+    up to it and raises what ``row`` raises there.  Any other policy plays
+    ``ROW_BLOCK`` rounds to a block, each one ``act``, one ``env.row`` and
+    one ``observe``; ``policy.act(u)`` takes one uniform per round when
+    ``policy.draws`` (Hedge) and None otherwise (FTL).  The uniforms are
+    drawn from ``rng`` per block, which gives the same doubles and leaves
+    ``rng`` in the same state as one draw per round, and the block's rows
+    are then added to the column sums, each column left to right, as a
+    running sum would.  The arms and incurred losses are kept in lists and
+    converted once, at the end.
     """
     _check_count(T, "T", 0)
     if policy.draws and rng is None:
         raise ValueError("a policy that draws needs a random stream")
+    blockwise = isinstance(policy, HedgePolicy) and policy.fixed_rate
     act, row_of, observe = policy.act, env.row, policy.observe
     arms, incurred = [], []
     column_sums = [0.0] * env.K
-    for t0 in range(0, T, ROW_BLOCK):
-        t1 = min(T, t0 + ROW_BLOCK)
-        uniforms = (rng.random(t1 - t0).tolist() if policy.draws
-                    else [None] * (t1 - t0))
-        rows = []
-        for t, u in zip(range(t0, t1), uniforms):
-            arms.append(act(u))
-            row = row_of(t)
-            rows.append(row)
-            observe(row)
-        incurred += map(operator.getitem, rows, arms[t0:t1])
-        column_sums = [functools.reduce(operator.add, column, total)
-                       for total, column in zip(column_sums, zip(*rows))]
+    t0 = 0
+    while t0 < T:
+        if blockwise:
+            t1 = min(T, t0 + ROW_BLOCK, t0 + policy.period_end - policy.t)
+            stop = min(t1, env.horizon)
+            rows = type(env).blocks([env], t0, stop)[0]
+            block = policy.play_rows(rows, rng.random(t1 - t0)[:stop - t0])
+            if stop < t1:
+                raise ValueError(f"round {stop} outside [0, {stop})")
+            arms += block.tolist()
+            incurred += rows[np.arange(t1 - t0), block].tolist()
+            column_sums = np.add.accumulate(
+                np.vstack((column_sums, rows)))[-1].tolist()
+        else:
+            t1 = min(T, t0 + ROW_BLOCK)
+            uniforms = (rng.random(t1 - t0).tolist() if policy.draws
+                        else [None] * (t1 - t0))
+            rows = []
+            for t, u in zip(range(t0, t1), uniforms):
+                arms.append(act(u))
+                row = row_of(t)
+                rows.append(row)
+                observe(row)
+            incurred += map(operator.getitem, rows, arms[t0:t1])
+            column_sums = [functools.reduce(operator.add, column, total)
+                           for total, column in zip(column_sums, zip(*rows))]
+        t0 = t1
     detail = {
         "feedback": "full",
         "column_sums": tuple(column_sums),

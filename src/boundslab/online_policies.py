@@ -11,12 +11,14 @@ hold R independent rows, the R repetitions of a series, with the state in
 (R, K) arrays, or (R, N) for EXP4's N experts: ``act_rows`` gives the arms
 of every row's next round and ``update_rows`` takes their losses.  EXP3 and
 EXP4 take their exponential weights from one row kernel,
-``_exp_weights_rows``.  A row does the float operations of one scalar game
-in the same order: exponentials go through ``math.exp`` (``np.exp`` rounds
-differently), ``ProbVec`` totals through ``math.fsum``, and at most one
-``math.log`` is taken per round.  ``np.sqrt``, division and left-to-right
-``np.add.accumulate`` round exactly like their scalar counterparts, and
-``np.argmax`` breaks ties toward the lowest index.  UCB1 is the one policy
+``_exp_weights_rows``, and so does full information: a Hedge whose rate
+holds over a period plays a block of rounds as rows, one row per round
+(``HedgePolicy.play_rows``).  A row does the float operations of its scalar
+counterpart in the same order: exponentials go through ``math.exp``
+(``np.exp`` rounds differently), ``ProbVec`` totals through ``math.fsum``,
+and at most one ``math.log`` is taken per round.  ``np.sqrt``, division and
+left-to-right ``np.add.accumulate`` round exactly like their scalar
+counterparts, and ``np.argmax`` breaks ties toward the lowest index.  UCB1 is the one policy
 with a second, scalar implementation (see ``UCB1Batch``).
 """
 from __future__ import annotations
@@ -43,9 +45,6 @@ from boundslab.divergences import (
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
 EXP3_VARIANTS = ("losses", "rewards")
 UCB1_PARAMETRIZATIONS = ("original", "improved")
-# HedgePolicy's memo cap in loss cells, 2048 distributions (0.7 MiB) at K = 2:
-# presets need <= 656; means 0.25, 0.5 over T = 10**5 add 25134 (8.5 MiB)
-_MEMO_CELLS = 4096
 
 
 def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
@@ -195,10 +194,9 @@ class HedgePolicy:
 
     Every argument is checked here, so a round runs no checks: a fixed rate
     is taken once, an anytime rate once per round and a doubling rate once
-    per period, when ``observe`` ends the round before its first and resets
-    the losses and the memo.  A rate that holds for more than one round
-    memoises its distributions on the shifted losses L - min L (min 0.0, so
-    the same exponents), up to ``_MEMO_CELLS`` loss cells.
+    per period, when the round before its first ends and resets the losses.
+    A rate that holds over a period (``fixed_rate``) can play a block of
+    that period's rounds at once, with ``play_rows``.
     """
 
     draws = True
@@ -224,23 +222,23 @@ class HedgePolicy:
         self._log_k = math.log(K)
         self.K = K
         self.variant = variant
-        self.cum_losses, self._memo = [0.0] * K, {}
+        self.cum_losses = [0.0] * K
         self.t = 0  # completed rounds
-        # first round of the next doubling period; none without doubling
-        self._next_period = 2 if doubling else math.inf
+        # the completed rounds at which the next doubling period starts: its
+        # first round is 2**m, counted from 1; none without doubling
+        self.period_end = 1 if doubling else math.inf
+
+    @property
+    def fixed_rate(self) -> bool:
+        """Whether the rate holds over a period: an explicit, fixed-horizon
+        or doubling rate, not an anytime one."""
+        return self._rate is not None
 
     def distribution(self) -> ProbVec:
-        if self._rate is None:
+        eta = self._rate
+        if eta is None:
             eta = _anytime_eta(self._log_k, self.t + 1, self.variant)
-            return _hedge_weights(self.cum_losses, eta)
-        low = min(self.cum_losses)
-        shifted = tuple([v - low for v in self.cum_losses])
-        dist = self._memo.get(shifted)
-        if dist is None:
-            if len(self._memo) >= _MEMO_CELLS // self.K:
-                self._memo.clear()
-            dist = self._memo[shifted] = _hedge_weights(shifted, self._rate)
-        return dist
+        return _hedge_weights(self.cum_losses, eta)
 
     def act(self, u: float) -> int:
         """The arm of the next round, drawn with the uniform ``u``."""
@@ -250,12 +248,41 @@ class HedgePolicy:
         """Consume the full loss column (floats) of the current round."""
         if len(losses) != self.K:
             raise ValueError("loss column has wrong length")
-        self.cum_losses = list(map(operator.add, self.cum_losses, losses))
-        self.t += 1
-        if self.t + 1 >= self._next_period:  # the next round starts a period
+        self._advance(list(map(operator.add, self.cum_losses, losses)), 1)
+
+    def play_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The arms of the next n rounds at a fixed rate, drawn with one
+        uniform each, for the (n, K) array of their loss rows; the policy is
+        left as n ``act`` and ``observe`` calls leave it.  The rounds must
+        lie in one period: n is at most ``period_end - t``.
+
+        The losses before each round are one left-to-right
+        ``np.add.accumulate`` from ``cum_losses``, and each round's
+        ``distribution`` is a row of ``_exp_weights_rows`` divided by its
+        total and by ``_as_probvec_rows``, which ``sample_arms`` draws from.
+        """
+        if self._rate is None:
+            raise ValueError("an anytime rate plays one round at a time")
+        if rows.shape[1] != self.K:
+            raise ValueError("loss column has wrong length")
+        if len(rows) > self.period_end - self.t:
+            raise ValueError(f"{len(rows)} rounds from round {self.t} cross "
+                             f"the period start at round {self.period_end}")
+        cum = np.add.accumulate(np.vstack((self.cum_losses, rows)))
+        weights, totals = _exp_weights_rows(cum[:-1], self._rate)
+        arms = sample_arms(_as_probvec_rows(weights / totals), u)
+        self._advance(cum[-1].tolist(), len(rows))
+        return arms
+
+    def _advance(self, cum_losses: list[float], rounds: int) -> None:
+        """End ``rounds`` rounds that leave ``cum_losses``; when the next
+        round starts a doubling period, take its rate and reset the losses."""
+        self.cum_losses = cum_losses
+        self.t += rounds
+        if self.t >= self.period_end:
             m, self._rate, _ = doubling_schedule(self.t + 1, self.K)
-            self.cum_losses, self._memo = [0.0] * self.K, {}
-            self._next_period = 2 ** (m + 1)
+            self.cum_losses = [0.0] * self.K
+            self.period_end = 2 ** (m + 1) - 1
 
 
 class FTLPolicy:

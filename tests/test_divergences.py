@@ -322,7 +322,6 @@ class TestPinskerRelaxations:
 
     @pytest.mark.parametrize("p_hat", [0.0, 0.3, 1.0])
     def test_infinite_budget_gives_one(self, p_hat):
-        # at p_hat = 0 the refined form's 0 * inf is NaN, and min keeps 1
         assert pinsker_relaxations(p_hat, math.inf) == (1.0, 1.0)
 
 

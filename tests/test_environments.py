@@ -36,6 +36,7 @@ from boundslab.online_policies import (
     doubling_schedule,
     hedge_distribution,
     hedge_eta,
+    sample_arms,
 )
 
 
@@ -536,9 +537,9 @@ class TestFullInformation:
         assert trans.arms.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
-# SHA-256 (``_full_info_digest``) of fixed-rate Hedge games, computed before
-# ``HedgePolicy`` remembered its distributions.  On the uniform real-valued
-# matrices no shifted loss vector recurs, so every round misses the memo.
+# SHA-256 (``_full_info_digest``) of fixed-rate Hedge games, computed when
+# each round built its distribution with ``_hedge_weights``, before any
+# faster path; on the uniform real-valued matrices no loss vector recurs.
 FIXED_RATE_DIGESTS = {
     ("hedge_doubling", "bernoulli_k5"): "fb85253ad8de9b81187b5c7c2ce735863ca3c77dde0ecf6d11529ae57db2aabf",
     ("hedge_doubling", "uniform_k2"): "c92d44317e4b622d37ea2b9c81c19783acebd3931ca6373b9e85f61abe2fbbba",
@@ -551,14 +552,17 @@ FIXED_RATE_DIGESTS = {
     ("hedge_tight", "uniform_k5"): "d6bdda4e8c35254e70b812ad39cc555aa8539fafb5aea3b100e3abf01bffde73",
 }
 FIXED_RATE_KINDS = ("hedge_doubling", "hedge_explicit_eta", "hedge_tight")
-MEMO_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5")
+PINNED_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5")
+# every policy kind that ``play_full_information`` plays a block at a time
+BLOCK_KINDS = FIXED_RATE_KINDS + ("hedge_simple",)
 
 
-def _memo_env(kind: str, T: int):
-    """A K = 5 Bernoulli env, or a seeded T x K matrix of uniform reals."""
-    if kind == "bernoulli_k5":
-        return BernoulliEnv((0.1, 0.3, 0.5, 0.7, 0.9), seed=2026)
+def _fixed_rate_env(kind: str, T: int):
+    """A Bernoulli env of the first K of five means ("bernoulli_k<K>"), or a
+    seeded T x K matrix of uniform reals ("uniform_k<K>")."""
     K = int(kind[-1])
+    if kind.startswith("bernoulli"):
+        return BernoulliEnv((0.1, 0.3, 0.5, 0.7, 0.9)[:K], seed=2026)
     return MatrixEnv(np.random.default_rng(K).random((T, K)))
 
 
@@ -572,27 +576,47 @@ def _fixed_rate(policy_kind: str, K: int, T: int, t: int) -> float:
     return hedge_eta(K, T=T, variant="tight")
 
 
-class TestFixedRateMemo:
+def _play_by_hand(policy, env, T: int, rng):
+    """``play_full_information`` one round at a time: one draw from ``rng``,
+    one ``act``, one ``env.row`` and one ``observe`` a round.  Returns the
+    arms, the payoffs, the ``detail`` and each round's distribution."""
+    arms, payoffs, dists = [], [], []
+    column_sums, total = [0.0] * env.K, 0.0
+    for t in range(T):
+        dists.append(policy.distribution().weights)
+        arm = policy.act(rng.random())
+        row = env.row(t)
+        policy.observe(row)
+        arms.append(arm)
+        payoffs.append(row[arm])
+        total += row[arm]
+        column_sums = [s + v for s, v in zip(column_sums, row)]
+    detail = {"feedback": "full", "column_sums": tuple(column_sums),
+              "final_regret": total - min(column_sums)}
+    return arms, payoffs, detail, dists
+
+
+class TestFixedRateHedge:
+    """A Hedge whose rate holds over a period, which ``play_full_information``
+    plays a block of rounds at a time."""
+
     T = 600  # doubling periods up to [512, 1024)
 
-    @pytest.mark.parametrize("env_kind", MEMO_ENVS)
+    @pytest.mark.parametrize("env_kind", PINNED_ENVS)
     @pytest.mark.parametrize("policy_kind", FIXED_RATE_KINDS)
     def test_transcript_is_pinned(self, policy_kind, env_kind):
-        env = _memo_env(env_kind, self.T)
+        env = _fixed_rate_env(env_kind, self.T)
         rng = np.random.default_rng(32)
         trans = play_full_information(
             FULL_INFO_KINDS[policy_kind](env.K, self.T), env, self.T, rng)
         digest = _full_info_digest(trans, rng)
         assert digest == FIXED_RATE_DIGESTS[policy_kind, env_kind]
 
-    @pytest.mark.parametrize("cells", [6, online_policies._MEMO_CELLS])
-    @pytest.mark.parametrize("env_kind", MEMO_ENVS)
+    @pytest.mark.parametrize("env_kind", PINNED_ENVS)
     @pytest.mark.parametrize("policy_kind", FIXED_RATE_KINDS)
-    def test_each_distribution_is_hedge_distribution(
-            self, policy_kind, env_kind, cells, monkeypatch):
-        # 6 cells hold 3 distributions at K = 2 and 1 at K = 5
-        monkeypatch.setattr(online_policies, "_MEMO_CELLS", cells)
-        env = _memo_env(env_kind, self.T)
+    def test_each_distribution_is_hedge_distribution(self, policy_kind,
+                                                     env_kind):
+        env = _fixed_rate_env(env_kind, self.T)
         policy = FULL_INFO_KINDS[policy_kind](env.K, self.T)
         for t in range(self.T):
             eta = _fixed_rate(policy_kind, env.K, self.T, t)
@@ -600,50 +624,71 @@ class TestFixedRateMemo:
             assert policy.distribution().weights == want.weights
             policy.observe(env.row(t))
 
-    @pytest.mark.parametrize("policy_kind", ["hedge_doubling", "hedge_tight"])
-    def test_memo_is_cleared_when_full_and_at_each_period(
+    @pytest.mark.parametrize("row_block", [13, environments.ROW_BLOCK])
+    @pytest.mark.parametrize("env_kind", ["bernoulli", "uniform"])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("policy_kind", BLOCK_KINDS)
+    def test_block_pass_equals_per_round_play(self, policy_kind, K, env_kind,
+                                              row_block, monkeypatch):
+        # blocks of 13 rounds cut most doubling periods more than once
+        monkeypatch.setattr(environments, "ROW_BLOCK", row_block)
+        drawn = []  # each distribution the block pass draws an arm from
+
+        def recorded(p, u):
+            drawn.extend(map(tuple, p.tolist()))
+            return sample_arms(p, u)
+
+        monkeypatch.setattr(online_policies, "sample_arms", recorded)
+        kind = f"{env_kind}_k{K}"
+        played, by_hand = [FULL_INFO_KINDS[policy_kind](K, self.T)
+                           for _ in range(2)]
+        rng, hand_rng = np.random.default_rng(32), np.random.default_rng(32)
+        trans = play_full_information(
+            played, _fixed_rate_env(kind, self.T), self.T, rng)
+        arms, payoffs, detail, dists = _play_by_hand(
+            by_hand, _fixed_rate_env(kind, self.T), self.T, hand_rng)
+        assert trans.arms.tolist() == arms
+        assert trans.payoffs.tolist() == payoffs
+        assert trans.detail == detail
+        assert drawn == dists
+        assert (played.t, played.cum_losses, played.period_end) == \
+            (by_hand.t, by_hand.cum_losses, by_hand.period_end)
+        assert played.distribution().weights == by_hand.distribution().weights
+        assert rng.random() == hand_rng.random()
+
+    @pytest.mark.parametrize("rows", [15, 20])
+    @pytest.mark.parametrize("policy_kind",
+                             BLOCK_KINDS + ("hedge_anytime_tight",))
+    def test_the_block_pass_raises_what_the_loop_raises(self, policy_kind,
+                                                        rows):
+        # the anytime rate plays the per-round loop, the reference; 15 rounds
+        # end a doubling block, 20 fall inside one
+        make, T = FULL_INFO_KINDS[policy_kind], 30
+        policy = make(2, T)
+        with pytest.raises(ValueError,
+                           match=rf"^round {rows} outside \[0, {rows}\)$"):
+            play_full_information(policy, MatrixEnv(np.full((rows, 2), 0.5)),
+                                  T, np.random.default_rng(0))
+        assert policy.t == rows  # the rounds before it were played
+        env = BernoulliEnv((0.5, 0.5, 0.5), seed=0)
+        with pytest.raises(ValueError, match="^loss column has wrong length$"):
+            play_full_information(make(2, T), env, T, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="random stream"):
+            play_full_information(make(2, T), env, T)
+
+    @pytest.mark.parametrize("policy_kind", BLOCK_KINDS)
+    def test_a_fixed_rate_game_builds_no_probvec_and_reads_no_row(
             self, policy_kind, monkeypatch):
-        # 8 cells hold 4 distributions at K = 2; every round misses
-        monkeypatch.setattr(online_policies, "_MEMO_CELLS", 8)
-        env = _memo_env("uniform_k2", self.T)
-        policy = FULL_INFO_KINDS[policy_kind](2, self.T)
-        sizes, want = [], []
-        for t in range(self.T):
-            policy.distribution()
-            sizes.append(len(policy._memo))
-            # earlier rounds of this period; doubling's period of round
-            # t + 1 starts at the largest power of 2 at or below it
-            played = t
-            if policy_kind == "hedge_doubling":
-                played = t + 1 - 2 ** ((t + 1).bit_length() - 1)
-            want.append(played % 4 + 1)
-            policy.observe(env.row(t))
-        assert sizes == want
+        def refuse(*args):
+            raise AssertionError("the block pass made a per-round call")
 
-    @pytest.mark.parametrize("variant", ["anytime_simple", "anytime_tight"])
-    def test_an_anytime_rate_never_uses_the_memo(self, variant):
-        env = BernoulliEnv((0.5, 0.5), seed=2)
-        policy = HedgePolicy(2, variant=variant)
-        for t in range(self.T):
-            policy.distribution()
-            assert policy._memo == {}
-            policy.observe(env.row(t))
-
-    def test_a_tight_hedge_game_builds_few_distributions(self, monkeypatch):
-        # the shape of the tight_hedge preset's games: without the memo,
-        # each of the 2000 rounds builds its ProbVec
-        built = []
-        init = ProbVec.__init__
-
-        def counted_init(self, weights):
-            built.append(weights)
-            init(self, weights)
-
-        monkeypatch.setattr(ProbVec, "__init__", counted_init)
-        env = BernoulliEnv((0.5, 0.5), seed=2)
-        play_full_information(HedgePolicy(2, variant="tight", T=2000), env,
-                              2000, np.random.default_rng(2))
-        assert len(built) == 48
+        monkeypatch.setattr(ProbVec, "__init__", refuse)
+        monkeypatch.setattr(BernoulliEnv, "row", refuse)
+        # the shape of the tight_hedge preset's games
+        trans = play_full_information(
+            FULL_INFO_KINDS[policy_kind](2, 2000), BernoulliEnv((0.5, 0.5), 2),
+            2000, np.random.default_rng(2))
+        assert len(trans) == 2000
 
 
 def _log(actions, rewards):
