@@ -1,8 +1,7 @@
 """High-confidence upper bounds on the mean of samples in [0, 1].
 
 Covers the Hoeffding radius and mean bound, the kl and split-kl mean bounds,
-the empirical and "unexpected" (lambda-grid) Bernstein bounds, and the exact
-finite-summation value of E[e^{n kl(p_hat || p)}].
+and the empirical and "unexpected" (lambda-grid) Bernstein bounds.
 """
 from __future__ import annotations
 
@@ -239,13 +238,14 @@ def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
     """Unexpected Bernstein bound: min(1, min over lambda in the grid of
     p_hat + psi(-lambda b)/(lambda b) * s_n/b + ln(k/delta)/(lambda n)) at
     the samples' upper end b = 1, where s_n is the mean of squares; the
-    ``s_n_over_b`` detail and the lambda limit 1/b keep the general names."""
+    ``s_n_over_b`` detail keeps the general name.  Every lambda must be
+    below 1/b = 1."""
     _check_delta(delta)
     n = sample.n
     if grid is None:
         grid = LambdaGrid.default(n, delta)
     if max(grid.lambdas) >= 1.0:
-        raise ValueError("every lambda must be < 1/b")
+        raise ValueError("every lambda must be < 1")
     s_n = sample.mean_sq
     p_hat = sample.mean
     budget = math.log(grid.k / delta)
@@ -259,28 +259,3 @@ def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
     return BoundResult(min(1.0, best_value), delta, "unexpected-bernstein",
                        {"lambda": best_lambda, "k": grid.k,
                         "s_n_over_b": s_n, "n": n})
-
-
-def kl_mgf_exact(n: int, p: float) -> float:
-    """Exact E[e^{n kl(p_hat || p)}] for p_hat the mean of n Bernoulli(p)
-    draws, by finite summation in log space.
-
-    The summand C(n,k) p^k (1-p)^{n-k} e^{n kl(k/n||p)} simplifies to
-    C(n,k) (k/n)^k ((n-k)/n)^{n-k}, so the value is p-free for p in (0,1);
-    at p in {0,1} the expectation is trivially 1.
-    """
-    n = int(_check_count(n, "n"))
-    p = _check_unit(p, "p")
-    if p in (0.0, 1.0):
-        return 1.0
-    log_terms = []
-    for k in range(n + 1):
-        log_c = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        term = log_c
-        if k > 0:
-            term += k * math.log(k / n)
-        if k < n:
-            term += (n - k) * math.log((n - k) / n)
-        log_terms.append(term)
-    peak = max(log_terms)
-    return math.exp(peak) * math.fsum(math.exp(t - peak) for t in log_terms)

@@ -55,9 +55,9 @@ def _check_unit(x: float, name: str) -> float:
     return x
 
 
-def _check_delta(x: float, name: str = "delta") -> float:
-    """``x`` in (0, 1): a confidence level, or a rate with that range."""
-    return _check_range(x, name, _TINY, _BELOW_ONE, "in (0, 1)")
+def _check_delta(x: float) -> float:
+    """``x`` in (0, 1): a confidence level."""
+    return _check_range(x, "delta", _TINY, _BELOW_ONE, "in (0, 1)")
 
 
 def _check_rate(x: float, name: str = "eta") -> float:

@@ -42,7 +42,6 @@ from boundslab.environments import (
 from boundslab.lab.config import ConfigError, ExperimentConfig, Section, at_least
 from boundslab.lab.csvio import AggregateTrace, aggregate
 from boundslab.online_policies import (
-    EXP3_VARIANTS,
     HEDGE_ETA_VARIANTS,
     UCB1_PARAMETRIZATIONS,
     EXP3Policy,
@@ -107,12 +106,9 @@ def _read_policy(label: str, raw: dict, T: int, R: int):
         make = partial(HedgePolicy, variant=variant, eta=eta, T=T,
                        doubling=doubling)
     elif kind == "exp3":
-        variant = f.read("variant", EXP3_VARIANTS, "losses")
-        eta = (f.read("eta", float, None, (lambda eta: 0.0 < eta < 1.0,
-                      "in (0, 1)"), required="for variant rewards")
-               if variant == "rewards" else f.read("eta", float, None, _POSITIVE))
+        eta = f.read("eta", float, None, _POSITIVE)
         horizon = T if f.read("fixed_horizon", bool, "false") else None
-        make = partial(EXP3Policy, variant=variant, eta=eta, T=horizon, R=R)
+        make = partial(EXP3Policy, eta=eta, T=horizon, R=R)
     elif kind == "ucb1":
         make = partial(UCB1Batch, R=R, parametrization=f.read(
             "parametrization", UCB1_PARAMETRIZATIONS, "original"))

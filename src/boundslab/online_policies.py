@@ -36,14 +36,12 @@ from boundslab.divergences import (
     NORMALIZATION_TOL,
     ProbVec,
     _check_count,
-    _check_delta,
     _check_range,
     _check_rate,
     _raise_first_bad_weight,
 )
 
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
-EXP3_VARIANTS = ("losses", "rewards")
 UCB1_PARAMETRIZATIONS = ("original", "improved")
 
 
@@ -306,14 +304,10 @@ class FTLPolicy:
 
 
 class EXP3Policy:
-    """Bandit exponential weights over R independent rows.
-
-    The "losses" variant plays Hedge on importance-weighted loss estimates;
-    with no explicit ``eta`` it uses the anytime rate sqrt(ln K / (t K)), or
-    the fixed rate sqrt(2 ln K / (K T)) when a horizon ``T`` is given.  The
-    "rewards" variant mixes exponential weights on importance-weighted
-    rewards with an explicit uniform-exploration floor eta/K and requires
-    eta in (0, 1).
+    """Bandit exponential weights over R independent rows: Hedge on
+    importance-weighted loss estimates (Auer et al., 2002).  With no
+    explicit ``eta`` it uses the anytime rate sqrt(ln K / (t K)), or the
+    fixed rate sqrt(2 ln K / (K T)) when a horizon ``T`` is given.
 
     ``act``, ``update``, ``update_reward`` and ``replay_update`` are the
     one-round contract of the offline replays, on a policy of one row.
@@ -321,36 +315,23 @@ class EXP3Policy:
 
     draws = True
 
-    def __init__(self, K: int, *, variant: str = "losses",
-                 eta: float | None = None, T: int | None = None,
-                 R: int = 1) -> None:
+    def __init__(self, K: int, *, eta: float | None = None,
+                 T: int | None = None, R: int = 1) -> None:
         _check_count(K, "K", 2)
-        if variant not in EXP3_VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-        if variant == "rewards":
-            eta = _check_delta(eta, "eta")
-        elif eta is not None:
-            eta = _check_rate(eta)
         self.K = K
+        self.eta = eta if eta is None else _check_rate(eta)
         self.R = _check_count(R, "R")
-        self.variant = variant
-        self.eta = eta
         self.T = T if T is None else _check_count(T, "T")
         self.offsets = np.arange(R) * K  # row starts, flat
-        self.estimates = np.zeros((R, K))  # losses or rewards, per variant
+        self.estimates = np.zeros((R, K))  # importance-weighted losses
         self.t = 0  # completed rounds
         self.p = None  # this round's distributions, set by act_rows
 
     def distributions(self) -> np.ndarray:
         """The (R, K) playing distributions of the next round."""
         eta = _exp3_eta(self.K, self.t, self.eta, self.T)
-        if self.variant == "losses":
-            weights, totals = _exp_weights_rows(self.estimates, eta)
-            return _as_probvec_rows(weights / totals)
-        # (1 - eta) * softmax(+eta R) + eta / K: exp(-eta (-R - min(-R)))
-        # is exp(eta (R - max R)), since negation is exact
-        weights, totals = _exp_weights_rows(-self.estimates, eta)
-        return _as_probvec_rows((1.0 - eta) * weights / totals + eta / self.K)
+        weights, totals = _exp_weights_rows(self.estimates, eta)
+        return _as_probvec_rows(weights / totals)
 
     def act_rows(self, u: np.ndarray) -> np.ndarray:
         """The arm of every row, drawn with one uniform per row."""
@@ -363,12 +344,9 @@ class EXP3Policy:
             raise ValueError("update() requires a preceding act()")
         cells = self.offsets + arms
         p_arm = self.p.ravel()[cells]
-        if self.variant == "losses":
-            if not np.minimum.reduce(p_arm) > 0.0:
-                raise ValueError("cannot importance-weight a zero-probability arm")
-            self.estimates.ravel()[cells] += losses / p_arm
-        else:
-            self.estimates.ravel()[cells] += (1.0 - losses) / p_arm
+        if not np.minimum.reduce(p_arm) > 0.0:
+            raise ValueError("cannot importance-weight a zero-probability arm")
+        self.estimates.ravel()[cells] += losses / p_arm
         self.t += 1
         self.p = None
 

@@ -15,7 +15,6 @@ from boundslab.concentration import (
     SplitGrid,
     hoeffding_radius,
     kl_mean_bound,
-    kl_mgf_exact,
     split_kl_mean_bound,
 )
 from boundslab.divergences import ProbVec, kl_inverse, pinsker_relaxations
@@ -48,6 +47,7 @@ from boundslab.pac_bayes import (
 )
 
 from _coverage import coverage_threshold, draw_matrix, pb_validity_rates, violation_rates
+from _exact import kl_mgf_exact
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:

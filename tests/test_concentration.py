@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _coverage import coverage_threshold, draw_matrix, violation_rates
+from _exact import kl_mgf_exact
 from boundslab.concentration import (
     BoundResult,
     LambdaGrid,
@@ -16,7 +17,6 @@ from boundslab.concentration import (
     hoeffding_mean_bound,
     hoeffding_radius,
     kl_mean_bound,
-    kl_mgf_exact,
     psi,
     sample_variance,
     split_kl_mean_bound,
@@ -248,7 +248,7 @@ class TestUnexpectedBernstein:
     def test_grid_must_be_admissible(self):
         sample = Sample([0.1, 0.2])
         for lam in (1.0, 2.0):
-            with pytest.raises(ValueError, match="^every lambda must be < 1/b$"):
+            with pytest.raises(ValueError, match="^every lambda must be < 1$"):
                 unexpected_bernstein_mean_bound(sample, 0.05,
                                                 LambdaGrid([lam, 0.5]))
 
@@ -282,6 +282,20 @@ class TestKlMgfExact:
             assert math.sqrt(n) <= v <= 2 * math.sqrt(n)
         for p in (0.1, 0.3, 0.7, 0.9):
             assert math.isclose(kl_mgf_exact(50, p), kl_mgf_exact(50, 0.5), rel_tol=1e-9)
+
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 5, 13, 40])
+    def test_equals_the_unsimplified_sum(self, n, p):
+        # the expectation as written, sum over k of
+        # C(n,k) p^k (1-p)^{n-k} e^{n kl(k/n||p)} with the library's kl,
+        # against the p-free summand the helper sums
+        log_terms = [
+            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+            + k * math.log(p) + (n - k) * math.log1p(-p)
+            + n * binary_kl(k / n, p)
+            for k in range(n + 1)]
+        direct = math.fsum(math.exp(t) for t in log_terms)
+        assert math.isclose(kl_mgf_exact(n, p), direct, rel_tol=1e-9)
 
     def test_large_n_no_overflow(self):
         v = kl_mgf_exact(10000, 0.5)

@@ -33,7 +33,6 @@ from boundslab.concentration import (
     hoeffding_mean_bound,
     hoeffding_radius,
     kl_mean_bound,
-    kl_mgf_exact,
     psi,
     split_kl_mean_bound,
     unexpected_bernstein_mean_bound,
@@ -155,8 +154,6 @@ ROWS = {
     "unexpected_bernstein_mean_bound": [row(
         "delta", lambda x: unexpected_bernstein_mean_bound(SAMPLE, x),
         0.05, *OPEN_UNIT)],
-    "kl_mgf_exact": [row("n", lambda x: kl_mgf_exact(x, 0.3), 10, 0),
-                     row("p", lambda x: kl_mgf_exact(10, x), 0.3, *UNIT)],
     # pac_bayes
     "PacBayesQuery": [
         row("n", lambda x: PacBayesQuery(PI, PI, x, 0.05), 100, 0),
@@ -203,8 +200,6 @@ ROWS = {
     "EXP3Policy": [
         row("K", EXP3Policy, 2, 0, 1),
         row("eta", lambda x: EXP3Policy(2, eta=x), 0.5, *POSITIVE),
-        row("eta", lambda x: EXP3Policy(2, variant="rewards", eta=x), 0.5,
-            *OPEN_UNIT),
         row("T", lambda x: EXP3Policy(2, T=x), 10, 0),
         row("R", lambda x: EXP3Policy(2, R=x), 2, 0)],
     "EXP4Policy": [

@@ -36,6 +36,7 @@ from boundslab.online_policies import (
     doubling_schedule,
     hedge_distribution,
     hedge_eta,
+    sample_arm,
     sample_arms,
 )
 
@@ -304,7 +305,6 @@ BANDIT_KINDS = {
     "exp3_anytime": lambda K, T, R: EXP3Policy(K, R=R),
     "exp3_fixed_horizon": lambda K, T, R: EXP3Policy(K, T=T, R=R),
     "exp3_explicit_eta": lambda K, T, R: EXP3Policy(K, eta=0.3, R=R),
-    "exp3_rewards": lambda K, T, R: EXP3Policy(K, variant="rewards", eta=0.2, R=R),
 }
 
 # SHA-256 of ``_game_digest`` over the R = 4 games of each kind below, as
@@ -317,9 +317,42 @@ SCALAR_LOOP_DIGESTS = {
     ("exp3_explicit_eta", "ucb_breaker"): "cb3233fd26d528549644a523d3d5c92e0243cf5ec1bb98e299f906bac3ae5c55",
     ("exp3_fixed_horizon", "bernoulli"): "efca6280530bd5de74946f743a6ea18b3901f610cdc083eaea8ef30e36763e52",
     ("exp3_fixed_horizon", "ucb_breaker"): "480d0f381b0140e66366d7e2434d00551ddd83a4ac6e9879789137fa1bd4280a",
-    ("exp3_rewards", "bernoulli"): "7caeb53775fa0843eaeb3d730f5ae148d524529ccbd5fa7da9963999dbf6e9b9",
-    ("exp3_rewards", "ucb_breaker"): "5644dc34583e6752d0e2aab912748d69468c09ec1854962552ee6282cc57554a",
 }
+# SHA-256 of ``_record_draws`` over the same games: every row drawn from,
+# the R rows of a round together, then each row's final loss estimates.
+SCALAR_LOOP_DIST_DIGESTS = {
+    ("exp3_anytime", "bernoulli"): "cd77fc805ac5a39956579ce3335c7fd5279851d80f0b32e19b9c85095528f6a5",
+    ("exp3_anytime", "ucb_breaker"): "88cb79e69fb710d1b84ae8e7ff1dc17472ad85cde3d0ac748786a9d6591da69c",
+    ("exp3_explicit_eta", "bernoulli"): "50c41c9da22f2fadc765f1a26aa54de0aade0edaf9aa3f1ad6011b4d1798fc31",
+    ("exp3_explicit_eta", "ucb_breaker"): "b6a3797f4fbe4a4e4ac8d3e7b2db90db54fd23003823a894e367fd47cb167e40",
+    ("exp3_fixed_horizon", "bernoulli"): "d8203d80e1f368c6906266e08a892829c93a4b3178fa07687f5863101f4551d9",
+    ("exp3_fixed_horizon", "ucb_breaker"): "9daaf9fd591a11af8ef6db7e5b4b896e85a6413c5e97cb3a1251220545b82dda",
+}
+
+
+def _record_draws(monkeypatch):
+    """A SHA-256 fed the ``float.hex`` of every distribution row a game
+    draws an arm from, in draw order, by wrapping ``sample_arms`` and
+    ``sample_arm`` in ``online_policies``; a block of rows hashes as the
+    same rows drawn one round at a time."""
+    h = hashlib.sha256()
+
+    def rows(p, u):
+        for row in p.tolist():
+            _hash_row(h, row)
+        return sample_arms(p, u)
+
+    def row(dist, u):
+        _hash_row(h, dist)
+        return sample_arm(dist, u)
+
+    monkeypatch.setattr(online_policies, "sample_arms", rows)
+    monkeypatch.setattr(online_policies, "sample_arm", row)
+    return h
+
+
+def _hash_row(h, row) -> None:
+    h.update(repr([float.hex(v) for v in row]).encode())
 
 
 def _game_digest(games) -> str:
@@ -384,6 +417,28 @@ EXP4_DIGESTS = {
     ("dirichlet", "matrix", 3, 3, 0.3): "208030f1dab5c78bb3de55b868f910cdb270a2d02c1306f6b6820b4946cc401e",
     ("dirichlet", "matrix", 5, 4, None): "0fac734756d90b7f59a6125c99924e28072956b1865af7102347470f405925f6",
 }
+# SHA-256 of ``_record_draws`` over the same games: every row drawn from,
+# then each row's final expert loss estimates.
+EXP4_DIST_DIGESTS = {
+    ("static", "bernoulli", 4, 2, None): "58b20a3b19abc9bbb14619c7d6a61dd1e78f9e14a11de50b2ebbdb7aa2228814",
+    ("static", "bernoulli", 3, 3, 0.3): "661a1809b670c1ba707f4ac042ff38d5a521d5ea9575991e5ece958ece00b38b",
+    ("static", "bernoulli", 5, 4, None): "98e9bb69d7df9ae188a40646dd9b15487680c842b95e32dba388dc3fd4891213",
+    ("static", "matrix", 4, 2, None): "3b92d24e024c6a593ba82e028d86266783f6b66cf7664a0f20fb85998f0dec1a",
+    ("static", "matrix", 3, 3, 0.3): "9bacd6237ba2be9553b84ab3f335d7787238308f5a996ef790bd0b82e6ad4d7d",
+    ("static", "matrix", 5, 4, None): "6dbf6692f8f89af8cf6d1ee49e43355ed4be9861b6db0592dc357baece730d64",
+    ("varying", "bernoulli", 4, 2, None): "cde4fb4a6b1c428293966666835659bbee64c5dac8fa387797cbc16ec720ee2a",
+    ("varying", "bernoulli", 3, 3, 0.3): "4bf91aff26ebc5da7210f3702f514a5cb2c35491f38c5d9dd5e3a37e7b070927",
+    ("varying", "bernoulli", 5, 4, None): "487c251c4dfaa990bc0fa3d59be6b5c4079454246ac58a1ed24b71d5dbd47855",
+    ("varying", "matrix", 4, 2, None): "2c5332727de3beeac11fb43c9c463c52ee302effc0b3b93794ec8be05ea85919",
+    ("varying", "matrix", 3, 3, 0.3): "4319f99b4eb819a61fab659585f72b44540bfac404f2e01fae1a12c368923269",
+    ("varying", "matrix", 5, 4, None): "0dd75a42a969bcb41b0266526cad20ee1608bfa12daf6ce35cacbcff89badb0c",
+    ("dirichlet", "bernoulli", 4, 2, None): "bf0e6e48a96f8a0d93d1d65152410f545b83974059a52f6ed668f4f8a5db5700",
+    ("dirichlet", "bernoulli", 3, 3, 0.3): "6af20db04b5c7876fc3f95f57a9a51c419219ad3078ffe90aeced14fc426bbe9",
+    ("dirichlet", "bernoulli", 5, 4, None): "e6dc4b113f024e7eb49482594a9406d69d4df23d508195121a95cfde94477c8d",
+    ("dirichlet", "matrix", 4, 2, None): "fec7929fe68de9530e803379fb765ac8dc1cdc2813b13918a56284958dbee643",
+    ("dirichlet", "matrix", 3, 3, 0.3): "9cf84284e41c82fb0528845e245b3923dcb2dafa27da6bdef085257a66e07df2",
+    ("dirichlet", "matrix", 5, 4, None): "ad6e0c8801c25c9fd9fcebef209ff80a19c9dacbdee3d39c9a2d2261e973c33f",
+}
 
 
 class TestBatchedBandit:
@@ -393,6 +448,7 @@ class TestBatchedBandit:
                                                monkeypatch):
         # small blocks, so a game spans many of them
         monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
+        drawn = _record_draws(monkeypatch)
         K, T, R = 3, 400, 4
         policy = BANDIT_KINDS[policy_kind](K, T, R)
         rngs = [np.random.default_rng(50 + r) for r in range(R)]
@@ -415,17 +471,21 @@ class TestBatchedBandit:
                 assert policy.counts[r].tolist() == scalar.counts
                 assert policy.sums[r].tolist() == scalar.sums
             return
-        state = (policy.estimates if policy_kind.startswith("exp3")
-                 else np.hstack([policy.counts, policy.sums]))
+        estimates = policy.estimates.tolist()
+        for row in estimates:
+            _hash_row(drawn, row)
+        assert drawn.hexdigest() == \
+            SCALAR_LOOP_DIST_DIGESTS[policy_kind, env_kind]
         digest = _game_digest(
             (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
-            for game, row, rng in zip(games, state.tolist(), rngs))
+            for game, row, rng in zip(games, estimates, rngs))
         assert digest == SCALAR_LOOP_DIGESTS[policy_kind, env_kind]
 
     @pytest.mark.parametrize("advice, env_kind, N, K, eta", list(EXP4_DIGESTS))
     def test_exp4_equals_scalar_loop_per_repetition(self, advice, env_kind, N,
                                                     K, eta, monkeypatch):
         monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
+        drawn = _record_draws(monkeypatch)
         T, R = 300, 3
         policy = EXP4Policy(N, K, _exp4_advice(advice, N, K), eta=eta, T=T,
                             R=R)
@@ -435,9 +495,14 @@ class TestBatchedBandit:
         rngs = [np.random.default_rng(50 + r) for r in range(R)]
         games = play_bandit(policy, envs, T, rngs)
         assert policy.t == T
+        estimates = policy.estimates.tolist()
+        for row in estimates:
+            _hash_row(drawn, row)
+        assert drawn.hexdigest() == EXP4_DIST_DIGESTS[advice, env_kind, N, K,
+                                                      eta]
         digest = _game_digest(
             (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
-            for game, row, rng in zip(games, policy.estimates.tolist(), rngs))
+            for game, row, rng in zip(games, estimates, rngs))
         assert digest == EXP4_DIGESTS[advice, env_kind, N, K, eta]
 
     def test_input_checks(self):
@@ -493,6 +558,24 @@ FULL_INFO_DIGESTS = {
     ("hedge_tight", "bernoulli"): "2526f0adea5d59cd1b60562be58bfa02290bddcd38e36043edb599e3eb7cd2a5",
     ("hedge_tight", "ftl_breaker"): "09af2aefbbce0ba63e49c5cb2411013ea673cacc48a13ec6083ff8cffddb9522",
 }
+# SHA-256 of ``_record_draws`` over the same games: every distribution a
+# Hedge draws from (FTL draws nothing), at either ``ROW_BLOCK``.
+FULL_INFO_DIST_DIGESTS = {
+    ("ftl", "bernoulli"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("ftl", "ftl_breaker"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("hedge_anytime_simple", "bernoulli"): "dc2dff12c3de54c683debce1e172ded1a69a0dadc7bd44bb808a36c770401fdc",
+    ("hedge_anytime_simple", "ftl_breaker"): "375226ba6a44af884377285c46ee5e6909ecab0acc1e2b4cffb53b90e8d006ca",
+    ("hedge_anytime_tight", "bernoulli"): "ca53e2fc56b89a8e0a7548b461a85f14c4800d91050fe3fb9ee4c1a445a8fb15",
+    ("hedge_anytime_tight", "ftl_breaker"): "25fcb84e6a14df8fd7ba129ec98e20ccc90fbe0d8d0e427b49b8ccf86aa023ea",
+    ("hedge_doubling", "bernoulli"): "1fb56c97e0570fea37fb52477d540704461d6787269595fe78e58e908bf50841",
+    ("hedge_doubling", "ftl_breaker"): "74a3018d26634b8057c602f877001519e507e6a04804dfd9c2fdaf9888e6b503",
+    ("hedge_explicit_eta", "bernoulli"): "24cb1e8207a1d61ac9d02961eb088fd741de8282f8145a8859cdabe2d7f58903",
+    ("hedge_explicit_eta", "ftl_breaker"): "abaa4b89170447475ab966a4e1d7755a689fbc74639a87056dc16be3ed0bcb76",
+    ("hedge_simple", "bernoulli"): "f452b8178ea2aed9c97244badff466453c389579a7311bd828bd833010abf0bc",
+    ("hedge_simple", "ftl_breaker"): "367c39d1a2521018b66c3a6c0522d30fd73fe62255844e63082e62286ae4f1fc",
+    ("hedge_tight", "bernoulli"): "250a96167de876632ff33468219f88f338deaf80e4e0642844124d4de3ac4ad8",
+    ("hedge_tight", "ftl_breaker"): "f5d89ce1b25028f7977a9042fa7b6b9f088aa355f0c3580cb0d5a93a5c363d12",
+}
 
 
 def _full_info_digest(trans, rng) -> str:
@@ -517,6 +600,7 @@ class TestFullInformation:
         # blocks of 13 rounds, for the game loop and the env's rows, so a
         # game spans many and the last one is short
         monkeypatch.setattr(environments, "ROW_BLOCK", row_block)
+        drawn = _record_draws(monkeypatch)
         T = 600  # doubling periods up to [512, 1024)
         env = (BernoulliEnv((0.35, 0.5, 0.65), seed=2024)
                if env_kind == "bernoulli" else MatrixEnv(make_ftl_breaker(T)))
@@ -526,6 +610,8 @@ class TestFullInformation:
         rng = np.random.default_rng(32)
         trans = play_full_information(policy, env, T, rng)
         assert policy.t == T
+        assert drawn.hexdigest() == FULL_INFO_DIST_DIGESTS[policy_kind,
+                                                           env_kind]
         digest = _full_info_digest(trans, rng)
         assert digest == FULL_INFO_DIGESTS[policy_kind, env_kind]
 
@@ -544,15 +630,36 @@ FIXED_RATE_DIGESTS = {
     ("hedge_doubling", "bernoulli_k5"): "fb85253ad8de9b81187b5c7c2ce735863ca3c77dde0ecf6d11529ae57db2aabf",
     ("hedge_doubling", "uniform_k2"): "c92d44317e4b622d37ea2b9c81c19783acebd3931ca6373b9e85f61abe2fbbba",
     ("hedge_doubling", "uniform_k5"): "b5f926798bbe2de2dfa4694a30675042410172884f32083f91422b67b3575599",
+    ("hedge_doubling", "uniform_k8"): "44573790803791e4f333612142773dad447a5d59aa3f81241706f6f92c9530da",
     ("hedge_explicit_eta", "bernoulli_k5"): "de0dffbcddc3961a1503a3f0f8a0bfd08b7d8b78b43e6ca2227f873fc093a4f1",
     ("hedge_explicit_eta", "uniform_k2"): "b64f2bb8b315533c0e99d3ba41ad0384d011f3f11e0456eb2ff536457c7f8e3e",
     ("hedge_explicit_eta", "uniform_k5"): "b023e9f903bed1177773f0343815b11f2460b1caff0f277e97cf16d371d169c4",
+    ("hedge_explicit_eta", "uniform_k8"): "9e42268cb1fb030403a46f70207bdb21affb43724251d968fcc1f507537f1300",
     ("hedge_tight", "bernoulli_k5"): "628fb41b82465471ddf227c6833a21e450d922db4c65158d4aef42330bac945e",
     ("hedge_tight", "uniform_k2"): "49dd2e85d26823f2acb3124bebbcd1fb24546e4445db749c8061fae721861631",
     ("hedge_tight", "uniform_k5"): "d6bdda4e8c35254e70b812ad39cc555aa8539fafb5aea3b100e3abf01bffde73",
+    ("hedge_tight", "uniform_k8"): "adaf418bdecf8e292e282b21e209116073fef9ed3f245124763a445156e17800",
+}
+# SHA-256 of ``_record_draws`` over the same games: every distribution
+# drawn from, as ``_hedge_weights`` built each one round by round.
+FIXED_RATE_DIST_DIGESTS = {
+    ("hedge_doubling", "bernoulli_k5"): "1389670f376fa7266cc7ad04193016dfd974c86e68c028e1d3a54046bb8a50f1",
+    ("hedge_doubling", "uniform_k2"): "2ace6bb3c5f964e3c8e2313fd589006f5170b0f530cc3d4ff83054201abe345c",
+    ("hedge_doubling", "uniform_k5"): "97d186a61478624f580260a96548a668e1d403f92a38f4669192a3233d7e4e67",
+    ("hedge_doubling", "uniform_k8"): "ecee46cf24472282e7b1b4ba98d310ca52ed5783d24dccda900e71f2fb686f06",
+    ("hedge_explicit_eta", "bernoulli_k5"): "b6504f3131d549d56feb82619540d18be0e75ab441724075dd97819cc7f8d918",
+    ("hedge_explicit_eta", "uniform_k2"): "ca28ac10d064477981621ecc6eb01a75e40c45994f4d64ddf311a7e34a6c58c9",
+    ("hedge_explicit_eta", "uniform_k5"): "7102072e5f6d95332237a0a76cc3abd20f4cb4b5b297a319abfd280f69d88e5f",
+    ("hedge_explicit_eta", "uniform_k8"): "2fa05a9f7ada479431791d9f7c3321584b8d7e97226f54936097ba48a4c848b6",
+    ("hedge_tight", "bernoulli_k5"): "2881ccc6e63d3fb3e8dac22578a3cd51e05e16212e2f6b52ca0e379512b57507",
+    ("hedge_tight", "uniform_k2"): "2e86c20e2cf2c9c564e22a0b301dead2c9e5541565a677cf17bdfefa6f96b474",
+    ("hedge_tight", "uniform_k5"): "d3957af0a21cc5e58e2b5d8e36b4859bfec565096ee2cdb0ebdee0e0e300276a",
+    ("hedge_tight", "uniform_k8"): "7f4603a5f2ef4908fb598323b898beefa2eb71fadf34dc1761c22b2724b348a8",
 }
 FIXED_RATE_KINDS = ("hedge_doubling", "hedge_explicit_eta", "hedge_tight")
-PINNED_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5")
+# numpy sums 8 or more cells pairwise, so "uniform_k8" shows a row total
+# that is not left to right
+PINNED_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5", "uniform_k8")
 # every policy kind that ``play_full_information`` plays a block at a time
 BLOCK_KINDS = FIXED_RATE_KINDS + ("hedge_simple",)
 
@@ -604,11 +711,14 @@ class TestFixedRateHedge:
 
     @pytest.mark.parametrize("env_kind", PINNED_ENVS)
     @pytest.mark.parametrize("policy_kind", FIXED_RATE_KINDS)
-    def test_transcript_is_pinned(self, policy_kind, env_kind):
+    def test_transcript_is_pinned(self, policy_kind, env_kind, monkeypatch):
+        drawn = _record_draws(monkeypatch)
         env = _fixed_rate_env(env_kind, self.T)
         rng = np.random.default_rng(32)
         trans = play_full_information(
             FULL_INFO_KINDS[policy_kind](env.K, self.T), env, self.T, rng)
+        assert drawn.hexdigest() == FIXED_RATE_DIST_DIGESTS[policy_kind,
+                                                            env_kind]
         digest = _full_info_digest(trans, rng)
         assert digest == FIXED_RATE_DIGESTS[policy_kind, env_kind]
 
@@ -1145,14 +1255,10 @@ class TestImportanceWeightedReplay:
 @pytest.mark.parametrize("replay", [replay_importance_weighted,
                                     replay_rejection_sampling],
                          ids=["iw", "rs"])
-@pytest.mark.parametrize("make", [
-    lambda: EXP3Policy(4),
-    lambda: EXP3Policy(4, variant="rewards", eta=0.1)],
-    ids=["exp3", "exp3_rewards"])
-def test_a_replay_names_a_missing_random_stream(replay, make):
+def test_a_replay_names_a_missing_random_stream(replay):
     # checked before the first record, so the policy has not moved
     log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
-    policy = make()
+    policy = EXP3Policy(4)
     with pytest.raises(ValueError) as info:
         replay(policy, log, 4)
     assert str(info.value) == "a policy that draws needs a random stream"

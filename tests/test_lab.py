@@ -940,6 +940,10 @@ class TestCli:
         assert [error.split(":")[1].strip() for error in errors] == [
             field for field, _ in rows]
 
+    # EXP3 has one form, so an exp3 section takes no variant
+    EXP3_VARIANT = ("policy p.variant: unknown keys ['variant']; [policy p] "
+                    "takes kind, eta, fixed_horizon (line 10)")
+
     @pytest.mark.parametrize("policy, message", [
         (["kind = hedge", "eta = -1"],
          "policy p.eta: must be positive and finite, got '-1' (line 10)"),
@@ -961,20 +965,17 @@ class TestCli:
          "policy p.eta: must be positive and finite, got 'nan' (line 10)"),
         (["kind = exp3", "eta = -0.5"],
          "policy p.eta: must be positive and finite, got '-0.5' (line 10)"),
-        (["kind = exp3", "variant = rewards", "eta = 1.5"],
-         "policy p.eta: must be in (0, 1), got '1.5' (line 11)"),
-        (["kind = exp3", "variant = gains"],
-         "policy p.variant: unknown variant 'gains', expected one of losses, "
-         "rewards (line 10)"),
+        (["kind = exp3", "variant = rewards", "eta = 0.5"],
+         EXP3_VARIANT),
+        (["kind = exp3", "variant = gains"], EXP3_VARIANT),
         (["kind = hedge", "doubling = true", "eta = 0.1"],
          "policy p.eta: must be unset when doubling is on, got '0.1' "
          "(line 11)"),
-        (["kind = exp3", "variant = rewards"],
-         "policy p.eta: required for variant rewards"),
+        (["kind = exp3", "variant = losses"], EXP3_VARIANT),
     ], ids=["hedge_negative", "hedge_zero", "hedge_nan", "hedge_inf",
             "doubling_negative", "variant_with_eta", "variant_with_doubling",
-            "exp3_nan", "exp3_negative", "exp3_rewards_range", "exp3_variant",
-            "doubling_with_eta", "exp3_rewards_without_eta"])
+            "exp3_nan", "exp3_negative", "exp3_rewards", "exp3_variant",
+            "doubling_with_eta", "exp3_losses"])
     def test_bad_rates_and_variants_name_their_line(self, tmp_path, capsys,
                                                      policy, message):
         config = tmp_path / "bad.cfg"

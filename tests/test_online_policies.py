@@ -235,11 +235,9 @@ class TestImportanceWeighting:
 
 
 class TestExp3:
-    def test_first_round_uniform_both_variants(self):
-        for variant, eta in (("losses", None), ("rewards", 0.2)):
-            pol = EXP3Policy(4, variant=variant, eta=eta)
-            p = pol.distributions()[0]
-            assert all(math.isclose(w, 0.25, rel_tol=1e-12) for w in p)
+    def test_first_round_uniform(self):
+        p = EXP3Policy(4).distributions()[0]
+        assert all(math.isclose(w, 0.25, rel_tol=1e-12) for w in p)
 
     def test_anytime_eta_default(self):
         # after t rounds the policy plays Hedge at sqrt(ln K / ((t + 1) K))
@@ -289,26 +287,10 @@ class TestExp3:
                        for cur, old in zip(pol.estimates[0], prev))
             prev = pol.estimates[0].tolist()
 
-    def test_rewards_variant_floor(self):
-        rng = np.random.default_rng(11)
-        eta = 0.15
-        pol = EXP3Policy(4, variant="rewards", eta=eta)
-        for _ in range(300):
-            p = pol.distributions()[0]
-            assert min(p) >= eta / 4 - 1e-12
-            arm = pol.act(rng)
-            pol.update(arm, float(rng.random()))
-
     @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
-    def test_losses_variant_needs_a_positive_finite_eta(self, eta):
+    def test_eta_must_be_positive_and_finite(self, eta):
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             EXP3Policy(2, eta=eta)
-
-    def test_rewards_variant_requires_eta_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            EXP3Policy(2, variant="rewards")
-        with pytest.raises(ValueError):
-            EXP3Policy(2, variant="rewards", eta=1.5)
 
     def test_a_nan_estimate_fails_the_sum_check(self):
         pol = EXP3Policy(2, R=2)
@@ -348,15 +330,14 @@ class TestExp3:
 
     def test_one_row_contract_checks(self):
         rng = np.random.default_rng(0)
-        for variant, eta in (("losses", None), ("rewards", 0.2)):
-            pol = EXP3Policy(2, variant=variant, eta=eta)
-            arm = pol.act(rng)
-            # -1e-17 is a loss below 0 although 1 - (-1e-17) rounds to 1
-            for bad in (-0.5, 1.5, math.nan, -1e-17):
-                with pytest.raises(ValueError, match=r"loss must be in \[0, 1\]"):
-                    pol.update(arm, bad)
-            pol.replay_update(arm, 2.0, 2)  # estimated reward K: loss 0
-            assert pol.t == 1 and pol.p is None
+        pol = EXP3Policy(2)
+        arm = pol.act(rng)
+        # -1e-17 is a loss below 0 although 1 - (-1e-17) rounds to 1
+        for bad in (-0.5, 1.5, math.nan, -1e-17):
+            with pytest.raises(ValueError, match=r"loss must be in \[0, 1\]"):
+                pol.update(arm, bad)
+        pol.replay_update(arm, 2.0, 2)  # estimated reward K: loss 0
+        assert pol.t == 1 and pol.p is None
         rows = EXP3Policy(2, R=2)
         with pytest.raises(ValueError, match="R=2"):
             rows.act(rng)
