@@ -28,13 +28,14 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-# Loss cells per block of a batched bandit game (at least one round): bounds
-# its memory, whatever the horizon.
+# Loss cells per array pass (at least one round): a block of a batched
+# bandit game or of a fixed-rate Hedge game, so their memory is bounded,
+# whatever the horizon.
 BLOCK_CELLS = 1 << 14
 
-# Rounds per block of Python rows that an env's ``row`` keeps: about 30 KiB
-# at K = 2, small enough that a series' envs held at once barely show in
-# memory.
+# Rounds per block of Python rows that an env's ``row`` keeps, and that the
+# per-round full-information loop plays at a time: about 30 KiB at K = 2,
+# small enough that a series' envs held at once barely show in memory.
 ROW_BLOCK = 256
 
 
@@ -192,7 +193,8 @@ class MatrixEnv:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise ValueError("need a T x K loss matrix")
-        if not (0.0 <= matrix.min() and matrix.max() <= 1.0):  # NaN fails
+        # NaN fails; an empty matrix, of no rounds, has no min to check
+        if matrix.size and not (0.0 <= matrix.min() and matrix.max() <= 1.0):
             raise ValueError("loss entries must lie in [0, 1]")
         self.matrix = matrix
         self.K = matrix.shape[1]
@@ -440,9 +442,10 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
 
     A Hedge whose rate holds over a period (``policy.fixed_rate``) plays a
     block of rounds at a time with ``policy.play_rows``: a block ends after
-    ``ROW_BLOCK`` rounds or at the policy's next period start, and reads its
-    rows from ``type(env).blocks``.  A game past the env's ``horizon`` plays
-    up to it and raises what ``row`` raises there.  Any other policy plays
+    ``max(1, BLOCK_CELLS // K)`` rounds, the cell bound of a ``play_bandit``
+    block at R = 1, or at the policy's next period start, and reads its rows
+    from ``type(env).blocks``.  A game past the env's ``horizon`` plays up
+    to it and raises what ``row`` raises there.  Any other policy plays
     ``ROW_BLOCK`` rounds to a block, each one ``act``, one ``env.row`` and
     one ``observe``; ``policy.act(u)`` takes one uniform per round when
     ``policy.draws`` (Hedge) and None otherwise (FTL).  The uniforms are
@@ -456,13 +459,14 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     if policy.draws and rng is None:
         raise ValueError("a policy that draws needs a random stream")
     blockwise = isinstance(policy, HedgePolicy) and policy.fixed_rate
+    step = max(1, BLOCK_CELLS // env.K)
     act, row_of, observe = policy.act, env.row, policy.observe
     arms, incurred = [], []
     column_sums = [0.0] * env.K
     t0 = 0
     while t0 < T:
         if blockwise:
-            t1 = min(T, t0 + ROW_BLOCK, t0 + policy.period_end - policy.t)
+            t1 = min(T, t0 + step, t0 + policy.period_end - policy.t)
             stop = min(t1, env.horizon)
             rows = type(env).blocks([env], t0, stop)[0]
             block = policy.play_rows(rows, rng.random(t1 - t0)[:stop - t0])

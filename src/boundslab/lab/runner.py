@@ -151,7 +151,8 @@ def _read_environment(config: ExperimentConfig):
         key = "k_grid" if "k_grid" in f.raw else "k"
         # the largest block of cells is one round of the R repetitions (a
         # bandit block of more rounds stays under BLOCK_CELLS) or ROW_BLOCK
-        # rounds of one full-information env
+        # rounds of an env's row cache; a fixed-rate Hedge block holds at
+        # most max(BLOCK_CELLS, k) cells, and BLOCK_CELLS is far below 2**27
         rows = f"max(experiment.R, {ROW_BLOCK})"
         k_grid = f.read(key, [int], "2", (
             lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),

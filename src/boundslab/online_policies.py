@@ -15,10 +15,11 @@ EXP4 take their exponential weights from one row kernel,
 holds over a period plays a block of rounds as rows, one row per round
 (``HedgePolicy.play_rows``).  A row does the float operations of its scalar
 counterpart in the same order: exponentials go through ``math.exp``
-(``np.exp`` rounds differently), ``ProbVec`` totals through ``math.fsum``,
-and at most one ``math.log`` is taken per round.  ``np.sqrt``, division and
-left-to-right ``np.add.accumulate`` round exactly like their scalar
-counterparts, and ``np.argmax`` breaks ties toward the lowest index.  UCB1 is the one policy
+(``np.exp`` rounds differently), ``ProbVec`` totals through ``math.fsum``
+(or one add for two arms, the same double), and at most one ``math.log``
+is taken per round.  ``np.sqrt``, division and left-to-right
+``np.add.accumulate`` round exactly like their scalar counterparts, and
+``np.argmax`` breaks ties toward the lowest index.  UCB1 is the one policy
 with a second, scalar implementation (see ``UCB1Batch``).
 """
 from __future__ import annotations
@@ -159,14 +160,30 @@ def _exp3_eta(K: int, t: int, eta: float | None, T: int | None) -> float:
 
 def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
     """What ``ProbVec`` does to each row: check the row sums to one within
-    ``NORMALIZATION_TOL`` and divide it by its ``math.fsum``.  The check
-    runs on the Python floats ``fsum`` returns; a NaN total fails it."""
+    ``NORMALIZATION_TOL`` and divide it by its ``math.fsum``.  A two-arm
+    row's total is one numpy add, as ``fsum`` returns the correctly rounded
+    sum, which for two doubles is their IEEE sum, and every such total is
+    checked in one comparison.  Wider rows take ``fsum`` and the check one
+    Python float at a time.  A NaN total fails the check."""
+    if p.shape[1] == 2:
+        totals = p[:, 0] + p[:, 1]
+        # np.maximum keeps a NaN; ``initial`` lets a block of no rows pass
+        if not (np.maximum.reduce(abs(totals - 1.0), initial=0.0)
+                <= NORMALIZATION_TOL):
+            _check_totals(totals.tolist())
+        return p / totals[:, None]
     totals = list(map(math.fsum, p.tolist()))
+    _check_totals(totals)
+    return p / np.array(totals)[:, None]
+
+
+def _check_totals(totals: list[float]) -> None:
+    """Raise for the first row total off one by more than
+    ``NORMALIZATION_TOL``, or NaN, naming its row."""
     for total in totals:
         if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise ValueError(f"row {totals.index(total)}: weights sum to "
                              f"{total}, not 1")
-    return p / np.array(totals)[:, None]
 
 
 def _exp_weights_rows(losses: np.ndarray, eta: float,

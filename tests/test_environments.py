@@ -217,6 +217,26 @@ class TestRows:
                     env.row(t)
 
 
+    def test_a_matrix_of_no_rounds_is_an_env_of_horizon_0(self):
+        env = MatrixEnv(np.zeros((0, 2)))
+        assert (env.K, env.horizon) == (2, 0)
+        no_round = r"^round 0 outside \[0, 0\)$"
+        with pytest.raises(ValueError, match=no_round):
+            env.row(0)
+        # a game of no rounds plays nothing, one of a round raises
+        for make in (lambda: HedgePolicy(2, variant="tight", T=1),
+                     lambda: HedgePolicy(2), lambda: FTLPolicy(2)):
+            trans = play_full_information(make(), env, 0,
+                                          np.random.default_rng(0))
+            assert len(trans) == 0
+            assert trans.detail["column_sums"] == (0.0, 0.0)
+            with pytest.raises(ValueError, match=no_round):
+                play_full_information(make(), env, 1, np.random.default_rng(0))
+        [trans] = play_bandit(EXP3Policy(2), [env], 0,
+                              [np.random.default_rng(0)])
+        assert len(trans) == 0
+
+
 class TestFtlBreaker:
     def test_ftl_loses_every_round_after_the_first(self):
         T = 200
@@ -559,7 +579,7 @@ FULL_INFO_DIGESTS = {
     ("hedge_tight", "ftl_breaker"): "09af2aefbbce0ba63e49c5cb2411013ea673cacc48a13ec6083ff8cffddb9522",
 }
 # SHA-256 of ``_record_draws`` over the same games: every distribution a
-# Hedge draws from (FTL draws nothing), at either ``ROW_BLOCK``.
+# Hedge draws from (FTL draws nothing), at either block size.
 FULL_INFO_DIST_DIGESTS = {
     ("ftl", "bernoulli"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ftl", "ftl_breaker"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -591,19 +611,27 @@ def _full_info_digest(trans, rng) -> str:
     )).encode()).hexdigest()
 
 
+def _blocks_of(monkeypatch, row_block: int, K: int) -> None:
+    """At ``row_block`` = 13, blocks of 13 rounds for the env's rows and the
+    per-round loop (``ROW_BLOCK``) and for the fixed-rate pass
+    (``BLOCK_CELLS``, 13·K cells), so a game spans many blocks and the last
+    one is short; at ``ROW_BLOCK`` both keep their default sizes."""
+    if row_block != environments.ROW_BLOCK:
+        monkeypatch.setattr(environments, "ROW_BLOCK", row_block)
+        monkeypatch.setattr(environments, "BLOCK_CELLS", row_block * K)
+
+
 class TestFullInformation:
     @pytest.mark.parametrize("row_block", [13, environments.ROW_BLOCK])
     @pytest.mark.parametrize("env_kind", ["bernoulli", "ftl_breaker"])
     @pytest.mark.parametrize("policy_kind", sorted(FULL_INFO_KINDS))
     def test_transcript_is_pinned(self, policy_kind, env_kind, row_block,
                                   monkeypatch):
-        # blocks of 13 rounds, for the game loop and the env's rows, so a
-        # game spans many and the last one is short
-        monkeypatch.setattr(environments, "ROW_BLOCK", row_block)
         drawn = _record_draws(monkeypatch)
         T = 600  # doubling periods up to [512, 1024)
         env = (BernoulliEnv((0.35, 0.5, 0.65), seed=2024)
                if env_kind == "bernoulli" else MatrixEnv(make_ftl_breaker(T)))
+        _blocks_of(monkeypatch, row_block, env.K)
         policy = FULL_INFO_KINDS[policy_kind](env.K, T)
         # at seed 31 the two anytime rates happen to play the same arms on
         # the breaker, so their digests could not tell them apart
@@ -741,7 +769,7 @@ class TestFixedRateHedge:
     def test_block_pass_equals_per_round_play(self, policy_kind, K, env_kind,
                                               row_block, monkeypatch):
         # blocks of 13 rounds cut most doubling periods more than once
-        monkeypatch.setattr(environments, "ROW_BLOCK", row_block)
+        _blocks_of(monkeypatch, row_block, K)
         drawn = []  # each distribution the block pass draws an arm from
 
         def recorded(p, u):

@@ -234,6 +234,35 @@ class TestImportanceWeighting:
                                atol=1e-12)
 
 
+def _zero_columns(p: np.ndarray, K: int) -> np.ndarray:
+    """The two-column ``p`` with K - 2 zero columns after it."""
+    return np.pad(p, ((0, 0), (0, K - 2)))
+
+
+def _nudged(x: float, ulps: int) -> float:
+    """x moved ``ulps`` doubles up (or down, for a negative count)."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# nonnegative finite doubles: any of [0, 2], subnormals, those within an ulp
+# of 1, and any whose sum with another cannot overflow, which fsum raises on
+_cells = st.one_of(
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0 ** -1022, exclude_max=True),
+    st.sampled_from([_nudged(1.0, -1), 1.0, _nudged(1.0, 1)]),
+    st.floats(0.0, sys.float_info.max / 2))
+# a row that sums to about 1, and a cell with a half ulp of it, or three
+# halves, beside it: a sum halfway between two doubles, which rounds to even
+_near_one = st.builds(lambda a, ulps: (a, _nudged(1.0 - a, ulps)),
+                      st.floats(0.0, 1.0), st.integers(-2, 2))
+_tie = st.builds(lambda a, odd: (a, odd * math.ulp(a) / 2),
+                 _cells, st.sampled_from([1, 3]))
+two_cell_rows = st.one_of(st.tuples(_cells, _cells), _near_one, _tie,
+                          _tie.map(lambda row: row[::-1]))
+
+
 class TestExp3:
     def test_first_round_uniform(self):
         p = EXP3Policy(4).distributions()[0]
@@ -292,36 +321,66 @@ class TestExp3:
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             EXP3Policy(2, eta=eta)
 
-    def test_a_nan_estimate_fails_the_sum_check(self):
-        pol = EXP3Policy(2, R=2)
+    # K = 2 totals a row with one add, K = 3 (a zero third column, which
+    # leaves each total as it is) with ``math.fsum``: one message for both
+    @pytest.mark.parametrize("K", [2, 3])
+    def test_a_nan_estimate_fails_the_sum_check(self, K):
+        pol = EXP3Policy(K, R=2)
         pol.estimates[0, 1] = math.nan
         with pytest.raises(ValueError) as caught:
             pol.distributions()
         assert str(caught.value) == "row 0: weights sum to nan, not 1"
 
+    @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("off, total", [
         (2 * NORMALIZATION_TOL, "1.0000000020000002"),
         (-2 * NORMALIZATION_TOL, "0.9999999980000001")],
         ids=["2e-09", "-2e-09"])
-    def test_a_row_off_one_fails_the_sum_check(self, off, total):
+    def test_a_row_off_one_fails_the_sum_check(self, off, total, K):
         p = np.array([[0.5, 0.5], [0.5, 0.5 + off], [0.25, 0.75 + off]])
         with pytest.raises(ValueError) as caught:
-            _as_probvec_rows(p)
+            _as_probvec_rows(_zero_columns(p, K))
         # the first failing row, with its fsum total as a Python float
         assert str(caught.value) == f"row 1: weights sum to {total}, not 1"
         # within the tolerance, each row is divided by its sum
         p[1:, 1] = 0.5 + off / 4, 0.75 + off / 4
+        p = _zero_columns(p, K)
         assert _as_probvec_rows(p).tolist() == [
             list(ProbVec(row)) for row in p.tolist()]
 
+    @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("bad", [0, 1, 2])
-    def test_the_first_row_off_one_is_named(self, bad):
+    def test_the_first_row_off_one_is_named(self, bad, K):
         # row ``bad`` sums to 2, and every row after it to more
         p = np.full((3, 2), 0.5)
         p[bad:, 1] += np.arange(1.0, 4.0 - bad)
         with pytest.raises(ValueError) as caught:
-            _as_probvec_rows(p)
+            _as_probvec_rows(_zero_columns(p, K))
         assert str(caught.value) == f"row {bad}: weights sum to 2.0, not 1"
+
+    def test_a_two_cell_total_that_overflows_fails_the_sum_check(self):
+        # math.fsum raises OverflowError here; the one add gives inf
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError) as caught:
+            _as_probvec_rows(np.array([[0.5, 0.5], [1e308, 1e308]]))
+        assert str(caught.value) == "row 1: weights sum to inf, not 1"
+
+    @given(two_cell_rows)
+    @example((1.0 - 2.0 ** -53, 2.0 ** -54))  # a tie, to even: 1.0
+    @example((0.5, 0.5 + 2.0 ** -53))  # a tie, to even: 1.0
+    @example((0.5, 0.5 + 3 * 2.0 ** -53))  # a tie, to even: 1 + 2**-51
+    @example((5e-324, 1.0))
+    def test_a_two_cell_total_is_the_fsum_total(self, row):
+        assert float.hex(row[0] + row[1]) == float.hex(math.fsum(row))
+        try:
+            want = list(ProbVec(row))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                _as_probvec_rows(np.array([row]))
+            assert str(caught.value) == f"row 0: {exc}"
+        else:
+            got = _as_probvec_rows(np.array([row]))[0].tolist()
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_update_requires_act(self):
         pol = EXP3Policy(2)
