@@ -103,15 +103,15 @@ class SplitGrid:
     def segment_column(self, values, j: int) -> np.ndarray:
         """x_{|j} of every value: the float64 array clamp((x - b_{j-1})/alpha_j).
 
-        The clamp is ``min(1.0, max(0.0, v))`` element by element, NaN and
-        -0.0 going to 0.0 as with the builtins; ``np.maximum`` and
-        ``np.fmax`` give -0.0 for -0.0 depending on operand order and array
-        length.  Overflow gives inf silently, as Python float arithmetic does.
+        The clamp is ``min(1.0, max(0.0, v))`` element by element, in place:
+        ``np.fmax`` sends NaN to 0.0, and adding 0.0 turns the -0.0 it may
+        keep into 0.0, as the builtins give.  Overflow gives inf silently,
+        as Python float arithmetic does.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             v = (np.asarray(values, dtype=float) - self.points[j]) / self.alphas[j]
-        v = np.where(v > 0.0, v, 0.0)
-        return np.where(v < 1.0, v, 1.0)
+        np.fmin(np.fmax(v, 0.0, out=v), 1.0, out=v)
+        return np.add(v, 0.0, out=v)
 
 
 class LambdaGrid:

@@ -102,9 +102,9 @@ class ProbVec:
             _raise_first_bad_weight(ws)
         try:
             total = math.fsum(ws)
-        except OverflowError:
+        except OverflowError:  # the weights sum past the largest double
             _raise_first_bad_weight(ws)
-            raise
+            total = math.inf
         if total != total:
             _raise_first_bad_weight(ws)
         if abs(total - 1.0) > NORMALIZATION_TOL:

@@ -10,9 +10,7 @@ depend on policy state beyond the chosen index at reveal time.
 """
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -450,10 +448,9 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     one ``observe``; ``policy.act(u)`` takes one uniform per round when
     ``policy.draws`` (Hedge) and None otherwise (FTL).  The uniforms are
     drawn from ``rng`` per block, which gives the same doubles and leaves
-    ``rng`` in the same state as one draw per round, and the block's rows
-    are then added to the column sums, each column left to right, as a
-    running sum would.  The arms and incurred losses are kept in lists and
-    converted once, at the end.
+    ``rng`` in the same state as one draw per round.  Either path ends a
+    block as arrays of its arms and rows, and adds the rows to the column
+    sums, each column left to right, as a running sum would.
     """
     _check_count(T, "T", 0)
     if policy.draws and rng is None:
@@ -461,8 +458,8 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     blockwise = isinstance(policy, HedgePolicy) and policy.fixed_rate
     step = max(1, BLOCK_CELLS // env.K)
     act, row_of, observe = policy.act, env.row, policy.observe
-    arms, incurred = [], []
-    column_sums = [0.0] * env.K
+    arms, incurred = [np.empty(0, dtype=int)], [np.zeros(1)]  # the total's 0.0
+    column_sums = np.zeros(env.K)
     t0 = 0
     while t0 < T:
         if blockwise:
@@ -472,33 +469,25 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
             block = policy.play_rows(rows, rng.random(t1 - t0)[:stop - t0])
             if stop < t1:
                 raise ValueError(f"round {stop} outside [0, {stop})")
-            arms += block.tolist()
-            incurred += rows[np.arange(t1 - t0), block].tolist()
-            column_sums = np.add.accumulate(
-                np.vstack((column_sums, rows)))[-1].tolist()
         else:
             t1 = min(T, t0 + ROW_BLOCK)
             uniforms = (rng.random(t1 - t0).tolist() if policy.draws
                         else [None] * (t1 - t0))
-            rows = []
+            block, rows = [], []
             for t, u in zip(range(t0, t1), uniforms):
-                arms.append(act(u))
-                row = row_of(t)
-                rows.append(row)
-                observe(row)
-            incurred += map(operator.getitem, rows, arms[t0:t1])
-            column_sums = [functools.reduce(operator.add, column, total)
-                           for total, column in zip(column_sums, zip(*rows))]
+                block.append(act(u))
+                rows.append(row_of(t))
+                observe(rows[-1])
+            block, rows = np.array(block, dtype=int), np.array(rows)
+        arms.append(block)
+        incurred.append(rows[np.arange(t1 - t0), block])
+        column_sums = np.add.accumulate(np.vstack((column_sums, rows)))[-1]
         t0 = t1
-    detail = {
-        "feedback": "full",
-        "column_sums": tuple(column_sums),
-        # the running total, added left to right from 0.0
-        "final_regret": (functools.reduce(operator.add, incurred, 0.0)
-                         - min(column_sums)),
-    }
-    return GameTranscript(np.array(arms, dtype=int),
-                          np.array(incurred, dtype=float), "loss", detail)
+    incurred, sums = np.concatenate(incurred), column_sums.tolist()
+    detail = {"feedback": "full", "column_sums": tuple(sums),
+              # the running total, added left to right from 0.0
+              "final_regret": float(np.add.accumulate(incurred)[-1]) - min(sums)}
+    return GameTranscript(np.concatenate(arms), incurred[1:], "loss", detail)
 
 
 def play_bandit(policy, envs: Sequence, T: int,

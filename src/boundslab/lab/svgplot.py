@@ -81,11 +81,11 @@ def _escape(text):
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
-    """Render the traces to a standalone SVG file.  A trace with no point
-    (a replay's RS series when one repetition accepted no record) keeps its
-    legend entry and colour but sets no axis range and draws no line; at
-    least one trace must have a point."""
+def render_plot(traces, path, *, title="") -> None:
+    """Render the traces to a standalone SVG file, axes "t" and "value".  A
+    trace with no point (a replay's RS series when one repetition accepted no
+    record) keeps its legend entry and colour but sets no axis range and
+    draws no line; at least one trace must have a point."""
     traces = list(traces)
     drawn = [tr for tr in traces if len(tr.t)]
     if not drawn:
@@ -129,12 +129,11 @@ def render_plot(traces, path, *, title="", xlabel="t", ylabel="value") -> None:
     parts.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" '
         f'text-anchor="middle" font-family="monospace" font-size="13">'
-        f'{_escape(xlabel)}</text>')
+        't</text>')
     parts.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="monospace" font-size="13" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">'
-        f'{_escape(ylabel)}</text>')
+        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">value</text>')
 
     for x in _ticks(x_min, x_max):
         px = sx(x)

@@ -159,12 +159,13 @@ def _exp3_eta(K: int, t: int, eta: float | None, T: int | None) -> float:
 
 
 def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
-    """What ``ProbVec`` does to each row: check the row sums to one within
-    ``NORMALIZATION_TOL`` and divide it by its ``math.fsum``.  A two-arm
-    row's total is one numpy add, as ``fsum`` returns the correctly rounded
-    sum, which for two doubles is their IEEE sum, and every such total is
-    checked in one comparison.  Wider rows take ``fsum`` and the check one
-    Python float at a time.  A NaN total fails the check."""
+    """What ``ProbVec`` does to each row of nonnegative cells: check the row
+    sums to one within ``NORMALIZATION_TOL`` and divide it by its
+    ``math.fsum``.  A two-arm row's total is one numpy add, as ``fsum``
+    returns the correctly rounded sum, which for two doubles is their IEEE
+    sum, and every such total is checked in one comparison.  Wider rows take
+    ``fsum`` and the check one Python float at a time.  A NaN or overflowing
+    total fails the check."""
     if p.shape[1] == 2:
         totals = p[:, 0] + p[:, 1]
         # np.maximum keeps a NaN; ``initial`` lets a block of no rows pass
@@ -172,9 +173,20 @@ def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
                 <= NORMALIZATION_TOL):
             _check_totals(totals.tolist())
         return p / totals[:, None]
-    totals = list(map(math.fsum, p.tolist()))
+    try:
+        totals = list(map(math.fsum, p.tolist()))
+    except OverflowError:  # fsum raises where a sum overflows: name the row
+        totals = list(map(_fsum_or_inf, p.tolist()))
     _check_totals(totals)
     return p / np.array(totals)[:, None]
+
+
+def _fsum_or_inf(row: list[float]) -> float:
+    """``math.fsum`` of nonnegative cells, or inf where it would overflow."""
+    try:
+        return math.fsum(row)
+    except OverflowError:
+        return math.inf
 
 
 def _check_totals(totals: list[float]) -> None:

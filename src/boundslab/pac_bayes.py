@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import BoundResult, _split_kl_sum
+from .concentration import BoundResult, SplitGrid, _split_kl_sum
 from .divergences import (
     _TINY,
     ProbVec,
@@ -30,6 +30,8 @@ from .divergences import (
 
 # lam of the lambda-form upper bounds lies in (0, 2)
 _BELOW_TWO = math.nextafter(2.0, 0.0)
+# the alternating minimiser's relative tolerance and update cap
+REL_TOL, MAX_ITER = 1e-9, 1000
 
 
 class LossTable:
@@ -168,10 +170,9 @@ class MinimizationResult:
 
 
 def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
-                               complexity: float, rel_tol: float = 1e-9,
-                               max_iter: int = 1000) -> MinimizationResult:
-    """Alternate the closed-form Gibbs update for rho with the closed-form
-    lambda update until the bound's relative decrease falls below rel_tol.
+                               complexity: float) -> MinimizationResult:
+    """Alternate the closed-form Gibbs and lambda updates, at most MAX_ITER
+    times, until the bound's relative decrease falls below REL_TOL.
     ``complexity`` is the log confidence budget added to KL(rho||pi)."""
     rho = pi
     trace = []
@@ -179,7 +180,7 @@ def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
     lam = _optimal_lambda_raw(emp, complexity, n_eff)
     bound = _lambda_upper(emp, complexity, lam, n_eff)
     trace.append(bound)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         rho = gibbs_posterior(pi, losses, scale=lam * n_eff)
         emp = float(np.dot(rho.weights, losses))
         kl_term = categorical_kl(rho, pi)
@@ -188,7 +189,7 @@ def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
         trace.append(new_bound)
         # inf - inf is NaN, which fails the test: an infinite bound stops here
         if (new_bound == math.inf
-                or bound - new_bound < rel_tol * max(bound, 1e-300)):
+                or bound - new_bound < REL_TOL * max(bound, 1e-300)):
             bound = min(bound, new_bound)
             break
         bound = new_bound
@@ -240,20 +241,20 @@ class RecursiveStage:
 
 
 def recursive_pb(table: LossTable, delta: float, T: int,
-                 gammas: Optional[Sequence[float]] = None,
-                 pi0: Optional[ProbVec] = None, seed: int = 0,
+                 gammas: Optional[Sequence[float]] = None, seed: int = 0,
                  reference_draws: Optional[dict] = None) -> list:
-    """Stage-wise recursive bound on E_{pi_T*}[L(h)].
+    """Stage-wise recursive bound on E_{pi_T*}[L(h)] from the uniform prior.
 
     The sample is split geometrically into S_1..S_T (column order).  Stage 1
     trains pi_1* on S_1 and certifies it on all of S with budget
     ln(2 T sqrt(n)/delta).  Each later stage t draws one reference hypothesis
     per validation example from pi_{t-1}* (stage-scoped seeded stream, or the
-    injected ``reference_draws[t]``), forms the four-valued excess losses
-    f = loss(h) - gamma_t loss(h'), trains pi_t* on the S_t portion, and
-    certifies E_t with the split-kl form at budget ln(6 T sqrt(n_val)/delta),
-    recomposing B_t = E_t + gamma_t B_{t-1}.  Returns one BoundResult per
-    stage, each carrying its RecursiveStage record.
+    injected ``reference_draws[t]``), forms the excess losses
+    f = loss(h) - gamma_t loss(h') in [-gamma_t, 1] of losses in [0, 1],
+    trains pi_t* on the S_t portion, and certifies E_t with the split-kl form
+    at budget ln(6 T sqrt(n_val)/delta), decomposing f by the ``SplitGrid``
+    on -gamma_t, 0, 1 - gamma_t, 1, and B_t = E_t + gamma_t B_{t-1}.  Returns
+    one BoundResult per stage, each carrying its RecursiveStage record.
     """
     _check_delta(delta)
     m, n = table.m, table.n
@@ -264,9 +265,7 @@ def recursive_pb(table: LossTable, delta: float, T: int,
     gammas = [_check_unit(g, "gammas") for g in gammas]
     if len(gammas) != T:
         raise ValueError("need one gamma per stage")
-    pi_prev = pi0 if pi0 is not None else ProbVec([1.0 / m] * m)
-    if len(pi_prev) != m:
-        raise ValueError("pi0 length must match the number of hypotheses")
+    pi_prev = ProbVec([1.0 / m] * m)
     seed_seq = np.random.SeedSequence(_check_count(seed, "seed", 0))
     stage_seeds = seed_seq.spawn(T)
     losses = table.losses
@@ -321,14 +320,14 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             kl_term = categorical_kl(pi_star, pi_prev)
             eps = (kl_term + complexity) / n_val
             rho_w = np.asarray(pi_star.weights)
-            # a zero-width segment (gamma = 0 or 1) adds nothing and is skipped
-            segs = [j for j in range(1, 4) if levels[j] != levels[j - 1]]
+            # a zero-width segment (gamma = 0 or 1) is dropped with its level
+            grid = SplitGrid(dict.fromkeys(levels))
             seg_means = [
                 min(1.0, max(0.0, float(np.dot(
-                    rho_w, (excess >= levels[j] - 1e-12).mean(axis=1)))))
-                for j in segs]
-            excess_bound = _split_kl_sum(
-                -gamma, [levels[j] - levels[j - 1] for j in segs], seg_means, eps)
+                    rho_w, grid.segment_column(excess, j).mean(axis=1)))))
+                for j in range(grid.K)]
+            excess_bound = _split_kl_sum(grid.points[0], grid.alphas,
+                                         seg_means, eps)
             bound = excess_bound + gamma * bound_prev
             stage = RecursiveStage(t, n_t, n_val, gamma, pi_star, levels,
                                    excess_bound, bound)

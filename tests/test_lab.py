@@ -581,13 +581,6 @@ class TestSvg:
         assert texts[-2:] == ["a<b&c", "plain"]  # the legend
         assert parse_csv(tmp_path / "x&y<z>.csv")[0].name == "a<b&c"
 
-    def test_axis_labels_are_escaped(self, tmp_path):
-        trace = AggregateTrace("s", [1, 2], [0.0, 1.0], [0.0, 0.0])
-        render_plot([trace], tmp_path / "l.svg", xlabel="t < T",
-                    ylabel="R&D >")
-        texts = [el.text for el in ET.parse(tmp_path / "l.svg").getroot()]
-        assert "t < T" in texts and "R&D >" in texts
-
     def test_downsampling_cap(self):
         xs = np.arange(10000)
         ys = np.arange(10000.0)

@@ -254,8 +254,10 @@ _cells = st.one_of(
     st.sampled_from([_nudged(1.0, -1), 1.0, _nudged(1.0, 1)]),
     st.floats(0.0, sys.float_info.max / 2))
 # a row that sums to about 1, and a cell with a half ulp of it, or three
-# halves, beside it: a sum halfway between two doubles, which rounds to even
-_near_one = st.builds(lambda a, ulps: (a, _nudged(1.0 - a, ulps)),
+# halves, beside it: a sum halfway between two doubles, which rounds to even.
+# Every cell is nonnegative, as ``_as_probvec_rows`` requires: at a = 1 a
+# step down from 1 - a = 0 is clamped to 0
+_near_one = st.builds(lambda a, ulps: (a, max(0.0, _nudged(1.0 - a, ulps))),
                       st.floats(0.0, 1.0), st.integers(-2, 2))
 _tie = st.builds(lambda a, odd: (a, odd * math.ulp(a) / 2),
                  _cells, st.sampled_from([1, 3]))
@@ -364,6 +366,19 @@ class TestExp3:
                 pytest.raises(ValueError) as caught:
             _as_probvec_rows(np.array([[0.5, 0.5], [1e308, 1e308]]))
         assert str(caught.value) == "row 1: weights sum to inf, not 1"
+
+    @pytest.mark.parametrize("rows, named", [
+        ([(0.25, 0.25, 0.5), (1e308, 1e308, 0.0), (0.5, 1.0, 0.5)],
+         "row 1: weights sum to inf, not 1"),
+        ([(0.25, 0.25, 0.5), (0.5, 1.0, 0.5), (1e308, 1e308, 0.0)],
+         "row 1: weights sum to 2.0, not 1")], ids=["at", "after"])
+    def test_a_wide_row_total_that_overflows_fails_the_sum_check(self, rows,
+                                                               named):
+        # math.fsum raises OverflowError on (1e308, 1e308, 0); the rows are
+        # then summed one at a time, so the first failing row is named
+        with pytest.raises(ValueError) as caught:
+            _as_probvec_rows(np.array(rows))
+        assert str(caught.value) == named
 
     @given(two_cell_rows)
     @example((1.0 - 2.0 ** -53, 2.0 ** -54))  # a tie, to even: 1.0
@@ -523,6 +538,20 @@ class TestExp4:
         with pytest.raises(ValueError) as got:
             pol.act_rows(np.array([0.5]))
         assert str(got.value) in (str(want.value), f"row 1: {want.value}")
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_advice_whose_sum_overflows_names_its_row(self, row):
+        # math.fsum raises OverflowError on (1e308, 1e308, 0); ProbVec and
+        # the advice check both name the sum, inf
+        advice = [(0.5, 0.5, 0.0)] * 2
+        advice[row] = (1e308, 1e308, 0.0)
+        pol = EXP4Policy(2, 3, _static(*advice), eta=0.1)
+        with pytest.raises(ValueError) as want:
+            ProbVec(advice[row])
+        with pytest.raises(ValueError) as got:
+            pol.act_rows(np.array([0.5]))
+        assert str(want.value) == "weights sum to inf, not 1"
+        assert str(got.value) == f"row {row}: {want.value}"
 
 
 class TestRadiusCoefficient:

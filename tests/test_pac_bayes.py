@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -376,6 +377,24 @@ class TestRecursive:
             stages = recursive_pb(table, 0.05, T, seed=0)
             assert stages[0].value == 1.0
             assert all(stage.value >= 1.0 for stage in stages)
+
+    def test_constant_fractional_losses_are_certified_above_their_value(self):
+        # every hypothesis loses c on every example, so the excess losses
+        # are deterministic and every posterior's risk is c: every stage of
+        # a valid bound certifies at least c.  The indicators
+        # 1[f >= level] decompose f only where f lies on a level, as on
+        # {0, 1} losses; here they undercount (0.37 at c = 0.5, gamma = 0.5,
+        # T = 2)
+        short = []
+        for c, gamma, T, m in itertools.product(
+                (0.1, 0.25, 0.5, 0.75, 0.9), (0.0, 0.3, 0.5, 1.0), (2, 3, 4),
+                (1, 3)):
+            stages = recursive_pb(LossTable(np.full((m, 256), c)), 0.05, T,
+                                  gammas=[gamma] * T, seed=0)
+            values = [stage.value for stage in stages]
+            if min(values) < c:
+                short.append((c, gamma, T, m, values))
+        assert short == []
 
     def test_injected_reference_draws_are_deterministic(self):
         rng = np.random.default_rng(4)
