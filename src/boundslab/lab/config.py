@@ -2,18 +2,19 @@
 
 Format: "[section]" headers, "key = value" pairs, blank lines and full-line
 '#' comments.  Sections are "[experiment]", "[environment]", "[params]" and
-any number of "[policy <label>]" blocks.  One reader, ``Section``, reads
-every field once; a key it never reads and a duplicate key are errors.  A
-line, a command-line option and a default all enter as raw text and pass one
-converter, ``_convert``, with the field's rules: one ordered list of ``(ok,
-want)`` pairs (its floor, its cap, its ties to other fields).  The first that
-fails reads ``<path>: must be <want>, got '<raw>'``; a type error reads
-``<path>: cannot parse '<raw>' as <type>``.  Either ends with ``(line N)`` or
-``(--option)`` when the field has one.
+any number of "[policy <label>]" blocks.  One reader, ``Section``, reads every
+field and records it in ``fields``; a key it never reads and a duplicate key
+are errors.  A line, a command-line option and a default all enter as raw text
+and pass one converter, ``_convert``, with the field's rules: one ordered list
+of ``(ok, want)`` pairs (its floor, its cap, its ties to other fields).  The
+first that fails reads ``<path>: must be <want>, got '<raw>'``; a type error
+reads ``<path>: cannot parse '<raw>' as <type>``.  Either ends with
+``(line N)`` or ``(--option)`` when the field has one.
 """
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -48,10 +49,14 @@ SEED = (lambda seed: 0 <= seed < 2 ** 64, "in [0, 2**64)")
 FILE_NAME = (lambda name: (name != "" and "\0" not in name
                            and os.path.basename(name) == name), "a file name")
 
+# One read of a field, as ``Section.read`` records it in a config's ``fields``
+Field = namedtuple("Field", "section key kind default wants required text")
+
 
 @dataclass
 class ExperimentConfig:
-    """A config as ``parse_config_lines`` reads it; sections stay raw."""
+    """A config as ``parse_config_lines`` reads it; sections stay raw, and
+    ``fields`` holds a ``Field`` per ``Section.read`` of it, in read order."""
     name: str
     kind: str
     T: int
@@ -63,20 +68,23 @@ class ExperimentConfig:
     params: dict
     # where each field (and section) was read from: {"params.n": "line 14"}
     sources: dict = field(repr=False, compare=False)
-    # the raw text of each [experiment] field, its default's when unset, for
-    # the checks another section's fields add: {"T": "03"}
-    texts: dict = field(repr=False, compare=False)
+    fields: list = field(repr=False, compare=False)
     policies: list = field(default_factory=list)  # (label, {key: value})
+
+    def section(self, name: str) -> Section:
+        """``name`` over the text each of its fields was read from."""
+        return Section(name, {f.key: f.text for f in self.fields
+                              if f.section == name}, self.fields)
 
 
 class Section:
     """One section's raw ``key = value`` strings, read a field at a time:
-    ``read`` converts a value (see ``_convert``), marks the key as known
-    and keeps the text it read in ``texts``; ``close`` rejects every key
-    never read."""
+    ``read`` records the text it reads (the default's when the key is unset,
+    else None) as a ``Field`` in ``fields`` and converts it (see
+    ``_convert``); ``close`` rejects a key ``fields`` holds no read of."""
 
-    def __init__(self, name: str, raw: dict):
-        self.name, self.raw, self.known, self.texts = name, raw, [], {}
+    def __init__(self, name: str, raw: dict, fields: list):
+        self.name, self.raw, self.fields = name, raw, fields
 
     def error(self, key: str, text: str) -> ConfigError:
         return ConfigError(f"{self.name}.{key}: {text}", f"{self.name}.{key}")
@@ -86,20 +94,21 @@ class Section:
         """``key``'s value, checked against ``rules`` in order; else
         ``default``, written as a line would be so it passes the same
         rules; else None, or ``required``'s error."""
-        self.known.append(key)
         raw = self.raw.get(key, default)
+        self.fields.append(Field(self.name, key, kind, default,
+                                 [want for _, want in rules], required, raw))
         if raw is None:
             if required is not None:
                 raise self.error(key, f"required {required}")
             return None
-        self.texts[key] = raw
         return _convert(raw, kind, f"{self.name}.{key}", *rules)
 
     def close(self) -> None:
-        unread = [key for key in self.raw if key not in self.known]
+        known = [f.key for f in self.fields if f.section == self.name]
+        unread = [key for key in self.raw if key not in known]
         if unread:
             raise self.error(unread[0], f"unknown keys {unread}; [{self.name}] "
-                                        f"takes {', '.join(self.known)}")
+                                        f"takes {', '.join(known)}")
 
 
 def _parse_sections(lines):
@@ -117,6 +126,8 @@ def _parse_sections(lines):
             header = line[1:-1].strip()
             if not header:
                 raise ConfigError(f"line {lineno}: empty section header")
+            if header == "policy":
+                raise ConfigError(f"line {lineno}: empty policy label")
             section = (f"policy {header[len('policy '):].strip()}"
                        if header.startswith("policy ") else header)
             if section in sections:
@@ -188,7 +199,7 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
             section, _, key = path.partition(".")
             if raw is not None:
                 sections[section][key], sources[path] = raw, option
-        exp = Section("experiment", sections.pop("experiment"))
+        exp = Section("experiment", sections.pop("experiment"), [])
         config = ExperimentConfig(
             name=exp.read("name", str, None, FILE_NAME,
                           required="for every experiment"),
@@ -203,7 +214,7 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
             environment=sections.get("environment", {}),
             params=sections.get("params", {}),
             sources=sources,
-            texts=exp.texts,
+            fields=exp.fields,
         )
         exp.close()
         uses = ("environment", "policy") if config.kind == "game" else ("params",)

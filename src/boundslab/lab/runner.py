@@ -91,10 +91,10 @@ def _cap(holder: str, per: int = 1, per_text: str = "", many=None) -> tuple:
             f"(1 GiB as float64)")
 
 
-def _read_policy(label: str, raw: dict, T: int, R: int):
+def _read_policy(config: ExperimentConfig, label: str, raw: dict):
     """(kind, K -> a fresh policy) of one [policy] section: a bandit policy
     holds the R repetitions as rows, a full-information one plays one game."""
-    f = Section(f"policy {label}", raw)
+    f = Section(f"policy {label}", raw, config.fields)
     kind = f.read("kind", tuple(_PLAYS), required="for every policy")
     if kind == "hedge":
         variant = f.read("variant", HEDGE_ETA_VARIANTS, "anytime_tight")
@@ -103,14 +103,14 @@ def _read_policy(label: str, raw: dict, T: int, R: int):
         if doubling and eta is not None:
             raise f.error("eta", f"must be unset when doubling is on, got "
                                  f"{raw['eta']!r}")
-        make = partial(HedgePolicy, variant=variant, eta=eta, T=T,
+        make = partial(HedgePolicy, variant=variant, eta=eta, T=config.T,
                        doubling=doubling)
     elif kind == "exp3":
         eta = f.read("eta", float, None, _POSITIVE)
-        horizon = T if f.read("fixed_horizon", bool, "false") else None
-        make = partial(EXP3Policy, eta=eta, T=horizon, R=R)
+        horizon = config.T if f.read("fixed_horizon", bool, "false") else None
+        make = partial(EXP3Policy, eta=eta, T=horizon, R=config.R)
     elif kind == "ucb1":
-        make = partial(UCB1Batch, R=R, parametrization=f.read(
+        make = partial(UCB1Batch, R=config.R, parametrization=f.read(
             "parametrization", UCB1_PARAMETRIZATIONS, "original"))
     else:
         make = FTLPolicy
@@ -134,9 +134,9 @@ def _read_environment(config: ExperimentConfig):
     section; ``build()`` gives the (env factory, regret fn) pair, and is
     called only once every section has been checked.  The caps on T, then R,
     and a breaker's floor on T are checked on the text each was read from."""
-    f = Section("environment", config.environment)
+    f = Section("environment", config.environment, config.fields)
     T = config.T
-    experiment = Section("experiment", config.texts)
+    experiment = config.section("experiment")
     experiment.read("T", int, None, _cap("a game of experiment.T rounds"))
     experiment.read("R", int, None, _cap(SERIES, T, "experiment.T"))
     kind = f.read("kind", ("bernoulli", "bernoulli_gap", "ftl_breaker",
@@ -166,8 +166,9 @@ def _read_environment(config: ExperimentConfig):
             lambda gap: gap == 0.25 or 0 <= base - gap <= 1,
             f"in [{base - 1:g}, {base:g}]"))
         if base < gap:
+            text = config.section("environment").raw["base"]
             raise f.error("base", f"must be in [0.25, 1] for environment.gap "
-                                  f"= 0.25, got {f.texts['base']!r}")
+                                  f"= 0.25, got {text!r}")
         envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
             _stochastic, tuple([base - gap] + [base] * (k - 1))))
             for k in k_grid]
@@ -191,7 +192,7 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
     feedback, envs = _read_environment(config)
     policies = []
     for label, raw in config.policies:
-        kind, make = _read_policy(label, raw, config.T, config.R)
+        kind, make = _read_policy(config, label, raw)
         mode, fewest = _PLAYS[kind]
         if feedback not in (None, mode):
             raise ConfigError(f"environment.feedback: must be {mode} for "
@@ -226,7 +227,7 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
 
 
 def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
-    f = Section("params", config.params)
+    f = Section("params", config.params, config.fields)
     family = f.read("family", ("four_bounds", "split_kl",
                                "unexpected_bernstein"), "four_bounds")
     # four_bounds allocates nothing by n, so it takes any n
@@ -278,7 +279,7 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
 
 def _read_reps(config: ExperimentConfig, cells: int, cells_text: str) -> None:
     """Cap experiment.R by the ``cells`` loss cells one repetition draws."""
-    Section("experiment", config.texts).read("R", int, None, _cap(
+    config.section("experiment").read("R", int, None, _cap(
         "the experiment.R repetitions' draw of loss cells", cells,
         f"({cells_text})"))
 
@@ -298,7 +299,7 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
         pb_kl_bound,
     )
 
-    f = Section("params", config.params)
+    f = Section("params", config.params, config.fields)
     m = f.read("m", int, "20", at_least(1), _cap("the params.m x n loss table"))
     n_grid = f.read("n_grid", [int], "100, 200, 400, 800",
                     (lambda ns: min(ns) >= 1, "integers >= 1"),
@@ -327,7 +328,7 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
 def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     from boundslab.pac_bayes import alternating_minimize, recursive_pb
 
-    f = Section("params", config.params)
+    f = Section("params", config.params, config.fields)
     table = "the params.m x params.n loss table"
     m = f.read("m", int, "20", at_least(1), _cap(table))
     # 8 * 2**(t_max - 1) bytes, one table row, stays below 2**63 to t_max = 60
@@ -356,11 +357,11 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
 
 
 def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
-    experiment = Section("experiment", config.texts)
+    experiment = config.section("experiment")
     experiment.read("T", int, None, _cap(f"a log of experiment.T records of "
                     f"{LOG_FIELDS} values", LOG_FIELDS, str(LOG_FIELDS)))
     experiment.read("R", int, None, _cap(SERIES, config.T, "experiment.T"))
-    f = Section("params", config.params)
+    f = Section("params", config.params, config.fields)
     means = f.read("means", [float], "0.3, 0.7", _UNITS, _ARMS)
     K = len(means)
     fixed_arm = f.read("fixed_arm", int, "0", (lambda arm: 0 <= arm < K,

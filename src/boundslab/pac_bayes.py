@@ -307,7 +307,8 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             # excess losses f[h, i] = loss(h, i) - gamma * loss(h'_i, i)
             ref_losses = losses[draws, np.arange(start, n)]
             excess = losses[:, val_cols] - gamma * ref_losses[None, :]
-            levels = (-gamma, 0.0, 1.0 - gamma, 1.0)
+            # a zero-width segment (gamma = 0 or 1) is dropped with its level
+            grid = SplitGrid(dict.fromkeys((-gamma, 0.0, 1.0 - gamma, 1.0)))
 
             complexity = math.log(6.0 * T * math.sqrt(n_val) / delta)
             # construct pi_t* on the S_t portion via the [0,1]-rescaled
@@ -320,8 +321,6 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             kl_term = categorical_kl(pi_star, pi_prev)
             eps = (kl_term + complexity) / n_val
             rho_w = np.asarray(pi_star.weights)
-            # a zero-width segment (gamma = 0 or 1) is dropped with its level
-            grid = SplitGrid(dict.fromkeys(levels))
             seg_means = [
                 min(1.0, max(0.0, float(np.dot(
                     rho_w, grid.segment_column(excess, j).mean(axis=1)))))
@@ -329,7 +328,7 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             excess_bound = _split_kl_sum(grid.points[0], grid.alphas,
                                          seg_means, eps)
             bound = excess_bound + gamma * bound_prev
-            stage = RecursiveStage(t, n_t, n_val, gamma, pi_star, levels,
+            stage = RecursiveStage(t, n_t, n_val, gamma, pi_star, grid.points,
                                    excess_bound, bound)
 
         results.append(BoundResult(stage.bound, delta, "recursive-pb",

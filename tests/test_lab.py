@@ -1,7 +1,6 @@
-import contextlib
+import functools
 import hashlib
 import importlib.util
-import io
 import json
 import math
 import os
@@ -19,7 +18,6 @@ from hypothesis import assume, given, settings, strategies as st
 from boundslab.lab.cli import main, preset_names, resolve_config
 from boundslab.lab.config import (
     ConfigError,
-    Section,
     parse_config,
     parse_config_lines,
 )
@@ -859,6 +857,17 @@ class TestCli:
         assert_config_error(capsys.readouterr().err, message)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
+    @pytest.mark.parametrize("header", ["[policy]", "[policy ]", "[ policy ]"])
+    def test_a_policy_without_a_label_names_its_line(self, tmp_path, capsys,
+                                                     header):
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join([*MINIMAL_GAME, header, "kind = ftl"]))
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        line = len(MINIMAL_GAME) + 1
+        assert capsys.readouterr().err == (
+            f"config error: line {line}: empty policy label\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
     @pytest.mark.parametrize("lines, per", [
         (["kind = pacbayes", f"R = {HUGE}", "[params]", "m = 2",
           "n_grid = 10, 20"], "(params.m x sum(params.n_grid)) = 2236962"),
@@ -1199,44 +1208,51 @@ def _fields(lines):
             yield section, i, line.partition("=")[0].strip()
 
 
-def _runner_keys(tmp_path, monkeypatch):
-    """{section: keys} of every key the runner reads in an ``experiment``,
-    ``environment``, ``policy`` (any label) or ``params`` section, as
-    Section.read records them.  Each preset runs with an unknown key in one
-    section at a time, so that the run stops where that section closes, and
-    an environment or policy section also runs with each kind its ``kind``
-    field offers."""
-    keys, kinds = {}, {}
-    read = Section.read
-
-    def recording(self, key, kind=str, *args, **kwargs):
-        section = self.name.partition(" ")[0]
-        keys.setdefault(section, {})[key] = None
-        if key == "kind" and section != "experiment":
-            kinds[section] = kind
-        return read(self, key, kind, *args, **kwargs)
-
-    monkeypatch.setattr(Section, "read", recording)
-
-    def probe(lines, i):
-        config = tmp_path / "probe.cfg"
-        config.write_text("\n".join(
-            [*lines[:i + 1], "unread = 1", *lines[i + 1:]]) + "\n")
-        with contextlib.redirect_stderr(io.StringIO()):
-            assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+@functools.cache
+def _probes():
+    """The configs of the probes that read every key the runner reads, each
+    with its ``fields`` record.  Every preset with T and R shrunk is parsed
+    as it is (the parser reads [experiment] whole), then run with an unknown
+    key in one other section at a time, so that the run stops where that
+    section closes; each environment and policy section is also run with
+    each kind its ``kind`` field offers."""
+    def probe(lines, i=None):
+        if i is None:
+            return parse_config_lines(lines)
+        config = parse_config_lines([*lines[:i + 1], "unread = 1",
+                                     *lines[i + 1:]])
+        with pytest.raises(ConfigError):
+            run_experiment(config)
+        return config
 
     # (lines, section, header line, its kind line or None) of every section
-    sections = []
+    sections, configs = [], []
     for lines in map(_shrunk_preset, preset_names()):
         fields = list(_fields(lines))
         sections += [(lines, section, i, next(
             (j for s, j, k in fields if s == section and k == "kind"), None))
             for section, i, key in fields if key is None]
-    for lines, _, i, _ in sections:
-        probe(lines, i)
+        configs.append(probe(lines))
+    configs += [probe(lines, i) for lines, section, i, _ in sections
+                if section != "experiment"]
+    kinds = {f.section.partition(" ")[0]: f.kind for config in configs
+             for f in config.fields if f.key == "kind"
+             and f.section != "experiment"}
     for lines, section, i, at in sections:
         for kind in kinds.get(section.partition(" ")[0], ()):
-            probe([*lines[:at], f"kind = {kind}", *lines[at + 1:]], i)
+            configs.append(probe(
+                [*lines[:at], f"kind = {kind}", *lines[at + 1:]], i))
+    return configs
+
+
+def _runner_keys():
+    """{section: keys} of every key the runner reads in an ``experiment``,
+    ``environment``, ``policy`` (any label) or ``params`` section, in the
+    order the probes' records first hold them."""
+    keys = {}
+    for config in _probes():
+        for f in config.fields:
+            keys.setdefault(f.section.partition(" ")[0], {})[f.key] = None
     return {section: list(found) for section, found in keys.items()}
 
 
@@ -1263,9 +1279,8 @@ def _fuzz_rows(runner_keys):
                                           *lines[stop:]], full)
 
 
-def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(
-        tmp_path, monkeypatch):
-    rows = list(_fuzz_rows(_runner_keys(tmp_path, monkeypatch)))
+def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(tmp_path):
+    rows = list(_fuzz_rows(_runner_keys()))
     jobs = []
     for i, (_, _, lines, full) in enumerate(rows):
         path = tmp_path / f"row{i}.cfg"
@@ -1286,6 +1301,92 @@ def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(
         if code != 0 and not (code == 2 and one_shape and named == field):
             bad.append((field, token, full, code, err))
     assert not bad
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+TYPE_NAMES = {str: "text", int: "int", float: "float", bool: "bool"}
+
+
+def _type_name(kind) -> str:
+    """README's type of a read's kind: text, int, float, bool, choice (a
+    tuple of words) or ``<type> list``."""
+    if isinstance(kind, tuple):
+        return "choice"
+    if isinstance(kind, list):
+        return f"{TYPE_NAMES[kind[0]]} list"
+    return TYPE_NAMES[kind]
+
+
+def _reads_by_kind():
+    """({(section, kind): {key: its first Field}}, {section: the choices of
+    its kind field}) of the probes' records.  [environment] and [policy]
+    go by their own kind field, which is not among their keys; [params] by
+    the experiment's kind; [experiment] by None."""
+    reads, choices = {}, {}
+    for config in _probes():
+        kinds = {f.section: f.text for f in config.fields if f.key == "kind"}
+        for f in config.fields:
+            section = f.section.partition(" ")[0]
+            kind = {"experiment": None, "params": config.kind}.get(
+                section, kinds.get(f.section))
+            keys = reads.setdefault((section, kind), {})
+            if f.key == "kind" and kind is not None:
+                choices[section] = f.kind
+            else:
+                keys.setdefault(f.key, f)
+    return reads, choices
+
+
+def _readme_tables():
+    """{section: rows} of README's config tables, each row a {column: cell}
+    dict: each table that follows a paragraph opening with ``[<section>``.
+    A blank kind cell repeats the kind above it."""
+    blocks = README.read_text(encoding="utf-8").split("\n\n")
+    tables = {}
+    for intro, block in zip(blocks, blocks[1:]):
+        if intro.startswith("`[") and block.startswith("|"):
+            header, _, *lines = [list(map(str.strip, row.split("|")[1:-1]))
+                                 for row in block.splitlines()]
+            rows = [dict(zip(header, cells)) for cells in lines]
+            for above, row in zip(rows, rows[1:]):
+                if row.get("kind") == "":
+                    row["kind"] = above["kind"]
+            tables[intro[2:].partition("]")[0].split()[0]] = rows
+    return tables
+
+
+def test_readme_config_tables_list_what_the_runner_reads():
+    """For each kind of each section, README's table lists exactly the keys
+    the probes read, with the type, default (``required``, or ``none`` for
+    an unset optional field) and choices their first read records.  The
+    environment and policy tables' kind columns hold exactly their kind
+    field's choices, in order; ``all`` stands for every kind."""
+    reads, choices = _reads_by_kind()
+    listed = {}
+    for section, rows in _readme_tables().items():
+        kinds = list(dict.fromkeys(
+            row["kind"].strip("`") for row in rows if "kind" in row))
+        if section in choices:
+            assert [kind for kind in kinds if kind != "all"] == list(
+                choices[section]), section
+        for row in rows:
+            kind = row.get("kind", "").strip("`") or None
+            for each in (choices[section] if kind == "all" else [kind]):
+                keys = listed.setdefault((section, each), {})
+                for key in re.findall(r"`(\w+)`", row["key"]):
+                    assert key not in keys, (section, each, key)
+                    keys[key] = row
+    assert sorted(listed, key=str) == sorted(reads, key=str)
+    for group, fields in reads.items():
+        assert listed[group].keys() == fields.keys(), group
+        for key, f in fields.items():
+            row = listed[group][key]
+            default = "required" if f.required else f.default or "none"
+            assert (row["type"], row["default"].replace("`", "")) == (
+                _type_name(f.kind), default), (group, key)
+            if isinstance(f.kind, tuple):
+                assert re.findall(r"`(\w+)`", row["allowed"]) == list(
+                    f.kind), (group, key)
 
 
 def _preset_pins():

@@ -368,6 +368,17 @@ class TestRecursive:
                + math.log(6 * 2 * math.sqrt(n_val) / 0.05)) / n_val
         assert stages[1].value == pytest.approx(kl_inverse(emp, eps))
 
+    @pytest.mark.parametrize("gamma, points", [
+        (0.0, (0.0, 1.0)), (0.5, (-0.5, 0.0, 0.5, 1.0)),
+        (1.0, (-1.0, 0.0, 1.0))])
+    def test_stage_levels_are_the_split_grid_of_its_bound(self, gamma, points):
+        # a level of a zero-width segment (gamma = 0 or 1) is not in the grid
+        rng = np.random.default_rng(4)
+        table = LossTable((rng.random((5, 64)) < 0.4).astype(float))
+        stages = recursive_pb(table, 0.05, 2, gammas=[0.5, gamma], seed=0)
+        assert stages[0].detail["stage"].levels == (0.0, 1.0)
+        assert stages[1].detail["stage"].levels == SplitGrid(points).points
+
     def test_all_one_losses(self):
         # the rho-weighted mean of all-one losses can round to just above 1,
         # which kl_inverse rejects; the true Gibbs loss is 1, so every stage
