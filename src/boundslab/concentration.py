@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .divergences import (
     _check_count,
     _check_delta,
     _check_range,
-    _check_rate,
     _check_unit,
     kl_inverse,
 )
@@ -114,36 +113,6 @@ class SplitGrid:
         return np.add(v, 0.0, out=v)
 
 
-class LambdaGrid:
-    """A decreasing grid of admissible lambda values for a Bernstein-type
-    bound; the union-bound cost of the grid is ln(k/delta)."""
-
-    __slots__ = ("lambdas",)
-
-    def __init__(self, lambdas: Sequence[float]):
-        lams = tuple(_check_rate(x, "lambdas") for x in lambdas)
-        if not lams:
-            raise ValueError("lambda grid must be nonempty")
-        if any(b >= a for a, b in zip(lams, lams[1:])):
-            raise ValueError("lambda grid must be strictly decreasing")
-        self.lambdas = lams
-
-    @property
-    def k(self) -> int:
-        return len(self.lambdas)
-
-    @classmethod
-    def default(cls, n: int, delta: float) -> "LambdaGrid":
-        """The geometric grid {1/2, 1/4, ..., 1/2^k} with
-        k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), forced >= 1.  Below
-        delta = 1 / DBL_MAX, 1 / delta overflows and the ratio is 0: k = 1."""
-        _check_delta(delta)
-        _check_count(n, "n")
-        ratio = math.sqrt(n / math.log(1.0 / delta)) / 2.0
-        k = max(1, math.ceil(math.log2(max(ratio, 1.0))))
-        return cls([0.5 ** i for i in range(1, k + 1)])
-
-
 def hoeffding_radius(n: int, delta: float) -> float:
     """Hoeffding confidence radius sqrt(ln(1/delta) / (2n)) for the mean of
     n iid [0,1]-valued variables."""
@@ -233,29 +202,33 @@ def psi(u: float) -> float:
     return u - math.log1p(u)
 
 
-def unexpected_bernstein_mean_bound(sample: Sample, delta: float,
-                                    grid: Optional[LambdaGrid] = None) -> BoundResult:
-    """Unexpected Bernstein bound: min(1, min over lambda in the grid of
-    p_hat + psi(-lambda b)/(lambda b) * s_n/b + ln(k/delta)/(lambda n)) at
-    the samples' upper end b = 1, where s_n is the mean of squares; the
-    ``s_n_over_b`` detail keeps the general name.  Every lambda must be
-    below 1/b = 1."""
+def lambda_grid(n: int, delta: float) -> tuple:
+    """The decreasing lambdas of the unexpected Bernstein bound: the
+    geometric grid (1/2, 1/4, ..., 1/2^k) with
+    k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), forced >= 1; its union-bound
+    cost is ln(k/delta).  Below delta = 1 / DBL_MAX, 1 / delta overflows and
+    the ratio is 0: k = 1."""
     _check_delta(delta)
+    _check_count(n, "n")
+    ratio = math.sqrt(n / math.log(1.0 / delta)) / 2.0
+    k = max(1, math.ceil(math.log2(max(ratio, 1.0))))
+    return tuple(0.5 ** i for i in range(1, k + 1))
+
+
+def unexpected_bernstein_mean_bound(sample: Sample, delta: float) -> BoundResult:
+    """Unexpected Bernstein bound: min(1, min over lambda in ``lambda_grid``
+    of p_hat + psi(-lambda b)/(lambda b) * s_n/b + ln(k/delta)/(lambda n))
+    at the samples' upper end b = 1, where s_n is the mean of squares; the
+    ``s_n_over_b`` detail keeps the general name.  The first lambda of the
+    least value is taken."""
     n = sample.n
-    if grid is None:
-        grid = LambdaGrid.default(n, delta)
-    if max(grid.lambdas) >= 1.0:
-        raise ValueError("every lambda must be < 1")
+    lambdas = lambda_grid(n, delta)
     s_n = sample.mean_sq
     p_hat = sample.mean
-    budget = math.log(grid.k / delta)
-    best_value = math.inf
-    best_lambda = grid.lambdas[0]
-    for lam in grid.lambdas:
-        value = p_hat + psi(-lam) / lam * s_n + budget / (lam * n)
-        if value < best_value:
-            best_value = value
-            best_lambda = lam
-    return BoundResult(min(1.0, best_value), delta, "unexpected-bernstein",
-                       {"lambda": best_lambda, "k": grid.k,
-                        "s_n_over_b": s_n, "n": n})
+    budget = math.log(len(lambdas) / delta)
+    values = [p_hat + psi(-lam) / lam * s_n + budget / (lam * n)
+              for lam in lambdas]
+    best = min(values)
+    return BoundResult(min(1.0, best), delta, "unexpected-bernstein",
+                       {"lambda": lambdas[values.index(best)],
+                        "k": len(lambdas), "s_n_over_b": s_n, "n": n})

@@ -12,6 +12,7 @@ entry point runs its scalar arguments through them before any arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from typing import Iterable, Sequence
 
@@ -73,10 +74,14 @@ def _check_nonneg(x: float, name: str, inf_ok: bool = False) -> float:
 
 
 def _check_count(n, name: str, floor=1, stop=math.inf):
-    """``n`` as given when floor <= n < stop, which NaN fails: a sample
-    size, an arm count, a horizon or an index below ``stop``."""
+    """``n`` as given when floor <= n < stop, which NaN fails, and it is an
+    int or a numpy integer: a sample size, an arm count, a horizon or an
+    index below ``stop``."""
     if n is not None and floor <= n < stop:
-        return n
+        # int first: the ABC check alone takes ten times as long on an int
+        if isinstance(n, (int, numbers.Integral)):
+            return n
+        raise ValueError(f"{name} must be an integer, got {n}")
     domain = (f">= {floor} and finite" if stop == math.inf
               else f"in [{floor}, {stop})")
     raise ValueError(f"{name} must be {domain}, got {n}")

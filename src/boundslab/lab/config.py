@@ -72,9 +72,10 @@ class ExperimentConfig:
     policies: list = field(default_factory=list)  # (label, {key: value})
 
     def section(self, name: str) -> Section:
-        """``name`` over the text each of its fields was read from."""
+        """``name`` over the text each of its fields was read from, to check
+        that text again: its reads go to no record."""
         return Section(name, {f.key: f.text for f in self.fields
-                              if f.section == name}, self.fields)
+                              if f.section == name}, [])
 
 
 class Section:

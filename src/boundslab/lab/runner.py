@@ -403,7 +403,9 @@ _RUNNERS = {
 def run_experiment(config: ExperimentConfig) -> list[AggregateTrace]:
     """Run the experiment and return its aggregated traces (series order is
     deterministic).  Each kind reads and checks every field it uses before
-    it computes anything; a field error names its source line or option."""
+    it computes anything; a field error names its source line or option.
+    ``config.fields`` keeps the parser's reads and this run's."""
+    config.fields[:] = [f for f in config.fields if f.section == "experiment"]
     try:
         return _RUNNERS[config.kind](config)
     except ConfigError as exc:

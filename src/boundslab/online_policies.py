@@ -234,6 +234,8 @@ class HedgePolicy:
         _check_count(K, "K", 2)
         if variant not in HEDGE_ETA_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+        if T is not None:  # checked whether or not the rate reads it
+            _check_count(T, "T")
         # a rate that holds for more than one round: explicit, fixed-horizon
         # or the current doubling period's; None for an anytime rate
         self._rate = None if eta is None else _check_rate(eta)

@@ -228,7 +228,8 @@ def geometric_split(n: int, T: int) -> list:
 
 @dataclass(frozen=True)
 class RecursiveStage:
-    """Per-stage record of the recursive bound computation."""
+    """Per-stage record of the recursive bound computation.  Stage 1 is the
+    gamma_t = 0 stage: its excess bound is its bound, on the levels (0, 1)."""
 
     t: int
     n_t: int
@@ -236,25 +237,28 @@ class RecursiveStage:
     gamma_t: float
     pi_star: ProbVec
     levels: tuple
-    excess_bound: Optional[float]
+    excess_bound: float
     bound: float
 
 
 def recursive_pb(table: LossTable, delta: float, T: int,
-                 gammas: Optional[Sequence[float]] = None, seed: int = 0,
-                 reference_draws: Optional[dict] = None) -> list:
+                 gammas: Optional[Sequence[float]] = None,
+                 seed: int = 0) -> list:
     """Stage-wise recursive bound on E_{pi_T*}[L(h)] from the uniform prior.
 
-    The sample is split geometrically into S_1..S_T (column order).  Stage 1
-    trains pi_1* on S_1 and certifies it on all of S with budget
-    ln(2 T sqrt(n)/delta).  Each later stage t draws one reference hypothesis
-    per validation example from pi_{t-1}* (stage-scoped seeded stream, or the
-    injected ``reference_draws[t]``), forms the excess losses
+    The sample is split geometrically into S_1..S_T (column order).  Every
+    stage runs one body: stage t draws one reference hypothesis per
+    validation example (S_t..S_T) from pi_{t-1}* (stage-scoped seeded
+    stream; none when gamma_t = 0), forms the excess losses
     f = loss(h) - gamma_t loss(h') in [-gamma_t, 1] of losses in [0, 1],
-    trains pi_t* on the S_t portion, and certifies E_t with the split-kl form
-    at budget ln(6 T sqrt(n_val)/delta), decomposing f by the ``SplitGrid``
-    on -gamma_t, 0, 1 - gamma_t, 1, and B_t = E_t + gamma_t B_{t-1}.  Returns
-    one BoundResult per stage, each carrying its RecursiveStage record.
+    trains pi_t* on the S_t portion, and certifies E_t with the split-kl
+    form, decomposing f by the ``SplitGrid`` on -gamma_t, 0, 1 - gamma_t, 1,
+    and B_t = E_t + gamma_t B_{t-1}, from B_0 = 0.  Stage 1 is the
+    gamma_1 = 0 stage (``gammas[0]`` is checked and unused): f is the loss
+    on the one segment [0, 1], so B_1 = E_1 is the PAC-Bayes-kl bound on all
+    of S.  The budget is ln(2 T sqrt(n)/delta) at stage 1 and
+    ln(6 T sqrt(n_val)/delta) after it.  Returns one BoundResult per stage,
+    each carrying its RecursiveStage record.
     """
     _check_delta(delta)
     m, n = table.m, table.n
@@ -265,74 +269,50 @@ def recursive_pb(table: LossTable, delta: float, T: int,
     gammas = [_check_unit(g, "gammas") for g in gammas]
     if len(gammas) != T:
         raise ValueError("need one gamma per stage")
+    gammas[0] = 0.0  # stage 1 has no reference: its excess loss is the loss
     pi_prev = ProbVec([1.0 / m] * m)
     seed_seq = np.random.SeedSequence(_check_count(seed, "seed", 0))
     stage_seeds = seed_seq.spawn(T)
     losses = table.losses
 
     results = []
-    bound_prev = None
-    for t in range(1, T + 1):
+    bound = 0.0
+    for t, gamma in enumerate(gammas, start=1):
         start, end = starts[t - 1], starts[t]
         n_t = end - start
-        val_cols = slice(start, n)
         n_val = n - start
+        # excess losses f[h, i] = loss(h, i) - gamma * loss(h'_i, i)
+        excess = losses[:, start:]
+        if gamma:
+            rng = np.random.default_rng(stage_seeds[t - 1])
+            draws = rng.choice(m, size=n_val, p=np.asarray(pi_prev.weights))
+            excess = excess - gamma * losses[draws, np.arange(start, n)]
+        # a zero-width segment (gamma = 0 or 1) is dropped with its level;
+        # 0.0 - gamma is 0.0 at gamma = 0, where -gamma is -0.0
+        grid = SplitGrid(dict.fromkeys((0.0 - gamma, 0.0, 1.0 - gamma, 1.0)))
 
-        if t == 1:
-            complexity = math.log(2.0 * T * math.sqrt(n) / delta)
-            train_losses = losses[:, start:end].mean(axis=1)
-            fit = _alternating_minimize_core(pi_prev, train_losses, n_val,
-                                             complexity)
-            pi_star = fit.rho
-            # a rho-weighted mean of [0, 1] values can round above 1
-            emp = min(1.0, max(0.0, float(np.dot(pi_star.weights,
-                                                 losses.mean(axis=1)))))
-            kl_term = categorical_kl(pi_star, pi_prev)
-            bound = kl_inverse(emp, (kl_term + complexity) / n_val)
-            stage = RecursiveStage(t, n_t, n_val, 0.0, pi_star, (0.0, 1.0),
-                                   None, bound)
-        else:
-            gamma = gammas[t - 1]
-            if reference_draws is not None and t in reference_draws:
-                draws = np.asarray(reference_draws[t], dtype=int)
-                if draws.shape != (n_val,):
-                    raise ValueError("reference draws must cover the "
-                                     "validation columns of the stage")
-                # a draw indexes a hypothesis; numpy would wrap one below 0
-                _check_count(draws.min(), f"reference_draws[{t}]", 0, m)
-                _check_count(draws.max(), f"reference_draws[{t}]", 0, m)
-            else:
-                rng = np.random.default_rng(stage_seeds[t - 1])
-                draws = rng.choice(m, size=n_val, p=np.asarray(pi_prev.weights))
-            # excess losses f[h, i] = loss(h, i) - gamma * loss(h'_i, i)
-            ref_losses = losses[draws, np.arange(start, n)]
-            excess = losses[:, val_cols] - gamma * ref_losses[None, :]
-            # a zero-width segment (gamma = 0 or 1) is dropped with its level
-            grid = SplitGrid(dict.fromkeys((-gamma, 0.0, 1.0 - gamma, 1.0)))
+        complexity = math.log((6.0 if t > 1 else 2.0) * T * math.sqrt(n_val)
+                              / delta)
+        # construct pi_t* on the S_t portion via the [0,1]-rescaled
+        # lambda surrogate, with the evaluation denominator n_val
+        const_losses = (excess[:, :n_t].mean(axis=1) + gamma) / (1.0 + gamma)
+        pi_star = _alternating_minimize_core(pi_prev, const_losses, n_val,
+                                             complexity).rho
 
-            complexity = math.log(6.0 * T * math.sqrt(n_val) / delta)
-            # construct pi_t* on the S_t portion via the [0,1]-rescaled
-            # lambda surrogate, with the evaluation denominator n_val
-            const_losses = (excess[:, :n_t].mean(axis=1) + gamma) / (1.0 + gamma)
-            fit = _alternating_minimize_core(pi_prev, const_losses, n_val,
-                                             complexity)
-            pi_star = fit.rho
-
-            kl_term = categorical_kl(pi_star, pi_prev)
-            eps = (kl_term + complexity) / n_val
-            rho_w = np.asarray(pi_star.weights)
-            seg_means = [
-                min(1.0, max(0.0, float(np.dot(
-                    rho_w, grid.segment_column(excess, j).mean(axis=1)))))
-                for j in range(grid.K)]
-            excess_bound = _split_kl_sum(grid.points[0], grid.alphas,
-                                         seg_means, eps)
-            bound = excess_bound + gamma * bound_prev
-            stage = RecursiveStage(t, n_t, n_val, gamma, pi_star, grid.points,
-                                   excess_bound, bound)
-
-        results.append(BoundResult(stage.bound, delta, "recursive-pb",
+        kl_term = categorical_kl(pi_star, pi_prev)
+        eps = (kl_term + complexity) / n_val
+        rho_w = np.asarray(pi_star.weights)
+        # a rho-weighted mean of [0, 1] values can round above 1
+        seg_means = [
+            min(1.0, max(0.0, float(np.dot(
+                rho_w, grid.segment_column(excess, j).mean(axis=1)))))
+            for j in range(grid.K)]
+        excess_bound = _split_kl_sum(grid.points[0], grid.alphas, seg_means,
+                                     eps)
+        bound = excess_bound + gamma * bound
+        stage = RecursiveStage(t, n_t, n_val, gamma, pi_star, grid.points,
+                               excess_bound, bound)
+        results.append(BoundResult(bound, delta, "recursive-pb",
                                    {"stage": stage}))
         pi_prev = pi_star
-        bound_prev = stage.bound
     return results

@@ -10,13 +10,13 @@ from _coverage import coverage_threshold, draw_matrix, violation_rates
 from _exact import kl_mgf_exact
 from boundslab.concentration import (
     BoundResult,
-    LambdaGrid,
     Sample,
     SplitGrid,
     empirical_bernstein_mean_bound,
     hoeffding_mean_bound,
     hoeffding_radius,
     kl_mean_bound,
+    lambda_grid,
     psi,
     sample_variance,
     split_kl_mean_bound,
@@ -214,9 +214,7 @@ class TestUnexpectedBernstein:
         assert math.isclose(psi(-0.5), 0.193147, abs_tol=1e-6)
 
     def test_default_grid(self):
-        grid = LambdaGrid.default(100, 0.05)
-        assert grid.k == 2
-        assert grid.lambdas == (0.5, 0.25)
+        assert lambda_grid(100, 0.05) == (0.5, 0.25)
 
     def test_default_grid_is_the_halving_grid(self):
         # k = ceil(log2(sqrt(n / ln(1/delta)) / 2)), at least 1; at
@@ -224,7 +222,7 @@ class TestUnexpectedBernstein:
         for n, delta, k in [(1, 0.5, 1), (10, 0.05, 1), (100, 0.05, 2),
                             (10 ** 6, 0.05, 9), (10 ** 6, 1e-300, 5),
                             (10 ** 6, 5e-324, 1)]:
-            assert LambdaGrid.default(n, delta).lambdas == tuple(
+            assert lambda_grid(n, delta) == tuple(
                 0.5 ** i for i in range(1, k + 1))
 
     @pytest.mark.parametrize("values", [
@@ -245,25 +243,39 @@ class TestUnexpectedBernstein:
         assert res.detail["s_n_over_b"] == float(s_n)
         assert math.isclose(res.value, min(1.0, float(exact)), rel_tol=1e-12)
 
-    def test_grid_must_be_admissible(self):
-        sample = Sample([0.1, 0.2])
-        for lam in (1.0, 2.0):
-            with pytest.raises(ValueError, match="^every lambda must be < 1$"):
-                unexpected_bernstein_mean_bound(sample, 0.05,
-                                                LambdaGrid([lam, 0.5]))
-
     def test_min_over_grid_matches_exhaustive(self):
         rng = np.random.default_rng(3)
         vals = rng.random(60)
         sample = Sample.unit(vals)
-        grid = LambdaGrid.default(60, 0.1)
-        res = unexpected_bernstein_mean_bound(sample, 0.1, grid)
-        budget = math.log(grid.k / 0.1)
+        lambdas = lambda_grid(60, 0.1)
+        res = unexpected_bernstein_mean_bound(sample, 0.1)
+        budget = math.log(len(lambdas) / 0.1)
         explicit = min(
             sample.mean + psi(-lam) / lam * sample.mean_sq + budget / (lam * 60)
-            for lam in grid.lambdas
+            for lam in lambdas
         )
         assert math.isclose(res.value, min(1.0, explicit), rel_tol=1e-12)
+
+    def test_matches_pinned_digest(self):
+        # value, chosen lambda and grid size on fractional and {0, 1}
+        # samples over a grid of n and delta, down to the smallest delta;
+        # pinned while the lambda grid was a class and a caller could pass
+        # its own
+        rng = np.random.default_rng(36)
+        values = []
+        for n in (2, 5, 30, 100, 1000, 10000):
+            draws = rng.random(n)
+            for sample in (Sample(draws), Sample(draws < 0.3)):
+                for delta in (0.5, 0.05, 1e-3, 1e-12, 1e-300, 5e-324):
+                    res = unexpected_bernstein_mean_bound(sample, delta)
+                    values += [res.value, res.detail["lambda"],
+                               float(res.detail["k"])]
+        assert len(values) == 216
+        digest = hashlib.sha256(
+            ",".join(v.hex() for v in values).encode()).hexdigest()
+        assert digest == (
+            "d8c9b127fd1189d069a44594b9fa0e2d"
+            "6a6f263758fc32f27bff8e943077aa7e")
 
 
 class TestKlMgfExact:

@@ -26,13 +26,13 @@ from boundslab import (
     pac_bayes,
 )
 from boundslab.concentration import (
-    LambdaGrid,
     Sample,
     SplitGrid,
     empirical_bernstein_mean_bound,
     hoeffding_mean_bound,
     hoeffding_radius,
     kl_mean_bound,
+    lambda_grid,
     psi,
     split_kl_mean_bound,
     unexpected_bernstein_mean_bound,
@@ -126,23 +126,21 @@ ROWS = {
             BELOW_ZERO,
             in_domain=(math.inf,))],
     # concentration
-    "LambdaGrid": [row("lambdas", lambda x: LambdaGrid([x]), 0.5, *POSITIVE)],
-    "LambdaGrid.default": [
-        row("n", lambda x: LambdaGrid.default(x, 0.05), 100, 0),
-        row("delta", lambda x: LambdaGrid.default(100, x), 0.05,
-            *OPEN_UNIT)],
+    "lambda_grid": [
+        row("n", lambda x: lambda_grid(x, 0.05), 100, 0, 2.5),
+        row("delta", lambda x: lambda_grid(100, x), 0.05, *OPEN_UNIT)],
     "hoeffding_radius": [
-        row("n", lambda x: hoeffding_radius(x, 0.05), 100, 0),
+        row("n", lambda x: hoeffding_radius(x, 0.05), 100, 0, 2.5),
         row("delta", lambda x: hoeffding_radius(100, x), 0.05, *OPEN_UNIT)],
     "hoeffding_mean_bound": [
         row("p_hat", lambda x: hoeffding_mean_bound(x, 100, 0.05), 0.3,
             *UNIT),
-        row("n", lambda x: hoeffding_mean_bound(0.3, x, 0.05), 100, 0),
+        row("n", lambda x: hoeffding_mean_bound(0.3, x, 0.05), 100, 0, 2.5),
         row("delta", lambda x: hoeffding_mean_bound(0.3, 100, x), 0.05,
             *OPEN_UNIT)],
     "kl_mean_bound": [
         row("p_hat", lambda x: kl_mean_bound(x, 100, 0.05), 0.3, *UNIT),
-        row("n", lambda x: kl_mean_bound(0.3, x, 0.05), 100, 0),
+        row("n", lambda x: kl_mean_bound(0.3, x, 0.05), 100, 0, 2.5),
         row("delta", lambda x: kl_mean_bound(0.3, 100, x), 0.05,
             *OPEN_UNIT)],
     "split_kl_mean_bound": [row("delta", lambda x: split_kl_mean_bound(
@@ -156,7 +154,7 @@ ROWS = {
         0.05, *OPEN_UNIT)],
     # pac_bayes
     "PacBayesQuery": [
-        row("n", lambda x: PacBayesQuery(PI, PI, x, 0.05), 100, 0),
+        row("n", lambda x: PacBayesQuery(PI, PI, x, 0.05), 100, 0, 2.5),
         row("delta", lambda x: PacBayesQuery(PI, PI, 100, x), 0.05,
             *OPEN_UNIT)],
     "pb_kl_bound": [row("emp_loss", lambda x: pb_kl_bound(QUERY, x),
@@ -170,72 +168,83 @@ ROWS = {
         PI, [0.2, 0.4], x), 1.0, -1.0, BELOW_ZERO)],
     "alternating_minimize": [row("delta", lambda x: alternating_minimize(
         PI, TABLE, x), 0.05, *OPEN_UNIT)],
-    "geometric_split": [row("n", lambda x: geometric_split(x, 3), 8, 3),
-                        row("T", lambda x: geometric_split(8, x), 3, 0)],
+    "geometric_split": [
+        row("n", lambda x: geometric_split(x, 3), 8, 3, 2.5, 10.5),
+        row("T", lambda x: geometric_split(8, x), 3, 0, 2.5)],
     "recursive_pb": [
         row("delta", lambda x: recursive_pb(TABLE, x, 2), 0.05,
             *OPEN_UNIT),
-        row("T", lambda x: recursive_pb(TABLE, 0.05, x), 2, 0),
+        row("T", lambda x: recursive_pb(TABLE, 0.05, x), 2, 0, 2.5),
         row("gammas", lambda x: recursive_pb(TABLE, 0.05, 2,
                                              gammas=[0.5, x]), 0.5, *UNIT),
-        row("seed", lambda x: recursive_pb(TABLE, 0.05, 2, seed=x), 3, -1)],
+        row("seed", lambda x: recursive_pb(TABLE, 0.05, 2, seed=x), 3, -1,
+            2.5)],
     # online_policies
     "hedge_distribution": [
         row("eta", lambda x: hedge_distribution([1.0, 2.0], x), 0.5,
             *POSITIVE),
         row("cum_losses", lambda x: hedge_distribution([x, 0.0], 1.0), 2.0)],
     "hedge_eta": [
-        row("K", lambda x: hedge_eta(x, T=10), 2, 0, 1),
-        row("T", lambda x: hedge_eta(2, T=x), 10, 0),
+        row("K", lambda x: hedge_eta(x, T=10), 2, 0, 1, 2.5),
+        row("T", lambda x: hedge_eta(2, T=x), 10, 0, 2.5),
         row("t", lambda x: hedge_eta(2, t=x, variant="anytime_simple"), 1,
-            0)],
+            0, 2.5)],
     "doubling_schedule": [
-        row("t", lambda x: doubling_schedule(x, 2), 4, 0),
-        row("K", lambda x: doubling_schedule(4, x), 2, 0, 1)],
+        row("t", lambda x: doubling_schedule(x, 2), 4, 0, 2.5),
+        row("K", lambda x: doubling_schedule(4, x), 2, 0, 1, 2.5)],
     "HedgePolicy": [
-        row("K", HedgePolicy, 2, 0, 1),
+        row("K", HedgePolicy, 2, 0, 1, 2.5),
         row("eta", lambda x: HedgePolicy(2, eta=x), 0.5, *POSITIVE),
-        row("T", lambda x: HedgePolicy(2, variant="simple", T=x), 10, 0)],
-    "FTLPolicy": [row("K", FTLPolicy, 2, 0)],
+        # the default anytime rate does not read T; a given T is checked
+        row("T", lambda x: HedgePolicy(2, T=x), 10, 0, 2.5)],
+    "FTLPolicy": [row("K", FTLPolicy, 2, 0, 2.5)],
     "EXP3Policy": [
-        row("K", EXP3Policy, 2, 0, 1),
+        row("K", EXP3Policy, 2, 0, 1, 2.5),
         row("eta", lambda x: EXP3Policy(2, eta=x), 0.5, *POSITIVE),
-        row("T", lambda x: EXP3Policy(2, T=x), 10, 0),
-        row("R", lambda x: EXP3Policy(2, R=x), 2, 0)],
+        row("T", lambda x: EXP3Policy(2, T=x), 10, 0, 2.5),
+        row("R", lambda x: EXP3Policy(2, R=x), 2, 0, 2.5)],
     "EXP4Policy": [
-        row("n_experts", lambda x: EXP4Policy(x, 2, ADVICE, eta=0.1), 2, 0),
-        row("K", lambda x: EXP4Policy(2, x, ADVICE, eta=0.1), 2, 0, 1),
+        row("n_experts", lambda x: EXP4Policy(x, 2, ADVICE, eta=0.1), 2, 0,
+            2.5),
+        row("K", lambda x: EXP4Policy(2, x, ADVICE, eta=0.1), 2, 0, 1, 2.5),
         row("eta", lambda x: EXP4Policy(2, 2, ADVICE, eta=x), 0.1, *POSITIVE),
-        row("T", lambda x: EXP4Policy(2, 2, ADVICE, T=x), 10, 0),
-        row("R", lambda x: EXP4Policy(2, 2, ADVICE, eta=0.1, R=x), 2, 0)],
+        row("T", lambda x: EXP4Policy(2, 2, ADVICE, T=x), 10, 0, 2.5),
+        row("R", lambda x: EXP4Policy(2, 2, ADVICE, eta=0.1, R=x), 2, 0,
+            2.5)],
     "UCB1Policy": [
-        row("K", UCB1Policy, 2, 0),
+        row("K", UCB1Policy, 2, 0, 2.5),
         row("reward_range", lambda x: UCB1Policy(2, reward_range=x), 2.0,
             *POSITIVE)],
-    "UCB1Batch": [row("K", UCB1Batch, 2, 0),
-                  row("R", lambda x: UCB1Batch(2, R=x), 2, 0)],
-    "FixedPolicy": [row("K", lambda x: FixedPolicy(x, arm=0), 2, 0),
-                    row("arm", lambda x: FixedPolicy(2, arm=x), 1, 2, -1)],
+    "UCB1Batch": [row("K", UCB1Batch, 2, 0, 2.5),
+                  row("R", lambda x: UCB1Batch(2, R=x), 2, 0, 2.5)],
+    "FixedPolicy": [
+        row("K", lambda x: FixedPolicy(x, arm=0), 2, 0, 2.5),
+        row("arm", lambda x: FixedPolicy(2, arm=x), 1, 2, -1, 2.5, 0.5)],
     # environments
-    "BernoulliEnv": [row("seed", lambda x: BernoulliEnv([0.5], x), 3, -1)],
-    "make_ftl_breaker": [row("T", make_ftl_breaker, 4, 1)],
+    "BernoulliEnv": [row("seed", lambda x: BernoulliEnv([0.5], x), 3, -1,
+                         2.5)],
+    "make_ftl_breaker": [row("T", make_ftl_breaker, 4, 1, 2.5)],
     "make_ucb_breaker": [
-        row("T", lambda x: make_ucb_breaker(x, 2), 4, 3),
-        row("K", lambda x: make_ucb_breaker(4, x), 2, 0)],
-    "write_log": [row("K", lambda x: write_log(os.devnull, x, LOG), 2, 0)],
+        row("T", lambda x: make_ucb_breaker(x, 2), 4, 3, 2.5, 4.5),
+        row("K", lambda x: make_ucb_breaker(4, x), 2, 0, 2.5)],
+    "write_log": [row("K", lambda x: write_log(os.devnull, x, LOG), 2, 0,
+                      2.5)],
     "synthesize_uniform_log": [
         row("means", lambda x: synthesize_uniform_log([x], 5, 0), 0.5,
             *UNIT),
-        row("T", lambda x: synthesize_uniform_log([0.5], x, 0), 5, -1),
-        row("seed", lambda x: synthesize_uniform_log([0.5], 5, x), 0, -1)],
+        row("T", lambda x: synthesize_uniform_log([0.5], x, 0), 5, -1, 2.5),
+        row("seed", lambda x: synthesize_uniform_log([0.5], 5, x), 0, -1,
+            2.5)],
     "play_full_information": [row("T", lambda x: play_full_information(
-        FTLPolicy(2), matrix_env(), x), 3, -1)],
+        FTLPolicy(2), matrix_env(), x), 3, -1, 2.5)],
     "play_bandit": [row("T", lambda x: play_bandit(
-        UCB1Batch(2), [matrix_env()], x), 3, -1)],
+        UCB1Batch(2), [matrix_env()], x), 3, -1, 2.5)],
     "replay_importance_weighted": [row("K", lambda x: (
-        replay_importance_weighted(FixedPolicy(2, arm=0), LOG, x)), 2, 0)],
+        replay_importance_weighted(FixedPolicy(2, arm=0), LOG, x)), 2, 0,
+        2.5)],
     "replay_rejection_sampling": [row("K", lambda x: (
-        replay_rejection_sampling(FixedPolicy(2, arm=0), LOG, x)), 2, 0)],
+        replay_rejection_sampling(FixedPolicy(2, arm=0), LOG, x)), 2, 0,
+        2.5)],
 }
 
 NO_ROW = {

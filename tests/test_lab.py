@@ -1303,6 +1303,17 @@ def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(tmp_path):
     assert not bad
 
 
+@pytest.mark.parametrize("preset", preset_names())
+def test_a_second_run_leaves_the_record_of_the_first(preset):
+    # the T and R caps re-check the parser's text and record no second read
+    config = parse_config_lines(_shrunk_preset(preset))
+    run_experiment(config)
+    first = list(config.fields)
+    assert len({(f.section, f.key) for f in first}) == len(first)
+    run_experiment(config)
+    assert config.fields == first
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 TYPE_NAMES = {str: "text", int: "int", float: "float", bool: "bool"}
 

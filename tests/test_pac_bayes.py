@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from _coverage import coverage_threshold, pb_validity_rates
-from boundslab.concentration import LambdaGrid, SplitGrid
+from boundslab.concentration import SplitGrid
 from boundslab.divergences import ProbVec, binary_kl, categorical_kl, kl_inverse
 from boundslab.pac_bayes import (
     LossTable,
@@ -343,6 +344,18 @@ class TestRecursive:
         assert math.isclose(stages[0].value, pb_kl_bound(q, emp).value,
                             abs_tol=1e-10)
 
+    def test_stage_one_is_the_gamma_zero_stage(self):
+        # gammas[0] is checked and unused; stage 1 certifies the loss itself
+        # on the one segment [0, 1], so its excess bound is its bound
+        rng = np.random.default_rng(6)
+        table = LossTable(rng.random((4, 40)))
+        first = recursive_pb(table, 0.05, 2, gammas=[0.9, 0.5], seed=3)
+        again = recursive_pb(table, 0.05, 2, gammas=[0.1, 0.5], seed=3)
+        assert [r.value for r in first] == [r.value for r in again]
+        stage = first[0].detail["stage"]
+        assert (stage.gamma_t, stage.levels) == (0.0, (0.0, 1.0))
+        assert stage.excess_bound == first[0].value
+
     def test_recomposition_identity(self):
         rng = np.random.default_rng(2)
         table = LossTable((rng.random((10, 64)) < 0.4).astype(float))
@@ -407,22 +420,31 @@ class TestRecursive:
                 short.append((c, gamma, T, m, values))
         assert short == []
 
-    def test_injected_reference_draws_are_deterministic(self):
-        rng = np.random.default_rng(4)
-        table = LossTable((rng.random((5, 32)) < 0.5).astype(float))
-        draws = {2: np.zeros(16, dtype=int)}
-        a = recursive_pb(table, 0.05, 2, seed=1, reference_draws=draws)
-        b = recursive_pb(table, 0.05, 2, seed=99, reference_draws=draws)
-        assert a[1].value == b[1].value
-
-    @pytest.mark.parametrize("draw", [-1, 3])
-    def test_reference_draws_outside_the_hypotheses_are_rejected(self, draw):
-        # numpy would read draw -1 as hypothesis m - 1, and 3 raise IndexError
-        table = LossTable(np.random.default_rng(5).random((3, 8)))
-        with pytest.raises(ValueError) as info:
-            recursive_pb(table, 0.05, 2, reference_draws={2: [draw] * 4})
-        assert str(info.value) == f"reference_draws[2] must be in [0, 3), got {draw}"
-        recursive_pb(table, 0.05, 2, reference_draws={2: [2] * 4})
+    def test_stage_values_match_pinned_digest(self):
+        # every stage's value and every later stage's excess bound, on {0, 1}
+        # and fractional tables, m = 1, 3, 8, T = 1..4 and gamma = 0, 0.3,
+        # 0.5, 1 at every stage; pinned while stage 1 had a PAC-Bayes-kl
+        # body of its own, before it became the gamma = 0 split-kl stage
+        rng = np.random.default_rng(35)
+        values = []
+        for fractional, m in itertools.product((False, True), (1, 3, 8)):
+            losses = rng.random((m, 48))
+            table = LossTable(losses if fractional else
+                              (losses < 0.4).astype(float))
+            for T, gamma in itertools.product((1, 2, 3, 4),
+                                              (0.0, 0.3, 0.5, 1.0)):
+                for res in recursive_pb(table, 0.05, T, gammas=[gamma] * T,
+                                        seed=7):
+                    stage = res.detail["stage"]
+                    values.append(res.value)
+                    if stage.t > 1:
+                        values.append(stage.excess_bound)
+        assert len(values) == 384 and all(type(v) is float for v in values)
+        digest = hashlib.sha256(
+            ",".join(v.hex() for v in values).encode()).hexdigest()
+        assert digest == (
+            "4e5c9e6e00afcd57a0e900d1bd37cbd9"
+            "4522a340d50580c86e49633da1c4d540")
 
     def test_validity_monte_carlo(self):
         rates = pb_validity_rates(trials=120, seed=77)
@@ -440,7 +462,7 @@ def _delta_calls():
     pi = ProbVec([0.5, 0.5])
     sample = c.Sample.unit([0.0, 0.5, 1.0, 0.25])
     return {
-        "LambdaGrid.default": lambda d: LambdaGrid.default(100, d),
+        "lambda_grid": lambda d: c.lambda_grid(100, d),
         "hoeffding_radius": lambda d: c.hoeffding_radius(100, d),
         "hoeffding_mean_bound": lambda d: c.hoeffding_mean_bound(0.5, 100, d),
         "kl_mean_bound": lambda d: c.kl_mean_bound(0.5, 100, d),
@@ -501,7 +523,7 @@ def test_every_delta_taker_is_vacuous_at_the_smallest_delta(name):
     for r in result if isinstance(result, list) else [result]:
         value = getattr(r, "value", getattr(r, "bound", r))
         assert not isinstance(value, float) or value >= 1.0
-    if name == "LambdaGrid.default":
-        assert result.k == 1
+    if name == "lambda_grid":
+        assert result == (0.5,)
     if name == "alternating_minimize":
         assert result.trace == (math.inf, math.inf)
