@@ -435,8 +435,9 @@ def synthesize_uniform_log(means: Sequence[float], T: int, seed: int,
 
 def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     """Run a full-information game: the policy picks an arm, incurs that
-    entry, then sees the whole loss column.  The incremental hindsight-regret
-    accounting is stored in ``detail`` and is recomputable from the matrix.
+    entry, then sees the whole loss column.  The transcript holds the arms
+    and incurred losses; score it with ``hindsight_regret`` on the env's
+    cells (``type(env).blocks([env], 0, T)[0]``) or with ``pseudo_regret``.
 
     A Hedge whose rate holds over a period (``policy.fixed_rate``) plays a
     block of rounds at a time with ``policy.play_rows``: a block ends after
@@ -449,8 +450,8 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     ``policy.draws`` (Hedge) and None otherwise (FTL).  The uniforms are
     drawn from ``rng`` per block, which gives the same doubles and leaves
     ``rng`` in the same state as one draw per round.  Either path ends a
-    block as arrays of its arms and rows, and adds the rows to the column
-    sums, each column left to right, as a running sum would.
+    block as arrays of its arms and rows, and reads its incurred losses from
+    the rows.
     """
     _check_count(T, "T", 0)
     if policy.draws and rng is None:
@@ -458,8 +459,7 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     blockwise = isinstance(policy, HedgePolicy) and policy.fixed_rate
     step = max(1, BLOCK_CELLS // env.K)
     act, row_of, observe = policy.act, env.row, policy.observe
-    arms, incurred = [np.empty(0, dtype=int)], [np.zeros(1)]  # the total's 0.0
-    column_sums = np.zeros(env.K)
+    arms, incurred = [np.empty(0, dtype=int)], [np.empty(0)]
     t0 = 0
     while t0 < T:
         if blockwise:
@@ -481,13 +481,9 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
             block, rows = np.array(block, dtype=int), np.array(rows)
         arms.append(block)
         incurred.append(rows[np.arange(t1 - t0), block])
-        column_sums = np.add.accumulate(np.vstack((column_sums, rows)))[-1]
         t0 = t1
-    incurred, sums = np.concatenate(incurred), column_sums.tolist()
-    detail = {"feedback": "full", "column_sums": tuple(sums),
-              # the running total, added left to right from 0.0
-              "final_regret": float(np.add.accumulate(incurred)[-1]) - min(sums)}
-    return GameTranscript(np.concatenate(arms), incurred[1:], "loss", detail)
+    return GameTranscript(np.concatenate(arms), np.concatenate(incurred),
+                          "loss", {"feedback": "full"})
 
 
 def play_bandit(policy, envs: Sequence, T: int,

@@ -22,7 +22,7 @@ class ConfigError(ValueError):
     """Raised for any syntactic or semantic configuration problem.
 
     ``path`` is the field the error is about, such as ``params.n`` or
-    ``policy hedge.eta``, or None.
+    ``policy hedge.doubling``, or None.
     """
 
     def __init__(self, message: str, path: str | None = None):
@@ -115,7 +115,7 @@ class Section:
 def _parse_sections(lines):
     """Split raw lines into {section: {key: value}} preserving order, and
     map each section (``params``, ``policy x``) and each key's field path
-    (``params.n``, ``policy x.eta``) to its line."""
+    (``params.n``, ``policy x.doubling``) to its line."""
     sections: dict[str, dict] = {}
     sources: dict[str, str] = {}
     current: dict | None = None

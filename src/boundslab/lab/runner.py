@@ -9,7 +9,6 @@ runs one repetition after another.
 """
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -67,7 +66,6 @@ _PLAYS = {
     "exp3": ("bandit", 2),
     "ucb1": ("bandit", 1),
 }
-_POSITIVE = (lambda x: 0.0 < x < math.inf, "positive and finite")
 _UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
 _UNITS = (lambda xs: all(0.0 <= x <= 1.0 for x in xs), "in [0, 1]")
 _ARMS = (lambda means: len(means) >= 2, "at least 2 values, one mean per arm")
@@ -97,18 +95,11 @@ def _read_policy(config: ExperimentConfig, label: str, raw: dict):
     f = Section(f"policy {label}", raw, config.fields)
     kind = f.read("kind", tuple(_PLAYS), required="for every policy")
     if kind == "hedge":
-        variant = f.read("variant", HEDGE_ETA_VARIANTS, "anytime_tight")
-        eta = f.read("eta", float, None, _POSITIVE)
-        doubling = f.read("doubling", bool, "false")
-        if doubling and eta is not None:
-            raise f.error("eta", f"must be unset when doubling is on, got "
-                                 f"{raw['eta']!r}")
-        make = partial(HedgePolicy, variant=variant, eta=eta, T=config.T,
-                       doubling=doubling)
+        make = partial(HedgePolicy, T=config.T, variant=f.read(
+            "variant", HEDGE_ETA_VARIANTS, "anytime_tight"),
+            doubling=f.read("doubling", bool, "false"))
     elif kind == "exp3":
-        eta = f.read("eta", float, None, _POSITIVE)
-        horizon = config.T if f.read("fixed_horizon", bool, "false") else None
-        make = partial(EXP3Policy, eta=eta, T=horizon, R=config.R)
+        make = partial(EXP3Policy, R=config.R)
     elif kind == "ucb1":
         make = partial(UCB1Batch, R=config.R, parametrization=f.read(
             "parametrization", UCB1_PARAMETRIZATIONS, "original"))
@@ -147,14 +138,12 @@ def _read_environment(config: ExperimentConfig):
                              required="for bernoulli"))
         envs = [("", len(means), partial(_stochastic, means))]
     elif kind == "bernoulli_gap":
-        # a single K may be given as "k"; errors name the key the file used
-        key = "k_grid" if "k_grid" in f.raw else "k"
         # the largest block of cells is one round of the R repetitions (a
         # bandit block of more rounds stays under BLOCK_CELLS) or ROW_BLOCK
         # rounds of an env's row cache; a fixed-rate Hedge block holds at
         # most max(BLOCK_CELLS, k) cells, and BLOCK_CELLS is far below 2**27
         rows = f"max(experiment.R, {ROW_BLOCK})"
-        k_grid = f.read(key, [int], "2", (
+        k_grid = f.read("k_grid", [int], "2", (
             lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),
             "distinct integers >= 2"), _cap(f"a block of {rows} rows of k loss "
             "cells", max(config.R, ROW_BLOCK), rows, many=max))

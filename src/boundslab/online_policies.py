@@ -42,7 +42,7 @@ from boundslab.divergences import (
     _raise_first_bad_weight,
 )
 
-HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_simple", "anytime_tight")
+HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_tight")
 UCB1_PARAMETRIZATIONS = ("original", "improved")
 
 
@@ -79,23 +79,22 @@ def _hedge_weights(losses: Sequence[float], eta: float) -> ProbVec:
 
 def hedge_eta(K: int, *, T: int | None = None, t: int | None = None,
               variant: str = "simple") -> float:
-    """Learning rate for Hedge: fixed-horizon ("simple", "tight") or
-    round-dependent ("anytime_simple", "anytime_tight")."""
+    """Learning rate for Hedge: fixed-horizon ("simple", "tight", which
+    need ``T``) or the anytime 2 sqrt(ln K / t) of round ``t``
+    ("anytime_tight")."""
     _check_count(K, "K", 2)
     if variant not in HEDGE_ETA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     log_k = math.log(K)
-    if variant in ("simple", "tight"):
-        base = math.sqrt(2.0 * log_k / _check_count(T, "T"))
-        return base if variant == "simple" else 2.0 * base
-    return _anytime_eta(log_k, _check_count(t, "t"), variant)
+    if variant == "anytime_tight":
+        return _anytime_eta(log_k, _check_count(t, "t"))
+    base = math.sqrt(2.0 * log_k / _check_count(T, "T"))
+    return base if variant == "simple" else 2.0 * base
 
 
-def _anytime_eta(log_k: float, t: int, variant: str) -> float:
-    """The anytime Hedge rate at round t from log K: sqrt(ln K / t), doubled
-    for "anytime_tight"."""
-    base = math.sqrt(log_k / t)
-    return base if variant == "anytime_simple" else 2.0 * base
+def _anytime_eta(log_k: float, t: int) -> float:
+    """The anytime Hedge rate at round t from log K: 2 sqrt(ln K / t)."""
+    return 2.0 * math.sqrt(log_k / t)
 
 
 def ftl_choice(cum_losses: Sequence[float]) -> int:
@@ -144,18 +143,6 @@ def sample_arms(dists: np.ndarray, u: np.ndarray) -> np.ndarray:
     cum = np.add.accumulate(dists, axis=1)
     cum[:, -1] = np.inf
     return (u[:, None] < cum).argmax(axis=1)
-
-
-def _exp3_eta(K: int, t: int, eta: float | None, T: int | None) -> float:
-    """EXP3 learning rate after ``t`` completed rounds: an explicit ``eta``,
-    else the fixed-horizon sqrt(2 ln K / (K T)) when ``T`` is given, else the
-    anytime sqrt(ln K / ((t + 1) K)).  Unchecked: ``EXP3Policy`` checks its
-    own K, eta and T."""
-    if eta is not None:
-        return eta
-    if T is not None:
-        return math.sqrt(2.0 * math.log(K) / (K * T))
-    return math.sqrt(math.log(K) / ((t + 1) * K))
 
 
 def _as_probvec_rows(p: np.ndarray) -> np.ndarray:
@@ -214,10 +201,11 @@ class HedgePolicy:
     """Full-information exponential weights with a pluggable rate schedule.
 
     ``variant`` picks the rate: "simple"/"tight" need a horizon ``T``;
-    "anytime_simple"/"anytime_tight" use the running round; ``doubling``
-    restarts a tight fixed-horizon rate on periods of doubling length.
-    An explicit ``eta`` replaces the ``variant`` schedule; it cannot be
-    combined with ``doubling``, which sets its own rate per period.
+    "anytime_tight" uses the running round; ``doubling`` restarts a tight
+    fixed-horizon rate on periods of doubling length.  An explicit ``eta``
+    (a library option, which no config sets) replaces the ``variant``
+    schedule; it cannot be combined with ``doubling``, which sets its own
+    rate per period.
 
     Every argument is checked here, so a round runs no checks: a fixed rate
     is taken once, an anytime rate once per round and a doubling rate once
@@ -246,11 +234,10 @@ class HedgePolicy:
         elif eta is None:
             # validate the schedule eagerly so config errors surface early
             first = hedge_eta(K, T=T, t=1, variant=variant)
-            if variant in ("simple", "tight"):
+            if variant != "anytime_tight":
                 self._rate = first
         self._log_k = math.log(K)
         self.K = K
-        self.variant = variant
         self.cum_losses = [0.0] * K
         self.t = 0  # completed rounds
         # the completed rounds at which the next doubling period starts: its
@@ -266,7 +253,7 @@ class HedgePolicy:
     def distribution(self) -> ProbVec:
         eta = self._rate
         if eta is None:
-            eta = _anytime_eta(self._log_k, self.t + 1, self.variant)
+            eta = _anytime_eta(self._log_k, self.t + 1)
         return _hedge_weights(self.cum_losses, eta)
 
     def act(self, u: float) -> int:
@@ -336,9 +323,8 @@ class FTLPolicy:
 
 class EXP3Policy:
     """Bandit exponential weights over R independent rows: Hedge on
-    importance-weighted loss estimates (Auer et al., 2002).  With no
-    explicit ``eta`` it uses the anytime rate sqrt(ln K / (t K)), or the
-    fixed rate sqrt(2 ln K / (K T)) when a horizon ``T`` is given.
+    importance-weighted loss estimates (Auer et al., 2002), at the anytime
+    rate sqrt(ln K / (t K)) of round t, counted from 1.
 
     ``act``, ``update``, ``update_reward`` and ``replay_update`` are the
     one-round contract of the offline replays, on a policy of one row.
@@ -346,13 +332,11 @@ class EXP3Policy:
 
     draws = True
 
-    def __init__(self, K: int, *, eta: float | None = None,
-                 T: int | None = None, R: int = 1) -> None:
+    def __init__(self, K: int, *, R: int = 1) -> None:
         _check_count(K, "K", 2)
         self.K = K
-        self.eta = eta if eta is None else _check_rate(eta)
+        self._log_k = math.log(K)
         self.R = _check_count(R, "R")
-        self.T = T if T is None else _check_count(T, "T")
         self.offsets = np.arange(R) * K  # row starts, flat
         self.estimates = np.zeros((R, K))  # importance-weighted losses
         self.t = 0  # completed rounds
@@ -360,7 +344,7 @@ class EXP3Policy:
 
     def distributions(self) -> np.ndarray:
         """The (R, K) playing distributions of the next round."""
-        eta = _exp3_eta(self.K, self.t, self.eta, self.T)
+        eta = math.sqrt(self._log_k / ((self.t + 1) * self.K))
         weights, totals = _exp_weights_rows(self.estimates, eta)
         return _as_probvec_rows(weights / totals)
 
@@ -425,6 +409,8 @@ class EXP4Policy:
             _check_count(n_experts, "n_experts", 2)
             T = _check_count(T, "T")
             eta = math.sqrt(2.0 * math.log(n_experts) / (K * T))
+        elif T is not None:  # checked whether or not the rate reads it
+            _check_count(T, "T")
         self.eta = _check_rate(eta)
         self.n_experts = n_experts
         self.K = K

@@ -187,7 +187,7 @@ ROWS = {
     "hedge_eta": [
         row("K", lambda x: hedge_eta(x, T=10), 2, 0, 1, 2.5),
         row("T", lambda x: hedge_eta(2, T=x), 10, 0, 2.5),
-        row("t", lambda x: hedge_eta(2, t=x, variant="anytime_simple"), 1,
+        row("t", lambda x: hedge_eta(2, t=x, variant="anytime_tight"), 1,
             0, 2.5)],
     "doubling_schedule": [
         row("t", lambda x: doubling_schedule(x, 2), 4, 0, 2.5),
@@ -200,8 +200,6 @@ ROWS = {
     "FTLPolicy": [row("K", FTLPolicy, 2, 0, 2.5)],
     "EXP3Policy": [
         row("K", EXP3Policy, 2, 0, 1, 2.5),
-        row("eta", lambda x: EXP3Policy(2, eta=x), 0.5, *POSITIVE),
-        row("T", lambda x: EXP3Policy(2, T=x), 10, 0, 2.5),
         row("R", lambda x: EXP3Policy(2, R=x), 2, 0, 2.5)],
     "EXP4Policy": [
         row("n_experts", lambda x: EXP4Policy(x, 2, ADVICE, eta=0.1), 2, 0,
@@ -209,6 +207,9 @@ ROWS = {
         row("K", lambda x: EXP4Policy(2, x, ADVICE, eta=0.1), 2, 0, 1, 2.5),
         row("eta", lambda x: EXP4Policy(2, 2, ADVICE, eta=x), 0.1, *POSITIVE),
         row("T", lambda x: EXP4Policy(2, 2, ADVICE, T=x), 10, 0, 2.5),
+        # an explicit eta does not read T; a given T is checked
+        row("T", lambda x: EXP4Policy(2, 2, ADVICE, eta=0.1, T=x), 10, 0,
+            2.5),
         row("R", lambda x: EXP4Policy(2, 2, ADVICE, eta=0.1, R=x), 2, 0,
             2.5)],
     "UCB1Policy": [

@@ -229,7 +229,7 @@ class TestRows:
             trans = play_full_information(make(), env, 0,
                                           np.random.default_rng(0))
             assert len(trans) == 0
-            assert trans.detail["column_sums"] == (0.0, 0.0)
+            assert trans.detail == {"feedback": "full"}
             with pytest.raises(ValueError, match=no_round):
                 play_full_information(make(), env, 1, np.random.default_rng(0))
         [trans] = play_bandit(EXP3Policy(2), [env], 0,
@@ -252,7 +252,7 @@ class TestFtlBreaker:
         trans = play_full_information(FTLPolicy(2), MatrixEnv(matrix), T)
         best = min(matrix.sum(axis=0))
         assert abs(best - T / 2) <= 1.0
-        assert trans.detail["final_regret"] >= T / 2 - 1
+        assert hindsight_regret(matrix, trans.arms)[-1] >= T / 2 - 1
 
     def test_anytime_hedge_stays_below_theorem_bound(self):
         T = 2000
@@ -261,7 +261,7 @@ class TestFtlBreaker:
         for rep in range(10):
             rng = np.random.default_rng(100 + rep)
             trans = play_full_information(HedgePolicy(2), env, T, rng)
-            regrets.append(trans.detail["final_regret"])
+            regrets.append(hindsight_regret(env.matrix, trans.arms)[-1])
         regrets = np.asarray(regrets)
         bound = math.sqrt(T * math.log(2))
         assert regrets.mean() <= bound + 3 * regrets.std()
@@ -323,8 +323,6 @@ BANDIT_KINDS = {
     "ucb1_original": lambda K, T, R: UCB1Batch(K, parametrization="original", R=R),
     "ucb1_improved": lambda K, T, R: UCB1Batch(K, parametrization="improved", R=R),
     "exp3_anytime": lambda K, T, R: EXP3Policy(K, R=R),
-    "exp3_fixed_horizon": lambda K, T, R: EXP3Policy(K, T=T, R=R),
-    "exp3_explicit_eta": lambda K, T, R: EXP3Policy(K, eta=0.3, R=R),
 }
 
 # SHA-256 of ``_game_digest`` over the R = 4 games of each kind below, as
@@ -333,20 +331,39 @@ BANDIT_KINDS = {
 SCALAR_LOOP_DIGESTS = {
     ("exp3_anytime", "bernoulli"): "f5c498bf40236d752359f6878a6b17c83b0a3a5fbddde25b877096364c49a1ec",
     ("exp3_anytime", "ucb_breaker"): "7e55c90a2e3e6030a95ceef42e46f15e113053bc64512a6be8fe19a5a78b804b",
-    ("exp3_explicit_eta", "bernoulli"): "fe4ab6531ad96b1b2a5d4162a7177c8a96c461073b59825948df6968f1281e92",
-    ("exp3_explicit_eta", "ucb_breaker"): "cb3233fd26d528549644a523d3d5c92e0243cf5ec1bb98e299f906bac3ae5c55",
-    ("exp3_fixed_horizon", "bernoulli"): "efca6280530bd5de74946f743a6ea18b3901f610cdc083eaea8ef30e36763e52",
-    ("exp3_fixed_horizon", "ucb_breaker"): "480d0f381b0140e66366d7e2434d00551ddd83a4ac6e9879789137fa1bd4280a",
 }
 # SHA-256 of ``_record_draws`` over the same games: every row drawn from,
 # the R rows of a round together, then each row's final loss estimates.
 SCALAR_LOOP_DIST_DIGESTS = {
     ("exp3_anytime", "bernoulli"): "cd77fc805ac5a39956579ce3335c7fd5279851d80f0b32e19b9c85095528f6a5",
     ("exp3_anytime", "ucb_breaker"): "88cb79e69fb710d1b84ae8e7ff1dc17472ad85cde3d0ac748786a9d6591da69c",
-    ("exp3_explicit_eta", "bernoulli"): "50c41c9da22f2fadc765f1a26aa54de0aade0edaf9aa3f1ad6011b4d1798fc31",
-    ("exp3_explicit_eta", "ucb_breaker"): "b6a3797f4fbe4a4e4ac8d3e7b2db90db54fd23003823a894e367fd47cb167e40",
-    ("exp3_fixed_horizon", "bernoulli"): "d8203d80e1f368c6906266e08a892829c93a4b3178fa07687f5863101f4551d9",
-    ("exp3_fixed_horizon", "ucb_breaker"): "9daaf9fd591a11af8ef6db7e5b4b896e85a6413c5e97cb3a1251220545b82dda",
+}
+# (draws, games) SHA-256 pairs of the same R = 4 EXP3 games, K = 3 above,
+# at each arm count of the ``ucb_vs_exp3`` preset's k_grid, and at K = 5,
+# where division by K rounds, as at K = 3; taken when the rate took ln K in
+# every round, through a function that also served a fixed-horizon and an
+# explicit rate, and unchanged since ln K is taken once per policy.
+EXP3_ARM_COUNT_DIGESTS = {
+    (2, "bernoulli"): ("7ae54b7646c51a79a4ac65756fa6458d2903f0eb0db17bed2ea4dc5df220b914",
+        "f3996bb51df3bb09ddf74830f73ed7a2b6e68e21ff5de132897ab61aca71d2f6"),
+    (2, "ucb_breaker"): ("86c96601e584645b9b3ccc2eee36ba01ec70dc662d62e2184da9e411e7e46a8c",
+        "a5bc217ecaf738fd8b7bf301909ea409e4061e244898b1dda39d9896d4977bdb"),
+    (4, "bernoulli"): ("7aa6bf397dc737bd486422c17629e6ca506e1d7bdd04be57ca9280855b8698ca",
+        "f998a86737fd356208c09fbcb0a1f0478d4eaa0a960edf65e9a3d2f15dfc2642"),
+    (4, "ucb_breaker"): ("1821b2b80c63a9b57694d278ab0ad662f835d7e3fd988fbd49a55f56669049db",
+        "c5e8a20ced8234023765e3b06b2b672a139c4d847695c95aafb49da14130baaa"),
+    (5, "bernoulli"): ("60777ee708dc265046426d1f2cde9362d3b41f095b0b87ce64cab0b8fa7973c8",
+        "9b5fe7dd0de1ab09902cb71e29ea5d26be8127e1e1ca0cd8727693c3ecbdbdd4"),
+    (5, "ucb_breaker"): ("323458b748d177b51a7c4cba87e0517ec2985dda423d33cb24cdc8b01ff2ecad",
+        "d63414f8517fe6cc7735846c09cf4abb3a350486acb79603c2c98b664983a446"),
+    (8, "bernoulli"): ("bae125dfcdbf8a1d98cc794c36a5b843b60dab8aa3819e437f9644a58d17f608",
+        "e5cdbdf63f0354a55beaf6cc233b30271389836bd3af90f85f22b00a1e2a5674"),
+    (8, "ucb_breaker"): ("3dd78aefc4ebde1ded446d29eb67c0959dc2e2ab843c6bb917cd301c608fa231",
+        "128bf81a42b95875df768133d8a2f04aa6eda79b50d1fe0bec955a9688ed203c"),
+    (16, "bernoulli"): ("11b741dcc3e6b2dc67d78928f80feb77807437f570e6aad3ff0dda634a580165",
+        "63e60c9b9574dcde363b8847aefaec68598ad2648c5a70ee7a4a468182eadbcb"),
+    (16, "ucb_breaker"): ("7146159aca80a2446ac4c0c1e4937a6361b6a5adc23f52335fd887146125e94f",
+        "12d1a19260225e312c2c61bf7519e5228f90b3dde36d3a522ff690eb909b0ff0"),
 }
 
 
@@ -373,6 +390,17 @@ def _record_draws(monkeypatch):
 
 def _hash_row(h, row) -> None:
     h.update(repr([float.hex(v) for v in row]).encode())
+
+
+def _exp3_digests(policy, games, rngs, drawn) -> tuple[str, str]:
+    """The SHA-256 of every row EXP3 ``games`` drew from, then each row's
+    final loss estimates, and their ``_game_digest``."""
+    estimates = policy.estimates.tolist()
+    for row in estimates:
+        _hash_row(drawn, row)
+    return drawn.hexdigest(), _game_digest(
+        (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
+        for game, row, rng in zip(games, estimates, rngs))
 
 
 def _game_digest(games) -> str:
@@ -491,15 +519,23 @@ class TestBatchedBandit:
                 assert policy.counts[r].tolist() == scalar.counts
                 assert policy.sums[r].tolist() == scalar.sums
             return
-        estimates = policy.estimates.tolist()
-        for row in estimates:
-            _hash_row(drawn, row)
-        assert drawn.hexdigest() == \
-            SCALAR_LOOP_DIST_DIGESTS[policy_kind, env_kind]
-        digest = _game_digest(
-            (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
-            for game, row, rng in zip(games, estimates, rngs))
-        assert digest == SCALAR_LOOP_DIGESTS[policy_kind, env_kind]
+        assert _exp3_digests(policy, games, rngs, drawn) == (
+            SCALAR_LOOP_DIST_DIGESTS[policy_kind, env_kind],
+            SCALAR_LOOP_DIGESTS[policy_kind, env_kind])
+
+    @pytest.mark.parametrize("env_kind", ["bernoulli", "ucb_breaker"])
+    @pytest.mark.parametrize("K", [2, 4, 5, 8, 16])
+    def test_exp3_is_pinned_at_more_arm_counts(self, K, env_kind,
+                                               monkeypatch):
+        monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
+        drawn = _record_draws(monkeypatch)
+        T, R = 400, 4
+        policy = EXP3Policy(K, R=R)
+        rngs = [np.random.default_rng(50 + r) for r in range(R)]
+        games = play_bandit(policy, _bandit_envs(env_kind, K, T, R), T, rngs)
+        assert policy.t == T
+        assert _exp3_digests(policy, games, rngs, drawn) == \
+            EXP3_ARM_COUNT_DIGESTS[K, env_kind]
 
     @pytest.mark.parametrize("advice, env_kind, N, K, eta", list(EXP4_DIGESTS))
     def test_exp4_equals_scalar_loop_per_repetition(self, advice, env_kind, N,
@@ -552,7 +588,6 @@ class TestBatchedBandit:
 # Each full-information policy of one game, built from (K, T).
 FULL_INFO_KINDS = {
     "ftl": lambda K, T: FTLPolicy(K),
-    "hedge_anytime_simple": lambda K, T: HedgePolicy(K, variant="anytime_simple"),
     "hedge_anytime_tight": lambda K, T: HedgePolicy(K, variant="anytime_tight"),
     "hedge_doubling": lambda K, T: HedgePolicy(K, doubling=True),
     "hedge_explicit_eta": lambda K, T: HedgePolicy(K, eta=0.3),
@@ -565,8 +600,6 @@ FULL_INFO_KINDS = {
 FULL_INFO_DIGESTS = {
     ("ftl", "bernoulli"): "c53f95a78916c0910ebcdb49375d6ea748394f966f9d33dce45f037d2f8e79dd",
     ("ftl", "ftl_breaker"): "bca3147a73b5f815e35e1a0ba99d0a2a5e623bd36bbaf189cd588822d069774b",
-    ("hedge_anytime_simple", "bernoulli"): "7c8383d69b2af851d7a28bb6457eda4b64ec3b672a12892bda916b8bd25b4934",
-    ("hedge_anytime_simple", "ftl_breaker"): "1e2d8a8be1a65b0c8689c523ed570ccbe0eb5817fffeb8aa7df9e8a6562d1d6d",
     ("hedge_anytime_tight", "bernoulli"): "23ddd86fab615e9ece3faf236c4beaf8bac250ec0d6eeb2dfd2aff970b30c0a3",
     ("hedge_anytime_tight", "ftl_breaker"): "f25cc783da30b731a0e769db562b23272108a1a399e2abfff545e169ba750a93",
     ("hedge_doubling", "bernoulli"): "cbc9ddf0fca141d6a36734f580365cb485cdd4c69e2129baec5b7c30b017210d",
@@ -583,8 +616,6 @@ FULL_INFO_DIGESTS = {
 FULL_INFO_DIST_DIGESTS = {
     ("ftl", "bernoulli"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ("ftl", "ftl_breaker"): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    ("hedge_anytime_simple", "bernoulli"): "dc2dff12c3de54c683debce1e172ded1a69a0dadc7bd44bb808a36c770401fdc",
-    ("hedge_anytime_simple", "ftl_breaker"): "375226ba6a44af884377285c46ee5e6909ecab0acc1e2b4cffb53b90e8d006ca",
     ("hedge_anytime_tight", "bernoulli"): "ca53e2fc56b89a8e0a7548b461a85f14c4800d91050fe3fb9ee4c1a445a8fb15",
     ("hedge_anytime_tight", "ftl_breaker"): "25fcb84e6a14df8fd7ba129ec98e20ccc90fbe0d8d0e427b49b8ccf86aa023ea",
     ("hedge_doubling", "bernoulli"): "1fb56c97e0570fea37fb52477d540704461d6787269595fe78e58e908bf50841",
@@ -598,15 +629,18 @@ FULL_INFO_DIST_DIGESTS = {
 }
 
 
-def _full_info_digest(trans, rng) -> str:
-    """One SHA-256 over the arm bytes, the payoffs, the ``detail`` sums and
-    regret (floats as ``float.hex``) and the next draw of the stream."""
-    detail = trans.detail
+def _full_info_digest(trans, env, rng) -> str:
+    """One SHA-256 over the arm bytes, the payoffs, the column sums and the
+    final hindsight regret of the env's cells (floats as ``float.hex``) and
+    the next draw of the stream.  The digests were taken when the game's
+    ``detail`` kept those two as running left-to-right sums; the cumulative
+    sums give the same doubles."""
+    cells = type(env).blocks([env], 0, len(trans))[0]
     return hashlib.sha256(repr((
         trans.arms.tobytes(),
         [float.hex(v) for v in trans.payoffs.tolist()],
-        [float.hex(v) for v in detail["column_sums"]],
-        float.hex(detail["final_regret"]),
+        [float.hex(v) for v in np.cumsum(cells, axis=0)[-1].tolist()],
+        float.hex(hindsight_regret(cells, trans.arms)[-1]),
         float.hex(rng.random()),
     )).encode()).hexdigest()
 
@@ -633,14 +667,14 @@ class TestFullInformation:
                if env_kind == "bernoulli" else MatrixEnv(make_ftl_breaker(T)))
         _blocks_of(monkeypatch, row_block, env.K)
         policy = FULL_INFO_KINDS[policy_kind](env.K, T)
-        # at seed 31 the two anytime rates happen to play the same arms on
-        # the breaker, so their digests could not tell them apart
+        # seed 32, not 31, from when two anytime rates were pinned: at seed
+        # 31 they played the same arms on the breaker
         rng = np.random.default_rng(32)
         trans = play_full_information(policy, env, T, rng)
         assert policy.t == T
         assert drawn.hexdigest() == FULL_INFO_DIST_DIGESTS[policy_kind,
                                                            env_kind]
-        digest = _full_info_digest(trans, rng)
+        digest = _full_info_digest(trans, env, rng)
         assert digest == FULL_INFO_DIGESTS[policy_kind, env_kind]
 
     def test_a_drawing_policy_needs_a_stream(self):
@@ -654,6 +688,10 @@ class TestFullInformation:
 # SHA-256 (``_full_info_digest``) of fixed-rate Hedge games, computed when
 # each round built its distribution with ``_hedge_weights``, before any
 # faster path; on the uniform real-valued matrices no loss vector recurs.
+# The "hedge_simple" games were pinned later, from the block pass, when the
+# game's ``detail`` still kept the column sums and final regret;
+# ``test_each_distribution_is_hedge_distribution`` checks their rounds
+# against ``_hedge_weights``.
 FIXED_RATE_DIGESTS = {
     ("hedge_doubling", "bernoulli_k5"): "fb85253ad8de9b81187b5c7c2ce735863ca3c77dde0ecf6d11529ae57db2aabf",
     ("hedge_doubling", "uniform_k2"): "c92d44317e4b622d37ea2b9c81c19783acebd3931ca6373b9e85f61abe2fbbba",
@@ -663,6 +701,10 @@ FIXED_RATE_DIGESTS = {
     ("hedge_explicit_eta", "uniform_k2"): "b64f2bb8b315533c0e99d3ba41ad0384d011f3f11e0456eb2ff536457c7f8e3e",
     ("hedge_explicit_eta", "uniform_k5"): "b023e9f903bed1177773f0343815b11f2460b1caff0f277e97cf16d371d169c4",
     ("hedge_explicit_eta", "uniform_k8"): "9e42268cb1fb030403a46f70207bdb21affb43724251d968fcc1f507537f1300",
+    ("hedge_simple", "bernoulli_k5"): "deb4a109ef0d3bc773c0d1d9698f639f3d877b2f1f70a98a27348c45af073f16",
+    ("hedge_simple", "uniform_k2"): "d88c21e4f66899b55113af93d9f6dc7f1e5b1413a2e1efb2cbcc5de5e4cbc42d",
+    ("hedge_simple", "uniform_k5"): "4bebd0c588474fcd892cc99cdbb466cd7cd00244137fa95959b3ca30d199618f",
+    ("hedge_simple", "uniform_k8"): "6393990eaddec26cc2aad23fc440a00324401e216c2a41adeb852d852f67e9db",
     ("hedge_tight", "bernoulli_k5"): "628fb41b82465471ddf227c6833a21e450d922db4c65158d4aef42330bac945e",
     ("hedge_tight", "uniform_k2"): "49dd2e85d26823f2acb3124bebbcd1fb24546e4445db749c8061fae721861631",
     ("hedge_tight", "uniform_k5"): "d6bdda4e8c35254e70b812ad39cc555aa8539fafb5aea3b100e3abf01bffde73",
@@ -679,17 +721,43 @@ FIXED_RATE_DIST_DIGESTS = {
     ("hedge_explicit_eta", "uniform_k2"): "ca28ac10d064477981621ecc6eb01a75e40c45994f4d64ddf311a7e34a6c58c9",
     ("hedge_explicit_eta", "uniform_k5"): "7102072e5f6d95332237a0a76cc3abd20f4cb4b5b297a319abfd280f69d88e5f",
     ("hedge_explicit_eta", "uniform_k8"): "2fa05a9f7ada479431791d9f7c3321584b8d7e97226f54936097ba48a4c848b6",
+    ("hedge_simple", "bernoulli_k5"): "b30c72d3f78f8ad615b8aa093ed61bbc26b9eed3241f2badcf3ffe63c57eb648",
+    ("hedge_simple", "uniform_k2"): "e241081fd82711dc2fd4d8d8a75fba70cde7a58b5a7742408790e33f07ab47e0",
+    ("hedge_simple", "uniform_k5"): "bf2d00773a264d5ec4719b31609432ba14a53835ab321f730ef17c54d1fdf400",
+    ("hedge_simple", "uniform_k8"): "6d08202efbd410a3a0b56df3f64dac841e858455d806b23e788038d8bf4d07f6",
     ("hedge_tight", "bernoulli_k5"): "2881ccc6e63d3fb3e8dac22578a3cd51e05e16212e2f6b52ca0e379512b57507",
     ("hedge_tight", "uniform_k2"): "2e86c20e2cf2c9c564e22a0b301dead2c9e5541565a677cf17bdfefa6f96b474",
     ("hedge_tight", "uniform_k5"): "d3957af0a21cc5e58e2b5d8e36b4859bfec565096ee2cdb0ebdee0e0e300276a",
     ("hedge_tight", "uniform_k8"): "7f4603a5f2ef4908fb598323b898beefa2eb71fadf34dc1761c22b2724b348a8",
 }
-FIXED_RATE_KINDS = ("hedge_doubling", "hedge_explicit_eta", "hedge_tight")
+FIXED_RATE_KINDS = ("hedge_doubling", "hedge_explicit_eta", "hedge_tight",
+                    "hedge_simple")
 # numpy sums 8 or more cells pairwise, so "uniform_k8" shows a row total
 # that is not left to right
 PINNED_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5", "uniform_k8")
 # every policy kind that ``play_full_information`` plays a block at a time
-BLOCK_KINDS = FIXED_RATE_KINDS + ("hedge_simple",)
+BLOCK_KINDS = FIXED_RATE_KINDS
+# (draws, transcript) SHA-256 pairs, as above, of the kinds it plays one
+# round at a time, pinned when the game's ``detail`` still kept the column
+# sums and final regret
+PER_ROUND_DIGESTS = {
+    ("ftl", "bernoulli_k5"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "3ef3621925bb69a980745a1f301f093adb02232527b79c082b26013cce52c113"),
+    ("ftl", "uniform_k2"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2337c6d13392809bc3a7e0f7bedc07640c1c21aa6f6ee604d2699815fe39c7f1"),
+    ("ftl", "uniform_k5"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "910c4fd57582a55433d07ab3a9bc4f09c17f4913736bc5b7bea419108277715c"),
+    ("ftl", "uniform_k8"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e3322cd1ca1755622e66602fe289b34bb74dd38c20fd09fe97c413ae645916e4"),
+    ("hedge_anytime_tight", "bernoulli_k5"): ("f730dfda4c4177aac034eb01b043745e15b77c6d278ae3cb719db638f4e0a042",
+        "99c98dc73fd56f986aa0204f61ff7288cc181a55dde4ba01f96824732bea1cbb"),
+    ("hedge_anytime_tight", "uniform_k2"): ("542db0aee177f1b0e9c8ab26659c88962c5d4db73906a045ff117e66820e6a9e",
+        "b1eb0276effc559a36334add6b46463734aa491d603930168c21042988d7651f"),
+    ("hedge_anytime_tight", "uniform_k5"): ("2c5209e443c5b0c33d66484e0d80440a616f28a7223136a290b3accb0e1d9f55",
+        "10310db4cce4daab66be27aaf8f2ff4b74ee9f01d8eca90b969f33f9990bbad6"),
+    ("hedge_anytime_tight", "uniform_k8"): ("5970d9531d55655c6c506bc5f817e50219e00311be895ccad7f450e77695b798",
+        "8a56ee02ba12e572efae5d5dcc34912f11a0b104f18f3b7bd53f358eb848aa7d"),
+}
 
 
 def _fixed_rate_env(kind: str, T: int):
@@ -708,13 +776,14 @@ def _fixed_rate(policy_kind: str, K: int, T: int, t: int) -> float:
         return doubling_schedule(t + 1, K)[1]
     if policy_kind == "hedge_explicit_eta":
         return 0.3
-    return hedge_eta(K, T=T, variant="tight")
+    return hedge_eta(K, T=T, variant=policy_kind.removeprefix("hedge_"))
 
 
 def _play_by_hand(policy, env, T: int, rng):
     """``play_full_information`` one round at a time: one draw from ``rng``,
     one ``act``, one ``env.row`` and one ``observe`` a round.  Returns the
-    arms, the payoffs, the ``detail`` and each round's distribution."""
+    arms, the payoffs, the column sums and final hindsight regret as running
+    left-to-right sums, and each round's distribution."""
     arms, payoffs, dists = [], [], []
     column_sums, total = [0.0] * env.K, 0.0
     for t in range(T):
@@ -726,9 +795,7 @@ def _play_by_hand(policy, env, T: int, rng):
         payoffs.append(row[arm])
         total += row[arm]
         column_sums = [s + v for s, v in zip(column_sums, row)]
-    detail = {"feedback": "full", "column_sums": tuple(column_sums),
-              "final_regret": total - min(column_sums)}
-    return arms, payoffs, detail, dists
+    return arms, payoffs, (column_sums, total - min(column_sums)), dists
 
 
 class TestFixedRateHedge:
@@ -747,7 +814,7 @@ class TestFixedRateHedge:
             FULL_INFO_KINDS[policy_kind](env.K, self.T), env, self.T, rng)
         assert drawn.hexdigest() == FIXED_RATE_DIST_DIGESTS[policy_kind,
                                                             env_kind]
-        digest = _full_info_digest(trans, rng)
+        digest = _full_info_digest(trans, env, rng)
         assert digest == FIXED_RATE_DIGESTS[policy_kind, env_kind]
 
     @pytest.mark.parametrize("env_kind", PINNED_ENVS)
@@ -781,13 +848,17 @@ class TestFixedRateHedge:
         played, by_hand = [FULL_INFO_KINDS[policy_kind](K, self.T)
                            for _ in range(2)]
         rng, hand_rng = np.random.default_rng(32), np.random.default_rng(32)
-        trans = play_full_information(
-            played, _fixed_rate_env(kind, self.T), self.T, rng)
-        arms, payoffs, detail, dists = _play_by_hand(
+        env = _fixed_rate_env(kind, self.T)
+        trans = play_full_information(played, env, self.T, rng)
+        arms, payoffs, running, dists = _play_by_hand(
             by_hand, _fixed_rate_env(kind, self.T), self.T, hand_rng)
         assert trans.arms.tolist() == arms
         assert trans.payoffs.tolist() == payoffs
-        assert trans.detail == detail
+        assert trans.detail == {"feedback": "full"}
+        # the runner's scoring of the env's cells gives the running sums
+        cells = type(env).blocks([env], 0, self.T)[0]
+        assert (np.cumsum(cells, axis=0)[-1].tolist(),
+                hindsight_regret(cells, trans.arms)[-1]) == running
         assert drawn == dists
         assert (played.t, played.cum_losses, played.period_end) == \
             (by_hand.t, by_hand.cum_losses, by_hand.period_end)
@@ -827,6 +898,25 @@ class TestFixedRateHedge:
             FULL_INFO_KINDS[policy_kind](2, 2000), BernoulliEnv((0.5, 0.5), 2),
             2000, np.random.default_rng(2))
         assert len(trans) == 2000
+
+
+class TestPerRoundPlay:
+    """FTL and anytime Hedge, which ``play_full_information`` plays one
+    round at a time, on the fixed-rate games' envs."""
+
+    T = 600
+
+    @pytest.mark.parametrize("policy_kind, env_kind", list(PER_ROUND_DIGESTS))
+    def test_per_round_transcript_is_pinned(self, policy_kind, env_kind,
+                                            monkeypatch):
+        drawn = _record_draws(monkeypatch)
+        env = _fixed_rate_env(env_kind, self.T)
+        policy = FULL_INFO_KINDS[policy_kind](env.K, self.T)
+        assert not getattr(policy, "fixed_rate", False)
+        rng = np.random.default_rng(32)
+        trans = play_full_information(policy, env, self.T, rng)
+        assert (drawn.hexdigest(), _full_info_digest(trans, env, rng)) == \
+            PER_ROUND_DIGESTS[policy_kind, env_kind]
 
 
 def _log(actions, rewards):
@@ -1538,12 +1628,18 @@ class TestRegretAccounting:
         assert len(hindsight_regret(matrix, arms[:len(rows)])) == len(rows)
 
     def test_full_information_accounting_is_recomputable(self):
+        # the hindsight regret of the stored matrix is the running
+        # left-to-right payoff total less the least running column sum
         T = 500
         matrix = make_ftl_breaker(T)
-        rng = np.random.default_rng(17)
-        trans = play_full_information(HedgePolicy(2), MatrixEnv(matrix), T, rng)
-        recomputed = hindsight_regret(matrix, trans.arms)[-1]
-        assert trans.detail["final_regret"] == recomputed
+        trans = play_full_information(HedgePolicy(2), MatrixEnv(matrix), T,
+                                      np.random.default_rng(17))
+        arms, payoffs, (column_sums, regret), _ = _play_by_hand(
+            HedgePolicy(2), MatrixEnv(matrix), T, np.random.default_rng(17))
+        assert trans.arms.tolist() == arms
+        assert trans.payoffs.tolist() == payoffs
+        assert hindsight_regret(matrix, trans.arms)[-1] == regret
+        assert np.cumsum(matrix, axis=0)[-1].tolist() == column_sums
 
     def test_transcript_validation(self):
         with pytest.raises(ValueError):

@@ -205,8 +205,7 @@ class TestRunner:
     def test_yes_turns_boolean_policy_keys_on(self):
         lines = MINIMAL_GAME[:5] + [
             "[environment]", "kind = bernoulli", "means = 0.25, 0.75",
-            "[policy h]", "kind = hedge", "doubling = yes",
-            "[policy e]", "kind = exp3", "fixed_horizon = yes"]
+            "[policy h]", "kind = hedge", "doubling = yes"]
         got = run_experiment(parse_config_lines(lines))
         want = run_experiment(parse_config_lines(
             [line.replace("yes", "true") for line in lines]))
@@ -226,13 +225,6 @@ class TestRunner:
           "[policy u]", "kind = ucb1"], "environment.base"),
         (["[environment]", "kind = ucb_breaker", "k = 2.5",
           "[policy u]", "kind = ucb1"], "environment.k"),
-        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
-          "[policy h]", "kind = hedge", "eta = fast"], "policy h.eta"),
-        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
-          "[policy e]", "kind = exp3", "eta = fast"], "policy e.eta"),
-        (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
-          "[policy e]", "kind = exp3", "fixed_horizon = maybe"],
-         "policy e.fixed_horizon"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy h]", "kind = hedge", "doubling = maybe"], "policy h.doubling"),
     ])
@@ -651,16 +643,17 @@ class TestCli:
          "params.fixed_arm: must be in [0, 2), got '2' (line 8)"),
         (["T = 20", "R = 1", "[environment]", "kind = bernoulli",
           "means = 0.2, 0.8", "", "# a slow learner", "[policy h]",
-          "kind = hedge", "doubling = false", "", "[policy x]", "kind = exp3",
-          "eta = abc"],
-         "policy x.eta: cannot parse 'abc' as float (line 16)"),
+          "kind = hedge", "doubling = false", "", "[policy x]", "kind = hedge",
+          "doubling = abc"],
+         "policy x.doubling: cannot parse 'abc' as bool (line 16)"),
         (["T = 20", "[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy  y]", "kind = greedy"],
          "policy y.kind: unknown kind 'greedy', expected one of hedge, ftl, "
          "exp3, ucb1 (line 8)"),
-        (["[environment]", "kind = bernoulli_gap", "k = x", "[policy u]",
+        (["[environment]", "kind = bernoulli_gap", "k_grid = x", "[policy u]",
           "kind = ucb1"],
-         "environment.k: expected comma-separated integers, got 'x' (line 5)"),
+         "environment.k_grid: expected comma-separated integers, got 'x' "
+         "(line 5)"),
         (["[environment]", "kind = bernoulli_gap", "k_grid = 2, 1",
           "[policy u]", "kind = ucb1"],
          "environment.k_grid: must be distinct integers >= 2, got '2, 1' "
@@ -942,42 +935,30 @@ class TestCli:
         assert [error.split(":")[1].strip() for error in errors] == [
             field for field, _ in rows]
 
-    # EXP3 has one form, so an exp3 section takes no variant
+    # EXP3 has one form and one rate, so an exp3 section takes no variant
     EXP3_VARIANT = ("policy p.variant: unknown keys ['variant']; [policy p] "
-                    "takes kind, eta, fixed_horizon (line 10)")
+                    "takes kind (line 10)")
+    HEDGE_VARIANTS = "expected one of simple, tight, anytime_tight"
 
     @pytest.mark.parametrize("policy, message", [
-        (["kind = hedge", "eta = -1"],
-         "policy p.eta: must be positive and finite, got '-1' (line 10)"),
-        (["kind = hedge", "eta = 0"],
-         "policy p.eta: must be positive and finite, got '0' (line 10)"),
-        (["kind = hedge", "eta = nan"],
-         "policy p.eta: must be positive and finite, got 'nan' (line 10)"),
-        (["kind = hedge", "eta = inf"],
-         "policy p.eta: must be positive and finite, got 'inf' (line 10)"),
-        (["kind = hedge", "doubling = true", "eta = -1"],
-         "policy p.eta: must be positive and finite, got '-1' (line 11)"),
         (["kind = hedge", "variant = bogus", "eta = 0.1"],
-         "policy p.variant: unknown variant 'bogus', expected one of simple, "
-         "tight, anytime_simple, anytime_tight (line 10)"),
+         f"policy p.variant: unknown variant 'bogus', {HEDGE_VARIANTS} "
+         "(line 10)"),
         (["kind = hedge", "doubling = true", "variant = bogus"],
-         "policy p.variant: unknown variant 'bogus', expected one of simple, "
-         "tight, anytime_simple, anytime_tight (line 11)"),
-        (["kind = exp3", "eta = nan"],
-         "policy p.eta: must be positive and finite, got 'nan' (line 10)"),
-        (["kind = exp3", "eta = -0.5"],
-         "policy p.eta: must be positive and finite, got '-0.5' (line 10)"),
-        (["kind = exp3", "variant = rewards", "eta = 0.5"],
-         EXP3_VARIANT),
-        (["kind = exp3", "variant = gains"], EXP3_VARIANT),
-        (["kind = hedge", "doubling = true", "eta = 0.1"],
-         "policy p.eta: must be unset when doubling is on, got '0.1' "
+         f"policy p.variant: unknown variant 'bogus', {HEDGE_VARIANTS} "
          "(line 11)"),
+        (["kind = exp3", "variant = rewards", "eta = 0.5"],
+         "policy p.variant: unknown keys ['variant', 'eta']; [policy p] "
+         "takes kind (line 10)"),
+        (["kind = exp3", "variant = gains"], EXP3_VARIANT),
         (["kind = exp3", "variant = losses"], EXP3_VARIANT),
-    ], ids=["hedge_negative", "hedge_zero", "hedge_nan", "hedge_inf",
-            "doubling_negative", "variant_with_eta", "variant_with_doubling",
-            "exp3_nan", "exp3_negative", "exp3_rewards", "exp3_variant",
-            "doubling_with_eta", "exp3_losses"])
+        # a Hedge section takes no rate, so doubling has none to refuse
+        (["kind = hedge", "doubling = true", "eta = 0.1"],
+         "policy p.eta: unknown keys ['eta']; [policy p] takes kind, "
+         "variant, doubling (line 11)"),
+    ], ids=["variant_with_eta", "variant_with_doubling",
+            "exp3_rewards", "exp3_variant", "exp3_losses",
+            "doubling_with_eta"])
     def test_bad_rates_and_variants_name_their_line(self, tmp_path, capsys,
                                                      policy, message):
         config = tmp_path / "bad.cfg"
@@ -988,6 +969,54 @@ class TestCli:
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert_config_error(capsys.readouterr().err, message)
         assert not (tmp_path / "bad.csv").exists()
+
+    # options that no preset, acceptance criterion or CLI default set, and
+    # that the runner no longer reads: each exits 2 naming its field
+    TWO_MEANS = ["kind = bernoulli", "means = 0.2, 0.8"]
+
+    @pytest.mark.parametrize("environment, policy, message", [
+        (TWO_MEANS, ["[policy h]", "kind = hedge", "eta = 0.1"],
+         "policy h.eta: unknown keys ['eta']; [policy h] takes kind, "
+         "variant, doubling (line 10)"),
+        (TWO_MEANS, ["[policy h]", "kind = hedge", "variant = anytime_simple"],
+         "policy h.variant: unknown variant 'anytime_simple', expected one "
+         "of simple, tight, anytime_tight (line 10)"),
+        (TWO_MEANS, ["[policy e]", "kind = exp3", "eta = 0.1"],
+         "policy e.eta: unknown keys ['eta']; [policy e] takes kind "
+         "(line 10)"),
+        (TWO_MEANS, ["[policy e]", "kind = exp3", "fixed_horizon = true"],
+         "policy e.fixed_horizon: unknown keys ['fixed_horizon']; "
+         "[policy e] takes kind (line 10)"),
+        (TWO_MEANS, ["[policy e]", "kind = exp3", "fixed_horizon = true",
+                     "eta = 0.1"],
+         "policy e.fixed_horizon: unknown keys ['fixed_horizon', 'eta']; "
+         "[policy e] takes kind (line 10)"),
+        (["kind = bernoulli_gap", "k = 3"], ["[policy u]", "kind = ucb1"],
+         "environment.k: unknown keys ['k']; [environment] takes kind, "
+         "feedback, k_grid, base, gap (line 7)"),
+    ], ids=["hedge_eta", "hedge_anytime_simple", "exp3_eta",
+            "exp3_fixed_horizon", "exp3_both", "bernoulli_gap_k"])
+    def test_retired_options_exit_2_naming_their_field(
+            self, tmp_path, capsys, environment, policy, message):
+        config = tmp_path / "bad.cfg"
+        config.write_text("\n".join([
+            "[experiment]", "name = bad", "T = 20", "R = 1", "[environment]",
+            *environment, *policy]) + "\n")
+        assert main(["run", str(config), "--out", str(tmp_path)]) == 2
+        assert_config_error(capsys.readouterr().err, message)
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_the_ucb_breaker_still_reads_its_own_k(self, tmp_path):
+        config = parse_config_lines([
+            "[experiment]", "name = k3", "T = 20", "R = 1", "[environment]",
+            "kind = ucb_breaker", "k = 3", "[policy u]", "kind = ucb1"])
+        [trace] = run_experiment(config)
+        assert [f.text for f in config.fields
+                if (f.section, f.key) == ("environment", "k")] == ["3"]
+        # UCB1 plays the three arms once each and the breaker charges the
+        # pulled arm loss 0.9, the others 0.1 (less 1e-6 offsets): after
+        # the round robin the regret is 3 * 0.9 - (0.9 + 0.1 + 0.1)
+        assert math.isclose(trace.mean[2], 1.6, abs_tol=1e-5)
 
     @pytest.mark.parametrize("lines, message", [
         (MINIMAL_GAME[:6] + ["kind = bernoulli"] + MINIMAL_GAME[8:],
@@ -1371,7 +1400,12 @@ def test_readme_config_tables_list_what_the_runner_reads():
     the probes read, with the type, default (``required``, or ``none`` for
     an unset optional field) and choices their first read records.  The
     environment and policy tables' kind columns hold exactly their kind
-    field's choices, in order; ``all`` stands for every kind."""
+    field's choices, in order; ``all`` stands for every kind.  Where a
+    read's rules hold an ``at_least(n)`` floor (a ``want`` of ``>= n``),
+    its "allowed" cell names that floor, as ``>= n`` or ``in [n, ...``.
+    The other rule texts are left out: the caps (``_cap``) and ties such as
+    ``environment.gap``'s range depend on other fields' values, and README
+    states them in its own words."""
     reads, choices = _reads_by_kind()
     listed = {}
     for section, rows in _readme_tables().items():
@@ -1398,6 +1432,11 @@ def test_readme_config_tables_list_what_the_runner_reads():
             if isinstance(f.kind, tuple):
                 assert re.findall(r"`(\w+)`", row["allowed"]) == list(
                     f.kind), (group, key)
+            for want in f.wants:
+                floor = re.fullmatch(r">= (\d+)", want)
+                if floor:
+                    assert re.search(rf"(>= |in \[){floor[1]}\b",
+                                     row["allowed"]), (group, key, want)
 
 
 def _preset_pins():
