@@ -91,16 +91,15 @@ class BanditLog:
 
 @dataclass
 class GameTranscript:
-    """Per-round record of one policy/environment run."""
+    """Per-round record of one policy/environment run: the arms played and
+    their payoffs, losses in a game and rewards in a replay, as
+    ``detail["feedback"]`` says (full, bandit, iw-replay or rs-replay)."""
 
     arms: np.ndarray
     payoffs: np.ndarray
-    kind: str  # "loss" or "reward"
     detail: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("loss", "reward"):
-            raise ValueError(f"unknown payoff kind {self.kind!r}")
         if len(self.arms) != len(self.payoffs):
             raise ValueError("arms and payoffs must have equal length")
 
@@ -219,23 +218,20 @@ def make_ftl_breaker(T: int) -> np.ndarray:
     return matrix
 
 
-def make_ucb_breaker(T: int, K: int = 2, *, parametrization: str = "improved",
-                     ) -> tuple[np.ndarray, list[int]]:
+def make_ucb_breaker(T: int, K: int = 2) -> tuple[np.ndarray, list[int]]:
     """Oblivious reward matrix that makes deterministic UCB1 suffer linear
-    regret: UCB1 (fixed init order, lowest-index ties) is simulated offline
-    and the arm it is about to pull is assigned a low reward while every
-    other arm gets a high one.  Rewards are interior to [0, 1] with small
-    per-arm offsets so no two arms tie within a round.  Returns the matrix
-    and the predicted UCB1 trajectory; validated by simulation, not proved.
-
-    Under either parametrization the simulated UCB1 plays the round robin
-    t mod K until its radius gap falls under the 1e-6 offsets.  That
-    happens first for "improved", at round 27339 for K = 2 and 25787 for
-    K = 3, so ``parametrization`` changes the bytes of long games only.
+    regret: improved UCB1 (fixed init order, lowest-index ties) is simulated
+    offline and the arm it is about to pull is assigned a low reward while
+    every other arm gets a high one.  Rewards are interior to [0, 1] with
+    small per-arm offsets so no two arms tie within a round.  Returns the
+    matrix and the predicted UCB1 trajectory; validated by simulation, not
+    proved.  The simulated UCB1 plays the round robin t mod K until its
+    radius gap falls under the 1e-6 offsets, at round 27339 for K = 2 and
+    25787 for K = 3.
     """
     _check_count(T, "T", 2 * _check_count(K, "K"))
     low, high = 0.1, 0.9
-    probe = UCB1Policy(K, parametrization=parametrization)
+    probe = UCB1Policy(K, parametrization="improved")
     rewards = np.empty((T, K))
     trajectory = []
     for t in range(T):
@@ -483,7 +479,7 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
         incurred.append(rows[np.arange(t1 - t0), block])
         t0 = t1
     return GameTranscript(np.concatenate(arms), np.concatenate(incurred),
-                          "loss", {"feedback": "full"})
+                          {"feedback": "full"})
 
 
 def play_bandit(policy, envs: Sequence, T: int,
@@ -531,7 +527,7 @@ def play_bandit(policy, envs: Sequence, T: int,
             update_rows(arm, loss)
             arms[:, t] = arm
             incurred[:, t] = loss
-    return [GameTranscript(arms[r], incurred[r], "loss", {"feedback": "bandit"})
+    return [GameTranscript(arms[r], incurred[r], {"feedback": "bandit"})
             for r in range(R)]
 
 
@@ -613,7 +609,7 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
         "feedback": "iw-replay",
         "estimated_value": float(estimates.mean()) if len(log) else 0.0,
     }
-    return GameTranscript(arms, estimates, "reward", detail)
+    return GameTranscript(arms, estimates, detail)
 
 
 def replay_rejection_sampling(policy, log: BanditLog, K: int,
@@ -647,4 +643,4 @@ def replay_rejection_sampling(policy, log: BanditLog, K: int,
         rewards.append(reward)
     detail = {"feedback": "rs-replay", "effective_horizon": len(arms)}
     return GameTranscript(np.asarray(arms, dtype=int), np.asarray(rewards),
-                          "reward", detail)
+                          detail)

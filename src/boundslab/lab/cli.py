@@ -58,8 +58,14 @@ def _write_outputs(config: ExperimentConfig, traces, out_dir: Path,
 
 
 def _cmd_run(args) -> int:
-    config = parse_config(resolve_config(args.config), {
-        "experiment.seed": (args.seed, "--seed"), "experiment.R": (args.reps, "--reps")})
+    # a config that cannot be read is bad input, as a ``--log`` file is; a
+    # ConfigError is a ValueError, so only these two are caught
+    try:
+        config = parse_config(resolve_config(args.config), {
+            "experiment.seed": (args.seed, "--seed"),
+            "experiment.R": (args.reps, "--reps")})
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {args.config!r}: {exc}") from exc
     out_dir = Path(args.out or config.out or ".")
     traces = run_experiment(config)
     for trace in traces:

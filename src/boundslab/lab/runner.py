@@ -167,12 +167,9 @@ def _read_environment(config: ExperimentConfig):
     else:
         k = f.read("k", int, "2", at_least(1), _cap(
             "the experiment.T x environment.k reward matrix", T, "experiment.T"))
-        parametrization = f.read("parametrization", UCB1_PARAMETRIZATIONS,
-                                 "improved")
         experiment.read("T", int, None, (lambda T: T >= 2 * k, f">= 2 * "
                         f"environment.k = {2 * k} for ucb_breaker"))
-        envs = [("", k, lambda: _oblivious(1.0 - make_ucb_breaker(
-            T, k, parametrization=parametrization)[0]))]
+        envs = [("", k, lambda: _oblivious(1.0 - make_ucb_breaker(T, k)[0]))]
     f.close()
     return feedback, envs
 

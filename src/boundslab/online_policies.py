@@ -109,17 +109,16 @@ def ftl_choice(cum_losses: Sequence[float]) -> int:
     return best
 
 
-def doubling_schedule(t: int, K: int) -> tuple[int, float, bool]:
-    """Doubling-trick period index, per-period Hedge rate and reset flag.
+def doubling_schedule(t: int, K: int) -> tuple[int, float]:
+    """Doubling-trick period index and per-period Hedge rate of round t.
 
     Period m covers rounds [2^m, 2^{m+1}); the rate is the tight fixed-horizon
-    rate for horizon 2^m and a reset happens exactly at period boundaries.
+    rate for horizon 2^m, and the losses restart at each period's first round.
     """
     _check_count(t, "t")
     _check_count(K, "K", 2)
     m = t.bit_length() - 1
-    eta_m = math.sqrt(8.0 * math.log(K) / float(2 ** m))
-    return m, eta_m, t == 2 ** m
+    return m, math.sqrt(8.0 * math.log(K) / float(2 ** m))
 
 
 def sample_arm(dist: Sequence[float], u: float) -> int:
@@ -202,10 +201,7 @@ class HedgePolicy:
 
     ``variant`` picks the rate: "simple"/"tight" need a horizon ``T``;
     "anytime_tight" uses the running round; ``doubling`` restarts a tight
-    fixed-horizon rate on periods of doubling length.  An explicit ``eta``
-    (a library option, which no config sets) replaces the ``variant``
-    schedule; it cannot be combined with ``doubling``, which sets its own
-    rate per period.
+    fixed-horizon rate on periods of doubling length, whatever the variant.
 
     Every argument is checked here, so a round runs no checks: a fixed rate
     is taken once, an anytime rate once per round and a doubling rate once
@@ -217,25 +213,20 @@ class HedgePolicy:
     draws = True
 
     def __init__(self, K: int, *, variant: str = "anytime_tight",
-                 eta: float | None = None, T: int | None = None,
-                 doubling: bool = False) -> None:
+                 T: int | None = None, doubling: bool = False) -> None:
         _check_count(K, "K", 2)
         if variant not in HEDGE_ETA_VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if T is not None:  # checked whether or not the rate reads it
             _check_count(T, "T")
-        # a rate that holds for more than one round: explicit, fixed-horizon
-        # or the current doubling period's; None for an anytime rate
-        self._rate = None if eta is None else _check_rate(eta)
-        if doubling and eta is not None:
-            raise ValueError("give eta or doubling, not both")
+        # a rate that holds for more than one round: fixed-horizon or the
+        # current doubling period's; None for an anytime rate
         if doubling:
             self._rate = doubling_schedule(1, K)[1]
-        elif eta is None:
+        else:
             # validate the schedule eagerly so config errors surface early
             first = hedge_eta(K, T=T, t=1, variant=variant)
-            if variant != "anytime_tight":
-                self._rate = first
+            self._rate = None if variant == "anytime_tight" else first
         self._log_k = math.log(K)
         self.K = K
         self.cum_losses = [0.0] * K
@@ -246,8 +237,8 @@ class HedgePolicy:
 
     @property
     def fixed_rate(self) -> bool:
-        """Whether the rate holds over a period: an explicit, fixed-horizon
-        or doubling rate, not an anytime one."""
+        """Whether the rate holds over a period: a fixed-horizon or
+        doubling rate, not an anytime one."""
         return self._rate is not None
 
     def distribution(self) -> ProbVec:
@@ -296,7 +287,7 @@ class HedgePolicy:
         self.cum_losses = cum_losses
         self.t += rounds
         if self.t >= self.period_end:
-            m, self._rate, _ = doubling_schedule(self.t + 1, self.K)
+            m, self._rate = doubling_schedule(self.t + 1, self.K)
             self.cum_losses = [0.0] * self.K
             self.period_end = 2 ** (m + 1) - 1
 
@@ -391,7 +382,8 @@ class EXP3Policy:
 
 class EXP4Policy:
     """Exponential weights over experts whose advice mixes into an arm
-    distribution, over R independent rows.  ``advice(t)`` gives round t's
+    distribution, over R independent rows, at the rate sqrt(2 ln N / (K T))
+    of N experts over a horizon of T rounds.  ``advice(t)`` gives round t's
     (n_experts, K) advice, one distribution over the arms per expert, for
     every row.  A row plays p(a) = sum_h w(h) q_h(a) and charges expert h
     q_h(a) l / p(a) for the loss l of the played arm a.
@@ -399,19 +391,13 @@ class EXP4Policy:
 
     draws = True
 
-    def __init__(self, n_experts: int, K: int, advice, *,
-                 eta: float | None = None, T: int | None = None,
+    def __init__(self, n_experts: int, K: int, advice, *, T: int,
                  R: int = 1) -> None:
-        _check_count(n_experts, "n_experts")
+        # ln 1 = 0: one expert would derive the rate 0
+        _check_count(n_experts, "n_experts", 2)
         _check_count(K, "K", 2)
-        if eta is None:
-            # ln 1 = 0: one expert would derive the rate 0
-            _check_count(n_experts, "n_experts", 2)
-            T = _check_count(T, "T")
-            eta = math.sqrt(2.0 * math.log(n_experts) / (K * T))
-        elif T is not None:  # checked whether or not the rate reads it
-            _check_count(T, "T")
-        self.eta = _check_rate(eta)
+        self.eta = math.sqrt(2.0 * math.log(n_experts)
+                             / (K * _check_count(T, "T")))
         self.n_experts = n_experts
         self.K = K
         self.R = _check_count(R, "R")
@@ -477,7 +463,6 @@ class UCB1Policy:
                  reward_range: float = 1.0) -> None:
         self.scale = _check_ucb1(K, parametrization)
         self.K = K
-        self.parametrization = parametrization
         self.reward_range = _check_rate(reward_range, "reward_range")
         self.counts = [0] * K
         self.sums = [0.0] * K
@@ -539,7 +524,6 @@ class UCB1Batch:
         self.scale = _check_ucb1(K, parametrization)
         self.K = K
         self.R = _check_count(R, "R")
-        self.parametrization = parametrization
         self.offsets = np.arange(R) * K  # row starts, flat
         self.counts = np.zeros((R, K))
         self.sums = np.zeros((R, K))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -242,7 +242,6 @@ class RecursiveStage:
 
 
 def recursive_pb(table: LossTable, delta: float, T: int,
-                 gammas: Optional[Sequence[float]] = None,
                  seed: int = 0) -> list:
     """Stage-wise recursive bound on E_{pi_T*}[L(h)] from the uniform prior.
 
@@ -254,22 +253,16 @@ def recursive_pb(table: LossTable, delta: float, T: int,
     trains pi_t* on the S_t portion, and certifies E_t with the split-kl
     form, decomposing f by the ``SplitGrid`` on -gamma_t, 0, 1 - gamma_t, 1,
     and B_t = E_t + gamma_t B_{t-1}, from B_0 = 0.  Stage 1 is the
-    gamma_1 = 0 stage (``gammas[0]`` is checked and unused): f is the loss
-    on the one segment [0, 1], so B_1 = E_1 is the PAC-Bayes-kl bound on all
-    of S.  The budget is ln(2 T sqrt(n)/delta) at stage 1 and
-    ln(6 T sqrt(n_val)/delta) after it.  Returns one BoundResult per stage,
-    each carrying its RecursiveStage record.
+    gamma_1 = 0 stage: f is the loss on the one segment [0, 1], so
+    B_1 = E_1 is the PAC-Bayes-kl bound on all of S; every later stage
+    takes gamma_t = 1/2.  The budget is ln(2 T sqrt(n)/delta) at stage 1
+    and ln(6 T sqrt(n_val)/delta) after it.  Returns one BoundResult per
+    stage, each carrying its RecursiveStage record.
     """
     _check_delta(delta)
     m, n = table.m, table.n
     sizes = geometric_split(n, T)
     starts = np.concatenate(([0], np.cumsum(sizes))).astype(int)
-    if gammas is None:
-        gammas = [0.5] * T
-    gammas = [_check_unit(g, "gammas") for g in gammas]
-    if len(gammas) != T:
-        raise ValueError("need one gamma per stage")
-    gammas[0] = 0.0  # stage 1 has no reference: its excess loss is the loss
     pi_prev = ProbVec([1.0 / m] * m)
     seed_seq = np.random.SeedSequence(_check_count(seed, "seed", 0))
     stage_seeds = seed_seq.spawn(T)
@@ -277,7 +270,9 @@ def recursive_pb(table: LossTable, delta: float, T: int,
 
     results = []
     bound = 0.0
-    for t, gamma in enumerate(gammas, start=1):
+    for t in range(1, T + 1):
+        # stage 1 has no reference: its excess loss is the loss
+        gamma, budget = (0.5, 6.0) if t > 1 else (0.0, 2.0)
         start, end = starts[t - 1], starts[t]
         n_t = end - start
         n_val = n - start
@@ -287,12 +282,11 @@ def recursive_pb(table: LossTable, delta: float, T: int,
             rng = np.random.default_rng(stage_seeds[t - 1])
             draws = rng.choice(m, size=n_val, p=np.asarray(pi_prev.weights))
             excess = excess - gamma * losses[draws, np.arange(start, n)]
-        # a zero-width segment (gamma = 0 or 1) is dropped with its level;
-        # 0.0 - gamma is 0.0 at gamma = 0, where -gamma is -0.0
+        # stage 1's zero-width segment is dropped with its level; 0.0 - gamma
+        # is 0.0 at gamma = 0, where -gamma is -0.0
         grid = SplitGrid(dict.fromkeys((0.0 - gamma, 0.0, 1.0 - gamma, 1.0)))
 
-        complexity = math.log((6.0 if t > 1 else 2.0) * T * math.sqrt(n_val)
-                              / delta)
+        complexity = math.log(budget * T * math.sqrt(n_val) / delta)
         # construct pi_t* on the S_t portion via the [0,1]-rescaled
         # lambda surrogate, with the evaluation denominator n_val
         const_losses = (excess[:, :n_t].mean(axis=1) + gamma) / (1.0 + gamma)

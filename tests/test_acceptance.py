@@ -136,12 +136,12 @@ def test_criterion_04_hedge_regret_bounds():
         ftl_ok = ftl_ok and _final_regret(FTLPolicy(2), breaker, T) >= 900
     hedge_ok = float(np.mean(hedge_regrets)) <= math.sqrt(T * math.log(2))
 
-    tight_eta = math.sqrt(8 * math.log(2) / T)
+    # the tight rate sqrt(8 ln 2 / T), bit for bit (see TestHedgeEta)
     tight_regrets = []
     for rep in range(100):
         env = BernoulliEnv([0.5, 0.5], seed=1000 + rep)
         rng = np.random.default_rng(2000 + rep)
-        policy = HedgePolicy(2, variant="tight", T=T, eta=tight_eta)
+        policy = HedgePolicy(2, variant="tight", T=T)
         tight_regrets.append(_final_regret(policy, env, T, rng))
     tight_regrets = np.asarray(tight_regrets)
     tight_bound = math.sqrt(0.5 * T * math.log(2)) \

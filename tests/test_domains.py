@@ -175,8 +175,6 @@ ROWS = {
         row("delta", lambda x: recursive_pb(TABLE, x, 2), 0.05,
             *OPEN_UNIT),
         row("T", lambda x: recursive_pb(TABLE, 0.05, x), 2, 0, 2.5),
-        row("gammas", lambda x: recursive_pb(TABLE, 0.05, 2,
-                                             gammas=[0.5, x]), 0.5, *UNIT),
         row("seed", lambda x: recursive_pb(TABLE, 0.05, 2, seed=x), 3, -1,
             2.5)],
     # online_policies
@@ -194,7 +192,6 @@ ROWS = {
         row("K", lambda x: doubling_schedule(4, x), 2, 0, 1, 2.5)],
     "HedgePolicy": [
         row("K", HedgePolicy, 2, 0, 1, 2.5),
-        row("eta", lambda x: HedgePolicy(2, eta=x), 0.5, *POSITIVE),
         # the default anytime rate does not read T; a given T is checked
         row("T", lambda x: HedgePolicy(2, T=x), 10, 0, 2.5)],
     "FTLPolicy": [row("K", FTLPolicy, 2, 0, 2.5)],
@@ -202,16 +199,12 @@ ROWS = {
         row("K", EXP3Policy, 2, 0, 1, 2.5),
         row("R", lambda x: EXP3Policy(2, R=x), 2, 0, 2.5)],
     "EXP4Policy": [
-        row("n_experts", lambda x: EXP4Policy(x, 2, ADVICE, eta=0.1), 2, 0,
+        # ln 1 = 0: one expert would derive the rate 0
+        row("n_experts", lambda x: EXP4Policy(x, 2, ADVICE, T=10), 2, 0, 1,
             2.5),
-        row("K", lambda x: EXP4Policy(2, x, ADVICE, eta=0.1), 2, 0, 1, 2.5),
-        row("eta", lambda x: EXP4Policy(2, 2, ADVICE, eta=x), 0.1, *POSITIVE),
+        row("K", lambda x: EXP4Policy(2, x, ADVICE, T=10), 2, 0, 1, 2.5),
         row("T", lambda x: EXP4Policy(2, 2, ADVICE, T=x), 10, 0, 2.5),
-        # an explicit eta does not read T; a given T is checked
-        row("T", lambda x: EXP4Policy(2, 2, ADVICE, eta=0.1, T=x), 10, 0,
-            2.5),
-        row("R", lambda x: EXP4Policy(2, 2, ADVICE, eta=0.1, R=x), 2, 0,
-            2.5)],
+        row("R", lambda x: EXP4Policy(2, 2, ADVICE, T=10, R=x), 2, 0, 2.5)],
     "UCB1Policy": [
         row("K", UCB1Policy, 2, 0, 2.5),
         row("reward_range", lambda x: UCB1Policy(2, reward_range=x), 2.0,

@@ -303,18 +303,13 @@ class TestUcbBreaker:
         assert np.mean(regrets) <= math.sqrt(2 * K * T * math.log(K))
 
     @pytest.mark.parametrize("K, first", [(2, 27339), (3, 25787)])
-    def test_parametrizations_part_once_the_radius_gap_is_below_the_offsets(
+    def test_the_round_robin_ends_once_the_radius_gap_is_below_the_offsets(
             self, K, first):
-        # both play the round robin t mod K until the radius gap of
-        # "improved" falls under the 1e-6 arm offsets; "original" keeps it
-        # past that round
-        original = make_ucb_breaker(first + 1, K, parametrization="original")
-        improved = make_ucb_breaker(first + 1, K, parametrization="improved")
-        assert original[1] == [t % K for t in range(first + 1)]
-        assert improved[1][:first] == original[1][:first]
-        assert improved[1][first] != first % K
-        assert np.array_equal(original[0][:first], improved[0][:first])
-        assert not np.array_equal(original[0][first], improved[0][first])
+        # UCB1 plays the round robin t mod K until its radius gap falls
+        # under the 1e-6 arm offsets
+        _, trajectory = make_ucb_breaker(first + 1, K)
+        assert trajectory[:first] == [t % K for t in range(first)]
+        assert trajectory[first] != first % K
 
 
 # Every bandit policy the runner builds, as (arm count, horizon, rows) ->
@@ -442,50 +437,52 @@ def _exp4_advice(kind: str, N: int, K: int):
 
 
 # SHA-256 of ``_game_digest`` over the R = 3 games (final state: the expert
-# losses) of each (advice, env, N, K, eta) below, as the loop act(advice(t),
-# rng) -> env.loss -> update of the former one-game EXP4 class played them,
-# one repetition at a time; eta None is sqrt(2 ln N / (K T)).
+# losses) of each (advice, env, N, K) below, as the loop act(advice(t), rng)
+# -> env.loss -> update of the former one-game EXP4 class played them, one
+# repetition at a time, at the rate sqrt(2 ln N / (K T)).  The N = K = 3
+# rows were pinned from ``play_bandit`` when EXP4 still took an explicit
+# rate, whose rows of that shape they replace.
 EXP4_DIGESTS = {
-    ("static", "bernoulli", 4, 2, None): "61636cee2d5e85ef81c5b0ffa876da0123f96f9e260586eb5a0792cdf048f793",
-    ("static", "bernoulli", 3, 3, 0.3): "47d69288c2a7ad58725086f49eed49526df9f3ed4a0e13cb1bb29bce73d3e282",
-    ("static", "bernoulli", 5, 4, None): "6ac9f44c0eea568429b979bb15c5d49bc483d3a40d06f4e9560b6daed5ae5d1b",
-    ("static", "matrix", 4, 2, None): "22c04dbe364542e30514956f2bccb1deadb4de72ad0caca0e51add14fd4cccd3",
-    ("static", "matrix", 3, 3, 0.3): "b4ebf4b394c393c6055ae2636f38eba0351bc19b1f10ce092b8bbfb8a698ec5e",
-    ("static", "matrix", 5, 4, None): "b938d641f455b3cb5618769b85bf11966a354638ec942b616902d166c36771ca",
-    ("varying", "bernoulli", 4, 2, None): "23c521c2188d368b894b4fc0965a7e24133c388827a6a4df8e39827fa1bf9507",
-    ("varying", "bernoulli", 3, 3, 0.3): "0f8cb973266a9146663766522759d09ef8b248c6eb43a311488d89eaa3199041",
-    ("varying", "bernoulli", 5, 4, None): "52f541ebcdfc02868e30a51023fb7f3927a5064052ecd930b6f039097848adf7",
-    ("varying", "matrix", 4, 2, None): "e44f4597b263923c7f634fa2f5511eef9f15a8ef864275a32eb9ccd46ee02297",
-    ("varying", "matrix", 3, 3, 0.3): "e054cdb990a8c4d8d2a6c2daebf48f50591ce31a1206d3fce818f79408bb4ea0",
-    ("varying", "matrix", 5, 4, None): "c01bcbb4866a60772766fdba3fe7627871f4f25cf1dc3df5a5931fb989dc8bfe",
-    ("dirichlet", "bernoulli", 4, 2, None): "c71e4c87052d3e12cae55203785c2bf1313c99f40f3a3b2b6c23af689b0cc754",
-    ("dirichlet", "bernoulli", 3, 3, 0.3): "fe60bf3be76856fe3bf234bfba57744d0f4a3afd15c3e66cf725993e08bc15d5",
-    ("dirichlet", "bernoulli", 5, 4, None): "3b40b25d83f5ef74f92c6651e26246358e7a6b08d588b69a2badb90cb7700a18",
-    ("dirichlet", "matrix", 4, 2, None): "bbd5185d9bf817ac476cb9ba359f3041824a94fa23c984262f582563d786c149",
-    ("dirichlet", "matrix", 3, 3, 0.3): "208030f1dab5c78bb3de55b868f910cdb270a2d02c1306f6b6820b4946cc401e",
-    ("dirichlet", "matrix", 5, 4, None): "0fac734756d90b7f59a6125c99924e28072956b1865af7102347470f405925f6",
+    ("static", "bernoulli", 4, 2): "61636cee2d5e85ef81c5b0ffa876da0123f96f9e260586eb5a0792cdf048f793",
+    ("static", "bernoulli", 3, 3): "36b5ce9d6aba6dc1f2bc07e281e88120579c20f9ccf97a3170b1de1a3a1a2743",
+    ("static", "bernoulli", 5, 4): "6ac9f44c0eea568429b979bb15c5d49bc483d3a40d06f4e9560b6daed5ae5d1b",
+    ("static", "matrix", 4, 2): "22c04dbe364542e30514956f2bccb1deadb4de72ad0caca0e51add14fd4cccd3",
+    ("static", "matrix", 3, 3): "db0768fd3e756075f9dbb80eae188c63810b90f1d6df9d3cb8e673fef38a3b93",
+    ("static", "matrix", 5, 4): "b938d641f455b3cb5618769b85bf11966a354638ec942b616902d166c36771ca",
+    ("varying", "bernoulli", 4, 2): "23c521c2188d368b894b4fc0965a7e24133c388827a6a4df8e39827fa1bf9507",
+    ("varying", "bernoulli", 3, 3): "940f5a12de4326fef6284f9f65d831b587d55a5ee664fa23b9c82bd551ecbfa5",
+    ("varying", "bernoulli", 5, 4): "52f541ebcdfc02868e30a51023fb7f3927a5064052ecd930b6f039097848adf7",
+    ("varying", "matrix", 4, 2): "e44f4597b263923c7f634fa2f5511eef9f15a8ef864275a32eb9ccd46ee02297",
+    ("varying", "matrix", 3, 3): "57ab8a0bd56fc99dc6cac895dee6750e53da7f9010ae2dffd8673a473fde1217",
+    ("varying", "matrix", 5, 4): "c01bcbb4866a60772766fdba3fe7627871f4f25cf1dc3df5a5931fb989dc8bfe",
+    ("dirichlet", "bernoulli", 4, 2): "c71e4c87052d3e12cae55203785c2bf1313c99f40f3a3b2b6c23af689b0cc754",
+    ("dirichlet", "bernoulli", 3, 3): "40ce8e9170e30b086da8db857770b9ebfd986699b964fe4a348ac95d13846abe",
+    ("dirichlet", "bernoulli", 5, 4): "3b40b25d83f5ef74f92c6651e26246358e7a6b08d588b69a2badb90cb7700a18",
+    ("dirichlet", "matrix", 4, 2): "bbd5185d9bf817ac476cb9ba359f3041824a94fa23c984262f582563d786c149",
+    ("dirichlet", "matrix", 3, 3): "f5fa3283310ea75f70568cd7a392346d083fc1f8131bd8797360cbc00bc3ba23",
+    ("dirichlet", "matrix", 5, 4): "0fac734756d90b7f59a6125c99924e28072956b1865af7102347470f405925f6",
 }
 # SHA-256 of ``_record_draws`` over the same games: every row drawn from,
 # then each row's final expert loss estimates.
 EXP4_DIST_DIGESTS = {
-    ("static", "bernoulli", 4, 2, None): "58b20a3b19abc9bbb14619c7d6a61dd1e78f9e14a11de50b2ebbdb7aa2228814",
-    ("static", "bernoulli", 3, 3, 0.3): "661a1809b670c1ba707f4ac042ff38d5a521d5ea9575991e5ece958ece00b38b",
-    ("static", "bernoulli", 5, 4, None): "98e9bb69d7df9ae188a40646dd9b15487680c842b95e32dba388dc3fd4891213",
-    ("static", "matrix", 4, 2, None): "3b92d24e024c6a593ba82e028d86266783f6b66cf7664a0f20fb85998f0dec1a",
-    ("static", "matrix", 3, 3, 0.3): "9bacd6237ba2be9553b84ab3f335d7787238308f5a996ef790bd0b82e6ad4d7d",
-    ("static", "matrix", 5, 4, None): "6dbf6692f8f89af8cf6d1ee49e43355ed4be9861b6db0592dc357baece730d64",
-    ("varying", "bernoulli", 4, 2, None): "cde4fb4a6b1c428293966666835659bbee64c5dac8fa387797cbc16ec720ee2a",
-    ("varying", "bernoulli", 3, 3, 0.3): "4bf91aff26ebc5da7210f3702f514a5cb2c35491f38c5d9dd5e3a37e7b070927",
-    ("varying", "bernoulli", 5, 4, None): "487c251c4dfaa990bc0fa3d59be6b5c4079454246ac58a1ed24b71d5dbd47855",
-    ("varying", "matrix", 4, 2, None): "2c5332727de3beeac11fb43c9c463c52ee302effc0b3b93794ec8be05ea85919",
-    ("varying", "matrix", 3, 3, 0.3): "4319f99b4eb819a61fab659585f72b44540bfac404f2e01fae1a12c368923269",
-    ("varying", "matrix", 5, 4, None): "0dd75a42a969bcb41b0266526cad20ee1608bfa12daf6ce35cacbcff89badb0c",
-    ("dirichlet", "bernoulli", 4, 2, None): "bf0e6e48a96f8a0d93d1d65152410f545b83974059a52f6ed668f4f8a5db5700",
-    ("dirichlet", "bernoulli", 3, 3, 0.3): "6af20db04b5c7876fc3f95f57a9a51c419219ad3078ffe90aeced14fc426bbe9",
-    ("dirichlet", "bernoulli", 5, 4, None): "e6dc4b113f024e7eb49482594a9406d69d4df23d508195121a95cfde94477c8d",
-    ("dirichlet", "matrix", 4, 2, None): "fec7929fe68de9530e803379fb765ac8dc1cdc2813b13918a56284958dbee643",
-    ("dirichlet", "matrix", 3, 3, 0.3): "9cf84284e41c82fb0528845e245b3923dcb2dafa27da6bdef085257a66e07df2",
-    ("dirichlet", "matrix", 5, 4, None): "ad6e0c8801c25c9fd9fcebef209ff80a19c9dacbdee3d39c9a2d2261e973c33f",
+    ("static", "bernoulli", 4, 2): "58b20a3b19abc9bbb14619c7d6a61dd1e78f9e14a11de50b2ebbdb7aa2228814",
+    ("static", "bernoulli", 3, 3): "8220988490cf3fb549072c9b74c3d89c57d3c4be54d5b1dc2a556fe4f59049f5",
+    ("static", "bernoulli", 5, 4): "98e9bb69d7df9ae188a40646dd9b15487680c842b95e32dba388dc3fd4891213",
+    ("static", "matrix", 4, 2): "3b92d24e024c6a593ba82e028d86266783f6b66cf7664a0f20fb85998f0dec1a",
+    ("static", "matrix", 3, 3): "1ea45b21287c2d6db407d81163926149ebba1de1407b00b989f9f06436428688",
+    ("static", "matrix", 5, 4): "6dbf6692f8f89af8cf6d1ee49e43355ed4be9861b6db0592dc357baece730d64",
+    ("varying", "bernoulli", 4, 2): "cde4fb4a6b1c428293966666835659bbee64c5dac8fa387797cbc16ec720ee2a",
+    ("varying", "bernoulli", 3, 3): "5b9cd112aeccb45e6a76b138698fadcc769dd4da23f136535584a886f7f86077",
+    ("varying", "bernoulli", 5, 4): "487c251c4dfaa990bc0fa3d59be6b5c4079454246ac58a1ed24b71d5dbd47855",
+    ("varying", "matrix", 4, 2): "2c5332727de3beeac11fb43c9c463c52ee302effc0b3b93794ec8be05ea85919",
+    ("varying", "matrix", 3, 3): "c8b2b2b099a2756dd07bee08df2d5bca72b4b0bffdc5e4335a566a4b71a820fc",
+    ("varying", "matrix", 5, 4): "0dd75a42a969bcb41b0266526cad20ee1608bfa12daf6ce35cacbcff89badb0c",
+    ("dirichlet", "bernoulli", 4, 2): "bf0e6e48a96f8a0d93d1d65152410f545b83974059a52f6ed668f4f8a5db5700",
+    ("dirichlet", "bernoulli", 3, 3): "e46a04e3f25f9701c807bf8edbfb64289a02e963647ec166e2b74736a3d22501",
+    ("dirichlet", "bernoulli", 5, 4): "e6dc4b113f024e7eb49482594a9406d69d4df23d508195121a95cfde94477c8d",
+    ("dirichlet", "matrix", 4, 2): "fec7929fe68de9530e803379fb765ac8dc1cdc2813b13918a56284958dbee643",
+    ("dirichlet", "matrix", 3, 3): "bff76cfa05cd4fd5f2a8ca4d26688f3d1a1ddf0e65a5c9a1cfcb56386cba8f6d",
+    ("dirichlet", "matrix", 5, 4): "ad6e0c8801c25c9fd9fcebef209ff80a19c9dacbdee3d39c9a2d2261e973c33f",
 }
 
 
@@ -505,7 +502,8 @@ class TestBatchedBandit:
         if policy_kind.startswith("ucb1"):
             # the live scalar reference: one UCB1Policy game per repetition
             for r, game in enumerate(games):
-                scalar = UCB1Policy(K, parametrization=policy.parametrization)
+                scalar = UCB1Policy(
+                    K, parametrization=policy_kind.removeprefix("ucb1_"))
                 env = _bandit_envs(env_kind, K, T, R)[r]
                 arms, losses = [], []
                 for t in range(T):
@@ -537,14 +535,13 @@ class TestBatchedBandit:
         assert _exp3_digests(policy, games, rngs, drawn) == \
             EXP3_ARM_COUNT_DIGESTS[K, env_kind]
 
-    @pytest.mark.parametrize("advice, env_kind, N, K, eta", list(EXP4_DIGESTS))
+    @pytest.mark.parametrize("advice, env_kind, N, K", list(EXP4_DIGESTS))
     def test_exp4_equals_scalar_loop_per_repetition(self, advice, env_kind, N,
-                                                    K, eta, monkeypatch):
+                                                    K, monkeypatch):
         monkeypatch.setattr(environments, "BLOCK_CELLS", 40)
         drawn = _record_draws(monkeypatch)
         T, R = 300, 3
-        policy = EXP4Policy(N, K, _exp4_advice(advice, N, K), eta=eta, T=T,
-                            R=R)
+        policy = EXP4Policy(N, K, _exp4_advice(advice, N, K), T=T, R=R)
         envs = (_bandit_envs("bernoulli", K, T, R) if env_kind == "bernoulli"
                 else [MatrixEnv(np.random.default_rng(2000 + r).random((T, K)))
                       for r in range(R)])
@@ -554,12 +551,11 @@ class TestBatchedBandit:
         estimates = policy.estimates.tolist()
         for row in estimates:
             _hash_row(drawn, row)
-        assert drawn.hexdigest() == EXP4_DIST_DIGESTS[advice, env_kind, N, K,
-                                                      eta]
+        assert drawn.hexdigest() == EXP4_DIST_DIGESTS[advice, env_kind, N, K]
         digest = _game_digest(
             (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
             for game, row, rng in zip(games, estimates, rngs))
-        assert digest == EXP4_DIGESTS[advice, env_kind, N, K, eta]
+        assert digest == EXP4_DIGESTS[advice, env_kind, N, K]
 
     def test_input_checks(self):
         env = MatrixEnv(np.full((10, 2), 0.5))
@@ -590,7 +586,6 @@ FULL_INFO_KINDS = {
     "ftl": lambda K, T: FTLPolicy(K),
     "hedge_anytime_tight": lambda K, T: HedgePolicy(K, variant="anytime_tight"),
     "hedge_doubling": lambda K, T: HedgePolicy(K, doubling=True),
-    "hedge_explicit_eta": lambda K, T: HedgePolicy(K, eta=0.3),
     "hedge_simple": lambda K, T: HedgePolicy(K, variant="simple", T=T),
     "hedge_tight": lambda K, T: HedgePolicy(K, variant="tight", T=T),
 }
@@ -604,8 +599,6 @@ FULL_INFO_DIGESTS = {
     ("hedge_anytime_tight", "ftl_breaker"): "f25cc783da30b731a0e769db562b23272108a1a399e2abfff545e169ba750a93",
     ("hedge_doubling", "bernoulli"): "cbc9ddf0fca141d6a36734f580365cb485cdd4c69e2129baec5b7c30b017210d",
     ("hedge_doubling", "ftl_breaker"): "165f6c0d5f8f61fca8fba4aef73862f3b2266b0c7abe47bdf35e50fadee17d01",
-    ("hedge_explicit_eta", "bernoulli"): "d7d74c0c3186e9d71ecadbfe6580be0c3517959d4adb94ec25950c912fa7a105",
-    ("hedge_explicit_eta", "ftl_breaker"): "e6e2c8794b678dae83ca099d551afd8b2f56d30111600a754581a661ee2b8f37",
     ("hedge_simple", "bernoulli"): "fee064ab448ee56e6e556cbd3d22d4b30255bc0624f019a0753bd96a34c5cf87",
     ("hedge_simple", "ftl_breaker"): "02e9e915b6a67d7b40f1306df95871e5709d694c8a374c2b95b8e1530a43686d",
     ("hedge_tight", "bernoulli"): "2526f0adea5d59cd1b60562be58bfa02290bddcd38e36043edb599e3eb7cd2a5",
@@ -620,8 +613,6 @@ FULL_INFO_DIST_DIGESTS = {
     ("hedge_anytime_tight", "ftl_breaker"): "25fcb84e6a14df8fd7ba129ec98e20ccc90fbe0d8d0e427b49b8ccf86aa023ea",
     ("hedge_doubling", "bernoulli"): "1fb56c97e0570fea37fb52477d540704461d6787269595fe78e58e908bf50841",
     ("hedge_doubling", "ftl_breaker"): "74a3018d26634b8057c602f877001519e507e6a04804dfd9c2fdaf9888e6b503",
-    ("hedge_explicit_eta", "bernoulli"): "24cb1e8207a1d61ac9d02961eb088fd741de8282f8145a8859cdabe2d7f58903",
-    ("hedge_explicit_eta", "ftl_breaker"): "abaa4b89170447475ab966a4e1d7755a689fbc74639a87056dc16be3ed0bcb76",
     ("hedge_simple", "bernoulli"): "f452b8178ea2aed9c97244badff466453c389579a7311bd828bd833010abf0bc",
     ("hedge_simple", "ftl_breaker"): "367c39d1a2521018b66c3a6c0522d30fd73fe62255844e63082e62286ae4f1fc",
     ("hedge_tight", "bernoulli"): "250a96167de876632ff33468219f88f338deaf80e4e0642844124d4de3ac4ad8",
@@ -697,10 +688,6 @@ FIXED_RATE_DIGESTS = {
     ("hedge_doubling", "uniform_k2"): "c92d44317e4b622d37ea2b9c81c19783acebd3931ca6373b9e85f61abe2fbbba",
     ("hedge_doubling", "uniform_k5"): "b5f926798bbe2de2dfa4694a30675042410172884f32083f91422b67b3575599",
     ("hedge_doubling", "uniform_k8"): "44573790803791e4f333612142773dad447a5d59aa3f81241706f6f92c9530da",
-    ("hedge_explicit_eta", "bernoulli_k5"): "de0dffbcddc3961a1503a3f0f8a0bfd08b7d8b78b43e6ca2227f873fc093a4f1",
-    ("hedge_explicit_eta", "uniform_k2"): "b64f2bb8b315533c0e99d3ba41ad0384d011f3f11e0456eb2ff536457c7f8e3e",
-    ("hedge_explicit_eta", "uniform_k5"): "b023e9f903bed1177773f0343815b11f2460b1caff0f277e97cf16d371d169c4",
-    ("hedge_explicit_eta", "uniform_k8"): "9e42268cb1fb030403a46f70207bdb21affb43724251d968fcc1f507537f1300",
     ("hedge_simple", "bernoulli_k5"): "deb4a109ef0d3bc773c0d1d9698f639f3d877b2f1f70a98a27348c45af073f16",
     ("hedge_simple", "uniform_k2"): "d88c21e4f66899b55113af93d9f6dc7f1e5b1413a2e1efb2cbcc5de5e4cbc42d",
     ("hedge_simple", "uniform_k5"): "4bebd0c588474fcd892cc99cdbb466cd7cd00244137fa95959b3ca30d199618f",
@@ -717,10 +704,6 @@ FIXED_RATE_DIST_DIGESTS = {
     ("hedge_doubling", "uniform_k2"): "2ace6bb3c5f964e3c8e2313fd589006f5170b0f530cc3d4ff83054201abe345c",
     ("hedge_doubling", "uniform_k5"): "97d186a61478624f580260a96548a668e1d403f92a38f4669192a3233d7e4e67",
     ("hedge_doubling", "uniform_k8"): "ecee46cf24472282e7b1b4ba98d310ca52ed5783d24dccda900e71f2fb686f06",
-    ("hedge_explicit_eta", "bernoulli_k5"): "b6504f3131d549d56feb82619540d18be0e75ab441724075dd97819cc7f8d918",
-    ("hedge_explicit_eta", "uniform_k2"): "ca28ac10d064477981621ecc6eb01a75e40c45994f4d64ddf311a7e34a6c58c9",
-    ("hedge_explicit_eta", "uniform_k5"): "7102072e5f6d95332237a0a76cc3abd20f4cb4b5b297a319abfd280f69d88e5f",
-    ("hedge_explicit_eta", "uniform_k8"): "2fa05a9f7ada479431791d9f7c3321584b8d7e97226f54936097ba48a4c848b6",
     ("hedge_simple", "bernoulli_k5"): "b30c72d3f78f8ad615b8aa093ed61bbc26b9eed3241f2badcf3ffe63c57eb648",
     ("hedge_simple", "uniform_k2"): "e241081fd82711dc2fd4d8d8a75fba70cde7a58b5a7742408790e33f07ab47e0",
     ("hedge_simple", "uniform_k5"): "bf2d00773a264d5ec4719b31609432ba14a53835ab321f730ef17c54d1fdf400",
@@ -730,8 +713,7 @@ FIXED_RATE_DIST_DIGESTS = {
     ("hedge_tight", "uniform_k5"): "d3957af0a21cc5e58e2b5d8e36b4859bfec565096ee2cdb0ebdee0e0e300276a",
     ("hedge_tight", "uniform_k8"): "7f4603a5f2ef4908fb598323b898beefa2eb71fadf34dc1761c22b2724b348a8",
 }
-FIXED_RATE_KINDS = ("hedge_doubling", "hedge_explicit_eta", "hedge_tight",
-                    "hedge_simple")
+FIXED_RATE_KINDS = ("hedge_doubling", "hedge_tight", "hedge_simple")
 # numpy sums 8 or more cells pairwise, so "uniform_k8" shows a row total
 # that is not left to right
 PINNED_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5", "uniform_k8")
@@ -774,8 +756,6 @@ def _fixed_rate(policy_kind: str, K: int, T: int, t: int) -> float:
     round t, counted from 0."""
     if policy_kind == "hedge_doubling":
         return doubling_schedule(t + 1, K)[1]
-    if policy_kind == "hedge_explicit_eta":
-        return 0.3
     return hedge_eta(K, T=T, variant=policy_kind.removeprefix("hedge_"))
 
 
@@ -1355,7 +1335,7 @@ class TestImportanceWeightedReplay:
                 got, want = getattr(step, name), getattr(loop, name)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-            assert step.detail == loop.detail and step.kind == loop.kind
+            assert step.detail == loop.detail
             assert fixed.t == T
 
     @pytest.mark.parametrize("bad", [-1, 4, 9])
@@ -1533,9 +1513,10 @@ class TestRejectionSamplingReplay:
 # SHA-256 of scalar ``UCB1Policy`` games, taken before the policy resolved its
 # radius scale at construction: replays of a seeded uniform log (reward
 # range 1 under rejection sampling, K under importance weighting) and the
-# UCB breaker's matrix and trajectory.  At T = 600 the breaker is the round
-# robin under both parametrizations, so each K has one breaker digest; the
-# two part only in long games (TestUcbBreaker pins where).
+# UCB breaker's matrix and trajectory, which simulates improved UCB1 (at
+# T = 600 the round robin; TestUcbBreaker pins where that ends).  The K = 5
+# breaker row was pinned later, at the parent of the change that made the
+# breaker's parametrization fixed.
 UCB1_DIGESTS = {
     ("iw", 2, "original"): "8251def45f68f2697239d4f898502bd3cfcc7160adc006710afa08e60392c5ad",
     ("iw", 2, "improved"): "67148a88f23d9e486b579c3a06d4646fe95b13051a1711b26b12b8a8691fd416",
@@ -1549,10 +1530,9 @@ UCB1_DIGESTS = {
     ("rs", 3, "improved"): "9bcfbcd0d898ba417b894abb6cf0b7d0f94c1267c50b00557312f4816c2f9598",
     ("rs", 5, "original"): "659c8e06a62accca31f0f0afd7d76cf18b077ff275d2f876e86697ec290df6d8",
     ("rs", 5, "improved"): "ce1ac33fa7003b7acb915255fadb0ff1b52443a2f9b81ec813f49d37569aa714",
-    ("breaker", 2, "original"): "5316b3861f2d6fb6f72cb765a4d4b72ac6c5339b57ffd02c87730e63a2314ff4",
     ("breaker", 2, "improved"): "5316b3861f2d6fb6f72cb765a4d4b72ac6c5339b57ffd02c87730e63a2314ff4",
-    ("breaker", 3, "original"): "f5e6627e3e72f0aebdef897088b5973a56fb506c766651980c2b86646b755bc2",
     ("breaker", 3, "improved"): "f5e6627e3e72f0aebdef897088b5973a56fb506c766651980c2b86646b755bc2",
+    ("breaker", 5, "improved"): "5b48598819a43cec356f6412b4c5bc6c7538a3b0dfa6f2d98fd7f7b0f6a23522",
 }
 
 
@@ -1562,8 +1542,7 @@ def _ucb1_digest(kind: str, K: int, parametrization: str) -> str:
     as ``float.hex``."""
     h = hashlib.sha256()
     if kind == "breaker":
-        matrix, trajectory = make_ucb_breaker(600, K,
-                                              parametrization=parametrization)
+        matrix, trajectory = make_ucb_breaker(600, K)
         h.update(repr(([float.hex(v) for v in matrix.ravel().tolist()],
                        trajectory)).encode())
         return h.hexdigest()
@@ -1643,8 +1622,6 @@ class TestRegretAccounting:
 
     def test_transcript_validation(self):
         with pytest.raises(ValueError):
-            GameTranscript(np.array([0]), np.array([0.5]), "points")
-        with pytest.raises(ValueError):
-            GameTranscript(np.array([0, 1]), np.array([0.5]), "loss")
-        trans = GameTranscript(np.array([0, 1, 1]), np.zeros(3), "loss")
+            GameTranscript(np.array([0, 1]), np.array([0.5]))
+        trans = GameTranscript(np.array([0, 1, 1]), np.zeros(3))
         assert list(trans.arm_counts(3)) == [1, 2, 0]

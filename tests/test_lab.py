@@ -590,6 +590,22 @@ class TestCli:
         bad.write_text("[experiment]\nname = x\nT = never\n")
         assert main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: path.mkdir(), "[Errno 21] Is a directory"),
+        (lambda path: path.write_bytes(b"[experiment]\nname = x\xff\n"),
+         "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["directory", "not_utf8"])
+    def test_an_unreadable_config_is_a_config_error(self, tmp_path, capsys,
+                                                    make, message):
+        # as an unreadable --log is: exit 2, naming the argument
+        config = tmp_path / "bad.cfg"
+        make(config)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config {str(config)!r}: {message}")
+        assert not out.exists()
+
     def test_run_plot_and_overrides(self, tmp_path):
         config = tmp_path / "tiny.cfg"
         config.write_text("\n".join(MINIMAL_GAME) + "\n")
@@ -681,10 +697,6 @@ class TestCli:
         (["[environment]", "kind = bernoulli_gap", "base = 0", "gap = 0.3",
           "[policy u]", "kind = ucb1"],
          "environment.gap: must be in [-1, 0], got '0.3' (line 6)"),
-        (["[environment]", "kind = ucb_breaker", "parametrization = bogus",
-          "[policy u]", "kind = ucb1"],
-         "environment.parametrization: unknown parametrization 'bogus', "
-         "expected one of original, improved (line 5)"),
         (["[environment]", "kind = ucb_breaker", "k = 0", "[policy u]",
           "kind = ucb1"],
          "environment.k: must be >= 1, got '0' (line 5)"),
@@ -825,7 +837,7 @@ class TestCli:
             "environment_k_grid_repeated", "environment_means", "params_means",
             "environment_gap", "environment_base", "environment_base_gap_set",
             "environment_gap_base_set",
-            "breaker_parametrization", "breaker_k", "breaker_T", "ftl_T",
+            "breaker_k", "breaker_T", "ftl_T",
             "ftl_T_raw", "breaker_T_raw",
             "epsilon_first_kind", "policy_unknown_key", "environment_unknown_key",
             "params_unknown_key", "ucb1_parametrization",
@@ -994,8 +1006,14 @@ class TestCli:
         (["kind = bernoulli_gap", "k = 3"], ["[policy u]", "kind = ucb1"],
          "environment.k: unknown keys ['k']; [environment] takes kind, "
          "feedback, k_grid, base, gap (line 7)"),
+        *[(["kind = ucb_breaker", f"parametrization = {value}"],
+           ["[policy u]", "kind = ucb1"],
+           "environment.parametrization: unknown keys ['parametrization']; "
+           "[environment] takes kind, feedback, k (line 7)")
+          for value in ("improved", "original")],
     ], ids=["hedge_eta", "hedge_anytime_simple", "exp3_eta",
-            "exp3_fixed_horizon", "exp3_both", "bernoulli_gap_k"])
+            "exp3_fixed_horizon", "exp3_both", "bernoulli_gap_k",
+            "ucb_breaker_improved", "ucb_breaker_original"])
     def test_retired_options_exit_2_naming_their_field(
             self, tmp_path, capsys, environment, policy, message):
         config = tmp_path / "bad.cfg"
@@ -1135,12 +1153,20 @@ class TestCli:
         ("K=4\n# comment\n0 1 0 0\n", "--log: line 3: expected 12 fields"),
         ("0 1 0 0 0 0 0 0 0 0 0 0\n", "--log: line 1: expected 'K=<int>' header"),
         (None, "--log: [Errno 2] No such file or directory"),
-    ], ids=["bad_reward", "field_count", "no_header", "missing_file"])
+        (IsADirectoryError, "--log: [Errno 21] Is a directory"),
+        ("K=4\n0 1 0 0 0 0 0 0 0 0 0 \u00e9\n",
+         "--log: 'ascii' codec can't decode byte 0xc3"),
+    ], ids=["bad_reward", "field_count", "no_header", "missing_file",
+            "directory", "not_ascii"])
     def test_replay_bad_log_is_config_error(self, tmp_path, capsys, text,
                                             message):
+        # a directory and a byte the reader cannot decode are the faults
+        # that ``lab run`` also turns into config errors
         log = tmp_path / "bad.log"
-        if text is not None:
-            log.write_text(text)
+        if text is IsADirectoryError:
+            log.mkdir()
+        elif text is not None:
+            log.write_text(text, encoding="utf-8")
         for mode in ("iw", "rs"):
             assert main(["replay", "--log", str(log), "--policy", "ucb1",
                          "--mode", mode]) == 2
@@ -1395,6 +1421,11 @@ def _readme_tables():
     return tables
 
 
+# How README writes a cap's bound: ``2^27 / T`` for ``2**27 // experiment.T``
+README_CAP_SPELLING = (("**", "^"), ("//", "/"), ("experiment.", ""),
+                       ("params.", ""), ("environment.", ""))
+
+
 def test_readme_config_tables_list_what_the_runner_reads():
     """For each kind of each section, README's table lists exactly the keys
     the probes read, with the type, default (``required``, or ``none`` for
@@ -1403,9 +1434,14 @@ def test_readme_config_tables_list_what_the_runner_reads():
     field's choices, in order; ``all`` stands for every kind.  Where a
     read's rules hold an ``at_least(n)`` floor (a ``want`` of ``>= n``),
     its "allowed" cell names that floor, as ``>= n`` or ``in [n, ...``.
-    The other rule texts are left out: the caps (``_cap``) and ties such as
-    ``environment.gap``'s range depend on other fields' values, and README
-    states them in its own words."""
+    Where they hold a cap (a ``_cap`` want), the cell holds the cap's bound,
+    the text between ``<= `` and the first `` = `` or ``, as``, written with
+    ``^`` for ``**``, ``/`` for ``//`` and no ``experiment.``, ``params.``
+    or ``environment.`` prefix: ``2**27 // max(experiment.R, 256)`` is
+    ``2^27 / max(R, 256)``.  The other rule texts are left out: ties such
+    as ``environment.gap``'s range, which README states in its own words,
+    and the caps of the kinds' re-reads of ``experiment.T`` and
+    ``experiment.R``, which are not recorded (``config.section``)."""
     reads, choices = _reads_by_kind()
     listed = {}
     for section, rows in _readme_tables().items():
@@ -1437,6 +1473,11 @@ def test_readme_config_tables_list_what_the_runner_reads():
                 if floor:
                     assert re.search(rf"(>= |in \[){floor[1]}\b",
                                      row["allowed"]), (group, key, want)
+                if want.endswith(AT_MOST_CELLS):
+                    bound = re.search(r"<= (.+?)(?: = |, as )", want)[1]
+                    for text, readme in README_CAP_SPELLING:
+                        bound = bound.replace(text, readme)
+                    assert bound in row["allowed"], (group, key, bound)
 
 
 def _preset_pins():

@@ -107,6 +107,13 @@ class TestHedgeEta:
         assert math.isclose(hedge_eta(4, t=17, variant="anytime_tight"),
                             2 * math.sqrt(math.log(4) / 17), rel_tol=1e-12)
 
+    @pytest.mark.parametrize("K", range(2, 65))
+    def test_tight_is_the_written_out_rate_bit_for_bit(self, K):
+        # acceptance 04 builds its tight Hedge from the variant and T alone;
+        # it passed this formula as an explicit rate while Hedge took one
+        assert [T for T in range(1, 2001) if hedge_eta(K, T=T, variant="tight")
+                != math.sqrt(8 * math.log(K) / T)] == []
+
     def test_grid_optimality_simple(self):
         # the fixed rate minimizes ln K / eta + eta T / 2
         K, T = 5, 3000
@@ -127,7 +134,6 @@ class TestHedgeEta:
         {"variant": "simple", "T": 300},
         {"variant": "tight", "T": 300},
         {"variant": "anytime_tight"},
-        {"eta": 0.37},
         {"doubling": True},
         # as the runner builds it: a variant and T, which doubling ignores
         {"variant": "simple", "T": 300, "doubling": True},
@@ -138,9 +144,7 @@ class TestHedgeEta:
         pol = HedgePolicy(K, **kwargs)
         for t in range(1, T + 1):
             p = pol.distribution()  # applies a doubling reset first
-            if "eta" in kwargs:
-                eta = kwargs["eta"]
-            elif kwargs.get("doubling"):
+            if kwargs.get("doubling"):
                 eta = doubling_schedule(t, K)[1]
             else:
                 eta = hedge_eta(K, T=kwargs.get("T"), t=t,
@@ -152,26 +156,15 @@ class TestHedgeEta:
 class TestHedgePolicyChecks:
     @pytest.mark.parametrize("kwargs", [
         {"variant": "bogus"},
-        {"variant": "bogus", "eta": 0.1},
         {"variant": "bogus", "doubling": True},
     ])
     def test_variant_is_always_checked(self, kwargs):
         with pytest.raises(ValueError, match="unknown variant 'bogus'"):
             HedgePolicy(2, **kwargs)
 
-    @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("doubling", [False, True])
-    def test_explicit_eta_is_positive_and_finite(self, eta, doubling):
-        with pytest.raises(ValueError, match="eta must be positive and finite"):
-            HedgePolicy(2, eta=eta, doubling=doubling)
-
-    def test_eta_and_doubling_exclude_each_other(self):
-        with pytest.raises(ValueError, match="eta or doubling, not both"):
-            HedgePolicy(2, eta=0.1, doubling=True)
-
     def test_round_needs_one_uniform(self):
         assert HedgePolicy.draws and not FTLPolicy.draws
-        pol = HedgePolicy(3, eta=0.5)
+        pol = HedgePolicy(3, variant="tight", T=10)
         pol.observe([1.0, 0.0, 1.0])
         p = pol.distribution()
         for u in (0.0, p.weights[0] - 1e-12, p.weights[0], 0.999999):
@@ -198,7 +191,7 @@ class TestImportanceWeighting:
     @staticmethod
     def _policies(K, advice):
         return (EXP3Policy(K, R=K),
-                EXP4Policy(len(advice), K, lambda t: advice, eta=0.5, R=K))
+                EXP4Policy(len(advice), K, lambda t: advice, T=100, R=K))
 
     def test_values(self):
         pol = EXP3Policy(4, R=2)
@@ -208,7 +201,7 @@ class TestImportanceWeighting:
                                           [0.0, 0.0, 0.0, 0.7 / 0.25]]
 
     def test_zero_probability_rejected(self):
-        for pol in self._policies(2, np.array([(1.0, 0.0)])):
+        for pol in self._policies(2, np.array([(1.0, 0.0)] * 2)):
             with pytest.raises(ValueError, match="requires a preceding act"):
                 pol.update_rows(np.array([0, 1]), np.array([0.5, 0.5]))
             pol.act_rows(np.array([0.5, 0.5]))
@@ -449,34 +442,34 @@ def _static(*rows):
 
 class TestExp4:
     def test_mixture_examples(self):
-        pol = EXP4Policy(2, 2, _static((1.0, 0.0), (0.0, 1.0)), eta=1.0)
+        pol = EXP4Policy(2, 2, _static((1.0, 0.0), (0.0, 1.0)), T=100)
         pol.act_rows(np.array([0.5]))
         assert pol.p.tolist() == [[0.5, 0.5]]
         # expert weights 0.75 and 0.25
-        pol.estimates[0] = (0.0, math.log(3.0))
+        pol.estimates[0] = (0.0, math.log(3.0) / pol.eta)
         pol.act_rows(np.array([0.5]))
         assert math.isclose(pol.p[0, 0], 0.75, rel_tol=1e-12)
 
-    def test_single_expert_follows_advice(self):
-        pol = EXP4Policy(1, 3, _static((0.2, 0.3, 0.5)), eta=0.1)
+    def test_agreeing_experts_are_followed(self):
+        pol = EXP4Policy(2, 3, _static(*[(0.2, 0.3, 0.5)] * 2), T=100)
         [arm] = pol.act_rows(np.array([0.6]))
         p, q = pol.p[0], pol.q[0]
         assert np.allclose(p, (0.2, 0.3, 0.5), rtol=1e-12)
         assert tuple(q) == ProbVec((0.2, 0.3, 0.5)).weights
-        # the one expert is charged its advice for the played arm times l̃
+        # each expert is charged its advice for the played arm times l̃
         pol.update_rows(np.array([arm]), np.array([0.5]))
-        assert pol.estimates.tolist() == [[q[arm] * (0.5 / p[arm])]]
+        assert pol.estimates.tolist() == [[q[arm] * (0.5 / p[arm])] * 2]
 
     def test_expert_losses_are_the_advice_weighted_estimates(self):
         # expert h is charged sum_a q_h(a) l̃_a, l̃ zero off the played arm,
         # and a row plays the advice mixed by Hedge on its expert losses
         rng = np.random.default_rng(2)
-        N, K, R, eta = 4, 3, 2, 0.3
-        advice = rng.dirichlet(np.ones(K), size=(200, N))
-        pol = EXP4Policy(N, K, lambda t: advice[t], eta=eta, R=R)
+        N, K, R, T = 4, 3, 2, 200
+        advice = rng.dirichlet(np.ones(K), size=(T, N))
+        pol = EXP4Policy(N, K, lambda t: advice[t], T=T, R=R)
         want = np.zeros((R, N))
-        for t in range(200):
-            weights = np.array([hedge_distribution(row, eta).weights
+        for t in range(T):
+            weights = np.array([hedge_distribution(row, pol.eta).weights
                                 for row in pol.estimates.tolist()])
             arms = pol.act_rows(rng.random(R))
             rows = [ProbVec(row).weights for row in advice[t]]
@@ -498,22 +491,16 @@ class TestExp4:
                             rel_tol=1e-12)
 
     def test_default_eta_needs_two_experts(self):
-        # the derived rate sqrt(2 ln 1 / (K T)) is 0; an explicit eta is not
+        # the derived rate sqrt(2 ln 1 / (K T)) is 0
         advice = _static((0.5, 0.5))
         with pytest.raises(ValueError) as info:
             EXP4Policy(1, 2, advice, T=100)
         assert str(info.value) == "n_experts must be >= 2 and finite, got 1"
-        assert EXP4Policy(1, 2, advice, eta=0.1).eta == 0.1
-
-    @pytest.mark.parametrize("eta", [-1.0, 0.0, math.nan, math.inf])
-    def test_eta_must_be_positive_and_finite(self, eta):
-        with pytest.raises(ValueError, match="eta must be positive and finite"):
-            EXP4Policy(3, 2, _static(*[(0.5, 0.5)] * 3), eta=eta)
 
     @pytest.mark.parametrize("advice", [
         [(1.0, 0.0)], [(1.0, 0.0, 0.0)] * 2, [0.5, 0.5], [[(0.5, 0.5)]] * 2])
     def test_advice_of_the_wrong_shape(self, advice):
-        pol = EXP4Policy(2, 2, lambda t: advice, eta=0.1)
+        pol = EXP4Policy(2, 2, lambda t: advice, T=10)
         shape = np.shape(advice)
         with pytest.raises(ValueError) as info:
             pol.act_rows(np.array([0.5]))
@@ -524,7 +511,7 @@ class TestExp4:
         (math.nan, -1.0), (0.9, 0.2), (math.inf, 0.0), (0.5, 0.5 - 1e-8)])
     def test_advice_raises_as_its_probvec_would(self, bad):
         # with ProbVec's message; a row sum off one names the row
-        pol = EXP4Policy(2, 2, _static((0.5, 0.5), bad), eta=0.1)
+        pol = EXP4Policy(2, 2, _static((0.5, 0.5), bad), T=10)
         with pytest.raises(ValueError) as want:
             ProbVec(bad)
         with pytest.raises(ValueError) as got:
@@ -537,7 +524,7 @@ class TestExp4:
         # the advice check both name the sum, inf
         advice = [(0.5, 0.5, 0.0)] * 2
         advice[row] = (1e308, 1e308, 0.0)
-        pol = EXP4Policy(2, 3, _static(*advice), eta=0.1)
+        pol = EXP4Policy(2, 3, _static(*advice), T=10)
         with pytest.raises(ValueError) as want:
             ProbVec(advice[row])
         with pytest.raises(ValueError) as got:
@@ -692,13 +679,11 @@ class TestUcbPolicy:
 
 class TestDoubling:
     def test_examples(self):
-        m, eta, reset = doubling_schedule(1, 2)
-        assert (m, reset) == (0, True)
+        m, eta = doubling_schedule(1, 2)
+        assert m == 0
         assert math.isclose(eta, math.sqrt(8 * math.log(2)), rel_tol=1e-12)
         assert doubling_schedule(7, 2)[0] == 2
-        assert doubling_schedule(7, 2)[2] is False
-        assert doubling_schedule(8, 2)[:1] == (3,)
-        assert doubling_schedule(8, 2)[2] is True
+        assert doubling_schedule(8, 2)[0] == 3
 
     def test_hedge_rate_and_resets_follow_the_schedule(self):
         # the arm-0 loss grows within a period, so a reset shows as zero
@@ -707,8 +692,8 @@ class TestDoubling:
         pol = HedgePolicy(K, doubling=True)
         for t in range(1, 2 ** 12 + 1):
             p = pol.distribution()
-            _, eta, reset = doubling_schedule(t, K)
-            assert (pol.cum_losses == [0.0, 0.0]) == reset
+            m, eta = doubling_schedule(t, K)
+            assert (pol.cum_losses == [0.0, 0.0]) == (t == 2 ** m)
             assert p.weights == hedge_distribution(pol.cum_losses, eta).weights
             pol.observe([1.0, 0.0])
 

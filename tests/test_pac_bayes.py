@@ -345,13 +345,11 @@ class TestRecursive:
                             abs_tol=1e-10)
 
     def test_stage_one_is_the_gamma_zero_stage(self):
-        # gammas[0] is checked and unused; stage 1 certifies the loss itself
-        # on the one segment [0, 1], so its excess bound is its bound
+        # stage 1 certifies the loss itself on the one segment [0, 1], so
+        # its excess bound is its bound
         rng = np.random.default_rng(6)
         table = LossTable(rng.random((4, 40)))
-        first = recursive_pb(table, 0.05, 2, gammas=[0.9, 0.5], seed=3)
-        again = recursive_pb(table, 0.05, 2, gammas=[0.1, 0.5], seed=3)
-        assert [r.value for r in first] == [r.value for r in again]
+        first = recursive_pb(table, 0.05, 2, seed=3)
         stage = first[0].detail["stage"]
         assert (stage.gamma_t, stage.levels) == (0.0, (0.0, 1.0))
         assert stage.excess_bound == first[0].value
@@ -367,30 +365,29 @@ class TestRecursive:
                                 rel_tol=1e-12)
 
     def test_gamma_zero_collapses_to_plain_split_kl(self):
+        # stage 1 of T = 2: the excess loss is the plain loss, certified by
+        # kl on all n examples at the budget ln(2 T sqrt(n) / delta)
         rng = np.random.default_rng(3)
         losses = (rng.random((6, 64)) < 0.35).astype(float)
-        table = LossTable(losses)
-        stages = recursive_pb(table, 0.05, 2, gammas=[0.5, 0.0], seed=0)
-        st = stages[1].detail["stage"]
-        # with gamma = 0 the excess loss is the plain loss and B_t = E_t
-        assert stages[1].value == pytest.approx(st.excess_bound)
-        n_val = st.n_val
-        emp = float(np.dot(st.pi_star.weights,
-                           losses[:, 64 - n_val:].mean(axis=1)))
-        eps = (categorical_kl(st.pi_star, stages[0].detail["stage"].pi_star)
-               + math.log(6 * 2 * math.sqrt(n_val) / 0.05)) / n_val
-        assert stages[1].value == pytest.approx(kl_inverse(emp, eps))
+        stages = recursive_pb(LossTable(losses), 0.05, 2, seed=0)
+        st = stages[0].detail["stage"]
+        assert stages[0].value == st.excess_bound and st.n_val == 64
+        emp = float(np.dot(st.pi_star.weights, losses.mean(axis=1)))
+        eps = (categorical_kl(st.pi_star, ProbVec([1 / 6] * 6))
+               + math.log(2 * 2 * math.sqrt(64) / 0.05)) / 64
+        assert stages[0].value == pytest.approx(kl_inverse(emp, eps))
 
-    @pytest.mark.parametrize("gamma, points", [
-        (0.0, (0.0, 1.0)), (0.5, (-0.5, 0.0, 0.5, 1.0)),
-        (1.0, (-1.0, 0.0, 1.0))])
-    def test_stage_levels_are_the_split_grid_of_its_bound(self, gamma, points):
-        # a level of a zero-width segment (gamma = 0 or 1) is not in the grid
+    @pytest.mark.parametrize("T", [1, 2, 3, 4])
+    def test_stage_levels_are_the_split_grid_of_its_bound(self, T):
+        # stage 1 (gamma = 0) drops the zero-width segment's level; every
+        # later stage is the gamma = 1/2 stage on -1/2, 0, 1/2, 1
         rng = np.random.default_rng(4)
         table = LossTable((rng.random((5, 64)) < 0.4).astype(float))
-        stages = recursive_pb(table, 0.05, 2, gammas=[0.5, gamma], seed=0)
-        assert stages[0].detail["stage"].levels == (0.0, 1.0)
-        assert stages[1].detail["stage"].levels == SplitGrid(points).points
+        stages = [res.detail["stage"]
+                  for res in recursive_pb(table, 0.05, T, seed=0)]
+        assert [(st.gamma_t, st.levels) for st in stages] == [
+            (0.0, (0.0, 1.0))] + [(0.5, SplitGrid([-0.5, 0.0, 0.5, 1.0])
+                                   .points)] * (T - 1)
 
     def test_all_one_losses(self):
         # the rho-weighted mean of all-one losses can round to just above 1,
@@ -407,44 +404,39 @@ class TestRecursive:
         # are deterministic and every posterior's risk is c: every stage of
         # a valid bound certifies at least c.  The indicators
         # 1[f >= level] decompose f only where f lies on a level, as on
-        # {0, 1} losses; here they undercount (0.37 at c = 0.5, gamma = 0.5,
-        # T = 2)
+        # {0, 1} losses; here they undercount (0.37 at c = 0.5, T = 2)
         short = []
-        for c, gamma, T, m in itertools.product(
-                (0.1, 0.25, 0.5, 0.75, 0.9), (0.0, 0.3, 0.5, 1.0), (2, 3, 4),
-                (1, 3)):
+        for c, T, m in itertools.product((0.1, 0.25, 0.5, 0.75, 0.9),
+                                         (2, 3, 4), (1, 3)):
             stages = recursive_pb(LossTable(np.full((m, 256), c)), 0.05, T,
-                                  gammas=[gamma] * T, seed=0)
+                                  seed=0)
             values = [stage.value for stage in stages]
             if min(values) < c:
-                short.append((c, gamma, T, m, values))
+                short.append((c, T, m, values))
         assert short == []
 
     def test_stage_values_match_pinned_digest(self):
         # every stage's value and every later stage's excess bound, on {0, 1}
-        # and fractional tables, m = 1, 3, 8, T = 1..4 and gamma = 0, 0.3,
-        # 0.5, 1 at every stage; pinned while stage 1 had a PAC-Bayes-kl
-        # body of its own, before it became the gamma = 0 split-kl stage
+        # and fractional tables, m = 1, 3, 8 and T = 1..4; pinned while the
+        # bound still took a gamma per stage, at its default schedule
         rng = np.random.default_rng(35)
         values = []
         for fractional, m in itertools.product((False, True), (1, 3, 8)):
             losses = rng.random((m, 48))
             table = LossTable(losses if fractional else
                               (losses < 0.4).astype(float))
-            for T, gamma in itertools.product((1, 2, 3, 4),
-                                              (0.0, 0.3, 0.5, 1.0)):
-                for res in recursive_pb(table, 0.05, T, gammas=[gamma] * T,
-                                        seed=7):
+            for T in (1, 2, 3, 4):
+                for res in recursive_pb(table, 0.05, T, seed=7):
                     stage = res.detail["stage"]
                     values.append(res.value)
                     if stage.t > 1:
                         values.append(stage.excess_bound)
-        assert len(values) == 384 and all(type(v) is float for v in values)
+        assert len(values) == 96 and all(type(v) is float for v in values)
         digest = hashlib.sha256(
             ",".join(v.hex() for v in values).encode()).hexdigest()
         assert digest == (
-            "4e5c9e6e00afcd57a0e900d1bd37cbd9"
-            "4522a340d50580c86e49633da1c4d540")
+            "b34ef1e3356856b0c014e58d3a1f66ce"
+            "8857ac762a9f5f5e49d87d2b38e1c19c")
 
     def test_validity_monte_carlo(self):
         rates = pb_validity_rates(trials=120, seed=77)
