@@ -45,9 +45,24 @@ def resolve_config(spec: str) -> Path:
         f"no config file {spec!r}; shipped presets: {', '.join(preset_names())}")
 
 
+def _make_out_dir(config: ExperimentConfig) -> Path:
+    """Make ``experiment.out``, or use the working directory, before the
+    experiment runs: a path that cannot be a directory is a config error
+    naming the field's line or ``--out``."""
+    out = config.out or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        error = ConfigError(f"experiment.out: must be a directory that can be "
+                            f"made ({exc.strerror or exc}), got {out!r}",
+                            "experiment.out")
+        error.name_source(config.sources)
+        raise error from exc
+    return Path(out)
+
+
 def _write_outputs(config: ExperimentConfig, traces, out_dir: Path,
                    plot: bool) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.name}.csv"
     emit_csv(traces, csv_path)
     print(f"wrote {csv_path}")
@@ -63,10 +78,11 @@ def _cmd_run(args) -> int:
     try:
         config = parse_config(resolve_config(args.config), {
             "experiment.seed": (args.seed, "--seed"),
-            "experiment.R": (args.reps, "--reps")})
+            "experiment.R": (args.reps, "--reps"),
+            "experiment.out": (args.out, "--out")})
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {args.config!r}: {exc}") from exc
-    out_dir = Path(args.out or config.out or ".")
+    out_dir = _make_out_dir(config)
     traces = run_experiment(config)
     for trace in traces:
         if trace.note:
@@ -80,9 +96,11 @@ def _cmd_bounds_compare(args) -> int:
     config = parse_config_lines(
         preset.read_text(encoding="utf-8").splitlines(),
         {"experiment.delta": (args.delta, "--delta"),
-         "params.n": (args.n, "--n"), "params.grid": (args.grid, "--grid")})
+         "params.n": (args.n, "--n"), "params.grid": (args.grid, "--grid"),
+         "experiment.out": (args.out, "--out")})
+    out_dir = _make_out_dir(config)
     traces = run_experiment(config)
-    _write_outputs(config, traces, Path(args.out), plot=True)
+    _write_outputs(config, traces, out_dir, plot=True)
     return 0
 
 
@@ -211,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a config file or shipped preset")
     p_run.add_argument("config", help="config path or preset name "
                        f"({', '.join(preset_names()) or 'none shipped'})")
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", default=None, help="sets experiment.out")
     p_run.add_argument("--seed", default=None, help="sets experiment.seed")
     p_run.add_argument("--reps", default=None, help="sets experiment.R")
     p_run.add_argument("--plot", action="store_true")
@@ -222,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--n", default=None, help="sets params.n")
     p_bounds.add_argument("--delta", default=None, help="sets experiment.delta")
     p_bounds.add_argument("--grid", default=None, help="sets params.grid")
-    p_bounds.add_argument("--out", default=".")
+    p_bounds.add_argument("--out", default=".", help="sets experiment.out")
     p_bounds.set_defaults(fn=_cmd_bounds_compare)
 
     p_replay = sub.add_parser("replay", help="replay an offline bandit log")

@@ -73,9 +73,9 @@ class ExperimentConfig:
 
     def section(self, name: str) -> Section:
         """``name`` over the text each of its fields was read from, to check
-        that text again: its reads go to no record."""
+        that text again; its reads are recorded in ``fields`` too."""
         return Section(name, {f.key: f.text for f in self.fields
-                              if f.section == name}, [])
+                              if f.section == name}, self.fields)
 
 
 class Section:
@@ -218,7 +218,8 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
             fields=exp.fields,
         )
         exp.close()
-        uses = ("environment", "policy") if config.kind == "game" else ("params",)
+        uses = {"game": ("environment", "policy"), "recursive": ()}.get(
+            config.kind, ("params",))
         for name, raw in sections.items():
             section = "policy" if name.startswith("policy ") else name
             if section not in ("environment", "params", "policy"):

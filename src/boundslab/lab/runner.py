@@ -59,14 +59,8 @@ def repetition_seeds(master: int, r: int):
     return env_seed, np.random.default_rng(children[1])
 
 
-# policy kind: (the feedback it plays, fewest arms)
-_PLAYS = {
-    "hedge": ("full", 2),
-    "ftl": ("full", 1),
-    "exp3": ("bandit", 2),
-    "ucb1": ("bandit", 1),
-}
-_UNIT = (lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+# policy kind: the feedback it plays
+_PLAYS = {"hedge": "full", "ftl": "full", "exp3": "bandit", "ucb1": "bandit"}
 _UNITS = (lambda xs: all(0.0 <= x <= 1.0 for x in xs), "in [0, 1]")
 _ARMS = (lambda means: len(means) >= 2, "at least 2 values, one mean per arm")
 
@@ -124,7 +118,7 @@ def _read_environment(config: ExperimentConfig):
     """(feedback or None, [(suffix, K, build)]) of the [environment]
     section; ``build()`` gives the (env factory, regret fn) pair, and is
     called only once every section has been checked.  The caps on T, then R,
-    and a breaker's floor on T are checked on the text each was read from."""
+    and the breakers' rule on T are checked on the text each was read from."""
     f = Section("environment", config.environment, config.fields)
     T = config.T
     experiment = config.section("experiment")
@@ -147,29 +141,19 @@ def _read_environment(config: ExperimentConfig):
             lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),
             "distinct integers >= 2"), _cap(f"a block of {rows} rows of k loss "
             "cells", max(config.R, ROW_BLOCK), rows, many=max))
-        # the best arm's mean, base - gap, must lie in [0, 1]; the error names
-        # gap, or base when gap is at its default: the rule lets 0.25 pass,
-        # and at 0.25 only base < gap puts that mean outside [0, 1]
-        base = f.read("base", float, "0.5", _UNIT)
-        gap = f.read("gap", float, "0.25", (
-            lambda gap: gap == 0.25 or 0 <= base - gap <= 1,
-            f"in [{base - 1:g}, {base:g}]"))
-        if base < gap:
-            text = config.section("environment").raw["base"]
-            raise f.error("base", f"must be in [0.25, 1] for environment.gap "
-                                  f"= 0.25, got {text!r}")
+        # arm 0 has mean loss 0.25, a gap of 0.25 below the other arms' 0.5
         envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
-            _stochastic, tuple([base - gap] + [base] * (k - 1))))
-            for k in k_grid]
-    elif kind == "ftl_breaker":
-        experiment.read("T", int, None, (lambda T: T >= 2, ">= 2 for ftl_breaker"))
-        envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
+            _stochastic, (0.25,) + (0.5,) * (k - 1))) for k in k_grid]
     else:
-        k = f.read("k", int, "2", at_least(1), _cap(
-            "the experiment.T x environment.k reward matrix", T, "experiment.T"))
-        experiment.read("T", int, None, (lambda T: T >= 2 * k, f">= 2 * "
-                        f"environment.k = {2 * k} for ucb_breaker"))
-        envs = [("", k, lambda: _oblivious(1.0 - make_ucb_breaker(T, k)[0]))]
+        # both breakers play 2 arms on a T x 2 matrix, and the UCB breaker
+        # needs T >= 2 * 2 rounds, so one rule on T serves both
+        experiment.read("T", int, None, (lambda T: T >= 4, ">= 4 for "
+                        "ftl_breaker and ucb_breaker"),
+                        _cap("the experiment.T x 2 breaker matrix", 2, "2"))
+        if kind == "ftl_breaker":
+            envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
+        else:
+            envs = [("", 2, lambda: _oblivious(1.0 - make_ucb_breaker(T)[0]))]
     f.close()
     return feedback, envs
 
@@ -179,17 +163,11 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
     policies = []
     for label, raw in config.policies:
         kind, make = _read_policy(config, label, raw)
-        mode, fewest = _PLAYS[kind]
+        mode = _PLAYS[kind]
         if feedback not in (None, mode):
             raise ConfigError(f"environment.feedback: must be {mode} for "
                               f"policy {label} ({kind}), got {feedback!r}",
                               "environment.feedback")
-        for _, K, _ in envs:
-            if K < fewest:
-                raise ConfigError(f"policy {label}.kind: must be a kind for "
-                                  f"K = {K} ({kind} takes >= {fewest} "
-                                  f"arms), got {raw['kind']!r}",
-                                  f"policy {label}.kind")
         policies.append((label, mode, make))
 
     traces = []
@@ -314,20 +292,11 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
 def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     from boundslab.pac_bayes import alternating_minimize, recursive_pb
 
-    f = Section("params", config.params, config.fields)
-    table = "the params.m x params.n loss table"
-    m = f.read("m", int, "20", at_least(1), _cap(table))
-    # 8 * 2**(t_max - 1) bytes, one table row, stays below 2**63 to t_max = 60
-    t_max = f.read("t_max", int, "4", at_least(1), (
-        lambda t: t <= 60, "<= 60, as a table row of n >= 2**(params.t_max "
-        "- 1) float64 losses passes numpy's 2**63-byte array limit above it"))
-    n = f.read("n", int, "1000", (lambda n: n >= 2 ** (t_max - 1), f">= 2**("
-               f"params.t_max - 1) = {2 ** (t_max - 1)} for params.t_max = "
-               f"{t_max}"), _cap(table, m, "params.m"))
-    f.close()
-    _read_reps(config, m * n, "params.m x params.n")
+    # each repetition draws a table of 20 hypotheses' losses on 1000
+    # examples and bounds it with 1 to 4 stages
+    m, n, stages = 20, 1000, [1, 2, 3, 4]
+    _read_reps(config, m * n, f"{m} x {n}")
     pi = ProbVec([1.0 / m] * m)
-    stages = list(range(1, t_max + 1))
 
     def one_rep(r):
         env_seed, _ = repetition_seeds(config.seed, r)
@@ -335,7 +304,7 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
         recursive = [recursive_pb(table, config.delta, T, seed=env_seed)[-1].value
                      for T in stages]
         baseline = alternating_minimize(pi, table, config.delta).bound
-        return recursive, [baseline] * t_max
+        return recursive, [baseline] * len(stages)
 
     recursive, baseline = zip(*map(one_rep, range(config.R)))
     return [aggregate("recursive_pb", recursive, t=stages),
@@ -390,8 +359,13 @@ def run_experiment(config: ExperimentConfig) -> list[AggregateTrace]:
     """Run the experiment and return its aggregated traces (series order is
     deterministic).  Each kind reads and checks every field it uses before
     it computes anything; a field error names its source line or option.
-    ``config.fields`` keeps the parser's reads and this run's."""
-    config.fields[:] = [f for f in config.fields if f.section == "experiment"]
+    ``config.fields`` keeps the parser's reads, the first of each
+    [experiment] key, and this run's."""
+    parsed = {}
+    for f in config.fields:
+        if f.section == "experiment":
+            parsed.setdefault(f.key, f)
+    config.fields[:] = parsed.values()
     try:
         return _RUNNERS[config.kind](config)
     except ConfigError as exc:

@@ -38,10 +38,10 @@ def _downsample(xs, ys):
     return xs[idx], ys[idx]
 
 
-def _ticks(low, high, count=5):
+def _ticks(low, high):
     if high <= low:
         high = low + 1.0
-    return [low + (high - low) * i / (count - 1) for i in range(count)]
+    return [low + (high - low) * i / 4 for i in range(5)]
 
 
 def _y_range(traces):

@@ -215,16 +215,7 @@ class TestRunner:
         (["kind = bounds", "[params]", "n = abc"], "params.n"),
         (["kind = bounds", "[params]", "grid = 1.5"], "params.grid"),
         (["kind = pacbayes", "[params]", "m = x"], "params.m"),
-        (["kind = recursive", "[params]", "m = x"], "params.m"),
-        (["kind = recursive", "[params]", "n = 1e3"], "params.n"),
-        (["kind = recursive", "[params]", "t_max = four"], "params.t_max"),
         (["kind = replay", "[params]", "fixed_arm = one"], "params.fixed_arm"),
-        (["[environment]", "kind = bernoulli_gap", "gap = x",
-          "[policy u]", "kind = ucb1"], "environment.gap"),
-        (["[environment]", "kind = bernoulli_gap", "base = x",
-          "[policy u]", "kind = ucb1"], "environment.base"),
-        (["[environment]", "kind = ucb_breaker", "k = 2.5",
-          "[policy u]", "kind = ucb1"], "environment.k"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy h]", "kind = hedge", "doubling = maybe"], "policy h.doubling"),
     ])
@@ -236,10 +227,6 @@ class TestRunner:
         assert f"{field}: cannot parse" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lines, fields", [
-        (["kind = recursive", "[params]", "n = 3", "t_max = 3"],
-         ("params.n", "params.t_max")),
-        (["kind = recursive", "[params]", "n = 0", "t_max = 1"],
-         ("params.n", "params.t_max")),
         (["kind = pacbayes", "[params]", "n_grid = 0, 10"], ("params.n_grid",)),
         (["kind = pacbayes", "[params]", "n_grid = 10, -1"], ("params.n_grid",)),
         (["kind = pacbayes", "[params]", "n_grid = ,"], ("params.n_grid",)),
@@ -252,12 +239,6 @@ class TestRunner:
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert all(field in err for field in fields)
-
-    def test_smallest_recursive_sample_runs(self):
-        config = parse_config_lines([
-            "[experiment]", "name = rec", "kind = recursive", "R = 1",
-            "[params]", "n = 4", "t_max = 3", "m = 3"])
-        assert [len(tr.t) for tr in run_experiment(config)] == [3, 3]
 
     def test_replay_kind_estimates_fixed_arm_value(self):
         config = parse_config_lines([
@@ -579,6 +560,17 @@ class TestSvg:
         assert dx[-1] == 9999  # final point kept
 
 
+# The configs of test_retired_options_exit_2_naming_their_field, past their
+# "[experiment]" and "name = bad" lines.
+GAME = ["T = 20", "R = 1", "[environment]"]
+TWO_MEANS = [*GAME, "kind = bernoulli", "means = 0.2, 0.8"]
+UCB1 = ["[policy u]", "kind = ucb1"]
+GAP_TAKES = "[environment] takes kind, feedback, k_grid (line 7)"
+BREAKER_TAKES = "[environment] takes kind, feedback (line 7)"
+RECURSIVE = ["kind = recursive", "[params]"]
+NO_PARAMS = "params: section not used by recursive experiments (line 4)"
+
+
 class TestCli:
     def test_run_exit_codes(self, tmp_path):
         config = tmp_path / "tiny.cfg"
@@ -605,6 +597,32 @@ class TestCli:
         assert capsys.readouterr().err.startswith(
             f"config error: config {str(config)!r}: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, out_line, message", [
+        (["run", "tiny.cfg", "--out", "afile"], None,
+         "(File exists), got 'afile' (--out)"),
+        (["run", "tiny.cfg", "--out", "afile/sub"], None,
+         "(Not a directory), got 'afile/sub' (--out)"),
+        (["run", "tiny.cfg"], "out = afile",
+         "(File exists), got 'afile' (line 3)"),
+        (["bounds-compare", "--out", "afile"], None,
+         "(File exists), got 'afile' (--out)"),
+    ], ids=["run_out", "run_out_under_a_file", "experiment_out",
+            "bounds_compare_out"])
+    def test_an_unusable_out_directory_exits_2_before_the_run(
+            self, tmp_path, monkeypatch, capsys, argv, out_line, message):
+        def no_run(config):
+            raise AssertionError("the experiment ran before --out was checked")
+
+        monkeypatch.setattr("boundslab.lab.cli.run_experiment", no_run)
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("")
+        lines = MINIMAL_GAME[:2] + ([out_line] if out_line else [])
+        Path("tiny.cfg").write_text("\n".join(lines + MINIMAL_GAME[2:]) + "\n")
+        assert main(argv) == 2
+        assert_config_error(capsys.readouterr().err, "experiment.out: must be "
+                            f"a directory that can be made {message}")
+        assert sorted(os.listdir()) == ["afile", "tiny.cfg"]
 
     def test_run_plot_and_overrides(self, tmp_path):
         config = tmp_path / "tiny.cfg"
@@ -683,37 +701,32 @@ class TestCli:
          "environment.means: must be in [0, 1], got '0.5, 1.5' (line 5)"),
         (["kind = replay", "[params]", "means = 0.2, -0.1"],
          "params.means: must be in [0, 1], got '0.2, -0.1' (line 5)"),
-        (["[environment]", "kind = bernoulli_gap", "gap = 0.7", "[policy u]",
-          "kind = ucb1"],
-         "environment.gap: must be in [-0.5, 0.5], got '0.7' (line 5)"),
-        (["[environment]", "kind = bernoulli_gap", "base = 0", "[policy u]",
-          "kind = ucb1"],
-         "environment.base: must be in [0.25, 1] for environment.gap = 0.25, "
-         "got '0' (line 5)"),
-        (["[environment]", "kind = bernoulli_gap", "gap = 0.25", "base = 0",
-          "[policy u]", "kind = ucb1"],
-         "environment.base: must be in [0.25, 1] for environment.gap = 0.25, "
-         "got '0' (line 6)"),
-        (["[environment]", "kind = bernoulli_gap", "base = 0", "gap = 0.3",
-          "[policy u]", "kind = ucb1"],
-         "environment.gap: must be in [-1, 0], got '0.3' (line 6)"),
-        (["[environment]", "kind = ucb_breaker", "k = 0", "[policy u]",
-          "kind = ucb1"],
-         "environment.k: must be >= 1, got '0' (line 5)"),
         (["T = 3", "[environment]", "kind = ucb_breaker", "[policy u]",
           "kind = ucb1"],
-         "experiment.T: must be >= 2 * environment.k = 4 for ucb_breaker, "
-         "got '3' (line 3)"),
+         "experiment.T: must be >= 4 for ftl_breaker and ucb_breaker, got "
+         "'3' (line 3)"),
         (["T = 1", "[environment]", "kind = ftl_breaker", "[policy f]",
           "kind = ftl"],
-         "experiment.T: must be >= 2 for ftl_breaker, got '1' (line 3)"),
+         "experiment.T: must be >= 4 for ftl_breaker and ucb_breaker, got "
+         "'1' (line 3)"),
         (["T = 01", "[environment]", "kind = ftl_breaker", "[policy f]",
           "kind = ftl"],
-         "experiment.T: must be >= 2 for ftl_breaker, got '01' (line 3)"),
+         "experiment.T: must be >= 4 for ftl_breaker and ucb_breaker, got "
+         "'01' (line 3)"),
         (["T = 03", "[environment]", "kind = ucb_breaker", "[policy u]",
           "kind = ucb1"],
-         "experiment.T: must be >= 2 * environment.k = 4 for ucb_breaker, "
-         "got '03' (line 3)"),
+         "experiment.T: must be >= 4 for ftl_breaker and ucb_breaker, got "
+         "'03' (line 3)"),
+        (["T = 3", "[environment]", "kind = ftl_breaker", "[policy f]",
+          "kind = ftl"],
+         "experiment.T: must be >= 4 for ftl_breaker and ucb_breaker, got "
+         "'3' (line 3)"),
+        *[(["T = 67108865", "R = 1", "[environment]", f"kind = {breaker}",
+            "[policy e]", "kind = exp3"],
+           "experiment.T: must be <= 2**27 // 2 = 67108864, as the "
+           f"experiment.T x 2 breaker matrix holds {AT_MOST_CELLS}, got "
+           "'67108865' (line 3)")
+          for breaker in ("ftl_breaker", "ucb_breaker")],
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy e]", "kind = epsilon_first", "gap = 0.3"],
          "policy e.kind: unknown kind 'epsilon_first', expected one of hedge, "
@@ -740,20 +753,6 @@ class TestCli:
          "params.m: must be >= 1, got '0' (line 5)"),
         (["kind = pacbayes", "[params]", "n_grid = 0, 10"],
          "params.n_grid: must be integers >= 1, got '0, 10' (line 5)"),
-        (["kind = recursive", "[params]", "m = 0"],
-         "params.m: must be >= 1, got '0' (line 5)"),
-        (["kind = recursive", "[params]", "t_max = 0"],
-         "params.t_max: must be >= 1, got '0' (line 5)"),
-        *[(["kind = recursive", "[params]", "m = 2", f"t_max = {t_max}",
-            "n = 10"],
-           "params.t_max: must be <= 60, as a table row of n >= "
-           "2**(params.t_max - 1) float64 losses passes numpy's 2**63-byte "
-           f"array limit above it, got '{t_max}' (line 6)")
-          for t_max in ("20000", "99999999999999999999")],
-        (["[environment]", "kind = ucb_breaker", "k = 1", "[policy e]",
-          "kind = exp3"],
-         "policy e.kind: must be a kind for K = 1 (exp3 takes >= 2 arms), "
-         "got 'exp3' (line 7)"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "feedback = bandit", "[policy h]", "kind = hedge"],
          "environment.feedback: must be full for policy h (hedge), got "
@@ -791,13 +790,6 @@ class TestCli:
          "67108864, as a repetition's draw of params.m x sum(params.n_grid) "
          f"loss cells holds {AT_MOST_CELLS}, got '67108864, 67108864' "
          "(line 7)"),
-        (["kind = recursive", "[params]", f"m = {HUGE}"],
-         "params.m: must be <= 2**27, as the params.m x params.n loss table "
-         f"holds {AT_MOST_CELLS}, got '{HUGE}' (line 5)"),
-        (["kind = recursive", "[params]", "m = 2", f"n = {HUGE}"],
-         "params.n: must be <= 2**27 // params.m = 67108864, as the params.m "
-         f"x params.n loss table holds {AT_MOST_CELLS}, got '{HUGE}' "
-         "(line 6)"),
         (["R = 1", "[environment]", "kind = bernoulli_gap",
           f"k_grid = 2, {HUGE}", "[policy u]", "kind = ucb1"],
          "environment.k_grid: must be integers <= 2**27 // max(experiment.R, "
@@ -820,11 +812,6 @@ class TestCli:
          "experiment.R: must be <= 2**27 // experiment.T = 1342177, as the "
          f"experiment.R x experiment.T series holds {AT_MOST_CELLS}, got "
          f"'{HUGE}' (line 5)"),
-        (["T = 1000", "[environment]", "kind = ucb_breaker", f"k = {HUGE}",
-          "[policy u]", "kind = ucb1"],
-         "environment.k: must be <= 2**27 // experiment.T = 134217, as the "
-         f"experiment.T x environment.k reward matrix holds {AT_MOST_CELLS}, "
-         f"got '{HUGE}' (line 6)"),
         (["[environment]", "kind = bernoulli", "means = 0.5", "[policy e]",
           "kind = exp3"],
          "environment.means: must be at least 2 values, one mean per arm, "
@@ -835,23 +822,20 @@ class TestCli:
     ], ids=["experiment", "experiment_parse", "params", "params_range",
             "policy", "policy_kind", "environment_k", "environment_k_grid",
             "environment_k_grid_repeated", "environment_means", "params_means",
-            "environment_gap", "environment_base", "environment_base_gap_set",
-            "environment_gap_base_set",
-            "breaker_k", "breaker_T", "ftl_T",
-            "ftl_T_raw", "breaker_T_raw",
+            "breaker_T", "ftl_T",
+            "ftl_T_raw", "breaker_T_raw", "ftl_T_3", "ftl_T_past_cap",
+            "breaker_T_past_cap",
             "epsilon_first_kind", "policy_unknown_key", "environment_unknown_key",
             "params_unknown_key", "ucb1_parametrization",
             "params_n", "experiment_T", "pacbayes_m", "pacbayes_n_grid",
-            "recursive_m", "recursive_t_max", "recursive_t_max_20000",
-            "recursive_t_max_huge", "exp3_K", "feedback",
+            "feedback",
             "params_in_game", "environment_in_bounds", "policy_in_bounds",
             "name_path", "name_empty", "policy_label_comma",
             "split_kl_n_huge", "unexpected_bernstein_n_huge", "grid_huge",
             "pacbayes_m_huge", "pacbayes_n_grid_huge",
-            "pacbayes_n_grid_sum_huge", "recursive_m_huge",
-            "recursive_n_huge", "k_grid_huge", "game_T_huge",
+            "pacbayes_n_grid_sum_huge", "k_grid_huge", "game_T_huge",
             "replay_T_huge", "game_R_huge", "replay_R_huge",
-            "breaker_k_huge", "environment_means_one", "params_means_one"])
+            "environment_means_one", "params_means_one"])
     def test_field_errors_name_their_line(self, tmp_path, capsys, lines,
                                           message):
         # a row that sets the name replaces the default "name = bad"
@@ -876,11 +860,12 @@ class TestCli:
     @pytest.mark.parametrize("lines, per", [
         (["kind = pacbayes", f"R = {HUGE}", "[params]", "m = 2",
           "n_grid = 10, 20"], "(params.m x sum(params.n_grid)) = 2236962"),
-        (["kind = recursive", f"R = {HUGE}", "[params]", "m = 2", "n = 10"],
-         "(params.m x params.n) = 6710886"),
+        (["kind = recursive", f"R = {HUGE}"], "(20 x 1000) = 6710"),
         (["kind = pacbayes", "R = 4474"], "(params.m x sum(params.n_grid)) "
          "= 4473"),
-    ], ids=["pacbayes_R_huge", "recursive_R_huge", "pacbayes_R_past_cap"])
+        (["kind = recursive", "R = 6711"], "(20 x 1000) = 6710"),
+    ], ids=["pacbayes_R_huge", "recursive_R_huge", "pacbayes_R_past_cap",
+            "recursive_R_past_cap"])
     def test_repetitions_are_capped_by_the_cells_they_draw(
             self, tmp_path, capsys, monkeypatch, lines, per):
         # a run past the cap stops at experiment.R before it draws a table,
@@ -909,8 +894,7 @@ class TestCli:
             ("params.grid", ["kind = bounds", "[params]", "grid = 1000000000"]),
             ("params.n_grid", ["kind = pacbayes", "[params]", "m = 1",
                                "n_grid = 1000000000"]),
-            ("params.n", ["kind = recursive", "[params]", "m = 1",
-                          "n = 1000000000"]),
+            ("experiment.R", ["kind = recursive", "R = 1000000000"]),
             ("environment.k_grid", ["R = 1", "[environment]",
                                     "kind = bernoulli_gap",
                                     "k_grid = 1000000000", "[policy u]",
@@ -922,9 +906,10 @@ class TestCli:
             ("experiment.R", ["T = 40", "R = 1000000000", "[environment]",
                               "kind = bernoulli", "means = 0.2, 0.8",
                               "[policy u]", "kind = ucb1"]),
-            ("environment.k", ["T = 1000", "[environment]",
-                               "kind = ucb_breaker", "k = 1000000000",
-                               "[policy u]", "kind = ucb1"]),
+            *[("experiment.T", ["T = 134217728", "R = 1", "[environment]",
+                                f"kind = {breaker}", "[policy e]",
+                                "kind = exp3"])
+              for breaker in ("ftl_breaker", "ucb_breaker")],
         ]
         configs = []
         for i, (_, lines) in enumerate(rows):
@@ -982,67 +967,64 @@ class TestCli:
         assert_config_error(capsys.readouterr().err, message)
         assert not (tmp_path / "bad.csv").exists()
 
-    # options that no preset, acceptance criterion or CLI default set, and
-    # that the runner no longer reads: each exits 2 naming its field
-    TWO_MEANS = ["kind = bernoulli", "means = 0.2, 0.8"]
-
-    @pytest.mark.parametrize("environment, policy, message", [
-        (TWO_MEANS, ["[policy h]", "kind = hedge", "eta = 0.1"],
+    # options that no run sets off their default, and that the runner no
+    # longer reads: each exits 2 naming its field, or the [params] section
+    # that holds it in a recursive config, which reads none
+    @pytest.mark.parametrize("lines, message", [
+        ([*TWO_MEANS, "[policy h]", "kind = hedge", "eta = 0.1"],
          "policy h.eta: unknown keys ['eta']; [policy h] takes kind, "
          "variant, doubling (line 10)"),
-        (TWO_MEANS, ["[policy h]", "kind = hedge", "variant = anytime_simple"],
+        ([*TWO_MEANS, "[policy h]", "kind = hedge", "variant = anytime_simple"],
          "policy h.variant: unknown variant 'anytime_simple', expected one "
          "of simple, tight, anytime_tight (line 10)"),
-        (TWO_MEANS, ["[policy e]", "kind = exp3", "eta = 0.1"],
+        ([*TWO_MEANS, "[policy e]", "kind = exp3", "eta = 0.1"],
          "policy e.eta: unknown keys ['eta']; [policy e] takes kind "
          "(line 10)"),
-        (TWO_MEANS, ["[policy e]", "kind = exp3", "fixed_horizon = true"],
+        ([*TWO_MEANS, "[policy e]", "kind = exp3", "fixed_horizon = true"],
          "policy e.fixed_horizon: unknown keys ['fixed_horizon']; "
          "[policy e] takes kind (line 10)"),
-        (TWO_MEANS, ["[policy e]", "kind = exp3", "fixed_horizon = true",
-                     "eta = 0.1"],
+        ([*TWO_MEANS, "[policy e]", "kind = exp3", "fixed_horizon = true",
+          "eta = 0.1"],
          "policy e.fixed_horizon: unknown keys ['fixed_horizon', 'eta']; "
          "[policy e] takes kind (line 10)"),
-        (["kind = bernoulli_gap", "k = 3"], ["[policy u]", "kind = ucb1"],
-         "environment.k: unknown keys ['k']; [environment] takes kind, "
-         "feedback, k_grid, base, gap (line 7)"),
-        *[(["kind = ucb_breaker", f"parametrization = {value}"],
-           ["[policy u]", "kind = ucb1"],
+        ([*GAME, "kind = bernoulli_gap", "k = 3", *UCB1],
+         f"environment.k: unknown keys ['k']; {GAP_TAKES}"),
+        *[([*GAME, "kind = ucb_breaker", f"parametrization = {value}", *UCB1],
            "environment.parametrization: unknown keys ['parametrization']; "
-           "[environment] takes kind, feedback, k (line 7)")
+           f"{BREAKER_TAKES}")
           for value in ("improved", "original")],
+        *[([*GAME, "kind = bernoulli_gap", f"{key} = {value}", *UCB1],
+           f"environment.{key}: unknown keys ['{key}']; {GAP_TAKES}")
+          for key, value in (("base", "0.5"), ("gap", "0.25"))],
+        *[([*GAME, "kind = ucb_breaker", f"k = {k}", *UCB1],
+           f"environment.k: unknown keys ['k']; {BREAKER_TAKES}")
+          for k in ("2", "3")],
+        *[([*RECURSIVE, line], NO_PARAMS)
+          for line in ("m = 20", "n = 1000", "t_max = 4")],
+        (RECURSIVE, NO_PARAMS),
     ], ids=["hedge_eta", "hedge_anytime_simple", "exp3_eta",
             "exp3_fixed_horizon", "exp3_both", "bernoulli_gap_k",
-            "ucb_breaker_improved", "ucb_breaker_original"])
+            "ucb_breaker_improved", "ucb_breaker_original",
+            "bernoulli_gap_base", "bernoulli_gap_gap", "ucb_breaker_k",
+            "ucb_breaker_k_3", "recursive_m", "recursive_n", "recursive_t_max",
+            "recursive_params"])
     def test_retired_options_exit_2_naming_their_field(
-            self, tmp_path, capsys, environment, policy, message):
+            self, tmp_path, capsys, lines, message):
         config = tmp_path / "bad.cfg"
-        config.write_text("\n".join([
-            "[experiment]", "name = bad", "T = 20", "R = 1", "[environment]",
-            *environment, *policy]) + "\n")
+        config.write_text("\n".join(["[experiment]", "name = bad", *lines])
+                          + "\n")
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert_config_error(capsys.readouterr().err, message)
         assert not (tmp_path / "bad.csv").exists()
 
-    def test_the_ucb_breaker_still_reads_its_own_k(self, tmp_path):
-        config = parse_config_lines([
-            "[experiment]", "name = k3", "T = 20", "R = 1", "[environment]",
-            "kind = ucb_breaker", "k = 3", "[policy u]", "kind = ucb1"])
-        [trace] = run_experiment(config)
-        assert [f.text for f in config.fields
-                if (f.section, f.key) == ("environment", "k")] == ["3"]
-        # UCB1 plays the three arms once each and the breaker charges the
-        # pulled arm loss 0.9, the others 0.1 (less 1e-6 offsets): after
-        # the round robin the regret is 3 * 0.9 - (0.9 + 0.1 + 0.1)
-        assert math.isclose(trace.mean[2], 1.6, abs_tol=1e-5)
-
     @pytest.mark.parametrize("lines, message", [
         (MINIMAL_GAME[:6] + ["kind = bernoulli"] + MINIMAL_GAME[8:],
          "environment.means: required for bernoulli"),
-        (["[experiment]", "name = rec", "kind = recursive", "[params]",
-          "t_max = 12"],
-         "params.n: must be >= 2**(params.t_max - 1) = 2048 for "
-         "params.t_max = 12, got '1000'"),
+        (["[experiment]", "name = big", "T = 16777216", "[environment]",
+          "kind = bernoulli", "means = 0.2, 0.8", "[policy e]", "kind = exp3"],
+         "experiment.R: must be <= 2**27 // experiment.T = 8, as the "
+         f"experiment.R x experiment.T series holds {AT_MOST_CELLS}, got "
+         "'10'"),
     ], ids=["missing_key", "default_value"])
     def test_fields_not_in_the_file_name_no_line(self, tmp_path, capsys, lines,
                                                  message):
@@ -1266,14 +1248,16 @@ def _fields(lines):
 @functools.cache
 def _probes():
     """The configs of the probes that read every key the runner reads, each
-    with its ``fields`` record.  Every preset with T and R shrunk is parsed
-    as it is (the parser reads [experiment] whole), then run with an unknown
-    key in one other section at a time, so that the run stops where that
-    section closes; each environment and policy section is also run with
-    each kind its ``kind`` field offers."""
+    with its ``fields`` record.  Every preset with T and R shrunk is run as
+    it is, so its record holds every re-read of [experiment]; then it is run
+    with an unknown key in one other section at a time, so that the run
+    stops where that section closes; each environment and policy section is
+    also run with each kind its ``kind`` field offers."""
     def probe(lines, i=None):
         if i is None:
-            return parse_config_lines(lines)
+            config = parse_config_lines(lines)
+            run_experiment(config)
+            return config
         config = parse_config_lines([*lines[:i + 1], "unread = 1",
                                      *lines[i + 1:]])
         with pytest.raises(ConfigError):
@@ -1360,11 +1344,18 @@ def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(tmp_path):
 
 @pytest.mark.parametrize("preset", preset_names())
 def test_a_second_run_leaves_the_record_of_the_first(preset):
-    # the T and R caps re-check the parser's text and record no second read
+    # a run appends its reads to the parser's: one of each key it reads,
+    # and its re-reads of the parser's T and R text, which it checks again
     config = parse_config_lines(_shrunk_preset(preset))
+    parsed = list(config.fields)
     run_experiment(config)
     first = list(config.fields)
-    assert len({(f.section, f.key) for f in first}) == len(first)
+    assert first[:len(parsed)] == parsed
+    again = [(f.section, f.key) for f in first[len(parsed):]]
+    assert {key for section, key in again if section == "experiment"} <= {
+        "T", "R"}
+    read = [field for field in again if field[0] != "experiment"]
+    assert len(set(read)) == len(read)
     run_experiment(config)
     assert config.fields == first
 
@@ -1384,10 +1375,11 @@ def _type_name(kind) -> str:
 
 
 def _reads_by_kind():
-    """({(section, kind): {key: its first Field}}, {section: the choices of
-    its kind field}) of the probes' records.  [environment] and [policy]
-    go by their own kind field, which is not among their keys; [params] by
-    the experiment's kind; [experiment] by None."""
+    """({(section, kind): {key: (its first Field, the wants of all its
+    reads)}}, {section: the choices of its kind field}) of the probes'
+    records.  [environment] and [policy] go by their own kind field, which
+    is not among their keys; [params] by the experiment's kind;
+    [experiment] by None, so its wants gather every kind's re-reads."""
     reads, choices = {}, {}
     for config in _probes():
         kinds = {f.section: f.text for f in config.fields if f.key == "kind"}
@@ -1399,7 +1391,7 @@ def _reads_by_kind():
             if f.key == "kind" and kind is not None:
                 choices[section] = f.kind
             else:
-                keys.setdefault(f.key, f)
+                keys.setdefault(f.key, (f, []))[1].extend(f.wants)
     return reads, choices
 
 
@@ -1432,16 +1424,16 @@ def test_readme_config_tables_list_what_the_runner_reads():
     an unset optional field) and choices their first read records.  The
     environment and policy tables' kind columns hold exactly their kind
     field's choices, in order; ``all`` stands for every kind.  Where a
-    read's rules hold an ``at_least(n)`` floor (a ``want`` of ``>= n``),
-    its "allowed" cell names that floor, as ``>= n`` or ``in [n, ...``.
-    Where they hold a cap (a ``_cap`` want), the cell holds the cap's bound,
-    the text between ``<= `` and the first `` = `` or ``, as``, written with
-    ``^`` for ``**``, ``/`` for ``//`` and no ``experiment.``, ``params.``
-    or ``environment.`` prefix: ``2**27 // max(experiment.R, 256)`` is
-    ``2^27 / max(R, 256)``.  The other rule texts are left out: ties such
-    as ``environment.gap``'s range, which README states in its own words,
-    and the caps of the kinds' re-reads of ``experiment.T`` and
-    ``experiment.R``, which are not recorded (``config.section``)."""
+    read's rules, or a kind's re-read of an [experiment] field
+    (``config.section``), hold an ``at_least(n)`` floor (a ``want`` of
+    ``>= n``), its "allowed" cell names that floor, as ``>= n`` or
+    ``in [n, ...``.  Where they hold a cap (a ``_cap`` want), the cell holds
+    the cap's bound, the text between ``<= `` and the first `` = `` or
+    ``, as``, written with ``^`` for ``**``, ``/`` for ``//`` and no
+    ``experiment.``, ``params.`` or ``environment.`` prefix:
+    ``2**27 // max(experiment.R, 256)`` is ``2^27 / max(R, 256)``.  The
+    other rule texts are left out: ties such as ``params.fixed_arm``'s
+    range, which README states in its own words."""
     reads, choices = _reads_by_kind()
     listed = {}
     for section, rows in _readme_tables().items():
@@ -1460,7 +1452,7 @@ def test_readme_config_tables_list_what_the_runner_reads():
     assert sorted(listed, key=str) == sorted(reads, key=str)
     for group, fields in reads.items():
         assert listed[group].keys() == fields.keys(), group
-        for key, f in fields.items():
+        for key, (f, wants) in fields.items():
             row = listed[group][key]
             default = "required" if f.required else f.default or "none"
             assert (row["type"], row["default"].replace("`", "")) == (
@@ -1468,7 +1460,7 @@ def test_readme_config_tables_list_what_the_runner_reads():
             if isinstance(f.kind, tuple):
                 assert re.findall(r"`(\w+)`", row["allowed"]) == list(
                     f.kind), (group, key)
-            for want in f.wants:
+            for want in wants:
                 floor = re.fullmatch(r">= (\d+)", want)
                 if floor:
                     assert re.search(rf"(>= |in \[){floor[1]}\b",
