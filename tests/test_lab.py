@@ -218,6 +218,8 @@ class TestRunner:
         (["kind = replay", "[params]", "fixed_arm = one"], "params.fixed_arm"),
         (["[environment]", "kind = bernoulli", "means = 0.2, 0.8",
           "[policy h]", "kind = hedge", "doubling = maybe"], "policy h.doubling"),
+        (["seed = 1.5", "kind = bounds"], "experiment.seed"),
+        (["delta = tiny", "kind = recursive"], "experiment.delta"),
     ])
     def test_bad_values_name_the_field(self, tmp_path, capsys, lines, field):
         config = tmp_path / "bad.cfg"
@@ -230,6 +232,7 @@ class TestRunner:
         (["kind = pacbayes", "[params]", "n_grid = 0, 10"], ("params.n_grid",)),
         (["kind = pacbayes", "[params]", "n_grid = 10, -1"], ("params.n_grid",)),
         (["kind = pacbayes", "[params]", "n_grid = ,"], ("params.n_grid",)),
+        (["kind = pacbayes", "[params]", "m = 0"], ("params.m",)),
     ])
     def test_sample_sizes_too_small_name_the_field(self, tmp_path, capsys,
                                                     lines, fields):
@@ -239,6 +242,35 @@ class TestRunner:
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert all(field in err for field in fields)
+
+    def test_smallest_recursive_sample_runs(self):
+        # one repetition bounds its 20 x 1000 table at each of the 4 stages
+        config = parse_config_lines([
+            "[experiment]", "name = rec", "kind = recursive", "R = 1"])
+        traces = run_experiment(config)
+        assert [tr.name for tr in traces] == ["recursive_pb",
+                                              "pb_lambda_full_sample"]
+        assert [tr.t.tolist() for tr in traces] == [[1, 2, 3, 4]] * 2
+
+    @pytest.mark.parametrize("breaker", ["ftl_breaker", "ucb_breaker"])
+    def test_breakers_run_at_the_fewest_rounds_their_rule_allows(self,
+                                                                 breaker):
+        config = parse_config_lines([
+            "[experiment]", "name = b", "T = 4", "R = 1", "[environment]",
+            f"kind = {breaker}", "[policy e]", "kind = exp3"])
+        [trace] = run_experiment(config)
+        assert trace.t.tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("breaker", ["ftl_breaker", "ucb_breaker"])
+    def test_breakers_accept_the_largest_matrix_their_cap_allows(self,
+                                                                 breaker):
+        # T = 2**26 fills the T x 2 matrix to 2**27 floats; reading the
+        # section checks the rule without building the matrix
+        config = parse_config_lines([
+            "[experiment]", "name = b", "T = 67108864", "R = 1",
+            "[environment]", f"kind = {breaker}", "[policy e]", "kind = exp3"])
+        feedback, [(suffix, K, build)] = runner._read_environment(config)
+        assert (feedback, suffix, K) == (None, "", 2)
 
     def test_replay_kind_estimates_fixed_arm_value(self):
         config = parse_config_lines([
