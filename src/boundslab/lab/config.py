@@ -49,6 +49,12 @@ SEED = (lambda seed: 0 <= seed < 2 ** 64, "in [0, 2**64)")
 FILE_NAME = (lambda name: (name != "" and "\0" not in name
                            and os.path.basename(name) == name), "a file name")
 
+# The [experiment] keys each kind reads besides name, kind, seed and out; any
+# other is an unknown key.  Every kind takes seed, as ``lab run --seed`` sets
+# it on any config.
+READS = {"game": ("T", "R"), "bounds": ("delta",), "pacbayes": ("R", "delta"),
+         "recursive": ("R", "delta"), "replay": ("T", "R")}
+
 # One read of a field, as ``Section.read`` records it in a config's ``fields``
 Field = namedtuple("Field", "section key kind default wants required text")
 
@@ -59,10 +65,10 @@ class ExperimentConfig:
     ``fields`` holds a ``Field`` per ``Section.read`` of it, in read order."""
     name: str
     kind: str
-    T: int
-    R: int
+    T: int | None  # None where the kind does not read it (see READS)
+    R: int | None
     seed: int
-    delta: float
+    delta: float | None
     out: str | None
     environment: dict  # raw {key: value}
     params: dict
@@ -201,16 +207,21 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
             if raw is not None:
                 sections[section][key], sources[path] = raw, option
         exp = Section("experiment", sections.pop("experiment"), [])
+        name = exp.read("name", str, None, FILE_NAME,
+                        required="for every experiment")
+        kind = exp.read("kind", tuple(READS), "game")
+
+        def read(key, *args):
+            return exp.read(key, *args) if key in READS[kind] else None
+
         config = ExperimentConfig(
-            name=exp.read("name", str, None, FILE_NAME,
-                          required="for every experiment"),
-            kind=exp.read("kind", ("game", "bounds", "pacbayes", "recursive",
-                                   "replay"), "game"),
-            T=exp.read("T", int, "1000", at_least(1)),
-            R=exp.read("R", int, "10", at_least(1)),
+            name=name,
+            kind=kind,
+            T=read("T", int, "1000", at_least(1)),
+            R=read("R", int, "10", at_least(1)),
             seed=exp.read("seed", int, "0", SEED),
-            delta=exp.read("delta", float, "0.05",
-                           (lambda delta: 0.0 < delta < 1.0, "in (0, 1)")),
+            delta=read("delta", float, "0.05",
+                       (lambda delta: 0.0 < delta < 1.0, "in (0, 1)")),
             out=exp.read("out"),
             environment=sections.get("environment", {}),
             params=sections.get("params", {}),

@@ -3,6 +3,10 @@
 Byte-level contract: UTF-8, LF line endings, header "t,series,mean,std",
 '.' decimal separator, 12 significant digits, rows ordered series-major then
 t-ascending.
+
+Memory: ``aggregate`` reduces one float64 copy of a series in place, and
+``emit_csv`` formats and writes ``CHUNK_ROWS`` rows at a time, so neither
+holds more than one copy of a series, nor a whole series as text.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HEADER = "t,series,mean,std"
+CHUNK_ROWS = 4096  # rows formatted and written at a time
 
 
 @dataclass
@@ -36,27 +41,40 @@ class AggregateTrace:
 
 
 def aggregate(name: str, runs, t=None) -> AggregateTrace:
-    """Stack per-repetition series (rows) into a mean/std trace."""
-    stacked = np.asarray(runs, dtype=float)
-    if stacked.ndim != 2:
+    """Reduce per-repetition series (rows) to a mean/std trace.  ``runs`` is
+    copied once, as float64, and never changed; the copy is reduced in
+    place, by the operations ``ndarray.mean`` and ``std`` make in their
+    order, so each double is the one ``mean(axis=0)`` and ``std(axis=0)``
+    give."""
+    work = np.array(runs, dtype=float)
+    if work.ndim != 2:
         raise ValueError("runs must be a repetition x time array")
+    R, T = work.shape
     if t is None:
-        t = np.arange(1, stacked.shape[1] + 1)
-    return AggregateTrace(name, t, stacked.mean(axis=0), stacked.std(axis=0))
+        t = np.arange(1, T + 1)
+    mean = np.add.reduce(work, axis=0) / R
+    work -= mean
+    work *= work
+    std = np.sqrt(np.add.reduce(work, axis=0) / R)
+    return AggregateTrace(name, t, mean, std)
 
 
 def emit_csv(traces, path) -> None:
     """Write traces (iterable of AggregateTrace, order preserved) to a CSV
-    file under the byte-level contract above, one series at a time so only
-    that series' rows are held as text.  ``tolist`` gives Python numbers, and
-    each row is one ``%`` template, the series name in it with ``%``
-    doubled: ``%d`` and ``%.12g`` print what ``int`` and ``f"{x:.12g}"`` do."""
+    file under the byte-level contract above, ``CHUNK_ROWS`` rows at a time,
+    so only that many rows are held as numbers and text.  ``tolist`` gives
+    Python numbers, and each row is one ``%`` template, the series name in
+    it with ``%`` doubled: ``%d`` and ``%.12g`` print what ``int`` and
+    ``f"{x:.12g}"`` do."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(HEADER + "\n")
         for trace in traces:
             row = "%d," + trace.name.replace("%", "%%") + ",%.12g,%.12g\n"
-            handle.write("".join(map(row.__mod__, zip(
-                trace.t.tolist(), trace.mean.tolist(), trace.std.tolist()))))
+            for start in range(0, len(trace.t), CHUNK_ROWS):
+                rows = slice(start, start + CHUNK_ROWS)
+                handle.write("".join(map(row.__mod__, zip(
+                    trace.t[rows].tolist(), trace.mean[rows].tolist(),
+                    trace.std[rows].tolist()))))
 
 
 def parse_csv(path) -> list[AggregateTrace]:

@@ -5,7 +5,11 @@ master seed via ``SeedSequence(master, spawn_key=(r,))``; repetitions are
 aggregated (mean, population std) in repetition-index order, so the output
 is a pure function of the configuration.  A bandit series is one policy of
 R rows, whose repetitions ``play_bandit`` plays together; everything else
-runs one repetition after another.
+runs one repetition after another.  A game series, and the replay's
+importance-weighted one, writes each repetition's row into one (R, T)
+buffer as it is computed; a helper's scope holds the buffer and the
+transcripts, so none of them outlives the series' ``aggregate`` call.  The
+series of one experiment share one ``t`` axis.
 """
 from __future__ import annotations
 
@@ -170,23 +174,33 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
                               "environment.feedback")
         policies.append((label, mode, make))
 
+    T, R = config.T, config.R
+    t = np.arange(1, T + 1)
+
+    def regrets(K, env_factory, regret_fn, mode, make):
+        """The series' R x T buffer, each row a repetition's regret, written
+        as its game ends; the transcripts go when this returns."""
+        env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
+                                for r in range(R)])
+        # made one at a time, so a full-information series holds one env's
+        # row block at a time
+        games = map(env_factory, env_seeds)
+        if mode == "bandit":
+            transcripts = play_bandit(make(K), list(games), T, rngs)
+        else:  # a fresh policy per repetition
+            transcripts = (play_full_information(make(K), env, T, rng)
+                           for env, rng in zip(games, rngs))
+        runs = np.empty((R, T))
+        for row, game in zip(runs, transcripts):
+            row[:] = regret_fn(game)
+        return runs
+
     traces = []
     for suffix, K, build in envs:
         env_factory, regret_fn = build()
         for label, mode, make in policies:
-            env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
-                                    for r in range(config.R)])
-            # made one at a time, so a full-information series holds one
-            # env's row block at a time
-            games = map(env_factory, env_seeds)
-            if mode == "bandit":
-                runs = [regret_fn(game) for game
-                        in play_bandit(make(K), list(games), config.T, rngs)]
-            else:  # a fresh policy per repetition
-                runs = [regret_fn(play_full_information(
-                            make(K), env, config.T, rng))
-                        for env, rng in zip(games, rngs)]
-            traces.append(aggregate(label + suffix, runs))
+            traces.append(aggregate(label + suffix, regrets(
+                K, env_factory, regret_fn, mode, make), t=t))
     return traces
 
 
@@ -323,27 +337,38 @@ def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
                                                f"in [0, {K})"))
     f.close()
 
-    def one_rep(r):
+    T, R = config.T, config.R
+    t = np.arange(1, T + 1)
+
+    def one_rep(r, row):
+        """Write repetition r's IW running mean into ``row``; return its RS
+        running mean, which ends at its horizon."""
         env_seed, rng = repetition_seeds(config.seed, r)
-        log = synthesize_uniform_log(means, config.T, env_seed)
+        log = synthesize_uniform_log(means, T, env_seed)
         iw = replay_importance_weighted(
             FixedPolicy(K, arm=fixed_arm), log, K, rng)
-        running = np.cumsum(iw.payoffs) / np.arange(1, config.T + 1)
+        np.divide(np.cumsum(iw.payoffs), t, out=row)
         rs = replay_rejection_sampling(
             UCB1Policy(K, parametrization="improved"), log, K, rng)
-        rs_running = (np.cumsum(rs.payoffs) / np.arange(1, len(rs) + 1)
-                      if len(rs) else np.zeros(0))
-        return running, rs_running
+        return np.cumsum(rs.payoffs) / t[:len(rs)]
 
-    iw_runs, rs_runs = zip(*map(one_rep, range(config.R)))
+    def replays():
+        """The IW series' trace, from an R x T buffer that the repetitions
+        write their rows into, and the RS series' running means."""
+        iw_runs = np.empty((R, T))
+        rs_runs = [one_rep(r, row) for r, row in enumerate(iw_runs)]
+        return aggregate("iw_value_estimate", iw_runs, t=t), rs_runs
+
+    iw, rs_runs = replays()
     horizons = list(map(len, rs_runs))
     horizon = min(horizons)
-    rs = aggregate("rs_mean_reward", [run[:horizon] for run in rs_runs])
+    rs = aggregate("rs_mean_reward", [run[:horizon] for run in rs_runs],
+                   t=t[:horizon])
     if horizon < max(horizons):
         rs.note = (f"rs_mean_reward: every repetition cut to {horizon} "
                    f"rounds, the shortest rejection-sampling horizon "
                    f"(repetition {horizons.index(horizon)})")
-    return [aggregate("iw_value_estimate", iw_runs), rs]
+    return [iw, rs]
 
 
 _RUNNERS = {

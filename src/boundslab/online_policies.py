@@ -459,7 +459,7 @@ class UCB1Policy:
 
     draws = False
 
-    def __init__(self, K: int, *, parametrization: str = "original",
+    def __init__(self, K: int, *, parametrization: str,
                  reward_range: float = 1.0) -> None:
         self.scale = _check_ucb1(K, parametrization)
         self.K = K
@@ -513,8 +513,9 @@ class UCB1Batch:
     one scalar round at a time, and a K = 4 act+update round takes 1.1-2.1
     µs with ``UCB1Policy`` against 6-11 µs on a one-row batch (Python 3.11,
     2 CPUs).  The ``replay`` benchmark plays some 75k such rounds per pass,
-    and its log round trip builds ``UCB1Policy(K, reward_range=K)`` itself
-    for the IW replay, so the scalar class stays until that changes too.
+    and its log round trip builds ``UCB1Policy(K, parametrization=
+    "improved", reward_range=K)`` itself for the IW replay, so the scalar
+    class stays until that changes too.
     """
 
     draws = False

@@ -206,9 +206,10 @@ ROWS = {
         row("T", lambda x: EXP4Policy(2, 2, ADVICE, T=x), 10, 0, 2.5),
         row("R", lambda x: EXP4Policy(2, 2, ADVICE, T=10, R=x), 2, 0, 2.5)],
     "UCB1Policy": [
-        row("K", UCB1Policy, 2, 0, 2.5),
-        row("reward_range", lambda x: UCB1Policy(2, reward_range=x), 2.0,
-            *POSITIVE)],
+        row("K", lambda x: UCB1Policy(x, parametrization="original"),
+            2, 0, 2.5),
+        row("reward_range", lambda x: UCB1Policy(
+            2, parametrization="original", reward_range=x), 2.0, *POSITIVE)],
     "UCB1Batch": [row("K", UCB1Batch, 2, 0, 2.5),
                   row("R", lambda x: UCB1Batch(2, R=x), 2, 0, 2.5)],
     "FixedPolicy": [

@@ -1376,7 +1376,8 @@ def test_a_replay_rejects_a_logged_action_outside_its_arms(replay, actions,
     # before the first record, whatever the policy; rejection sampling
     # would otherwise pass over such records as never matched
     log = _log(actions, [1, 0, 1, 1])
-    for policy in (UCB1Policy(4), UCB1Policy(4, reward_range=4.0),
+    for policy in (UCB1Policy(4, parametrization="original"),
+                   UCB1Policy(4, parametrization="original", reward_range=4.0),
                    FixedPolicy(4, arm=2), EXP3Policy(4)):
         with pytest.raises(ValueError) as info:
             replay(policy, log, 4, np.random.default_rng(0))
@@ -1388,8 +1389,10 @@ def test_a_replay_rejects_a_logged_action_outside_its_arms(replay, actions,
                                     replay_rejection_sampling],
                          ids=["iw", "rs"])
 @pytest.mark.parametrize("make", [
-    lambda: UCB1Policy(5), lambda: UCB1Policy(5, reward_range=5.0),
-    lambda: UCB1Policy(3, reward_range=3.0), lambda: FixedPolicy(6, arm=5),
+    lambda: UCB1Policy(5, parametrization="original"),
+    lambda: UCB1Policy(5, parametrization="original", reward_range=5.0),
+    lambda: UCB1Policy(3, parametrization="original", reward_range=3.0),
+    lambda: FixedPolicy(6, arm=5),
     lambda: FixedPolicy(2, arm=0), lambda: EXP3Policy(5)],
     ids=["ucb1_5", "ucb1_5_range_5", "ucb1_3", "fixed_6_arm_5", "fixed_2",
          "exp3_5"])
@@ -1406,10 +1409,11 @@ def test_a_replay_rejects_a_policy_of_other_arms(replay, make):
 
 def test_policies_that_draw_nothing_replay_without_a_stream():
     log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
-    for policy in (UCB1Policy(4), FixedPolicy(4, arm=1)):
+    for policy in (UCB1Policy(4, parametrization="original"),
+                   FixedPolicy(4, arm=1)):
         assert policy.draws is False
         assert len(replay_rejection_sampling(policy, log, 4)) > 0
-    ucb = UCB1Policy(4, reward_range=4)
+    ucb = UCB1Policy(4, parametrization="original", reward_range=4)
     assert len(replay_importance_weighted(ucb, log, 4)) == 50
 
 
@@ -1470,14 +1474,16 @@ class TestRejectionSamplingReplay:
         # UCB1 first plays arms 0, 1, 2 in order, so on a log holding only
         # ``logged`` it is accepted once if that is arm 0 and never otherwise
         log = _log([logged] * 30, [1] * 30)
-        trans = replay_rejection_sampling(UCB1Policy(3), log, 3)
+        trans = replay_rejection_sampling(
+            UCB1Policy(3, parametrization="original"), log, 3)
         assert trans.detail["effective_horizon"] == (1 if logged == 0 else 0)
         assert trans.arms.tolist() == ([0] if logged == 0 else [])
 
     def test_skips_to_next_matching_record(self):
         # arms 0, 1, 2 match records 1, 2, 3; record 0 is passed over
         log = _log([2, 0, 1, 2], [0, 1, 0, 1])
-        trans = replay_rejection_sampling(UCB1Policy(3), log, 3)
+        trans = replay_rejection_sampling(
+            UCB1Policy(3, parametrization="original"), log, 3)
         assert trans.arms.tolist() == [0, 1, 2]
         assert trans.payoffs.tolist() == [1.0, 0.0, 1.0]
 

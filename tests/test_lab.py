@@ -7,13 +7,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from boundslab.lab.cli import main, preset_names, resolve_config
 from boundslab.lab.config import (
@@ -21,7 +22,13 @@ from boundslab.lab.config import (
     parse_config,
     parse_config_lines,
 )
-from boundslab.lab.csvio import AggregateTrace, aggregate, emit_csv, parse_csv
+from boundslab.lab.csvio import (
+    CHUNK_ROWS,
+    AggregateTrace,
+    aggregate,
+    emit_csv,
+    parse_csv,
+)
 from boundslab.lab import runner
 from boundslab.lab.runner import run_experiment
 from boundslab.lab.svgplot import (
@@ -66,11 +73,21 @@ MINIMAL_GAME = [
 ]
 
 
+# The [experiment] keys each kind reads besides name, kind, seed and out,
+# in read order, and the sections a game cannot do without.
+EXPERIMENT_READS = {"game": ("T", "R"), "bounds": ("delta",),
+                    "pacbayes": ("R", "delta"), "recursive": ("R", "delta"),
+                    "replay": ("T", "R")}
+KIND_SECTIONS = {"game": MINIMAL_GAME[5:]}
+
 # Floats at the edges of the formats: NaN, infinities, signed zeros,
 # subnormals and integers past 2**53.
 EDGE_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310, 1e16,
      -1e16, 123456789012.5, 0.005, 0.015, 2.675])
+# Doubles whose sums overflow, cancel or turn NaN, as a repetition's value
+SERIES_FLOATS = EDGE_FLOATS | st.sampled_from(
+    [1e308, -1e308, 9e307, sys.float_info.max, -sys.float_info.max])
 # Series names as a label may be: any text but ",", line breaks and lone
 # surrogates, with "%" often.
 NAMES = st.text(st.characters(blacklist_characters=",\r\n",
@@ -80,14 +97,19 @@ NAMES = st.text(st.characters(blacklist_characters=",\r\n",
 
 class TestConfigParsing:
     def test_defaults(self):
-        config = parse_config_lines(MINIMAL_GAME)
-        assert config.delta == 0.05
-        assert config.kind == "game"
+        # a key the kind does not read is None
+        config = parse_config_lines(["[experiment]", "name = d",
+                                     *MINIMAL_GAME[5:]])
+        assert (config.kind, config.T, config.R, config.seed, config.delta,
+                config.out) == ("game", 1000, 10, 0, None, None)
         config = parse_config_lines([
             "[experiment]", "name = d", "kind = bounds",
         ])
-        assert config.R == 10
-        assert config.delta == 0.05
+        assert (config.T, config.R, config.delta) == (None, None, 0.05)
+        config = parse_config_lines([
+            "[experiment]", "name = d", "kind = recursive",
+        ])
+        assert (config.T, config.R, config.delta) == (None, 10, 0.05)
 
     def test_comments_and_blank_lines(self):
         config = parse_config_lines(["# leading comment", "", *MINIMAL_GAME])
@@ -115,6 +137,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="delta"):
             parse_config_lines(["[experiment]", "name = x", "kind = bounds",
                                 "delta = 1.5"])
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_READS)
+    @pytest.mark.parametrize("key, text, value", [
+        ("T", "64", 64), ("R", "2", 2), ("delta", "0.1", 0.1)])
+    def test_each_kind_takes_only_the_experiment_keys_it_reads(
+            self, tmp_path, capsys, kind, key, text, value):
+        # seed and out are taken by every kind; a key the kind does not
+        # read is an unknown key, named by its line
+        lines = ["[experiment]", "name = k", f"kind = {kind}",
+                 f"{key} = {text}", *KIND_SECTIONS.get(kind, ())]
+        reads = EXPERIMENT_READS[kind]
+        if key in reads:
+            assert getattr(parse_config_lines(lines), key) == value
+            return
+        path = tmp_path / "k.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        takes = ", ".join(k for k in ("name", "kind", "T", "R", "seed",
+                                      "delta", "out")
+                          if k in reads or k not in ("T", "R", "delta"))
+        assert_config_error(capsys.readouterr().err,
+                            f"experiment.{key}: unknown keys ['{key}']; "
+                            f"[experiment] takes {takes} (line 4)")
 
     def test_game_requires_policies_and_environment(self):
         with pytest.raises(ConfigError, match="policy"):
@@ -162,6 +207,53 @@ class TestRunner:
         ]))
         assert np.allclose(trace.mean, ref_mean, atol=1e-12)
         assert np.allclose(trace.std, ref_std, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 6).flatmap(lambda T: st.lists(
+        st.lists(SERIES_FLOATS, min_size=T, max_size=T),
+        min_size=1, max_size=5)))
+    @example(rows=[[0.5, -0.0, math.inf]])
+    @example(rows=[[], [], []])
+    @example(rows=[[1e308, -0.0], [1e308, 0.0], [-math.inf, math.nan]])
+    def test_aggregate_is_bitwise_numpy_and_leaves_runs_alone(self, rows):
+        # R = 1 and T = 0 included; the caller's runs, as a list of rows or
+        # as an (R, T) float64 array, are left as they were
+        kept = [list(row) for row in rows]
+        for runs in (rows, np.array(rows, dtype=float)):
+            before = np.array(runs, dtype=float).tobytes()
+            with np.errstate(all="ignore"):
+                trace = aggregate("x", runs)
+                want = np.array(runs, dtype=float)
+                mean, std = want.mean(axis=0), want.std(axis=0)
+            assert trace.mean.tobytes() == mean.tobytes()
+            assert trace.std.tobytes() == std.tobytes()
+            assert np.array(runs, dtype=float).tobytes() == before
+        assert len(rows) == len(kept) and all(
+            list(map(float.hex, row)) == list(map(float.hex, old))
+            for row, old in zip(rows, kept))
+
+    def test_a_bandit_run_holds_under_four_series_of_memory(self):
+        # tracemalloc's peak over a run of two UCB1 series, in units of one
+        # R x T float64 series: the play holds its arms, its losses and the
+        # series' buffer, and the aggregation the buffer and one copy
+        def config(R, T):
+            return parse_config_lines([
+                "[experiment]", "name = memory", f"T = {T}", f"R = {R}",
+                "seed = 1", "[environment]", "kind = bernoulli",
+                "means = 0.25, 0.75", "[policy a]", "kind = ucb1",
+                "[policy b]", "kind = ucb1"])
+
+        # a small run first, so that what a first run imports and caches
+        # (half a series here) is not counted
+        run_experiment(config(2, 10))
+        R, T = 32, 2000
+        tracemalloc.start()
+        try:
+            run_experiment(config(R, T))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (R * T * 8) < 4.0
 
     def test_hedge_vs_ftl_qualitative_ordering(self):
         config = parse_config(resolve_config("hedge_vs_ftl"))
@@ -223,8 +315,8 @@ class TestRunner:
     ])
     def test_bad_values_name_the_field(self, tmp_path, capsys, lines, field):
         config = tmp_path / "bad.cfg"
-        config.write_text("\n".join(["[experiment]", "name = bad", "T = 20",
-                                     "R = 1", *lines]) + "\n")
+        config.write_text("\n".join(["[experiment]", "name = bad", *lines])
+                          + "\n")
         assert main(["run", str(config), "--out", str(tmp_path)]) == 2
         assert f"{field}: cannot parse" in capsys.readouterr().err
 
@@ -297,6 +389,22 @@ class TestCsv:
         raw = path.read_bytes()
         assert raw.count(b"\n") == 3
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize("rows", [
+        0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 1])
+    def test_series_across_chunk_boundaries(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        traces = [AggregateTrace(name, np.arange(1, rows + 1),
+                                 rng.standard_normal(rows) * 1e3,
+                                 rng.random(rows)) for name in ("a", "b%")]
+        path = tmp_path / "chunks.csv"
+        emit_csv(traces, path)
+        header, *lines, end = path.read_text(encoding="utf-8").split("\n")
+        assert (header, end, len(lines)) == ("t,series,mean,std", "", 2 * rows)
+        assert lines == ["%d,%s,%.12g,%.12g" % row for trace in traces
+                         for row in zip(trace.t.tolist(), [trace.name] * rows,
+                                        trace.mean.tolist(),
+                                        trace.std.tolist())]
 
     def test_round_trip_to_twelve_significant_digits(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -699,7 +807,7 @@ class TestCli:
         assert not (tmp_path / "tiny.csv").exists()
 
     @pytest.mark.parametrize("lines, message", [
-        (["T = 40", "# the horizon above", "delta = 1.5"],
+        (["kind = bounds", "# the level below", "delta = 1.5"],
          "experiment.delta: must be in (0, 1), got '1.5' (line 5)"),
         (["", "T = soon"], "experiment.T: cannot parse 'soon' as int (line 4)"),
         (["kind = bounds", "[params]", "family = four_bounds", "n = abc"],
@@ -1076,6 +1184,9 @@ class TestCli:
          "experiment.R: must be <= 2**27 // experiment.T = 3355443, as the "
          f"experiment.R x experiment.T series holds {AT_MOST_CELLS}, got "
          f"'{HUGE}' (--reps)"),
+        (["run", "bounds_compare", "--reps", "3"],
+         "experiment.R: unknown keys ['R']; [experiment] takes name, kind, "
+         "seed, delta, out (--reps)"),
         (["run", "tiny.cfg", "--seed", "-1"],
          "experiment.seed: must be in [0, 2**64), got '-1' (--seed)"),
         (["run", "tiny.cfg", "--seed", str(2 ** 64)],
@@ -1101,7 +1212,8 @@ class TestCli:
         (["replay", "--log", "one.log", "--policy", "exp3", "--mode", "iw"],
          "replay.policy: must be ucb1 or fixed:<arm> for a log of K = 1 (exp3 "
          "takes >= 2 arms), got 'exp3' (--policy)"),
-    ], ids=["run_reps", "run_reps_parse", "run_reps_huge", "run_seed", "run_seed_64_bits",
+    ], ids=["run_reps", "run_reps_parse", "run_reps_huge", "run_reps_unread",
+            "run_seed", "run_seed_64_bits",
             "bounds_n", "bounds_grid", "bounds_delta", "bounds_delta_parse",
             "replay_seed", "replay_arm", "replay_arm_parse", "replay_policy",
             "replay_exp3_one_arm"])
@@ -1257,12 +1369,11 @@ print(json.dumps(results))
 
 
 def _shrunk_preset(preset):
-    """The preset's lines with T and R shrunk to 64 and 2."""
-    lines = [line for line in resolve_config(preset).read_text().splitlines()
-             if line.partition("=")[0].strip() not in ("T", "R")]
-    at = lines.index("[experiment]") + 1
-    lines[at:at] = ["T = 64", "R = 2"]
-    return lines
+    """The preset's lines with T and R, where it sets them, shrunk to 64
+    and 2 (no preset sets a key of that name outside [experiment])."""
+    shrunk = {"T": "T = 64", "R": "R = 2"}
+    return [shrunk.get(line.partition("=")[0].strip(), line)
+            for line in resolve_config(preset).read_text().splitlines()]
 
 
 def _fields(lines):
@@ -1410,19 +1521,20 @@ def _reads_by_kind():
     """({(section, kind): {key: (its first Field, the wants of all its
     reads)}}, {section: the choices of its kind field}) of the probes'
     records.  [environment] and [policy] go by their own kind field, which
-    is not among their keys; [params] by the experiment's kind;
-    [experiment] by None, so its wants gather every kind's re-reads."""
+    is not among their keys; [params] and [experiment] by the experiment's
+    kind, whose field is among [experiment]'s keys, so an [experiment]
+    key's wants gather its kind's re-reads."""
     reads, choices = {}, {}
     for config in _probes():
         kinds = {f.section: f.text for f in config.fields if f.key == "kind"}
         for f in config.fields:
             section = f.section.partition(" ")[0]
-            kind = {"experiment": None, "params": config.kind}.get(
-                section, kinds.get(f.section))
+            by_experiment = section in ("experiment", "params")
+            kind = config.kind if by_experiment else kinds.get(f.section)
             keys = reads.setdefault((section, kind), {})
-            if f.key == "kind" and kind is not None:
+            if f.key == "kind":
                 choices[section] = f.kind
-            else:
+            if f.key != "kind" or section == "experiment":
                 keys.setdefault(f.key, (f, []))[1].extend(f.wants)
     return reads, choices
 
@@ -1430,7 +1542,7 @@ def _reads_by_kind():
 def _readme_tables():
     """{section: rows} of README's config tables, each row a {column: cell}
     dict: each table that follows a paragraph opening with ``[<section>``.
-    A blank kind cell repeats the kind above it."""
+    A blank kind cell repeats the kinds above it."""
     blocks = README.read_text(encoding="utf-8").split("\n\n")
     tables = {}
     for intro, block in zip(blocks, blocks[1:]):
@@ -1455,7 +1567,9 @@ def test_readme_config_tables_list_what_the_runner_reads():
     the probes read, with the type, default (``required``, or ``none`` for
     an unset optional field) and choices their first read records.  The
     environment and policy tables' kind columns hold exactly their kind
-    field's choices, in order; ``all`` stands for every kind.  Where a
+    field's choices, in order; ``all`` stands for every kind.  An
+    [experiment] row's kind cell lists the experiment kinds that read its
+    key, and the record must hold a read of it by exactly those.  Where a
     read's rules, or a kind's re-read of an [experiment] field
     (``config.section``), hold an ``at_least(n)`` floor (a ``want`` of
     ``>= n``), its "allowed" cell names that floor, as ``>= n`` or
@@ -1471,12 +1585,13 @@ def test_readme_config_tables_list_what_the_runner_reads():
     for section, rows in _readme_tables().items():
         kinds = list(dict.fromkeys(
             row["kind"].strip("`") for row in rows if "kind" in row))
-        if section in choices:
+        if section in ("environment", "policy"):
             assert [kind for kind in kinds if kind != "all"] == list(
                 choices[section]), section
         for row in rows:
-            kind = row.get("kind", "").strip("`") or None
-            for each in (choices[section] if kind == "all" else [kind]):
+            named = re.findall(r"`(\w+)`", row.get("kind", "")) or [None]
+            for each in (choices[section] if row.get("kind") == "all"
+                         else named):
                 keys = listed.setdefault((section, each), {})
                 for key in re.findall(r"`(\w+)`", row["key"]):
                     assert key not in keys, (section, each, key)

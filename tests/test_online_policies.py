@@ -552,6 +552,12 @@ class TestRadiusCoefficient:
                                match="unknown parametrization 'bogus'"):
                 cls(2, parametrization="bogus")
 
+    def test_the_scalar_policy_takes_no_default_parametrization(self):
+        # every caller outside the tests plays improved UCB1, the config's
+        # batch default is original: the scalar class makes no choice
+        with pytest.raises(TypeError, match="parametrization"):
+            UCB1Policy(2)
+
 
 @st.composite
 def ucb1_states(draw):
@@ -621,7 +627,8 @@ class TestUcbPolicy:
     # -1 and -3 index the last and the first arm of a Python list
     @pytest.mark.parametrize("arm", [-1, -3, 3, 4])
     def test_an_arm_outside_the_policy_is_rejected(self, arm):
-        unit, replay = UCB1Policy(3), UCB1Policy(3, reward_range=3.0)
+        unit = UCB1Policy(3, parametrization="original")
+        replay = UCB1Policy(3, parametrization="original", reward_range=3.0)
         for call in (lambda: unit.update_reward(arm, 0.5),
                      lambda: unit.update(arm, 0.5),
                      lambda: replay.replay_update(arm, 1.5, 3)):
@@ -637,9 +644,12 @@ class TestUcbPolicy:
     def test_an_arm_at_either_end_is_credited(self, arm, call):
         # reward 0.25 on the unit range, or estimated reward 1.5 of 3
         pol, value, reward = {
-            "update": (UCB1Policy(3), (0.75,), 0.25),
-            "update_reward": (UCB1Policy(3), (0.25,), 0.25),
-            "replay_update": (UCB1Policy(3, reward_range=3.0), (1.5, 3), 1.5),
+            "update": (UCB1Policy(3, parametrization="original"), (0.75,),
+                       0.25),
+            "update_reward": (UCB1Policy(3, parametrization="original"),
+                              (0.25,), 0.25),
+            "replay_update": (UCB1Policy(3, parametrization="original",
+                                         reward_range=3.0), (1.5, 3), 1.5),
         }[call]
         getattr(pol, call)(arm, *value)
         counts, sums = [0] * 3, [0.0] * 3
@@ -648,7 +658,7 @@ class TestUcbPolicy:
 
     def test_initialization_order_and_counts(self):
         rng = np.random.default_rng(0)
-        pol = UCB1Policy(4)
+        pol = UCB1Policy(4, parametrization="original")
         for a in range(4):
             assert pol.act() == a
             pol.update_reward(a, float(rng.random()))
@@ -660,7 +670,7 @@ class TestUcbPolicy:
         assert all(c >= 1 for c in pol.counts)
 
     def test_tie_breaks_lowest_index(self):
-        pol = UCB1Policy(3)
+        pol = UCB1Policy(3, parametrization="original")
         for a in range(3):
             pol.act()
             pol.update_reward(a, 0.5)
