@@ -74,11 +74,10 @@ MINIMAL_GAME = [
 
 
 # The [experiment] keys each kind reads besides name, kind, seed and out,
-# in read order, and the sections a game cannot do without.
+# in read order.
 EXPERIMENT_READS = {"game": ("T", "R"), "bounds": ("delta",),
                     "pacbayes": ("R", "delta"), "recursive": ("R", "delta"),
                     "replay": ("T", "R")}
-KIND_SECTIONS = {"game": MINIMAL_GAME[5:]}
 
 # Floats at the edges of the formats: NaN, infinities, signed zeros,
 # subnormals and integers past 2**53.
@@ -146,7 +145,8 @@ class TestConfigParsing:
         # seed and out are taken by every kind; a key the kind does not
         # read is an unknown key, named by its line
         lines = ["[experiment]", "name = k", f"kind = {kind}",
-                 f"{key} = {text}", *KIND_SECTIONS.get(kind, ())]
+                 f"{key} = {text}",
+                 *(MINIMAL_GAME[5:] if kind == "game" else [])]
         reads = EXPERIMENT_READS[kind]
         if key in reads:
             assert getattr(parse_config_lines(lines), key) == value
