@@ -6,7 +6,9 @@ full/bandit feedback), the adversarial breaker sequences for
 follow-the-leader and UCB1, logged-data replay via importance weighting and
 rejection sampling, and the regret accounting helpers.  All environments are
 oblivious: losses are fully determined by (spec, seed) before play and never
-depend on policy state beyond the chosen index at reveal time.
+depend on policy state beyond the chosen index at reveal time.  So a game
+returns only the arms it played, (T,) for one game and (R, T) for R, and
+its regret is read from them and the env's cells or arm means.
 """
 from __future__ import annotations
 
@@ -91,9 +93,9 @@ class BanditLog:
 
 @dataclass
 class GameTranscript:
-    """Per-round record of one policy/environment run: the arms played and
-    their payoffs, losses in a game and rewards in a replay, as
-    ``detail["feedback"]`` says (full, bandit, iw-replay or rs-replay)."""
+    """What one offline replay played, a round at a time: the arms and their
+    rewards, as ``detail["feedback"]`` says (iw-replay: the estimates r̃;
+    rs-replay: the accepted rewards)."""
 
     arms: np.ndarray
     payoffs: np.ndarray
@@ -105,9 +107,6 @@ class GameTranscript:
 
     def __len__(self) -> int:
         return len(self.arms)
-
-    def arm_counts(self, K: int) -> np.ndarray:
-        return np.bincount(self.arms, minlength=K)
 
 
 def _row(self, t: int) -> list[float]:
@@ -429,11 +428,12 @@ def synthesize_uniform_log(means: Sequence[float], T: int, seed: int,
     return BanditLog(actions, rewards, features)
 
 
-def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
-    """Run a full-information game: the policy picks an arm, incurs that
-    entry, then sees the whole loss column.  The transcript holds the arms
-    and incurred losses; score it with ``hindsight_regret`` on the env's
-    cells (``type(env).blocks([env], 0, T)[0]``) or with ``pseudo_regret``.
+def play_full_information(policy, env, T: int, rng=None) -> np.ndarray:
+    """Run a full-information game and return its (T,) int array of arms:
+    the policy picks an arm, incurs that entry, then sees the whole loss
+    column.  Score the arms with ``hindsight_regret`` on the env's cells
+    (``type(env).blocks([env], 0, T)[0]``) or with ``pseudo_regret``; the
+    incurred losses are ``cells[np.arange(T), arms]``.
 
     A Hedge whose rate holds over a period (``policy.fixed_rate``) plays a
     block of rounds at a time with ``policy.play_rows``: a block ends after
@@ -441,13 +441,11 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     block at R = 1, or at the policy's next period start, and reads its rows
     from ``type(env).blocks``.  A game past the env's ``horizon`` plays up
     to it and raises what ``row`` raises there.  Any other policy plays
-    ``ROW_BLOCK`` rounds to a block, each one ``act``, one ``env.row`` and
-    one ``observe``; ``policy.act(u)`` takes one uniform per round when
-    ``policy.draws`` (Hedge) and None otherwise (FTL).  The uniforms are
-    drawn from ``rng`` per block, which gives the same doubles and leaves
-    ``rng`` in the same state as one draw per round.  Either path ends a
-    block as arrays of its arms and rows, and reads its incurred losses from
-    the rows.
+    ``ROW_BLOCK`` rounds to a block, each one ``act`` and one
+    ``observe(env.row(t))``; ``policy.act(u)`` takes one uniform per round
+    when ``policy.draws`` (Hedge) and None otherwise (FTL).  The uniforms
+    are drawn from ``rng`` per block, which gives the same doubles and
+    leaves ``rng`` in the same state as one draw per round.
     """
     _check_count(T, "T", 0)
     if policy.draws and rng is None:
@@ -455,38 +453,32 @@ def play_full_information(policy, env, T: int, rng=None) -> GameTranscript:
     blockwise = isinstance(policy, HedgePolicy) and policy.fixed_rate
     step = max(1, BLOCK_CELLS // env.K)
     act, row_of, observe = policy.act, env.row, policy.observe
-    arms, incurred = [np.empty(0, dtype=int)], [np.empty(0)]
+    arms = np.empty(T, dtype=int)
     t0 = 0
     while t0 < T:
         if blockwise:
             t1 = min(T, t0 + step, t0 + policy.period_end - policy.t)
             stop = min(t1, env.horizon)
             rows = type(env).blocks([env], t0, stop)[0]
-            block = policy.play_rows(rows, rng.random(t1 - t0)[:stop - t0])
+            arms[t0:stop] = policy.play_rows(rows, rng.random(t1 - t0)[:stop - t0])
             if stop < t1:
                 raise ValueError(f"round {stop} outside [0, {stop})")
         else:
             t1 = min(T, t0 + ROW_BLOCK)
             uniforms = (rng.random(t1 - t0).tolist() if policy.draws
                         else [None] * (t1 - t0))
-            block, rows = [], []
             for t, u in zip(range(t0, t1), uniforms):
-                block.append(act(u))
-                rows.append(row_of(t))
-                observe(rows[-1])
-            block, rows = np.array(block, dtype=int), np.array(rows)
-        arms.append(block)
-        incurred.append(rows[np.arange(t1 - t0), block])
+                arms[t] = act(u)
+                observe(row_of(t))
         t0 = t1
-    return GameTranscript(np.concatenate(arms), np.concatenate(incurred),
-                          {"feedback": "full"})
+    return arms
 
 
 def play_bandit(policy, envs: Sequence, T: int,
-                rngs: Sequence | None = None) -> list[GameTranscript]:
-    """Run R bandit games at once, one per row of ``policy``: row r plays
-    ``envs[r]`` with random stream ``rngs[r]``, and only the chosen entry is
-    revealed to it.
+                rngs: Sequence | None = None) -> np.ndarray:
+    """Run R bandit games at once, one per row of ``policy``, and return
+    their (R, T) int array of arms: row r plays ``envs[r]`` with random
+    stream ``rngs[r]``, and only the chosen entry is revealed to it.
 
     ``policy`` holds R independent rows (``EXP3Policy``, ``UCB1Batch``):
     ``act_rows(u)`` gives every row's arm for the next round, from one
@@ -511,7 +503,6 @@ def play_bandit(policy, envs: Sequence, T: int,
     offsets = np.arange(R) * K  # row starts in a round's R·K cells
     act_rows, update_rows = policy.act_rows, policy.update_rows
     arms = np.empty((R, T), dtype=int)
-    incurred = np.empty((R, T))
     step = max(1, BLOCK_CELLS // (R * K))
     for t0 in range(0, T, step):
         t1 = min(T, t0 + step)
@@ -523,33 +514,37 @@ def play_bandit(policy, envs: Sequence, T: int,
                     if policy.draws else [None] * (t1 - t0))
         for t, u, cells_t in zip(range(t0, t1), uniforms, rounds):
             arm = act_rows(u)
-            loss = cells_t[offsets + arm]
-            update_rows(arm, loss)
+            update_rows(arm, cells_t[offsets + arm])
             arms[:, t] = arm
-            incurred[:, t] = loss
-    return [GameTranscript(arms[r], incurred[r], {"feedback": "bandit"})
-            for r in range(R)]
+    return arms
 
 
 def hindsight_regret(loss_matrix, arms: Sequence[int]) -> np.ndarray:
     """Cumulative regret against the best single arm in hindsight,
-    recomputed from the stored oblivious matrix."""
+    recomputed from the stored oblivious matrix, of the (T,) arms of one
+    game or, row by row, the (R, T) arms of R games on the same matrix.
+    Each row accumulates along the rounds, so it is the 1-D result of its
+    arms to the bit."""
     matrix = np.asarray(loss_matrix, dtype=float)
     arms = _check_arms(arms, matrix.shape[1])
-    if len(arms) > len(matrix):
+    T = arms.shape[-1]
+    if T > len(matrix):
         raise ValueError(f"arms must hold at most one arm per loss-matrix row "
-                         f"({len(matrix)}), got {len(arms)}")
-    incurred = np.cumsum(matrix[np.arange(len(arms)), arms])
-    best = np.min(np.cumsum(matrix[: len(arms)], axis=0), axis=1)
-    return incurred - best
+                         f"({len(matrix)}), got {T}")
+    regret = matrix[np.arange(T), arms]
+    np.cumsum(regret, axis=-1, out=regret)
+    regret -= np.min(np.cumsum(matrix[:T], axis=0), axis=1)
+    return regret
 
 
 def pseudo_regret(arms: Sequence[int], means: Sequence[float]) -> np.ndarray:
     """Cumulative sum of the per-round suboptimality gaps of the chosen arms
-    in a stochastic loss environment with known means."""
+    in a stochastic loss environment with known means, of (T,) or, row by
+    row, (R, T) arms, as ``hindsight_regret`` takes them."""
     means = np.asarray(means, dtype=float)
-    gaps = means - means.min()
-    return np.cumsum(gaps[_check_arms(arms, len(means))])
+    regret = (means - means.min())[_check_arms(arms, len(means))]
+    np.cumsum(regret, axis=-1, out=regret)
+    return regret
 
 
 def _check_arms(arms: Sequence[int], K: int) -> np.ndarray:

@@ -5,11 +5,13 @@ master seed via ``SeedSequence(master, spawn_key=(r,))``; repetitions are
 aggregated (mean, population std) in repetition-index order, so the output
 is a pure function of the configuration.  A bandit series is one policy of
 R rows, whose repetitions ``play_bandit`` plays together; everything else
-runs one repetition after another.  A game series, and the replay's
-importance-weighted one, writes each repetition's row into one (R, T)
-buffer as it is computed; a helper's scope holds the buffer and the
-transcripts, so none of them outlives the series' ``aggregate`` call.  The
-series of one experiment share one ``t`` axis.
+runs one repetition after another.  A game series is one (R, T) int array
+of arms, which ``play_bandit`` returns or each full-information game fills
+a row of, scored by one call of its regret function; the replay's
+importance-weighted series writes each repetition's row into one (R, T)
+buffer as it is computed.  A helper's scope holds them, so none outlives
+the series' ``aggregate`` call.  The series of one experiment share one
+``t`` axis.
 """
 from __future__ import annotations
 
@@ -108,14 +110,12 @@ def _read_policy(config: ExperimentConfig, label: str, raw: dict):
 
 
 def _stochastic(means):
-    m = np.asarray(means)
     return (lambda seed: BernoulliEnv(means, seed),
-            lambda trans: pseudo_regret(trans.arms, m))
+            partial(pseudo_regret, means=means))
 
 
 def _oblivious(losses):
-    return (lambda seed: MatrixEnv(losses),
-            lambda trans: hindsight_regret(losses, trans.arms))
+    return lambda seed: MatrixEnv(losses), partial(hindsight_regret, losses)
 
 
 def _read_environment(config: ExperimentConfig):
@@ -178,22 +178,19 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
     t = np.arange(1, T + 1)
 
     def regrets(K, env_factory, regret_fn, mode, make):
-        """The series' R x T buffer, each row a repetition's regret, written
-        as its game ends; the transcripts go when this returns."""
+        """The series' R x T regrets, each row a repetition's, scored from
+        the R x T arms its games play; the arms go when this returns."""
         env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
                                 for r in range(R)])
         # made one at a time, so a full-information series holds one env's
         # row block at a time
         games = map(env_factory, env_seeds)
         if mode == "bandit":
-            transcripts = play_bandit(make(K), list(games), T, rngs)
-        else:  # a fresh policy per repetition
-            transcripts = (play_full_information(make(K), env, T, rng)
-                           for env, rng in zip(games, rngs))
-        runs = np.empty((R, T))
-        for row, game in zip(runs, transcripts):
-            row[:] = regret_fn(game)
-        return runs
+            return regret_fn(play_bandit(make(K), list(games), T, rngs))
+        arms = np.empty((R, T), dtype=int)
+        for row, env, rng in zip(arms, games, rngs):  # a fresh policy each
+            row[:] = play_full_information(make(K), env, T, rng)
+        return regret_fn(arms)
 
     traces = []
     for suffix, K, build in envs:

@@ -44,20 +44,28 @@ def _ticks(low, high):
     return [low + (high - low) * i / 4 for i in range(5)]
 
 
+def _y_arrays(traces):
+    """Each y array drawn, in order: a trace's means, then its mean + std,
+    made one trace at a time."""
+    for tr in traces:
+        if len(tr.mean):
+            yield tr.mean
+            yield tr.mean + tr.std
+
+
 def _y_range(traces):
     """What the built-in ``min`` and ``max`` return over every y value
     drawn, taken in order: each trace's means, then its mean + std.  That
     order fixes which NaN or signed zero they return.  numpy finds each
     array's first extreme, and the builtins pick among those in the same
-    order; only a NaN sends them over the values themselves."""
-    arrays = [ys for tr in traces for ys in (tr.mean, tr.mean + tr.std)
-              if len(ys)]
-    lows = [float(ys[ys.argmin()]) for ys in arrays]
+    order; only a NaN sends them over the values themselves, walking the
+    arrays again."""
+    lows, highs = zip(*[(float(ys[ys.argmin()]), float(ys[ys.argmax()]))
+                        for ys in _y_arrays(traces)])
     if any(math.isnan(low) for low in lows):  # argmin finds a NaN if any
-        values = [ys.tolist() for ys in arrays]
-        return (min(chain.from_iterable(values)),
-                max(chain.from_iterable(values)))
-    return min(lows), max(float(ys[ys.argmax()]) for ys in arrays)
+        return tuple(extreme(chain.from_iterable(
+            ys.tolist() for ys in _y_arrays(traces))) for extreme in (min, max))
+    return min(lows), max(highs)
 
 
 def _fmt(x):
@@ -176,4 +184,4 @@ def render_plot(traces, path, *, title="") -> None:
 
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(parts) + "\n")
+        handle.writelines(part + "\n" for part in parts)

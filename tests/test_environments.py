@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -49,8 +50,8 @@ class TestBernoulliEnv:
     def test_all_half_means_have_no_gap(self):
         env = BernoulliEnv([0.5, 0.5, 0.5], seed=9)
         rng = np.random.default_rng(1)
-        [trans] = play_bandit(EXP3Policy(3), [env], 200, [rng])
-        assert np.all(pseudo_regret(trans.arms, env.means) == 0.0)
+        arms = play_bandit(EXP3Policy(3), [env], 200, [rng])
+        assert np.all(pseudo_regret(arms, env.means) == 0.0)
 
     def test_empirical_means_match_clt(self):
         T = 100000
@@ -226,33 +227,31 @@ class TestRows:
         # a game of no rounds plays nothing, one of a round raises
         for make in (lambda: HedgePolicy(2, variant="tight", T=1),
                      lambda: HedgePolicy(2), lambda: FTLPolicy(2)):
-            trans = play_full_information(make(), env, 0,
-                                          np.random.default_rng(0))
-            assert len(trans) == 0
-            assert trans.detail == {"feedback": "full"}
+            arms = play_full_information(make(), env, 0,
+                                         np.random.default_rng(0))
+            assert arms.shape == (0,) and arms.dtype == int
             with pytest.raises(ValueError, match=no_round):
                 play_full_information(make(), env, 1, np.random.default_rng(0))
-        [trans] = play_bandit(EXP3Policy(2), [env], 0,
-                              [np.random.default_rng(0)])
-        assert len(trans) == 0
+        arms = play_bandit(EXP3Policy(2), [env], 0, [np.random.default_rng(0)])
+        assert arms.shape == (1, 0) and arms.dtype == int
 
 
 class TestFtlBreaker:
     def test_ftl_loses_every_round_after_the_first(self):
         T = 200
-        env = MatrixEnv(make_ftl_breaker(T))
-        trans = play_full_information(FTLPolicy(2), env, T)
-        cumulative = np.cumsum(trans.payoffs)
+        matrix = make_ftl_breaker(T)
+        arms = play_full_information(FTLPolicy(2), MatrixEnv(matrix), T)
+        cumulative = np.cumsum(matrix[np.arange(T), arms])
         for t in range(2, T + 1):
             assert cumulative[t - 1] >= t - 1
 
     def test_regret_is_linear_in_horizon(self):
         T = 2000
         matrix = make_ftl_breaker(T)
-        trans = play_full_information(FTLPolicy(2), MatrixEnv(matrix), T)
+        arms = play_full_information(FTLPolicy(2), MatrixEnv(matrix), T)
         best = min(matrix.sum(axis=0))
         assert abs(best - T / 2) <= 1.0
-        assert hindsight_regret(matrix, trans.arms)[-1] >= T / 2 - 1
+        assert hindsight_regret(matrix, arms)[-1] >= T / 2 - 1
 
     def test_anytime_hedge_stays_below_theorem_bound(self):
         T = 2000
@@ -260,8 +259,8 @@ class TestFtlBreaker:
         regrets = []
         for rep in range(10):
             rng = np.random.default_rng(100 + rep)
-            trans = play_full_information(HedgePolicy(2), env, T, rng)
-            regrets.append(hindsight_regret(env.matrix, trans.arms)[-1])
+            arms = play_full_information(HedgePolicy(2), env, T, rng)
+            regrets.append(hindsight_regret(env.matrix, arms)[-1])
         regrets = np.asarray(regrets)
         bound = math.sqrt(T * math.log(2))
         assert regrets.mean() <= bound + 3 * regrets.std()
@@ -299,7 +298,7 @@ class TestUcbBreaker:
         games = play_bandit(EXP3Policy(K, R=20),
                             [MatrixEnv(losses) for _ in range(20)], T,
                             [np.random.default_rng(rep) for rep in range(20)])
-        regrets = [hindsight_regret(losses, trans.arms)[-1] for trans in games]
+        regrets = hindsight_regret(losses, games)[:, -1]
         assert np.mean(regrets) <= math.sqrt(2 * K * T * math.log(K))
 
     @pytest.mark.parametrize("K, first", [(2, 27339), (3, 25787)])
@@ -387,15 +386,22 @@ def _hash_row(h, row) -> None:
     h.update(repr([float.hex(v) for v in row]).encode())
 
 
-def _exp3_digests(policy, games, rngs, drawn) -> tuple[str, str]:
-    """The SHA-256 of every row EXP3 ``games`` drew from, then each row's
-    final loss estimates, and their ``_game_digest``."""
+def _exp3_digests(policy, envs, games, rngs, drawn) -> tuple[str, str]:
+    """The SHA-256 of every row EXP3 ``games`` (their arms, one a row) drew
+    from, then each row's final loss estimates, and their ``_game_digest``."""
     estimates = policy.estimates.tolist()
     for row in estimates:
         _hash_row(drawn, row)
     return drawn.hexdigest(), _game_digest(
-        (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
-        for game, row, rng in zip(games, estimates, rngs))
+        (game.tolist(), _payoffs(env, game), row, rng.random())
+        for env, game, row, rng in zip(envs, games, estimates, rngs))
+
+
+def _payoffs(env, arms) -> list[float]:
+    """The losses a game that played ``arms`` on ``env`` incurred, read from
+    the env's cells."""
+    T = len(arms)
+    return type(env).blocks([env], 0, T)[0][np.arange(T), arms].tolist()
 
 
 def _game_digest(games) -> str:
@@ -497,8 +503,9 @@ class TestBatchedBandit:
         K, T, R = 3, 400, 4
         policy = BANDIT_KINDS[policy_kind](K, T, R)
         rngs = [np.random.default_rng(50 + r) for r in range(R)]
-        games = play_bandit(policy, _bandit_envs(env_kind, K, T, R), T, rngs)
-        assert len(games) == R and policy.t == T
+        envs = _bandit_envs(env_kind, K, T, R)
+        games = play_bandit(policy, envs, T, rngs)
+        assert games.shape == (R, T) and policy.t == T
         if policy_kind.startswith("ucb1"):
             # the live scalar reference: one UCB1Policy game per repetition
             for r, game in enumerate(games):
@@ -512,12 +519,12 @@ class TestBatchedBandit:
                     scalar.update(arm, loss)
                     arms.append(arm)
                     losses.append(loss)
-                assert game.arms.tolist() == arms
-                assert game.payoffs.tolist() == losses
+                assert game.tolist() == arms
+                assert _payoffs(envs[r], game) == losses
                 assert policy.counts[r].tolist() == scalar.counts
                 assert policy.sums[r].tolist() == scalar.sums
             return
-        assert _exp3_digests(policy, games, rngs, drawn) == (
+        assert _exp3_digests(policy, envs, games, rngs, drawn) == (
             SCALAR_LOOP_DIST_DIGESTS[policy_kind, env_kind],
             SCALAR_LOOP_DIGESTS[policy_kind, env_kind])
 
@@ -530,9 +537,10 @@ class TestBatchedBandit:
         T, R = 400, 4
         policy = EXP3Policy(K, R=R)
         rngs = [np.random.default_rng(50 + r) for r in range(R)]
-        games = play_bandit(policy, _bandit_envs(env_kind, K, T, R), T, rngs)
+        envs = _bandit_envs(env_kind, K, T, R)
+        games = play_bandit(policy, envs, T, rngs)
         assert policy.t == T
-        assert _exp3_digests(policy, games, rngs, drawn) == \
+        assert _exp3_digests(policy, envs, games, rngs, drawn) == \
             EXP3_ARM_COUNT_DIGESTS[K, env_kind]
 
     @pytest.mark.parametrize("advice, env_kind, N, K", list(EXP4_DIGESTS))
@@ -553,8 +561,8 @@ class TestBatchedBandit:
             _hash_row(drawn, row)
         assert drawn.hexdigest() == EXP4_DIST_DIGESTS[advice, env_kind, N, K]
         digest = _game_digest(
-            (game.arms.tolist(), game.payoffs.tolist(), row, rng.random())
-            for game, row, rng in zip(games, estimates, rngs))
+            (game.tolist(), _payoffs(env, game), row, rng.random())
+            for env, game, row, rng in zip(envs, games, estimates, rngs))
         assert digest == EXP4_DIGESTS[advice, env_kind, N, K]
 
     def test_input_checks(self):
@@ -620,18 +628,19 @@ FULL_INFO_DIST_DIGESTS = {
 }
 
 
-def _full_info_digest(trans, env, rng) -> str:
+def _full_info_digest(arms, env, rng) -> str:
     """One SHA-256 over the arm bytes, the payoffs, the column sums and the
     final hindsight regret of the env's cells (floats as ``float.hex``) and
     the next draw of the stream.  The digests were taken when the game's
-    ``detail`` kept those two as running left-to-right sums; the cumulative
-    sums give the same doubles."""
-    cells = type(env).blocks([env], 0, len(trans))[0]
+    transcript kept the payoffs, and its ``detail`` those two as running
+    left-to-right sums; the env's cells and their cumulative sums give the
+    same doubles."""
+    cells = type(env).blocks([env], 0, len(arms))[0]
     return hashlib.sha256(repr((
-        trans.arms.tobytes(),
-        [float.hex(v) for v in trans.payoffs.tolist()],
+        arms.tobytes(),
+        [float.hex(v) for v in cells[np.arange(len(arms)), arms].tolist()],
         [float.hex(v) for v in np.cumsum(cells, axis=0)[-1].tolist()],
-        float.hex(hindsight_regret(cells, trans.arms)[-1]),
+        float.hex(hindsight_regret(cells, arms)[-1]),
         float.hex(rng.random()),
     )).encode()).hexdigest()
 
@@ -661,19 +670,19 @@ class TestFullInformation:
         # seed 32, not 31, from when two anytime rates were pinned: at seed
         # 31 they played the same arms on the breaker
         rng = np.random.default_rng(32)
-        trans = play_full_information(policy, env, T, rng)
+        arms = play_full_information(policy, env, T, rng)
         assert policy.t == T
         assert drawn.hexdigest() == FULL_INFO_DIST_DIGESTS[policy_kind,
                                                            env_kind]
-        digest = _full_info_digest(trans, env, rng)
+        digest = _full_info_digest(arms, env, rng)
         assert digest == FULL_INFO_DIGESTS[policy_kind, env_kind]
 
     def test_a_drawing_policy_needs_a_stream(self):
         env = MatrixEnv(make_ftl_breaker(10))
         with pytest.raises(ValueError, match="random stream"):
             play_full_information(HedgePolicy(2), env, 10)
-        trans = play_full_information(FTLPolicy(2), env, 10)
-        assert trans.arms.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+        arms = play_full_information(FTLPolicy(2), env, 10)
+        assert arms.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
 
 
 # SHA-256 (``_full_info_digest``) of fixed-rate Hedge games, computed when
@@ -790,11 +799,11 @@ class TestFixedRateHedge:
         drawn = _record_draws(monkeypatch)
         env = _fixed_rate_env(env_kind, self.T)
         rng = np.random.default_rng(32)
-        trans = play_full_information(
+        arms = play_full_information(
             FULL_INFO_KINDS[policy_kind](env.K, self.T), env, self.T, rng)
         assert drawn.hexdigest() == FIXED_RATE_DIST_DIGESTS[policy_kind,
                                                             env_kind]
-        digest = _full_info_digest(trans, env, rng)
+        digest = _full_info_digest(arms, env, rng)
         assert digest == FIXED_RATE_DIGESTS[policy_kind, env_kind]
 
     @pytest.mark.parametrize("env_kind", PINNED_ENVS)
@@ -829,16 +838,16 @@ class TestFixedRateHedge:
                            for _ in range(2)]
         rng, hand_rng = np.random.default_rng(32), np.random.default_rng(32)
         env = _fixed_rate_env(kind, self.T)
-        trans = play_full_information(played, env, self.T, rng)
+        played_arms = play_full_information(played, env, self.T, rng)
         arms, payoffs, running, dists = _play_by_hand(
             by_hand, _fixed_rate_env(kind, self.T), self.T, hand_rng)
-        assert trans.arms.tolist() == arms
-        assert trans.payoffs.tolist() == payoffs
-        assert trans.detail == {"feedback": "full"}
-        # the runner's scoring of the env's cells gives the running sums
+        assert played_arms.tolist() == arms
+        # the runner's scoring of the env's cells gives the payoffs and the
+        # running sums
         cells = type(env).blocks([env], 0, self.T)[0]
+        assert cells[np.arange(self.T), played_arms].tolist() == payoffs
         assert (np.cumsum(cells, axis=0)[-1].tolist(),
-                hindsight_regret(cells, trans.arms)[-1]) == running
+                hindsight_regret(cells, played_arms)[-1]) == running
         assert drawn == dists
         assert (played.t, played.cum_losses, played.period_end) == \
             (by_hand.t, by_hand.cum_losses, by_hand.period_end)
@@ -874,10 +883,10 @@ class TestFixedRateHedge:
         monkeypatch.setattr(ProbVec, "__init__", refuse)
         monkeypatch.setattr(BernoulliEnv, "row", refuse)
         # the shape of the tight_hedge preset's games
-        trans = play_full_information(
+        arms = play_full_information(
             FULL_INFO_KINDS[policy_kind](2, 2000), BernoulliEnv((0.5, 0.5), 2),
             2000, np.random.default_rng(2))
-        assert len(trans) == 2000
+        assert arms.shape == (2000,)
 
 
 class TestPerRoundPlay:
@@ -894,8 +903,8 @@ class TestPerRoundPlay:
         policy = FULL_INFO_KINDS[policy_kind](env.K, self.T)
         assert not getattr(policy, "fixed_rate", False)
         rng = np.random.default_rng(32)
-        trans = play_full_information(policy, env, self.T, rng)
-        assert (drawn.hexdigest(), _full_info_digest(trans, env, rng)) == \
+        arms = play_full_information(policy, env, self.T, rng)
+        assert (drawn.hexdigest(), _full_info_digest(arms, env, rng)) == \
             PER_ROUND_DIGESTS[policy_kind, env_kind]
 
 
@@ -1594,10 +1603,11 @@ class TestRegretAccounting:
         ids=["pseudo_regret", "hindsight_regret"])
     @pytest.mark.parametrize("arm", [-1, 2])
     def test_arms_outside_the_arm_count_are_rejected(self, regret, arm):
-        # numpy would read arm -1 as the last arm
-        with pytest.raises(ValueError) as info:
-            regret([arm, 0])
-        assert str(info.value) == f"arms must be in [0, 2), got {arm}"
+        # numpy would read arm -1 as the last arm, in one game or in R
+        for arms in ([arm, 0], [[0, 0], [arm, 0]]):
+            with pytest.raises(ValueError) as info:
+                regret(arms)
+            assert str(info.value) == f"arms must be in [0, 2), got {arm}"
         assert len(regret([1, 0])) == 2
 
     @pytest.mark.parametrize("rows, arms", [([[0.0, 1.0]], [0, 1]),
@@ -1605,29 +1615,59 @@ class TestRegretAccounting:
                                             ([[0.5, 0.5]] * 3, [1] * 4)])
     def test_arms_past_the_matrix_rows_are_rejected(self, rows, arms):
         matrix = np.array(rows).reshape(len(rows), 2)
-        with pytest.raises(ValueError) as info:
-            hindsight_regret(matrix, arms)
-        assert str(info.value) == (f"arms must hold at most one arm per "
-                                   f"loss-matrix row ({len(rows)}), got "
-                                   f"{len(arms)}")
+        # the rounds are the last axis: one game's arms or three games' rows
+        for games in (arms, [arms] * 3):
+            with pytest.raises(ValueError) as info:
+                hindsight_regret(matrix, games)
+            assert str(info.value) == (f"arms must hold at most one arm per "
+                                       f"loss-matrix row ({len(rows)}), got "
+                                       f"{len(arms)}")
         assert len(hindsight_regret(matrix, arms[:len(rows)])) == len(rows)
+        assert hindsight_regret(matrix, [arms[:len(rows)]] * 3).shape == \
+            (3, len(rows))
+
+    @pytest.mark.parametrize("T", [0, 1, 7, 300])
+    @pytest.mark.parametrize("kind", ["bernoulli", "bernoulli_gap",
+                                      "fractional_means", "ftl_breaker",
+                                      "ucb_breaker", "uniform"])
+    def test_each_row_of_arms_scores_as_its_one_game_call(self, kind, T):
+        # the runner scores a series' R x T arms with one call; each row must
+        # be its game's 1-D regret to the bit, and the arms left as they were
+        K = 3 if kind in ("bernoulli_gap", "fractional_means", "uniform") else 2
+        rng = np.random.default_rng([T, K])
+        # a breaker of at least the 4 rounds both allow; arms may cover
+        # fewer rows than the matrix has
+        regret = {
+            "bernoulli": lambda arms: pseudo_regret(arms, (0.25, 0.75)),
+            "bernoulli_gap": lambda arms: pseudo_regret(arms, (0.25, 0.5, 0.5)),
+            "fractional_means": lambda arms: pseudo_regret(arms, (0.3, 0.7, 0.1)),
+            "ftl_breaker": partial(hindsight_regret, make_ftl_breaker(max(T, 4))),
+            "ucb_breaker": partial(hindsight_regret,
+                                   1.0 - make_ucb_breaker(max(T, 4))[0]),
+            "uniform": partial(hindsight_regret, rng.random((T, K))),
+        }[kind]
+        games = rng.integers(0, K, size=(5, T))
+        kept = games.tobytes()
+        scored = regret(games)
+        assert games.tobytes() == kept
+        assert scored.shape == (5, T) and scored.dtype == float
+        for game, row in zip(games, scored):
+            assert regret(game).tobytes() == row.tobytes()
 
     def test_full_information_accounting_is_recomputable(self):
         # the hindsight regret of the stored matrix is the running
         # left-to-right payoff total less the least running column sum
         T = 500
         matrix = make_ftl_breaker(T)
-        trans = play_full_information(HedgePolicy(2), MatrixEnv(matrix), T,
-                                      np.random.default_rng(17))
+        played = play_full_information(HedgePolicy(2), MatrixEnv(matrix), T,
+                                       np.random.default_rng(17))
         arms, payoffs, (column_sums, regret), _ = _play_by_hand(
             HedgePolicy(2), MatrixEnv(matrix), T, np.random.default_rng(17))
-        assert trans.arms.tolist() == arms
-        assert trans.payoffs.tolist() == payoffs
-        assert hindsight_regret(matrix, trans.arms)[-1] == regret
+        assert played.tolist() == arms
+        assert matrix[np.arange(T), played].tolist() == payoffs
+        assert hindsight_regret(matrix, played)[-1] == regret
         assert np.cumsum(matrix, axis=0)[-1].tolist() == column_sums
 
     def test_transcript_validation(self):
         with pytest.raises(ValueError):
             GameTranscript(np.array([0, 1]), np.array([0.5]))
-        trans = GameTranscript(np.array([0, 1, 1]), np.zeros(3))
-        assert list(trans.arm_counts(3)) == [1, 2, 0]

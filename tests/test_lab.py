@@ -232,16 +232,19 @@ class TestRunner:
             list(map(float.hex, row)) == list(map(float.hex, old))
             for row, old in zip(rows, kept))
 
-    def test_a_bandit_run_holds_under_four_series_of_memory(self):
+    @pytest.mark.parametrize("env", [["kind = bernoulli", "means = 0.25, 0.75"],
+                                     ["kind = ucb_breaker"]],
+                             ids=["bernoulli", "ucb_breaker"])
+    def test_a_bandit_run_holds_under_three_series_of_memory(self, env):
         # tracemalloc's peak over a run of two UCB1 series, in units of one
-        # R x T float64 series: the play holds its arms, its losses and the
-        # series' buffer, and the aggregation the buffer and one copy
+        # R x T float64 series: a series is its R x T int arms, then the
+        # regrets scored from them, then those and aggregate's one copy; no
+        # game keeps its incurred losses
         def config(R, T):
             return parse_config_lines([
                 "[experiment]", "name = memory", f"T = {T}", f"R = {R}",
-                "seed = 1", "[environment]", "kind = bernoulli",
-                "means = 0.25, 0.75", "[policy a]", "kind = ucb1",
-                "[policy b]", "kind = ucb1"])
+                "seed = 1", "[environment]", *env, "[policy a]",
+                "kind = ucb1", "[policy b]", "kind = ucb1"])
 
         # a small run first, so that what a first run imports and caches
         # (half a series here) is not counted
@@ -253,7 +256,7 @@ class TestRunner:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (R * T * 8) < 4.0
+        assert peak / (R * T * 8) < 3.0
 
     def test_hedge_vs_ftl_qualitative_ordering(self):
         config = parse_config(resolve_config("hedge_vs_ftl"))
