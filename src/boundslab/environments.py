@@ -38,6 +38,11 @@ BLOCK_CELLS = 1 << 14
 # small enough that a series' envs held at once barely show in memory.
 ROW_BLOCK = 256
 
+# The most floats one sample, bound grid, loss table, block of loss cells,
+# series or policy row may hold: 2**27, 1 GiB as float64.  A config's size
+# fields and a log's K are capped so that what they size fits.
+MAX_CELLS = 2 ** 27
+
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, a bijective 64-bit scramble, over numpy uint64,
@@ -217,25 +222,25 @@ def make_ftl_breaker(T: int) -> np.ndarray:
     return matrix
 
 
-def make_ucb_breaker(T: int, K: int = 2) -> tuple[np.ndarray, list[int]]:
-    """Oblivious reward matrix that makes deterministic UCB1 suffer linear
-    regret: improved UCB1 (fixed init order, lowest-index ties) is simulated
-    offline and the arm it is about to pull is assigned a low reward while
-    every other arm gets a high one.  Rewards are interior to [0, 1] with
-    small per-arm offsets so no two arms tie within a round.  Returns the
-    matrix and the predicted UCB1 trajectory; validated by simulation, not
-    proved.  The simulated UCB1 plays the round robin t mod K until its
-    radius gap falls under the 1e-6 offsets, at round 27339 for K = 2 and
-    25787 for K = 3.
+def make_ucb_breaker(T: int) -> tuple[np.ndarray, list[int]]:
+    """Two-arm oblivious reward matrix that makes deterministic UCB1 suffer
+    linear regret: improved UCB1 (fixed init order, lowest-index ties) is
+    simulated offline and the arm it is about to pull is assigned a low
+    reward while the other arm gets a high one.  Rewards are interior to
+    [0, 1] with small per-arm offsets so the arms never tie within a round.
+    Returns the matrix and the predicted UCB1 trajectory; validated by
+    simulation, not proved.  The simulated UCB1 plays the round robin
+    t mod 2 until its radius gap falls under the 1e-6 offset, at round
+    27339.
     """
-    _check_count(T, "T", 2 * _check_count(K, "K"))
+    _check_count(T, "T", 4)
     low, high = 0.1, 0.9
-    probe = UCB1Policy(K, parametrization="improved")
-    rewards = np.empty((T, K))
+    probe = UCB1Policy(2, parametrization="improved")
+    rewards = np.empty((T, 2))
     trajectory = []
     for t in range(T):
         arm = probe.act()
-        for a in range(K):
+        for a in range(2):
             base = low if a == arm else high
             rewards[t, a] = base - a * 1e-6
         probe.update_reward(arm, rewards[t, arm])
@@ -244,13 +249,14 @@ def make_ucb_breaker(T: int, K: int = 2) -> tuple[np.ndarray, list[int]]:
 
 
 def parse_log(lines: Iterable[str]) -> tuple[int, BanditLog]:
-    """Read a full log: a "K=<int>" header line, then one record per line of
-    12 whitespace-separated integers laid out as action id in [0, K), binary
-    reward, then ten features (binary by convention, not checked).  Blank
-    lines and '#'-prefixed comment lines are skipped.  The first malformed
-    line raises a ValueError that names it.
+    """Read a full log: a "K=<int>" header line with K in [1, MAX_CELLS],
+    then one record per line of 12 whitespace-separated integers laid out
+    as action id in [0, K), binary reward, then ten features (binary by
+    convention, not checked).  Blank lines and '#'-prefixed comment lines
+    are skipped.  The first malformed line raises a ValueError that names
+    it.
 
-    When the first line is exactly "K=<ASCII digits>\n" with K >= 1, the
+    When the first line is exactly "K=<ASCII digits>\n" with such a K, the
     lines are collected and a log in exactly ``write_log``'s digit layout is
     read by ``_read_digit_table`` as one byte grid.  Any other log goes
     through ``_scan_log``, one pass over the lines that checks each record
@@ -308,6 +314,9 @@ def _scan_log(lines: Iterable[str]) -> tuple[int | None, list[int],
                     f"line {lineno}: expected 'K=<int>' header") from None
             if K < 1:
                 raise ValueError(f"line {lineno}: K must be positive")
+            if K > MAX_CELLS:
+                raise ValueError(f"line {lineno}: K must be at most 2**27, "
+                                 f"as a policy holds K floats a row")
             continue
         if len(fields) != LOG_FIELDS:
             raise ValueError(f"line {lineno}: expected {LOG_FIELDS} "
@@ -330,7 +339,8 @@ def _scan_log(lines: Iterable[str]) -> tuple[int | None, list[int],
 
 
 def _layout_header(line) -> int | None:
-    """K of a "K=<ASCII digits>\n" header line with K >= 1, else None."""
+    """K of a "K=<ASCII digits>\n" header line with K in [1, MAX_CELLS],
+    else None."""
     if not isinstance(line, str):
         return None
     digits = line[2:-1]
@@ -341,7 +351,7 @@ def _layout_header(line) -> int | None:
         K = int(digits)
     except ValueError:  # past int's digit limit it raises, as in the loop
         return None
-    return K if K >= 1 else None
+    return K if 1 <= K <= MAX_CELLS else None
 
 
 # The bytes between the digits of a record in ``write_log``'s digit layout:

@@ -8,6 +8,8 @@ success, 2 configuration error, 3 runtime error.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
 import sys
 from importlib import resources
@@ -21,7 +23,7 @@ from boundslab.lab.config import (
     parse_config,
     parse_config_lines,
 )
-from boundslab.lab.csvio import emit_csv, parse_csv
+from boundslab.lab.csvio import emit_csv
 from boundslab.lab.runner import run_experiment
 from boundslab.lab.svgplot import render_plot
 
@@ -62,14 +64,26 @@ def _make_out_dir(config: ExperimentConfig) -> Path:
 
 
 def _write_outputs(config: ExperimentConfig, traces, out_dir: Path,
-                   plot: bool) -> None:
-    csv_path = out_dir / f"{config.name}.csv"
-    emit_csv(traces, csv_path)
-    print(f"wrote {csv_path}")
+                   plot: bool) -> list[Path]:
+    """Write ``<name>.csv``, and with ``plot`` ``<name>.svg``, to
+    ``out_dir``; return their paths."""
+    paths = [out_dir / f"{config.name}.csv"]
+    emit_csv(traces, paths[0])
     if plot:
-        svg_path = out_dir / f"{config.name}.svg"
-        render_plot(traces, svg_path, title=config.name)
-        print(f"wrote {svg_path}")
+        paths.append(out_dir / f"{config.name}.svg")
+        render_plot(traces, paths[1], title=config.name)
+    return paths
+
+
+def pin_mismatches(out_dir: Path, preset: str) -> list[str]:
+    """The artifacts (``csv``, ``svg``) of a shipped preset, written to
+    ``out_dir`` as ``lab run <preset> --plot`` writes them, whose SHA-256
+    differs from the preset's entry in the shipped ``pins.json``."""
+    pins = json.loads((resources.files(PRESET_PACKAGE) / "pins.json")
+                      .read_text(encoding="utf-8"))
+    return [artifact for artifact, digest in pins[preset].items()
+            if hashlib.sha256((out_dir / f"{preset}.{artifact}").read_bytes())
+            .hexdigest() != digest]
 
 
 def _cmd_run(args) -> int:
@@ -87,7 +101,8 @@ def _cmd_run(args) -> int:
     for trace in traces:
         if trace.note:
             print(f"note: {trace.note}", file=sys.stderr)
-    _write_outputs(config, traces, out_dir, args.plot)
+    for path in _write_outputs(config, traces, out_dir, args.plot):
+        print(f"wrote {path}")
     return 0
 
 
@@ -100,7 +115,8 @@ def _cmd_bounds_compare(args) -> int:
          "experiment.out": (args.out, "--out")})
     out_dir = _make_out_dir(config)
     traces = run_experiment(config)
-    _write_outputs(config, traces, out_dir, plot=True)
+    for path in _write_outputs(config, traces, out_dir, plot=True):
+        print(f"wrote {path}")
     return 0
 
 
@@ -165,58 +181,26 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    """Run every shipped preset from the package's own file, as ``lab run
+    <preset> --plot`` runs it, and compare its CSV and SVG bytes with the
+    shipped pins: one ``ok`` or ``FAIL`` line per preset."""
     import tempfile
 
-    import numpy as np
-
-    from boundslab.divergences import binary_kl, kl_inverse
-
-    checks = []
-
-    value = kl_inverse(0.3, 0.05)
-    checks.append(("kl inverse round trip",
-                   abs(binary_kl(0.3, value) - 0.05) < 1e-9))
-
-    from boundslab.online_policies import hedge_distribution
-    p = hedge_distribution([1.0, 2.0, 3.0], 0.5)
-    checks.append(("hedge simplex", abs(sum(p) - 1.0) < 1e-9))
-
-    tiny = parse_config_lines([
-        "[experiment]", "name = selftest", "T = 50", "R = 2", "seed = 7",
-        "[environment]", "kind = bernoulli", "means = 0.25, 0.75",
-        "[policy exp3]", "kind = exp3",
-    ])
-    first = run_experiment(tiny)
-    second = run_experiment(tiny)
-    same = all(
-        np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
-        for a, b in zip(first, second)
-    )
-    checks.append(("runner determinism", same))
-
+    failed = []
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = os.path.join(tmp, "trace.csv")
-        emit_csv(first, csv_path)
-        parsed = parse_csv(csv_path)
-        round_trip = all(
-            a.name == b.name and np.allclose(a.mean, b.mean, rtol=1e-11)
-            for a, b in zip(first, parsed)
-        )
-        checks.append(("csv round trip", round_trip))
-
-        svg_a = os.path.join(tmp, "a.svg")
-        svg_b = os.path.join(tmp, "b.svg")
-        render_plot(first, svg_a)
-        render_plot(first, svg_b)
-        with open(svg_a, "rb") as fa, open(svg_b, "rb") as fb:
-            checks.append(("svg byte determinism", fa.read() == fb.read()))
-
-    ok = True
-    for name, passed in checks:
-        print(f"{'ok' if passed else 'FAIL'} - {name}")
-        ok = ok and passed
-    if not ok:
-        raise RuntimeError("selftest failures")
+        for name in preset_names():
+            preset = resources.files(PRESET_PACKAGE) / f"{name}.cfg"
+            config = parse_config_lines(
+                preset.read_text(encoding="utf-8").splitlines())
+            _write_outputs(config, run_experiment(config), Path(tmp), True)
+            differ = pin_mismatches(Path(tmp), name)
+            if differ:
+                failed.append(name)
+            print(f"FAIL - {name}: {', '.join(differ)}" if differ
+                  else f"ok - {name}")
+    if failed:
+        raise RuntimeError(f"selftest: bytes differ from the shipped pins "
+                           f"for {', '.join(failed)}")
     return 0
 
 
@@ -251,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--seed", default="0", help="sets replay.seed")
     p_replay.set_defaults(fn=_cmd_replay)
 
-    p_self = sub.add_parser("selftest", help="run the built-in invariants")
+    p_self = sub.add_parser(
+        "selftest", help="check every preset's bytes against the shipped pins")
     p_self.set_defaults(fn=_cmd_selftest)
     return parser
 

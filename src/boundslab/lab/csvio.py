@@ -1,4 +1,4 @@
-"""CSV emission and ingestion for aggregated experiment traces.
+"""CSV emission of aggregated experiment traces.
 
 Byte-level contract: UTF-8, LF line endings, header "t,series,mean,std",
 '.' decimal separator, 12 significant digits, rows ordered series-major then
@@ -40,18 +40,16 @@ class AggregateTrace:
             raise ValueError(f"trace {self.name!r}: negative std")
 
 
-def aggregate(name: str, runs, t=None) -> AggregateTrace:
-    """Reduce per-repetition series (rows) to a mean/std trace.  ``runs`` is
-    copied once, as float64, and never changed; the copy is reduced in
-    place, by the operations ``ndarray.mean`` and ``std`` make in their
-    order, so each double is the one ``mean(axis=0)`` and ``std(axis=0)``
-    give."""
+def aggregate(name: str, runs, t) -> AggregateTrace:
+    """Reduce per-repetition series (rows) to a mean/std trace on the axis
+    ``t``, one value a column.  ``runs`` is copied once, as float64, and
+    never changed; the copy is reduced in place, by the operations
+    ``ndarray.mean`` and ``std`` make in their order, so each double is the
+    one ``mean(axis=0)`` and ``std(axis=0)`` give."""
     work = np.array(runs, dtype=float)
     if work.ndim != 2:
         raise ValueError("runs must be a repetition x time array")
-    R, T = work.shape
-    if t is None:
-        t = np.arange(1, T + 1)
+    R = len(work)
     mean = np.add.reduce(work, axis=0) / R
     work -= mean
     work *= work
@@ -76,21 +74,3 @@ def emit_csv(traces, path) -> None:
                     trace.t[rows].tolist(), trace.mean[rows].tolist(),
                     trace.std[rows].tolist()))))
 
-
-def parse_csv(path) -> list[AggregateTrace]:
-    """Read a trace CSV back; series keep file order."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle]
-    if not lines or lines[0] != HEADER:
-        raise ValueError(f"{path}: missing header {HEADER!r}")
-    data: dict[str, list] = {}  # series in order of first appearance
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}:{lineno}: expected 4 fields")
-        t, series, mean, std = parts
-        data.setdefault(series, []).append((int(t), float(mean), float(std)))
-    return [AggregateTrace(series, *map(np.array, zip(*rows)))
-            for series, rows in data.items()]

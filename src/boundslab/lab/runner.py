@@ -31,6 +31,7 @@ from boundslab.concentration import (
 from boundslab.divergences import ProbVec, pinsker_relaxations
 from boundslab.environments import (
     LOG_FIELDS,
+    MAX_CELLS,
     ROW_BLOCK,
     BernoulliEnv,
     MatrixEnv,
@@ -70,10 +71,8 @@ _PLAYS = {"hedge": "full", "ftl": "full", "exp3": "bandit", "ucb1": "bandit"}
 _UNITS = (lambda xs: all(0.0 <= x <= 1.0 for x in xs), "in [0, 1]")
 _ARMS = (lambda means: len(means) >= 2, "at least 2 values, one mean per arm")
 
-# The most floats one sample, bound grid, loss table, block of loss cells
-# or series may hold: 2**27, 1 GiB as float64.  Each size field that sets
-# one of them is capped so that it fits.
-MAX_CELLS = 2 ** 27
+# Each size field that sets a sample, bound grid, loss table, block of loss
+# cells or series is capped so that it holds at most MAX_CELLS floats.
 SERIES = "the experiment.R x experiment.T series"
 
 

@@ -1,8 +1,9 @@
 """Online decision rules for repeated games against losses in [0, 1].
 
-Module-level functions give the closed-form pieces (exponential-weights
-distributions, learning rates, schedules); the policy
-classes wrap them into stateful players for the simulation drivers in
+Module-level functions give the closed-form pieces (learning rates,
+schedules, the FTL choice, arm draws, and ``_hedge_weights``, the unchecked
+exponential-weights kernel of every Hedge round); the policy classes wrap
+them into stateful players for the game loops in
 :mod:`boundslab.environments`.  Everything is deterministic given the
 caller-supplied random stream; ties always break toward the lowest index.
 
@@ -33,7 +34,6 @@ from typing import Sequence
 import numpy as np
 
 from boundslab.divergences import (
-    _MAX,
     NORMALIZATION_TOL,
     ProbVec,
     _check_count,
@@ -46,29 +46,12 @@ HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_tight")
 UCB1_PARAMETRIZATIONS = ("original", "improved")
 
 
-def hedge_distribution(cum_losses: Sequence[float], eta: float) -> ProbVec:
-    """Exponential-weights distribution p(a) ∝ exp(-eta * L(a)).
-
-    Stabilized by subtracting the minimum cumulative loss, which also makes
-    the output invariant under shifting all losses by a constant.
-    """
-    eta = _check_rate(eta)
-    losses = [_check_range(v, "cum_losses", -_MAX, _MAX, "finite")
-              for v in cum_losses]
-    if not losses:
-        raise ValueError("cum_losses must be nonempty")
-    if max(losses) - min(losses) == math.inf:
-        # halve the losses and double the rate.  The spread overflows only
-        # for a min of -2**970 or below, so a halved gap that is not 0 is
-        # at least 2**917, and past a rate of _MAX / 2 its product with the
-        # capped rate is inf, as with the true one
-        return _hedge_weights([0.5 * v for v in losses], min(2.0 * eta, _MAX))
-    return _hedge_weights(losses, eta)
-
-
 def _hedge_weights(losses: Sequence[float], eta: float) -> ProbVec:
-    """``hedge_distribution`` unchecked, for a nonempty list or tuple of
-    floats and a rate already known to be positive and finite."""
+    """Exponential-weights distribution p(a) ∝ exp(-eta * L(a)) of a
+    nonempty list or tuple of finite cumulative losses, at a rate the
+    caller knows to be positive and finite.  The minimum loss is subtracted
+    first, which keeps every exponent at or below 0 and makes the output
+    invariant under shifting all losses by a constant."""
     low = min(losses)
     weights = [math.exp(-eta * (v - low)) for v in losses]
     # a left-to-right sum, which ``np.add.accumulate`` reproduces; the
@@ -520,7 +503,7 @@ class UCB1Batch:
 
     draws = False
 
-    def __init__(self, K: int, *, parametrization: str = "original",
+    def __init__(self, K: int, *, parametrization: str,
                  R: int = 1) -> None:
         self.scale = _check_ucb1(K, parametrization)
         self.K = K

@@ -10,6 +10,7 @@ form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -161,6 +162,13 @@ def _optimal_lambda_raw(emp_loss: float, complexity: float, n: int) -> float:
     return 2.0 / (math.sqrt(2.0 * n * emp_loss / complexity + 1.0) + 1.0)
 
 
+def _rho_mean(rho: ProbVec, values: np.ndarray) -> float:
+    """E_rho[values]: ``math.fsum`` of the products rho(h) * values[h], so
+    the double does not depend on the summation order of the BLAS kernel
+    the CPU selects, as ``np.dot``'s does."""
+    return math.fsum(map(operator.mul, rho.weights, values.tolist()))
+
+
 @dataclass(frozen=True)
 class MinimizationResult:
     rho: ProbVec
@@ -176,13 +184,13 @@ def _alternating_minimize_core(pi: ProbVec, losses: np.ndarray, n_eff: int,
     ``complexity`` is the log confidence budget added to KL(rho||pi)."""
     rho = pi
     trace = []
-    emp = float(np.dot(rho.weights, losses))
+    emp = _rho_mean(rho, losses)
     lam = _optimal_lambda_raw(emp, complexity, n_eff)
     bound = _lambda_upper(emp, complexity, lam, n_eff)
     trace.append(bound)
     for _ in range(MAX_ITER):
         rho = gibbs_posterior(pi, losses, scale=lam * n_eff)
-        emp = float(np.dot(rho.weights, losses))
+        emp = _rho_mean(rho, losses)
         kl_term = categorical_kl(rho, pi)
         lam = _optimal_lambda_raw(emp, kl_term + complexity, n_eff)
         new_bound = _lambda_upper(emp, kl_term + complexity, lam, n_eff)
@@ -221,8 +229,6 @@ def geometric_split(n: int, T: int) -> list:
         remaining -= s
     sizes.append(remaining)
     sizes.reverse()
-    if min(sizes) < 1:
-        raise ValueError("geometric split produced an empty stage")
     return sizes
 
 
@@ -295,11 +301,9 @@ def recursive_pb(table: LossTable, delta: float, T: int,
 
         kl_term = categorical_kl(pi_star, pi_prev)
         eps = (kl_term + complexity) / n_val
-        rho_w = np.asarray(pi_star.weights)
         # a rho-weighted mean of [0, 1] values can round above 1
-        seg_means = [
-            min(1.0, max(0.0, float(np.dot(
-                rho_w, grid.segment_column(excess, j).mean(axis=1)))))
+        seg_means = [min(1.0, max(0.0, _rho_mean(
+            pi_star, grid.segment_column(excess, j).mean(axis=1))))
             for j in range(grid.K)]
         excess_bound = _split_kl_sum(grid.points[0], grid.alphas, seg_means,
                                      eps)

@@ -64,7 +64,6 @@ from boundslab.online_policies import (
     UCB1Batch,
     UCB1Policy,
     doubling_schedule,
-    hedge_distribution,
     hedge_eta,
 )
 from boundslab.pac_bayes import (
@@ -178,10 +177,6 @@ ROWS = {
         row("seed", lambda x: recursive_pb(TABLE, 0.05, 2, seed=x), 3, -1,
             2.5)],
     # online_policies
-    "hedge_distribution": [
-        row("eta", lambda x: hedge_distribution([1.0, 2.0], x), 0.5,
-            *POSITIVE),
-        row("cum_losses", lambda x: hedge_distribution([x, 0.0], 1.0), 2.0)],
     "hedge_eta": [
         row("K", lambda x: hedge_eta(x, T=10), 2, 0, 1, 2.5),
         row("T", lambda x: hedge_eta(2, T=x), 10, 0, 2.5),
@@ -210,8 +205,11 @@ ROWS = {
             2, 0, 2.5),
         row("reward_range", lambda x: UCB1Policy(
             2, parametrization="original", reward_range=x), 2.0, *POSITIVE)],
-    "UCB1Batch": [row("K", UCB1Batch, 2, 0, 2.5),
-                  row("R", lambda x: UCB1Batch(2, R=x), 2, 0, 2.5)],
+    "UCB1Batch": [
+        row("K", lambda x: UCB1Batch(x, parametrization="original"), 2, 0,
+            2.5),
+        row("R", lambda x: UCB1Batch(2, parametrization="original", R=x), 2,
+            0, 2.5)],
     "FixedPolicy": [
         row("K", lambda x: FixedPolicy(x, arm=0), 2, 0, 2.5),
         row("arm", lambda x: FixedPolicy(2, arm=x), 1, 2, -1, 2.5, 0.5)],
@@ -220,8 +218,7 @@ ROWS = {
                          2.5)],
     "make_ftl_breaker": [row("T", make_ftl_breaker, 4, 1, 2.5)],
     "make_ucb_breaker": [
-        row("T", lambda x: make_ucb_breaker(x, 2), 4, 3, 2.5, 4.5),
-        row("K", lambda x: make_ucb_breaker(4, x), 2, 0, 2.5)],
+        row("T", make_ucb_breaker, 4, 3, 2.5, 4.5)],
     "write_log": [row("K", lambda x: write_log(os.devnull, x, LOG), 2, 0,
                       2.5)],
     "synthesize_uniform_log": [
@@ -233,7 +230,8 @@ ROWS = {
     "play_full_information": [row("T", lambda x: play_full_information(
         FTLPolicy(2), matrix_env(), x), 3, -1, 2.5)],
     "play_bandit": [row("T", lambda x: play_bandit(
-        UCB1Batch(2), [matrix_env()], x), 3, -1, 2.5)],
+        UCB1Batch(2, parametrization="original"), [matrix_env()], x), 3, -1,
+        2.5)],
     "replay_importance_weighted": [row("K", lambda x: (
         replay_importance_weighted(FixedPolicy(2, arm=0), LOG, x)), 2, 0,
         2.5)],

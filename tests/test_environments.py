@@ -34,8 +34,8 @@ from boundslab.online_policies import (
     HedgePolicy,
     UCB1Batch,
     UCB1Policy,
+    _hedge_weights,
     doubling_schedule,
-    hedge_distribution,
     hedge_eta,
     sample_arm,
     sample_arms,
@@ -272,15 +272,16 @@ class TestFtlBreaker:
 
 class TestUcbBreaker:
     def test_entries_interior_and_untied(self):
-        matrix, trajectory = make_ucb_breaker(300, K=3)
+        matrix, trajectory = make_ucb_breaker(300)
+        assert matrix.shape == (300, 2)
         assert matrix.min() > 0.0 and matrix.max() < 1.0
         assert len(trajectory) == 300
         for row in matrix:
-            assert len(set(row.tolist())) == 3
+            assert len(set(row.tolist())) == 2
 
     def test_ucb_follows_prediction_and_suffers_linear_regret(self):
         T = 10000
-        matrix, trajectory = make_ucb_breaker(T, K=2)
+        matrix, trajectory = make_ucb_breaker(T)
         policy = UCB1Policy(2, parametrization="improved")
         earned = 0.0
         for t in range(T):
@@ -293,7 +294,7 @@ class TestUcbBreaker:
 
     def test_exp3_is_fine_on_the_same_matrix(self):
         T, K = 4000, 2
-        matrix, _ = make_ucb_breaker(T, K=K)
+        matrix, _ = make_ucb_breaker(T)
         losses = 1.0 - matrix
         games = play_bandit(EXP3Policy(K, R=20),
                             [MatrixEnv(losses) for _ in range(20)], T,
@@ -305,10 +306,13 @@ class TestUcbBreaker:
     def test_the_round_robin_ends_once_the_radius_gap_is_below_the_offsets(
             self, K, first):
         # UCB1 plays the round robin t mod K until its radius gap falls
-        # under the 1e-6 arm offsets
-        _, trajectory = make_ucb_breaker(first + 1, K)
+        # under the 1e-6 arm offsets; at K = 3 on the K-arm test data
+        _, trajectory = _ucb_breaker_game(first + 1, K)
         assert trajectory[:first] == [t % K for t in range(first)]
         assert trajectory[first] != first % K
+
+    def test_the_k_arm_test_data_is_the_breaker_at_two_arms(self):
+        assert np.array_equal(_ucb_breaker(600, 2), make_ucb_breaker(600)[0])
 
 
 # Every bandit policy the runner builds, as (arm count, horizon, rows) ->
@@ -419,8 +423,31 @@ def _bandit_envs(kind: str, K: int, T: int, R: int):
     if kind == "bernoulli":
         means = [0.3 + 0.4 * a / (K - 1) for a in range(K)]
         return [BernoulliEnv(means, seed=1000 + r) for r in range(R)]
-    rewards, _ = make_ucb_breaker(T, K)
-    return [MatrixEnv(1.0 - rewards) for _ in range(R)]
+    return [MatrixEnv(1.0 - _ucb_breaker(T, K)) for _ in range(R)]
+
+
+def _ucb_breaker(T: int, K: int) -> np.ndarray:
+    """Test data: the UCB breaker's rewards at K arms, built as
+    ``make_ucb_breaker`` built them before it fixed two arms, since the
+    games pinned on them at more arms predate that.  Improved UCB1's next
+    arm gets 0.1 and every other arm 0.9, each less 1e-6 times its index."""
+    probe = UCB1Policy(K, parametrization="improved")
+    rewards = np.empty((T, K))
+    for t in range(T):
+        arm = probe.act()
+        rewards[t] = [(0.1 if a == arm else 0.9) - a * 1e-6 for a in range(K)]
+        probe.update_reward(arm, rewards[t, arm])
+    return rewards
+
+
+def _ucb_breaker_game(T: int, K: int) -> tuple[np.ndarray, list[int]]:
+    """(rewards, trajectory) of the UCB breaker: ``make_ucb_breaker`` at two
+    arms, else the K-arm test data, whose trajectory is the arm of each
+    round's lowest reward."""
+    if K == 2:
+        return make_ucb_breaker(T)
+    rewards = _ucb_breaker(T, K)
+    return rewards, rewards.argmin(axis=1).tolist()
 
 
 def _exp4_advice(kind: str, N: int, K: int):
@@ -569,7 +596,7 @@ class TestBatchedBandit:
         env = MatrixEnv(np.full((10, 2), 0.5))
         env.matrix[6, 0] = 1.5
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            play_bandit(UCB1Batch(2), [env], 10)
+            play_bandit(UCB1Batch(2, parametrization="original"), [env], 10)
         policy = EXP3Policy(2, R=2)
         policy.act_rows(np.array([0.1, 0.9]))
         policy.p[1] = (1.0, 0.0)
@@ -584,7 +611,8 @@ class TestBatchedBandit:
         with pytest.raises(ValueError, match="one env per policy row"):
             play_bandit(EXP3Policy(2, R=3), envs, 10, [rng, None, None])
         with pytest.raises(ValueError, match="K=3"):
-            play_bandit(UCB1Batch(3), envs[:1], 10)
+            play_bandit(UCB1Batch(3, parametrization="original"), envs[:1],
+                        10)
         with pytest.raises(ValueError, match="R=2"):
             EXP3Policy(2, R=2).act(rng)
 
@@ -690,7 +718,7 @@ class TestFullInformation:
 # faster path; on the uniform real-valued matrices no loss vector recurs.
 # The "hedge_simple" games were pinned later, from the block pass, when the
 # game's ``detail`` still kept the column sums and final regret;
-# ``test_each_distribution_is_hedge_distribution`` checks their rounds
+# ``test_each_distribution_is_hedge_weights`` checks their rounds
 # against ``_hedge_weights``.
 FIXED_RATE_DIGESTS = {
     ("hedge_doubling", "bernoulli_k5"): "fb85253ad8de9b81187b5c7c2ce735863ca3c77dde0ecf6d11529ae57db2aabf",
@@ -808,13 +836,12 @@ class TestFixedRateHedge:
 
     @pytest.mark.parametrize("env_kind", PINNED_ENVS)
     @pytest.mark.parametrize("policy_kind", FIXED_RATE_KINDS)
-    def test_each_distribution_is_hedge_distribution(self, policy_kind,
-                                                     env_kind):
+    def test_each_distribution_is_hedge_weights(self, policy_kind, env_kind):
         env = _fixed_rate_env(env_kind, self.T)
         policy = FULL_INFO_KINDS[policy_kind](env.K, self.T)
         for t in range(self.T):
             eta = _fixed_rate(policy_kind, env.K, self.T, t)
-            want = hedge_distribution(policy.cum_losses, eta)
+            want = _hedge_weights(policy.cum_losses, eta)
             assert policy.distribution().weights == want.weights
             policy.observe(env.row(t))
 
@@ -1146,10 +1173,20 @@ class TestLogParsing:
          "line 2: non-integer token in record '0 1 0 0 0 0 0 0 0 0 0 x'"),
         (lambda text: text.replace("\n", "\n1 0 0 0 0 0 0 0 0 0 00\n", 1),
          "line 2: expected 12 fields, got 11: '1 0 0 0 0 0 0 0 0 0 00'"),
+        (lambda text: text.replace("K=4", f"K={2 ** 27 + 1}", 1),
+         "line 1: K must be at most 2**27, as a policy holds K floats a row"),
+        (lambda text: text.replace("K=4", f"K={10 ** 20}", 1),
+         "line 1: K must be at most 2**27, as a policy holds K floats a row"),
+        (lambda text: "# c\n" + text.replace("K=4", f"K={2 ** 27 + 1}", 1),
+         "line 2: K must be at most 2**27, as a policy holds K floats a row"),
+        (lambda text: "# c\n" + text.replace("K=4", f"K={10 ** 20}", 1),
+         "line 2: K must be at most 2**27, as a policy holds K floats a row"),
     ], ids=["crlf", "no_final_newline", "leading_comment", "blank_line",
             "comment_of_24", "plus_token", "tabs", "two_digit_action",
             "bad_action", "bad_reward", "zero_K", "zero_K_no_records", "letter",
-            "field_count"])
+            "field_count", "K_past_the_cap", "K_past_the_index_range",
+            "comment_then_K_past_the_cap",
+            "comment_then_K_past_the_index_range"])
     def test_near_miss_layouts_take_the_line_loop(self, tmp_path, edit, want):
         """``want`` is the error message, or K and the records the edit puts
         before the written ones."""
@@ -1224,6 +1261,33 @@ class TestLogParsing:
             parse_log(handle())
         assert str(info.value) == message
         assert len(served) == len(head)
+
+    def test_a_header_k_at_the_cap_takes_the_byte_grid(self, tmp_path):
+        path = tmp_path / "widest.log"
+        log = synthesize_uniform_log([0.5] * 4, T=3, seed=1)
+        write_log(path, 2 ** 27, log)
+        with mock.patch.object(environments, "_scan_log",
+                               side_effect=AssertionError("took the loop")):
+            with open(path, "r", encoding="ascii") as handle:
+                K, parsed = parse_log(handle)
+        assert K == 2 ** 27
+        assert np.array_equal(parsed.actions, log.actions)
+
+    def test_a_header_k_at_the_cap_after_a_comment_takes_the_loop(
+            self, tmp_path):
+        # the line loop's cap admits the K the byte grid admits
+        path = tmp_path / "widest.log"
+        log = synthesize_uniform_log([0.5] * 4, T=3, seed=1)
+        write_log(path, 2 ** 27, log)
+        path.write_text("# c\n" + path.read_text())
+        with mock.patch.object(environments, "_scan_log",
+                               wraps=environments._scan_log) as scan:
+            with open(path, "r", encoding="ascii") as handle:
+                K, parsed = parse_log(handle)
+        assert scan.called
+        assert K == 2 ** 27
+        assert np.array_equal(parsed.actions, log.actions)
+        assert np.array_equal(parsed.rewards, log.rewards)
 
     @pytest.mark.parametrize("bad_record", [False, True])
     def test_undecodable_byte_after_a_full_buffer(self, tmp_path, bad_record):
@@ -1531,7 +1595,8 @@ class TestRejectionSamplingReplay:
 # UCB breaker's matrix and trajectory, which simulates improved UCB1 (at
 # T = 600 the round robin; TestUcbBreaker pins where that ends).  The K = 5
 # breaker row was pinned later, at the parent of the change that made the
-# breaker's parametrization fixed.
+# breaker's parametrization fixed; the K = 3 and 5 rows read the K-arm test
+# data since the breaker fixed two arms.
 UCB1_DIGESTS = {
     ("iw", 2, "original"): "8251def45f68f2697239d4f898502bd3cfcc7160adc006710afa08e60392c5ad",
     ("iw", 2, "improved"): "67148a88f23d9e486b579c3a06d4646fe95b13051a1711b26b12b8a8691fd416",
@@ -1557,7 +1622,7 @@ def _ucb1_digest(kind: str, K: int, parametrization: str) -> str:
     as ``float.hex``."""
     h = hashlib.sha256()
     if kind == "breaker":
-        matrix, trajectory = make_ucb_breaker(600, K)
+        matrix, trajectory = _ucb_breaker_game(600, K)
         h.update(repr(([float.hex(v) for v in matrix.ravel().tolist()],
                        trajectory)).encode())
         return h.hexdigest()

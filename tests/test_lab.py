@@ -1,5 +1,5 @@
+import fnmatch
 import functools
-import hashlib
 import importlib.util
 import json
 import math
@@ -7,16 +7,24 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from boundslab.lab.cli import main, preset_names, resolve_config
+from boundslab.lab.cli import (
+    PRESET_PACKAGE,
+    main,
+    pin_mismatches,
+    preset_names,
+    resolve_config,
+)
 from boundslab.lab.config import (
     ConfigError,
     parse_config,
@@ -27,9 +35,8 @@ from boundslab.lab.csvio import (
     AggregateTrace,
     aggregate,
     emit_csv,
-    parse_csv,
 )
-from boundslab.lab import runner
+from boundslab.lab import cli, runner
 from boundslab.lab.runner import run_experiment
 from boundslab.lab.svgplot import (
     MAX_POINTS,
@@ -182,6 +189,14 @@ class TestConfigParsing:
 
 
 class TestRunner:
+    def test_ucb1_plays_the_config_default_parametrization(self):
+        # the config owns the default; UCB1Batch has none of its own
+        game = [*MINIMAL_GAME[:-2], "[policy u]", "kind = ucb1"]
+        means = [run_experiment(parse_config_lines(lines))[0].mean.tobytes()
+                 for lines in (game, [*game, "parametrization = original"],
+                               [*game, "parametrization = improved"])]
+        assert means[0] == means[1] != means[2]
+
     def test_single_repetition_has_zero_std(self):
         config = parse_config_lines(MINIMAL_GAME)
         config.R = 1
@@ -200,7 +215,7 @@ class TestRunner:
     def test_aggregation_matches_two_pass_reference(self):
         rng = np.random.default_rng(3)
         runs = rng.random((7, 20))
-        trace = aggregate("x", runs)
+        trace = aggregate("x", runs, t=np.arange(1, 21))
         ref_mean = np.array([runs[:, i].sum() / 7 for i in range(20)])
         ref_std = np.sqrt(np.array([
             ((runs[:, i] - ref_mean[i]) ** 2).sum() / 7 for i in range(20)
@@ -222,7 +237,7 @@ class TestRunner:
         for runs in (rows, np.array(rows, dtype=float)):
             before = np.array(runs, dtype=float).tobytes()
             with np.errstate(all="ignore"):
-                trace = aggregate("x", runs)
+                trace = aggregate("x", runs, t=np.arange(len(rows[0])))
                 want = np.array(runs, dtype=float)
                 mean, std = want.mean(axis=0), want.std(axis=0)
             assert trace.mean.tobytes() == mean.tobytes()
@@ -419,11 +434,12 @@ class TestCsv:
         ]
         path = tmp_path / "rt.csv"
         emit_csv(traces, path)
-        parsed = parse_csv(path)
-        assert [tr.name for tr in parsed] == ["alpha", "beta"]
-        for a, b in zip(traces, parsed):
-            assert np.allclose(a.mean, b.mean, rtol=1e-11)
-            assert np.allclose(a.std, b.std, rtol=1e-11)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows] == ["alpha"] * 50 + ["beta"] * 50
+        for column, field in ((2, "mean"), (3, "std")):
+            written = np.concatenate([getattr(tr, field) for tr in traces])
+            read = np.array([float(row[column]) for row in rows])
+            assert np.allclose(read, written, rtol=1e-11)
 
     def test_series_major_row_order(self, tmp_path):
         traces = [
@@ -435,44 +451,6 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert [ln.split(",")[1] for ln in lines[1:]] == [
             "b_series", "b_series", "a_series", "a_series"]
-
-    def test_parse_groups_series_in_first_appearance_order(self, tmp_path):
-        path = tmp_path / "aba.csv"
-        path.write_text("t,series,mean,std\n1,b,0.5,0\n1,a,0.25,0.5\n"
-                        "2,b,0.75,0.125\n\n2,a,1,0\n")
-        parsed = parse_csv(path)
-        assert [tr.name for tr in parsed] == ["b", "a"]
-        assert [tr.t.tolist() for tr in parsed] == [[1, 2], [1, 2]]
-        assert [tr.mean.tolist() for tr in parsed] == [[0.5, 0.75], [0.25, 1.0]]
-        assert [tr.std.tolist() for tr in parsed] == [[0.0, 0.125], [0.5, 0.0]]
-
-    def test_parse_reads_each_value_exactly(self, tmp_path):
-        # an int64 axis, and the doubles of the printed decimals
-        rows = [(2 ** 62 + 1, "0.123456789012", "1.5e-07"),
-                (-3, "-98765.4321098", "0"), (7, "1e+300", "3.33333333333")]
-        path = tmp_path / "exact.csv"
-        path.write_text("t,series,mean,std\n" + "".join(
-            f"{t},s,{mean},{std}\n" for t, mean, std in rows))
-        trace, = parse_csv(path)
-        assert trace.t.dtype == np.int64
-        assert trace.mean.dtype == trace.std.dtype == np.float64
-        assert trace.t.tolist() == [t for t, _, _ in rows]
-        assert trace.mean.tolist() == [float(mean) for _, mean, _ in rows]
-        assert trace.std.tolist() == [float(std) for _, _, std in rows]
-
-    @pytest.mark.parametrize("text, message", [
-        ("t,series,mean,std\n1,a,0.5,0\n1,a,0.5\n", ":3: expected 4 fields"),
-        ("t,series,mean,std\n1,a,b,0.5,0\n", ":2: expected 4 fields"),
-        ("1,a,0.5,0\n", ": missing header 't,series,mean,std'"),
-        ("", ": missing header 't,series,mean,std'"),
-    ], ids=["short_line", "comma_in_name", "no_header", "empty"])
-    def test_parse_errors_name_the_file_and_line(self, tmp_path, text,
-                                                 message):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(ValueError) as info:
-            parse_csv(path)
-        assert str(info.value) == f"{path}{message}"
 
     def test_rejects_negative_std(self):
         with pytest.raises(ValueError):
@@ -693,7 +671,8 @@ class TestSvg:
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert texts[0] == "x&y<z>"  # the title
         assert texts[-2:] == ["a<b&c", "plain"]  # the legend
-        assert parse_csv(tmp_path / "x&y<z>.csv")[0].name == "a<b&c"
+        first_row = (tmp_path / "x&y<z>.csv").read_text().splitlines()[1]
+        assert first_row.split(",")[1] == "a<b&c"
 
     def test_downsampling_cap(self):
         xs = np.arange(10000)
@@ -1239,8 +1218,8 @@ class TestCli:
     def test_bounds_compare_command(self, tmp_path):
         assert main(["bounds-compare", "--n", "200", "--delta", "0.05",
                      "--grid", "21", "--out", str(tmp_path)]) == 0
-        parsed = parse_csv(tmp_path / "bounds_compare.csv")
-        assert {tr.name for tr in parsed} == {
+        rows = (tmp_path / "bounds_compare.csv").read_text().splitlines()
+        assert {row.split(",")[1] for row in rows[1:]} == {
             "hoeffding", "pinsker", "refined_pinsker", "kl"}
 
     def test_replay_command(self, tmp_path, capsys):
@@ -1285,8 +1264,13 @@ class TestCli:
         (IsADirectoryError, "--log: [Errno 21] Is a directory"),
         ("K=4\n0 1 0 0 0 0 0 0 0 0 0 \u00e9\n",
          "--log: 'ascii' codec can't decode byte 0xc3"),
+        (f"K={2 ** 27 + 1}\n0 1 0 0 0 0 0 0 0 0 0 0\n",
+         "--log: line 1: K must be at most 2**27"),
+        (f"# c\nK={10 ** 20}\n0 1 0 0 0 0 0 0 0 0 0 0\n",
+         "--log: line 2: K must be at most 2**27"),
     ], ids=["bad_reward", "field_count", "no_header", "missing_file",
-            "directory", "not_ascii"])
+            "directory", "not_ascii", "K_past_the_cap",
+            "K_past_the_index_range"])
     def test_replay_bad_log_is_config_error(self, tmp_path, capsys, text,
                                             message):
         # a directory and a byte the reader cannot decode are the faults
@@ -1313,10 +1297,33 @@ class TestCli:
                          "--mode", mode]) == 2
             assert "--policy" in capsys.readouterr().err
 
-    def test_selftest(self, capsys):
+    def test_selftest_checks_each_preset_against_its_pins(
+            self, tmp_path, capsys, monkeypatch):
+        # two cheap presets: every preset's bytes are checked once already,
+        # by test_preset_bytes_match_pins.  A config of a preset's name in
+        # the working directory is not the preset.
+        monkeypatch.setattr(cli, "preset_names", lambda: [
+            "split_kl_compare", "unexpected_bernstein_compare"])
+        monkeypatch.chdir(tmp_path)
+        Path("split_kl_compare.cfg").write_text("\n".join(MINIMAL_GAME))
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+        assert capsys.readouterr().out == (
+            "ok - split_kl_compare\nok - unexpected_bernstein_compare\n")
+
+        def emit_and_flip(traces, path):
+            emit_csv(traces, path)
+            if Path(path).name == "split_kl_compare.csv":
+                data = bytearray(Path(path).read_bytes())
+                data[-2] ^= 1
+                Path(path).write_bytes(bytes(data))
+
+        monkeypatch.setattr(cli, "emit_csv", emit_and_flip)
+        assert main(["selftest"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ("FAIL - split_kl_compare: csv\n"
+                       "ok - unexpected_bernstein_compare\n")
+        assert err == ("runtime error: selftest: bytes differ from the "
+                       "shipped pins for split_kl_compare\n")
 
 
 PINS = Path(__file__).resolve().parent.parent / "perfbench" / "pins.json"
@@ -1623,29 +1630,61 @@ def test_readme_config_tables_list_what_the_runner_reads():
 
 
 def _preset_pins():
-    """{preset: {"csv": sha256, "svg": sha256}} for every pinned preset."""
+    """{preset: {"csv": sha256, "svg": sha256}} for every preset that
+    ``perfbench/pins.json`` pins."""
     pins = json.loads(PINS.read_text())
     return {name: hashes for workload in pins.values()
             for name, hashes in workload.items() if "csv" in hashes}
 
 
-def _assert_pinned(out_dir: Path, preset: str) -> None:
-    for artifact, digest in _preset_pins()[preset].items():
-        written = (out_dir / f"{preset}.{artifact}").read_bytes()
-        assert hashlib.sha256(written).hexdigest() == digest, artifact
+def test_shipped_pins_are_the_benchmark_preset_pins():
+    """The package ships the preset entries of ``perfbench/pins.json``, one
+    per shipped preset, so ``lab selftest`` checks the bytes the benchmark
+    checks."""
+    shipped = json.loads((resources.files(PRESET_PACKAGE) / "pins.json")
+                         .read_text(encoding="utf-8"))
+    assert shipped == _preset_pins()
+    assert sorted(shipped) == preset_names()
 
 
-@pytest.mark.parametrize("preset", sorted(_preset_pins()))
+def test_package_data_ships_every_preset_file():
+    """Each ``.cfg`` and ``pins.json`` in the presets package matches a
+    package-data glob of ``pyproject.toml``, so an installed ``lab
+    selftest`` finds them."""
+    pyproject = tomllib.loads((Path(__file__).resolve().parent.parent
+                               / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"][PRESET_PACKAGE]
+    names = [f"{name}.cfg" for name in preset_names()] + ["pins.json"]
+    assert all(any(fnmatch.fnmatch(name, glob) for glob in globs)
+               for name in names)
+
+
+@pytest.fixture(scope="module")
+def split_kl_outputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("split_kl")
+    assert main(["run", "split_kl_compare", "--out", str(out), "--plot"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("flipped", [(), ("csv",), ("svg",), ("csv", "svg")],
+                         ids=["none", "csv", "svg", "both"])
+def test_pin_mismatches_names_each_changed_artifact(split_kl_outputs,
+                                                    tmp_path, flipped):
+    for artifact in ("csv", "svg"):
+        name = f"split_kl_compare.{artifact}"
+        data = bytearray((split_kl_outputs / name).read_bytes())
+        if artifact in flipped:
+            data[len(data) // 2] ^= 1
+        (tmp_path / name).write_bytes(bytes(data))
+    assert pin_mismatches(tmp_path, "split_kl_compare") == list(flipped)
+
+
+@pytest.mark.parametrize("preset", preset_names())
 def test_preset_bytes_match_pins(preset, tmp_path):
     """``lab run <preset> --plot`` writes the pinned CSV and SVG bytes, so a
-    change that moves any output digit fails here; ``parse_csv`` then reads
-    the CSV back to traces that ``emit_csv`` writes to the same bytes."""
+    change that moves any output digit fails here."""
     assert main(["run", preset, "--out", str(tmp_path), "--plot"]) == 0
-    _assert_pinned(tmp_path, preset)
-    # the CSV reads back to the traces that write it again byte for byte
-    csv = tmp_path / f"{preset}.csv"
-    emit_csv(parse_csv(csv), tmp_path / "again.csv")
-    assert (tmp_path / "again.csv").read_bytes() == csv.read_bytes()
+    assert pin_mismatches(tmp_path, preset) == []
 
 
 @pytest.mark.parametrize("argv, preset", [
@@ -1659,7 +1698,7 @@ def test_options_read_as_their_lines(argv, preset, tmp_path):
     and ``--seed 1 --reps 10`` are ``hedge_vs_ftl.cfg``'s, so an option and
     a file line are read the same way."""
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    _assert_pinned(tmp_path, preset)
+    assert pin_mismatches(tmp_path, preset) == []
 
 
 def test_bound_presets_match_pins_under_baseline_cpu_dispatch(tmp_path):
@@ -1685,10 +1724,7 @@ def test_bound_presets_match_pins_under_baseline_cpu_dispatch(tmp_path):
     assert done.returncode == 0, done.stderr
     assert len(presets) == 5
     for preset in presets:
-        for artifact, digest in _preset_pins()[preset].items():
-            written = (tmp_path / f"{preset}.{artifact}").read_bytes()
-            assert hashlib.sha256(written).hexdigest() == digest, (preset,
-                                                                    artifact)
+        assert pin_mismatches(tmp_path, preset) == [], preset
 
 
 def _bench_module(stem: str):

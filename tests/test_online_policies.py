@@ -18,7 +18,6 @@ from boundslab.online_policies import (
     _hedge_weights,
     doubling_schedule,
     ftl_choice,
-    hedge_distribution,
     hedge_eta,
     sample_arm,
 )
@@ -30,67 +29,54 @@ finite_losses = st.lists(
 )
 
 
-class TestHedgeDistribution:
+class TestHedgeWeights:
     def test_zero_losses_uniform(self):
-        p = hedge_distribution([0.0, 0.0, 0.0], 0.7)
+        p = _hedge_weights([0.0, 0.0, 0.0], 0.7)
         assert all(math.isclose(w, 1 / 3, rel_tol=1e-12) for w in p)
 
     def test_closed_form_two_arms(self):
-        p = hedge_distribution([0.0, math.log(2)], 1.0)
+        p = _hedge_weights([0.0, math.log(2)], 1.0)
         assert math.isclose(p.weights[0], 2 / 3, rel_tol=1e-12)
         assert math.isclose(p.weights[1], 1 / 3, rel_tol=1e-12)
 
     @given(finite_losses, st.floats(min_value=0.01, max_value=5.0),
            st.floats(min_value=-20.0, max_value=20.0))
     def test_shift_invariance(self, losses, eta, shift):
-        p = hedge_distribution(losses, eta)
-        q = hedge_distribution([v + shift for v in losses], eta)
+        p = _hedge_weights(losses, eta)
+        q = _hedge_weights([v + shift for v in losses], eta)
         assert all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
                    for a, b in zip(p, q))
 
     @given(finite_losses, st.floats(min_value=0.01, max_value=5.0))
     def test_valid_simplex(self, losses, eta):
-        p = hedge_distribution(losses, eta)
+        p = _hedge_weights(losses, eta)
         assert isinstance(p, ProbVec)
         assert math.isclose(sum(p), 1.0, abs_tol=1e-9)
 
-    def test_rejects_bad_eta(self):
-        with pytest.raises(ValueError):
-            hedge_distribution([0.0, 1.0], 0.0)
-
-    # tests/test_domains.py feeds NaN and +-inf as the first entry
-    @pytest.mark.parametrize("cum_losses, bad", [
-        ([math.inf, math.inf], "inf"), ([0.0, math.inf], "inf"),
-        ([0.0, -math.inf], "-inf"), ([1.0, 2.0, math.nan], "nan")])
-    def test_rejects_a_non_finite_cumulative_loss(self, cum_losses, bad):
-        with pytest.raises(ValueError) as info:
-            hedge_distribution(cum_losses, 1.0)
-        assert str(info.value) == f"cum_losses must be finite, got {bad}"
-
-    # max - min overflows; at eta = 5e-324, eta times the spread is about
-    # 1.8e-15, so the arms share the mass about evenly; at larger rates a
-    # higher loss gets 0, and never NaN
-    @pytest.mark.parametrize("cum_losses, eta, want, tol", [
-        ([BIG, -BIG], 5e-324, (0.5, 0.5), 1e-15),
-        ([BIG, -BIG, 0.0, -BIG], 5e-324, (0.25,) * 4, 1e-15),
-        ([BIG, -BIG], BIG, (0.0, 1.0), 0.0),
-        ([BIG, 0.0, -BIG], 1e-300, (0.0, 0.0, 1.0), 0.0),
-    ])
-    def test_a_spread_past_the_float_range(self, cum_losses, eta, want, tol):
-        got = hedge_distribution(cum_losses, eta).weights
-        assert len(got) == len(want)
-        assert all(abs(w - v) <= tol for w, v in zip(got, want))
+    # the minimum is subtracted first, so every exponent is at most 0: a
+    # product past the float range is exp(-inf) = 0, never inf or NaN
+    @pytest.mark.parametrize("losses, eta, want", [
+        ([0.0, 1e6], 1.0, (1.0, 0.0)),
+        ([BIG, 0.0], 1.0, (0.0, 1.0)),
+        ([0.0, 1.0], BIG, (1.0, 0.0)),
+        ([0.0, 0.0, 1e6], 1.0, (0.5, 0.5, 0.0)),
+    ], ids=["large_spread", "largest_loss", "largest_rate", "tied_lowest"])
+    def test_an_exponent_past_the_float_range_is_a_zero_weight(
+            self, losses, eta, want):
+        assert tuple(_hedge_weights(losses, eta).weights) == want
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=6)
            .filter(lambda ls: max(ls) - min(ls) < math.inf),
-           st.floats(min_value=5e-324, max_value=sys.float_info.max))
-    @example([0.0, 1.0], sys.float_info.max)
-    @example([sys.float_info.max, 0.0], 5e-324)
-    def test_a_finite_spread_keeps_the_kernel_doubles(self, losses, eta):
-        want = _hedge_weights(losses, eta).weights
-        assert [w.hex() for w in hedge_distribution(losses, eta)] == \
-            [w.hex() for w in want]
+           st.floats(min_value=5e-324, max_value=BIG))
+    @example([0.0, 1.0], BIG)
+    @example([BIG, 0.0], 5e-324)
+    def test_a_finite_spread_at_any_rate_is_a_simplex(self, losses, eta):
+        # the lowest loss has weight exp(0) = 1 before the division, so the
+        # total is at least 1 and that arm holds the most mass
+        p = _hedge_weights(losses, eta)
+        assert p.weights[losses.index(min(losses))] == max(p.weights) > 0
+        assert math.isclose(sum(p), 1.0, abs_tol=1e-9)
 
 
 class TestHedgeEta:
@@ -149,7 +135,7 @@ class TestHedgeEta:
             else:
                 eta = hedge_eta(K, T=kwargs.get("T"), t=t,
                                 variant=kwargs["variant"])
-            assert p.weights == hedge_distribution(pol.cum_losses, eta).weights
+            assert p.weights == _hedge_weights(pol.cum_losses, eta).weights
             pol.observe(rng.random(K).tolist())
 
 
@@ -270,7 +256,7 @@ class TestExp3:
                        (9, math.sqrt(math.log(3) / 30))):
             pol.t = t
             assert pol.distributions()[0].tolist() == list(
-                hedge_distribution([0.0, 1.0, 2.0], eta))
+                _hedge_weights([0.0, 1.0, 2.0], eta))
 
     @pytest.mark.parametrize("K", [2, 4, 5, 8, 16])
     def test_anytime_rate_per_round(self, K):
@@ -281,7 +267,7 @@ class TestExp3:
         pol = EXP3Policy(K)
         for t in range(1, 51):
             eta = math.sqrt(math.log(K) / (t * K))
-            want = hedge_distribution(pol.estimates[0].tolist(), eta)
+            want = _hedge_weights(pol.estimates[0].tolist(), eta)
             assert pol.distributions()[0].tolist() == list(want)
             pol.update(pol.act(rng), rng.random())
 
@@ -469,7 +455,7 @@ class TestExp4:
         pol = EXP4Policy(N, K, lambda t: advice[t], T=T, R=R)
         want = np.zeros((R, N))
         for t in range(T):
-            weights = np.array([hedge_distribution(row, pol.eta).weights
+            weights = np.array([_hedge_weights(row, pol.eta).weights
                                 for row in pol.estimates.tolist()])
             arms = pol.act_rows(rng.random(R))
             rows = [ProbVec(row).weights for row in advice[t]]
@@ -704,7 +690,7 @@ class TestDoubling:
             p = pol.distribution()
             m, eta = doubling_schedule(t, K)
             assert (pol.cum_losses == [0.0, 0.0]) == (t == 2 ** m)
-            assert p.weights == hedge_distribution(pol.cum_losses, eta).weights
+            assert p.weights == _hedge_weights(pol.cum_losses, eta).weights
             pol.observe([1.0, 0.0])
 
     def test_hedge_distribution_changes_nothing(self):

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import math
+import operator
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from boundslab.divergences import ProbVec, binary_kl, categorical_kl, kl_inverse
 from boundslab.pac_bayes import (
     LossTable,
     PacBayesQuery,
+    _rho_mean,
     alternating_minimize,
     geometric_split,
     gibbs_posterior,
@@ -254,13 +257,23 @@ class TestAlternatingMinimize:
         assert fit.bound <= trace[0] + 1e-12
         assert 0 < fit.lam <= 1
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 100])
+    def test_rho_mean_is_the_rounded_exact_sum(self, m):
+        # the correctly rounded sum of the products, whatever the order
+        rng = np.random.default_rng(m)
+        rho = ProbVec(rng.dirichlet(np.ones(m)))
+        values = rng.random(m)
+        exact = sum(map(Fraction, map(operator.mul, rho.weights,
+                                      values.tolist())))
+        assert _rho_mean(rho, values) == float(exact)
+
     def test_last_trace_entry_is_the_lambda_bound_of_the_fit(self):
         # the table's n is the denominator, as in pb_lambda_bound
         rng = np.random.default_rng(6)
         table = LossTable(rng.random((8, 300)))
         pi = ProbVec([1 / 8] * 8)
         fit = alternating_minimize(pi, table, 0.05)
-        emp = float(np.dot(fit.rho.weights, table.emp_losses()))
+        emp = _rho_mean(fit.rho, table.emp_losses())
         q = PacBayesQuery(fit.rho, pi, table.n, 0.05)
         assert fit.trace[-1] == pb_lambda_bound(q, emp, lam=fit.lam).value
         assert fit.bound <= fit.trace[-1]
@@ -332,6 +345,16 @@ class TestRecursive:
         assert geometric_split(7, 2) == [3, 4]
         with pytest.raises(ValueError):
             geometric_split(1, 3)
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 8])
+    def test_geometric_split_leaves_every_stage_a_sample(self, T):
+        # from the least n it takes, 2**(T-1), each halving leaves at least
+        # 1, so no stage is empty and the sizes add up to n
+        for n in range(2 ** (T - 1), 2 ** (T - 1) + 40):
+            sizes = geometric_split(n, T)
+            assert len(sizes) == T and min(sizes) >= 1 and sum(sizes) == n
+        assert geometric_split(2 ** (T - 1), T) == [1] + [
+            2 ** i for i in range(T - 1)]
 
     def test_single_stage_matches_pb_kl(self):
         rng = np.random.default_rng(1)
@@ -417,8 +440,9 @@ class TestRecursive:
 
     def test_stage_values_match_pinned_digest(self):
         # every stage's value and every later stage's excess bound, on {0, 1}
-        # and fractional tables, m = 1, 3, 8 and T = 1..4; pinned while the
-        # bound still took a gamma per stage, at its default schedule
+        # and fractional tables, m = 1, 3, 8 and T = 1..4; re-pinned when the
+        # rho-weighted means left ``np.dot`` for ``math.fsum``, so the value
+        # no longer depends on the BLAS kernel
         rng = np.random.default_rng(35)
         values = []
         for fractional, m in itertools.product((False, True), (1, 3, 8)):
@@ -435,8 +459,8 @@ class TestRecursive:
         digest = hashlib.sha256(
             ",".join(v.hex() for v in values).encode()).hexdigest()
         assert digest == (
-            "b34ef1e3356856b0c014e58d3a1f66ce"
-            "8857ac762a9f5f5e49d87d2b38e1c19c")
+            "b6f577542e384e8f1ca9a52fa0194a6c"
+            "7e0f080c99616732f51421bf367aa9c5")
 
     def test_validity_monte_carlo(self):
         rates = pb_validity_rates(trials=120, seed=77)
