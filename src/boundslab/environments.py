@@ -585,8 +585,9 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
 
     Every record is consumed: the policy acts, the estimated reward is
     r̃ = K * r * 1[policy action = logged action] (inverse of the 1/K logging
-    propensity, range [0, K]), and the policy ingests r̃ under its own replay
-    contract.  The mean of r̃ is an unbiased estimate of the policy's value.
+    propensity, range [0, K]), and the policy, which must take rewards in
+    [0, K], ingests r̃ with ``update_reward``, the one per-record contract of
+    both replays.  The mean of r̃ is an unbiased estimate of the policy's value.
 
     A ``FixedPolicy`` never learns and draws nothing, so its replay is one
     array step with the bytes of the per-record loop: the arms are its arm,
@@ -605,7 +606,7 @@ def replay_importance_weighted(policy, log: BanditLog, K: int,
         for action, reward in zip(log.actions.tolist(), log.rewards.tolist()):
             arm = policy.act(rng)
             r_tilde = float(K * reward) if arm == action else 0.0
-            policy.replay_update(arm, r_tilde, K)
+            policy.update_reward(arm, r_tilde)
             arms.append(arm)
             estimates.append(r_tilde)
         arms = np.asarray(arms, dtype=int)

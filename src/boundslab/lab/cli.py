@@ -3,7 +3,9 @@
 Subcommands: ``run`` (execute a config file or shipped preset), ``bounds-
 compare`` (the ``bounds_compare`` preset, with options for its n, delta and
 grid), ``replay`` (offline log replay) and ``selftest``.  Exit codes: 0
-success, 2 configuration error, 3 runtime error.
+success, 2 configuration error, 3 runtime error.  Running out of memory is
+a runtime error: the size caps bound each array, but a game series holds
+two (R, T) arrays at once.
 """
 from __future__ import annotations
 
@@ -133,7 +135,7 @@ def _replay_policy(spec: str, K: int, mode: str):
     """The ``--policy`` choice (ucb1 | exp3 | fixed:<arm>), read as the field
     ``replay.policy``, as a fresh policy; the arm is the field
     ``replay.arm``.  Under importance weighting a payoff can reach K, so UCB1
-    widens its radius to that range."""
+    and EXP3 take rewards in [0, K]."""
     from boundslab.online_policies import EXP3Policy, FixedPolicy, UCB1Policy
 
     if spec.startswith("fixed:"):
@@ -144,10 +146,11 @@ def _replay_policy(spec: str, K: int, mode: str):
                  f"for a log of K = {K} (exp3 takes >= 2 arms)")
     kind = _read_option(spec, ("ucb1", "exp3", "fixed:<arm>"),
                         "replay.policy", "--policy", exp3_arms)
+    reward_range = K if mode == "iw" else 1.0
     if kind == "ucb1":
         return UCB1Policy(K, parametrization="improved",
-                          reward_range=K if mode == "iw" else 1.0)
-    return EXP3Policy(K)
+                          reward_range=reward_range)
+    return EXP3Policy(K, reward_range=reward_range)
 
 
 def _cmd_replay(args) -> int:
@@ -249,8 +252,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, RuntimeError, KeyError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, KeyError, MemoryError) as exc:
+        print(f"runtime error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 3
 
 

@@ -300,15 +300,18 @@ class EXP3Policy:
     importance-weighted loss estimates (Auer et al., 2002), at the anytime
     rate sqrt(ln K / (t K)) of round t, counted from 1.
 
-    ``act``, ``update``, ``update_reward`` and ``replay_update`` are the
-    one-round contract of the offline replays, on a policy of one row.
+    ``act`` and ``update_reward`` are the one-round contract of the offline
+    replays, on a policy of one row, which feeds a reward in [0,
+    ``reward_range``] as the loss (range - reward) / range.
     """
 
     draws = True
 
-    def __init__(self, K: int, *, R: int = 1) -> None:
+    def __init__(self, K: int, *, R: int = 1,
+                 reward_range: float = 1.0) -> None:
         _check_count(K, "K", 2)
         self.K = K
+        self.reward_range = _check_rate(reward_range, "reward_range")
         self._log_k = math.log(K)
         self.R = _check_count(R, "R")
         self.offsets = np.arange(R) * K  # row starts, flat
@@ -330,7 +333,7 @@ class EXP3Policy:
     def update_rows(self, arms: np.ndarray, losses: np.ndarray) -> None:
         """Consume the bandit loss of the arm each row played this round."""
         if self.p is None:
-            raise ValueError("update() requires a preceding act()")
+            raise ValueError("update_rows() requires a preceding act_rows()")
         cells = self.offsets + arms
         p_arm = self.p.ravel()[cells]
         if not np.minimum.reduce(p_arm) > 0.0:
@@ -341,26 +344,19 @@ class EXP3Policy:
 
     def _one_row(self) -> None:
         if self.R != 1:
-            raise ValueError(f"act/update play one row, the policy has R={self.R}")
+            raise ValueError(f"act/update_reward play one row, the policy "
+                             f"has R={self.R}")
 
     def act(self, rng) -> int:
         self._one_row()
         return int(self.act_rows(np.array([rng.random()]))[0])
 
-    def update(self, arm: int, loss: float) -> None:
+    def update_reward(self, arm: int, reward: float) -> None:
         self._one_row()
         _check_count(arm, "arm", 0, self.K)
-        loss = _check_range(loss, "loss", 0.0, 1.0, "in [0, 1]")
-        self.update_rows(np.array([arm]), np.array([loss]))
-
-    def update_reward(self, arm: int, reward: float) -> None:
-        self.update(arm, 1.0 - float(reward))
-
-    def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
-        """Offline replay contract: the [0, K]-range estimated reward is
-        mapped back to a [0, 1] loss, (K - r̃)/K, and fed as this round's
-        bandit loss with the rate unchanged."""
-        self.update(arm, (K - r_tilde) / K)
+        span = self.reward_range
+        reward = _check_range(reward, "reward", 0.0, span, f"in [0, {span:g}]")
+        self.update_rows(np.array([arm]), np.array([(span - reward) / span]))
 
 
 class EXP4Policy:
@@ -436,8 +432,9 @@ class UCB1Policy:
 
     Plays each arm once in ascending index order, then the arm with the
     largest confidence index (mean plus radius), ties to the lowest index.
+    ``act`` and ``update_reward`` are the replays' one-round contract;
     ``reward_range`` rescales the radius for rewards in [0, range], as
-    needed by importance-weighted replay.
+    importance-weighted replay needs.
     """
 
     draws = False
@@ -474,29 +471,16 @@ class UCB1Policy:
         self.sums[arm] += float(reward)
         self.t += 1
 
-    def update(self, arm: int, loss: float) -> None:
-        """Loss-world adapter: reward = 1 - loss (unit range only)."""
-        if self.reward_range != 1.0:
-            raise ValueError("loss updates require unit reward range")
-        self.update_reward(arm, 1.0 - float(loss))
-
-    def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
-        """Offline replay contract: estimated rewards live in [0, K], so the
-        policy must have been built with reward_range=K."""
-        if self.reward_range != float(K):
-            raise ValueError("replay needs a UCB1 policy with reward_range=K")
-        self.update_reward(arm, r_tilde)
-
 
 class UCB1Batch:
     """``UCB1Policy`` on losses (unit reward range) over R independent rows
     of per-arm pull counts and reward sums.
 
     UCB1 is the one policy kept twice, for speed: the offline replays play
-    one scalar round at a time, and a K = 4 act+update round takes 1.1-2.1
-    µs with ``UCB1Policy`` against 6-11 µs on a one-row batch (Python 3.11,
-    2 CPUs).  The ``replay`` benchmark plays some 75k such rounds per pass,
-    and its log round trip builds ``UCB1Policy(K, parametrization=
+    one ``act`` + ``update_reward`` round at a time, which for K = 4 takes
+    1.1-2.1 µs on ``UCB1Policy`` and 6-11 µs on a one-row batch (Python
+    3.11, 2 CPUs).  The ``replay`` benchmark plays some 75k such rounds per
+    pass, and its log round trip builds ``UCB1Policy(K, parametrization=
     "improved", reward_range=K)`` itself for the IW replay, so the scalar
     class stays until that changes too.
     """
@@ -542,11 +526,5 @@ class FixedPolicy:
     def act(self, rng=None) -> int:
         return self.arm
 
-    def update(self, arm: int, loss: float) -> None:
-        self.t += 1
-
     def update_reward(self, arm: int, reward: float) -> None:
-        self.t += 1
-
-    def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
         self.t += 1

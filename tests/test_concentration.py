@@ -1,4 +1,3 @@
-import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import _digests
 from _coverage import coverage_threshold, draw_matrix, violation_rates
 from _exact import kl_mgf_exact
 from boundslab.concentration import (
@@ -258,24 +258,11 @@ class TestUnexpectedBernstein:
 
     def test_matches_pinned_digest(self):
         # value, chosen lambda and grid size on fractional and {0, 1}
-        # samples over a grid of n and delta, down to the smallest delta;
-        # pinned while the lambda grid was a class and a caller could pass
-        # its own
-        rng = np.random.default_rng(36)
-        values = []
-        for n in (2, 5, 30, 100, 1000, 10000):
-            draws = rng.random(n)
-            for sample in (Sample(draws), Sample(draws < 0.3)):
-                for delta in (0.5, 0.05, 1e-3, 1e-12, 1e-300, 5e-324):
-                    res = unexpected_bernstein_mean_bound(sample, delta)
-                    values += [res.value, res.detail["lambda"],
-                               float(res.detail["k"])]
+        # samples over a grid of n and delta, down to the smallest delta
+        values = _digests.unexpected_bernstein_values()
         assert len(values) == 216
-        digest = hashlib.sha256(
-            ",".join(v.hex() for v in values).encode()).hexdigest()
-        assert digest == (
-            "d8c9b127fd1189d069a44594b9fa0e2d"
-            "6a6f263758fc32f27bff8e943077aa7e")
+        assert (_digests.hex_digest(values)
+                == _digests.PINNED["unexpected_bernstein"])
 
 
 class TestKlMgfExact:
@@ -365,7 +352,7 @@ class TestBoundResultAndSample:
     @pytest.mark.parametrize("index", range(4))
     def test_mean_and_mean_sq_are_within_an_ulp_of_exact(self, index):
         # math.fsum rounds each sum once, and the division by n once more
-        sample = digest_samples()[index]
+        sample = _digests.digest_samples()[index]
         exact = [sum(map(Fraction, sample.values)) / sample.n,
                  sum(Fraction(v) ** 2 for v in sample.values) / sample.n]
         for got, want in zip((sample.mean, sample.mean_sq), exact):
@@ -395,38 +382,13 @@ class TestBoundResultAndSample:
         assert res.detail["eps"] == 1.0
 
 
-def digest_samples():
-    """Three seeded unit samples (continuous, on the 1/64 grid, and U-shaped
-    with the edge values appended) and an all -0.0 one."""
-    rng = np.random.default_rng(2022)
-    return [
-        Sample.unit(rng.random(500).tolist()),
-        Sample.unit((rng.integers(0, 65, 400) / 64).tolist()),
-        Sample.unit(rng.beta(0.3, 0.3, 300).tolist()
-                    + [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53]),
-        Sample.unit([-0.0] * 7),
-    ]
-
-
 class TestPinnedDigest:
     def test_split_kl_and_sample_match_pinned_digest(self):
         # Sample.mean/mean_sq and split_kl_mean_bound's value, budget and
-        # segment means at K = 2, 8, 32, 64; pinned before the segment
-        # columns and the sample passes moved to numpy and map
-        values = []
-        for sample in digest_samples():
-            values += [sample.mean, sample.mean_sq]
-            for K in (2, 8, 32, 64):
-                grid = SplitGrid([j / K for j in range(K + 1)])
-                res = split_kl_mean_bound(sample, grid, 0.05)
-                values += [res.value, res.detail["eps"],
-                           *res.detail["segment_means"]]
+        # segment means at K = 2, 8, 32, 64
+        values = _digests.split_kl_values()
         assert all(type(v) is float for v in values)
-        digest = hashlib.sha256(
-            ",".join(v.hex() for v in values).encode()).hexdigest()
-        assert digest == (
-            "b5e75e1cf08ca84b810cad3d9ab92d9c"
-            "9706b027ae29a16bbb83118597ac75af")
+        assert _digests.hex_digest(values) == _digests.PINNED["split_kl"]
 
 
 class TestSampleErrorContract:

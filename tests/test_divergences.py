@@ -1,10 +1,10 @@
-import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import _digests
 from boundslab.divergences import (
     BISECT_MAX_ITER,
     BISECT_TOL,
@@ -327,55 +327,13 @@ class TestPinskerRelaxations:
         assert pinsker_relaxations(p_hat, math.inf) == (1.0, 1.0)
 
 
-def hex_digest(values) -> str:
-    """SHA-256 over ``float.hex`` of each value, comma separated."""
-    return hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
-
-
-# The pinned grid: 0 and 1, the smallest subnormal, the largest double
-# below 1, and every k/n with n <= 40.
-DIGEST_P = sorted({0.0, 5e-324, 1.0 - 2.0 ** -53, 1.0}
-                  | {k / n for n in range(1, 41) for k in range(n + 1)})
-DIGEST_EPS = (0.0, 1e-300, 1e-12, 1e-3, 0.05, 1.0, 50.0, math.inf)
-
-
-def categorical_cases():
-    """Seeded (rho, pi) pairs with zeros in either argument, some of them
-    putting mass where pi has none."""
-    rng = np.random.default_rng(2022)
-    cases = []
-    for k in range(2, 10):
-        for _ in range(6):
-            rho = rng.dirichlet(np.ones(k)).tolist()
-            pi = rng.dirichlet(np.full(k, 0.5)).tolist()
-            zeros = rng.integers(0, 4)
-            if zeros == 1:
-                rho[rng.integers(k)] = 0.0
-            elif zeros == 2:
-                j = int(rng.integers(k))
-                rho[j] = pi[j] = 0.0
-            elif zeros == 3:
-                pi[rng.integers(k)] = 0.0
-            cases.append((rho, pi))
-    cases.append(([-0.0, 1.0], [0.0, 1.0]))
-    cases.append(([0.5, 0.5], [0.5, 0.5]))
-    return cases
-
-
 class TestPinnedDigest:
     def test_numeric_core_matches_pinned_digest(self):
         # kl_inverse on the p_hat x eps grid, binary_kl on the p x q grid
-        # with its edges, and categorical_kl; this list was pinned before
-        # the bisection stopped going through the checked binary_kl, with a
-        # lower inverse after each upper one, and re-pinned without those
-        # lower values by the code that still computed both
-        values = [kl_inverse(p, eps) for p in DIGEST_P for eps in DIGEST_EPS]
-        values += [binary_kl(p, q) for p in DIGEST_P for q in DIGEST_P]
-        values += [categorical_kl(rho, pi) for rho, pi in categorical_cases()]
+        # with its edges, and categorical_kl
+        values = _digests.numeric_core_values()
         assert all(type(v) is float for v in values)
-        assert hex_digest(values) == (
-            "d597486c321e1b16cc8d934f7be6fba4"
-            "bd04d9eb37ddef838acc13daedb8231a")
+        assert _digests.hex_digest(values) == _digests.PINNED["numeric_core"]
 
 
 def unit_error(name: str, x: float):

@@ -192,7 +192,9 @@ ROWS = {
     "FTLPolicy": [row("K", FTLPolicy, 2, 0, 2.5)],
     "EXP3Policy": [
         row("K", EXP3Policy, 2, 0, 1, 2.5),
-        row("R", lambda x: EXP3Policy(2, R=x), 2, 0, 2.5)],
+        row("R", lambda x: EXP3Policy(2, R=x), 2, 0, 2.5),
+        row("reward_range", lambda x: EXP3Policy(2, reward_range=x), 2.0,
+            *POSITIVE)],
     "EXP4Policy": [
         # ln 1 = 0: one expert would derive the rate 0
         row("n_experts", lambda x: EXP4Policy(x, 2, ADVICE, T=10), 2, 0, 1,

@@ -1,11 +1,13 @@
 import hashlib
+import io
 import math
+import re
 from functools import partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from boundslab import environments, online_policies
 from boundslab.divergences import ProbVec
@@ -543,7 +545,7 @@ class TestBatchedBandit:
                 for t in range(T):
                     arm = scalar.act()
                     loss = env.loss(t, arm)
-                    scalar.update(arm, loss)
+                    scalar.update_reward(arm, 1.0 - loss)
                     arms.append(arm)
                     losses.append(loss)
                 assert game.tolist() == arms
@@ -951,6 +953,53 @@ def _formatted(K, log) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+# Tokens for one field of a log record or its header, and characters for
+# one changed byte: digits, signs, separators, a comment start, a
+# non-ASCII digit and values past the action range, the cap or int64.
+LOG_TOKENS = ["", "0", "1", "2", "9", "10", "-1", "+1", "-0", "01", "1_0",
+              "x", "\u0663", "1.0", str(2 ** 63), "#", "0 0", "K=0", "K=11",
+              f"K={2 ** 27 + 1}"]
+LOG_CHARS = "0129 \n\t\r#+-_xK=\u0663"
+
+
+# An edit of a written log: none, one field of one line replaced by a
+# token or a small integer, or one character replaced (0), inserted (1) or
+# deleted (2).  Lines, fields and positions wrap around, so any drawn index
+# names one; the action, reward and last fields are drawn most often.
+log_edits = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("field"), st.integers(0, 12),
+              st.one_of(st.sampled_from([0, 1, 11]), st.integers(0, 11)),
+              st.one_of(st.sampled_from(LOG_TOKENS),
+                        st.integers(-1, 12).map(str))),
+    st.tuples(st.just("byte"), st.integers(0, 400), st.integers(0, 2),
+              st.sampled_from(LOG_CHARS)))
+
+
+def _edit_log(text: str, edit) -> str:
+    """``text`` after one of ``log_edits``."""
+    if edit[0] == "field":
+        lines = text.split("\n")[:-1]
+        i = edit[1] % len(lines)
+        fields = lines[i].split(" ")
+        fields[edit[2] % len(fields)] = edit[3]
+        lines[i] = " ".join(fields)
+        return "\n".join(lines) + "\n"
+    if edit[0] == "byte":
+        at, op, char = edit[1] % len(text), edit[2], edit[3]
+        return text[:at] + char * (op < 2) + text[at + (op != 1):]
+    return text
+
+
+def _read_log(text: str):
+    """``parse_log``'s K and arrays of ``text``, or its ValueError's message."""
+    try:
+        K, log = parse_log(io.StringIO(text))
+    except ValueError as exc:
+        return str(exc)
+    return K, log.actions, log.rewards, log.features
+
+
 class TestLogParsing:
     def test_example_records(self):
         K, log = parse_log(["K=16", "7 0 1 0 0 1 0 1 0 0 1 0",
@@ -1151,6 +1200,43 @@ class TestLogParsing:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             assert np.array_equal(got, getattr(log, name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(K=st.integers(1, 12), T=st.integers(0, 12),
+           seed=st.integers(0, 2 ** 32 - 1), edit=log_edits)
+    @example(K=4, T=3, seed=0, edit=("field", 1, 1, "2"))
+    @example(K=4, T=3, seed=0, edit=("field", 2, 0, "4"))
+    @example(K=4, T=3, seed=0, edit=("field", 2, 0, "9"))
+    @example(K=4, T=3, seed=0, edit=("byte", 6, 0, "2"))
+    @example(K=4, T=3, seed=0, edit=("byte", 4, 0, "9"))
+    @example(K=4, T=3, seed=0, edit=("byte", 27, 2, "0"))
+    @example(K=4, T=3, seed=0, edit=("field", 0, 0, "K=0"))
+    def test_two_readers_give_one_answer(self, tmp_path_factory, K, T, seed,
+                                         edit):
+        # a log in write_log's digit layout, or one field or one character
+        # of it changed, read as it is (the byte grid where it applies) and
+        # after a comment line, which sends it through _scan_log: the same
+        # arrays, or the same error on the same record, one line later
+        rng = np.random.default_rng(seed)
+        path = tmp_path_factory.getbasetemp() / "two_readers.log"
+        write_log(path, K, BanditLog(rng.integers(0, min(K, 10), T),
+                                     rng.integers(0, 2, T),
+                                     rng.integers(0, 10, (T, 10))))
+        text = _edit_log(path.read_text(encoding="ascii"), edit)
+        grid = _read_log(text)
+        with mock.patch.object(environments, "_scan_log",
+                               wraps=environments._scan_log) as scan:
+            loop = _read_log("# c\n" + text)
+        assert scan.called
+        if isinstance(grid, str):
+            assert loop == re.sub(r"^line (\d+):",
+                                  lambda m: f"line {int(m[1]) + 1}:", grid)
+            return
+        assert not isinstance(loop, str), loop
+        assert grid[0] == loop[0]
+        for got, want in zip(grid[1:], loop[1:]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("edit, want", [
         (lambda text: text.replace("\n", "\r\n"), (4, [])),
@@ -1429,7 +1515,9 @@ class TestImportanceWeightedReplay:
 def test_a_replay_names_a_missing_random_stream(replay):
     # checked before the first record, so the policy has not moved
     log = synthesize_uniform_log([0.5] * 4, T=50, seed=3)
-    policy = EXP3Policy(4)
+    # the estimates of importance weighting reach K
+    policy = EXP3Policy(4, reward_range=4 if replay is
+                        replay_importance_weighted else 1)
     with pytest.raises(ValueError) as info:
         replay(policy, log, 4)
     assert str(info.value) == "a policy that draws needs a random stream"
@@ -1490,6 +1578,25 @@ def test_policies_that_draw_nothing_replay_without_a_stream():
     assert len(replay_importance_weighted(ucb, log, 4)) == 50
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: UCB1Policy(4, parametrization="improved"),
+     "reward 4.0 outside [0, 1.0]"),
+    (lambda: EXP3Policy(4), "reward must be in [0, 1], got 4.0")],
+    ids=["ucb1", "exp3"])
+def test_an_iw_replay_needs_a_policy_of_its_reward_range(make, message):
+    # r~ reaches K, so a policy built for rewards in [0, 1] raises at its
+    # first matched reward of 1, from its own update_reward check; UCB1
+    # first plays arm 0 (logged reward 0), then arm 1
+    log = _log([0, 1, 2, 3] * 10, [0] + [1] * 39)
+    policy = make()
+    with pytest.raises(ValueError) as info:
+        replay_importance_weighted(policy, log, 4, np.random.default_rng(0))
+    assert str(info.value) == message
+    assert policy.t < len(log)
+    if isinstance(policy, UCB1Policy):
+        assert policy.t == 1
+
+
 @pytest.mark.parametrize("replay", [replay_importance_weighted,
                                     replay_rejection_sampling],
                          ids=["iw", "rs"])
@@ -1522,7 +1629,7 @@ class _FixedArmLoop:
     def act(self, rng=None) -> int:
         return self.arm
 
-    def replay_update(self, arm: int, r_tilde: float, K: int) -> None:
+    def update_reward(self, arm: int, reward: float) -> None:
         self.t += 1
 
 

@@ -704,6 +704,22 @@ class TestCli:
         bad.write_text("[experiment]\nname = x\nT = never\n")
         assert main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 2.00 GiB for an array with shape "
+                     "(16384, 16384) and data type float64"),
+         "Unable to allocate 2.00 GiB for an array with shape (16384, 16384) "
+         "and data type float64"),
+        (MemoryError(), "MemoryError")], ids=["numpy", "bare"])
+    def test_running_out_of_memory_is_a_runtime_error(
+            self, monkeypatch, capsys, error, message):
+        # a config inside every size cap can still ask for more memory than
+        # the machine has; a stubbed subcommand raises what numpy raises
+        def run(args):
+            raise error
+        monkeypatch.setattr(cli, "_cmd_run", run)
+        assert main(["run", "tiny.cfg"]) == 3
+        assert capsys.readouterr() == ("", f"runtime error: {message}\n")
+
     @pytest.mark.parametrize("make, message", [
         (lambda path: path.mkdir(), "[Errno 21] Is a directory"),
         (lambda path: path.write_bytes(b"[experiment]\nname = x\xff\n"),
@@ -1758,9 +1774,19 @@ def test_bench_operation_matches_pins(operation, tmp_path):
     assert workloads.digest(op.run(tmp_path)) == expected
 
 
+# Policy methods the tracer still names but the library retired: every
+# replay policy takes its rounds through ``act`` and ``update_reward``,
+# which the tracer wraps and counts in the same per-layer records.
+RETIRED_TRACER_TARGETS = [
+    f"boundslab.online_policies.{cls}.{method}"
+    for cls in ("EXP3Policy", "UCB1Policy", "FixedPolicy")
+    for method in ("update", "replay_update")]
+
+
 def test_tracer_finds_every_target():
     """The benchmark's tracer wraps library functions and policy methods by
     name; one that is renamed or deleted would read 0 in every per-layer
-    metric it feeds, and shows up here in ``missing``."""
+    metric it feeds, and shows up here in ``missing``.  Only the retired
+    policy methods may be missing."""
     with _bench_module("tracer").Tracer() as tracer:
-        assert tracer.missing == []
+        assert tracer.missing == RETIRED_TRACER_TARGETS

@@ -269,7 +269,7 @@ class TestExp3:
             eta = math.sqrt(math.log(K) / (t * K))
             want = _hedge_weights(pol.estimates[0].tolist(), eta)
             assert pol.distributions()[0].tolist() == list(want)
-            pol.update(pol.act(rng), rng.random())
+            pol.update_reward(pol.act(rng), rng.random())
 
     def test_estimates_nondecreasing_and_unbiased_second_moment(self):
         rng = np.random.default_rng(5)
@@ -279,17 +279,18 @@ class TestExp3:
             arm = pol.act(rng)
             p = pol.p[0]
             # conditional second moment by enumeration over the drawn arm:
-            # sum_a p(a) E[l~_a^2] = sum_a l_a^2 <= K
-            losses = rng.random(3)
+            # sum_a p(a) E[l~_a^2] = sum_a l_a^2 <= K, for the losses 1 - r
+            # that the rewards feed
+            rewards = rng.random(3)
             probe = EXP3Policy(3, R=3)
             probe.p = np.tile(p, (3, 1))
-            probe.update_rows(np.arange(3), losses)  # row d plays arm d
+            probe.update_rows(np.arange(3), 1.0 - rewards)  # row d plays arm d
             second = sum(
                 p[a] * sum(p[d] * probe.estimates[d, a] ** 2 for d in range(3))
                 for a in range(3)
             )
             assert second <= 3.0 + 1e-9
-            pol.update(arm, float(losses[arm]))
+            pol.update_reward(arm, float(rewards[arm]))
             assert all(cur >= old - 1e-15
                        for cur, old in zip(pol.estimates[0], prev))
             prev = pol.estimates[0].tolist()
@@ -370,52 +371,70 @@ class TestExp3:
 
     def test_update_requires_act(self):
         pol = EXP3Policy(2)
-        with pytest.raises(ValueError):
-            pol.update(0, 0.5)
+        with pytest.raises(ValueError, match="requires a preceding act"):
+            pol.update_reward(0, 0.5)
 
-    def test_one_row_contract_checks(self):
+    @pytest.mark.parametrize("reward_range", [1.0, 2.0])
+    def test_one_row_contract_checks(self, reward_range):
         rng = np.random.default_rng(0)
-        pol = EXP3Policy(2)
+        pol = EXP3Policy(2, reward_range=reward_range)
         arm = pol.act(rng)
-        # -1e-17 is a loss below 0 although 1 - (-1e-17) rounds to 1
-        for bad in (-0.5, 1.5, math.nan, -1e-17):
-            with pytest.raises(ValueError, match=r"loss must be in \[0, 1\]"):
-                pol.update(arm, bad)
-        pol.replay_update(arm, 2.0, 2)  # estimated reward K: loss 0
+        # -1e-17 is a reward below 0 although range - (-1e-17) rounds to
+        # the range, and the next double above the range is outside it
+        above = math.nextafter(reward_range, math.inf)
+        for bad in (-0.5, -1e-17, above, reward_range + 0.5, math.nan):
+            with pytest.raises(ValueError) as caught:
+                pol.update_reward(arm, bad)
+            assert str(caught.value) == (
+                f"reward must be in [0, {reward_range:g}], got {bad}")
+        assert pol.t == 0
+        pol.update_reward(arm, reward_range)  # the top of the range: loss 0
         assert pol.t == 1 and pol.p is None
+        assert pol.estimates.tolist() == [[0.0, 0.0]]
         rows = EXP3Policy(2, R=2)
         with pytest.raises(ValueError, match="R=2"):
             rows.act(rng)
         rows.act_rows(np.array([0.1, 0.9]))
         with pytest.raises(ValueError, match="R=2"):
-            rows.update(0, 0.5)
+            rows.update_reward(0, 0.5)
+
+    @given(st.floats(0.0, 1.0), st.integers(2, 16), st.booleans())
+    def test_unit_and_k_ranges_feed_the_bits_of_their_replays(
+            self, reward, K, matched):
+        # rejection sampling feeds a reward r in [0, 1] as 1 - r, and
+        # importance weighting an estimate r~ in {0, K} as (K - r~) / K
+        for reward_range, value, loss in (
+                (1.0, reward, 1.0 - reward),
+                (K, float(K * matched), (K - float(K * matched)) / K)):
+            pol = EXP3Policy(K, reward_range=reward_range)
+            pol.act(np.random.default_rng(0))
+            p_arm = pol.p[0, 0]
+            pol.update_reward(0, value)
+            assert pol.estimates[0, 0].hex() == (loss / p_arm).hex()
 
     # -1 and -3 index the last and the first arm of a Python sequence
     @pytest.mark.parametrize("arm", [-1, -3, 3, 4])
     def test_an_arm_outside_the_policy_is_rejected(self, arm):
-        pol = EXP3Policy(3)
-        pol.act(np.random.default_rng(0))
-        for call in (lambda: pol.update(arm, 0.5),
-                     lambda: pol.update_reward(arm, 0.5),
-                     lambda: pol.replay_update(arm, 1.5, 3)):
+        for reward_range, reward in ((1.0, 0.5), (3.0, 1.5)):
+            pol = EXP3Policy(3, reward_range=reward_range)
+            pol.act(np.random.default_rng(0))
             with pytest.raises(ValueError) as caught:
-                call()
+                pol.update_reward(arm, reward)
             assert str(caught.value) == f"arm must be in [0, 3), got {arm}"
-        assert pol.estimates.tolist() == [[0.0] * 3] and pol.t == 0
-        pol.update(2, 0.5)  # the round is still open
-        assert pol.t == 1
+            assert pol.estimates.tolist() == [[0.0] * 3] and pol.t == 0
+            pol.update_reward(2, reward)  # the round is still open
+            assert pol.t == 1
 
-    @pytest.mark.parametrize("call", ["update", "update_reward",
-                                      "replay_update"])
+    @pytest.mark.parametrize("reward_range, reward", [(1.0, 0.5), (3.0, 1.5)],
+                             ids=["unit_range", "range_3"])
     @pytest.mark.parametrize("arm", [0, 2])
-    def test_an_arm_at_either_end_is_credited(self, arm, call):
-        # loss 0.5 three ways: loss 0.5, reward 0.5, estimated reward 1.5 of 3
-        pol = EXP3Policy(3)
+    def test_an_arm_at_either_end_is_credited(self, arm, reward_range,
+                                              reward):
+        # loss 0.5 two ways: reward 0.5 of 1, estimated reward 1.5 of 3
+        pol = EXP3Policy(3, reward_range=reward_range)
         pol.act(np.random.default_rng(0))
         p_arm = pol.p[0, arm]
-        args = {"update": (0.5,), "update_reward": (0.5,),
-                "replay_update": (1.5, 3)}[call]
-        getattr(pol, call)(arm, *args)
+        pol.update_reward(arm, reward)
         want = [0.0] * 3
         want[arm] = 0.5 / p_arm
         assert pol.estimates.tolist() == [want] and pol.t == 1
@@ -615,29 +634,21 @@ class TestUcbPolicy:
     def test_an_arm_outside_the_policy_is_rejected(self, arm):
         unit = UCB1Policy(3, parametrization="original")
         replay = UCB1Policy(3, parametrization="original", reward_range=3.0)
-        for call in (lambda: unit.update_reward(arm, 0.5),
-                     lambda: unit.update(arm, 0.5),
-                     lambda: replay.replay_update(arm, 1.5, 3)):
+        for pol, reward in ((unit, 0.5), (replay, 1.5)):
             with pytest.raises(ValueError) as caught:
-                call()
+                pol.update_reward(arm, reward)
             assert str(caught.value) == f"arm must be in [0, 3), got {arm}"
-        for pol in (unit, replay):
             assert (pol.counts, pol.sums, pol.t) == ([0] * 3, [0.0] * 3, 0)
 
-    @pytest.mark.parametrize("call", ["update", "update_reward",
-                                      "replay_update"])
+    @pytest.mark.parametrize("reward_range, reward", [(1.0, 0.25), (3.0, 1.5)],
+                             ids=["unit_range", "range_3"])
     @pytest.mark.parametrize("arm", [0, 2])
-    def test_an_arm_at_either_end_is_credited(self, arm, call):
+    def test_an_arm_at_either_end_is_credited(self, arm, reward_range,
+                                              reward):
         # reward 0.25 on the unit range, or estimated reward 1.5 of 3
-        pol, value, reward = {
-            "update": (UCB1Policy(3, parametrization="original"), (0.75,),
-                       0.25),
-            "update_reward": (UCB1Policy(3, parametrization="original"),
-                              (0.25,), 0.25),
-            "replay_update": (UCB1Policy(3, parametrization="original",
-                                         reward_range=3.0), (1.5, 3), 1.5),
-        }[call]
-        getattr(pol, call)(arm, *value)
+        pol = UCB1Policy(3, parametrization="original",
+                         reward_range=reward_range)
+        pol.update_reward(arm, reward)
         counts, sums = [0] * 3, [0.0] * 3
         counts[arm], sums[arm] = 1, reward
         assert (pol.counts, pol.sums, pol.t) == (counts, sums, 1)
@@ -662,14 +673,11 @@ class TestUcbPolicy:
             pol.update_reward(a, 0.5)
         assert pol.act() == 0
 
-    def test_loss_adapter_prefers_low_loss_arm(self):
+    def test_prefers_the_high_reward_arm(self):
         pol = UCB1Policy(2, parametrization="improved")
-        for a in range(2):
-            pol.act()
-            pol.update(a, (0.1, 0.9)[a])
-        for _ in range(200):
+        for _ in range(202):
             arm = pol.act()
-            pol.update(arm, (0.1, 0.9)[arm])
+            pol.update_reward(arm, (0.9, 0.1)[arm])
         assert pol.counts[0] > pol.counts[1]
 
 
@@ -766,7 +774,7 @@ class TestSampling:
             arms, estimates = [], None
             for _ in range(100):
                 arm = pol.act(rng)
-                pol.update(arm, float(rng.random()))
+                pol.update_reward(arm, float(rng.random()))
                 arms.append(arm)
             return arms, tuple(pol.estimates[0].tolist())
 
@@ -796,9 +804,9 @@ class TestFixedPolicy:
         with pytest.raises(TypeError):
             FixedPolicy(2, 0)
 
-    def test_replay_update_counts_a_round(self):
+    def test_update_reward_counts_a_round(self):
         pol = FixedPolicy(3, arm=1)
         for t, (arm, r_tilde) in enumerate([(1, 3.0), (0, 0.0), (1, 0.0)]):
-            pol.replay_update(arm, r_tilde, 3)
+            pol.update_reward(arm, r_tilde)
             assert pol.t == t + 1
             assert pol.act() == 1

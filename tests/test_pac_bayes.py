@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 import operator
@@ -8,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import _digests
 from _coverage import coverage_threshold, pb_validity_rates
 from boundslab.concentration import SplitGrid
 from boundslab.divergences import ProbVec, binary_kl, categorical_kl, kl_inverse
@@ -440,27 +440,10 @@ class TestRecursive:
 
     def test_stage_values_match_pinned_digest(self):
         # every stage's value and every later stage's excess bound, on {0, 1}
-        # and fractional tables, m = 1, 3, 8 and T = 1..4; re-pinned when the
-        # rho-weighted means left ``np.dot`` for ``math.fsum``, so the value
-        # no longer depends on the BLAS kernel
-        rng = np.random.default_rng(35)
-        values = []
-        for fractional, m in itertools.product((False, True), (1, 3, 8)):
-            losses = rng.random((m, 48))
-            table = LossTable(losses if fractional else
-                              (losses < 0.4).astype(float))
-            for T in (1, 2, 3, 4):
-                for res in recursive_pb(table, 0.05, T, seed=7):
-                    stage = res.detail["stage"]
-                    values.append(res.value)
-                    if stage.t > 1:
-                        values.append(stage.excess_bound)
+        # and fractional tables, m = 1, 3, 8 and T = 1..4
+        values = _digests.stage_values()
         assert len(values) == 96 and all(type(v) is float for v in values)
-        digest = hashlib.sha256(
-            ",".join(v.hex() for v in values).encode()).hexdigest()
-        assert digest == (
-            "b6f577542e384e8f1ca9a52fa0194a6c"
-            "7e0f080c99616732f51421bf367aa9c5")
+        assert _digests.hex_digest(values) == _digests.PINNED["stages"]
 
     def test_validity_monte_carlo(self):
         rates = pb_validity_rates(trials=120, seed=77)
