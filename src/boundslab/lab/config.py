@@ -43,17 +43,16 @@ def at_least(floor: int) -> tuple:
 
 
 SEED = (lambda seed: 0 <= seed < 2 ** 64, "in [0, 2**64)")
+DELTA = (lambda delta: 0.0 < delta < 1.0, "in (0, 1)")
 
 # The outputs are written as ``<name>.csv`` and ``<name>.svg`` in one
 # directory, so a name is one non-empty path component.
 FILE_NAME = (lambda name: (name != "" and "\0" not in name
                            and os.path.basename(name) == name), "a file name")
 
-# The [experiment] keys each kind reads besides name, kind, seed and out; any
-# other is an unknown key.  Every kind takes seed, as ``lab run --seed`` sets
-# it on any config.
-READS = {"game": ("T", "R"), "bounds": ("delta",), "pacbayes": ("R", "delta"),
-         "recursive": ("R", "delta"), "replay": ("T", "R")}
+# The experiment kinds; the runner of each reads its other [experiment] keys.
+# Every kind takes seed, as ``lab run --seed`` sets it on any config.
+KINDS = ("game", "bounds", "pacbayes", "recursive", "replay")
 
 # One read of a field, as ``Section.read`` records it in a config's ``fields``
 Field = namedtuple("Field", "section key kind default wants required text")
@@ -61,27 +60,19 @@ Field = namedtuple("Field", "section key kind default wants required text")
 
 @dataclass
 class ExperimentConfig:
-    """A config as ``parse_config_lines`` reads it; sections stay raw, and
-    ``fields`` holds a ``Field`` per ``Section.read`` of it, in read order."""
+    """A config as ``parse_config_lines`` reads it: name, kind, seed, out and
+    the raw sections; ``fields`` holds a ``Field`` per read, in read order."""
     name: str
     kind: str
-    T: int | None  # None where the kind does not read it (see READS)
-    R: int | None
     seed: int
-    delta: float | None
     out: str | None
-    environment: dict  # raw {key: value}
+    experiment: dict  # raw {key: value}
+    environment: dict
     params: dict
     # where each field (and section) was read from: {"params.n": "line 14"}
     sources: dict = field(repr=False, compare=False)
     fields: list = field(repr=False, compare=False)
     policies: list = field(default_factory=list)  # (label, {key: value})
-
-    def section(self, name: str) -> Section:
-        """``name`` over the text each of its fields was read from, to check
-        that text again; its reads are recorded in ``fields`` too."""
-        return Section(name, {f.key: f.text for f in self.fields
-                              if f.section == name}, self.fields)
 
 
 class Section:
@@ -207,28 +198,18 @@ def parse_config_lines(lines, options=None) -> ExperimentConfig:
             if raw is not None:
                 sections[section][key], sources[path] = raw, option
         exp = Section("experiment", sections.pop("experiment"), [])
-        name = exp.read("name", str, None, FILE_NAME,
-                        required="for every experiment")
-        kind = exp.read("kind", tuple(READS), "game")
-
-        def read(key, *args):
-            return exp.read(key, *args) if key in READS[kind] else None
-
         config = ExperimentConfig(
-            name=name,
-            kind=kind,
-            T=read("T", int, "1000", at_least(1)),
-            R=read("R", int, "10", at_least(1)),
+            name=exp.read("name", str, None, FILE_NAME,
+                          required="for every experiment"),
+            kind=exp.read("kind", KINDS, "game"),
             seed=exp.read("seed", int, "0", SEED),
-            delta=read("delta", float, "0.05",
-                       (lambda delta: 0.0 < delta < 1.0, "in (0, 1)")),
             out=exp.read("out"),
+            experiment=exp.raw,
             environment=sections.get("environment", {}),
             params=sections.get("params", {}),
             sources=sources,
             fields=exp.fields,
         )
-        exp.close()
         uses = {"game": ("environment", "policy"), "recursive": ()}.get(
             config.kind, ("params",))
         for name, raw in sections.items():

@@ -45,7 +45,8 @@ from boundslab.environments import (
     replay_rejection_sampling,
     synthesize_uniform_log,
 )
-from boundslab.lab.config import ConfigError, ExperimentConfig, Section, at_least
+from boundslab.lab.config import (DELTA, ConfigError, ExperimentConfig,
+                                  Section, at_least)
 from boundslab.lab.csvio import AggregateTrace, aggregate
 from boundslab.online_policies import (
     HEDGE_ETA_VARIANTS,
@@ -88,19 +89,31 @@ def _cap(holder: str, per: int = 1, per_text: str = "", many=None) -> tuple:
             f"(1 GiB as float64)")
 
 
-def _read_policy(config: ExperimentConfig, label: str, raw: dict):
+def _read_series(config: ExperimentConfig, *T_rules) -> tuple[int, int]:
+    """(T, R) of a game or a replay, the [experiment] keys it reads: T under
+    its floor and ``T_rules``, then R, capped by the R x T series."""
+    experiment = Section("experiment", config.experiment, config.fields)
+    T = experiment.read("T", int, "1000", at_least(1), *T_rules)
+    R = experiment.read("R", int, "10", at_least(1),
+                        _cap(SERIES, T, "experiment.T"))
+    experiment.close()
+    return T, R
+
+
+def _read_policy(config: ExperimentConfig, label: str, raw: dict, T: int,
+                 R: int):
     """(kind, K -> a fresh policy) of one [policy] section: a bandit policy
     holds the R repetitions as rows, a full-information one plays one game."""
     f = Section(f"policy {label}", raw, config.fields)
     kind = f.read("kind", tuple(_PLAYS), required="for every policy")
     if kind == "hedge":
-        make = partial(HedgePolicy, T=config.T, variant=f.read(
+        make = partial(HedgePolicy, T=T, variant=f.read(
             "variant", HEDGE_ETA_VARIANTS, "anytime_tight"),
             doubling=f.read("doubling", bool, "false"))
     elif kind == "exp3":
-        make = partial(EXP3Policy, R=config.R)
+        make = partial(EXP3Policy, R=R)
     elif kind == "ucb1":
-        make = partial(UCB1Batch, R=config.R, parametrization=f.read(
+        make = partial(UCB1Batch, R=R, parametrization=f.read(
             "parametrization", UCB1_PARAMETRIZATIONS, "original"))
     else:
         make = FTLPolicy
@@ -118,17 +131,18 @@ def _oblivious(losses):
 
 
 def _read_environment(config: ExperimentConfig):
-    """(feedback or None, [(suffix, K, build)]) of the [environment]
-    section; ``build()`` gives the (env factory, regret fn) pair, and is
-    called only once every section has been checked.  The caps on T, then R,
-    and the breakers' rule on T are checked on the text each was read from."""
+    """(T, R, feedback or None, [(suffix, K, build)]) of a game: [environment]
+    and, after its kind, experiment.T and R; ``build()`` gives the (env
+    factory, regret fn) pair, called once every section has been checked."""
     f = Section("environment", config.environment, config.fields)
-    T = config.T
-    experiment = config.section("experiment")
-    experiment.read("T", int, None, _cap("a game of experiment.T rounds"))
-    experiment.read("R", int, None, _cap(SERIES, T, "experiment.T"))
     kind = f.read("kind", ("bernoulli", "bernoulli_gap", "ftl_breaker",
                            "ucb_breaker"), required="for game experiments")
+    # both breakers play 2 arms on a T x 2 matrix, and the UCB breaker needs
+    # T >= 2 * 2 rounds, so one rule on T serves both
+    breaker = [(lambda T: T >= 4, ">= 4 for ftl_breaker and ucb_breaker"),
+               _cap("the experiment.T x 2 breaker matrix", 2, "2")]
+    T, R = _read_series(config, _cap("a game of experiment.T rounds"),
+                        *(breaker if kind.endswith("_breaker") else ()))
     feedback = f.read("feedback", ("bandit", "full"))
     if kind == "bernoulli":
         means = tuple(f.read("means", [float], None, _UNITS, _ARMS,
@@ -143,29 +157,23 @@ def _read_environment(config: ExperimentConfig):
         k_grid = f.read("k_grid", [int], "2", (
             lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),
             "distinct integers >= 2"), _cap(f"a block of {rows} rows of k loss "
-            "cells", max(config.R, ROW_BLOCK), rows, many=max))
+            "cells", max(R, ROW_BLOCK), rows, many=max))
         # arm 0 has mean loss 0.25, a gap of 0.25 below the other arms' 0.5
         envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
             _stochastic, (0.25,) + (0.5,) * (k - 1))) for k in k_grid]
+    elif kind == "ftl_breaker":
+        envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
     else:
-        # both breakers play 2 arms on a T x 2 matrix, and the UCB breaker
-        # needs T >= 2 * 2 rounds, so one rule on T serves both
-        experiment.read("T", int, None, (lambda T: T >= 4, ">= 4 for "
-                        "ftl_breaker and ucb_breaker"),
-                        _cap("the experiment.T x 2 breaker matrix", 2, "2"))
-        if kind == "ftl_breaker":
-            envs = [("", 2, lambda: _oblivious(make_ftl_breaker(T)))]
-        else:
-            envs = [("", 2, lambda: _oblivious(1.0 - make_ucb_breaker(T)[0]))]
+        envs = [("", 2, lambda: _oblivious(1.0 - make_ucb_breaker(T)[0]))]
     f.close()
-    return feedback, envs
+    return T, R, feedback, envs
 
 
 def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
-    feedback, envs = _read_environment(config)
+    T, R, feedback, envs = _read_environment(config)
     policies = []
     for label, raw in config.policies:
-        kind, make = _read_policy(config, label, raw)
+        kind, make = _read_policy(config, label, raw, T, R)
         mode = _PLAYS[kind]
         if feedback not in (None, mode):
             raise ConfigError(f"environment.feedback: must be {mode} for "
@@ -173,7 +181,6 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
                               "environment.feedback")
         policies.append((label, mode, make))
 
-    T, R = config.T, config.R
     t = np.arange(1, T + 1)
 
     def regrets(K, env_factory, regret_fn, mode, make):
@@ -201,6 +208,9 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
 
 
 def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
+    experiment = Section("experiment", config.experiment, config.fields)
+    delta = experiment.read("delta", float, "0.05", DELTA)
+    experiment.close()
     f = Section("params", config.params, config.fields)
     family = f.read("family", ("four_bounds", "split_kl",
                                "unexpected_bernstein"), "four_bounds")
@@ -210,7 +220,6 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
     grid = f.read("grid", int, "101", at_least(2),
                   _cap("the grid of params.grid points"))
     f.close()
-    delta = config.delta
     t = np.arange(grid)
     xs = t / (grid - 1)
 
@@ -251,11 +260,16 @@ def _run_bounds(config: ExperimentConfig) -> list[AggregateTrace]:
     return list(map(flat, names, zip(*map(point, xs))))
 
 
-def _read_reps(config: ExperimentConfig, cells: int, cells_text: str) -> None:
-    """Cap experiment.R by the ``cells`` loss cells one repetition draws."""
-    config.section("experiment").read("R", int, None, _cap(
+def _read_reps(config: ExperimentConfig, cells: int, cells_text: str):
+    """(R, delta): experiment.R, capped by the ``cells`` loss cells one
+    repetition draws, then experiment.delta."""
+    experiment = Section("experiment", config.experiment, config.fields)
+    R = experiment.read("R", int, "10", at_least(1), _cap(
         "the experiment.R repetitions' draw of loss cells", cells,
         f"({cells_text})"))
+    delta = experiment.read("delta", float, "0.05", DELTA)
+    experiment.close()
+    return R, delta
 
 
 def _synthetic_table(rng, m: int, n: int):
@@ -280,13 +294,14 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
                     _cap("a repetition's draw of params.m x sum(params.n_grid) "
                          "loss cells", m, "params.m", many=sum))
     f.close()
-    _read_reps(config, m * sum(n_grid), "params.m x sum(params.n_grid)")
+    R, delta = _read_reps(config, m * sum(n_grid),
+                          "params.m x sum(params.n_grid)")
     pi = ProbVec([1.0 / m] * m)
 
     def at_n(rng, n):
         table = _synthetic_table(rng, m, n)
-        return (alternating_minimize(pi, table, config.delta).bound,
-                pb_kl_bound(PacBayesQuery(pi, pi, n, config.delta),
+        return (alternating_minimize(pi, table, delta).bound,
+                pb_kl_bound(PacBayesQuery(pi, pi, n, delta),
                             float(table.emp_losses().mean())).value)
 
     def one_rep(r):
@@ -294,7 +309,7 @@ def _run_pacbayes(config: ExperimentConfig) -> list[AggregateTrace]:
         env_seed, _ = repetition_seeds(config.seed, r)
         return zip(*map(partial(at_n, np.random.default_rng(env_seed)), n_grid))
 
-    minimized, at_prior = zip(*map(one_rep, range(config.R)))
+    minimized, at_prior = zip(*map(one_rep, range(R)))
     return [aggregate("pb_lambda_minimized", minimized, t=n_grid),
             aggregate("pb_kl_at_prior", at_prior, t=n_grid)]
 
@@ -305,35 +320,31 @@ def _run_recursive(config: ExperimentConfig) -> list[AggregateTrace]:
     # each repetition draws a table of 20 hypotheses' losses on 1000
     # examples and bounds it with 1 to 4 stages
     m, n, stages = 20, 1000, [1, 2, 3, 4]
-    _read_reps(config, m * n, f"{m} x {n}")
+    R, delta = _read_reps(config, m * n, f"{m} x {n}")
     pi = ProbVec([1.0 / m] * m)
 
     def one_rep(r):
         env_seed, _ = repetition_seeds(config.seed, r)
         table = _synthetic_table(np.random.default_rng(env_seed), m, n)
-        recursive = [recursive_pb(table, config.delta, T, seed=env_seed)[-1].value
+        recursive = [recursive_pb(table, delta, T, seed=env_seed)[-1].value
                      for T in stages]
-        baseline = alternating_minimize(pi, table, config.delta).bound
+        baseline = alternating_minimize(pi, table, delta).bound
         return recursive, [baseline] * len(stages)
 
-    recursive, baseline = zip(*map(one_rep, range(config.R)))
+    recursive, baseline = zip(*map(one_rep, range(R)))
     return [aggregate("recursive_pb", recursive, t=stages),
             aggregate("pb_lambda_full_sample", baseline, t=stages)]
 
 
 def _run_replay(config: ExperimentConfig) -> list[AggregateTrace]:
-    experiment = config.section("experiment")
-    experiment.read("T", int, None, _cap(f"a log of experiment.T records of "
-                    f"{LOG_FIELDS} values", LOG_FIELDS, str(LOG_FIELDS)))
-    experiment.read("R", int, None, _cap(SERIES, config.T, "experiment.T"))
+    T, R = _read_series(config, _cap(f"a log of experiment.T records of "
+                        f"{LOG_FIELDS} values", LOG_FIELDS, str(LOG_FIELDS)))
     f = Section("params", config.params, config.fields)
     means = f.read("means", [float], "0.3, 0.7", _UNITS, _ARMS)
     K = len(means)
     fixed_arm = f.read("fixed_arm", int, "0", (lambda arm: 0 <= arm < K,
                                                f"in [0, {K})"))
     f.close()
-
-    T, R = config.T, config.R
     t = np.arange(1, T + 1)
 
     def one_rep(r, row):
@@ -378,15 +389,10 @@ _RUNNERS = {
 
 def run_experiment(config: ExperimentConfig) -> list[AggregateTrace]:
     """Run the experiment and return its aggregated traces (series order is
-    deterministic).  Each kind reads and checks every field it uses before
-    it computes anything; a field error names its source line or option.
-    ``config.fields`` keeps the parser's reads, the first of each
-    [experiment] key, and this run's."""
-    parsed = {}
-    for f in config.fields:
-        if f.section == "experiment":
-            parsed.setdefault(f.key, f)
-    config.fields[:] = parsed.values()
+    deterministic).  Each kind reads every field it uses once, before it
+    computes anything, after the parser's four reads in ``config.fields``;
+    a field error names its source line or option."""
+    del config.fields[4:]
     try:
         return _RUNNERS[config.kind](config)
     except ConfigError as exc:

@@ -1578,12 +1578,10 @@ def test_policies_that_draw_nothing_replay_without_a_stream():
     assert len(replay_importance_weighted(ucb, log, 4)) == 50
 
 
-@pytest.mark.parametrize("make, message", [
-    (lambda: UCB1Policy(4, parametrization="improved"),
-     "reward 4.0 outside [0, 1.0]"),
-    (lambda: EXP3Policy(4), "reward must be in [0, 1], got 4.0")],
-    ids=["ucb1", "exp3"])
-def test_an_iw_replay_needs_a_policy_of_its_reward_range(make, message):
+@pytest.mark.parametrize("make", [
+    lambda: UCB1Policy(4, parametrization="improved"),
+    lambda: EXP3Policy(4)], ids=["ucb1", "exp3"])
+def test_an_iw_replay_needs_a_policy_of_its_reward_range(make):
     # r~ reaches K, so a policy built for rewards in [0, 1] raises at its
     # first matched reward of 1, from its own update_reward check; UCB1
     # first plays arm 0 (logged reward 0), then arm 1
@@ -1591,7 +1589,7 @@ def test_an_iw_replay_needs_a_policy_of_its_reward_range(make, message):
     policy = make()
     with pytest.raises(ValueError) as info:
         replay_importance_weighted(policy, log, 4, np.random.default_rng(0))
-    assert str(info.value) == message
+    assert str(info.value) == "reward must be in [0, 1], got 4.0"
     assert policy.t < len(log)
     if isinstance(policy, UCB1Policy):
         assert policy.t == 1

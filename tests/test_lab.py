@@ -103,24 +103,28 @@ NAMES = st.text(st.characters(blacklist_characters=",\r\n",
 
 class TestConfigParsing:
     def test_defaults(self):
-        # a key the kind does not read is None
+        # the parser reads name, kind, seed and out; a run reads the keys
+        # its kind takes, each from its default when unset, and no other
+        def read(lines):
+            config = parse_config_lines(["[experiment]", "name = d", *lines])
+            run_experiment(config)
+            return {f.key: f.text for f in config.fields
+                    if f.section == "experiment"}
+
         config = parse_config_lines(["[experiment]", "name = d",
                                      *MINIMAL_GAME[5:]])
-        assert (config.kind, config.T, config.R, config.seed, config.delta,
-                config.out) == ("game", 1000, 10, 0, None, None)
-        config = parse_config_lines([
-            "[experiment]", "name = d", "kind = bounds",
-        ])
-        assert (config.T, config.R, config.delta) == (None, None, 0.05)
-        config = parse_config_lines([
-            "[experiment]", "name = d", "kind = recursive",
-        ])
-        assert (config.T, config.R, config.delta) == (None, 10, 0.05)
+        assert (config.kind, config.seed, config.out) == ("game", 0, None)
+        parsed = {"name": "d", "kind": "game", "seed": "0", "out": None}
+        assert read(MINIMAL_GAME[5:]) == {**parsed, "T": "1000", "R": "10"}
+        assert read(["kind = bounds"]) == {**parsed, "kind": "bounds",
+                                           "delta": "0.05"}
+        assert read(["kind = recursive"]) == {**parsed, "kind": "recursive",
+                                              "R": "10", "delta": "0.05"}
 
     def test_comments_and_blank_lines(self):
         config = parse_config_lines(["# leading comment", "", *MINIMAL_GAME])
         assert config.name == "tiny"
-        assert config.T == 40
+        assert config.experiment["T"] == "40"
 
     def test_duplicate_key_names_the_line(self):
         bad = MINIMAL_GAME[:3] + ["T = 41"] + MINIMAL_GAME[3:]
@@ -128,8 +132,12 @@ class TestConfigParsing:
             parse_config_lines(bad)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            parse_config_lines(["[experiment]", "name = x", "horizon = 12"])
+        # the run reads the [experiment] keys past name, kind, seed and out
+        config = parse_config_lines([*MINIMAL_GAME[:2], "horizon = 12",
+                                     *MINIMAL_GAME[2:]])
+        with pytest.raises(ConfigError,
+                           match="experiment.horizon: unknown keys"):
+            run_experiment(config)
 
     def test_syntax_and_structure_errors(self):
         with pytest.raises(ConfigError, match="line 1"):
@@ -137,33 +145,37 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="outside any"):
             parse_config_lines(["key = value"])
         with pytest.raises(ConfigError, match="experiment.T"):
-            parse_config_lines(["[experiment]", "name = x", "T = soon"])
+            run_experiment(parse_config_lines(["[experiment]", "name = x",
+                                               "T = soon", *MINIMAL_GAME[5:]]))
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config_lines(MINIMAL_GAME + ["[mystery]"])
         with pytest.raises(ConfigError, match="delta"):
-            parse_config_lines(["[experiment]", "name = x", "kind = bounds",
-                                "delta = 1.5"])
+            run_experiment(parse_config_lines([
+                "[experiment]", "name = x", "kind = bounds", "delta = 1.5"]))
 
     @pytest.mark.parametrize("kind", EXPERIMENT_READS)
     @pytest.mark.parametrize("key, text, value", [
         ("T", "64", 64), ("R", "2", 2), ("delta", "0.1", 0.1)])
     def test_each_kind_takes_only_the_experiment_keys_it_reads(
             self, tmp_path, capsys, kind, key, text, value):
-        # seed and out are taken by every kind; a key the kind does not
-        # read is an unknown key, named by its line
+        # seed and out are taken by every kind; a run reads the key once
+        # where its kind takes it, and a key the kind does not read is an
+        # unknown key, named by its line
         lines = ["[experiment]", "name = k", f"kind = {kind}",
                  f"{key} = {text}",
                  *(MINIMAL_GAME[5:] if kind == "game" else [])]
         reads = EXPERIMENT_READS[kind]
         if key in reads:
-            assert getattr(parse_config_lines(lines), key) == value
+            config = parse_config_lines(lines)
+            run_experiment(config)
+            [f] = [f for f in config.fields
+                   if (f.section, f.key) == ("experiment", key)]
+            assert (f.text, f.kind(f.text)) == (text, value)
             return
         path = tmp_path / "k.cfg"
         path.write_text("\n".join(lines) + "\n")
         assert main(["run", str(path), "--out", str(tmp_path)]) == 2
-        takes = ", ".join(k for k in ("name", "kind", "T", "R", "seed",
-                                      "delta", "out")
-                          if k in reads or k not in ("T", "R", "delta"))
+        takes = ", ".join(("name", "kind", "seed", "out", *reads))
         assert_config_error(capsys.readouterr().err,
                             f"experiment.{key}: unknown keys ['{key}']; "
                             f"[experiment] takes {takes} (line 4)")
@@ -181,8 +193,8 @@ class TestConfigParsing:
 
     def test_ucb_vs_exp3_preset_parameters(self):
         config = parse_config(resolve_config("ucb_vs_exp3"))
-        assert config.T == 10000
-        assert config.R == 20
+        assert config.experiment["T"] == "10000"
+        assert config.experiment["R"] == "20"
         assert config.environment["k_grid"].replace(" ", "") == "2,4,8,16"
         kinds = {spec["kind"] for _, spec in config.policies}
         assert kinds == {"ucb1", "exp3"}
@@ -199,7 +211,7 @@ class TestRunner:
 
     def test_single_repetition_has_zero_std(self):
         config = parse_config_lines(MINIMAL_GAME)
-        config.R = 1
+        config.experiment["R"] = "1"
         traces = run_experiment(config)
         assert len(traces) == 1
         assert np.all(traces[0].std == 0.0)
@@ -379,8 +391,8 @@ class TestRunner:
         config = parse_config_lines([
             "[experiment]", "name = b", "T = 67108864", "R = 1",
             "[environment]", f"kind = {breaker}", "[policy e]", "kind = exp3"])
-        feedback, [(suffix, K, build)] = runner._read_environment(config)
-        assert (feedback, suffix, K) == (None, "", 2)
+        T, R, feedback, [(suffix, K, build)] = runner._read_environment(config)
+        assert (T, R, feedback, suffix, K) == (2 ** 26, 1, None, "", 2)
 
     def test_replay_kind_estimates_fixed_arm_value(self):
         config = parse_config_lines([
@@ -807,7 +819,9 @@ class TestCli:
     @pytest.mark.parametrize("lines, message", [
         (["kind = bounds", "# the level below", "delta = 1.5"],
          "experiment.delta: must be in (0, 1), got '1.5' (line 5)"),
-        (["", "T = soon"], "experiment.T: cannot parse 'soon' as int (line 4)"),
+        (["", "T = soon", "[environment]", "kind = bernoulli",
+          "means = 0.2, 0.8", "[policy u]", "kind = ucb1"],
+         "experiment.T: cannot parse 'soon' as int (line 4)"),
         (["kind = bounds", "[params]", "family = four_bounds", "n = abc"],
          "params.n: cannot parse 'abc' as int (line 6)"),
         (["kind = replay", "T = 30", "R = 1", "[params]", "means = 0.2, 0.8",
@@ -886,7 +900,9 @@ class TestCli:
          "expected one of original, improved (line 8)"),
         (["kind = bounds", "[params]", "n = 1"],
          "params.n: must be >= 2, got '1' (line 5)"),
-        (["T = 0"], "experiment.T: must be >= 1, got '0' (line 3)"),
+        (["T = 0", "[environment]", "kind = bernoulli", "means = 0.2, 0.8",
+          "[policy u]", "kind = ucb1"],
+         "experiment.T: must be >= 1, got '0' (line 3)"),
         (["kind = pacbayes", "[params]", "m = 0"],
          "params.m: must be >= 1, got '0' (line 5)"),
         (["kind = pacbayes", "[params]", "n_grid = 0, 10"],
@@ -1184,7 +1200,7 @@ class TestCli:
          f"'{HUGE}' (--reps)"),
         (["run", "bounds_compare", "--reps", "3"],
          "experiment.R: unknown keys ['R']; [experiment] takes name, kind, "
-         "seed, delta, out (--reps)"),
+         "seed, out, delta (--reps)"),
         (["run", "tiny.cfg", "--seed", "-1"],
          "experiment.seed: must be in [0, 2**64), got '-1' (--seed)"),
         (["run", "tiny.cfg", "--seed", str(2 ** 64)],
@@ -1351,10 +1367,11 @@ FUZZ_TOKENS = ("", "0", "-1", "1, -1", "0.5", "nan", "inf", "x", HUGE,
                "1000000000")
 # A row runs to the end with a token below every floor or past every cap.
 FUZZ_TO_THE_END = ("-1", "1, -1", HUGE)
-# The child runs each row until its kind's first library or numpy call, the
-# point where every field has been read, unless the row is marked to run to
-# the end; it prints [exit code, stderr] per row, and 1 with the traceback
-# for any exception main lets through.
+# The child runs each row's ``lab`` arguments until the run's first library
+# or numpy call, the point where every field has been read, unless the row
+# is marked to run to the end; it prints [exit code, stderr] per row, and 1
+# with the traceback for any exception main lets through.  The bad-log gate
+# runs its ``lab replay`` rows to the end.
 FUZZ_CHILD = """\
 import contextlib, io, json, resource, sys, traceback
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -1378,12 +1395,12 @@ stubs = {name: StopNumpy() if obj is np else stop
 parser = cli.build_parser()
 cli.build_parser = lambda: parser
 results = []
-for path, full in json.loads(sys.stdin.read()):
+for argv, full in json.loads(sys.stdin.read()):
     vars(runner).update(real if full else stubs)
     err, quiet = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(quiet):
-            code = cli.main(["run", path, "--out", sys.argv[1]])
+            code = cli.main(argv)
     except Stop:
         code = 0
     except Exception:
@@ -1418,10 +1435,10 @@ def _fields(lines):
 def _probes():
     """The configs of the probes that read every key the runner reads, each
     with its ``fields`` record.  Every preset with T and R shrunk is run as
-    it is, so its record holds every re-read of [experiment]; then it is run
-    with an unknown key in one other section at a time, so that the run
-    stops where that section closes; each environment and policy section is
-    also run with each kind its ``kind`` field offers."""
+    it is, so its record holds every [experiment] key its kind reads; then
+    it is run with an unknown key in one other section at a time, so that
+    the run stops where that section closes; each environment and policy
+    section is also run with each kind its ``kind`` field offers."""
     def probe(lines, i=None):
         if i is None:
             config = parse_config_lines(lines)
@@ -1487,23 +1504,29 @@ def _fuzz_rows(runner_keys):
                                           *lines[stop:]], full)
 
 
+def _run_fuzz_child(jobs):
+    """[exit code, stderr] of each (``lab`` arguments, full) job, as
+    FUZZ_CHILD runs them in one child process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", FUZZ_CHILD],
+                          input=json.dumps(jobs), env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(tmp_path):
     rows = list(_fuzz_rows(_runner_keys()))
     jobs = []
     for i, (_, _, lines, full) in enumerate(rows):
         path = tmp_path / f"row{i}.cfg"
         path.write_text("\n".join(lines) + "\n")
-        jobs.append((str(path), full))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    done = subprocess.run([sys.executable, "-c", FUZZ_CHILD, str(tmp_path)],
-                          input=json.dumps(jobs), env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
+        jobs.append((["run", str(path), "--out", str(tmp_path)], full))
     bad = []
     for (field, token, _, full), (code, err) in zip(
-            rows, json.loads(done.stdout)):
+            rows, _run_fuzz_child(jobs)):
         named = err.removeprefix("config error: ").partition(": ")[0]
         one_shape = RANGE_ERROR.match(err) or OTHER_ERROR.search(err)
         if code != 0 and not (code == 2 and one_shape and named == field):
@@ -1511,19 +1534,62 @@ def test_fuzz_gate_every_bad_token_exits_0_or_2_naming_its_field(tmp_path):
     assert not bad
 
 
+# The bad-log gate's tokens: signs, leading zeros, underscores, non-integers,
+# values past K, 2**27 and the 64-bit range, an empty field and a non-ASCII
+# digit
+LOG_TOKENS = ("", "0", "1", "2", "4", "-1", "+1", "01", "1_0", "x", "0.5",
+              "nan", "1e3", HUGE, str(2 ** 63), str(-2 ** 63 - 1), "\u0661")
+# A bad log exits 2 naming its line, or the file where no line is to blame
+# (a byte the ASCII reader cannot decode, a log without a header)
+LOG_ERROR = re.compile(r"config error: --log: (line \d+: )?[^\n]+\n")
+
+
+def test_bad_log_gate_every_bad_token_exits_0_or_2_naming_the_log(tmp_path):
+    # a write_log log takes the byte grid, and the same log after a comment
+    # line takes _scan_log; the header's K and each field of the first
+    # record get each token in turn, in both modes with three policies
+    from boundslab.environments import synthesize_uniform_log, write_log
+
+    write_log(tmp_path / "plain.log", 4, synthesize_uniform_log(
+        [0.2, 0.5, 0.8, 0.3], 40, 12))
+    plain = (tmp_path / "plain.log").read_text().splitlines()
+    rows = []  # ((line, field, token), lab arguments)
+    for lines in (plain, ["# a comment", *plain]):
+        header = lines.index(plain[0])
+        for i in (header, header + 1):
+            fields = lines[i].split()
+            for j in range(1 if i == header else len(fields)):
+                for token in LOG_TOKENS:
+                    text = (f"K={token}" if i == header else
+                            " ".join([*fields[:j], token, *fields[j + 1:]]))
+                    path = tmp_path / f"log{len(rows)}.log"
+                    path.write_text("\n".join(
+                        [*lines[:i], text, *lines[i + 1:]]) + "\n",
+                        encoding="utf-8")
+                    rows += [((i + 1, j, token), [
+                        "replay", "--log", str(path), "--policy", policy,
+                        "--mode", mode]) for mode in ("iw", "rs")
+                        for policy in ("ucb1", "exp3", "fixed:1")]
+    results = _run_fuzz_child([(argv, True) for _, argv in rows])
+    bad = [(row, argv[3:], code, err)
+           for (row, argv), (code, err) in zip(rows, results)
+           if not (code == 0 or code == 2 and LOG_ERROR.fullmatch(err))]
+    assert not bad
+
+
 @pytest.mark.parametrize("preset", preset_names())
 def test_a_second_run_leaves_the_record_of_the_first(preset):
-    # a run appends its reads to the parser's: one of each key it reads,
-    # and its re-reads of the parser's T and R text, which it checks again
+    # a run appends its reads to the parser's four (name, kind, seed, out),
+    # so the record holds one read of each field, and a second run of the
+    # same config leaves the same record
     config = parse_config_lines(_shrunk_preset(preset))
     parsed = list(config.fields)
+    assert [(f.section, f.key) for f in parsed] == [
+        ("experiment", key) for key in ("name", "kind", "seed", "out")]
     run_experiment(config)
     first = list(config.fields)
     assert first[:len(parsed)] == parsed
-    again = [(f.section, f.key) for f in first[len(parsed):]]
-    assert {key for section, key in again if section == "experiment"} <= {
-        "T", "R"}
-    read = [field for field in again if field[0] != "experiment"]
+    read = [(f.section, f.key) for f in first]
     assert len(set(read)) == len(read)
     run_experiment(config)
     assert config.fields == first
@@ -1549,7 +1615,8 @@ def _reads_by_kind():
     records.  [environment] and [policy] go by their own kind field, which
     is not among their keys; [params] and [experiment] by the experiment's
     kind, whose field is among [experiment]'s keys, so an [experiment]
-    key's wants gather its kind's re-reads."""
+    key's wants gather its reads by every probe of that kind, such as
+    experiment.T's breaker rule."""
     reads, choices = {}, {}
     for config in _probes():
         kinds = {f.section: f.text for f in config.fields if f.key == "kind"}
@@ -1596,13 +1663,12 @@ def test_readme_config_tables_list_what_the_runner_reads():
     field's choices, in order; ``all`` stands for every kind.  An
     [experiment] row's kind cell lists the experiment kinds that read its
     key, and the record must hold a read of it by exactly those.  Where a
-    read's rules, or a kind's re-read of an [experiment] field
-    (``config.section``), hold an ``at_least(n)`` floor (a ``want`` of
-    ``>= n``), its "allowed" cell names that floor, as ``>= n`` or
-    ``in [n, ...``.  Where they hold a cap (a ``_cap`` want), the cell holds
-    the cap's bound, the text between ``<= `` and the first `` = `` or
-    ``, as``, written with ``^`` for ``**``, ``/`` for ``//`` and no
-    ``experiment.``, ``params.`` or ``environment.`` prefix:
+    read's rules hold an ``at_least(n)`` floor (a ``want`` of ``>= n``), its
+    "allowed" cell names that floor, as ``>= n`` or ``in [n, ...``.  Where
+    they hold a cap (a ``_cap`` want), the cell holds the cap's bound, the
+    text between ``<= `` and the first `` = `` or ``, as``, written with
+    ``^`` for ``**``, ``/`` for ``//`` and no ``experiment.``, ``params.``
+    or ``environment.`` prefix:
     ``2**27 // max(experiment.R, 256)`` is ``2^27 / max(R, 256)``.  The
     other rule texts are left out: ties such as ``params.fixed_arm``'s
     range, which README states in its own words."""

@@ -374,30 +374,6 @@ class TestExp3:
         with pytest.raises(ValueError, match="requires a preceding act"):
             pol.update_reward(0, 0.5)
 
-    @pytest.mark.parametrize("reward_range", [1.0, 2.0])
-    def test_one_row_contract_checks(self, reward_range):
-        rng = np.random.default_rng(0)
-        pol = EXP3Policy(2, reward_range=reward_range)
-        arm = pol.act(rng)
-        # -1e-17 is a reward below 0 although range - (-1e-17) rounds to
-        # the range, and the next double above the range is outside it
-        above = math.nextafter(reward_range, math.inf)
-        for bad in (-0.5, -1e-17, above, reward_range + 0.5, math.nan):
-            with pytest.raises(ValueError) as caught:
-                pol.update_reward(arm, bad)
-            assert str(caught.value) == (
-                f"reward must be in [0, {reward_range:g}], got {bad}")
-        assert pol.t == 0
-        pol.update_reward(arm, reward_range)  # the top of the range: loss 0
-        assert pol.t == 1 and pol.p is None
-        assert pol.estimates.tolist() == [[0.0, 0.0]]
-        rows = EXP3Policy(2, R=2)
-        with pytest.raises(ValueError, match="R=2"):
-            rows.act(rng)
-        rows.act_rows(np.array([0.1, 0.9]))
-        with pytest.raises(ValueError, match="R=2"):
-            rows.update_reward(0, 0.5)
-
     @given(st.floats(0.0, 1.0), st.integers(2, 16), st.booleans())
     def test_unit_and_k_ranges_feed_the_bits_of_their_replays(
             self, reward, K, matched):
@@ -679,6 +655,39 @@ class TestUcbPolicy:
             arm = pol.act()
             pol.update_reward(arm, (0.9, 0.1)[arm])
         assert pol.counts[0] > pol.counts[1]
+
+
+@pytest.mark.parametrize("reward_range", [1.0, 2.0])
+@pytest.mark.parametrize("make", [
+    lambda span: EXP3Policy(2, reward_range=span),
+    lambda span: UCB1Policy(2, parametrization="improved", reward_range=span),
+], ids=["exp3", "ucb1"])
+def test_one_row_contract_checks(make, reward_range):
+    # both replay policies check a reward against their range alone, with
+    # one message: -1e-17 is a reward below 0 although range - (-1e-17)
+    # rounds to the range, and the next double above the range is outside it
+    rng = np.random.default_rng(0)
+    pol = make(reward_range)
+    arm = pol.act(rng)
+    above = math.nextafter(reward_range, math.inf)
+    for bad in (-0.5, -1e-17, above, reward_range + 0.5, math.nan):
+        with pytest.raises(ValueError) as caught:
+            pol.update_reward(arm, bad)
+        assert str(caught.value) == (
+            f"reward must be in [0, {reward_range:g}], got {bad}")
+    assert pol.t == 0
+    pol.update_reward(arm, reward_range)  # the top of the range: loss 0
+    assert pol.t == 1
+    if isinstance(pol, UCB1Policy):
+        assert (pol.counts[arm], pol.sums[arm]) == (1, reward_range)
+        return
+    assert pol.p is None and pol.estimates.tolist() == [[0.0, 0.0]]
+    rows = EXP3Policy(2, R=2)
+    with pytest.raises(ValueError, match="R=2"):
+        rows.act(rng)
+    rows.act_rows(np.array([0.1, 0.9]))
+    with pytest.raises(ValueError, match="R=2"):
+        rows.update_reward(0, 0.5)
 
 
 class TestDoubling:
