@@ -7,8 +7,8 @@ follow-the-leader and UCB1, logged-data replay via importance weighting and
 rejection sampling, and the regret accounting helpers.  All environments are
 oblivious: losses are fully determined by (spec, seed) before play and never
 depend on policy state beyond the chosen index at reveal time.  So a game
-returns only the arms it played, (T,) for one game and (R, T) for R, and
-its regret is read from them and the env's cells or arm means.
+of R repetitions returns only the (R, T) arms they played, and its regret
+is read from them and the env's cells or arm means.
 """
 from __future__ import annotations
 
@@ -21,22 +21,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from boundslab.divergences import _check_count, _check_unit
-from boundslab.online_policies import FixedPolicy, HedgePolicy, UCB1Policy
+from boundslab.online_policies import FixedPolicy, UCB1Policy
 
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-# Loss cells per array pass (at least one round): a block of a batched
-# bandit game or of a fixed-rate Hedge game, so their memory is bounded,
-# whatever the horizon.
+# Loss cells per array pass (at least one round): a block of the R
+# repetitions of a game, bandit or full-information, so their memory is
+# bounded, whatever the horizon.
 BLOCK_CELLS = 1 << 14
-
-# Rounds per block of Python rows that an env's ``row`` keeps, and that the
-# per-round full-information loop plays at a time: about 30 KiB at K = 2,
-# small enough that a series' envs held at once barely show in memory.
-ROW_BLOCK = 256
 
 # The most floats one sample, bound grid, loss table, block of loss cells,
 # series or policy row may hold: 2**27, 1 GiB as float64.  A config's size
@@ -115,21 +110,12 @@ class GameTranscript:
 
 
 def _row(self, t: int) -> list[float]:
-    """The K losses of round ``t``, as a fresh list of floats: changing it
-    changes no later read.  They are copied from a block of Python rows, the
-    ``ROW_BLOCK`` rounds from the multiple of ``ROW_BLOCK`` at or below t,
-    that the env's own ``blocks`` makes when t falls outside the block held.
-    A negative t, or one at or past the env's ``horizon``, raises a
-    ValueError."""
-    i = t - self._t0
-    if not 0 <= i < len(self._rows):
-        if not 0 <= t < self.horizon:
-            raise ValueError(f"round {t} outside [0, {self.horizon})")
-        t0 = t - t % ROW_BLOCK
-        t1 = min(t0 + ROW_BLOCK, self.horizon)
-        self._t0, self._rows = t0, type(self).blocks([self], t0, t1)[0].tolist()
-        i = t - t0
-    return self._rows[i][:]
+    """The K losses of round ``t``, as a fresh list of floats read from the
+    env's own ``blocks``.  A negative t, or one at or past the env's
+    ``horizon``, raises a ValueError."""
+    if not 0 <= t < self.horizon:
+        raise ValueError(f"round {t} outside [0, {self.horizon})")
+    return type(self).blocks([self], t, t + 1)[0, 0].tolist()
 
 
 def _loss(self, t: int, a: int) -> float:
@@ -145,9 +131,8 @@ class BernoulliEnv:
     with mean ``means[a]``, a function of (seed, t, a) alone, so that full
     and bandit runs over the same seed agree on every revealed entry and the
     reveal order never changes a value.  Every cell comes from one block
-    generator, ``blocks``; ``row`` and ``loss`` are the ones ``MatrixEnv``
-    has, and read a block of rows that ``blocks`` makes.  There is no last
-    round."""
+    generator, ``blocks``; ``row`` and ``loss``, the ones ``MatrixEnv`` has,
+    read one round of it.  There is no last round."""
 
     horizon = math.inf
     # in each class's own namespace, where perfbench's tracer wraps them
@@ -165,7 +150,6 @@ class BernoulliEnv:
         seed = int(_check_count(seed, "seed", 0))
         seed_bits = np.array([seed & _MASK64], dtype=np.uint64)
         self._seed_state = int(_mix64_array(seed_bits)[0])
-        self._t0, self._rows = 0, []
 
     @staticmethod
     def blocks(envs: Sequence["BernoulliEnv"], t0: int, t1: int) -> np.ndarray:
@@ -185,8 +169,8 @@ class BernoulliEnv:
 
 class MatrixEnv:
     """Adversarial losses read from an explicit T x K matrix fixed before
-    play; ``horizon`` is T.  ``row`` and ``loss`` are the ones
-    ``BernoulliEnv`` has, and read a block of rows that ``blocks`` copies."""
+    play; ``horizon`` is T.  ``row`` and ``loss``, the ones ``BernoulliEnv``
+    has, read one round of ``blocks``."""
 
     row, loss = _row, _loss
 
@@ -200,7 +184,6 @@ class MatrixEnv:
         self.matrix = matrix
         self.K = matrix.shape[1]
         self.horizon = matrix.shape[0]
-        self._t0, self._rows = 0, []
 
     @staticmethod
     def blocks(envs: Sequence["MatrixEnv"], t0: int, t1: int) -> np.ndarray:
@@ -438,48 +421,58 @@ def synthesize_uniform_log(means: Sequence[float], T: int, seed: int,
     return BanditLog(actions, rewards, features)
 
 
-def play_full_information(policy, env, T: int, rng=None) -> np.ndarray:
-    """Run a full-information game and return its (T,) int array of arms:
-    the policy picks an arm, incurs that entry, then sees the whole loss
-    column.  Score the arms with ``hindsight_regret`` on the env's cells
-    (``type(env).blocks([env], 0, T)[0]``) or with ``pseudo_regret``; the
-    incurred losses are ``cells[np.arange(T), arms]``.
-
-    A Hedge whose rate holds over a period (``policy.fixed_rate``) plays a
-    block of rounds at a time with ``policy.play_rows``: a block ends after
-    ``max(1, BLOCK_CELLS // K)`` rounds, the cell bound of a ``play_bandit``
-    block at R = 1, or at the policy's next period start, and reads its rows
-    from ``type(env).blocks``.  A game past the env's ``horizon`` plays up
-    to it and raises what ``row`` raises there.  Any other policy plays
-    ``ROW_BLOCK`` rounds to a block, each one ``act`` and one
-    ``observe(env.row(t))``; ``policy.act(u)`` takes one uniform per round
-    when ``policy.draws`` (Hedge) and None otherwise (FTL).  The uniforms
-    are drawn from ``rng`` per block, which gives the same doubles and
-    leaves ``rng`` in the same state as one draw per round.
-    """
+def _check_game(policy, envs: Sequence, T: int,
+                rngs: Sequence | None) -> tuple[int, int]:
+    """(R, K) of a game of T rounds of ``policy`` on ``envs``, after both
+    game loops' checks: one env per policy row, all of one class and the
+    policy's arm count, and, for a policy that draws, one random stream of
+    its own per repetition."""
     _check_count(T, "T", 0)
-    if policy.draws and rng is None:
-        raise ValueError("a policy that draws needs a random stream")
-    blockwise = isinstance(policy, HedgePolicy) and policy.fixed_rate
-    step = max(1, BLOCK_CELLS // env.K)
-    act, row_of, observe = policy.act, env.row, policy.observe
-    arms = np.empty(T, dtype=int)
+    R, K = policy.R, policy.K
+    if len(envs) != R:
+        raise ValueError(f"need one env per policy row, got {len(envs)} for R={R}")
+    if any(type(env) is not type(envs[0]) or env.K != K for env in envs):
+        raise ValueError(f"envs must share one class and K={K}")
+    if policy.draws and (rngs is None or len(rngs) != R
+                         or len({id(rng) for rng in rngs}) != R):
+        raise ValueError("need one random stream of its own per repetition")
+    return R, K
+
+
+def play_full_information(policy, envs: Sequence, T: int,
+                          rngs: Sequence | None = None) -> np.ndarray:
+    """Run R full-information games at once, one per row of ``policy``, and
+    return their (R, T) int array of arms: in each round row r picks an arm
+    of ``envs[r]``, incurs that entry, then sees the whole loss column.
+    Score the arms with ``hindsight_regret`` on the env's cells or with
+    ``pseudo_regret``.
+
+    The loss cells never depend on the arms, so ``policy`` (``HedgePolicy``,
+    ``FTLPolicy``) plays a block of rounds of every row at once with
+    ``play_rows(rows, u)``: the (R, n, K) loss rows that
+    ``type(envs[0]).blocks`` makes and, when ``policy.draws``, (R, n)
+    uniforms, each repetition's drawn from ``rngs[r]`` (the doubles, and the
+    stream state, of one draw per round).  A block ends after
+    ``max(1, BLOCK_CELLS // (R·K))`` rounds, as a ``play_bandit`` block
+    does, or at the policy's next ``period_end``.  The envs and streams are
+    checked as ``play_bandit`` checks them.  A game past an env's
+    ``horizon`` plays up to it, then raises.  The policy is left in its
+    state after T rounds.
+    """
+    R, K = _check_game(policy, envs, T, rngs)
+    horizon = min(env.horizon for env in envs)
+    step = max(1, BLOCK_CELLS // (R * K))
+    arms = np.empty((R, T), dtype=int)
     t0 = 0
     while t0 < T:
-        if blockwise:
-            t1 = min(T, t0 + step, t0 + policy.period_end - policy.t)
-            stop = min(t1, env.horizon)
-            rows = type(env).blocks([env], t0, stop)[0]
-            arms[t0:stop] = policy.play_rows(rows, rng.random(t1 - t0)[:stop - t0])
-            if stop < t1:
-                raise ValueError(f"round {stop} outside [0, {stop})")
-        else:
-            t1 = min(T, t0 + ROW_BLOCK)
-            uniforms = (rng.random(t1 - t0).tolist() if policy.draws
-                        else [None] * (t1 - t0))
-            for t, u in zip(range(t0, t1), uniforms):
-                arms[t] = act(u)
-                observe(row_of(t))
+        t1 = min(T, t0 + step, t0 + policy.period_end - policy.t)
+        stop = min(t1, horizon)
+        u = (np.stack([rng.random(t1 - t0)[:stop - t0] for rng in rngs])
+             if policy.draws else None)
+        rows = type(envs[0]).blocks(envs, t0, stop)
+        arms[:, t0:stop] = policy.play_rows(rows, u)
+        if stop < t1:
+            raise ValueError(f"round {stop} outside [0, {stop})")
         t0 = t1
     return arms
 
@@ -501,15 +494,7 @@ def play_bandit(policy, envs: Sequence, T: int,
     so a round reads its R losses with one flat index.  The policy is left
     in its state after T rounds.
     """
-    _check_count(T, "T", 0)
-    R, K = policy.R, policy.K
-    if len(envs) != R:
-        raise ValueError(f"need one env per policy row, got {len(envs)} for R={R}")
-    if any(type(env) is not type(envs[0]) or env.K != K for env in envs):
-        raise ValueError(f"envs must share one class and K={K}")
-    if policy.draws and (rngs is None or len(rngs) != R
-                         or len({id(rng) for rng in rngs}) != R):
-        raise ValueError("need one random stream of its own per repetition")
+    R, K = _check_game(policy, envs, T, rngs)
     offsets = np.arange(R) * K  # row starts in a round's R·K cells
     act_rows, update_rows = policy.act_rows, policy.update_rows
     arms = np.empty((R, T), dtype=int)

@@ -3,11 +3,11 @@
 Each repetition r of an experiment derives an independent stream from the
 master seed via ``SeedSequence(master, spawn_key=(r,))``; repetitions are
 aggregated (mean, population std) in repetition-index order, so the output
-is a pure function of the configuration.  A bandit series is one policy of
-R rows, whose repetitions ``play_bandit`` plays together; everything else
-runs one repetition after another.  A game series is one (R, T) int array
-of arms, which ``play_bandit`` returns or each full-information game fills
-a row of, scored by one call of its regret function; the replay's
+is a pure function of the configuration.  A game series is one policy of
+R rows, whose repetitions one call of ``play_bandit`` or
+``play_full_information`` plays together; everything else runs one
+repetition after another.  That call returns the series' (R, T) int array
+of arms, scored by one call of its regret function; the replay's
 importance-weighted series writes each repetition's row into one (R, T)
 buffer as it is computed.  A helper's scope holds them, so none outlives
 the series' ``aggregate`` call.  The series of one experiment share one
@@ -32,7 +32,6 @@ from boundslab.divergences import ProbVec, pinsker_relaxations
 from boundslab.environments import (
     LOG_FIELDS,
     MAX_CELLS,
-    ROW_BLOCK,
     BernoulliEnv,
     MatrixEnv,
     hindsight_regret,
@@ -102,12 +101,12 @@ def _read_series(config: ExperimentConfig, *T_rules) -> tuple[int, int]:
 
 def _read_policy(config: ExperimentConfig, label: str, raw: dict, T: int,
                  R: int):
-    """(kind, K -> a fresh policy) of one [policy] section: a bandit policy
-    holds the R repetitions as rows, a full-information one plays one game."""
+    """(kind, K -> a fresh policy) of one [policy] section, which holds the
+    R repetitions as rows."""
     f = Section(f"policy {label}", raw, config.fields)
     kind = f.read("kind", tuple(_PLAYS), required="for every policy")
     if kind == "hedge":
-        make = partial(HedgePolicy, T=T, variant=f.read(
+        make = partial(HedgePolicy, R=R, T=T, variant=f.read(
             "variant", HEDGE_ETA_VARIANTS, "anytime_tight"),
             doubling=f.read("doubling", bool, "false"))
     elif kind == "exp3":
@@ -116,7 +115,7 @@ def _read_policy(config: ExperimentConfig, label: str, raw: dict, T: int,
         make = partial(UCB1Batch, R=R, parametrization=f.read(
             "parametrization", UCB1_PARAMETRIZATIONS, "original"))
     else:
-        make = FTLPolicy
+        make = partial(FTLPolicy, R=R)
     f.close()
     return kind, make
 
@@ -149,15 +148,12 @@ def _read_environment(config: ExperimentConfig):
                              required="for bernoulli"))
         envs = [("", len(means), partial(_stochastic, means))]
     elif kind == "bernoulli_gap":
-        # the largest block of cells is one round of the R repetitions (a
-        # bandit block of more rounds stays under BLOCK_CELLS) or ROW_BLOCK
-        # rounds of an env's row cache; a fixed-rate Hedge block holds at
-        # most max(BLOCK_CELLS, k) cells, and BLOCK_CELLS is far below 2**27
-        rows = f"max(experiment.R, {ROW_BLOCK})"
+        # the largest block of cells is one round of the R repetitions: a
+        # block of more rounds stays under BLOCK_CELLS, far below 2**27
         k_grid = f.read("k_grid", [int], "2", (
             lambda ks: min(ks) >= 2 and len(set(ks)) == len(ks),
-            "distinct integers >= 2"), _cap(f"a block of {rows} rows of k loss "
-            "cells", max(R, ROW_BLOCK), rows, many=max))
+            "distinct integers >= 2"), _cap("a round of experiment.R rows of "
+            "k loss cells", R, "experiment.R", many=max))
         # arm 0 has mean loss 0.25, a gap of 0.25 below the other arms' 0.5
         envs = [(f"[K={k}]" if len(k_grid) > 1 else "", k, partial(
             _stochastic, (0.25,) + (0.5,) * (k - 1))) for k in k_grid]
@@ -188,15 +184,9 @@ def _run_game(config: ExperimentConfig) -> list[AggregateTrace]:
         the R x T arms its games play; the arms go when this returns."""
         env_seeds, rngs = zip(*[repetition_seeds(config.seed, r)
                                 for r in range(R)])
-        # made one at a time, so a full-information series holds one env's
-        # row block at a time
-        games = map(env_factory, env_seeds)
-        if mode == "bandit":
-            return regret_fn(play_bandit(make(K), list(games), T, rngs))
-        arms = np.empty((R, T), dtype=int)
-        for row, env, rng in zip(arms, games, rngs):  # a fresh policy each
-            row[:] = play_full_information(make(K), env, T, rng)
-        return regret_fn(arms)
+        envs = list(map(env_factory, env_seeds))
+        play = play_bandit if mode == "bandit" else play_full_information
+        return regret_fn(play(make(K), envs, T, rngs))
 
     traces = []
     for suffix, K, build in envs:

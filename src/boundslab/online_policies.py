@@ -1,41 +1,36 @@
 """Online decision rules for repeated games against losses in [0, 1].
 
 Module-level functions give the closed-form pieces (learning rates,
-schedules, the FTL choice, arm draws, and ``_hedge_weights``, the unchecked
-exponential-weights kernel of every Hedge round); the policy classes wrap
-them into stateful players for the game loops in
+schedules, arm draws, and ``_exp_weights_rows``, the unchecked
+exponential-weights kernel of every Hedge, EXP3 and EXP4 round); the policy
+classes wrap them into stateful players for the game loops in
 :mod:`boundslab.environments`.  Everything is deterministic given the
-caller-supplied random stream; ties always break toward the lowest index.
+caller-supplied random streams; ties always break toward the lowest index.
 
-The bandit policies that ``play_bandit`` plays (EXP3, EXP4, ``UCB1Batch``)
-hold R independent rows, the R repetitions of a series, with the state in
-(R, K) arrays, or (R, N) for EXP4's N experts: ``act_rows`` gives the arms
-of every row's next round and ``update_rows`` takes their losses.  EXP3 and
-EXP4 take their exponential weights from one row kernel,
-``_exp_weights_rows``, and so does full information: a Hedge whose rate
-holds over a period plays a block of rounds as rows, one row per round
-(``HedgePolicy.play_rows``).  A row does the float operations of its scalar
-counterpart in the same order: exponentials go through ``math.exp``
-(``np.exp`` rounds differently), ``ProbVec`` totals through ``math.fsum``
-(or one add for two arms, the same double), and at most one ``math.log``
-is taken per round.  ``np.sqrt``, division and left-to-right
-``np.add.accumulate`` round exactly like their scalar counterparts, and
-``np.argmax`` breaks ties toward the lowest index.  UCB1 is the one policy
+Every game policy holds R independent rows, the R repetitions of a series,
+with the state in (R, K) arrays, or (R, N) for EXP4's N experts.  The
+bandit policies that ``play_bandit`` plays (EXP3, EXP4, ``UCB1Batch``) give
+every row's arm of the next round with ``act_rows`` and take their losses
+with ``update_rows``.  The full-information policies that
+``play_full_information`` plays (Hedge, FTL) see every loss cell, which
+never depends on what they play, so ``play_rows`` plays a block of rounds
+of every row at once.  A kernel does the float operations of the one-round
+formula in the same order: exponentials go through ``math.exp`` (``np.exp``
+rounds differently), ``ProbVec`` totals through ``math.fsum`` (or one add
+for two arms, the same double), and at most one ``math.log`` is taken per
+round.  ``np.sqrt``, division and left-to-right ``np.add.accumulate``
+round exactly like their scalar counterparts, and ``np.argmax`` and
+``np.argmin`` break ties toward the lowest index.  UCB1 is the one policy
 with a second, scalar implementation (see ``UCB1Batch``).
 """
 from __future__ import annotations
 
-import functools
 import math
-import operator
-from itertools import accumulate, repeat
-from typing import Sequence
 
 import numpy as np
 
 from boundslab.divergences import (
     NORMALIZATION_TOL,
-    ProbVec,
     _check_count,
     _check_range,
     _check_rate,
@@ -44,20 +39,6 @@ from boundslab.divergences import (
 
 HEDGE_ETA_VARIANTS = ("simple", "tight", "anytime_tight")
 UCB1_PARAMETRIZATIONS = ("original", "improved")
-
-
-def _hedge_weights(losses: Sequence[float], eta: float) -> ProbVec:
-    """Exponential-weights distribution p(a) ∝ exp(-eta * L(a)) of a
-    nonempty list or tuple of finite cumulative losses, at a rate the
-    caller knows to be positive and finite.  The minimum loss is subtracted
-    first, which keeps every exponent at or below 0 and makes the output
-    invariant under shifting all losses by a constant."""
-    low = min(losses)
-    weights = [math.exp(-eta * (v - low)) for v in losses]
-    # a left-to-right sum, which ``np.add.accumulate`` reproduces; the
-    # built-in ``sum`` compensates rounding error from Python 3.12 on
-    total = functools.reduce(operator.add, weights)
-    return ProbVec(map(operator.truediv, weights, repeat(total)))
 
 
 def hedge_eta(K: int, *, T: int | None = None, t: int | None = None,
@@ -70,26 +51,9 @@ def hedge_eta(K: int, *, T: int | None = None, t: int | None = None,
         raise ValueError(f"unknown variant {variant!r}")
     log_k = math.log(K)
     if variant == "anytime_tight":
-        return _anytime_eta(log_k, _check_count(t, "t"))
+        return 2.0 * math.sqrt(log_k / _check_count(t, "t"))
     base = math.sqrt(2.0 * log_k / _check_count(T, "T"))
     return base if variant == "simple" else 2.0 * base
-
-
-def _anytime_eta(log_k: float, t: int) -> float:
-    """The anytime Hedge rate at round t from log K: 2 sqrt(ln K / t)."""
-    return 2.0 * math.sqrt(log_k / t)
-
-
-def ftl_choice(cum_losses: Sequence[float]) -> int:
-    """Follow-the-leader: the arm with the smallest cumulative loss so far,
-    lowest index on ties."""
-    if len(cum_losses) == 0:
-        raise ValueError("cum_losses must be nonempty")
-    best, best_val = 0, float(cum_losses[0])
-    for a in range(1, len(cum_losses)):
-        if float(cum_losses[a]) < best_val:
-            best, best_val = a, float(cum_losses[a])
-    return best
 
 
 def doubling_schedule(t: int, K: int) -> tuple[int, float]:
@@ -104,24 +68,11 @@ def doubling_schedule(t: int, K: int) -> tuple[int, float]:
     return m, math.sqrt(8.0 * math.log(K) / float(2 ** m))
 
 
-def sample_arm(dist: Sequence[float], u: float) -> int:
-    """Inverse-CDF draw from a distribution over arm indexes with a single
-    uniform ``u`` in [0, 1): the first arm whose running sum of the weights,
-    one left-to-right ``accumulate``, exceeds u, else the last arm.  The
-    weights are summed as given, so pass floats (a ``ProbVec`` holds
-    floats)."""
-    a = 0  # counted by hand: ``enumerate`` adds an iterator to every draw
-    for cum in accumulate(dist):
-        if u < cum:
-            return a
-        a += 1
-    return len(dist) - 1
-
-
 def sample_arms(dists: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``sample_arm`` for each row of an (R, K) array of distributions, with
-    one uniform per row: the first arm whose running sum exceeds u, else the
-    last arm."""
+    """Inverse-CDF draws from each row of an (R, K) array of distributions
+    over arm indexes, with one uniform in [0, 1) per row: the first arm
+    whose running sum of the weights, one left-to-right accumulate, exceeds
+    u, else the last arm."""
     cum = np.add.accumulate(dists, axis=1)
     cum[:, -1] = np.inf
     return (u[:, None] < cum).argmax(axis=1)
@@ -167,35 +118,63 @@ def _check_totals(totals: list[float]) -> None:
                              f"{total}, not 1")
 
 
-def _exp_weights_rows(losses: np.ndarray, eta: float,
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """``_hedge_weights`` of each row of an (R, K) array of losses, before
-    its division: the weights exp(-eta (L - min L)), one ``math.exp`` per
-    cell, and each row's left-to-right total, as an (R, 1) array."""
-    x = losses - np.minimum.reduce(losses, axis=1, keepdims=True)
+def _exp_weights_rows(losses: np.ndarray, eta) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """The exponential weights exp(-eta (L - min L)) of each row of finite
+    losses L along the last axis, one ``math.exp`` per cell, and each row's
+    left-to-right total, with the last axis kept.  ``eta`` is one positive
+    rate, or an array of them that broadcasts against the totals.  The
+    minimum loss is subtracted first, which keeps every exponent at or below
+    0, so the lowest loss weighs exp(0) = 1 and no weight overflows, and
+    makes the distribution, the weights divided by their total, invariant
+    under shifting a row by a constant."""
+    x = losses - np.minimum.reduce(losses, axis=-1, keepdims=True)
     x *= -eta
     weights = np.fromiter(map(math.exp, x.ravel().tolist()), float,
                           x.size).reshape(x.shape)
-    return weights, np.add.accumulate(weights, axis=1)[:, -1:]
+    return weights, np.add.accumulate(weights, axis=-1)[..., -1:]
 
 
-class HedgePolicy:
-    """Full-information exponential weights with a pluggable rate schedule.
+class _FullInformation:
+    """A full-information policy over R independent rows, which sees every
+    loss cell of each round it plays: its arms of a block of rounds depend
+    on the cumulative losses before each round.  ``period_end`` is the
+    completed rounds at which a block must end, infinite unless a doubling
+    period starts there."""
+
+    period_end = math.inf
+
+    def __init__(self, K: int, R: int) -> None:
+        self.K = K
+        self.R = _check_count(R, "R")
+        self.cum_losses = np.zeros((R, K))
+        self.t = 0  # completed rounds
+
+    def _running_losses(self, rows: np.ndarray) -> np.ndarray:
+        """The (R, n + 1, K) losses of each row before each of the n rounds
+        of the (R, n, K) loss rows and after the last, one left-to-right
+        ``np.add.accumulate`` along the rounds from ``cum_losses``."""
+        if rows.shape[0] != self.R or rows.shape[2] != self.K:
+            raise ValueError(f"loss rows must have shape ({self.R}, n, "
+                             f"{self.K}), got {rows.shape}")
+        return np.add.accumulate(
+            np.concatenate((self.cum_losses[:, None], rows), axis=1), axis=1)
+
+
+class HedgePolicy(_FullInformation):
+    """Full-information exponential weights over R independent rows, with a
+    pluggable rate schedule.
 
     ``variant`` picks the rate: "simple"/"tight" need a horizon ``T``;
-    "anytime_tight" uses the running round; ``doubling`` restarts a tight
-    fixed-horizon rate on periods of doubling length, whatever the variant.
-
-    Every argument is checked here, so a round runs no checks: a fixed rate
-    is taken once, an anytime rate once per round and a doubling rate once
-    per period, when the round before its first ends and resets the losses.
-    A rate that holds over a period (``fixed_rate``) can play a block of
-    that period's rounds at once, with ``play_rows``.
+    "anytime_tight" takes 2 sqrt(ln K / t) in round t, counted from 1;
+    ``doubling`` restarts a tight fixed-horizon rate on periods of doubling
+    length, whatever the variant.  Every argument is checked here, so a
+    block of rounds runs no checks.
     """
 
     draws = True
 
-    def __init__(self, K: int, *, variant: str = "anytime_tight",
+    def __init__(self, K: int, *, R: int = 1, variant: str = "anytime_tight",
                  T: int | None = None, doubling: bool = False) -> None:
         _check_count(K, "K", 2)
         if variant not in HEDGE_ETA_VARIANTS:
@@ -206,93 +185,66 @@ class HedgePolicy:
         # current doubling period's; None for an anytime rate
         if doubling:
             self._rate = doubling_schedule(1, K)[1]
+            # the completed rounds at which the next doubling period starts:
+            # its first round is 2**m, counted from 1
+            self.period_end = 1
         else:
             # validate the schedule eagerly so config errors surface early
             first = hedge_eta(K, T=T, t=1, variant=variant)
             self._rate = None if variant == "anytime_tight" else first
         self._log_k = math.log(K)
-        self.K = K
-        self.cum_losses = [0.0] * K
-        self.t = 0  # completed rounds
-        # the completed rounds at which the next doubling period starts: its
-        # first round is 2**m, counted from 1; none without doubling
-        self.period_end = 1 if doubling else math.inf
-
-    @property
-    def fixed_rate(self) -> bool:
-        """Whether the rate holds over a period: a fixed-horizon or
-        doubling rate, not an anytime one."""
-        return self._rate is not None
-
-    def distribution(self) -> ProbVec:
-        eta = self._rate
-        if eta is None:
-            eta = _anytime_eta(self._log_k, self.t + 1)
-        return _hedge_weights(self.cum_losses, eta)
-
-    def act(self, u: float) -> int:
-        """The arm of the next round, drawn with the uniform ``u``."""
-        return sample_arm(self.distribution(), u)
-
-    def observe(self, losses: Sequence[float]) -> None:
-        """Consume the full loss column (floats) of the current round."""
-        if len(losses) != self.K:
-            raise ValueError("loss column has wrong length")
-        self._advance(list(map(operator.add, self.cum_losses, losses)), 1)
+        super().__init__(K, R)
 
     def play_rows(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The arms of the next n rounds at a fixed rate, drawn with one
-        uniform each, for the (n, K) array of their loss rows; the policy is
-        left as n ``act`` and ``observe`` calls leave it.  The rounds must
-        lie in one period: n is at most ``period_end - t``.
+        """The (R, n) arms of every row's next n rounds, for the (R, n, K)
+        array of their loss rows, each drawn with its uniform of the (R, n)
+        array ``u``.  The rounds must lie in one period: n is at most
+        ``period_end - t``.  When the round after them starts a doubling
+        period, its rate is taken and the losses reset.
 
-        The losses before each round are one left-to-right
-        ``np.add.accumulate`` from ``cum_losses``, and each round's
-        ``distribution`` is a row of ``_exp_weights_rows`` divided by its
-        total and by ``_as_probvec_rows``, which ``sample_arms`` draws from.
-        """
-        if self._rate is None:
-            raise ValueError("an anytime rate plays one round at a time")
-        if rows.shape[1] != self.K:
-            raise ValueError("loss column has wrong length")
-        if len(rows) > self.period_end - self.t:
-            raise ValueError(f"{len(rows)} rounds from round {self.t} cross "
+        Each round's distribution is ``_exp_weights_rows`` of the losses
+        before it at the round's rate, divided by its total and by
+        ``_as_probvec_rows``; ``sample_arms`` draws from the block's rows,
+        each repetition's n rounds in turn."""
+        R, n, K = rows.shape
+        if n > self.period_end - self.t:
+            raise ValueError(f"{n} rounds from round {self.t} cross "
                              f"the period start at round {self.period_end}")
-        cum = np.add.accumulate(np.vstack((self.cum_losses, rows)))
-        weights, totals = _exp_weights_rows(cum[:-1], self._rate)
-        arms = sample_arms(_as_probvec_rows(weights / totals), u)
-        self._advance(cum[-1].tolist(), len(rows))
+        cum = self._running_losses(rows)
+        eta = self._rate
+        if eta is None:  # the anytime rate of each round, counted from 1
+            t = np.arange(self.t + 1, self.t + n + 1)
+            eta = 2.0 * np.sqrt(self._log_k / t)[:, None]
+        weights, totals = _exp_weights_rows(cum[:, :-1], eta)
+        p = _as_probvec_rows((weights / totals).reshape(R * n, K))
+        arms = sample_arms(p, u.ravel()).reshape(R, n)
+        self.cum_losses = cum[:, -1]
+        self.t += n
+        if self.t >= self.period_end:
+            m, self._rate = doubling_schedule(self.t + 1, K)
+            self.cum_losses = np.zeros((R, K))
+            self.period_end = 2 ** (m + 1) - 1
         return arms
 
-    def _advance(self, cum_losses: list[float], rounds: int) -> None:
-        """End ``rounds`` rounds that leave ``cum_losses``; when the next
-        round starts a doubling period, take its rate and reset the losses."""
-        self.cum_losses = cum_losses
-        self.t += rounds
-        if self.t >= self.period_end:
-            m, self._rate = doubling_schedule(self.t + 1, self.K)
-            self.cum_losses = [0.0] * self.K
-            self.period_end = 2 ** (m + 1) - 1
 
-
-class FTLPolicy:
-    """Deterministic follow-the-leader over full-information feedback."""
+class FTLPolicy(_FullInformation):
+    """Deterministic follow-the-leader over R independent rows: each round
+    plays the arm of the smallest cumulative loss so far, lowest index on
+    ties."""
 
     draws = False
 
-    def __init__(self, K: int) -> None:
-        self.K = _check_count(K, "K")
-        self.cum_losses = [0.0] * K
-        self.t = 0
+    def __init__(self, K: int, *, R: int = 1) -> None:
+        super().__init__(_check_count(K, "K"), R)
 
-    def act(self, u=None) -> int:
-        return ftl_choice(self.cum_losses)
-
-    def observe(self, losses: Sequence[float]) -> None:
-        if len(losses) != self.K:
-            raise ValueError("loss column has wrong length")
-        self.cum_losses = list(map(operator.add, self.cum_losses, losses))
-        self.t += 1
+    def play_rows(self, rows: np.ndarray, u=None) -> np.ndarray:
+        """The (R, n) arms of every row's next n rounds, for the (R, n, K)
+        array of their loss rows: the first-index ``argmin`` of the losses
+        before each round."""
+        cum = self._running_losses(rows)
+        self.cum_losses = cum[:, -1]
+        self.t += rows.shape[1]
+        return cum[:, :-1].argmin(axis=2)
 
 
 class EXP3Policy:

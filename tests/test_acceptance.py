@@ -118,32 +118,29 @@ def test_criterion_03_split_kl_dominance():
             f"split={split_excess:.5f} kl={kl_excess:.4f} {elapsed:.2f}s")
 
 
-def _final_regret(policy, env, T, rng=None) -> float:
-    """The hindsight regret after T rounds of ``policy`` on ``env``, scored
-    on the env's cells, as the runner scores a game."""
-    arms = play_full_information(policy, env, T, rng)
-    return hindsight_regret(type(env).blocks([env], 0, T)[0], arms)[-1]
+def _final_regret(policy, envs, T, rngs=None) -> np.ndarray:
+    """The hindsight regret after T rounds of each of ``policy``'s rows on
+    its env, scored on the env's cells, as the runner scores a game."""
+    arms = play_full_information(policy, envs, T, rngs)
+    return np.array([
+        hindsight_regret(type(env).blocks([env], 0, T)[0], row)[-1]
+        for env, row in zip(envs, arms)])
 
 
 def test_criterion_04_hedge_regret_bounds():
     start = time.perf_counter()
     T = 2000
-    breaker = MatrixEnv(make_ftl_breaker(T))
-    hedge_regrets, ftl_ok = [], True
-    for rep in range(10):
-        rng = np.random.default_rng(rep)
-        hedge_regrets.append(_final_regret(HedgePolicy(2), breaker, T, rng))
-        ftl_ok = ftl_ok and _final_regret(FTLPolicy(2), breaker, T) >= 900
+    breaker = [MatrixEnv(make_ftl_breaker(T))] * 10
+    rngs = [np.random.default_rng(rep) for rep in range(10)]
+    hedge_regrets = _final_regret(HedgePolicy(2, R=10), breaker, T, rngs)
+    ftl_ok = bool((_final_regret(FTLPolicy(2, R=10), breaker, T) >= 900).all())
     hedge_ok = float(np.mean(hedge_regrets)) <= math.sqrt(T * math.log(2))
 
     # the tight rate sqrt(8 ln 2 / T), bit for bit (see TestHedgeEta)
-    tight_regrets = []
-    for rep in range(100):
-        env = BernoulliEnv([0.5, 0.5], seed=1000 + rep)
-        rng = np.random.default_rng(2000 + rep)
-        policy = HedgePolicy(2, variant="tight", T=T)
-        tight_regrets.append(_final_regret(policy, env, T, rng))
-    tight_regrets = np.asarray(tight_regrets)
+    envs = [BernoulliEnv([0.5, 0.5], seed=1000 + rep) for rep in range(100)]
+    rngs = [np.random.default_rng(2000 + rep) for rep in range(100)]
+    tight_regrets = _final_regret(HedgePolicy(2, R=100, variant="tight", T=T),
+                                  envs, T, rngs)
     tight_bound = math.sqrt(0.5 * T * math.log(2)) \
         + 3 * tight_regrets.std() / 10.0
     tight_ok = tight_regrets.mean() <= tight_bound

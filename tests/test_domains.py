@@ -188,8 +188,11 @@ ROWS = {
     "HedgePolicy": [
         row("K", HedgePolicy, 2, 0, 1, 2.5),
         # the default anytime rate does not read T; a given T is checked
-        row("T", lambda x: HedgePolicy(2, T=x), 10, 0, 2.5)],
-    "FTLPolicy": [row("K", FTLPolicy, 2, 0, 2.5)],
+        row("T", lambda x: HedgePolicy(2, T=x), 10, 0, 2.5),
+        row("R", lambda x: HedgePolicy(2, R=x), 2, 0, 2.5)],
+    "FTLPolicy": [
+        row("K", FTLPolicy, 2, 0, 2.5),
+        row("R", lambda x: FTLPolicy(2, R=x), 2, 0, 2.5)],
     "EXP3Policy": [
         row("K", EXP3Policy, 2, 0, 1, 2.5),
         row("R", lambda x: EXP3Policy(2, R=x), 2, 0, 2.5),
@@ -230,7 +233,7 @@ ROWS = {
         row("seed", lambda x: synthesize_uniform_log([0.5], 5, x), 0, -1,
             2.5)],
     "play_full_information": [row("T", lambda x: play_full_information(
-        FTLPolicy(2), matrix_env(), x), 3, -1, 2.5)],
+        FTLPolicy(2), [matrix_env()], x), 3, -1, 2.5)],
     "play_bandit": [row("T", lambda x: play_bandit(
         UCB1Batch(2, parametrization="original"), [matrix_env()], x), 3, -1,
         2.5)],
@@ -254,8 +257,6 @@ NO_ROW = {
     "LossTable": "a loss matrix, checked as a whole",
     "MinimizationResult": "a record of a minimization already run",
     "RecursiveStage": "a record of a stage already computed",
-    "ftl_choice": "cum_losses: a sequence",
-    "sample_arm": "per-round code",
     "sample_arms": "per-round code",
     "BanditLog": "arrays",
     "GameTranscript": "arrays and a payoff kind",

@@ -36,10 +36,10 @@ from boundslab.online_policies import (
     HedgePolicy,
     UCB1Batch,
     UCB1Policy,
-    _hedge_weights,
+    _as_probvec_rows,
+    _exp_weights_rows,
     doubling_schedule,
     hedge_eta,
-    sample_arm,
     sample_arms,
 )
 
@@ -58,8 +58,9 @@ class TestBernoulliEnv:
     def test_empirical_means_match_clt(self):
         T = 100000
         env = BernoulliEnv([0.25, 0.75], seed=2024)
+        cells = BernoulliEnv.blocks([env], 0, T)[0].tolist()
         for a, mu in enumerate(env.means):
-            mean = sum(env.loss(t, a) for t in range(T)) / T
+            mean = sum(row[a] for row in cells) / T
             assert abs(mean - mu) <= 3 * math.sqrt(mu * (1 - mu) / T)
 
     def test_reveal_order_does_not_change_values(self):
@@ -89,8 +90,8 @@ class TestBernoulliEnv:
             BernoulliEnv([], seed=0)
 
     def test_blocks_equal_rows(self):
-        # a window across a ``row`` block edge, not aligned to it
-        t0, t1 = environments.ROW_BLOCK - 60, environments.ROW_BLOCK + 40
+        # a window of rounds not aligned to a power of two
+        t0, t1 = 196, 296
         envs = [BernoulliEnv([0.1, 0.5, 0.9], seed=s) for s in (0, 2 ** 64 - 1, 77)]
         block = BernoulliEnv.blocks(envs, t0, t1)
         assert block.shape == (3, 100, 3)
@@ -150,10 +151,10 @@ class TestBernoulliEnv:
 
     def test_loss_at_block_edges(self):
         # rounds [0, 600) are the pinned rows above
-        edge = environments.ROW_BLOCK
+        edge = 256
         rows = [BernoulliEnv((0.1, 0.5, 0.9), 77).row(t) for t in range(600)]
         env = BernoulliEnv((0.1, 0.5, 0.9), 77)
-        # forward and backward across edges, so each step may refill
+        # forward and backward, so no read depends on the one before it
         for t in (edge - 1, edge, 0, 2 * edge, 2 * edge - 1, edge + 1, 599):
             for a in range(3):
                 assert env.loss(t, a) == rows[t][a]
@@ -164,12 +165,11 @@ class TestBernoulliEnv:
 
 
 def _row_env(kind):
-    """A fresh env of each class, three arms; the matrix spans two row
-    blocks and part of a third."""
+    """A fresh env of each class, three arms; the matrix has 549 rounds."""
     if kind == "bernoulli":
         return BernoulliEnv((0.1, 0.5, 0.9), 77)
     rng = np.random.default_rng(5)
-    return MatrixEnv(rng.random((2 * environments.ROW_BLOCK + 37, 3)))
+    return MatrixEnv(rng.random((549, 3)))
 
 
 class TestRows:
@@ -187,11 +187,11 @@ class TestRows:
 
     @pytest.mark.parametrize("kind", ["bernoulli", "matrix"])
     def test_rows_equal_blocks_across_block_edges(self, kind):
-        edge = environments.ROW_BLOCK
+        edge = 256
         t1 = 2 * edge + 37  # the matrix's horizon: its last round is t1 - 1
         block = type(_row_env(kind)).blocks([_row_env(kind)], 0, t1)[0]
         env = _row_env(kind)
-        # out of order, so each step may refill the block held
+        # out of order, so no read depends on the one before it
         rounds = [edge, edge - 1, 0, t1 - 1, 2 * edge, 2 * edge - 1, edge + 1,
                   t1 - 2, 1]
         for t in rounds:
@@ -204,8 +204,8 @@ class TestRows:
     @pytest.mark.parametrize("kind", ["bernoulli", "matrix"])
     def test_rounds_and_arms_outside_the_game_raise(self, kind):
         env = _row_env(kind)
-        env.row(0)  # a block is held: a negative t must not wrap into it
-        for t in (-1, -environments.ROW_BLOCK):
+        env.row(0)  # a negative t must not wrap to a round from the end
+        for t in (-1, -256):
             with pytest.raises(ValueError, match=rf"round {t} outside \[0, "):
                 env.row(t)
             with pytest.raises(ValueError, match="outside"):
@@ -214,7 +214,7 @@ class TestRows:
             with pytest.raises(ValueError, match=rf"arm {a} outside \[0, 3\)"):
                 env.loss(0, a)
         if kind == "matrix":
-            for t in (env.horizon, env.horizon + environments.ROW_BLOCK):
+            for t in (env.horizon, env.horizon + 256):
                 with pytest.raises(ValueError,
                                    match=rf"round {t} outside \[0, {env.horizon}\)"):
                     env.row(t)
@@ -229,11 +229,12 @@ class TestRows:
         # a game of no rounds plays nothing, one of a round raises
         for make in (lambda: HedgePolicy(2, variant="tight", T=1),
                      lambda: HedgePolicy(2), lambda: FTLPolicy(2)):
-            arms = play_full_information(make(), env, 0,
-                                         np.random.default_rng(0))
-            assert arms.shape == (0,) and arms.dtype == int
+            arms = play_full_information(make(), [env], 0,
+                                         [np.random.default_rng(0)])
+            assert arms.shape == (1, 0) and arms.dtype == int
             with pytest.raises(ValueError, match=no_round):
-                play_full_information(make(), env, 1, np.random.default_rng(0))
+                play_full_information(make(), [env], 1,
+                                      [np.random.default_rng(0)])
         arms = play_bandit(EXP3Policy(2), [env], 0, [np.random.default_rng(0)])
         assert arms.shape == (1, 0) and arms.dtype == int
 
@@ -242,7 +243,7 @@ class TestFtlBreaker:
     def test_ftl_loses_every_round_after_the_first(self):
         T = 200
         matrix = make_ftl_breaker(T)
-        arms = play_full_information(FTLPolicy(2), MatrixEnv(matrix), T)
+        [arms] = play_full_information(FTLPolicy(2), [MatrixEnv(matrix)], T)
         cumulative = np.cumsum(matrix[np.arange(T), arms])
         for t in range(2, T + 1):
             assert cumulative[t - 1] >= t - 1
@@ -250,7 +251,7 @@ class TestFtlBreaker:
     def test_regret_is_linear_in_horizon(self):
         T = 2000
         matrix = make_ftl_breaker(T)
-        arms = play_full_information(FTLPolicy(2), MatrixEnv(matrix), T)
+        [arms] = play_full_information(FTLPolicy(2), [MatrixEnv(matrix)], T)
         best = min(matrix.sum(axis=0))
         assert abs(best - T / 2) <= 1.0
         assert hindsight_regret(matrix, arms)[-1] >= T / 2 - 1
@@ -258,12 +259,9 @@ class TestFtlBreaker:
     def test_anytime_hedge_stays_below_theorem_bound(self):
         T = 2000
         env = MatrixEnv(make_ftl_breaker(T))
-        regrets = []
-        for rep in range(10):
-            rng = np.random.default_rng(100 + rep)
-            arms = play_full_information(HedgePolicy(2), env, T, rng)
-            regrets.append(hindsight_regret(env.matrix, arms)[-1])
-        regrets = np.asarray(regrets)
+        rngs = [np.random.default_rng(100 + rep) for rep in range(10)]
+        arms = play_full_information(HedgePolicy(2, R=10), [env] * 10, T, rngs)
+        regrets = hindsight_regret(env.matrix, arms)[:, -1]
         bound = math.sqrt(T * math.log(2))
         assert regrets.mean() <= bound + 3 * regrets.std()
 
@@ -369,9 +367,9 @@ EXP3_ARM_COUNT_DIGESTS = {
 
 def _record_draws(monkeypatch):
     """A SHA-256 fed the ``float.hex`` of every distribution row a game
-    draws an arm from, in draw order, by wrapping ``sample_arms`` and
-    ``sample_arm`` in ``online_policies``; a block of rows hashes as the
-    same rows drawn one round at a time."""
+    draws an arm from, in draw order, by wrapping ``sample_arms`` in
+    ``online_policies``; a block of rows hashes as the same rows drawn one
+    round at a time, so a one-repetition game hashes its rounds in order."""
     h = hashlib.sha256()
 
     def rows(p, u):
@@ -379,12 +377,7 @@ def _record_draws(monkeypatch):
             _hash_row(h, row)
         return sample_arms(p, u)
 
-    def row(dist, u):
-        _hash_row(h, dist)
-        return sample_arm(dist, u)
-
     monkeypatch.setattr(online_policies, "sample_arms", rows)
-    monkeypatch.setattr(online_policies, "sample_arm", row)
     return h
 
 
@@ -619,13 +612,15 @@ class TestBatchedBandit:
             EXP3Policy(2, R=2).act(rng)
 
 
-# Each full-information policy of one game, built from (K, T).
+# Each full-information policy of R repetitions, built from (K, T).
 FULL_INFO_KINDS = {
-    "ftl": lambda K, T: FTLPolicy(K),
-    "hedge_anytime_tight": lambda K, T: HedgePolicy(K, variant="anytime_tight"),
-    "hedge_doubling": lambda K, T: HedgePolicy(K, doubling=True),
-    "hedge_simple": lambda K, T: HedgePolicy(K, variant="simple", T=T),
-    "hedge_tight": lambda K, T: HedgePolicy(K, variant="tight", T=T),
+    "ftl": lambda K, T, R=1: FTLPolicy(K, R=R),
+    "hedge_anytime_tight": lambda K, T, R=1: HedgePolicy(
+        K, R=R, variant="anytime_tight"),
+    "hedge_doubling": lambda K, T, R=1: HedgePolicy(K, R=R, doubling=True),
+    "hedge_simple": lambda K, T, R=1: HedgePolicy(K, R=R, variant="simple",
+                                                  T=T),
+    "hedge_tight": lambda K, T, R=1: HedgePolicy(K, R=R, variant="tight", T=T),
 }
 
 # SHA-256 of each full-information game's transcript, computed with the loop
@@ -675,53 +670,180 @@ def _full_info_digest(arms, env, rng) -> str:
     )).encode()).hexdigest()
 
 
-def _blocks_of(monkeypatch, row_block: int, K: int) -> None:
-    """At ``row_block`` = 13, blocks of 13 rounds for the env's rows and the
-    per-round loop (``ROW_BLOCK``) and for the fixed-rate pass
-    (``BLOCK_CELLS``, 13·K cells), so a game spans many blocks and the last
-    one is short; at ``ROW_BLOCK`` both keep their default sizes."""
-    if row_block != environments.ROW_BLOCK:
-        monkeypatch.setattr(environments, "ROW_BLOCK", row_block)
-        monkeypatch.setattr(environments, "BLOCK_CELLS", row_block * K)
+def _one_game(policy, env, T: int, rng) -> np.ndarray:
+    """The (T,) arms of ``policy``, of one repetition, on ``env``."""
+    [arms] = play_full_information(policy, [env], T, [rng])
+    return arms
+
+
+def _blocks_of(monkeypatch, block: int | None, R: int, K: int) -> None:
+    """At ``block`` = 13, ``BLOCK_CELLS`` = 13·R·K, so a series of R
+    repetitions of K arms plays blocks of 13 rounds: a game spans many of
+    them and the last one is short.  At None, the default size."""
+    if block is not None:
+        monkeypatch.setattr(environments, "BLOCK_CELLS", block * R * K)
+
+
+# SHA-256 of ``_series_digest`` of R = 3 repetitions of each kind on
+# ``_series_envs``, T = 600, with the streams ``default_rng(32 + r)``.
+# Taken when ``play_full_information`` played one game at a time, one
+# repetition after another, and FTL and anytime Hedge one round at a time,
+# each round one ``act`` and one ``observe`` of the env's row; at the
+# default block sizes and at blocks of 13 rounds alike.
+SERIES_DIGESTS = {
+    ("ftl", "bernoulli_k5"): "a57a44a4375d4dacece041b5622f29f4639c16fd4e235002449b09ce369c8a60",
+    ("ftl", "uniform_k8"): "464d5b5942446417fe2555ab217b150e65ee743bb2d8b8dbfb22738e786d6ffe",
+    ("ftl", "ftl_breaker"): "fb6a635f1153f666b5774c136c7c3780b97ab0850a9d4b6ef083880da60d7d6f",
+    ("hedge_anytime_tight", "bernoulli_k5"): "70d13fdb3cca44cc32d98ea14d7f0285b3cd94325d5ec454f997978cbb3638b9",
+    ("hedge_anytime_tight", "uniform_k8"): "49a0df7845b739425460b64a8185ae4f8ecf57b5861cc559bd67c259999bcaba",
+    ("hedge_anytime_tight", "ftl_breaker"): "5b14337a8698b514c3bff966616b1e8e7087ac3db2f43984a935b40234705d5d",
+    ("hedge_doubling", "bernoulli_k5"): "566632fea981de55145e2c43251c3816b6d6e88e85a4eca3bd5a5f6e0fb016c0",
+    ("hedge_doubling", "uniform_k8"): "a827e7e796b69be217f63b70bbd78cee4b829e8458843af2583a8ef295c09ca4",
+    ("hedge_doubling", "ftl_breaker"): "ca112f4fb22a048eb611be7e197abbd369a5c4eea0bb7f963852d72fbb664ce8",
+    ("hedge_simple", "bernoulli_k5"): "3bbd05ec51a87293c0c7db452b92b6903e68b8f588c254d894f1167133807042",
+    ("hedge_simple", "uniform_k8"): "3688d8896eaea8226da87397fe1851ed34d8af7a783983b9d06e5975b2c2d6af",
+    ("hedge_simple", "ftl_breaker"): "2e8dc272cdb4874870beb4acb3987d6ab3ddb40f616c95b329bd624875b39ef1",
+    ("hedge_tight", "bernoulli_k5"): "d7b23683cf76f3f67d47a5a3b535926b729c12db7ede55ee3a587714eb4a7448",
+    ("hedge_tight", "uniform_k8"): "f6c1c976cda3ef0ce343bff86fe52d49800b4f8582d56d92ebb5422e93626454",
+    ("hedge_tight", "ftl_breaker"): "37fcbb735558b5efa8fc714de15c6c8cf58482316c11ddc08e038985b8a02bd5",
+}
+
+
+def _series_envs(kind: str, T: int, R: int) -> list:
+    """R envs of five Bernoulli arms (seeds 2026 + r), of seeded T x 8
+    matrices of uniform reals, or of the FTL breaker."""
+    if kind == "bernoulli_k5":
+        return [BernoulliEnv((0.1, 0.3, 0.5, 0.7, 0.9), seed=2026 + r)
+                for r in range(R)]
+    if kind == "uniform_k8":
+        return [MatrixEnv(np.random.default_rng(800 + r).random((T, 8)))
+                for r in range(R)]
+    return [MatrixEnv(make_ftl_breaker(T))] * R
+
+
+def _record_series_draws(monkeypatch, R: int) -> list:
+    """One SHA-256 per repetition, fed as ``_record_draws`` feeds its one,
+    of the distribution rows that repetition draws from in round order: a
+    block's rows are each repetition's rounds in turn."""
+    hashes = [hashlib.sha256() for _ in range(R)]
+
+    def rows(p, u):
+        block = p.tolist()
+        n = len(block) // R
+        for r, h in enumerate(hashes):
+            for row in block[r * n:(r + 1) * n]:
+                _hash_row(h, row)
+        return sample_arms(p, u)
+
+    monkeypatch.setattr(online_policies, "sample_arms", rows)
+    return hashes
+
+
+def _series_digest(arms, drawn, rngs) -> str:
+    """One SHA-256 over each repetition's arm bytes, its draw digest and the
+    next draw of its stream."""
+    return hashlib.sha256(repr([
+        (game.tobytes(), h.hexdigest(), float.hex(rng.random()))
+        for game, h, rng in zip(arms, drawn, rngs)]).encode()).hexdigest()
 
 
 class TestFullInformation:
-    @pytest.mark.parametrize("row_block", [13, environments.ROW_BLOCK])
+    @pytest.mark.parametrize("block", [13, None])
     @pytest.mark.parametrize("env_kind", ["bernoulli", "ftl_breaker"])
     @pytest.mark.parametrize("policy_kind", sorted(FULL_INFO_KINDS))
-    def test_transcript_is_pinned(self, policy_kind, env_kind, row_block,
+    def test_transcript_is_pinned(self, policy_kind, env_kind, block,
                                   monkeypatch):
         drawn = _record_draws(monkeypatch)
         T = 600  # doubling periods up to [512, 1024)
         env = (BernoulliEnv((0.35, 0.5, 0.65), seed=2024)
                if env_kind == "bernoulli" else MatrixEnv(make_ftl_breaker(T)))
-        _blocks_of(monkeypatch, row_block, env.K)
+        _blocks_of(monkeypatch, block, 1, env.K)
         policy = FULL_INFO_KINDS[policy_kind](env.K, T)
         # seed 32, not 31, from when two anytime rates were pinned: at seed
         # 31 they played the same arms on the breaker
         rng = np.random.default_rng(32)
-        arms = play_full_information(policy, env, T, rng)
+        arms = _one_game(policy, env, T, rng)
         assert policy.t == T
         assert drawn.hexdigest() == FULL_INFO_DIST_DIGESTS[policy_kind,
                                                            env_kind]
         digest = _full_info_digest(arms, env, rng)
         assert digest == FULL_INFO_DIGESTS[policy_kind, env_kind]
 
+    @pytest.mark.parametrize("block", [13, None])
+    @pytest.mark.parametrize("policy_kind, env_kind", list(SERIES_DIGESTS))
+    def test_series_is_pinned(self, policy_kind, env_kind, block,
+                              monkeypatch):
+        # R-row play gives each repetition the arms, draws and stream state
+        # that it had when it played alone
+        T, R = 600, 3
+        envs = _series_envs(env_kind, T, R)
+        _blocks_of(monkeypatch, block, R, envs[0].K)
+        drawn = _record_series_draws(monkeypatch, R)
+        policy = FULL_INFO_KINDS[policy_kind](envs[0].K, T, R)
+        rngs = [np.random.default_rng(32 + r) for r in range(R)]
+        arms = play_full_information(policy, envs, T, rngs)
+        assert arms.shape == (R, T) and policy.t == T
+        assert _series_digest(arms, drawn, rngs) == \
+            SERIES_DIGESTS[policy_kind, env_kind]
+
     def test_a_drawing_policy_needs_a_stream(self):
         env = MatrixEnv(make_ftl_breaker(10))
         with pytest.raises(ValueError, match="random stream"):
-            play_full_information(HedgePolicy(2), env, 10)
-        arms = play_full_information(FTLPolicy(2), env, 10)
-        assert arms.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+            play_full_information(HedgePolicy(2), [env], 10)
+        with pytest.raises(ValueError, match="random stream"):
+            rng = np.random.default_rng(0)
+            play_full_information(HedgePolicy(2, R=2), [env] * 2, 10,
+                                  [rng, rng])
+        arms = play_full_information(FTLPolicy(2), [env], 10)
+        assert arms.tolist() == [[0, 1, 0, 1, 0, 1, 0, 1, 0, 1]]
+
+    @pytest.mark.parametrize("rows", [15, 20])
+    @pytest.mark.parametrize("policy_kind", sorted(FULL_INFO_KINDS))
+    def test_a_game_raises_past_the_horizon_and_on_other_envs(
+            self, policy_kind, rows):
+        # 15 rounds end a doubling period, 20 fall inside one
+        make, T = FULL_INFO_KINDS[policy_kind], 30
+        policy = make(2, T)
+        with pytest.raises(ValueError,
+                           match=rf"^round {rows} outside \[0, {rows}\)$"):
+            play_full_information(policy, [MatrixEnv(np.full((rows, 2), 0.5))],
+                                  T, [np.random.default_rng(0)])
+        assert policy.t == rows  # the rounds before it were played
+        envs = [BernoulliEnv((0.5, 0.5, 0.5), seed=0)]
+        with pytest.raises(ValueError,
+                           match=r"^envs must share one class and K=2$"):
+            play_full_information(make(2, T), envs, T,
+                                  [np.random.default_rng(0)])
+        with pytest.raises(ValueError, match="one env per policy row"):
+            play_full_information(make(2, T, 2), envs, T,
+                                  [np.random.default_rng(0)])
+
+    @pytest.mark.parametrize("policy_kind", sorted(FULL_INFO_KINDS))
+    def test_a_game_builds_no_probvec_and_reads_no_row(self, policy_kind,
+                                                       monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a game made a per-round call")
+
+        monkeypatch.setattr(ProbVec, "__init__", refuse)
+        monkeypatch.setattr(BernoulliEnv, "row", refuse)
+        monkeypatch.setattr(MatrixEnv, "row", refuse)
+        # the shape of the full-information presets' series
+        R, T = 10, 2000
+        envs = [BernoulliEnv((0.5, 0.5), seed) for seed in range(R)]
+        rngs = [np.random.default_rng(seed) for seed in range(R)]
+        arms = play_full_information(
+            FULL_INFO_KINDS[policy_kind](2, T, R), envs, T, rngs)
+        assert arms.shape == (R, T)
 
 
 # SHA-256 (``_full_info_digest``) of fixed-rate Hedge games, computed when
-# each round built its distribution with ``_hedge_weights``, before any
-# faster path; on the uniform real-valued matrices no loss vector recurs.
-# The "hedge_simple" games were pinned later, from the block pass, when the
-# game's ``detail`` still kept the column sums and final regret;
-# ``test_each_distribution_is_hedge_weights`` checks their rounds
-# against ``_hedge_weights``.
+# each round built its distribution with ``_hedge_weights``, the former
+# one-round kernel, before any faster path; on the uniform real-valued
+# matrices no loss vector recurs.  The "hedge_simple" games were pinned
+# later, from the block pass, when the game's ``detail`` still kept the
+# column sums and final regret; each of their ``FIXED_RATE_DIST_DIGESTS``
+# was checked to equal the hash of ``_hedge_weights`` round by round, on
+# running Python sums of the rows, before that kernel retired.
 FIXED_RATE_DIGESTS = {
     ("hedge_doubling", "bernoulli_k5"): "fb85253ad8de9b81187b5c7c2ce735863ca3c77dde0ecf6d11529ae57db2aabf",
     ("hedge_doubling", "uniform_k2"): "c92d44317e4b622d37ea2b9c81c19783acebd3931ca6373b9e85f61abe2fbbba",
@@ -756,11 +878,9 @@ FIXED_RATE_KINDS = ("hedge_doubling", "hedge_tight", "hedge_simple")
 # numpy sums 8 or more cells pairwise, so "uniform_k8" shows a row total
 # that is not left to right
 PINNED_ENVS = ("bernoulli_k5", "uniform_k2", "uniform_k5", "uniform_k8")
-# every policy kind that ``play_full_information`` plays a block at a time
-BLOCK_KINDS = FIXED_RATE_KINDS
-# (draws, transcript) SHA-256 pairs, as above, of the kinds it plays one
-# round at a time, pinned when the game's ``detail`` still kept the column
-# sums and final regret
+# (draws, transcript) SHA-256 pairs, as above, of FTL and anytime Hedge,
+# pinned when ``play_full_information`` played them one round at a time and
+# the game's ``detail`` still kept the column sums and final regret
 PER_ROUND_DIGESTS = {
     ("ftl", "bernoulli_k5"): ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "3ef3621925bb69a980745a1f301f093adb02232527b79c082b26013cce52c113"),
@@ -790,31 +910,21 @@ def _fixed_rate_env(kind: str, T: int):
     return MatrixEnv(np.random.default_rng(K).random((T, K)))
 
 
-def _fixed_rate(policy_kind: str, K: int, T: int, t: int) -> float:
-    """The rate a fixed-rate policy kind of ``FULL_INFO_KINDS`` plays in
-    round t, counted from 0."""
+def _rate(policy_kind: str, K: int, T: int, t: int) -> float:
+    """The rate a Hedge kind of ``FULL_INFO_KINDS`` plays in round t,
+    counted from 0."""
     if policy_kind == "hedge_doubling":
         return doubling_schedule(t + 1, K)[1]
-    return hedge_eta(K, T=T, variant=policy_kind.removeprefix("hedge_"))
+    return hedge_eta(K, T=T, t=t + 1,
+                     variant=policy_kind.removeprefix("hedge_"))
 
 
-def _play_by_hand(policy, env, T: int, rng):
-    """``play_full_information`` one round at a time: one draw from ``rng``,
-    one ``act``, one ``env.row`` and one ``observe`` a round.  Returns the
-    arms, the payoffs, the column sums and final hindsight regret as running
-    left-to-right sums, and each round's distribution."""
-    arms, payoffs, dists = [], [], []
-    column_sums, total = [0.0] * env.K, 0.0
-    for t in range(T):
-        dists.append(policy.distribution().weights)
-        arm = policy.act(rng.random())
-        row = env.row(t)
-        policy.observe(row)
-        arms.append(arm)
-        payoffs.append(row[arm])
-        total += row[arm]
-        column_sums = [s + v for s, v in zip(column_sums, row)]
-    return arms, payoffs, (column_sums, total - min(column_sums)), dists
+def _hedge_row(losses: list[float], eta: float) -> list[float]:
+    """The exponential-weights distribution of one row of losses at rate
+    ``eta``: a one-row ``_exp_weights_rows``, divided by its total and by
+    ``_as_probvec_rows``."""
+    weights, totals = _exp_weights_rows(np.array([losses]), eta)
+    return _as_probvec_rows(weights / totals)[0].tolist()
 
 
 class TestFixedRateHedge:
@@ -829,98 +939,43 @@ class TestFixedRateHedge:
         drawn = _record_draws(monkeypatch)
         env = _fixed_rate_env(env_kind, self.T)
         rng = np.random.default_rng(32)
-        arms = play_full_information(
-            FULL_INFO_KINDS[policy_kind](env.K, self.T), env, self.T, rng)
+        arms = _one_game(FULL_INFO_KINDS[policy_kind](env.K, self.T), env,
+                         self.T, rng)
         assert drawn.hexdigest() == FIXED_RATE_DIST_DIGESTS[policy_kind,
                                                             env_kind]
         digest = _full_info_digest(arms, env, rng)
         assert digest == FIXED_RATE_DIGESTS[policy_kind, env_kind]
 
     @pytest.mark.parametrize("env_kind", PINNED_ENVS)
-    @pytest.mark.parametrize("policy_kind", FIXED_RATE_KINDS)
-    def test_each_distribution_is_hedge_weights(self, policy_kind, env_kind):
-        env = _fixed_rate_env(env_kind, self.T)
-        policy = FULL_INFO_KINDS[policy_kind](env.K, self.T)
-        for t in range(self.T):
-            eta = _fixed_rate(policy_kind, env.K, self.T, t)
-            want = _hedge_weights(policy.cum_losses, eta)
-            assert policy.distribution().weights == want.weights
-            policy.observe(env.row(t))
-
-    @pytest.mark.parametrize("row_block", [13, environments.ROW_BLOCK])
-    @pytest.mark.parametrize("env_kind", ["bernoulli", "uniform"])
-    @pytest.mark.parametrize("K", [2, 3, 5])
-    @pytest.mark.parametrize("policy_kind", BLOCK_KINDS)
-    def test_block_pass_equals_per_round_play(self, policy_kind, K, env_kind,
-                                              row_block, monkeypatch):
-        # blocks of 13 rounds cut most doubling periods more than once
-        _blocks_of(monkeypatch, row_block, K)
-        drawn = []  # each distribution the block pass draws an arm from
+    @pytest.mark.parametrize("policy_kind",
+                             FIXED_RATE_KINDS + ("hedge_anytime_tight",))
+    def test_each_distribution_is_hedge_weights(self, policy_kind, env_kind,
+                                                monkeypatch):
+        # each round draws from the one-row kernel at the round's rate, of
+        # the losses as running Python sums, reset at each doubling period
+        drawn = []
 
         def recorded(p, u):
-            drawn.extend(map(tuple, p.tolist()))
+            drawn.extend(p.tolist())
             return sample_arms(p, u)
 
         monkeypatch.setattr(online_policies, "sample_arms", recorded)
-        kind = f"{env_kind}_k{K}"
-        played, by_hand = [FULL_INFO_KINDS[policy_kind](K, self.T)
-                           for _ in range(2)]
-        rng, hand_rng = np.random.default_rng(32), np.random.default_rng(32)
-        env = _fixed_rate_env(kind, self.T)
-        played_arms = play_full_information(played, env, self.T, rng)
-        arms, payoffs, running, dists = _play_by_hand(
-            by_hand, _fixed_rate_env(kind, self.T), self.T, hand_rng)
-        assert played_arms.tolist() == arms
-        # the runner's scoring of the env's cells gives the payoffs and the
-        # running sums
-        cells = type(env).blocks([env], 0, self.T)[0]
-        assert cells[np.arange(self.T), played_arms].tolist() == payoffs
-        assert (np.cumsum(cells, axis=0)[-1].tolist(),
-                hindsight_regret(cells, played_arms)[-1]) == running
-        assert drawn == dists
-        assert (played.t, played.cum_losses, played.period_end) == \
-            (by_hand.t, by_hand.cum_losses, by_hand.period_end)
-        assert played.distribution().weights == by_hand.distribution().weights
-        assert rng.random() == hand_rng.random()
-
-    @pytest.mark.parametrize("rows", [15, 20])
-    @pytest.mark.parametrize("policy_kind",
-                             BLOCK_KINDS + ("hedge_anytime_tight",))
-    def test_the_block_pass_raises_what_the_loop_raises(self, policy_kind,
-                                                        rows):
-        # the anytime rate plays the per-round loop, the reference; 15 rounds
-        # end a doubling block, 20 fall inside one
-        make, T = FULL_INFO_KINDS[policy_kind], 30
-        policy = make(2, T)
-        with pytest.raises(ValueError,
-                           match=rf"^round {rows} outside \[0, {rows}\)$"):
-            play_full_information(policy, MatrixEnv(np.full((rows, 2), 0.5)),
-                                  T, np.random.default_rng(0))
-        assert policy.t == rows  # the rounds before it were played
-        env = BernoulliEnv((0.5, 0.5, 0.5), seed=0)
-        with pytest.raises(ValueError, match="^loss column has wrong length$"):
-            play_full_information(make(2, T), env, T, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="random stream"):
-            play_full_information(make(2, T), env, T)
-
-    @pytest.mark.parametrize("policy_kind", BLOCK_KINDS)
-    def test_a_fixed_rate_game_builds_no_probvec_and_reads_no_row(
-            self, policy_kind, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the block pass made a per-round call")
-
-        monkeypatch.setattr(ProbVec, "__init__", refuse)
-        monkeypatch.setattr(BernoulliEnv, "row", refuse)
-        # the shape of the tight_hedge preset's games
-        arms = play_full_information(
-            FULL_INFO_KINDS[policy_kind](2, 2000), BernoulliEnv((0.5, 0.5), 2),
-            2000, np.random.default_rng(2))
-        assert arms.shape == (2000,)
+        env = _fixed_rate_env(env_kind, self.T)
+        _one_game(FULL_INFO_KINDS[policy_kind](env.K, self.T), env, self.T,
+                  np.random.default_rng(0))
+        cum_losses = [0.0] * env.K
+        for t, row in enumerate(env.blocks([env], 0, self.T)[0].tolist()):
+            if policy_kind == "hedge_doubling" and t & (t + 1) == 0:
+                cum_losses = [0.0] * env.K  # round t + 1 is a power of two
+            eta = _rate(policy_kind, env.K, self.T, t)
+            assert drawn[t] == _hedge_row(cum_losses, eta)
+            cum_losses = [c + v for c, v in zip(cum_losses, row)]
+        assert len(drawn) == self.T
 
 
 class TestPerRoundPlay:
-    """FTL and anytime Hedge, which ``play_full_information`` plays one
-    round at a time, on the fixed-rate games' envs."""
+    """FTL and anytime Hedge, on the fixed-rate games' envs, which
+    ``play_full_information`` once played one round at a time."""
 
     T = 600
 
@@ -930,9 +985,8 @@ class TestPerRoundPlay:
         drawn = _record_draws(monkeypatch)
         env = _fixed_rate_env(env_kind, self.T)
         policy = FULL_INFO_KINDS[policy_kind](env.K, self.T)
-        assert not getattr(policy, "fixed_rate", False)
         rng = np.random.default_rng(32)
-        arms = play_full_information(policy, env, self.T, rng)
+        arms = _one_game(policy, env, self.T, rng)
         assert (drawn.hexdigest(), _full_info_digest(arms, env, rng)) == \
             PER_ROUND_DIGESTS[policy_kind, env_kind]
 
@@ -1829,13 +1883,13 @@ class TestRegretAccounting:
         # left-to-right payoff total less the least running column sum
         T = 500
         matrix = make_ftl_breaker(T)
-        played = play_full_information(HedgePolicy(2), MatrixEnv(matrix), T,
-                                       np.random.default_rng(17))
-        arms, payoffs, (column_sums, regret), _ = _play_by_hand(
-            HedgePolicy(2), MatrixEnv(matrix), T, np.random.default_rng(17))
-        assert played.tolist() == arms
-        assert matrix[np.arange(T), played].tolist() == payoffs
-        assert hindsight_regret(matrix, played)[-1] == regret
+        played = _one_game(HedgePolicy(2), MatrixEnv(matrix), T,
+                           np.random.default_rng(17))
+        column_sums, total = [0.0] * 2, 0.0
+        for row, arm in zip(matrix.tolist(), played.tolist()):
+            total += row[arm]
+            column_sums = [s + v for s, v in zip(column_sums, row)]
+        assert hindsight_regret(matrix, played)[-1] == total - min(column_sums)
         assert np.cumsum(matrix, axis=0)[-1].tolist() == column_sums
 
     def test_transcript_validation(self):

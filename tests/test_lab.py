@@ -946,9 +946,9 @@ class TestCli:
          "(line 7)"),
         (["R = 1", "[environment]", "kind = bernoulli_gap",
           f"k_grid = 2, {HUGE}", "[policy u]", "kind = ucb1"],
-         "environment.k_grid: must be integers <= 2**27 // max(experiment.R, "
-         "256) = 524288, as a block of max(experiment.R, 256) rows of k loss "
-         f"cells holds {AT_MOST_CELLS}, got '2, {HUGE}' (line 6)"),
+         "environment.k_grid: must be integers <= 2**27 // experiment.R = "
+         "134217728, as a round of experiment.R rows of k loss cells holds "
+         f"{AT_MOST_CELLS}, got '2, {HUGE}' (line 6)"),
         ([f"T = {HUGE}", "[environment]", "kind = bernoulli",
           "means = 0.2, 0.8", "[policy u]", "kind = ucb1"],
          "experiment.T: must be <= 2**27, as a game of experiment.T rounds "
@@ -1669,7 +1669,7 @@ def test_readme_config_tables_list_what_the_runner_reads():
     text between ``<= `` and the first `` = `` or ``, as``, written with
     ``^`` for ``**``, ``/`` for ``//`` and no ``experiment.``, ``params.``
     or ``environment.`` prefix:
-    ``2**27 // max(experiment.R, 256)`` is ``2^27 / max(R, 256)``.  The
+    ``2**27 // experiment.T`` is ``2^27 / T``.  The
     other rule texts are left out: ties such as ``params.fixed_arm``'s
     range, which README states in its own words."""
     reads, choices = _reads_by_kind()
@@ -1769,6 +1769,19 @@ def test_preset_bytes_match_pins(preset, tmp_path):
     assert pin_mismatches(tmp_path, preset) == []
 
 
+def test_hedge_vs_ftl_plays_no_round_alone(tmp_path, monkeypatch):
+    """``lab run hedge_vs_ftl`` writes its pinned bytes with no ``ProbVec``
+    built and no env row read: its anytime Hedge and FTL series play a
+    block of rounds of every repetition at once, never one round alone."""
+    def refuse(*args):
+        raise AssertionError("a game made a per-round call")
+
+    monkeypatch.setattr("boundslab.divergences.ProbVec.__init__", refuse)
+    monkeypatch.setattr("boundslab.environments.BernoulliEnv.row", refuse)
+    assert main(["run", "hedge_vs_ftl", "--out", str(tmp_path), "--plot"]) == 0
+    assert pin_mismatches(tmp_path, "hedge_vs_ftl") == []
+
+
 @pytest.mark.parametrize("argv, preset", [
     (["bounds-compare"], "bounds_compare"),
     (["run", "hedge_vs_ftl", "--seed", "1", "--reps", "10", "--plot"],
@@ -1840,13 +1853,19 @@ def test_bench_operation_matches_pins(operation, tmp_path):
     assert workloads.digest(op.run(tmp_path)) == expected
 
 
-# Policy methods the tracer still names but the library retired: every
-# replay policy takes its rounds through ``act`` and ``update_reward``,
-# which the tracer wraps and counts in the same per-layer records.
+# Policy methods the tracer still names but the library retired: Hedge
+# and FTL play a block of rounds of every repetition with ``play_rows``,
+# and every replay policy takes its rounds through ``act`` and
+# ``update_reward``, which the tracer wraps and counts in the same
+# per-layer records.
 RETIRED_TRACER_TARGETS = [
     f"boundslab.online_policies.{cls}.{method}"
-    for cls in ("EXP3Policy", "UCB1Policy", "FixedPolicy")
-    for method in ("update", "replay_update")]
+    for cls, methods in (("HedgePolicy", ("act", "observe")),
+                         ("FTLPolicy", ("act", "observe")),
+                         ("EXP3Policy", ("update", "replay_update")),
+                         ("UCB1Policy", ("update", "replay_update")),
+                         ("FixedPolicy", ("update", "replay_update")))
+    for method in methods]
 
 
 def test_tracer_finds_every_target():

@@ -15,11 +15,10 @@ from boundslab.online_policies import (
     UCB1Batch,
     UCB1Policy,
     _as_probvec_rows,
-    _hedge_weights,
+    _exp_weights_rows,
     doubling_schedule,
-    ftl_choice,
     hedge_eta,
-    sample_arm,
+    sample_arms,
 )
 from boundslab.divergences import NORMALIZATION_TOL, ProbVec
 
@@ -29,6 +28,15 @@ finite_losses = st.lists(
 )
 
 
+def _hedge_weights(losses, eta) -> tuple:
+    """The exponential-weights distribution of one row of losses at rate
+    ``eta``, as Hedge, EXP3 and EXP4 build each of theirs: a one-row
+    ``_exp_weights_rows``, divided by its total and by
+    ``_as_probvec_rows``."""
+    weights, totals = _exp_weights_rows(np.array([losses], dtype=float), eta)
+    return tuple(_as_probvec_rows(weights / totals)[0].tolist())
+
+
 class TestHedgeWeights:
     def test_zero_losses_uniform(self):
         p = _hedge_weights([0.0, 0.0, 0.0], 0.7)
@@ -36,8 +44,8 @@ class TestHedgeWeights:
 
     def test_closed_form_two_arms(self):
         p = _hedge_weights([0.0, math.log(2)], 1.0)
-        assert math.isclose(p.weights[0], 2 / 3, rel_tol=1e-12)
-        assert math.isclose(p.weights[1], 1 / 3, rel_tol=1e-12)
+        assert math.isclose(p[0], 2 / 3, rel_tol=1e-12)
+        assert math.isclose(p[1], 1 / 3, rel_tol=1e-12)
 
     @given(finite_losses, st.floats(min_value=0.01, max_value=5.0),
            st.floats(min_value=-20.0, max_value=20.0))
@@ -50,7 +58,7 @@ class TestHedgeWeights:
     @given(finite_losses, st.floats(min_value=0.01, max_value=5.0))
     def test_valid_simplex(self, losses, eta):
         p = _hedge_weights(losses, eta)
-        assert isinstance(p, ProbVec)
+        assert len(ProbVec(p)) == len(losses)  # ProbVec takes it
         assert math.isclose(sum(p), 1.0, abs_tol=1e-9)
 
     # the minimum is subtracted first, so every exponent is at most 0: a
@@ -63,7 +71,7 @@ class TestHedgeWeights:
     ], ids=["large_spread", "largest_loss", "largest_rate", "tied_lowest"])
     def test_an_exponent_past_the_float_range_is_a_zero_weight(
             self, losses, eta, want):
-        assert tuple(_hedge_weights(losses, eta).weights) == want
+        assert _hedge_weights(losses, eta) == want
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=6)
@@ -73,10 +81,25 @@ class TestHedgeWeights:
     @example([BIG, 0.0], 5e-324)
     def test_a_finite_spread_at_any_rate_is_a_simplex(self, losses, eta):
         # the lowest loss has weight exp(0) = 1 before the division, so the
-        # total is at least 1 and that arm holds the most mass
-        p = _hedge_weights(losses, eta)
-        assert p.weights[losses.index(min(losses))] == max(p.weights) > 0
+        # total is at least 1 and that arm holds the most mass; a product
+        # past the float range is -inf, as in Python, and numpy warns of it
+        with np.errstate(over="ignore"):
+            p = _hedge_weights(losses, eta)
+        assert p[losses.index(min(losses))] == max(p) > 0
         assert math.isclose(sum(p), 1.0, abs_tol=1e-9)
+
+    def test_a_block_of_rows_is_each_row_alone(self):
+        # a 3-D block at one rate per round is each row's one-row kernel
+        rng = np.random.default_rng(4)
+        losses = rng.random((3, 5, 4)) * 10.0
+        eta = rng.random(5)[:, None]
+        weights, totals = _exp_weights_rows(losses, eta)
+        assert weights.shape == (3, 5, 4) and totals.shape == (3, 5, 1)
+        for r in range(3):
+            for t in range(5):
+                one, total = _exp_weights_rows(losses[r, t][None], eta[t, 0])
+                assert weights[r, t].tolist() == one[0].tolist()
+                assert totals[r, t].tolist() == total[0].tolist()
 
 
 class TestHedgeEta:
@@ -124,19 +147,37 @@ class TestHedgeEta:
         # as the runner builds it: a variant and T, which doubling ignores
         {"variant": "simple", "T": 300, "doubling": True},
     ])
-    def test_hedge_rate_per_round(self, kwargs):
-        K, T = 3, 300
+    def test_hedge_rate_per_round(self, kwargs, monkeypatch):
+        # played in blocks of 7 rounds, cut at each doubling period's start
+        K, T, R = 3, 300, 2
         rng = np.random.default_rng(9)
-        pol = HedgePolicy(K, **kwargs)
-        for t in range(1, T + 1):
-            p = pol.distribution()  # applies a doubling reset first
-            if kwargs.get("doubling"):
-                eta = doubling_schedule(t, K)[1]
-            else:
-                eta = hedge_eta(K, T=kwargs.get("T"), t=t,
-                                variant=kwargs["variant"])
-            assert p.weights == _hedge_weights(pol.cum_losses, eta).weights
-            pol.observe(rng.random(K).tolist())
+        losses = rng.random((R, T, K))
+        drawn = []
+
+        def recorded(p, u):
+            drawn.extend(p.reshape(R, -1, K).transpose(1, 0, 2).tolist())
+            return sample_arms(p, u)
+
+        monkeypatch.setattr("boundslab.online_policies.sample_arms", recorded)
+        pol = HedgePolicy(K, R=R, **kwargs)
+        t0 = 0
+        while t0 < T:
+            t1 = min(T, t0 + 7, pol.period_end)
+            pol.play_rows(losses[:, t0:t1], rng.random((R, t1 - t0)))
+            t0 = t1
+        for r in range(R):
+            cum = [0.0] * K
+            for t in range(1, T + 1):
+                if kwargs.get("doubling"):
+                    m, eta = doubling_schedule(t, K)
+                    if t == 2 ** m:
+                        cum = [0.0] * K
+                else:
+                    eta = hedge_eta(K, T=kwargs.get("T"), t=t,
+                                    variant=kwargs["variant"])
+                assert tuple(drawn[t - 1][r]) == _hedge_weights(cum, eta)
+                cum = [c + v for c, v in zip(cum, losses[r, t - 1].tolist())]
+            assert pol.cum_losses[r].tolist() == cum
 
 
 class TestHedgePolicyChecks:
@@ -149,24 +190,41 @@ class TestHedgePolicyChecks:
             HedgePolicy(2, **kwargs)
 
     def test_round_needs_one_uniform(self):
+        # each round of each row draws its arm with its own uniform
         assert HedgePolicy.draws and not FTLPolicy.draws
-        pol = HedgePolicy(3, variant="tight", T=10)
-        pol.observe([1.0, 0.0, 1.0])
-        p = pol.distribution()
-        for u in (0.0, p.weights[0] - 1e-12, p.weights[0], 0.999999):
-            assert pol.act(u) == sample_arm(p, u)
-        assert FTLPolicy(3).act() == 0
+        pol = HedgePolicy(3, R=4, variant="tight", T=10)
+        pol.play_rows(np.array([[[1.0, 0.0, 1.0]]] * 4), np.zeros((4, 1)))
+        p = _hedge_weights([1.0, 0.0, 1.0],
+                           hedge_eta(3, T=10, variant="tight"))
+        u = np.array([[0.0], [p[0] - 1e-12], [p[0]], [0.999999]])
+        arms = pol.play_rows(np.zeros((4, 1, 3)), u)
+        assert arms.tolist() == [[0], [0], [1], [2]]
+        assert FTLPolicy(3).play_rows(np.zeros((1, 1, 3))).tolist() == [[0]]
+
+    def test_a_block_must_lie_in_one_period(self):
+        pol = HedgePolicy(2, doubling=True)
+        pol.play_rows(np.zeros((1, 1, 2)), np.zeros((1, 1)))  # period [1, 2)
+        with pytest.raises(ValueError, match="cross the period start at "
+                                             "round 3"):
+            pol.play_rows(np.zeros((1, 3, 2)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"shape \(1, n, 2\)"):
+            pol.play_rows(np.zeros((1, 2, 3)), np.zeros((1, 2)))
 
 
-class TestFtlChoice:
+class TestFtl:
     def test_examples(self):
-        assert ftl_choice([1.0, 2.0]) == 0
-        assert ftl_choice([2.0, 2.0]) == 0
-        assert ftl_choice([3.0, 1.0, 2.0]) == 1
+        # the leader before each round, lowest index on ties
+        rows = np.array([[[1.0, 2.0, 5.0], [0.0, 0.0, 0.0], [1.5, 0.0, 0.0],
+                          [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]]])
+        assert FTLPolicy(3).play_rows(rows).tolist() == [[0, 0, 0, 1, 0]]
 
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            ftl_choice([])
+    def test_rows_play_apart(self):
+        pol = FTLPolicy(2, R=2)
+        arms = pol.play_rows(np.array([[[0.0, 1.0], [0.0, 1.0]],
+                                       [[1.0, 0.0], [1.0, 0.0]]]))
+        assert arms.tolist() == [[0, 0], [0, 1]]
+        assert pol.cum_losses.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+        assert pol.t == 2
 
 
 class TestImportanceWeighting:
@@ -450,7 +508,7 @@ class TestExp4:
         pol = EXP4Policy(N, K, lambda t: advice[t], T=T, R=R)
         want = np.zeros((R, N))
         for t in range(T):
-            weights = np.array([_hedge_weights(row, pol.eta).weights
+            weights = np.array([_hedge_weights(row, pol.eta)
                                 for row in pol.estimates.tolist()])
             arms = pol.act_rows(rng.random(R))
             rows = [ProbVec(row).weights for row in advice[t]]
@@ -698,39 +756,38 @@ class TestDoubling:
         assert doubling_schedule(7, 2)[0] == 2
         assert doubling_schedule(8, 2)[0] == 3
 
-    def test_hedge_rate_and_resets_follow_the_schedule(self):
+    def test_hedge_rate_and_resets_follow_the_schedule(self, monkeypatch):
         # the arm-0 loss grows within a period, so a reset shows as zero
         # losses and the rate in the distribution of every later round
         K = 2
+        drawn = []
+
+        def recorded(p, u):
+            drawn.append(tuple(p[0].tolist()))
+            return sample_arms(p, u)
+
+        monkeypatch.setattr("boundslab.online_policies.sample_arms", recorded)
         pol = HedgePolicy(K, doubling=True)
         for t in range(1, 2 ** 12 + 1):
-            p = pol.distribution()
             m, eta = doubling_schedule(t, K)
-            assert (pol.cum_losses == [0.0, 0.0]) == (t == 2 ** m)
-            assert p.weights == _hedge_weights(pol.cum_losses, eta).weights
-            pol.observe([1.0, 0.0])
+            assert (pol.cum_losses.tolist() == [[0.0, 0.0]]) == (t == 2 ** m)
+            want = _hedge_weights(pol.cum_losses[0], eta)
+            pol.play_rows(np.array([[[1.0, 0.0]]]), np.array([[0.5]]))
+            assert drawn[-1] == want
 
-    def test_hedge_distribution_changes_nothing(self):
-        # the period restart belongs to observe: a distribution asked for at
-        # any round, period starts included, leaves the losses as they were
-        rng = np.random.default_rng(5)
-        pol = HedgePolicy(3, doubling=True)
-        for t in range(1, 2 ** 7 + 1):
-            before = list(pol.cum_losses)
-            assert pol.distribution().weights == pol.distribution().weights
-            assert pol.cum_losses == before
-            pol.observe(rng.random(3).tolist())
-
-    def test_hedge_wrapper_resets(self):
-        rng = np.random.default_rng(3)
+    def test_hedge_resets_at_each_period_start(self):
+        # after rounds 1, 3 and 7 the next round starts a period: its
+        # distribution is uniform again, whatever the losses before
         pol = HedgePolicy(2, doubling=True)
         for t in range(1, 10):
-            pol.act(rng.random())
-            pol.observe([1.0, 0.0])
+            pol.play_rows(np.array([[[1.0, 0.0]]]), np.array([[0.3]]))
             if t + 1 in (2, 4, 8):
-                # peeking at the next round's distribution applies the reset
-                p = pol.distribution()
-                assert math.isclose(p.weights[0], 0.5, rel_tol=1e-12)
+                assert pol.cum_losses.tolist() == [[0.0, 0.0]]
+                # u = 0.5 - 1e-12 draws arm 0 from (0.5, 0.5) only
+                arms = pol.play_rows(np.zeros((1, 1, 2)),
+                                     np.array([[0.5 - 1e-12]]))
+                assert arms.tolist() == [[0]]
+                break
 
 
 def _running_sum_arm(dist, u):
@@ -742,6 +799,11 @@ def _running_sum_arm(dist, u):
         if u < cum:
             return a
     return len(dist) - 1
+
+
+def sample_arm(dist, u) -> int:
+    """``sample_arms`` of one distribution and one uniform."""
+    return int(sample_arms(np.array([dist], dtype=float), np.array([u]))[0])
 
 
 class TestSampling:
@@ -774,7 +836,6 @@ class TestSampling:
             for v in (math.nextafter(c, -1.0), c, math.nextafter(c, 2.0)):
                 v = min(max(v, 0.0), below_one)
                 assert sample_arm(weights, v) == _running_sum_arm(weights, v)
-                assert sample_arm(tuple(weights), v) == sample_arm(weights, v)
 
     def test_determinism_of_policy_runs(self):
         def run():
